@@ -5,8 +5,10 @@
 Every distinguished geometric object -- the fundamental metric, nonlinear and
 Cartan connections, torsion and curvature d-tensors, Ricci data, Einstein
 blocks, conservation residuals and the electromagnetic 2-form -- is computed
-twice: through a generic second-order forward-mode pipeline and through its
-closed form, and the two are verified against each other over seeded samples.
+twice: through a generic pipeline, a batched closed-form kernel for the
+metric's y-derivatives with second-order forward-mode Taylor arithmetic as its
+per-point oracle, and through its closed form; the two are verified against
+each other over seeded samples.
 """
 
 __version__ = "0.1.0"
@@ -16,6 +18,7 @@ from .errors import (
     ConstructionError,
     DegenerateDenominatorError,
     DomainError,
+    InvariantError,
     JetBMError,
     SingularTensorError,
 )
@@ -29,6 +32,7 @@ from .jetcore import (
     taylor2_seed,
     time_metric_eval,
 )
+from .geometry import Geometry
 from .metric import GScalars, MetricPair, bm_metric_closed, g_scalars, metric_pair, metric_taylor2
 from .connection import (
     AdaptedCobasis,
@@ -81,6 +85,8 @@ __all__ = [
     "SingularTensorError",
     "DegenerateDenominatorError",
     "ConfigError",
+    "InvariantError",
+    "Geometry",
     "JetPoint",
     "TimeMetric",
     "TimeMetricValues",

@@ -10,12 +10,11 @@ so delta y^i = dy^i - kappa y^i dt - (kappa/3) dx^i.
 """
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
+from .geometry import ChristoffelTime, check_cone, christoffel_time, point_geometry
 from .jetcore import DIM, JetPoint, QuarticTensor, TimeMetric
-from .metric import _check_cone, metric_taylor2
 
 __all__ = [
     "ChristoffelTime",
@@ -32,21 +31,6 @@ __all__ = [
     "bm_cartan_closed",
     "a_table",
 ]
-
-
-@dataclass(frozen=True)
-class ChristoffelTime:
-    """kappa = (h^11 / 2) dh_11/dt and its exact t-derivative."""
-
-    kappa: float
-    dkappa: float
-
-
-def christoffel_time(tm: TimeMetric, t: float) -> ChristoffelTime:
-    v = tm.eval(t)
-    kappa = 0.5 * v.h11_inv * v.dh11
-    dkappa = 0.5 * v.d2h11 / v.h11 - 0.5 * (v.dh11 / v.h11) ** 2
-    return ChristoffelTime(kappa=kappa, dkappa=dkappa)
 
 
 @dataclass(frozen=True)
@@ -115,18 +99,6 @@ def a_table() -> np.ndarray:
 
 _A = a_table()
 
-# canonical-representative maps for the totally symmetric derivative tables:
-# flat (j,m,k) -> position of sorted(j,m,k) among the 20 sorted triples, and
-# flat (j,m,k,n) -> position among the 35 sorted quadruples
-_TRIPLES = list(combinations_with_replacement(range(DIM), 3))
-_QUADS = list(combinations_with_replacement(range(DIM), 4))
-_CANON3 = np.array(
-    [_TRIPLES.index(tuple(sorted(idx))) for idx in np.ndindex(DIM, DIM, DIM)], dtype=np.intp
-)
-_CANON4 = np.array(
-    [_QUADS.index(tuple(sorted(idx))) for idx in np.ndindex(DIM, DIM, DIM, DIM)], dtype=np.intp
-)
-
 
 @dataclass(frozen=True)
 class CartanConnection:
@@ -138,38 +110,6 @@ class CartanConnection:
     c: np.ndarray
 
 
-def _derivative_tables(G: QuarticTensor, y):
-    """Metric value, inverse, and canonical third/fourth derivative tables.
-
-    T3[j,m,k] = d g_jm / dy^k and T4[j,m,k,n] = d2 g_jm / dy^k dy^n are both
-    totally symmetric (they are derivatives of a single scalar), so one
-    representative per sorted multi-index is stored into every permutation.
-    This keeps downstream index symmetries exact in floating point.
-    """
-    gt = metric_taylor2(G, y)
-    gv = np.array([[gt[i][j].value for j in range(DIM)] for i in range(DIM)])
-    gu = np.linalg.inv(gv)
-    gu = 0.5 * (gu + gu.T)
-
-    vals3 = np.empty(len(_TRIPLES))
-    for pos, (a, b, c) in enumerate(_TRIPLES):
-        val = gt[a][b].grad[c]
-        if __debug__:
-            scale = max(abs(val), 1.0)
-            assert abs(gt[a][c].grad[b] - val) <= 1e-9 * scale, "mixed-partial consistency"
-        vals3[pos] = val
-    T3 = vals3[_CANON3].reshape(DIM, DIM, DIM)
-    vals4 = np.empty(len(_QUADS))
-    for pos, (a, b, c, d) in enumerate(_QUADS):
-        val = gt[a][b].hess[c, d]
-        if __debug__:
-            scale = max(abs(val), 1.0)
-            assert abs(gt[a][c].hess[b, d] - val) <= 1e-9 * scale, "mixed-partial consistency"
-        vals4[pos] = val
-    T4 = vals4[_CANON4].reshape(DIM, DIM, DIM, DIM)
-    return gv, gu, T3, T4
-
-
 def cartan_connection(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> CartanConnection:
     """Cartan canonical connection from the generic adapted-component formulas.
 
@@ -179,24 +119,19 @@ def cartan_connection(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> CartanCo
     for x-constant G. G^k_j1 is computed honestly (g is 0-homogeneous in y, so
     it comes out zero) rather than assumed.
     """
-    kappa = christoffel_time(tm, p.t).kappa
-    gv, gu, T3, _ = _derivative_tables(G, p.y)
-    C = 0.5 * np.einsum("im,jmk->ijk", gu, T3)
-    # L assembled from the full three-term form with delta/delta x^k = (kappa/3) d/dy^k;
-    # it collapses onto (kappa/3) C because T3 is totally symmetric (asserted in
-    # _derivative_tables), not by assumption here.
-    three_term = T3 + T3.transpose(2, 1, 0) - T3.transpose(0, 2, 1)
-    L = (kappa / 3.0) * 0.5 * np.einsum("im,jmk->ijk", gu, three_term)
-    # delta g/delta t = dg/dt + kappa y^p dg/dy^p; the metric carries no t-dependence
-    dg_dt = kappa * np.einsum("mjp,p->mj", T3, p.y)
-    gk = 0.5 * np.einsum("km,mj->kj", gu, dg_dt)
-    return CartanConnection(kappa=kappa, gk=gk, l=L, c=C)
+    geo = point_geometry(G, tm, p)
+    return CartanConnection(kappa=float(geo.kappa[0]), gk=geo.gk[0], l=geo.l[0], c=geo.c[0])
+
+
+def _bm_c_closed(y) -> np.ndarray:
+    """C^i_j(k) = A^i_jk y^i / (y^j y^k) at one point or over an (N, 4) batch."""
+    y = check_cone(y)
+    return _A * y[..., :, None, None] / (y[..., None, :, None] * y[..., None, None, :])
 
 
 def bm_cartan_closed(tm: TimeMetric, p: JetPoint) -> CartanConnection:
     """Closed Berwald-Moor components: C^i_j(k) = A^i_jk y^i / (y^j y^k),
     L = (kappa/3) C, G^k_j1 = 0."""
-    y = _check_cone(p.y)
     kappa = christoffel_time(tm, p.t).kappa
-    C = _A * y[:, None, None] / (y[None, :, None] * y[None, None, :])
+    C = _bm_c_closed(p.y)
     return CartanConnection(kappa=kappa, gk=np.zeros((DIM, DIM)), l=(kappa / 3.0) * C, c=C)

@@ -9,6 +9,10 @@ Index conventions for arrays:
     R[l,i,j,k]    = R^l_ijk
     s_raised[m,i] = S_i^m11 = g^mr S_ricci[r,i]
 
+The generic objects are reads of the geometry kernel's bundle
+(``geometry.py``); the Berwald-Moor closed tables ``bm_s_*`` accept one
+point or an (N, 4) batch of points.
+
 Two Ricci-level closed forms are provided for the Berwald-Moor case.
 ``bm_s_ricci_contracted`` is the exact contraction S^m_i(j)(m) of the closed
 S tensor, with diagonal 3/(8 y_i^2).  ``bm_s_ricci_field`` is the table the
@@ -20,12 +24,13 @@ of hiding it.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from .connection import CartanConnection, _derivative_tables, cartan_connection, christoffel_time
+from .connection import christoffel_time
+from .geometry import check_cone, point_geometry
 from .jetcore import DIM, JetPoint, QuarticTensor, TimeMetric
-from .metric import _check_cone, metric_pair
 
 __all__ = [
     "TorsionSet",
@@ -82,45 +87,15 @@ class RicciSet:
     sc: float
 
 
-def torsions(G: QuarticTensor, tm: TimeMetric, p: JetPoint, cart: CartanConnection | None = None) -> TorsionSet:
-    """Torsions from their defining formulas, asserted against the closed forms.
+def torsions(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> TorsionSet:
+    """Torsions from their defining formulas, checked against the closed forms.
 
     P^(k)(1)_(1)i(j) = dN^(k)_(1)i/dy^j - L^k_ji   (N is y-independent)
     R^(k)_(1)1j      = delta M^(k)_(1)1/delta x^j - delta N^(k)_(1)j/delta t
     P^k(1)_i(j)      = C^k_i(j)
-
-    A precomputed Cartan connection may be supplied to avoid re-deriving it.
     """
-    ct = christoffel_time(tm, p.t)
-    if cart is None:
-        cart = cartan_connection(G, tm, p)
-    p_mixed = -cart.l.transpose(0, 2, 1)  # -L^k_{ji} arranged as [k,i,j]
-    p_vert = cart.c.copy()
-    # delta M^k/delta x^j = (kappa/3) d(-kappa y^k)/dy^j; delta N/delta t = d/dt
-    r_time = (-(ct.kappa**2) / 3.0 + ct.dkappa / 3.0) * np.eye(DIM)
-
-    scale = max(np.abs(cart.c).max(), 1.0)
-    assert np.abs(p_mixed + (ct.kappa / 3.0) * cart.c).max() <= 1e-9 * scale * (1 + abs(ct.kappa))
-    closed_r = ((ct.dkappa - ct.kappa**2) / 3.0) * np.eye(DIM)
-    assert np.abs(r_time - closed_r).max() <= 1e-12 * (1 + abs(ct.kappa) + abs(ct.dkappa))
-    return TorsionSet(p_mixed=p_mixed, p_vert=p_vert, r_time=r_time)
-
-
-def _curvature_ingredients(G: QuarticTensor, y):
-    """C, dC (one-term) and the three-term variants, from exact Taylor data.
-
-    dC[i,j,k,n] = d C^i_j(k) / dy^n assembled from
-    d g^im/dy^n = -g^ia (dg_ab/dy^n) g^bm and the exact metric Hessian.
-    """
-    gv, gu, T3, T4 = _derivative_tables(G, y)
-    dgu = -np.einsum("ia,abn,bm->imn", gu, T3, gu)
-    C = 0.5 * np.einsum("im,jmk->ijk", gu, T3)
-    dC = 0.5 * (np.einsum("imn,jmk->ijkn", dgu, T3) + np.einsum("im,jmkn->ijkn", gu, T4))
-    three3 = T3 + T3.transpose(2, 1, 0) - T3.transpose(0, 2, 1)
-    three4 = T4 + T4.transpose(2, 1, 0, 3) - T4.transpose(0, 2, 1, 3)
-    C3 = 0.5 * np.einsum("im,jmk->ijk", gu, three3)
-    dC3 = 0.5 * (np.einsum("imn,jmk->ijkn", dgu, three3) + np.einsum("im,jmkn->ijkn", gu, three4))
-    return gv, gu, C, dC, C3, dC3
+    geo = point_geometry(G, tm, p)
+    return TorsionSet(p_mixed=geo.p_mixed[0], p_vert=geo.p_vert[0], r_time=geo.r_time[0])
 
 
 def curvatures(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> CurvatureSet:
@@ -133,26 +108,8 @@ def curvatures(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> CurvatureSet:
 
     S is exactly antisymmetric in (j,k) by construction (X minus its swap).
     """
-    kappa = christoffel_time(tm, p.t).kappa
-    _, _, C, dC, C3, dC3 = _curvature_ingredients(G, p.y)
-
-    X = dC + np.einsum("mij,lmk->lijk", C, C)
-    S = X - X.transpose(0, 1, 3, 2)
-
-    L = (kappa / 3.0) * C3
-    dL = (kappa / 3.0) * dC3
-    XR = (kappa / 3.0) * dL + np.einsum("mij,lmk->lijk", L, L)
-    R = XR - XR.transpose(0, 1, 3, 2)
-
-    p_mixed = -(kappa / 3.0) * C  # torsion P^(m)(1)_(1)j(k) arranged [m,j,k]
-    cov = (
-        (kappa / 3.0) * dC.transpose(0, 1, 3, 2)  # delta C^l_i(k) / delta x^j
-        + np.einsum("mik,lmj->lijk", C, L)
-        - np.einsum("lmk,mij->lijk", C, L)
-        - np.einsum("lim,mkj->lijk", C, L)
-    )
-    P = dL - cov + np.einsum("lim,mjk->lijk", C, p_mixed)
-    return CurvatureSet(r=R, p=P, s=S)
+    geo = point_geometry(G, tm, p)
+    return CurvatureSet(r=geo.r_curv[0], p=geo.p_curv[0], s=geo.s_curv[0])
 
 
 def classify_s_case(l: int, i: int, j: int, k: int) -> int:
@@ -187,73 +144,67 @@ def classify_s_case(l: int, i: int, j: int, k: int) -> int:
     return matches[0]
 
 
+# the nonzero cases of the ten-case closed form, as functions of
+# (y^l, y^i, y^j, y^k), and their index sets tabulated once from classify_s_case
+_S_ENTRIES = {
+    2: lambda yl, yi, yj, yk: -yl / (16.0 * yi**2 * yk),
+    3: lambda yl, yi, yj, yk: yl / (16.0 * yi**2 * yj),
+    5: lambda yl, yi, yj, yk: 1.0 / (16.0 * yi * yk),
+    6: lambda yl, yi, yj, yk: -1.0 / (16.0 * yi * yj),
+    7: lambda yl, yi, yj, yk: 1.0 / (8.0 * yi**2),
+    8: lambda yl, yi, yj, yk: -1.0 / (8.0 * yi**2),
+}
+_S_CASE = np.array([classify_s_case(*idx) for idx in product(range(DIM), repeat=4)]).reshape((DIM,) * 4)
+_S_INDEX = {case: np.nonzero(_S_CASE == case) for case in _S_ENTRIES}
+
+
 def bm_s_closed(y) -> np.ndarray:
-    """All 256 entries of S^l_i(j)(k) from the ten-case closed form."""
-    y = _check_cone(y)
-    S = np.zeros((DIM, DIM, DIM, DIM))
-    for l in range(DIM):
-        for i in range(DIM):
-            for j in range(DIM):
-                for k in range(DIM):
-                    case = classify_s_case(l, i, j, k)
-                    if case in (0, 1, 4, 9, 10):
-                        continue
-                    if case == 2:
-                        S[l, i, j, k] = -y[l] / (16.0 * y[i] ** 2 * y[k])
-                    elif case == 3:
-                        S[l, i, j, k] = y[l] / (16.0 * y[i] ** 2 * y[j])
-                    elif case == 5:
-                        S[l, i, j, k] = 1.0 / (16.0 * y[i] * y[k])
-                    elif case == 6:
-                        S[l, i, j, k] = -1.0 / (16.0 * y[i] * y[j])
-                    elif case == 7:
-                        S[l, i, j, k] = 1.0 / (8.0 * y[i] ** 2)
-                    elif case == 8:
-                        S[l, i, j, k] = -1.0 / (8.0 * y[i] ** 2)
+    """All 256 entries of S^l_i(j)(k) from the ten-case closed form, at one
+    point or over an (N, 4) batch; cases 0, 1, 4, 9 and 10 vanish."""
+    y = check_cone(y)
+    S = np.zeros(y.shape[:-1] + (DIM,) * 4)
+    for case, entry in _S_ENTRIES.items():
+        idx = _S_INDEX[case]
+        S[(..., *idx)] = entry(*(y[..., a] for a in idx))
     return S
 
 
 def ricci_scalar(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> RicciSet:
     """Honest Ricci contractions and scalar curvature of the generic pipeline."""
-    cur = curvatures(G, tm, p)
-    mp = metric_pair(G, tm, p)
-    h11 = tm.eval(p.t).h11
-    r_ij = np.einsum("mijm->ij", cur.r)
-    p_ricci = np.einsum("mijm->ij", cur.p)
-    s_ricci = np.einsum("mijm->ij", cur.s)
-    s_raised = np.einsum("mr,ri->mi", mp.g_up, s_ricci)
-    sc = float(np.einsum("pq,pq", mp.g_up, r_ij) + h11 * np.einsum("pq,pq", mp.g_up, s_ricci))
-    return RicciSet(r_ij=r_ij, p_ricci=p_ricci, s_ricci=s_ricci, s_raised=s_raised, sc=sc)
+    geo = point_geometry(G, tm, p)
+    return RicciSet(
+        r_ij=geo.r_ij[0], p_ricci=geo.p_ricci[0], s_ricci=geo.s_ricci[0], s_raised=geo.s_raised[0], sc=float(geo.sc[0])
+    )
 
 
 def bm_s_ricci_contracted(y) -> np.ndarray:
     """Closed form of the contraction S^m_i(j)(m) for the Berwald-Moor case:
     (4 delta_ij - 1) / (8 y^i y^j), i.e. diagonal 3/(8 y_i^2), off-diagonal
     -1/(8 y_i y_j)."""
-    y = _check_cone(y)
-    return (4.0 * np.eye(DIM) - 1.0) / (8.0 * np.outer(y, y))
+    y = check_cone(y)
+    return (4.0 * np.eye(DIM) - 1.0) / (8.0 * y[..., :, None] * y[..., None, :])
 
 
 def bm_s_ricci_field(y) -> np.ndarray:
     """Ricci table the field-theory layer is built on:
     (7 delta_ij - 1) / (8 y^i y^j).  Off-diagonal agrees with the honest
     contraction; the diagonal is exactly twice it."""
-    y = _check_cone(y)
-    return (7.0 * np.eye(DIM) - 1.0) / (8.0 * np.outer(y, y))
+    y = check_cone(y)
+    return (7.0 * np.eye(DIM) - 1.0) / (8.0 * y[..., :, None] * y[..., None, :])
 
 
 def bm_s_raised_field(y) -> np.ndarray:
     """g-raising of the field-theory Ricci table:
     S_i^m11 = (5 - 14 delta^m_i) / (4 sqrt(G_1111)) * y^m / y^i."""
-    y = _check_cone(y)
-    sq = np.sqrt(np.prod(y))
+    y = check_cone(y)
+    sq = np.sqrt(np.prod(y, axis=-1))[..., None, None]
     coef = (5.0 - 14.0 * np.eye(DIM)) / (4.0 * sq)
-    return coef * np.outer(y, 1.0 / y)
+    return coef * (y[..., :, None] * (1.0 / y)[..., None, :])
 
 
 def scalar_curvature_field(tm: TimeMetric, t: float, y) -> float:
     """Field-theory scalar curvature -(9 h_11 + kappa^2) / sqrt(G_1111)."""
-    y = _check_cone(y)
+    y = check_cone(y)
     h11 = tm.eval(t).h11
     kappa = christoffel_time(tm, t).kappa
     return float(-(9.0 * h11 + kappa**2) / np.sqrt(np.prod(y)))

@@ -23,3 +23,8 @@ class DegenerateDenominatorError(JetBMError):
 
 class ConfigError(JetBMError):
     """A run configuration violates one of its invariants."""
+
+
+class InvariantError(JetBMError):
+    """An internal consistency guard failed: a computed object disagrees with
+    an identity it must satisfy, which points at a defect in the program."""

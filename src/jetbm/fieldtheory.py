@@ -10,17 +10,19 @@ divergences reproduce the closed right-hand sides at machine precision.  For
 non-Berwald-Moor tensors the honest Ricci contraction feeds the same block
 formulas and divergences fall back to the unreduced covariant definitions
 with finite differences.
+
+Each ``*_of`` function computes its objects over the whole batch of a
+geometry bundle; the per-point functions read one point of an N = 1 bundle.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import apriori_nlc, cartan_connection, christoffel_time
-from .curvature import bm_s_raised_field, bm_s_ricci_field, ricci_scalar
-from .errors import ConfigError
-from .jetcore import DIM, JetPoint, QuarticTensor, Taylor2, TimeMetric, taylor2_seed
-from .metric import g_scalars, metric_pair
+from .curvature import bm_s_raised_field, bm_s_ricci_field
+from .errors import ConfigError, InvariantError
+from .geometry import Geometry, christoffel_time, geometry, point_geometry, take
+from .jetcore import DIM, JetPoint, QuarticTensor, TimeMetric, taylor2_seed
 
 __all__ = [
     "GravPotential",
@@ -34,6 +36,13 @@ __all__ = [
     "des_check",
     "em_form",
     "xi_11",
+    "grav_potential_of",
+    "einstein_blocks_of",
+    "conservation_residuals_of",
+    "em_form_of",
+    "t2_raised_table",
+    "t2_divergence",
+    "FIELD_COEF",
 ]
 
 
@@ -100,35 +109,39 @@ class EMForm:
     f: np.ndarray
 
 
+def grav_potential_of(geo: Geometry) -> GravPotential:
+    """Potential blocks over the batch."""
+    return GravPotential(tt_block=geo.h11, xx_block=geo.g_lo, yy_block=geo.h11_inv[:, None, None] * geo.g_lo)
+
+
 def grav_potential(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> GravPotential:
-    v = tm.eval(p.t)
-    mp = metric_pair(G, tm, p)
-    return GravPotential(tt_block=v.h11, xx_block=mp.g_lo, yy_block=v.h11_inv * mp.g_lo)
+    return take(grav_potential_of(point_geometry(G, tm, p)), 0)
+
+
+def _xi(h11, kappa, k: float):
+    if k == 0.0:
+        raise ConfigError("einstein constant K must be nonzero")
+    return (9.0 * h11 + kappa * kappa) / (2.0 * k)
 
 
 def xi_11(tm: TimeMetric, t: float, k: float) -> float:
     """xi_11 = (9 h_11 + kappa^2) / (2 K), the scalar in every diagonal block."""
-    if k == 0.0:
-        raise ConfigError("einstein constant K must be nonzero")
-    h11 = tm.eval(t).h11
-    kappa = christoffel_time(tm, t).kappa
-    return (9.0 * h11 + kappa * kappa) / (2.0 * k)
+    return _xi(tm.eval(t).h11, christoffel_time(tm, t).kappa, k)
 
 
-def _s_source(G: QuarticTensor, tm: TimeMetric, p: JetPoint):
+def _s_source(geo: Geometry):
     """Ricci table and its g-raising feeding the block formulas.
 
     Berwald-Moor tensors use the closed field-theory table; custom tensors
     fall back to the honest contraction of the generic pipeline.
     """
-    if G.is_berwald_moor:
-        return bm_s_ricci_field(p.y), bm_s_raised_field(p.y)
-    rs = ricci_scalar(G, tm, p)
-    return rs.s_ricci, rs.s_raised
+    if geo.tensor.is_berwald_moor:
+        return bm_s_ricci_field(geo.y), bm_s_raised_field(geo.y)
+    return geo.s_ricci, geo.s_raised
 
 
-def einstein_blocks(G: QuarticTensor, tm: TimeMetric, p: JetPoint, k: float) -> EinsteinBlocks:
-    """Stress-energy blocks of the local Einstein equations.
+def einstein_blocks_of(geo: Geometry, k: float) -> EinsteinBlocks:
+    """Stress-energy blocks of the local Einstein equations over the batch.
 
     T_11 = xi h_11 / sqrt(G_1111)
     T_ij = (kappa^2 / 9K) S_(i)(j) + (xi / sqrt(G_1111)) g_ij
@@ -136,175 +149,152 @@ def einstein_blocks(G: QuarticTensor, tm: TimeMetric, p: JetPoint, k: float) -> 
     mixed blocks    = (kappa / 3K) S_(i)(j)
     plus the raised components, cross-checkable against g-/h-raising.
     """
-    if k == 0.0:
-        raise ConfigError("einstein constant K must be nonzero")
-    v = tm.eval(p.t)
-    kappa = christoffel_time(tm, p.t).kappa
-    mp = metric_pair(G, tm, p)
-    sq = np.sqrt(g_scalars(G, p.y).g1111)
-    s_ric, s_raised = _s_source(G, tm, p)
-    xi = (9.0 * v.h11 + kappa * kappa) / (2.0 * k)
-
-    t_11 = xi * v.h11 / sq
-    t_ij = (kappa**2 / (9.0 * k)) * s_ric + (xi / sq) * mp.g_lo
-    t_yy = (1.0 / k) * s_ric + (xi / sq) * v.h11_inv * mp.g_lo
-    mixed = (kappa / (3.0 * k)) * s_ric
+    xi = _xi(geo.h11, geo.kappa, k)
+    h11, kappa = geo.h11[:, None, None], geo.kappa[:, None, None]
+    sq = np.sqrt(geo.scalars.g1111)
+    xi_sq = (xi / sq)[:, None, None]
+    s_ric, s_raised = _s_source(geo)
     eye = np.eye(DIM)
+    mixed = (kappa / (3.0 * k)) * s_ric
     return EinsteinBlocks(
         k=k,
         xi11=xi,
-        t_11=t_11,
-        t_ij=t_ij,
-        t_yy=t_yy,
+        t_11=xi * geo.h11 / sq,
+        t_ij=(kappa**2 / (9.0 * k)) * s_ric + xi_sq * geo.g_lo,
+        t_yy=(1.0 / k) * s_ric + xi_sq * geo.h11_inv[:, None, None] * geo.g_lo,
         t_i_yj=mixed,
         t_yi_j=mixed.copy(),
         zero_blocks={"t_1i": True, "t_i1": True, "t_yi_1": True, "t_1_yi": True},
         raised_t11=xi / sq,
-        raised_h=(kappa**2 / (9.0 * k)) * s_raised + (xi / sq) * eye,
-        raised_mixed_t=(v.h11 * kappa / (3.0 * k)) * s_raised,
+        raised_h=(kappa**2 / (9.0 * k)) * s_raised + xi_sq * eye,
+        raised_mixed_t=(h11 * kappa / (3.0 * k)) * s_raised,
         raised_mixed_v=(kappa / (3.0 * k)) * s_raised,
-        raised_vv=(v.h11 / k) * s_raised + (xi / sq) * eye,
+        raised_vv=(h11 / k) * s_raised + xi_sq * eye,
     )
 
 
-def _t2_field_tables(y):
-    """Taylor2 tables of 1/sqrt(G_1111) and the raised field table S_i^m11(y)."""
+def einstein_blocks(G: QuarticTensor, tm: TimeMetric, p: JetPoint, k: float) -> EinsteinBlocks:
+    """Stress-energy blocks at one point (see ``einstein_blocks_of``)."""
+    return take(einstein_blocks_of(point_geometry(G, tm, p), k), 0)
+
+
+# coefficients [m, i] of the raised field-theory Ricci table on the raised
+# table: S_i^m11 = FIELD_COEF[m, i] y^m / (y^i sqrt(G_1111))
+FIELD_COEF = (5.0 - 14.0 * np.eye(DIM)) / 4.0
+
+
+def t2_raised_table(y):
+    """Taylor2 entries y^m / (y^i sqrt(G_1111)) of the Berwald-Moor raised
+    table, indexed [m][i], and 1/sqrt(G_1111), at one point."""
     s = taylor2_seed(y)
     sq = (s[0] * s[1] * s[2] * s[3]).sqrt()
-    inv_sq = sq.reciprocal()
-    raised: list[list[Taylor2]] = [[None] * DIM for _ in range(DIM)]
-    for m in range(DIM):
-        for i in range(DIM):
-            coef = (5.0 - 14.0 * (m == i)) / 4.0
-            raised[m][i] = s[m] / s[i] / sq * coef
-    return inv_sq, raised
+    return [[s[m] / s[i] / sq for i in range(DIM)] for m in range(DIM)], sq.reciprocal()
+
+
+def t2_divergence(table, coef: np.ndarray) -> np.ndarray:
+    """Sum over m of d/dy^m [ coef[m,i] table[m][i] ]: each entry's gradient
+    is scaled by its coefficient, the same single multiplication as scaling
+    the entry itself."""
+    return np.array([sum(table[m][i].grad[m] * coef[m, i] for m in range(DIM)) for i in range(DIM)])
+
+
+def conservation_residuals_of(geo: Geometry, k: float) -> ConservationResiduals:
+    """Divergence combinations of the stress-energy components versus their
+    closed right-hand sides, over the batch.
+
+    For Berwald-Moor tensors the reduced covariant forms are differentiated
+    exactly (Taylor2), and the C- and L-terms the reduction drops are checked
+    to vanish.  Custom tensors use the unreduced definitions with central
+    finite differences.
+    """
+    xi = _xi(geo.h11, geo.kappa, k)
+    dxi = (9.0 * geo.dh11 + 2.0 * geo.kappa * geo.dkappa) / (2.0 * k)
+    sq = np.sqrt(geo.scalars.g1111)
+    v_inv, dh = geo.h11_inv, geo.dh11
+    closed_t1 = (v_inv**2 / (8.0 * k)) * dh * (2.0 * geo.d2h11 - 3.0 * dh**2 / geo.h11) / sq
+    closed_ti = (geo.kappa * xi)[:, None] / (18.0 * sq[:, None] * geo.y)
+    closed_tyi = xi[:, None] / (6.0 * sq[:, None] * geo.y)
+    if geo.tensor.is_berwald_moor:
+        t1, ti, tyi = _divergences_reduced(geo, k, xi, dxi)
+        _guard_reduction_terms(geo, einstein_blocks_of(geo, k))
+    else:
+        t1, ti, tyi = _divergences_unreduced(geo, k, xi, dxi)
+    return ConservationResiduals(
+        t1=t1, ti=ti, tyi=tyi, closed_t1=closed_t1, closed_ti=closed_ti, closed_tyi=closed_tyi
+    )
 
 
 def conservation_residuals(G: QuarticTensor, tm: TimeMetric, p: JetPoint, k: float) -> ConservationResiduals:
-    """Divergence combinations of the stress-energy components versus their
-    closed right-hand sides.
+    """Conservation residuals at one point (see ``conservation_residuals_of``)."""
+    return take(conservation_residuals_of(point_geometry(G, tm, p), k), 0)
 
-    For Berwald-Moor tensors the reduced covariant forms are differentiated
-    exactly (Taylor2); the unreduced definitions with the full C- and L-terms
-    are asserted to agree in debug mode.  Custom tensors use the unreduced
-    definitions with central finite differences.
-    """
-    if k == 0.0:
-        raise ConfigError("einstein constant K must be nonzero")
-    v = tm.eval(p.t)
-    ct = christoffel_time(tm, p.t)
-    kappa, h11 = ct.kappa, v.h11
-    xi = (9.0 * h11 + kappa * kappa) / (2.0 * k)
-    dxi = (9.0 * v.dh11 + 2.0 * kappa * ct.dkappa) / (2.0 * k)
-    sq = np.sqrt(g_scalars(G, p.y).g1111)
 
-    closed_t1 = (v.h11_inv**2 / (8.0 * k)) * v.dh11 * (2.0 * v.d2h11 - 3.0 * v.dh11**2 / h11) / sq
-    closed_ti = kappa * xi / (18.0 * sq * p.y)
-    closed_tyi = xi / (6.0 * sq * p.y)
-
-    if G.is_berwald_moor:
-        inv_sq, raised = _t2_field_tables(p.y)
+def _divergences_reduced(geo: Geometry, k: float, xi, dxi):
+    """Reduced covariant divergences of the Berwald-Moor blocks, one point at
+    a time on the exact Taylor2 raised table."""
+    n = len(geo)
+    t1 = np.empty(n)
+    ti = np.empty((n, DIM))
+    tyi = np.empty((n, DIM))
+    for x in range(n):
+        kappa, h11, xi_x = geo.kappa[x], geo.h11[x], xi[x]
+        table, inv_sq = t2_raised_table(geo.y[x])
+        div_s = t2_divergence(table, FIELD_COEF)
+        div_delta = inv_sq.grad
         # T1 = delta(xi / sqrt(G)) / delta t with delta/delta t = d/dt + kappa y^p d/dy^p
-        t1 = dxi * inv_sq.value + kappa * xi * float(np.dot(p.y, inv_sq.grad))
-        ti = np.zeros(DIM)
-        tyi = np.zeros(DIM)
-        for i in range(DIM):
-            div_s = sum(raised[m][i].grad[m] for m in range(DIM))
-            div_delta = inv_sq.grad[i]
-            ti[i] = (kappa / 3.0) * ((kappa**2 / (9.0 * k)) * div_s + xi * div_delta) + (
-                h11 * kappa / (3.0 * k)
-            ) * div_s
-            tyi[i] = (kappa / 3.0) * (kappa / (3.0 * k)) * div_s + (h11 / k) * div_s + xi * div_delta
-        if __debug__:
-            _assert_reduction_terms_vanish(G, tm, p, k)
-    else:
-        t1, ti, tyi = _divergences_unreduced(G, tm, p, k)
-
-    return ConservationResiduals(
-        t1=float(t1), ti=ti, tyi=tyi, closed_t1=float(closed_t1), closed_ti=closed_ti, closed_tyi=closed_tyi
-    )
+        t1[x] = dxi[x] * inv_sq.value + kappa * xi_x * float(np.dot(geo.y[x], inv_sq.grad))
+        ti[x] = (kappa / 3.0) * ((kappa**2 / (9.0 * k)) * div_s + xi_x * div_delta) + (h11 * kappa / (3.0 * k)) * div_s
+        tyi[x] = (kappa / 3.0) * (kappa / (3.0 * k)) * div_s + (h11 / k) * div_s + xi_x * div_delta
+    return t1, ti, tyi
 
 
-def _assert_reduction_terms_vanish(G: QuarticTensor, tm: TimeMetric, p: JetPoint, k: float):
+def _guard_reduction_terms(geo: Geometry, blocks: EinsteinBlocks):
     """The reduced divergence forms drop C/L contraction terms; they vanish
     through the trace-free property of C and the raised-orthogonality
-    identity, which is what this assertion pins down."""
-    cart = cartan_connection(G, tm, p)
-    blocks = einstein_blocks(G, tm, p, k)
-    trace = np.einsum("mjm->j", cart.c)
-    scale = max(np.abs(cart.c).max(), 1.0)
-    assert np.abs(trace).max() <= 1e-9 * scale
+    identity, which is what this guard pins down."""
+    c = geo.c
+    trace = np.einsum("xmjm->xj", c)
+    bad = np.abs(trace).max(axis=1) > 1e-9 * np.maximum(np.abs(c).max(axis=(1, 2, 3)), 1.0)
     for field in (blocks.raised_h, blocks.raised_mixed_t, blocks.raised_mixed_v, blocks.raised_vv):
-        dropped = np.einsum("mr,rim->i", field, cart.c)
-        assert np.abs(dropped).max() <= 1e-9 * max(np.abs(field).max(), 1.0)
+        dropped = np.einsum("xmr,xrim->xi", field, c)
+        bad |= np.abs(dropped).max(axis=1) > 1e-9 * np.maximum(np.abs(field).max(axis=(1, 2)), 1.0)
+    if bad.any():
+        y = geo.y[np.flatnonzero(bad)[0]]
+        raise InvariantError(f"the terms dropped by the reduced conservation divergences do not vanish at y={y}")
 
 
-def _raised_fields_at(G: QuarticTensor, tm: TimeMetric, t: float, y, k: float):
-    p = JetPoint.from_y(y, t=t)
-    b = einstein_blocks(G, tm, p, k)
-    return b
+def _divergences_unreduced(geo: Geometry, k: float, xi, dxi):
+    """Unreduced covariant divergences with central finite differences in y;
+    the eight shifted points of every point form one bundle."""
+    n = len(geo)
+    h = 1e-5 * geo.y  # step per direction
+    shift = h[:, :, None] * np.eye(DIM)  # [point, direction, coordinate]
+    ys = np.stack([geo.y[:, None, :] + shift, geo.y[:, None, :] - shift], axis=2)
+    shifted = geometry(geo.tensor, geo.tm, np.repeat(geo.t, 2 * DIM), ys.reshape(-1, DIM))
+    bs = einstein_blocks_of(shifted, k)
 
-
-def _divergences_unreduced(G: QuarticTensor, tm: TimeMetric, p: JetPoint, k: float):
-    """Unreduced covariant divergences with central finite differences in y."""
-    cart = cartan_connection(G, tm, p)
-    kappa = cart.kappa
-    b0 = einstein_blocks(G, tm, p, k)
-    v = tm.eval(p.t)
-    ct = christoffel_time(tm, p.t)
-    xi = b0.xi11
-    dxi = (9.0 * v.dh11 + 2.0 * kappa * ct.dkappa) / (2.0 * k)
-
-    step = 1e-5
-    d_h = np.zeros((DIM, DIM, DIM))  # d raised_h[m,i] / dy^n
-    d_mt = np.zeros((DIM, DIM, DIM))
-    d_mv = np.zeros((DIM, DIM, DIM))
-    d_vv = np.zeros((DIM, DIM, DIM))
-    d_invsq = np.zeros(DIM)
-    sq0 = np.sqrt(g_scalars(G, p.y).g1111)
-    for n in range(DIM):
-        h_n = step * p.y[n]
-        e = np.zeros(DIM)
-        e[n] = h_n
-        bp = _raised_fields_at(G, tm, p.t, p.y + e, k)
-        bm = _raised_fields_at(G, tm, p.t, p.y - e, k)
-        d_h[:, :, n] = (bp.raised_h - bm.raised_h) / (2.0 * h_n)
-        d_mt[:, :, n] = (bp.raised_mixed_t - bm.raised_mixed_t) / (2.0 * h_n)
-        d_mv[:, :, n] = (bp.raised_mixed_v - bm.raised_mixed_v) / (2.0 * h_n)
-        d_vv[:, :, n] = (bp.raised_vv - bm.raised_vv) / (2.0 * h_n)
-        sp = np.sqrt(g_scalars(G, p.y + e).g1111)
-        sm = np.sqrt(g_scalars(G, p.y - e).g1111)
-        d_invsq[n] = (1.0 / sp - 1.0 / sm) / (2.0 * h_n)
+    def deriv(field):
+        """d field / dy^n at every point, arranged [point, n, ...]."""
+        f = field.reshape((n, DIM, 2) + field.shape[1:])
+        return (f[:, :, 0] - f[:, :, 1]) / (2.0 * h.reshape((n, DIM) + (1,) * (field.ndim - 1)))
 
     # T1: only delta T^1_1 / delta t survives (the other two fields vanish)
-    t1 = dxi / sq0 + kappa * xi * float(np.dot(p.y, d_invsq))
+    d_invsq = deriv(1.0 / np.sqrt(shifted.scalars.g1111))
+    t1 = dxi / np.sqrt(geo.scalars.g1111) + geo.kappa * xi * np.einsum("xn,xn->x", geo.y, d_invsq)
 
-    C, L = cart.c, cart.l
-    trace_l = np.einsum("mrm->r", L)  # L^m_rm
-    trace_c = np.einsum("mrm->r", C)  # C^m_r(m)
-    ti = np.zeros(DIM)
-    tyi = np.zeros(DIM)
-    for i in range(DIM):
-        div_h = np.trace(d_h[:, i, :])
-        div_mt = np.trace(d_mt[:, i, :])
-        div_mv = np.trace(d_mv[:, i, :])
-        div_vv = np.trace(d_vv[:, i, :])
-        # horizontal: delta T^m_i / delta x^m + T^r_i L^m_rm - T^m_r L^r_im
-        hor = (kappa / 3.0) * div_h + float(
-            b0.raised_h[:, i] @ trace_l - np.einsum("mr,rm->", b0.raised_h, L[:, i, :])
-        )
-        # vertical: d T^(m)_i / dy^m + T^(r)_i C^m_r(m) - T^(m)_r C^r_i(m)
-        vert = div_mt + float(
-            b0.raised_mixed_t[:, i] @ trace_c - np.einsum("mr,rm->", b0.raised_mixed_t, C[:, i, :])
-        )
-        ti[i] = hor + vert
-        hor_v = (kappa / 3.0) * div_mv + float(
-            b0.raised_mixed_v[:, i] @ trace_l - np.einsum("mr,rm->", b0.raised_mixed_v, L[:, i, :])
-        )
-        vert_v = div_vv + float(
-            b0.raised_vv[:, i] @ trace_c - np.einsum("mr,rm->", b0.raised_vv, C[:, i, :])
-        )
-        tyi[i] = hor_v + vert_v
+    b0 = einstein_blocks_of(geo, k)
+
+    def divergence(name, conn, scale):
+        """scale d T^m_i/dy^m + T^r_i conn^m_rm - T^m_r conn^r_im for the raised field `name`."""
+        field = getattr(b0, name)
+        trace = np.einsum("xmrm->xr", conn)
+        d = np.einsum("xmmi->xi", deriv(getattr(bs, name)))
+        return scale * d + np.einsum("xri,xr->xi", field, trace) - np.einsum("xmr,xrim->xi", field, conn)
+
+    # horizontal parts with L and delta/delta x^m = (kappa/3) d/dy^m, vertical parts with C
+    k3 = (geo.kappa / 3.0)[:, None]
+    ti = divergence("raised_h", geo.l, k3) + divergence("raised_mixed_t", geo.c, 1.0)
+    tyi = divergence("raised_mixed_v", geo.l, k3) + divergence("raised_vv", geo.c, 1.0)
     return t1, ti, tyi
 
 
@@ -327,16 +317,19 @@ def des_check(tm: TimeMetric, t_samples) -> DesCheck:
     return DesCheck(r1=r1, r2=r2, solvable=solvable)
 
 
-def em_form(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> EMForm:
-    """F^(1)_(i)j = (h^11/2)[g_jm N^m_i - g_im N^m_j + (g_ir L^r_jm - g_jr L^r_im) y^m].
+def em_form_of(geo: Geometry) -> EMForm:
+    """F^(1)_(i)j = (h^11/2)[g_jm N^m_i - g_im N^m_j + (g_ir L^r_jm - g_jr L^r_im) y^m]
+    over the batch, with the a-priori N^m_i = -(kappa/3) delta^m_i.
 
     Antisymmetric by construction; zero for any tensor whose C satisfies the
     y-transversality identity, in particular Berwald-Moor."""
-    v = tm.eval(p.t)
-    nlc = apriori_nlc(tm, p)
-    cart = cartan_connection(G, tm, p)
-    mp = metric_pair(G, tm, p)
-    U = np.einsum("jm,mi->ij", mp.g_lo, nlc.n)
-    V = np.einsum("ir,rjm,m->ij", mp.g_lo, cart.l, p.y)
-    F = 0.5 * v.h11_inv * ((U - U.T) + (V - V.T))
+    n_apriori = -(geo.kappa / 3.0)[:, None, None] * np.eye(DIM)
+    U = np.einsum("xjm,xmi->xij", geo.g_lo, n_apriori)
+    V = np.einsum("xir,xrjm,xm->xij", geo.g_lo, geo.l, geo.y)
+    F = (0.5 * geo.h11_inv)[:, None, None] * ((U - U.swapaxes(1, 2)) + (V - V.swapaxes(1, 2)))
     return EMForm(f=F)
+
+
+def em_form(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> EMForm:
+    """The electromagnetic 2-form at one point (see ``em_form_of``)."""
+    return take(em_form_of(point_geometry(G, tm, p)), 0)

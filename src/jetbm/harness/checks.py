@@ -6,7 +6,9 @@ pipeline and a closed form, or an internal identity).  Checks are organized
 into groups that share one pipeline evaluation per sampled point; a group
 draws its points from a generator seeded by (seed, group index) and emits its
 reports in a fixed order, so output is deterministic for a fixed (config,
-seed) regardless of evaluation schedule.
+seed) regardless of evaluation schedule.  The generic objects of a group come
+from geometry bundles over its points, checked with array operations; the
+Taylor2 oracles run one point at a time.
 
 Checks that need Berwald-Moor closed forms are reported as skipped for custom
 tensors.  Three checks compare the honest Ricci contraction of the vertical
@@ -25,6 +27,7 @@ import numpy as np
 
 from .. import connection, curvature, fieldtheory, metric
 from ..errors import ConfigError
+from ..geometry import batches, geometry
 from ..jetcore import DIM, JetPoint, Taylor2, VerificationReport, taylor2_seed
 from .config import RunConfig
 
@@ -111,23 +114,20 @@ def _grp_gscalars(cfg, rng, n):
     raised = _Err()
     inv_closed = _Err()
     t, ys = _points(cfg, rng, n)
-    for i in range(n):
-        y = ys[i]
-        p = JetPoint.from_y(y, t=t[i])
-        s = metric.g_scalars(cfg.tensor, y)
-        mp = metric.metric_pair(cfg.tensor, cfg.time_metric, p)
-        euler.add(float(s.gi111 @ y), 4.0 * s.g1111)
-        euler.add(s.gij11 @ y, 3.0 * s.gi111)
-        euler.add(float(y @ s.gij11 @ y), 12.0 * s.g1111)
-        inverse.add_residual(mp.g_lo @ mp.g_up - np.eye(DIM))
+    for geo in batches(cfg.tensor, cfg.time_metric, t, ys):
+        s, y = geo.scalars, geo.y
+        euler.add(np.einsum("xi,xi->x", s.gi111, y), 4.0 * s.g1111)
+        euler.add(np.einsum("xij,xj->xi", s.gij11, y), 3.0 * s.gi111)
+        euler.add(np.einsum("xi,xij,xj->x", y, s.gij11, y), 12.0 * s.g1111)
+        inverse.add_residual(geo.g_lo @ geo.g_up - np.eye(DIM))
         if cfg.tensor.is_berwald_moor:
             cl = metric.bm_metric_closed(y)
-            oracle.add(mp.g_lo, cl.g_lo)
-            oracle.add(mp.g_up, cl.g_up)
+            oracle.add(geo.g_lo, cl.g_lo)
+            oracle.add(geo.g_up, cl.g_up)
             det.add(s.det_gij11, -3.0 * s.g1111**2)
             script.add(s.g_script, (2.0 / 3.0) * s.g1111)
             raised.add(s.gj_up, y / 3.0)
-            inv_closed.add(s.gij11_inv, (1.0 - 3.0 * np.eye(DIM)) * np.outer(y, y) / (3.0 * s.g1111))
+            inv_closed.add(s.gij11_inv, (1.0 - 3.0 * np.eye(DIM)) * y[:, :, None] * y[:, None, :] / (3.0 * s.g1111[:, None, None]))
     return [
         _Verdict("metric/closed-form-oracle", oracle, rel_tol=1e-10),
         _Verdict("metric/inverse-pair", inverse, abs_tol=1e-10),
@@ -169,18 +169,12 @@ def _grp_metric_taylor(cfg, rng, n):
     hess = _Err()
     homog = _Err()
     t, ys = _points(cfg, rng, n)
-    for i in range(n):
-        v = cfg.time_metric.eval(t[i])
-        seeds = taylor2_seed(ys[i])
-        f2 = _g1111_taylor2(cfg.tensor, seeds).sqrt() * v.h11_inv
-        p = JetPoint.from_y(ys[i], t=t[i])
-        base = metric.metric_pair(cfg.tensor, cfg.time_metric, p).g_lo
-        hess.add(0.5 * v.h11 * f2.hess, base)
+    for geo in batches(cfg.tensor, cfg.time_metric, t, ys):
+        for i, y in enumerate(geo.y):
+            f2 = _g1111_taylor2(cfg.tensor, taylor2_seed(y)).sqrt() * geo.h11_inv[i]
+            hess.add(0.5 * geo.h11[i] * f2.hess, geo.g_lo[i])
         for lam in (0.5, 2.0, 7.0):
-            scaled = metric.metric_pair(
-                cfg.tensor, cfg.time_metric, JetPoint.from_y(lam * ys[i], t=t[i])
-            ).g_lo
-            homog.add(scaled, base)
+            homog.add(geometry(cfg.tensor, cfg.time_metric, geo.t, lam * geo.y).g_lo, geo.g_lo)
     return [
         _Verdict("metric/hessian-of-energy", hess, rel_tol=1e-9),
         _Verdict("metric/zero-homogeneity", homog, rel_tol=1e-12),
@@ -216,17 +210,15 @@ def _grp_cartan(cfg, rng, n):
     transv = _Err()
     trace = _Err()
     t, ys = _points(cfg, rng, n)
-    for i in range(n):
-        p = JetPoint.from_y(ys[i], t=t[i])
-        gen = connection.cartan_connection(cfg.tensor, cfg.time_metric, p)
-        time_zero.add_residual(gen.gk)
-        sym.add_residual(gen.c - gen.c.transpose(0, 2, 1))
-        transv.add_residual(np.einsum("ijm,m->ij", gen.c, ys[i]))
+    for geo in batches(cfg.tensor, cfg.time_metric, t, ys):
+        time_zero.add_residual(geo.gk)
+        sym.add_residual(geo.c - geo.c.transpose(0, 1, 3, 2))
+        transv.add_residual(np.einsum("xijm,xm->xij", geo.c, geo.y))
         if cfg.tensor.is_berwald_moor:
-            cl = connection.bm_cartan_closed(cfg.time_metric, p)
-            vert.add(gen.c, cl.c)
-            hor.add(gen.l, cl.l)
-            trace.add_residual(np.einsum("mjm->j", gen.c))
+            closed = connection._bm_c_closed(geo.y)
+            vert.add(geo.c, closed)
+            hor.add(geo.l, (geo.kappa / 3.0)[:, None, None, None] * closed)
+            trace.add_residual(np.einsum("xmjm->xj", geo.c))
     return [
         _Verdict("cartan/vertical-oracle", vert, rel_tol=1e-9),
         _Verdict("cartan/horizontal-oracle", hor, abs_tol=1e-12, rel_tol=1e-9),
@@ -243,22 +235,19 @@ def _grp_curvature(cfg, rng, n):
     prop = _Err()
     tor_closed = _Err()
     t, ys = _points(cfg, rng, n)
-    for i in range(n):
-        p = JetPoint.from_y(ys[i], t=t[i])
-        ct = connection.christoffel_time(cfg.time_metric, t[i])
-        cur = curvature.curvatures(cfg.tensor, cfg.time_metric, p)
-        cart = connection.cartan_connection(cfg.tensor, cfg.time_metric, p)
-        tor = curvature.torsions(cfg.tensor, cfg.time_metric, p, cart=cart)
-        antisym.add_residual(cur.s + cur.s.transpose(0, 1, 3, 2))
-        prop.add(cur.r, (ct.kappa**2 / 9.0) * cur.s)
-        prop.add(cur.p, (ct.kappa / 3.0) * cur.s)
-        tor_closed.add(tor.p_vert, cart.c)
-        tor_closed.add(tor.p_mixed, -(ct.kappa / 3.0) * cart.c)
-        tor_closed.add(tor.r_time, ((ct.dkappa - ct.kappa**2) / 3.0) * np.eye(DIM))
+    for geo in batches(cfg.tensor, cfg.time_metric, t, ys):
+        k3 = (geo.kappa / 3.0)[:, None, None, None]
+        s = geo.s_curv
+        antisym.add_residual(s + s.swapaxes(3, 4))
+        prop.add(geo.r_curv, (geo.kappa**2 / 9.0)[:, None, None, None, None] * s)
+        prop.add(geo.p_curv, k3[..., None] * s)
+        tor_closed.add(geo.p_vert, geo.c)
+        tor_closed.add(geo.p_mixed, -k3 * geo.c)
+        tor_closed.add(geo.r_time, ((geo.dkappa - geo.kappa**2) / 3.0)[:, None, None] * np.eye(DIM))
         if cfg.tensor.is_berwald_moor:
-            closed = curvature.bm_s_closed(ys[i])
-            scale = max(float(np.abs(closed).max()), 1e-300)
-            worst = float(np.abs(cur.s - closed).max() / scale)
+            closed = curvature.bm_s_closed(geo.y)
+            scale = np.maximum(np.abs(closed).max(axis=(1, 2, 3, 4)), 1e-300)
+            worst = float((np.abs(s - closed).max(axis=(1, 2, 3, 4)) / scale).max())
             s_oracle.add_residual(worst)
             s_oracle.rel = max(s_oracle.rel, worst)
     return [
@@ -269,21 +258,6 @@ def _grp_curvature(cfg, rng, n):
     ]
 
 
-def _raised_divergence(y, coef: np.ndarray) -> np.ndarray:
-    """Sum over m of d/dy^m [ coef[m,i] y^m / (y^i sqrt(G_1111)) ]."""
-    seeds = taylor2_seed(y)
-    sq = (seeds[0] * seeds[1] * seeds[2] * seeds[3]).sqrt()
-    div = np.zeros(DIM)
-    for i in range(DIM):
-        acc = 0.0
-        for m in range(DIM):
-            entry = seeds[m] / seeds[i] / sq * coef[m, i]
-            acc += entry.grad[m]
-        div[i] = acc
-    return div
-
-
-_FIELD_COEF = (5.0 - 14.0 * np.eye(DIM)) / 4.0
 _CONTRACTED_COEF = (2.0 - 8.0 * np.eye(DIM)) / 4.0  # g-raising of the honest contraction
 
 
@@ -300,32 +274,28 @@ def _grp_ricci(cfg, rng, n):
     t, ys = _points(cfg, rng, n)
     on = np.eye(DIM, dtype=bool)
     if not cfg.tensor.is_berwald_moor:
-        n = 0  # every report in this group is skipped for custom tensors
-    for i in range(n):
-        y = ys[i]
-        p = JetPoint.from_y(y, t=t[i])
-        rs = curvature.ricci_scalar(cfg.tensor, cfg.time_metric, p)
+        t, ys = t[:0], ys[:0]  # every report in this group is skipped for custom tensors
+    for geo in batches(cfg.tensor, cfg.time_metric, t, ys):
+        y, kappa = geo.y, geo.kappa
+        closed_form.add(geo.s_ricci, curvature.bm_s_ricci_contracted(y))
+        closed_form.add(geo.r_ij, (kappa**2 / 9.0)[:, None, None] * geo.s_ricci)
+        closed_form.add(geo.p_ricci, (kappa / 3.0)[:, None, None] * geo.s_ricci)
+        tbl = curvature.bm_s_ricci_field(y)
+        offdiag.add(geo.s_ricci[:, ~on], tbl[:, ~on])
+        diag.add(geo.s_ricci[:, on], tbl[:, on])
+        mp_up = metric.bm_metric_closed(y).g_up
+        raised_field.add(np.einsum("xmr,xri->xmi", mp_up, tbl), curvature.bm_s_raised_field(y))
         # the generic C equals the closed one (cartan/vertical-oracle), so the
         # orthogonality identity can contract against the cheap closed form
-        cart = connection.bm_cartan_closed(cfg.time_metric, p)
-        kappa = connection.christoffel_time(cfg.time_metric, t[i]).kappa
-        v = cfg.time_metric.eval(t[i])
-
-        closed_form.add(rs.s_ricci, curvature.bm_s_ricci_contracted(y))
-        closed_form.add(rs.r_ij, (kappa**2 / 9.0) * rs.s_ricci)
-        closed_form.add(rs.p_ricci, (kappa / 3.0) * rs.s_ricci)
-        tbl = curvature.bm_s_ricci_field(y)
-        offdiag.add(rs.s_ricci[~on], tbl[~on])
-        diag.add(rs.s_ricci[on], tbl[on])
-        mp_up = metric.bm_metric_closed(y).g_up
-        raised_field.add(np.einsum("mr,ri->mi", mp_up, tbl), curvature.bm_s_raised_field(y))
-        curl.add_residual(np.einsum("mr,rim->i", rs.s_raised, cart.c))
-        target = 3.0 / (np.sqrt(np.prod(y)) * y)
-        div_field.add(_raised_divergence(y, _FIELD_COEF), target)
-        div_contr.add(_raised_divergence(y, _CONTRACTED_COEF), target)
-        honest_closed = -(6.0 * v.h11 + (2.0 / 3.0) * kappa**2) / np.sqrt(np.prod(y))
-        sc_closed.add(rs.sc, honest_closed)
-        sc_field.add(rs.sc, curvature.scalar_curvature_field(cfg.time_metric, t[i], y))
+        curl.add_residual(np.einsum("xmr,xrim->xi", geo.s_raised, connection._bm_c_closed(y)))
+        sq = np.sqrt(np.prod(y, axis=1))
+        sc_closed.add(geo.sc, -(6.0 * geo.h11 + (2.0 / 3.0) * kappa**2) / sq)
+        for i in range(len(geo)):
+            table, _ = fieldtheory.t2_raised_table(y[i])
+            target = 3.0 / (np.sqrt(np.prod(y[i])) * y[i])
+            div_field.add(fieldtheory.t2_divergence(table, fieldtheory.FIELD_COEF), target)
+            div_contr.add(fieldtheory.t2_divergence(table, _CONTRACTED_COEF), target)
+            sc_field.add(geo.sc[i], curvature.scalar_curvature_field(cfg.time_metric, geo.t[i], y[i]))
     return [
         _Verdict("ricci/contraction-closed-form", closed_form, rel_tol=1e-10),
         _Verdict("ricci/contraction-vs-field-offdiag", offdiag, rel_tol=1e-9),
@@ -344,20 +314,19 @@ def _grp_einstein(cfg, rng, n):
     sym = _Err()
     raised = _Err()
     t, ys = _points(cfg, rng, n)
-    for i in range(n):
-        p = JetPoint.from_y(ys[i], t=t[i])
-        v = cfg.time_metric.eval(t[i])
-        b = fieldtheory.einstein_blocks(cfg.tensor, cfg.time_metric, p, cfg.einstein_k)
-        mp = metric.metric_pair(cfg.tensor, cfg.time_metric, p)
+    for geo in batches(cfg.tensor, cfg.time_metric, t, ys):
+        b = fieldtheory.einstein_blocks_of(geo, cfg.einstein_k)
+        g_up = geo.g_up
+        h11 = geo.h11[:, None, None]
         zeros.add_residual(0.0 if all(b.zero_blocks.values()) else 1.0)
-        sym.add_residual(b.t_ij - b.t_ij.T)
-        sym.add_residual(b.t_yy - b.t_yy.T)
+        sym.add_residual(b.t_ij - b.t_ij.swapaxes(1, 2))
+        sym.add_residual(b.t_yy - b.t_yy.swapaxes(1, 2))
         sym.add_residual(b.t_i_yj - b.t_yi_j)
-        raised.add(b.raised_t11, v.h11_inv * b.t_11)
-        raised.add(b.raised_h, np.einsum("mr,ri->mi", mp.g_up, b.t_ij))
-        raised.add(b.raised_mixed_t, v.h11 * np.einsum("mr,ri->mi", mp.g_up, b.t_yi_j))
-        raised.add(b.raised_mixed_v, np.einsum("mr,ri->mi", mp.g_up, b.t_i_yj))
-        raised.add(b.raised_vv, v.h11 * np.einsum("mr,ri->mi", mp.g_up, b.t_yy))
+        raised.add(b.raised_t11, geo.h11_inv * b.t_11)
+        raised.add(b.raised_h, np.einsum("xmr,xri->xmi", g_up, b.t_ij))
+        raised.add(b.raised_mixed_t, h11 * np.einsum("xmr,xri->xmi", g_up, b.t_yi_j))
+        raised.add(b.raised_mixed_v, np.einsum("xmr,xri->xmi", g_up, b.t_i_yj))
+        raised.add(b.raised_vv, h11 * np.einsum("xmr,xri->xmi", g_up, b.t_yy))
     return [
         _Verdict("einstein/zero-blocks", zeros, abs_tol=1e-12),
         _Verdict("einstein/block-symmetry", sym, abs_tol=1e-10),
@@ -365,8 +334,9 @@ def _grp_einstein(cfg, rng, n):
     ]
 
 
-def _residual_norm(res) -> float:
-    return float(np.sqrt(res.t1**2 + np.sum(res.ti**2) + np.sum(res.tyi**2)))
+def _residual_norm(res):
+    """Norm of (T1, Ti, Tyi) for one point or, over the last axis, a batch."""
+    return np.sqrt(res.t1**2 + np.sum(res.ti**2, axis=-1) + np.sum(res.tyi**2, axis=-1))
 
 
 def _grp_conservation(cfg, rng, n):
@@ -374,15 +344,13 @@ def _grp_conservation(cfg, rng, n):
     nonzero = _Err()
     t, ys = _points(cfg, rng, n)
     if not cfg.tensor.is_berwald_moor:
-        n = 0  # both reports in this group are skipped for custom tensors
-    for i in range(n):
-        res = fieldtheory.conservation_residuals(
-            cfg.tensor, cfg.time_metric, JetPoint.from_y(ys[i], t=t[i]), cfg.einstein_k
-        )
+        t, ys = t[:0], ys[:0]  # both reports in this group are skipped for custom tensors
+    for geo in batches(cfg.tensor, cfg.time_metric, t, ys):
+        res = fieldtheory.conservation_residuals_of(geo, cfg.einstein_k)
         closed.add(res.t1, res.closed_t1)
         closed.add(res.ti, res.closed_ti)
         closed.add(res.tyi, res.closed_tyi)
-        nonzero.add_residual(0.0 if _residual_norm(res) > 0.0 else 1.0)
+        nonzero.add_residual(np.where(_residual_norm(res) > 0.0, 0.0, 1.0))
     return [
         _Verdict("conservation/closed-rhs", closed, rel_tol=1e-8),
         _Verdict("conservation/residual-nonzero", nonzero, abs_tol=0.5),
@@ -433,10 +401,10 @@ def _grp_field_misc(cfg, rng, n):
     violation = max(violation, float(np.maximum(0.0, -out.r2).max()))
     des.add_residual(violation)
     t, ys = _points(cfg, rng, n)
-    for i in range(n):
-        f = fieldtheory.em_form(cfg.tensor, cfg.time_metric, JetPoint.from_y(ys[i], t=t[i])).f
+    for geo in batches(cfg.tensor, cfg.time_metric, t, ys):
+        f = fieldtheory.em_form_of(geo).f
         em.add_residual(f)
-        em.add_residual(f + f.T)
+        em.add_residual(f + f.swapaxes(1, 2))
     return [
         _Verdict("des/unsolvable", des, abs_tol=1e-15),
         _Verdict("em/two-form-zero", em, abs_tol=1e-10),

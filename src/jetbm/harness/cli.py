@@ -6,7 +6,8 @@ Subcommands:
   sweep   -- tabulate one scalar field over a (t, y) grid
   report  -- human-readable summary of a previously written verify JSON
 
-Exit codes: 0 pass, 1 verification failure, 2 invalid input.
+Exit codes: 0 pass, 1 verification failure, 2 invalid input, 3 internal
+invariant violated (a consistency guard of the program failed).
 The verify/sweep documents are byte-deterministic for a fixed config and
 seed; human-readable progress goes to stderr.
 """
@@ -19,8 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .. import __version__, connection, curvature, fieldtheory, metric
-from ..errors import ConfigError, JetBMError
+from .. import __version__, connection, curvature, fieldtheory
+from ..errors import ConfigError, InvariantError, JetBMError
+from ..geometry import point_geometry, take
 from ..jetcore import JetPoint
 from .checks import SWEEP_FIELDS, parse_grid, run_verify, sweep, sweep_csv
 from .config import RunConfig, default_config, parse_config
@@ -34,29 +36,24 @@ def _load_config(path: str | None) -> RunConfig:
 
 def _eval_point(cfg: RunConfig, p: JetPoint) -> dict:
     tm = cfg.time_metric
-    v = tm.eval(p.t)
-    ct = connection.christoffel_time(tm, p.t)
-    s = metric.g_scalars(cfg.tensor, p.y)
-    mp = metric.metric_pair(cfg.tensor, tm, p)
+    geo = point_geometry(cfg.tensor, tm, p)
+    one = take(geo, 0)
+    s = one.scalars
     can = connection.canonical_nlc(tm, p)
     apr = connection.apriori_nlc(tm, p)
-    cart = connection.cartan_connection(cfg.tensor, tm, p)
-    tor = curvature.torsions(cfg.tensor, tm, p)
-    cur = curvature.curvatures(cfg.tensor, tm, p)
-    ric = curvature.ricci_scalar(cfg.tensor, tm, p)
-    pot = fieldtheory.grav_potential(cfg.tensor, tm, p)
-    ein = fieldtheory.einstein_blocks(cfg.tensor, tm, p, cfg.einstein_k)
-    cons = fieldtheory.conservation_residuals(cfg.tensor, tm, p, cfg.einstein_k)
-    em = fieldtheory.em_form(cfg.tensor, tm, p)
+    pot = take(fieldtheory.grav_potential_of(geo), 0)
+    ein = take(fieldtheory.einstein_blocks_of(geo, cfg.einstein_k), 0)
+    cons = take(fieldtheory.conservation_residuals_of(geo, cfg.einstein_k), 0)
+    em = take(fieldtheory.em_form_of(geo), 0)
     doc = {
         "point": {"t": p.t, "x": p.x.tolist(), "y": p.y.tolist()},
         "time_metric": {
-            "h11": v.h11,
-            "h11_inv": v.h11_inv,
-            "dh11": v.dh11,
-            "d2h11": v.d2h11,
-            "kappa": ct.kappa,
-            "dkappa": ct.dkappa,
+            "h11": one.h11,
+            "h11_inv": one.h11_inv,
+            "dh11": one.dh11,
+            "d2h11": one.d2h11,
+            "kappa": one.kappa,
+            "dkappa": one.dkappa,
         },
         "g_scalars": {
             "G1111": s.g1111,
@@ -67,24 +64,24 @@ def _eval_point(cfg: RunConfig, p: JetPoint) -> dict:
             "G_script": s.g_script,
             "Gj_up": s.gj_up.tolist(),
         },
-        "metric": {"g_lo": mp.g_lo.tolist(), "g_up": mp.g_up.tolist()},
+        "metric": {"g_lo": one.g_lo.tolist(), "g_up": one.g_up.tolist()},
         "nonlinear_connection": {
             "canonical": {"M": can.m.tolist(), "N": can.n.tolist()},
             "apriori": {"M": apr.m.tolist(), "N": apr.n.tolist()},
         },
-        "cartan": {"kappa": cart.kappa, "Gk": cart.gk.tolist(), "L": cart.l.tolist(), "C": cart.c.tolist()},
+        "cartan": {"kappa": one.kappa, "Gk": one.gk.tolist(), "L": one.l.tolist(), "C": one.c.tolist()},
         "torsions": {
-            "P_mixed": tor.p_mixed.tolist(),
-            "P_vert": tor.p_vert.tolist(),
-            "R_time": tor.r_time.tolist(),
+            "P_mixed": one.p_mixed.tolist(),
+            "P_vert": one.p_vert.tolist(),
+            "R_time": one.r_time.tolist(),
         },
-        "curvatures": {"R": cur.r.tolist(), "P": cur.p.tolist(), "S": cur.s.tolist()},
+        "curvatures": {"R": one.r_curv.tolist(), "P": one.p_curv.tolist(), "S": one.s_curv.tolist()},
         "ricci": {
-            "R_ij": ric.r_ij.tolist(),
-            "P_ricci": ric.p_ricci.tolist(),
-            "S_ricci": ric.s_ricci.tolist(),
-            "S_raised": ric.s_raised.tolist(),
-            "Sc": ric.sc,
+            "R_ij": one.r_ij.tolist(),
+            "P_ricci": one.p_ricci.tolist(),
+            "S_ricci": one.s_ricci.tolist(),
+            "S_raised": one.s_raised.tolist(),
+            "Sc": one.sc,
             "S_ricci_field": curvature.bm_s_ricci_field(p.y).tolist() if cfg.tensor.is_berwald_moor else None,
             "Sc_field": curvature.scalar_curvature_field(tm, p.t, p.y) if cfg.tensor.is_berwald_moor else None,
         },
@@ -246,11 +243,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options whose value may start with "-": a negative time in exponent
+# notation ("-1.5e-05") or a coordinate list ("-1,2,3,4"), which argparse
+# would otherwise read as a flag
+_SIGNED_VALUE_OPTIONS = ("--t", "--x", "--y")
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite "--t -1.5e-05" as "--t=-1.5e-05" for the options above."""
+    out = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        nxt = argv[i + 1] if i + 1 < len(argv) else None
+        if tok in _SIGNED_VALUE_OPTIONS and nxt is not None and nxt.startswith("-") and not nxt.startswith("--"):
+            out.append(f"{tok}={nxt}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except JetBMError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominatorError, DomainError, SingularTensorError
+from .errors import DomainError
+from .geometry import GScalars, check_cone, g_hierarchy, point_geometry
 from .jetcore import DIM, JetPoint, QuarticTensor, Taylor2, TimeMetric
 
 __all__ = [
@@ -26,33 +27,6 @@ __all__ = [
     "metric_taylor2",
 ]
 
-_SINGULAR_RTOL = 1e-12
-_DEGENERATE_RTOL = 1e-12
-
-
-def _check_cone(y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if y.shape != (DIM,):
-        raise DomainError(f"expected a 4-vector, got shape {y.shape}")
-    if not np.all(y > 0.0):
-        raise DomainError(f"y must lie in the open positive cone, got {y}")
-    return y
-
-
-@dataclass(frozen=True)
-class GScalars:
-    """All y-contractions of G_pqrs used by the metric and its derivatives."""
-
-    g1111: float
-    gi111: np.ndarray
-    gij11: np.ndarray
-    gijk1: np.ndarray
-    gijkl: np.ndarray
-    gij11_inv: np.ndarray
-    det_gij11: float
-    g_script: float
-    gj_up: np.ndarray
-
 
 @dataclass(frozen=True)
 class MetricPair:
@@ -63,35 +37,11 @@ class MetricPair:
 
 
 def g_scalars(G: QuarticTensor, y) -> GScalars:
-    """Contract G_pqrs with y to all orders, by direct polynomial contraction."""
-    y = _check_cone(y)
-    D = G.dense
-    g1111 = float(np.einsum("pqrs,p,q,r,s", D, y, y, y, y))
-    gi111 = 4.0 * np.einsum("ipqr,p,q,r->i", D, y, y, y)
-    gij11 = 12.0 * np.einsum("ijpq,p,q->ij", D, y, y)
-    gijk1 = 24.0 * np.einsum("ijkp,p->ijk", D, y)
-    gijkl = 24.0 * D
-
-    det = float(np.linalg.det(gij11))
-    scale = float(np.abs(gij11).max())
-    if scale == 0.0 or abs(det) < _SINGULAR_RTOL * scale**4:
-        raise SingularTensorError(f"G_ij11 is singular at y={y} (det={det})")
-    inv = np.linalg.inv(gij11)
-    inv = 0.5 * (inv + inv.T)
-
-    gj_up = inv @ gi111
-    g_script = 0.5 * float(gi111 @ inv @ gi111)
-    return GScalars(
-        g1111=g1111,
-        gi111=gi111,
-        gij11=gij11,
-        gijk1=gijk1,
-        gijkl=gijkl,
-        gij11_inv=inv,
-        det_gij11=det,
-        g_script=g_script,
-        gj_up=gj_up,
-    )
+    """Contract G_pqrs with y to all orders: one point of the kernel's G-hierarchy."""
+    y = check_cone(y)
+    if y.shape != (DIM,):
+        raise DomainError(f"expected a 4-vector, got shape {y.shape}")
+    return g_hierarchy(G, y)
 
 
 def metric_pair(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> MetricPair:
@@ -100,36 +50,22 @@ def metric_pair(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> MetricPair:
     The inverse is also cross-checked against direct 4x4 inversion of g_lo,
     which guards against index-convention mistakes in scriptG and G^j_1.
     """
-    s = g_scalars(G, p.y)
-    if s.g1111 <= 0.0:
-        raise DomainError(f"G_1111 must be positive, got {s.g1111} at y={p.y}")
-    denom = s.g1111 - s.g_script
-    if abs(denom) < _DEGENERATE_RTOL * abs(s.g1111):
-        raise DegenerateDenominatorError(
-            f"G_1111 - scriptG = {denom} is degenerate relative to G_1111 = {s.g1111}"
-        )
-    sq = np.sqrt(s.g1111)
-    g_lo = (s.gij11 - np.outer(s.gi111, s.gi111) / (2.0 * s.g1111)) / (4.0 * sq)
-    g_up = 4.0 * sq * (s.gij11_inv + np.outer(s.gj_up, s.gj_up) / (2.0 * denom))
-    g_lo = 0.5 * (g_lo + g_lo.T)
-    g_up = 0.5 * (g_up + g_up.T)
-
-    direct = np.linalg.inv(g_lo)
-    scale = np.abs(direct).max()
-    assert np.abs(g_up - direct).max() <= 1e-8 * max(scale, 1.0), "inverse-metric formula disagrees with direct inversion"
-    return MetricPair(g_lo=g_lo, g_up=g_up)
+    geo = point_geometry(G, tm, p)
+    return MetricPair(g_lo=geo.g_lo[0], g_up=geo.g_up[0])
 
 
 def bm_metric_closed(y) -> MetricPair:
     """Berwald-Moor closed forms:
     g_ij = (1 - 2 delta_ij) sqrt(G_1111) / (8 y^i y^j),
     g^jk = 2 (1 - 2 delta_jk) y^j y^k / sqrt(G_1111)   (no sums).
+    y may be one point or an (N, 4) batch.
     """
-    y = _check_cone(y)
-    sq = np.sqrt(np.prod(y))
+    y = check_cone(y)
+    sq = np.sqrt(np.prod(y, axis=-1))[..., None, None]
     sign = 1.0 - 2.0 * np.eye(DIM)
-    g_lo = sign * sq / (8.0 * np.outer(y, y))
-    g_up = 2.0 * sign * np.outer(y, y) / sq
+    yy = y[..., :, None] * y[..., None, :]
+    g_lo = sign * sq / (8.0 * yy)
+    g_up = 2.0 * sign * yy / sq
     return MetricPair(g_lo=g_lo, g_up=g_up)
 
 

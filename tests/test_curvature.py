@@ -79,6 +79,35 @@ def test_every_index_combination_hits_exactly_one_case():
     assert set(counts) == set(range(11))
 
 
+def _bm_s_closed_loop(y):
+    """The ten-case closed form entry by entry, as a loop over classify_s_case."""
+    S = np.zeros((4, 4, 4, 4))
+    for l, i, j, k in product(range(4), repeat=4):
+        case = classify_s_case(l, i, j, k)
+        if case == 2:
+            S[l, i, j, k] = -y[l] / (16.0 * y[i] ** 2 * y[k])
+        elif case == 3:
+            S[l, i, j, k] = y[l] / (16.0 * y[i] ** 2 * y[j])
+        elif case == 5:
+            S[l, i, j, k] = 1.0 / (16.0 * y[i] * y[k])
+        elif case == 6:
+            S[l, i, j, k] = -1.0 / (16.0 * y[i] * y[j])
+        elif case == 7:
+            S[l, i, j, k] = 1.0 / (8.0 * y[i] ** 2)
+        elif case == 8:
+            S[l, i, j, k] = -1.0 / (8.0 * y[i] ** 2)
+    return S
+
+
+def test_vectorised_closed_s_equals_the_case_loop(rng):
+    ys = cone_points(rng, 25)
+    batch = bm_s_closed(ys)
+    for n, y in enumerate(ys):
+        expected = _bm_s_closed_loop(y)
+        np.testing.assert_array_equal(bm_s_closed(y), expected)
+        np.testing.assert_array_equal(batch[n], expected)
+
+
 def test_closed_s_spot_values():
     y = np.array([1.0, 2.0, 3.0, 4.0])
     S = bm_s_closed(y)

@@ -14,8 +14,17 @@ from jetbm import (
     em_form,
     grav_potential,
     metric_pair,
+    taylor2_seed,
     xi_11,
 )
+from jetbm.fieldtheory import (
+    conservation_residuals_of,
+    einstein_blocks_of,
+    em_form_of,
+    t2_divergence,
+    t2_raised_table,
+)
+from jetbm.geometry import geometry
 
 from conftest import assert_close, cone_points, max_rel
 
@@ -214,3 +223,50 @@ def test_em_form_antisymmetric_for_custom_tensor(rng):
     G = QuarticTensor.from_components({(1, 2, 3, 4): 1 / 24, (1, 1, 2, 2): 0.01})
     f = em_form(G, EXP, JetPoint.from_y(np.array([1.0, 0.8, 1.2, 1.1]), t=0.3)).f
     np.testing.assert_array_equal(f, -f.T)
+
+
+# -- the shared Taylor2 raised table and the batched field layer ----------------
+
+
+def test_shared_raised_table_divergence_equals_scaled_entries(rng):
+    """Scaling each entry's gradient by its coefficient equals building the
+    scaled entry, bit for bit, for both coefficient tables."""
+    for y in cone_points(rng, 5):
+        table, inv_sq = t2_raised_table(y)
+        seeds = taylor2_seed(y)
+        sq = (seeds[0] * seeds[1] * seeds[2] * seeds[3]).sqrt()
+        assert inv_sq.value == sq.reciprocal().value
+        for coef in ((5 - 14 * np.eye(4)) / 4, (2 - 8 * np.eye(4)) / 4):
+            div = np.zeros(4)
+            for i in range(4):
+                acc = 0.0
+                for m in range(4):
+                    acc += (seeds[m] / seeds[i] / sq * coef[m, i]).grad[m]
+                div[i] = acc
+            np.testing.assert_array_equal(t2_divergence(table, coef), div)
+
+
+@pytest.mark.parametrize(
+    "G",
+    [QuarticTensor.berwald_moor(), QuarticTensor.from_components({(1, 2, 3, 4): 1 / 24, (1, 1, 2, 2): 0.005})],
+    ids=["berwald-moor", "custom"],
+)
+def test_batched_field_layer_equals_per_point(G, rng):
+    ys = cone_points(rng, 6, lo=0.7, hi=1.4)
+    ts = rng.uniform(-1, 1, 6)
+    geo = geometry(G, EXP, ts, ys)
+    blocks = einstein_blocks_of(geo, 1.5)
+    cons = conservation_residuals_of(geo, 1.5)
+    em = em_form_of(geo)
+    for n in range(6):
+        p = JetPoint.from_y(ys[n], t=ts[n])
+        one = einstein_blocks(G, EXP, p, 1.5)
+        np.testing.assert_array_equal(blocks.t_ij[n], one.t_ij)
+        np.testing.assert_array_equal(blocks.raised_vv[n], one.raised_vv)
+        # a double contraction in the unreduced divergences may round
+        # differently inside a batch, hence a tolerance instead of equality
+        res = conservation_residuals(G, EXP, p, 1.5)
+        np.testing.assert_allclose(cons.t1[n], res.t1, rtol=1e-12)
+        np.testing.assert_allclose(cons.ti[n], res.ti, rtol=1e-12)
+        np.testing.assert_allclose(cons.tyi[n], res.tyi, rtol=1e-12)
+        np.testing.assert_array_equal(em.f[n], em_form(G, EXP, p).f)

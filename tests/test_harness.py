@@ -258,6 +258,26 @@ def test_cli_eval(tmp_path):
     assert doc["einstein"]["xi11"] == pytest.approx(4.5)
 
 
+def test_cli_eval_accepts_values_that_start_with_a_dash():
+    out = _cli("eval", "--t", "-1.5e-05", "--y", "1,2,3,4", "--x", "-1,2,3,4")
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["point"]["t"] == -1.5e-05
+    assert doc["point"]["x"] == [-1.0, 2.0, 3.0, 4.0]
+
+
+def test_cli_internal_invariant_exits_three(monkeypatch, capsys):
+    from jetbm import InvariantError
+    from jetbm.harness import cli
+
+    def broken(*args):
+        raise InvariantError("mixed-partial consistency fails")
+
+    monkeypatch.setattr(cli, "point_geometry", broken)
+    assert cli.main(["eval", "--y", "1,2,3,4"]) == 3
+    assert "internal error" in capsys.readouterr().err
+
+
 def test_cli_eval_rejects_bad_point():
     out = _cli("eval", "--y", "1,2,-3,4")
     assert out.returncode == 2

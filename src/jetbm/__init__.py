@@ -6,8 +6,8 @@ Every distinguished geometric object -- the fundamental metric, nonlinear and
 Cartan connections, torsion and curvature d-tensors, Ricci data, Einstein
 blocks, conservation residuals and the electromagnetic 2-form -- is computed
 twice: through a generic pipeline, a batched closed-form kernel for the
-metric's y-derivatives with second-order forward-mode Taylor arithmetic as its
-per-point oracle, and through its closed form; the two are verified against
+metric's y-derivatives with batched second-order forward-mode Taylor
+arithmetic as its oracle, and through its closed form; the two are verified against
 each other over seeded samples.
 """
 

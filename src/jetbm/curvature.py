@@ -202,9 +202,13 @@ def bm_s_raised_field(y) -> np.ndarray:
     return coef * (y[..., :, None] * (1.0 / y)[..., None, :])
 
 
-def scalar_curvature_field(tm: TimeMetric, t: float, y) -> float:
-    """Field-theory scalar curvature -(9 h_11 + kappa^2) / sqrt(G_1111)."""
+def scalar_curvature_field(tm: TimeMetric, t, y):
+    """Field-theory scalar curvature -(9 h_11 + kappa^2) / sqrt(G_1111), at
+    one point (a float) or over a batch, t of shape (N,) and y of shape
+    (N, 4).  The time-axis scalars are evaluated one point at a time, as in
+    the geometry kernel, so a batch reproduces its points bit for bit."""
     y = check_cone(y)
-    h11 = tm.eval(t).h11
-    kappa = christoffel_time(tm, t).kappa
-    return float(-(9.0 * h11 + kappa**2) / np.sqrt(np.prod(y)))
+    ts = np.reshape(t, -1).tolist()
+    num = np.array([9.0 * tm.eval(ti).h11 + christoffel_time(tm, ti).kappa ** 2 for ti in ts])
+    out = -num.reshape(np.shape(t)) / np.sqrt(np.prod(y, axis=-1))
+    return float(out) if out.ndim == 0 else out

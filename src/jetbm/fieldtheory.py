@@ -22,7 +22,7 @@ import numpy as np
 from .curvature import bm_s_raised_field, bm_s_ricci_field
 from .errors import ConfigError, InvariantError
 from .geometry import Geometry, christoffel_time, geometry, point_geometry, take
-from .jetcore import DIM, JetPoint, QuarticTensor, TimeMetric, taylor2_seed
+from .jetcore import DIM, JetPoint, QuarticTensor, TimeMetric, pointwise_pow, taylor2_seed
 
 __all__ = [
     "GravPotential",
@@ -185,17 +185,22 @@ FIELD_COEF = (5.0 - 14.0 * np.eye(DIM)) / 4.0
 
 def t2_raised_table(y):
     """Taylor2 entries y^m / (y^i sqrt(G_1111)) of the Berwald-Moor raised
-    table, indexed [m][i], and 1/sqrt(G_1111), at one point."""
+    table, indexed [m][i], and 1/sqrt(G_1111), at one point y of shape (4,)
+    or batched over y of shape (N, 4).  The five reciprocals are taken once;
+    a / b is a * b.reciprocal(), so every entry rounds as the plain quotient
+    s[m] / s[i] / sqrt(G_1111) does."""
     s = taylor2_seed(y)
-    sq = (s[0] * s[1] * s[2] * s[3]).sqrt()
-    return [[s[m] / s[i] / sq for i in range(DIM)] for m in range(DIM)], sq.reciprocal()
+    inv = [si.reciprocal() for si in s]
+    inv_sq = (s[0] * s[1] * s[2] * s[3]).sqrt().reciprocal()
+    return [[s[m] * inv[i] * inv_sq for i in range(DIM)] for m in range(DIM)], inv_sq
 
 
 def t2_divergence(table, coef: np.ndarray) -> np.ndarray:
-    """Sum over m of d/dy^m [ coef[m,i] table[m][i] ]: each entry's gradient
-    is scaled by its coefficient, the same single multiplication as scaling
-    the entry itself."""
-    return np.array([sum(table[m][i].grad[m] * coef[m, i] for m in range(DIM)) for i in range(DIM)])
+    """Sum over m of d/dy^m [ coef[m,i] table[m][i] ], as a 4-vector or, over
+    a batch, an (N, 4) array: each entry's gradient is scaled by its
+    coefficient, the same single multiplication as scaling the entry itself,
+    and the sum runs in m-order."""
+    return np.stack([sum(table[m][i].grad[..., m] * coef[m, i] for m in range(DIM)) for i in range(DIM)], axis=-1)
 
 
 def conservation_residuals_of(geo: Geometry, k: float) -> ConservationResiduals:
@@ -230,21 +235,20 @@ def conservation_residuals(G: QuarticTensor, tm: TimeMetric, p: JetPoint, k: flo
 
 
 def _divergences_reduced(geo: Geometry, k: float, xi, dxi):
-    """Reduced covariant divergences of the Berwald-Moor blocks, one point at
-    a time on the exact Taylor2 raised table."""
-    n = len(geo)
-    t1 = np.empty(n)
-    ti = np.empty((n, DIM))
-    tyi = np.empty((n, DIM))
-    for x in range(n):
-        kappa, h11, xi_x = geo.kappa[x], geo.h11[x], xi[x]
-        table, inv_sq = t2_raised_table(geo.y[x])
-        div_s = t2_divergence(table, FIELD_COEF)
-        div_delta = inv_sq.grad
-        # T1 = delta(xi / sqrt(G)) / delta t with delta/delta t = d/dt + kappa y^p d/dy^p
-        t1[x] = dxi[x] * inv_sq.value + kappa * xi_x * float(np.dot(geo.y[x], inv_sq.grad))
-        ti[x] = (kappa / 3.0) * ((kappa**2 / (9.0 * k)) * div_s + xi_x * div_delta) + (h11 * kappa / (3.0 * k)) * div_s
-        tyi[x] = (kappa / 3.0) * (kappa / (3.0 * k)) * div_s + (h11 / k) * div_s + xi_x * div_delta
+    """Reduced covariant divergences of the Berwald-Moor blocks over the batch,
+    on one batched exact Taylor2 raised table."""
+    table, inv_sq = t2_raised_table(geo.y)
+    div_s = t2_divergence(table, FIELD_COEF)
+    div_delta = inv_sq.grad
+    kappa, h11, xi_c = geo.kappa[:, None], geo.h11[:, None], xi[:, None]
+    kappa_sq = pointwise_pow(geo.kappa, 2)[:, None]
+    # T1 = delta(xi / sqrt(G)) / delta t with delta/delta t = d/dt + kappa y^p d/dy^p;
+    # y^p d/dy^p is np.dot per point, because a stacked matmul or einsum sums
+    # the four products in another order than the BLAS dot of one point
+    y_grad = np.array([np.dot(y, g) for y, g in zip(geo.y, inv_sq.grad)])
+    t1 = dxi * inv_sq.value + geo.kappa * xi * y_grad
+    ti = (kappa / 3.0) * ((kappa_sq / (9.0 * k)) * div_s + xi_c * div_delta) + (h11 * kappa / (3.0 * k)) * div_s
+    tyi = (kappa / 3.0) * (kappa / (3.0 * k)) * div_s + (h11 / k) * div_s + xi_c * div_delta
     return t1, ti, tyi
 
 

@@ -14,7 +14,7 @@ so the value, gradient and Hessian of
 follow by the product and chain rules applied to whole arrays: multivariate
 second-order Taylor propagation in closed form (Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).  Taylor2 stays the
-independent per-point oracle for these tables.
+independent oracle for these tables and shares no code with this module.
 
 Batches are processed in chunks of at most CHUNK points, and a point's
 results do not depend on which batch it was computed in.  Every correctness

@@ -8,7 +8,7 @@ draws its points from a generator seeded by (seed, group index) and emits its
 reports in a fixed order, so output is deterministic for a fixed (config,
 seed) regardless of evaluation schedule.  The generic objects of a group come
 from geometry bundles over its points, checked with array operations; the
-Taylor2 oracles run one point at a time.
+Taylor2 oracles run batched over the same chunks.
 
 Checks that need Berwald-Moor closed forms are reported as skipped for custom
 tensors.  Three checks compare the honest Ricci contraction of the vertical
@@ -21,13 +21,14 @@ import json
 from dataclasses import dataclass
 from itertools import product
 from math import factorial
+from time import perf_counter
 from typing import Callable
 
 import numpy as np
 
 from .. import connection, curvature, fieldtheory, metric
 from ..errors import ConfigError
-from ..geometry import batches, geometry
+from ..geometry import CHUNK, batches, geometry
 from ..jetcore import DIM, JetPoint, Taylor2, VerificationReport, taylor2_seed
 from .config import RunConfig
 
@@ -170,9 +171,8 @@ def _grp_metric_taylor(cfg, rng, n):
     homog = _Err()
     t, ys = _points(cfg, rng, n)
     for geo in batches(cfg.tensor, cfg.time_metric, t, ys):
-        for i, y in enumerate(geo.y):
-            f2 = _g1111_taylor2(cfg.tensor, taylor2_seed(y)).sqrt() * geo.h11_inv[i]
-            hess.add(0.5 * geo.h11[i] * f2.hess, geo.g_lo[i])
+        f2 = _g1111_taylor2(cfg.tensor, taylor2_seed(geo.y)).sqrt() * geo.h11_inv
+        hess.add(0.5 * geo.h11[:, None, None] * f2.hess, geo.g_lo)
         for lam in (0.5, 2.0, 7.0):
             homog.add(geometry(cfg.tensor, cfg.time_metric, geo.t, lam * geo.y).g_lo, geo.g_lo)
     return [
@@ -290,12 +290,11 @@ def _grp_ricci(cfg, rng, n):
         curl.add_residual(np.einsum("xmr,xrim->xi", geo.s_raised, connection._bm_c_closed(y)))
         sq = np.sqrt(np.prod(y, axis=1))
         sc_closed.add(geo.sc, -(6.0 * geo.h11 + (2.0 / 3.0) * kappa**2) / sq)
-        for i in range(len(geo)):
-            table, _ = fieldtheory.t2_raised_table(y[i])
-            target = 3.0 / (np.sqrt(np.prod(y[i])) * y[i])
-            div_field.add(fieldtheory.t2_divergence(table, fieldtheory.FIELD_COEF), target)
-            div_contr.add(fieldtheory.t2_divergence(table, _CONTRACTED_COEF), target)
-            sc_field.add(geo.sc[i], curvature.scalar_curvature_field(cfg.time_metric, geo.t[i], y[i]))
+        table, _ = fieldtheory.t2_raised_table(y)
+        target = 3.0 / (sq[:, None] * y)
+        div_field.add(fieldtheory.t2_divergence(table, fieldtheory.FIELD_COEF), target)
+        div_contr.add(fieldtheory.t2_divergence(table, _CONTRACTED_COEF), target)
+        sc_field.add(geo.sc, curvature.scalar_curvature_field(cfg.time_metric, geo.t, y))
     return [
         _Verdict("ricci/contraction-closed-form", closed_form, rel_tol=1e-10),
         _Verdict("ricci/contraction-vs-field-offdiag", offdiag, rel_tol=1e-9),
@@ -422,43 +421,51 @@ def _autodiff_case(fn_index, s, sqrt):
 
 
 def _fd_value(fn_index, y):
-    return _autodiff_case(fn_index, tuple(y), np.sqrt)
+    """The composition in plain float arithmetic over the rows of y (N, 4)."""
+    return _autodiff_case(fn_index, tuple(y.T), np.sqrt)
+
+
+def _along(h, a):
+    """Steps h[:, a] along coordinate a, zero along the others."""
+    e = np.zeros_like(h)
+    e[:, a] = h[:, a]
+    return e
 
 
 def _grp_autodiff(cfg, rng, n):
     """Taylor2 gradients/Hessians versus central finite differences
     (steps scaled per coordinate; relative error with a unit floor).
-    FD samples run the same compositions in plain float arithmetic."""
+    FD samples run the same compositions in plain float arithmetic; both
+    sides run batched over chunks of points."""
     worst = 0.0
     _, ys = _points(cfg, rng, n)
-    for i in range(n):
-        y = ys[i]
+    for lo in range(0, n, CHUNK):
+        y = ys[lo : lo + CHUNK]
         seeds = taylor2_seed(y)
+        hg = 1e-6 * np.maximum(y, 1.0)
+        hh = 1e-4 * np.maximum(y, 1.0)
         for fi in range(3):
             out = _autodiff_case(fi, seeds, lambda v: v.sqrt())
-            f_scale = max(1.0, abs(out.value))
-            hg = 1e-6 * np.maximum(y, 1.0)
-            hh = 1e-4 * np.maximum(y, 1.0)
+            f_scale = np.maximum(1.0, np.abs(out.value))
+
+            def rel(exact, fd):
+                return float((np.abs(exact - fd) / np.maximum(np.maximum(np.abs(exact), np.abs(fd)), f_scale)).max())
+
             for a in range(DIM):
-                e = np.zeros(DIM)
-                e[a] = hg[a]
-                fd = (_fd_value(fi, y + e) - _fd_value(fi, y - e)) / (2 * hg[a])
-                denom = max(abs(out.grad[a]), abs(fd), f_scale)
-                worst = max(worst, abs(out.grad[a] - fd) / denom)
+                e = _along(hg, a)
+                fd = (_fd_value(fi, y + e) - _fd_value(fi, y - e)) / (2 * hg[:, a])
+                worst = max(worst, rel(out.grad[:, a], fd))
             for a in range(DIM):
                 for b in range(a, DIM):
-                    ea = np.zeros(DIM)
-                    eb = np.zeros(DIM)
-                    ea[a] = hh[a]
-                    eb[b] = hh[b]
+                    ea = _along(hh, a)
+                    eb = _along(hh, b)
                     fd = (
                         _fd_value(fi, y + ea + eb)
                         - _fd_value(fi, y + ea - eb)
                         - _fd_value(fi, y - ea + eb)
                         + _fd_value(fi, y - ea - eb)
-                    ) / (4 * hh[a] * hh[b])
-                    denom = max(abs(out.hess[a, b]), abs(fd), f_scale)
-                    worst = max(worst, abs(out.hess[a, b] - fd) / denom)
+                    ) / (4 * hh[:, a] * hh[:, b])
+                    worst = max(worst, rel(out.hess[:, a, b], fd))
     err = _Err()
     err.add_residual(worst)
     err.rel = worst
@@ -535,18 +542,24 @@ class SuiteResult:
         return "\n".join(lines) + "\n"
 
 
-def run_verify(cfg: RunConfig) -> SuiteResult:
+def run_verify(cfg: RunConfig, on_group: Callable[[str, int, float], None] | None = None) -> SuiteResult:
     """Run the full check catalog over seeded samples.
 
     Deterministic for fixed (config, seed); failures are reported, not
-    raised.  Closed-form checks are skipped for custom tensors.
+    raised.  Closed-form checks are skipped for custom tensors.  After each
+    group, on_group (if given) receives the group's name, its point count
+    and its wall time in seconds.
     """
     is_bm = cfg.tensor.is_berwald_moor
     reports: list[VerificationReport] = []
     for idx, grp in enumerate(_groups()):
         rng = np.random.default_rng([cfg.seed, idx])
         n = max(1, round(grp.fraction * cfg.samples))
-        for verdict in grp.fn(cfg, rng, n):
+        start = perf_counter()
+        verdicts = grp.fn(cfg, rng, n)
+        if on_group is not None:
+            on_group(grp.fn.__name__.removeprefix("_grp_"), n, perf_counter() - start)
+        for verdict in verdicts:
             if verdict.name in _BM_ONLY and not is_bm:
                 reports.append(VerificationReport.skip(verdict.name, cfg.seed))
                 continue
@@ -637,11 +650,16 @@ def sweep(cfg: RunConfig, field: str, grid) -> list[dict]:
     """One row per grid point, lexicographic in grid indices.
 
     Vector residual fields (Ti, Tyi) report their first component; Sc, xi11,
-    T1, Ti and Tyi come from the closed field-theory layer, G1111 from the
-    configured tensor.
+    T1, Ti and Tyi come from the closed Berwald-Moor field-theory layer and
+    are refused for a custom tensor; G1111 comes from the configured tensor.
     """
     if field not in SWEEP_FIELDS:
         raise ConfigError(f"unknown sweep field {field!r}, expected one of {SWEEP_FIELDS}")
+    if field != "G1111" and not cfg.tensor.is_berwald_moor:
+        raise ConfigError(
+            f"sweep field {field!r} comes from the closed Berwald-Moor field layer and is not defined "
+            "for a custom tensor; only G1111 is"
+        )
     axes = parse_grid(grid) if isinstance(grid, str) else list(grid)
     names = [name for name, _ in axes]
     rows = []

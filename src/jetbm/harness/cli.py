@@ -147,6 +147,10 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _print_group_time(name: str, points: int, seconds: float):
+    print(f"[time] {name}  points={points} wall={seconds:.3f}s", file=sys.stderr)
+
+
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     overrides = {}
@@ -158,7 +162,7 @@ def _cmd_verify(args) -> int:
         cfg = replace(cfg, **overrides)
         if cfg.seed < 0 or cfg.samples < 1:
             raise ConfigError("sampling.seed must be >= 0 and sampling.samples >= 1")
-    result = run_verify(cfg)
+    result = run_verify(cfg, on_group=_print_group_time)
     for r in result.reports:
         status = "SKIP" if r.skipped else ("PASS" if r.passed else "FAIL")
         if r.skipped:

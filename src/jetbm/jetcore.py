@@ -190,8 +190,46 @@ class QuarticTensor:
         return f"QuarticTensor({nonzero})"
 
 
+def _col(v):
+    """A batch of values (N,) against gradients (N, 4); a scalar as it is."""
+    return v[:, None] if isinstance(v, np.ndarray) else v
+
+
+def _mat(v):
+    """A batch of values (N,) against Hessians (N, 4, 4); a scalar as it is."""
+    return v[:, None, None] if isinstance(v, np.ndarray) else v
+
+
+def _refuse(bad, value, error, what: str):
+    """Raise error(what) naming the first flagged value, and over a batch the
+    index of its point."""
+    if isinstance(value, np.ndarray):
+        if np.count_nonzero(bad):
+            k = int(np.flatnonzero(bad)[0])
+            raise error(f"{what} {value[k]} at batch index {k}")
+    elif bad:
+        raise error(f"{what} {value}")
+
+
+def pointwise_pow(x, p: float):
+    """x ** p through the C library's pow, one value at a time: numpy's
+    vectorised power rounds some results differently, and a batch must
+    reproduce each of its points bit for bit."""
+    if isinstance(x, np.ndarray):
+        return np.array([v**p for v in x.tolist()])
+    return x**p
+
+
 class Taylor2:
-    """Scalar with exact gradient and Hessian w.r.t. the four fiber coordinates.
+    """Scalar with exact gradient and Hessian w.r.t. the four fiber coordinates,
+    at one point or batched over N points.
+
+    A scalar Taylor2 has a float value, a (4,) gradient and a (4, 4) Hessian;
+    a batched one has value (N,), grad (N, 4) and hess (N, 4, 4), and every
+    rule acts on the whole batch at once (vector-mode forward
+    differentiation, Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
+    SIAM 2008, ch. 13).  Each point of a batch gets bit for bit the result it
+    gets on its own.  Constants may be scalars or (N,) arrays.
 
     Arithmetic propagates (value, grad, hess) by truncated second-order Taylor
     rules; for polynomial-and-root compositions the results are exact up to
@@ -200,34 +238,54 @@ class Taylor2:
     """
 
     __slots__ = ("value", "grad", "hess")
+    # numpy arrays and scalars on the left defer to the reflected operators
+    # instead of mapping over a Taylor2 as an object
+    __array_ufunc__ = None
 
-    def __init__(self, value: float, grad=None, hess=None):
-        self.value = float(value)
-        g = np.zeros(DIM) if grad is None else np.array(grad, dtype=float, copy=True)
-        h = np.zeros((DIM, DIM)) if hess is None else np.array(hess, dtype=float, copy=True)
-        if g.shape != (DIM,) or h.shape != (DIM, DIM):
-            raise ConstructionError("Taylor2 needs a 4-vector gradient and a 4x4 Hessian")
-        g.flags.writeable = False
-        h.flags.writeable = False
-        self.grad = g
-        self.hess = h
+    def __init__(self, value, grad=None, hess=None):
+        v = np.array(value, dtype=float)
+        if v.ndim > 1:
+            raise ConstructionError(f"Taylor2 value must be a scalar or an (N,) batch, got shape {v.shape}")
+        # C order keeps each point's gradient and Hessian contiguous
+        g = np.zeros(v.shape + (DIM,)) if grad is None else np.array(grad, dtype=float, order="C")
+        h = np.zeros(v.shape + (DIM, DIM)) if hess is None else np.array(hess, dtype=float, order="C")
+        if g.shape != v.shape + (DIM,) or h.shape != v.shape + (DIM, DIM):
+            raise ConstructionError("Taylor2 needs a 4-vector gradient and a 4x4 Hessian per point")
+        self._set(v if v.ndim else float(v), g, h)
+
+    def _set(self, value, grad, hess):
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        else:
+            value = float(value)
+        grad.setflags(write=False)
+        hess.setflags(write=False)
+        self.value = value
+        self.grad = grad
+        self.hess = hess
 
     @classmethod
     def _wrap(cls, value, grad, hess) -> "Taylor2":
         out = object.__new__(cls)
-        out.value = float(value)
-        grad.flags.writeable = False
-        hess.flags.writeable = False
-        out.grad = grad
-        out.hess = hess
+        out._set(value, grad, hess)
         return out
+
+    def _shifted(self, value) -> "Taylor2":
+        """self plus a constant: value given, derivatives unchanged (spread
+        over the batch when the constant brings one)."""
+        batch = np.shape(value)
+        return Taylor2._wrap(
+            value,
+            np.broadcast_to(self.grad, batch + (DIM,)).copy(),
+            np.broadcast_to(self.hess, batch + (DIM, DIM)).copy(),
+        )
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Taylor2):
             return Taylor2._wrap(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
-        return Taylor2._wrap(self.value + other, self.grad.copy(), self.hess.copy())
+        return self._shifted(self.value + other)
 
     __radd__ = __add__
 
@@ -237,33 +295,37 @@ class Taylor2:
     def __sub__(self, other):
         if isinstance(other, Taylor2):
             return Taylor2._wrap(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
-        return Taylor2._wrap(self.value - other, self.grad.copy(), self.hess.copy())
+        return self._shifted(self.value - other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Taylor2):
-            cross = self.grad[:, None] * other.grad
+            cross = self.grad[..., :, None] * other.grad[..., None, :]
             # (cross + cross.T) is summed on its own first so the Hessian
             # stays exactly symmetric (float addition commutes but does not
             # associate).
             return Taylor2._wrap(
                 self.value * other.value,
-                self.value * other.grad + other.value * self.grad,
-                (self.value * other.hess + other.value * self.hess) + (cross + cross.T),
+                _col(self.value) * other.grad + _col(other.value) * self.grad,
+                (_mat(self.value) * other.hess + _mat(other.value) * self.hess)
+                + (cross + cross.swapaxes(-1, -2)),
             )
-        return Taylor2._wrap(self.value * other, self.grad * other, self.hess * other)
+        return Taylor2._wrap(self.value * other, self.grad * _col(other), self.hess * _mat(other))
 
     __rmul__ = __mul__
 
-    def _chain(self, f0: float, f1: float, f2: float) -> "Taylor2":
+    def _chain(self, f0, f1, f2) -> "Taylor2":
         """Compose with a scalar map given its value and first two derivatives."""
         return Taylor2._wrap(
-            f0, f1 * self.grad, f1 * self.hess + f2 * (self.grad[:, None] * self.grad)
+            f0,
+            _col(f1) * self.grad,
+            _mat(f1) * self.hess + _mat(f2) * (self.grad[..., :, None] * self.grad[..., None, :]),
         )
 
     def reciprocal(self) -> "Taylor2":
+        _refuse(self.value == 0.0, self.value, ZeroDivisionError, "reciprocal of a zero Taylor2 value")
         r = 1.0 / self.value
         return self._chain(r, -r * r, 2.0 * r * r * r)
 
@@ -276,18 +338,19 @@ class Taylor2:
         return self.reciprocal() * other
 
     def sqrt(self) -> "Taylor2":
-        if self.value <= 0.0:
-            raise DomainError(f"sqrt of non-positive Taylor2 value {self.value}")
+        _refuse(self.value <= 0.0, self.value, DomainError, "sqrt of non-positive Taylor2 value")
         r = np.sqrt(self.value)
         return self._chain(r, 0.5 / r, -0.25 / (r * self.value))
 
     def __pow__(self, p):
         p = float(p)
-        if self.value <= 0.0 and p != int(p):
-            raise DomainError(f"non-integer power of non-positive value {self.value}")
-        f0 = self.value**p
-        f1 = p * self.value ** (p - 1.0)
-        f2 = p * (p - 1.0) * self.value ** (p - 2.0)
+        if p != int(p):
+            _refuse(self.value <= 0.0, self.value, DomainError, "non-integer power of non-positive value")
+        if p < 2.0:
+            _refuse(self.value == 0.0, self.value, ZeroDivisionError, f"power {p} of a zero Taylor2 value")
+        f0 = pointwise_pow(self.value, p)
+        f1 = p * pointwise_pow(self.value, p - 1.0)
+        f2 = p * (p - 1.0) * pointwise_pow(self.value, p - 2.0)
         return self._chain(f0, f1, f2)
 
     def __repr__(self):
@@ -295,13 +358,19 @@ class Taylor2:
 
 
 def taylor2_seed(y) -> tuple[Taylor2, Taylor2, Taylor2, Taylor2]:
-    """Seed the four fiber coordinates: i-th output has grad = e_i, hess = 0."""
+    """Seed the four fiber coordinates: the i-th output has value y_i,
+    grad = e_i and hess = 0, at one point y of shape (4,) or over a batch of
+    shape (N, 4)."""
     y = np.asarray(y, dtype=float)
-    if y.shape != (DIM,):
-        raise DomainError(f"expected a 4-vector, got shape {y.shape}")
-    if not np.all(y > 0.0):
+    if y.ndim not in (1, 2) or y.shape[-1] != DIM:
+        raise DomainError(f"expected a 4-vector or an (N, 4) batch, got shape {y.shape}")
+    outside = ~np.all(y > 0.0, axis=-1)
+    if y.ndim == 1 and outside:
         raise DomainError(f"seeds must lie in the positive cone, got {y}")
-    return tuple(Taylor2(y[i], np.eye(DIM)[i]) for i in range(DIM))
+    if y.ndim == 2:
+        _refuse(outside, y, DomainError, "seeds must lie in the positive cone, got")
+    eye = np.eye(DIM)
+    return tuple(Taylor2(y[..., i], np.broadcast_to(eye[i], y.shape)) for i in range(DIM))
 
 
 @dataclass(frozen=True)

@@ -209,6 +209,16 @@ def test_scalar_curvature_values(bm):
     )
 
 
+def test_scalar_curvature_field_batch_equals_points(rng):
+    ys = cone_points(rng, 7)
+    ts = rng.uniform(-1, 1, 7)
+    for tm in (EXP, TimeMetric.power(-1.3)):
+        batch = scalar_curvature_field(tm, ts, ys)
+        assert batch.shape == (7,)
+        for n in range(7):
+            assert batch[n] == scalar_curvature_field(tm, float(ts[n]), ys[n])
+
+
 def test_honest_scalar_closed_form(bm, rng):
     """sc = -(6 h11 + 2 kappa^2 / 3)/sqrt(G1111) for the honest contraction."""
     for y in cone_points(rng, 10):

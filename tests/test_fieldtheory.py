@@ -24,7 +24,7 @@ from jetbm.fieldtheory import (
     t2_divergence,
     t2_raised_table,
 )
-from jetbm.geometry import geometry
+from jetbm.geometry import CHUNK, geometry
 
 from conftest import assert_close, cone_points, max_rel
 
@@ -270,3 +270,36 @@ def test_batched_field_layer_equals_per_point(G, rng):
         np.testing.assert_allclose(cons.ti[n], res.ti, rtol=1e-12)
         np.testing.assert_allclose(cons.tyi[n], res.tyi, rtol=1e-12)
         np.testing.assert_array_equal(em.f[n], em_form(G, EXP, p).f)
+
+
+@pytest.mark.parametrize("size", [1, CHUNK, CHUNK + 1])
+def test_batched_raised_table_is_the_per_entry_division(size, rng):
+    """The hoisted batched table equals s[m] / s[i] / sqrt(G) computed at
+    each point on its own, bit for bit, and so do its divergences."""
+    ys = cone_points(rng, size)
+    table, inv_sq = t2_raised_table(ys)
+    for n in (0, size // 2, size - 1):
+        s = taylor2_seed(ys[n])
+        sq = (s[0] * s[1] * s[2] * s[3]).sqrt()
+        assert inv_sq.value[n] == sq.reciprocal().value
+        np.testing.assert_array_equal(inv_sq.grad[n], sq.reciprocal().grad)
+        for m in range(4):
+            for i in range(4):
+                entry = s[m] / s[i] / sq
+                assert table[m][i].value[n] == entry.value
+                np.testing.assert_array_equal(table[m][i].grad[n], entry.grad)
+                np.testing.assert_array_equal(table[m][i].hess[n], entry.hess)
+        one, _ = t2_raised_table(ys[n])
+        for coef in ((5 - 14 * np.eye(4)) / 4, (2 - 8 * np.eye(4)) / 4):
+            np.testing.assert_array_equal(t2_divergence(table, coef)[n], t2_divergence(one, coef))
+
+
+@pytest.mark.parametrize("size", [1, CHUNK, CHUNK + 1])
+def test_bm_conservation_point_alone_equals_point_in_batch(bm, size, rng):
+    ys = cone_points(rng, size)
+    ts = rng.uniform(-1, 1, size)
+    batch = conservation_residuals_of(geometry(bm, EXP, ts, ys), 1.5)
+    for n in (0, size // 2, size - 1):
+        alone = conservation_residuals_of(geometry(bm, EXP, ts[n : n + 1], ys[n : n + 1]), 1.5)
+        for name in ("t1", "ti", "tyi", "closed_t1", "closed_ti", "closed_tyi"):
+            np.testing.assert_array_equal(getattr(batch, name)[n], getattr(alone, name)[0], err_msg=name)

@@ -1,12 +1,16 @@
+import importlib
+import importlib.util
 import json
+import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jetbm import ConfigError
+from jetbm import ConfigError, QuarticTensor, Taylor2
 from jetbm.harness import parse_config, parse_grid, run_verify, sweep
 from jetbm.harness.checks import check_names, sweep_csv
 
@@ -227,6 +231,29 @@ def test_sweep_rejects_unknown_field_and_axis():
         parse_grid("s=-1:2:2")
 
 
+@pytest.mark.parametrize("field", ["Sc", "xi11", "T1", "Ti", "Tyi"])
+def test_sweep_refuses_closed_field_layer_for_custom_tensor(field):
+    cfg = parse_config(CUSTOM_OTHER)
+    with pytest.raises(ConfigError, match=f"'{field}'"):
+        sweep(cfg, field, "s=1:2:2")
+
+
+def test_sweep_g1111_of_custom_tensor():
+    rows = sweep(parse_config(CUSTOM_OTHER), "G1111", "t=0:1:4,s=1:2:3")
+    assert len(rows) == 12
+    # G_1111 on the ray y = s (1,1,1,1) is (24/24 + 6 * 0.01) s^4
+    np.testing.assert_allclose([r["G1111"] for r in rows[:3]], [1.06 * s**4 for s in (1.0, 2**0.5, 2.0)], rtol=1e-12)
+
+
+def test_sweep_checks_the_tensor_once_per_call(monkeypatch):
+    """is_berwald_moor walks all 35 components, so a sweep asks it once, not per row."""
+    checks = []
+    real = QuarticTensor.is_berwald_moor.fget
+    monkeypatch.setattr(QuarticTensor, "is_berwald_moor", property(lambda G: checks.append(1) or real(G)))
+    rows = sweep(parse_config(MINIMAL), "Sc", "t=0:1:4,s=1:2:3")
+    assert len(rows) == 12 and len(checks) == 1
+
+
 def test_sweep_csv_roundtrip():
     cfg = parse_config(MINIMAL)
     rows = sweep(cfg, "Tyi", "s=1:4:3")
@@ -309,6 +336,59 @@ def test_cli_verify_bad_config_exits_two(tmp_path):
     out = _cli("verify", "--config", str(cfg))
     assert out.returncode == 2
     assert "sampling.y_min" in out.stderr
+
+
+GROUPS = [
+    "gscalars",
+    "metric_taylor",
+    "connection",
+    "cartan",
+    "curvature",
+    "ricci",
+    "einstein",
+    "conservation",
+    "decay",
+    "field_misc",
+    "autodiff",
+]
+
+
+def test_cli_verify_prints_one_wall_time_per_group(tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(MINIMAL)
+    out = _cli("verify", "--config", str(cfg), "--samples", "30")
+    lines = [line for line in out.stderr.splitlines() if line.startswith("[time] ")]
+    assert [line.split()[1] for line in lines] == GROUPS
+    for line in lines:
+        assert re.fullmatch(r"\[time\] [a-z_]+  points=\d+ wall=\d+\.\d{3}s", line), line
+    # the timings leave the stdout document as run_verify writes it
+    assert out.stdout == run_verify(replace(parse_config(MINIMAL), samples=30)).to_json()
+
+
+def test_cli_sweep_refuses_custom_field_with_exit_two(tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(CUSTOM_OTHER)
+    out = _cli("sweep", "--config", str(cfg), "--field", "Sc", "--grid", "s=1:4:3")
+    assert out.returncode == 2
+    assert "'Sc'" in out.stderr
+    assert _cli("sweep", "--config", str(cfg), "--field", "G1111", "--grid", "s=1:4:3").returncode == 0
+
+
+def test_benchmark_tracer_names_resolve():
+    """Every layer the benchmark tracer wraps is still defined where it looks
+    for it (the tracer is loaded by path and not bound)."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for mod, qual in tracing.TRACED:
+        owner = importlib.import_module(f"jetbm.{mod}")
+        *cls_path, attr = qual.split(".")
+        for part in cls_path:
+            owner = getattr(owner, part)
+        assert attr in vars(owner), f"{mod}.{qual}"
+    for op in tracing.TAYLOR2_OPS:
+        assert op in vars(Taylor2), op
 
 
 def test_cli_verify_csv_output(tmp_path):

@@ -15,6 +15,8 @@ from jetbm import (
     time_metric_eval,
 )
 
+from jetbm.geometry import CHUNK
+
 from conftest import assert_close, cone_points, max_rel
 
 cone_floats = st.floats(min_value=0.1, max_value=10.0, allow_nan=False)
@@ -243,6 +245,108 @@ def test_gradients_match_finite_differences(rng):
                         4 * ea[a] * eb[b]
                     )
                 assert abs(out.hess[a, b] - fd) / max(abs(fd), scale) <= 1e-5
+
+
+# -- batched Taylor2 ------------------------------------------------------------
+
+
+def _compositions(s, c):
+    """Every Taylor2 rule applied to seeds s, with constant c (a scalar for a
+    single point, an (N,) array or a scalar for a batch)."""
+    a = s[0] * s[1] + s[2]
+    b = s[3] + 0.5
+    return {
+        "add": a + b,
+        "add-const": a + c,
+        "radd": c + a,
+        "neg": -a,
+        "sub": a - b,
+        "sub-const": a - c,
+        "rsub": c - a,
+        "mul": a * b,
+        "mul-const": a * c,
+        "rmul": c * a,
+        "div": a / b,
+        "div-const": a / c,
+        "rdiv": c / b,
+        "reciprocal": b.reciprocal(),
+        "sqrt": (a * b).sqrt(),
+        "pow-int": b**3,
+        "pow-frac": a**-1.5,
+        "pow-half": (a / s[2]) ** 0.5,
+    }
+
+
+@pytest.mark.parametrize("size", [1, CHUNK, CHUNK + 1])
+def test_batched_rules_are_bit_identical_per_point(size, rng):
+    ys = cone_points(rng, size)
+    cs = rng.uniform(0.5, 3.0, size)
+    for const in (cs, 1.7):
+        batch = _compositions(taylor2_seed(ys), const)
+        for n in range(size):
+            one = _compositions(taylor2_seed(ys[n]), cs[n] if const is cs else const)
+            for name, t in batch.items():
+                assert t.value.shape == (size,) and t.grad.shape == (size, 4) and t.hess.shape == (size, 4, 4)
+                assert t.value[n] == one[name].value, name
+                np.testing.assert_array_equal(t.grad[n], one[name].grad, err_msg=name)
+                np.testing.assert_array_equal(t.hess[n], one[name].hess, err_msg=name)
+
+
+def test_batched_hessian_exactly_symmetric_and_read_only(rng):
+    s = taylor2_seed(cone_points(rng, CHUNK + 1))
+    f = (s[0] * s[1] + 2.0) * s[2] / s[3] - (s[0] * s[3]).sqrt() + s[1] / (s[2] + 1.0)
+    assert np.array_equal(f.hess, f.hess.swapaxes(1, 2))
+    for arr in (f.value, f.grad, f.hess):
+        assert not arr.flags.writeable
+
+
+def test_scalar_mixes_with_batch(rng):
+    ys = cone_points(rng, 3)
+    s = taylor2_seed(ys)
+    total = Taylor2(0.0) + s[0] * s[1]
+    np.testing.assert_array_equal(total.value, (s[0] * s[1]).value)
+    assert total.hess.shape == (3, 4, 4)
+
+
+def test_batched_reciprocal_names_the_zero_point():
+    t = Taylor2(np.array([1.0, 2.0, 0.0, 0.0]))
+    with pytest.raises(ZeroDivisionError, match="at batch index 2"):
+        t.reciprocal()
+    with pytest.raises(ZeroDivisionError, match="at batch index 2"):
+        Taylor2(1.0) / t
+    with pytest.raises(ZeroDivisionError, match="at batch index 2"):
+        t**-1
+
+
+@pytest.mark.parametrize("op", [lambda t: t.sqrt(), lambda t: t**0.5, lambda t: t**-1.5])
+def test_batched_domain_error_names_the_non_positive_point(op):
+    t = Taylor2(np.array([1.0, 2.0, 3.0, -4.0, 0.0]))
+    with pytest.raises(DomainError, match=r"-4\.0 at batch index 3"):
+        op(t)
+
+
+def test_batched_integer_power_of_negative_values():
+    t = Taylor2(np.array([-2.0, 3.0]))
+    np.testing.assert_array_equal((t**2).value, [4.0, 9.0])
+
+
+def test_batched_seed_basis_and_cone():
+    ys = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
+    s = taylor2_seed(ys)
+    np.testing.assert_array_equal(s[2].value, [3.0, 7.0])
+    np.testing.assert_array_equal(s[2].grad, [[0, 0, 1, 0], [0, 0, 1, 0]])
+    np.testing.assert_array_equal(s[2].hess, np.zeros((2, 4, 4)))
+    with pytest.raises(DomainError, match="at batch index 1"):
+        taylor2_seed(np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 1.0]]))
+    with pytest.raises(DomainError):
+        taylor2_seed(np.ones((2, 3)))
+
+
+def test_batched_construction_checks_shapes():
+    with pytest.raises(ConstructionError):
+        Taylor2(np.ones(3), np.ones(4))
+    with pytest.raises(ConstructionError):
+        Taylor2(np.ones((2, 2)))
 
 
 # -- verification report -----------------------------------------------------

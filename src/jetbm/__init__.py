@@ -30,7 +30,6 @@ from .jetcore import (
     TimeMetricValues,
     VerificationReport,
     taylor2_seed,
-    time_metric_eval,
 )
 from .geometry import Geometry
 from .metric import GScalars, MetricPair, bm_metric_closed, g_scalars, metric_pair, metric_taylor2
@@ -93,7 +92,6 @@ __all__ = [
     "QuarticTensor",
     "Taylor2",
     "VerificationReport",
-    "time_metric_eval",
     "taylor2_seed",
     "GScalars",
     "MetricPair",

@@ -61,7 +61,7 @@ class AdaptedCobasis:
     dy_correction_x: np.ndarray
 
 
-def adapted_cobasis(nlc: NonlinearConnection, p: JetPoint) -> AdaptedCobasis:
+def adapted_cobasis(nlc: NonlinearConnection) -> AdaptedCobasis:
     return AdaptedCobasis(dy_correction_t=nlc.m.copy(), dy_correction_x=nlc.n.copy())
 
 

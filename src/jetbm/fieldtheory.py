@@ -21,7 +21,7 @@ import numpy as np
 
 from .curvature import bm_s_raised_field, bm_s_ricci_field
 from .errors import ConfigError, InvariantError
-from .geometry import Geometry, christoffel_time, geometry, point_geometry, take
+from .geometry import Geometry, Metric, christoffel_time, geometry, point_geometry, point_metric, take
 from .jetcore import DIM, JetPoint, QuarticTensor, TimeMetric, pointwise_pow, taylor2_seed
 
 __all__ = [
@@ -109,13 +109,13 @@ class EMForm:
     f: np.ndarray
 
 
-def grav_potential_of(geo: Geometry) -> GravPotential:
-    """Potential blocks over the batch."""
-    return GravPotential(tt_block=geo.h11, xx_block=geo.g_lo, yy_block=geo.h11_inv[:, None, None] * geo.g_lo)
+def grav_potential_of(m: Metric) -> GravPotential:
+    """Potential blocks over the batch; they read only the metric stage."""
+    return GravPotential(tt_block=m.h11, xx_block=m.g_lo, yy_block=m.h11_inv[:, None, None] * m.g_lo)
 
 
 def grav_potential(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> GravPotential:
-    return take(grav_potential_of(point_geometry(G, tm, p)), 0)
+    return take(grav_potential_of(point_metric(G, tm, p)), 0)
 
 
 def _xi(h11, kappa, k: float):

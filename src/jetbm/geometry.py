@@ -2,9 +2,19 @@
 
 One pass over a batch of points (t, y), with t of shape (N,) and y of shape
 (N, 4), evaluates the y-derivative hierarchy once and feeds every layer from
-it: the G-hierarchy, the fundamental metric and its inverse, the exact third
-and fourth y-derivative tables of g, the Cartan connection, the torsions,
-the curvature d-tensors and the Ricci data.
+it.  The kernel has two stages:
+
+* the metric stage (``Metric``, ``metric_batches``, ``point_metric``): the
+  time-axis scalars, the G-hierarchy, the fundamental metric and its inverse;
+* the full stage (``Geometry``, ``batches``, ``geometry``,
+  ``point_geometry``): the metric stage, then the exact third and fourth
+  y-derivative tables of g, the Cartan connection, the torsions, the
+  curvature d-tensors and the Ricci data.
+
+Readers of g, g^-1 and the G-hierarchy alone (the metric pair, the
+gravitational potential, the gscalars and metric_taylor checks) build only
+the metric stage; every other reader builds the full one.  A ``Geometry`` is
+a ``Metric``, and its metric fields come from the same lines either way.
 
 The hierarchy is closed under differentiation,
     d G_1111 / dy^k = G_k111,   d G_i111 / dy^k = G_ik11,
@@ -34,12 +44,15 @@ __all__ = [
     "ChristoffelTime",
     "GScalars",
     "Geometry",
+    "Metric",
     "batches",
     "check_cone",
     "christoffel_time",
     "g_hierarchy",
     "geometry",
+    "metric_batches",
     "point_geometry",
+    "point_metric",
     "take",
 ]
 
@@ -113,18 +126,11 @@ class GScalars:
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Geometry:
-    """Every y-dependent object of the generic pipeline over a batch of N points.
+class Metric:
+    """The metric stage over a batch of N points: the time-axis scalars, the
+    G-hierarchy, g_ij and g^jk.
 
     Array fields carry a leading axis of length N; ``take`` slices one point.
-    Index conventions (after the batch axis):
-        t3[j,m,k] = dg_jm/dy^k,  t4[j,m,k,n] = d2 g_jm/dy^k dy^n (totally symmetric)
-        c[i,j,k] = C^i_j(k),  dc[i,j,k,n] = dC^i_j(k)/dy^n,  l[i,j,k] = L^i_jk
-        gk[k,j] = G^k_j1
-        p_mixed[k,i,j] = P^(k)(1)_(1)i(j),  p_vert[k,i,j] = P^k(1)_i(j),  r_time[k,j] = R^(k)_(1)1j
-        r_curv, p_curv, s_curv [l,i,j,k] = R^l_ijk, P^l_ij(k), S^l_i(j)(k)
-        r_ij = R^m_ijm,  p_ricci = P^m_ij(m),  s_ricci = S^m_i(j)(m),  s_raised = g^mr s_ricci[r,i]
-        sc = g^pq r_pq + h11 g^pq s_ricci_pq
     """
 
     tensor: QuarticTensor
@@ -140,6 +146,26 @@ class Geometry:
     scalars: GScalars
     g_lo: np.ndarray
     g_up: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Geometry(Metric):
+    """Every y-dependent object of the generic pipeline over a batch of N
+    points: the metric stage plus the tables built on it.
+
+    Index conventions (after the batch axis):
+        t3[j,m,k] = dg_jm/dy^k,  t4[j,m,k,n] = d2 g_jm/dy^k dy^n (totally symmetric)
+        c[i,j,k] = C^i_j(k),  dc[i,j,k,n] = dC^i_j(k)/dy^n,  l[i,j,k] = L^i_jk
+        gk[k,j] = G^k_j1
+        p_mixed[k,i,j] = P^(k)(1)_(1)i(j),  p_vert[k,i,j] = P^k(1)_i(j),  r_time[k,j] = R^(k)_(1)1j
+        r_curv, p_curv, s_curv [l,i,j,k] = R^l_ijk, P^l_ij(k), S^l_i(j)(k)
+        r_ij = R^m_ijm,  p_ricci = P^m_ij(m),  s_ricci = S^m_i(j)(m),  s_raised = g^mr s_ricci[r,i]
+        sc = g^pq r_pq + h11 g^pq s_ricci_pq
+    """
+
     t3: np.ndarray
     t4: np.ndarray
     c: np.ndarray
@@ -157,9 +183,6 @@ class Geometry:
     s_ricci: np.ndarray
     s_raised: np.ndarray
     sc: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.t)
 
 
 def take(bundle, n: int):
@@ -319,7 +342,7 @@ def _guard_torsions(p_mixed, c, r_time, kappa, dkappa, y):
         raise InvariantError(f"torsion identities fail at y={_first_bad(y, bad)}")
 
 
-def _geometry(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) -> Geometry:
+def _metric(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) -> Metric:
     n = len(t)
     # time-axis scalars, one point at a time so that a batch never changes
     # how the transcendental functions of t are evaluated
@@ -342,20 +365,46 @@ def _geometry(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) ->
             f"G_1111 - scriptG = {denom[k]} is degenerate relative to G_1111 = {s.g1111[k]} at y={y[k]}"
         )
 
-    # metric, inverse and the exact derivative tables; g_ij and g^jk are the
-    # closed formulas g_ij = (G_ij11 - G_i111 G_j111 / (2 G_1111)) / (4 sqrt(G))
-    # and g^jk = 4 sqrt(G)[G^jk11 + G^j_1 G^k_1 / (2 (G_1111 - scriptG))], and
+    # g_ij and g^jk are the closed formulas
+    # g_ij = (G_ij11 - G_i111 G_j111 / (2 G_1111)) / (4 sqrt(G)) and
+    # g^jk = 4 sqrt(G)[G^jk11 + G^j_1 G^k_1 / (2 (G_1111 - scriptG))], and
     # g^jk is guarded against direct inversion of g_lo
-    _, gd, gh = _metric_jet(s)
     sq = np.sqrt(s.g1111)[:, None, None]
     g_lo = (s.gij11 - s.gi111[:, :, None] * s.gi111[:, None, :] / (2.0 * s.g1111[:, None, None])) / (4.0 * sq)
     g_lo = 0.5 * (g_lo + g_lo.transpose(0, 2, 1))
     g_up = 4.0 * sq * (s.gij11_inv + s.gj_up[:, :, None] * s.gj_up[:, None, :] / (2.0 * denom[:, None, None]))
     g_up = 0.5 * (g_up + g_up.transpose(0, 2, 1))
     _guard_inverse(g_up, np.linalg.inv(g_lo), y)
+
+    return _frozen(
+        Metric(
+            tensor=G,
+            tm=tm,
+            t=t,
+            y=y,
+            h11=h11,
+            h11_inv=h11_inv,
+            dh11=dh11,
+            d2h11=d2h11,
+            kappa=kappa,
+            dkappa=dkappa,
+            scalars=_frozen(s),
+            g_lo=g_lo,
+            g_up=g_up,
+        )
+    )
+
+
+def _geometry(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) -> Geometry:
+    m = _metric(G, tm, t, y)
+    n = len(t)
+    kappa, dkappa, h11, g_up = m.kappa, m.dkappa, m.h11, m.g_up
+
+    # the exact derivative tables of g; one representative per sorted
+    # multi-index, stored into every permutation, keeps the downstream index
+    # symmetries exact in floating point
+    _, gd, gh = _metric_jet(m.scalars)
     _guard_mixed_partials(gd, gh, y)
-    # one representative per sorted multi-index, stored into every permutation,
-    # keeps the downstream index symmetries exact in floating point
     t3 = np.take(gd.reshape(n, -1), _CANON3, axis=1).reshape(n, DIM, DIM, DIM)
     t4 = np.take(gh.reshape(n, -1), _CANON4, axis=1).reshape(n, DIM, DIM, DIM, DIM)
 
@@ -402,19 +451,7 @@ def _geometry(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) ->
 
     return _frozen(
         Geometry(
-            tensor=G,
-            tm=tm,
-            t=t,
-            y=y,
-            h11=h11,
-            h11_inv=h11_inv,
-            dh11=dh11,
-            d2h11=d2h11,
-            kappa=kappa,
-            dkappa=dkappa,
-            scalars=_frozen(s),
-            g_lo=g_lo,
-            g_up=g_up,
+            **{f.name: getattr(m, f.name) for f in fields(Metric)},
             t3=t3,
             t4=t4,
             c=c,
@@ -446,12 +483,21 @@ def _batch(t, y) -> tuple[np.ndarray, np.ndarray]:
     return t, y.copy()
 
 
-def batches(G: QuarticTensor, tm: TimeMetric, t, y):
-    """Bundles over consecutive chunks of at most CHUNK points, in order, so a
-    caller holds one chunk's tables at a time."""
+def _chunks(stage, G: QuarticTensor, tm: TimeMetric, t, y):
     t, y = _batch(t, y)
     for lo in range(0, len(t), CHUNK):
-        yield _geometry(G, tm, t[lo : lo + CHUNK], y[lo : lo + CHUNK])
+        yield stage(G, tm, t[lo : lo + CHUNK], y[lo : lo + CHUNK])
+
+
+def batches(G: QuarticTensor, tm: TimeMetric, t, y):
+    """Full bundles over consecutive chunks of at most CHUNK points, in order,
+    so a caller holds one chunk's tables at a time."""
+    return _chunks(_geometry, G, tm, t, y)
+
+
+def metric_batches(G: QuarticTensor, tm: TimeMetric, t, y):
+    """Metric-stage bundles over the same chunks as ``batches``."""
+    return _chunks(_metric, G, tm, t, y)
 
 
 def geometry(G: QuarticTensor, tm: TimeMetric, t, y) -> Geometry:
@@ -463,3 +509,9 @@ def geometry(G: QuarticTensor, tm: TimeMetric, t, y) -> Geometry:
 def point_geometry(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> Geometry:
     """The N = 1 bundle at the jet point p."""
     return geometry(G, tm, [p.t], p.y)
+
+
+def point_metric(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> Metric:
+    """The N = 1 metric-stage bundle at the jet point p."""
+    (m,) = metric_batches(G, tm, [p.t], p.y)
+    return m

@@ -8,7 +8,11 @@ draws its points from a generator seeded by (seed, group index) and emits its
 reports in a fixed order, so output is deterministic for a fixed (config,
 seed) regardless of evaluation schedule.  The generic objects of a group come
 from geometry bundles over its points, checked with array operations; the
-Taylor2 oracles run batched over the same chunks.
+Taylor2 oracles run batched over the same chunks.  The gscalars and
+metric_taylor groups read only g, g^-1 and the G-hierarchy, so they build
+metric-stage bundles (``metric_batches``); every other group builds the full
+bundle.  A group's point count is a fraction of the samples, except decay's,
+which is its four fixed rays.
 
 Checks that need Berwald-Moor closed forms are reported as skipped for custom
 tensors.  Three checks compare the honest Ricci contraction of the vertical
@@ -28,7 +32,7 @@ import numpy as np
 
 from .. import connection, curvature, fieldtheory, metric
 from ..errors import ConfigError
-from ..geometry import CHUNK, batches, geometry
+from ..geometry import CHUNK, batches, metric_batches
 from ..jetcore import DIM, JetPoint, Taylor2, VerificationReport, taylor2_seed
 from .config import RunConfig
 
@@ -115,16 +119,16 @@ def _grp_gscalars(cfg, rng, n):
     raised = _Err()
     inv_closed = _Err()
     t, ys = _points(cfg, rng, n)
-    for geo in batches(cfg.tensor, cfg.time_metric, t, ys):
-        s, y = geo.scalars, geo.y
+    for m in metric_batches(cfg.tensor, cfg.time_metric, t, ys):
+        s, y = m.scalars, m.y
         euler.add(np.einsum("xi,xi->x", s.gi111, y), 4.0 * s.g1111)
         euler.add(np.einsum("xij,xj->xi", s.gij11, y), 3.0 * s.gi111)
         euler.add(np.einsum("xi,xij,xj->x", y, s.gij11, y), 12.0 * s.g1111)
-        inverse.add_residual(geo.g_lo @ geo.g_up - np.eye(DIM))
+        inverse.add_residual(m.g_lo @ m.g_up - np.eye(DIM))
         if cfg.tensor.is_berwald_moor:
             cl = metric.bm_metric_closed(y)
-            oracle.add(geo.g_lo, cl.g_lo)
-            oracle.add(geo.g_up, cl.g_up)
+            oracle.add(m.g_lo, cl.g_lo)
+            oracle.add(m.g_up, cl.g_up)
             det.add(s.det_gij11, -3.0 * s.g1111**2)
             script.add(s.g_script, (2.0 / 3.0) * s.g1111)
             raised.add(s.gj_up, y / 3.0)
@@ -170,11 +174,15 @@ def _grp_metric_taylor(cfg, rng, n):
     hess = _Err()
     homog = _Err()
     t, ys = _points(cfg, rng, n)
-    for geo in batches(cfg.tensor, cfg.time_metric, t, ys):
-        f2 = _g1111_taylor2(cfg.tensor, taylor2_seed(geo.y)).sqrt() * geo.h11_inv
-        hess.add(0.5 * geo.h11[:, None, None] * f2.hess, geo.g_lo)
-        for lam in (0.5, 2.0, 7.0):
-            homog.add(geometry(cfg.tensor, cfg.time_metric, geo.t, lam * geo.y).g_lo, geo.g_lo)
+    G, tm = cfg.tensor, cfg.time_metric
+    # the scaled rays are chunked like the base points, so chunk k of each
+    # holds the same points
+    scaled = [metric_batches(G, tm, t, lam * ys) for lam in (0.5, 2.0, 7.0)]
+    for m, *rays in zip(metric_batches(G, tm, t, ys), *scaled):
+        f2 = _g1111_taylor2(G, taylor2_seed(m.y)).sqrt() * m.h11_inv
+        hess.add(0.5 * m.h11[:, None, None] * f2.hess, m.g_lo)
+        for ray in rays:
+            homog.add(ray.g_lo, m.g_lo)
     return [
         _Verdict("metric/hessian-of-energy", hess, rel_tol=1e-9),
         _Verdict("metric/zero-homogeneity", homog, rel_tol=1e-12),
@@ -356,15 +364,19 @@ def _grp_conservation(cfg, rng, n):
     ]
 
 
+_DECAY_SCALES = (10.0, 100.0, 1000.0)
+
+
 def _grp_decay(cfg, rng, n):
     """Computed residual norms along y = s*(1,1,1,1) decay at the rate the
     closed right-hand sides predict (asymptotically s^-2 when the time
-    residual is active, s^-3 otherwise)."""
+    residual is active, s^-3 otherwise).  The points are the scaled rays and
+    the base ray s = 1, whatever the sample count."""
     err = _Err()
     if not cfg.tensor.is_berwald_moor:
         return [_Verdict("conservation/decay-rate", err, abs_tol=0.02)]
     t_ref = 0.5 * (cfg.t_min + cfg.t_max)
-    scales = (10.0, 100.0, 1000.0)
+    scales = _DECAY_SCALES
     measured = []
     for s in scales:
         res = fieldtheory.conservation_residuals(
@@ -478,8 +490,15 @@ def _grp_autodiff(cfg, rng, n):
 
 @dataclass(frozen=True)
 class _Group:
+    """A check group and its point count: a fraction of the samples, or a
+    fixed count for a group whose points do not depend on them."""
+
     fn: Callable
     fraction: float = 1.0
+    points: int | None = None
+
+    def size(self, samples: int) -> int:
+        return self.points if self.points is not None else max(1, round(self.fraction * samples))
 
 
 def _groups() -> list[_Group]:
@@ -492,7 +511,7 @@ def _groups() -> list[_Group]:
         _Group(_grp_ricci, fraction=0.5),
         _Group(_grp_einstein, fraction=0.5),
         _Group(_grp_conservation, fraction=0.2),
-        _Group(_grp_decay, fraction=0.0),
+        _Group(_grp_decay, points=len(_DECAY_SCALES) + 1),
         _Group(_grp_field_misc, fraction=0.2),
         _Group(_grp_autodiff, fraction=0.1),
     ]
@@ -504,7 +523,7 @@ def check_names() -> list[str]:
     names = []
     for idx, grp in enumerate(_groups()):
         rng = np.random.default_rng([0, idx])
-        n = max(1, round(grp.fraction * 1))
+        n = grp.size(1)
         names.extend(v.name for v in grp.fn(cfg, rng, n))
     return names
 
@@ -554,7 +573,7 @@ def run_verify(cfg: RunConfig, on_group: Callable[[str, int, float], None] | Non
     reports: list[VerificationReport] = []
     for idx, grp in enumerate(_groups()):
         rng = np.random.default_rng([cfg.seed, idx])
-        n = max(1, round(grp.fraction * cfg.samples))
+        n = grp.size(cfg.samples)
         start = perf_counter()
         verdicts = grp.fn(cfg, rng, n)
         if on_group is not None:

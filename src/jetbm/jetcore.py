@@ -19,7 +19,6 @@ __all__ = [
     "QuarticTensor",
     "Taylor2",
     "VerificationReport",
-    "time_metric_eval",
     "taylor2_seed",
 ]
 
@@ -103,6 +102,7 @@ class TimeMetric:
         return cls(family="power", a=a)
 
     def eval(self, t: float) -> TimeMetricValues:
+        """Evaluate h_11, h^11 and the exact t-derivatives of the family at t."""
         if self.family == "constant":
             h, dh, d2h = self.c, 0.0, 0.0
         elif self.family == "exponential":
@@ -115,11 +115,6 @@ class TimeMetric:
             dh = 2.0 * self.a * t * u ** (self.a - 1.0)
             d2h = 2.0 * self.a * u ** (self.a - 1.0) + 4.0 * self.a * (self.a - 1.0) * t * t * u ** (self.a - 2.0)
         return TimeMetricValues(h11=h, h11_inv=1.0 / h, dh11=dh, d2h11=d2h)
-
-
-def time_metric_eval(tm: TimeMetric, t: float) -> TimeMetricValues:
-    """Evaluate h_11, h^11 and the exact t-derivatives of the family at t."""
-    return tm.eval(t)
 
 
 def _sorted_quad(idx) -> tuple[int, int, int, int]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import GScalars, check_cone, g_hierarchy, point_geometry
+from .geometry import GScalars, check_cone, g_hierarchy, point_metric
 from .jetcore import DIM, JetPoint, QuarticTensor, Taylor2, TimeMetric
 
 __all__ = [
@@ -50,8 +50,8 @@ def metric_pair(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> MetricPair:
     The inverse is also cross-checked against direct 4x4 inversion of g_lo,
     which guards against index-convention mistakes in scriptG and G^j_1.
     """
-    geo = point_geometry(G, tm, p)
-    return MetricPair(g_lo=geo.g_lo[0], g_up=geo.g_up[0])
+    m = point_metric(G, tm, p)
+    return MetricPair(g_lo=m.g_lo[0], g_up=m.g_up[0])
 
 
 def bm_metric_closed(y) -> MetricPair:

@@ -90,7 +90,7 @@ def test_apriori_connection():
 def test_cobasis_corrections_match_connection():
     tm = TimeMetric.exponential(1.0, 1.0)
     p = JetPoint.from_y([2.0, 2.0, 2.0, 2.0], t=0.0)
-    cob = adapted_cobasis(apriori_nlc(tm, p), p)
+    cob = adapted_cobasis(apriori_nlc(tm, p))
     # delta y^i = dy^i - kappa y^i dt - (kappa/3) dx^i with kappa = 1/2
     np.testing.assert_allclose(cob.dy_correction_t, [-1.0, -1.0, -1.0, -1.0], rtol=1e-14)
     np.testing.assert_allclose(cob.dy_correction_x, -(1 / 6) * np.eye(4), rtol=1e-14)

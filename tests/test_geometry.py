@@ -1,23 +1,40 @@
 """The batched geometry kernel against the per-point Taylor2 oracle, its
-batch independence, and its typed guards."""
+batch independence, its two stages, and its typed guards."""
 
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import jetbm.geometry as kernel
 from jetbm import (
+    DegenerateDenominatorError,
+    DomainError,
     JetPoint,
     QuarticTensor,
     SingularTensorError,
     TimeMetric,
     g_scalars,
+    grav_potential,
     metric_pair,
     metric_taylor2,
 )
-from jetbm.geometry import CHUNK, GScalars, geometry, g_hierarchy, take
+from jetbm.fieldtheory import grav_potential_of
+from jetbm.geometry import (
+    CHUNK,
+    GScalars,
+    Metric,
+    batches,
+    geometry,
+    g_hierarchy,
+    metric_batches,
+    point_geometry,
+    take,
+)
+from jetbm.harness import checks
+from jetbm.harness.config import RunConfig
 
 from conftest import cone_points
 
@@ -90,6 +107,99 @@ def test_point_is_bit_identical_alone_and_in_a_batch(size, rng):
         _assert_point_equal(batch, n, geometry(CUSTOM_OTHER, EXP, ts[n : n + 1], ys[n : n + 1]))
 
 
+@pytest.mark.parametrize("G", [QuarticTensor.berwald_moor(), CUSTOM_OTHER], ids=["berwald-moor", "custom-other"])
+@pytest.mark.parametrize("size", [1, CHUNK, CHUNK + 1])
+def test_metric_stage_is_bit_identical_to_the_full_bundle(G, size, rng):
+    ys = cone_points(rng, size, lo=0.7, hi=1.4)
+    ts = rng.uniform(-1, 1, size)
+    parts = list(metric_batches(G, EXP, ts, ys))
+    full = list(batches(G, EXP, ts, ys))
+    assert [len(m) for m in parts] == [len(geo) for geo in full]
+    for m, geo in zip(parts, full):
+        assert type(m) is Metric
+        for f in fields(Metric):
+            a, b = getattr(m, f.name), getattr(geo, f.name)
+            if isinstance(a, GScalars):
+                for s in fields(GScalars):
+                    np.testing.assert_array_equal(getattr(a, s.name), getattr(b, s.name), err_msg=s.name)
+            elif isinstance(a, np.ndarray):
+                np.testing.assert_array_equal(a, b, err_msg=f.name)
+                assert not a.flags.writeable
+            else:
+                assert a is b
+
+
+_SKEWED = np.array([1e-2, 1e-2, 1e2, 1e2])  # det G_ij11 = -3 G_1111^2, tiny against max|G_ij11|^4
+
+
+def _degenerate_at(bad, monkeypatch):
+    """Make G_1111 - scriptG vanish at the point bad: the identity scriptG =
+    (2/3) G_1111 of a nonsingular quartic keeps it away from zero otherwise."""
+    real = kernel.g_hierarchy
+
+    def hierarchy(G, y):
+        s = real(G, y)
+        hit = np.all(y == bad, axis=1)
+        return replace(s, g_script=np.where(hit, s.g1111, s.g_script))
+
+    monkeypatch.setattr(kernel, "g_hierarchy", hierarchy)
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (np.array([1.0, 2.0, -3.0, 4.0]), DomainError),
+        (_SKEWED, SingularTensorError),
+        (np.array([1.5, 2.5, 3.5, 4.5]), DegenerateDenominatorError),
+    ],
+    ids=["non-cone", "singular", "degenerate"],
+)
+def test_both_stages_raise_the_same_typed_error_naming_the_point(bad, error, rng, monkeypatch):
+    bm = QuarticTensor.berwald_moor()
+    if error is DegenerateDenominatorError:
+        _degenerate_at(bad, monkeypatch)
+    ys = cone_points(rng, CHUNK + 8)
+    ys[CHUNK + 3] = bad  # in the second chunk
+    messages = []
+    for stage in (batches, metric_batches):
+        with pytest.raises(error) as exc:
+            list(stage(bm, EXP, np.zeros(len(ys)), ys))
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert str(bad) in messages[0]
+
+
+def test_metric_readers_never_build_the_derivative_tables(monkeypatch):
+    """metric_pair, grav_potential and the gscalars and metric_taylor verify
+    groups read the metric stage alone: with the derivative-table jet broken
+    they still run, and give what the full bundle gives."""
+    bm = QuarticTensor.berwald_moor()
+    p = JetPoint.from_y([1.0, 2.0, 3.0, 4.0], t=0.3)
+    full = point_geometry(bm, EXP, p)
+    potential = take(grav_potential_of(full), 0)
+    cfg = RunConfig(time_metric=EXP, seed=5, samples=2 * CHUNK + 6)
+    groups = checks._groups()[:2]
+    assert [g.fn for g in groups] == [checks._grp_gscalars, checks._grp_metric_taylor]
+    n_reports = 9  # seven gscalars reports, two metric_taylor reports
+    expected = [r.to_dict() for r in checks.run_verify(cfg).reports[:n_reports]]
+
+    def broken(s):
+        raise RuntimeError("derivative tables built")
+
+    monkeypatch.setattr(kernel, "_metric_jet", broken)
+    with pytest.raises(RuntimeError):
+        point_geometry(bm, EXP, p)
+    mp = metric_pair(bm, EXP, p)
+    np.testing.assert_array_equal(mp.g_lo, full.g_lo[0])
+    np.testing.assert_array_equal(mp.g_up, full.g_up[0])
+    pot = grav_potential(bm, EXP, p)
+    assert pot.tt_block == potential.tt_block
+    np.testing.assert_array_equal(pot.xx_block, potential.xx_block)
+    np.testing.assert_array_equal(pot.yy_block, potential.yy_block)
+    monkeypatch.setattr(checks, "_groups", lambda: groups)
+    assert [r.to_dict() for r in checks.run_verify(cfg).reports] == expected
+
+
 def test_g_scalars_is_one_point_of_the_hierarchy(rng):
     ys = cone_points(rng, 10)
     hierarchy = g_hierarchy(CUSTOM_OTHER, ys)
@@ -128,23 +238,37 @@ def test_bundle_is_read_only():
 
 
 def test_guard_survives_optimize_flag():
-    """The mixed-partial guard rejects a corrupted derivative table with a
-    typed error even under python -O, which strips assert statements."""
+    """The mixed-partial guard rejects a corrupted derivative table, and the
+    metric stage's inverse guard a corrupted G^jk11, with a typed error even
+    under python -O, which strips assert statements."""
     code = """
+from dataclasses import replace
+
 import numpy as np
+import jetbm.geometry as kernel
 from jetbm import InvariantError, QuarticTensor, TimeMetric
-from jetbm.geometry import _guard_mixed_partials, geometry
+from jetbm.geometry import _guard_mixed_partials, geometry, metric_batches
 
 if __debug__:
     raise SystemExit("not running under -O")
-geo = geometry(QuarticTensor.berwald_moor(), TimeMetric.constant(1.0), [0.0], [[1.0, 2.0, 3.0, 4.0]])
+G, tm = QuarticTensor.berwald_moor(), TimeMetric.constant(1.0)
+geo = geometry(G, tm, [0.0], [[1.0, 2.0, 3.0, 4.0]])
 t3 = geo.t3.copy()
 t3[0, 0, 1, 2] += 1e-3
 try:
     _guard_mixed_partials(t3, geo.t4, geo.y)
 except InvariantError as exc:
     print("InvariantError:", exc)
+real = kernel.g_hierarchy
+kernel.g_hierarchy = lambda G, y: replace(real(G, y), gij11_inv=1.01 * real(G, y).gij11_inv)
+try:
+    list(metric_batches(G, tm, [0.0], [[1.0, 2.0, 3.0, 4.0]]))
+except InvariantError as exc:
+    print("InvariantError:", exc)
 """
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("InvariantError: mixed-partial consistency")
+    lines = out.stdout.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("InvariantError: mixed-partial consistency")
+    assert lines[1].startswith("InvariantError: inverse-metric formula disagrees with direct inversion")

@@ -363,6 +363,10 @@ def test_cli_verify_prints_one_wall_time_per_group(tmp_path):
         assert re.fullmatch(r"\[time\] [a-z_]+  points=\d+ wall=\d+\.\d{3}s", line), line
     # the timings leave the stdout document as run_verify writes it
     assert out.stdout == run_verify(replace(parse_config(MINIMAL), samples=30)).to_json()
+    # decay evaluates the three scaled rays and the base ray, whatever the sample count
+    assert lines[GROUPS.index("decay")].split()[2] == "points=4"
+    decay = [r for r in json.loads(out.stdout)["reports"] if r["check_name"] == "conservation/decay-rate"]
+    assert [r["samples"] for r in decay] == [4]
 
 
 def test_cli_sweep_refuses_custom_field_with_exit_two(tmp_path):

@@ -12,7 +12,6 @@ from jetbm import (
     TimeMetric,
     VerificationReport,
     taylor2_seed,
-    time_metric_eval,
 )
 
 from jetbm.geometry import CHUNK
@@ -26,17 +25,17 @@ cone_floats = st.floats(min_value=0.1, max_value=10.0, allow_nan=False)
 
 
 def test_constant_family_example():
-    v = time_metric_eval(TimeMetric.constant(2.0), 7.0)
+    v = TimeMetric.constant(2.0).eval(7.0)
     assert (v.h11, v.h11_inv, v.dh11, v.d2h11) == (2.0, 0.5, 0.0, 0.0)
 
 
 def test_exponential_family_example():
-    v = time_metric_eval(TimeMetric.exponential(1.0, 1.0), 0.0)
+    v = TimeMetric.exponential(1.0, 1.0).eval(0.0)
     assert (v.h11, v.h11_inv, v.dh11, v.d2h11) == (1.0, 1.0, 1.0, 1.0)
 
 
 def test_power_family_example():
-    v = time_metric_eval(TimeMetric.power(1.0), 0.5)
+    v = TimeMetric.power(1.0).eval(0.5)
     np.testing.assert_allclose([v.h11, v.h11_inv, v.dh11, v.d2h11], [1.25, 0.8, 1.0, 2.0], rtol=1e-15)
 
 

@@ -28,8 +28,7 @@ from itertools import product
 
 import numpy as np
 
-from .connection import christoffel_time
-from .geometry import check_cone, point_geometry
+from .geometry import check_cone, point_geometry, time_axis
 from .jetcore import DIM, JetPoint, QuarticTensor, TimeMetric
 
 __all__ = [
@@ -45,6 +44,7 @@ __all__ = [
     "bm_s_ricci_field",
     "bm_s_raised_field",
     "scalar_curvature_field",
+    "field_numerator",
 ]
 
 
@@ -202,13 +202,18 @@ def bm_s_raised_field(y) -> np.ndarray:
     return coef * (y[..., :, None] * (1.0 / y)[..., None, :])
 
 
+def field_numerator(h11, kappa):
+    """9 h_11 + kappa^2, the numerator of the field-theory scalar curvature and
+    of xi_11; kappa^2 is rounded as kappa * kappa wherever it enters."""
+    return 9.0 * h11 + kappa * kappa
+
+
 def scalar_curvature_field(tm: TimeMetric, t, y):
     """Field-theory scalar curvature -(9 h_11 + kappa^2) / sqrt(G_1111), at
     one point (a float) or over a batch, t of shape (N,) and y of shape
-    (N, 4).  The time-axis scalars are evaluated one point at a time, as in
-    the geometry kernel, so a batch reproduces its points bit for bit."""
+    (N, 4).  The time-axis scalars come from ``time_axis``, so a batch
+    reproduces its points bit for bit."""
     y = check_cone(y)
-    ts = np.reshape(t, -1).tolist()
-    num = np.array([9.0 * tm.eval(ti).h11 + christoffel_time(tm, ti).kappa ** 2 for ti in ts])
-    out = -num.reshape(np.shape(t)) / np.sqrt(np.prod(y, axis=-1))
+    ax = time_axis(tm, t)
+    out = -field_numerator(ax.h11, ax.kappa).reshape(np.shape(t)) / np.sqrt(np.prod(y, axis=-1))
     return float(out) if out.ndim == 0 else out

@@ -11,18 +11,24 @@ non-Berwald-Moor tensors the honest Ricci contraction feeds the same block
 formulas and divergences fall back to the unreduced covariant definitions
 with finite differences.
 
+Each closed formula is written once: 9 h_11 + kappa^2 is
+``curvature.field_numerator`` and the closed conservation right-hand sides
+are ``closed_rhs_of``.  ``xi_11`` and ``des_check`` read the kernel's
+time-axis pass, ``geometry.time_axis``.
+
 Each ``*_of`` function computes its objects over the whole batch of a
-geometry bundle; the per-point functions read one point of an N = 1 bundle.
+geometry (or metric-stage) bundle; the per-point functions read one point of
+an N = 1 bundle.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import bm_s_raised_field, bm_s_ricci_field
+from .curvature import bm_s_raised_field, bm_s_ricci_field, field_numerator
 from .errors import ConfigError, InvariantError
-from .geometry import Geometry, Metric, christoffel_time, geometry, point_geometry, point_metric, take
-from .jetcore import DIM, JetPoint, QuarticTensor, TimeMetric, pointwise_pow, taylor2_seed
+from .geometry import Geometry, Metric, geometry, point_geometry, point_metric, take, time_axis
+from .jetcore import DIM, JetPoint, QuarticTensor, TimeMetric, taylor2_seed
 
 __all__ = [
     "GravPotential",
@@ -39,6 +45,7 @@ __all__ = [
     "grav_potential_of",
     "einstein_blocks_of",
     "conservation_residuals_of",
+    "closed_rhs_of",
     "em_form_of",
     "t2_raised_table",
     "t2_divergence",
@@ -121,12 +128,15 @@ def grav_potential(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> GravPotenti
 def _xi(h11, kappa, k: float):
     if k == 0.0:
         raise ConfigError("einstein constant K must be nonzero")
-    return (9.0 * h11 + kappa * kappa) / (2.0 * k)
+    return field_numerator(h11, kappa) / (2.0 * k)
 
 
-def xi_11(tm: TimeMetric, t: float, k: float) -> float:
-    """xi_11 = (9 h_11 + kappa^2) / (2 K), the scalar in every diagonal block."""
-    return _xi(tm.eval(t).h11, christoffel_time(tm, t).kappa, k)
+def xi_11(tm: TimeMetric, t, k: float):
+    """xi_11 = (9 h_11 + kappa^2) / (2 K), the scalar in every diagonal block,
+    at one t (a float) or over t of shape (N,)."""
+    ax = time_axis(tm, t)
+    out = _xi(ax.h11, ax.kappa, k).reshape(np.shape(t))
+    return float(out) if out.ndim == 0 else out
 
 
 def _s_source(geo: Geometry):
@@ -214,11 +224,7 @@ def conservation_residuals_of(geo: Geometry, k: float) -> ConservationResiduals:
     """
     xi = _xi(geo.h11, geo.kappa, k)
     dxi = (9.0 * geo.dh11 + 2.0 * geo.kappa * geo.dkappa) / (2.0 * k)
-    sq = np.sqrt(geo.scalars.g1111)
-    v_inv, dh = geo.h11_inv, geo.dh11
-    closed_t1 = (v_inv**2 / (8.0 * k)) * dh * (2.0 * geo.d2h11 - 3.0 * dh**2 / geo.h11) / sq
-    closed_ti = (geo.kappa * xi)[:, None] / (18.0 * sq[:, None] * geo.y)
-    closed_tyi = xi[:, None] / (6.0 * sq[:, None] * geo.y)
+    closed_t1, closed_ti, closed_tyi = closed_rhs_of(geo, k)
     if geo.tensor.is_berwald_moor:
         t1, ti, tyi = _divergences_reduced(geo, k, xi, dxi)
         _guard_reduction_terms(geo, einstein_blocks_of(geo, k))
@@ -227,6 +233,23 @@ def conservation_residuals_of(geo: Geometry, k: float) -> ConservationResiduals:
     return ConservationResiduals(
         t1=t1, ti=ti, tyi=tyi, closed_t1=closed_t1, closed_ti=closed_ti, closed_tyi=closed_tyi
     )
+
+
+def closed_rhs_of(m: Metric, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed right-hand sides (T1, Ti, Tyi) of the conservation laws over the
+    batch, shapes (N,), (N, 4) and (N, 4); they read only the metric stage.
+
+    T1  = (h^11)^2 h_11' (2 h_11'' - 3 h_11'^2 / h_11) / (8 K sqrt(G_1111))
+    Ti  = kappa xi_11 / (18 sqrt(G_1111) y^i)
+    Tyi = xi_11 / (6 sqrt(G_1111) y^i)
+    """
+    xi = _xi(m.h11, m.kappa, k)
+    sq = np.sqrt(m.scalars.g1111)
+    v_inv, dh = m.h11_inv, m.dh11
+    t1 = (v_inv**2 / (8.0 * k)) * dh * (2.0 * m.d2h11 - 3.0 * dh**2 / m.h11) / sq
+    ti = (m.kappa * xi)[:, None] / (18.0 * sq[:, None] * m.y)
+    tyi = xi[:, None] / (6.0 * sq[:, None] * m.y)
+    return t1, ti, tyi
 
 
 def conservation_residuals(G: QuarticTensor, tm: TimeMetric, p: JetPoint, k: float) -> ConservationResiduals:
@@ -241,7 +264,7 @@ def _divergences_reduced(geo: Geometry, k: float, xi, dxi):
     div_s = t2_divergence(table, FIELD_COEF)
     div_delta = inv_sq.grad
     kappa, h11, xi_c = geo.kappa[:, None], geo.h11[:, None], xi[:, None]
-    kappa_sq = pointwise_pow(geo.kappa, 2)[:, None]
+    kappa_sq = (geo.kappa * geo.kappa)[:, None]
     # T1 = delta(xi / sqrt(G)) / delta t with delta/delta t = d/dt + kappa y^p d/dy^p;
     # y^p d/dy^p is np.dot per point, because a stacked matmul or einsum sums
     # the four products in another order than the BLAS dot of one point
@@ -310,13 +333,9 @@ def des_check(tm: TimeMetric, t_samples) -> DesCheck:
     ts = np.atleast_1d(np.asarray(t_samples, dtype=float))
     if ts.size == 0:
         raise ConfigError("des_check needs a nonempty sample list")
-    r1 = np.empty(ts.size)
-    r2 = np.empty(ts.size)
-    for idx, t in enumerate(ts):
-        v = tm.eval(t)
-        kappa = christoffel_time(tm, t).kappa
-        r1[idx] = v.dh11 * (2.0 * v.d2h11 - 3.0 * v.dh11**2 / v.h11)
-        r2[idx] = 9.0 * v.h11 + kappa * kappa
+    ax = time_axis(tm, ts)
+    r1 = ax.dh11 * (2.0 * ax.d2h11 - 3.0 * ax.dh11**2 / ax.h11)
+    r2 = field_numerator(ax.h11, ax.kappa)
     solvable = bool(np.any((np.abs(r1) <= 1e-12) & (np.abs(r2) <= 1e-12)))
     return DesCheck(r1=r1, r2=r2, solvable=solvable)
 

@@ -5,7 +5,8 @@ One pass over a batch of points (t, y), with t of shape (N,) and y of shape
 it.  The kernel has two stages:
 
 * the metric stage (``Metric``, ``metric_batches``, ``point_metric``): the
-  time-axis scalars, the G-hierarchy, the fundamental metric and its inverse;
+  time-axis scalars (``time_axis``), the G-hierarchy, the fundamental metric
+  and its inverse;
 * the full stage (``Geometry``, ``batches``, ``geometry``,
   ``point_geometry``): the metric stage, then the exact third and fourth
   y-derivative tables of g, the Cartan connection, the torsions, the
@@ -45,6 +46,7 @@ __all__ = [
     "GScalars",
     "Geometry",
     "Metric",
+    "TimeAxis",
     "batches",
     "check_cone",
     "christoffel_time",
@@ -54,6 +56,7 @@ __all__ = [
     "point_geometry",
     "point_metric",
     "take",
+    "time_axis",
 ]
 
 # points per chunk: each 5-index table holds 256 doubles per point, so a
@@ -126,7 +129,38 @@ class GScalars:
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Metric:
+class TimeAxis:
+    """The time-axis scalars at each t of a batch, as (N,) arrays: h_11, h^11,
+    dh_11/dt, d2h_11/dt2, kappa and dkappa/dt."""
+
+    t: np.ndarray
+    h11: np.ndarray
+    h11_inv: np.ndarray
+    dh11: np.ndarray
+    d2h11: np.ndarray
+    kappa: np.ndarray
+    dkappa: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+
+def time_axis(tm: TimeMetric, t) -> TimeAxis:
+    """The time-axis scalars over t of shape (N,), one point at a time, so that
+    a batch never changes how the transcendental functions of t are evaluated:
+    each entry is the per-point ``tm.eval`` and ``christoffel_time`` value."""
+    t = np.array(t, dtype=float).reshape(-1)
+    rows = []
+    for ti in t.tolist():
+        v = tm.eval(ti)
+        ct = _christoffel(v)
+        rows.append((v.h11, v.h11_inv, v.dh11, v.d2h11, ct.kappa, ct.dkappa))
+    cols = np.array(rows, dtype=float).reshape(len(t), 6).T
+    return _frozen(TimeAxis(t, *cols))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Metric(TimeAxis):
     """The metric stage over a batch of N points: the time-axis scalars, the
     G-hierarchy, g_ij and g^jk.
 
@@ -135,20 +169,10 @@ class Metric:
 
     tensor: QuarticTensor
     tm: TimeMetric
-    t: np.ndarray
     y: np.ndarray
-    h11: np.ndarray
-    h11_inv: np.ndarray
-    dh11: np.ndarray
-    d2h11: np.ndarray
-    kappa: np.ndarray
-    dkappa: np.ndarray
     scalars: GScalars
     g_lo: np.ndarray
     g_up: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.t)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -343,16 +367,7 @@ def _guard_torsions(p_mixed, c, r_time, kappa, dkappa, y):
 
 
 def _metric(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) -> Metric:
-    n = len(t)
-    # time-axis scalars, one point at a time so that a batch never changes
-    # how the transcendental functions of t are evaluated
-    rows = []
-    for ti in t:
-        v = tm.eval(float(ti))
-        ct = _christoffel(v)
-        rows.append((v.h11, v.h11_inv, v.dh11, v.d2h11, ct.kappa, ct.dkappa))
-    h11, h11_inv, dh11, d2h11, kappa, dkappa = np.array(rows, dtype=float).reshape(n, 6).T
-
+    ax = time_axis(tm, t)
     s = g_hierarchy(G, y)
     if (s.g1111 <= 0.0).any():
         bad = s.g1111 <= 0.0
@@ -378,16 +393,10 @@ def _metric(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) -> M
 
     return _frozen(
         Metric(
+            **{f.name: getattr(ax, f.name) for f in fields(TimeAxis)},
             tensor=G,
             tm=tm,
-            t=t,
             y=y,
-            h11=h11,
-            h11_inv=h11_inv,
-            dh11=dh11,
-            d2h11=d2h11,
-            kappa=kappa,
-            dkappa=dkappa,
             scalars=_frozen(s),
             g_lo=g_lo,
             g_up=g_up,

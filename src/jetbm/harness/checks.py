@@ -3,27 +3,33 @@ and report aggregation.
 
 Each report verifies one identity (an oracle equivalence between the generic
 pipeline and a closed form, or an internal identity).  Checks are organized
-into groups that share one pipeline evaluation per sampled point; a group
-draws its points from a generator seeded by (seed, group index) and emits its
-reports in a fixed order, so output is deterministic for a fixed (config,
-seed) regardless of evaluation schedule.  The generic objects of a group come
-from geometry bundles over its points, checked with array operations; the
-Taylor2 oracles run batched over the same chunks.  The gscalars and
-metric_taylor groups read only g, g^-1 and the G-hierarchy, so they build
-metric-stage bundles (``metric_batches``); every other group builds the full
-bundle.  A group's point count is a fraction of the samples, except decay's,
-which is its four fixed rays.
+into groups; a group draws its points from a generator seeded by (seed, group
+index) and emits its reports in a fixed order, so output is deterministic for
+a fixed (config, seed) regardless of evaluation schedule.  The generic objects
+of a group come from geometry bundles over its points, one CHUNK at a time,
+checked with array operations; the Taylor2 oracles run batched over the same
+chunks.  The gscalars and metric_taylor groups read only g, g^-1 and the
+G-hierarchy, so they build metric-stage bundles (``metric_batches``); the
+other bundle-reading groups build the full bundle.  A group's point count is
+a fraction of the samples, except decay's, which is its four fixed rays in
+one bundle.
 
-Checks that need Berwald-Moor closed forms are reported as skipped for custom
-tensors.  Three checks compare the honest Ricci contraction of the vertical
-curvature against the closed table the field-theory layer is built on; the
-diagonal of that table is exactly twice the contraction, so those checks
-report the discrepancy and fail by design on a correct implementation.
+Each verdict is declared once, with its tolerances and a ``bm_only`` flag:
+a verdict that needs Berwald-Moor closed forms is reported as skipped for
+custom tensors.  Three checks compare the honest Ricci contraction of the
+vertical curvature against the closed table the field-theory layer is built
+on; the diagonal of that table is exactly twice the contraction, so those
+checks report the discrepancy and fail by design on a correct
+implementation.
+
+A sweep tabulates one field of the field layer over a grid; it evaluates the
+library function of that field (``scalar_curvature_field``, ``xi_11``,
+``closed_rhs_of`` or the G-hierarchy) one CHUNK of grid points at a time,
+and has no formula of its own.
 """
 
 import json
 from dataclasses import dataclass
-from itertools import product
 from math import factorial
 from time import perf_counter
 from typing import Callable
@@ -32,7 +38,7 @@ import numpy as np
 
 from .. import connection, curvature, fieldtheory, metric
 from ..errors import ConfigError
-from ..geometry import CHUNK, batches, metric_batches
+from ..geometry import CHUNK, batches, g_hierarchy, geometry, metric_batches, take, time_axis
 from ..jetcore import DIM, JetPoint, Taylor2, VerificationReport, taylor2_seed
 from .config import RunConfig
 
@@ -70,12 +76,14 @@ class _Err:
 
 @dataclass(frozen=True)
 class _Verdict:
-    """One report-to-be: name, accumulated errors, and tolerances."""
+    """One report-to-be: name, accumulated errors, tolerances, and whether it
+    needs Berwald-Moor closed forms (then it is skipped for custom tensors)."""
 
     name: str
     err: _Err
     abs_tol: float | None = None
     rel_tol: float | None = None
+    bm_only: bool = False
 
 
 def _points(cfg: RunConfig, rng: np.random.Generator, n: int):
@@ -134,39 +142,14 @@ def _grp_gscalars(cfg, rng, n):
             raised.add(s.gj_up, y / 3.0)
             inv_closed.add(s.gij11_inv, (1.0 - 3.0 * np.eye(DIM)) * y[:, :, None] * y[:, None, :] / (3.0 * s.g1111[:, None, None]))
     return [
-        _Verdict("metric/closed-form-oracle", oracle, rel_tol=1e-10),
+        _Verdict("metric/closed-form-oracle", oracle, rel_tol=1e-10, bm_only=True),
         _Verdict("metric/inverse-pair", inverse, abs_tol=1e-10),
         _Verdict("gscalars/euler-identities", euler, rel_tol=1e-12),
-        _Verdict("gscalars/determinant-closed", det, rel_tol=1e-12),
-        _Verdict("gscalars/script-scalar-closed", script, rel_tol=1e-12),
-        _Verdict("gscalars/raised-vector-closed", raised, rel_tol=1e-12),
-        _Verdict("gscalars/inverse-closed-form", inv_closed, abs_tol=1e-10, rel_tol=1e-12),
+        _Verdict("gscalars/determinant-closed", det, rel_tol=1e-12, bm_only=True),
+        _Verdict("gscalars/script-scalar-closed", script, rel_tol=1e-12, bm_only=True),
+        _Verdict("gscalars/raised-vector-closed", raised, rel_tol=1e-12, bm_only=True),
+        _Verdict("gscalars/inverse-closed-form", inv_closed, abs_tol=1e-10, rel_tol=1e-12, bm_only=True),
     ]
-
-
-_BM_ONLY = {
-    "metric/closed-form-oracle",
-    "gscalars/determinant-closed",
-    "gscalars/script-scalar-closed",
-    "gscalars/raised-vector-closed",
-    "gscalars/inverse-closed-form",
-    "cartan/vertical-oracle",
-    "cartan/horizontal-oracle",
-    "cartan/vertical-trace",
-    "curvature/vertical-oracle",
-    "ricci/contraction-closed-form",
-    "ricci/contraction-vs-field-offdiag",
-    "ricci/contraction-vs-field-diag",
-    "ricci/raised-field-closed",
-    "ricci/curl-orthogonality",
-    "ricci/divergence-field",
-    "ricci/divergence-contraction",
-    "ricci/scalar-closed-form",
-    "ricci/scalar-vs-field",
-    "conservation/closed-rhs",
-    "conservation/residual-nonzero",
-    "conservation/decay-rate",
-}
 
 
 def _grp_metric_taylor(cfg, rng, n):
@@ -194,13 +177,11 @@ def _grp_connection(cfg, rng, n):
     duality = _Err()
     t, ys = _points(cfg, rng, n)
     h = cfg.fd_step
+    tm = cfg.time_metric
+    fd.add(time_axis(tm, t).dkappa, (time_axis(tm, t + h).kappa - time_axis(tm, t - h).kappa) / (2.0 * h))
     for i in range(n):
-        ct = connection.christoffel_time(cfg.time_metric, t[i])
-        kp = connection.christoffel_time(cfg.time_metric, t[i] + h).kappa
-        km = connection.christoffel_time(cfg.time_metric, t[i] - h).kappa
-        fd.add(ct.dkappa, (kp - km) / (2.0 * h))
         p = JetPoint.from_y(ys[i], t=t[i])
-        for nlc in (connection.canonical_nlc(cfg.time_metric, p), connection.apriori_nlc(cfg.time_metric, p)):
+        for nlc in (connection.canonical_nlc(tm, p), connection.apriori_nlc(tm, p)):
             F = connection.adapted_frame(nlc)
             C = connection.adapted_coframe(nlc)
             duality.add_residual(F @ C.T - np.eye(1 + 2 * DIM))
@@ -228,12 +209,12 @@ def _grp_cartan(cfg, rng, n):
             hor.add(geo.l, (geo.kappa / 3.0)[:, None, None, None] * closed)
             trace.add_residual(np.einsum("xmjm->xj", geo.c))
     return [
-        _Verdict("cartan/vertical-oracle", vert, rel_tol=1e-9),
-        _Verdict("cartan/horizontal-oracle", hor, abs_tol=1e-12, rel_tol=1e-9),
+        _Verdict("cartan/vertical-oracle", vert, rel_tol=1e-9, bm_only=True),
+        _Verdict("cartan/horizontal-oracle", hor, abs_tol=1e-12, rel_tol=1e-9, bm_only=True),
         _Verdict("cartan/time-component-zero", time_zero, abs_tol=1e-10),
         _Verdict("cartan/vertical-symmetry", sym, abs_tol=1e-12),
         _Verdict("cartan/vertical-y-transversality", transv, abs_tol=1e-10),
-        _Verdict("cartan/vertical-trace", trace, abs_tol=1e-10),
+        _Verdict("cartan/vertical-trace", trace, abs_tol=1e-10, bm_only=True),
     ]
 
 
@@ -259,7 +240,7 @@ def _grp_curvature(cfg, rng, n):
             s_oracle.add_residual(worst)
             s_oracle.rel = max(s_oracle.rel, worst)
     return [
-        _Verdict("curvature/vertical-oracle", s_oracle, rel_tol=1e-9),
+        _Verdict("curvature/vertical-oracle", s_oracle, rel_tol=1e-9, bm_only=True),
         _Verdict("curvature/antisymmetry", antisym, abs_tol=1e-12),
         _Verdict("curvature/proportionality", prop, abs_tol=1e-12, rel_tol=1e-9),
         _Verdict("torsion/closed-forms", tor_closed, abs_tol=1e-12, rel_tol=1e-9),
@@ -304,15 +285,15 @@ def _grp_ricci(cfg, rng, n):
         div_contr.add(fieldtheory.t2_divergence(table, _CONTRACTED_COEF), target)
         sc_field.add(geo.sc, curvature.scalar_curvature_field(cfg.time_metric, geo.t, y))
     return [
-        _Verdict("ricci/contraction-closed-form", closed_form, rel_tol=1e-10),
-        _Verdict("ricci/contraction-vs-field-offdiag", offdiag, rel_tol=1e-9),
-        _Verdict("ricci/contraction-vs-field-diag", diag, rel_tol=1e-9),
-        _Verdict("ricci/raised-field-closed", raised_field, rel_tol=1e-9),
-        _Verdict("ricci/curl-orthogonality", curl, abs_tol=1e-10),
-        _Verdict("ricci/divergence-field", div_field, rel_tol=1e-9),
-        _Verdict("ricci/divergence-contraction", div_contr, rel_tol=1e-9),
-        _Verdict("ricci/scalar-closed-form", sc_closed, rel_tol=1e-10),
-        _Verdict("ricci/scalar-vs-field", sc_field, rel_tol=1e-9),
+        _Verdict("ricci/contraction-closed-form", closed_form, rel_tol=1e-10, bm_only=True),
+        _Verdict("ricci/contraction-vs-field-offdiag", offdiag, rel_tol=1e-9, bm_only=True),
+        _Verdict("ricci/contraction-vs-field-diag", diag, rel_tol=1e-9, bm_only=True),
+        _Verdict("ricci/raised-field-closed", raised_field, rel_tol=1e-9, bm_only=True),
+        _Verdict("ricci/curl-orthogonality", curl, abs_tol=1e-10, bm_only=True),
+        _Verdict("ricci/divergence-field", div_field, rel_tol=1e-9, bm_only=True),
+        _Verdict("ricci/divergence-contraction", div_contr, rel_tol=1e-9, bm_only=True),
+        _Verdict("ricci/scalar-closed-form", sc_closed, rel_tol=1e-10, bm_only=True),
+        _Verdict("ricci/scalar-vs-field", sc_field, rel_tol=1e-9, bm_only=True),
     ]
 
 
@@ -359,8 +340,8 @@ def _grp_conservation(cfg, rng, n):
         closed.add(res.tyi, res.closed_tyi)
         nonzero.add_residual(np.where(_residual_norm(res) > 0.0, 0.0, 1.0))
     return [
-        _Verdict("conservation/closed-rhs", closed, rel_tol=1e-8),
-        _Verdict("conservation/residual-nonzero", nonzero, abs_tol=0.5),
+        _Verdict("conservation/closed-rhs", closed, rel_tol=1e-8, bm_only=True),
+        _Verdict("conservation/residual-nonzero", nonzero, abs_tol=0.5, bm_only=True),
     ]
 
 
@@ -373,21 +354,17 @@ def _grp_decay(cfg, rng, n):
     residual is active, s^-3 otherwise).  The points are the scaled rays and
     the base ray s = 1, whatever the sample count."""
     err = _Err()
+    verdicts = [_Verdict("conservation/decay-rate", err, abs_tol=0.02, bm_only=True)]
     if not cfg.tensor.is_berwald_moor:
-        return [_Verdict("conservation/decay-rate", err, abs_tol=0.02)]
+        return verdicts
     t_ref = 0.5 * (cfg.t_min + cfg.t_max)
     scales = _DECAY_SCALES
-    measured = []
-    for s in scales:
-        res = fieldtheory.conservation_residuals(
-            cfg.tensor, cfg.time_metric, JetPoint.from_y(s * np.ones(DIM), t=t_ref), cfg.einstein_k
-        )
-        measured.append(_residual_norm(res))
+    ys = np.array(scales + (1.0,))[:, None] * np.ones(DIM)
+    geo = geometry(cfg.tensor, cfg.time_metric, np.full(len(ys), t_ref), ys)
+    res = fieldtheory.conservation_residuals_of(geo, cfg.einstein_k)
+    *rays, base = (take(res, i) for i in range(len(ys)))
+    measured = [_residual_norm(ray) for ray in rays]
     slope = (np.log(measured[2]) - np.log(measured[1])) / (np.log(scales[2]) - np.log(scales[1]))
-
-    base = fieldtheory.conservation_residuals(
-        cfg.tensor, cfg.time_metric, JetPoint.from_y(np.ones(DIM), t=t_ref), cfg.einstein_k
-    )
     predicted = [
         float(
             np.sqrt(
@@ -400,7 +377,7 @@ def _grp_decay(cfg, rng, n):
     ]
     pred_slope = (np.log(predicted[2]) - np.log(predicted[1])) / (np.log(scales[2]) - np.log(scales[1]))
     err.add_residual(float(slope - pred_slope))
-    return [_Verdict("conservation/decay-rate", err, abs_tol=0.02)]
+    return verdicts
 
 
 def _grp_field_misc(cfg, rng, n):
@@ -579,7 +556,7 @@ def run_verify(cfg: RunConfig, on_group: Callable[[str, int, float], None] | Non
         if on_group is not None:
             on_group(grp.fn.__name__.removeprefix("_grp_"), n, perf_counter() - start)
         for verdict in verdicts:
-            if verdict.name in _BM_ONLY and not is_bm:
+            if verdict.bm_only and not is_bm:
                 reports.append(VerificationReport.skip(verdict.name, cfg.seed))
                 continue
             reports.append(
@@ -643,34 +620,34 @@ def parse_grid(spec: str) -> list[tuple[str, np.ndarray]]:
     return axes
 
 
-def _sweep_value(cfg: RunConfig, field: str, t: float, y: np.ndarray) -> float:
-    if field == "G1111":
-        return metric.g_scalars(cfg.tensor, y).g1111
-    if field == "xi11":
-        return fieldtheory.xi_11(cfg.time_metric, t, cfg.einstein_k)
-    sq = np.sqrt(metric.g_scalars(cfg.tensor, y).g1111)
-    v = cfg.time_metric.eval(t)
-    kappa = connection.christoffel_time(cfg.time_metric, t).kappa
-    if field == "Sc":
-        return float(-(9.0 * v.h11 + kappa**2) / sq)
-    xi = fieldtheory.xi_11(cfg.time_metric, t, cfg.einstein_k)
-    if field == "T1":
-        return float(
-            v.h11_inv**2 / (8.0 * cfg.einstein_k) * v.dh11 * (2.0 * v.d2h11 - 3.0 * v.dh11**2 / v.h11) / sq
-        )
-    if field == "Ti":
-        return float(kappa * xi / (18.0 * sq * y[0]))
-    if field == "Tyi":
-        return float(xi / (6.0 * sq * y[0]))
-    raise ConfigError(f"unknown sweep field {field!r}, expected one of {SWEEP_FIELDS}")
+def _sweep_values(cfg: RunConfig, field: str, t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The field at every grid point, t of shape (R,) and y of shape (R, 4),
+    evaluated one CHUNK of points at a time."""
+    G, tm, k = cfg.tensor, cfg.time_metric, cfg.einstein_k
+    if field in ("T1", "Ti", "Tyi"):
+        parts = []
+        for m in metric_batches(G, tm, t, y):
+            t1, ti, tyi = fieldtheory.closed_rhs_of(m, k)
+            parts.append({"T1": t1, "Ti": ti[:, 0], "Tyi": tyi[:, 0]}[field])
+        return np.concatenate(parts)
+    fn = {
+        "G1111": lambda t, y: g_hierarchy(G, y).g1111,
+        "xi11": lambda t, y: fieldtheory.xi_11(tm, t, k),
+        "Sc": lambda t, y: curvature.scalar_curvature_field(tm, t, y),
+    }[field]
+    return np.concatenate([fn(t[lo : lo + CHUNK], y[lo : lo + CHUNK]) for lo in range(0, len(t), CHUNK)])
 
 
 def sweep(cfg: RunConfig, field: str, grid) -> list[dict]:
     """One row per grid point, lexicographic in grid indices.
 
-    Vector residual fields (Ti, Tyi) report their first component; Sc, xi11,
-    T1, Ti and Tyi come from the closed Berwald-Moor field-theory layer and
-    are refused for a custom tensor; G1111 comes from the configured tensor.
+    Every field is a read of the field layer: Sc is
+    ``curvature.scalar_curvature_field``, xi11 ``fieldtheory.xi_11``, T1, Ti
+    and Tyi ``fieldtheory.closed_rhs_of`` (the vector fields Ti and Tyi
+    report their first component), and G1111 the tensor's G-hierarchy.  Sc,
+    xi11, T1, Ti and Tyi come from the closed Berwald-Moor field-theory layer
+    and are refused for a custom tensor; G1111 comes from the configured
+    tensor.
     """
     if field not in SWEEP_FIELDS:
         raise ConfigError(f"unknown sweep field {field!r}, expected one of {SWEEP_FIELDS}")
@@ -681,20 +658,19 @@ def sweep(cfg: RunConfig, field: str, grid) -> list[dict]:
         )
     axes = parse_grid(grid) if isinstance(grid, str) else list(grid)
     names = [name for name, _ in axes]
-    rows = []
-    for combo in product(*[vals for _, vals in axes]):
-        coords = dict(zip(names, combo))
-        t = float(coords.get("t", 0.5 * (cfg.t_min + cfg.t_max)))
-        y = np.ones(DIM)
-        if "s" in coords:
-            y = coords["s"] * y
-        for ax in ("y1", "y2", "y3", "y4"):
-            if ax in coords:
-                y[int(ax[1]) - 1] = coords[ax]
-        row = {name: float(val) for name, val in coords.items()}
-        row[field] = float(_sweep_value(cfg, field, t, y))
-        rows.append(row)
-    return rows
+    # grid points in itertools.product order (the last axis varies fastest)
+    mesh = np.meshgrid(*[np.asarray(vals, dtype=float) for _, vals in axes], indexing="ij")
+    points = np.stack(mesh, axis=-1).reshape(-1, len(axes))
+    cols = dict(zip(names, points.T))
+    t = cols.get("t", np.full(len(points), 0.5 * (cfg.t_min + cfg.t_max)))
+    y = np.ones((len(points), DIM))
+    if "s" in cols:
+        y = cols["s"][:, None] * y
+    for ax in ("y1", "y2", "y3", "y4"):
+        if ax in cols:
+            y[:, int(ax[1]) - 1] = cols[ax]
+    values = _sweep_values(cfg, field, t, y)
+    return [{**dict(zip(names, point)), field: v} for point, v in zip(points.tolist(), values.tolist())]
 
 
 def sweep_csv(rows: list[dict], field: str, axes: list[str]) -> str:

@@ -23,8 +23,6 @@ Example::
     einstein_k = 1.0
 
     [tolerances]
-    rel = 1e-9
-    abs = 1e-10
     fd = 1e-5
 
 Custom tensors list components one per line as ``p q r s = value`` under a
@@ -45,7 +43,7 @@ _KNOWN_KEYS = {
     "tensor": {"kind", "components"},
     "sampling": {"seed", "samples", "y_min", "y_max", "t_min", "t_max"},
     "constants": {"einstein_k"},
-    "tolerances": {"rel", "abs", "fd"},
+    "tolerances": {"fd"},
 }
 
 
@@ -60,8 +58,6 @@ class RunConfig:
     t_min: float = -1.0
     t_max: float = 1.0
     einstein_k: float = 1.0
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-10
     fd_step: float = 1e-5
 
     def to_dict(self) -> dict:
@@ -91,7 +87,7 @@ class RunConfig:
                 "t_max": self.t_max,
             },
             "constants": {"einstein_k": self.einstein_k},
-            "tolerances": {"rel": self.rel_tol, "abs": self.abs_tol, "fd": self.fd_step},
+            "tolerances": {"fd": self.fd_step},
         }
 
 
@@ -198,8 +194,6 @@ def parse_config(text: str) -> RunConfig:
     t_min = get_float("sampling", "t_min", -1.0)
     t_max = get_float("sampling", "t_max", 1.0)
     einstein_k = get_float("constants", "einstein_k", 1.0)
-    rel_tol = get_float("tolerances", "rel", 1e-9)
-    abs_tol = get_float("tolerances", "abs", 1e-10)
     fd_step = get_float("tolerances", "fd", 1e-5)
 
     if seed < 0:
@@ -214,10 +208,6 @@ def parse_config(text: str) -> RunConfig:
         errors.append(f"sampling.t_max: must satisfy t_min <= t_max, got [{t_min}, {t_max}]")
     if einstein_k == 0.0:
         errors.append("constants.einstein_k: must be nonzero")
-    if not rel_tol > 0.0:
-        errors.append(f"tolerances.rel: must be > 0, got {rel_tol}")
-    if not abs_tol > 0.0:
-        errors.append(f"tolerances.abs: must be > 0, got {abs_tol}")
     if not fd_step > 0.0:
         errors.append(f"tolerances.fd: must be > 0, got {fd_step}")
 
@@ -233,7 +223,5 @@ def parse_config(text: str) -> RunConfig:
         t_min=t_min,
         t_max=t_max,
         einstein_k=einstein_k,
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
         fd_step=fd_step,
     )

@@ -8,12 +8,14 @@ from jetbm import (
     TimeMetric,
     bm_metric_closed,
     bm_s_ricci_field,
+    christoffel_time,
     conservation_residuals,
     des_check,
     einstein_blocks,
     em_form,
     grav_potential,
     metric_pair,
+    scalar_curvature_field,
     taylor2_seed,
     xi_11,
 )
@@ -197,6 +199,28 @@ def test_des_always_positive_second_residual(families, rng):
         out = des_check(tm, rng.uniform(-3, 3, 25))
         assert np.all(out.r2 > 0.0)
         assert out.solvable is False
+
+
+def _kappa_where_pow_and_product_round_apart():
+    """An exponential time metric whose kappa at t = 0 has kappa ** 2 !=
+    kappa * kappa, with the difference surviving in 9 h_11 + kappa^2
+    (libm pow misrounds about 0.09 % of squares; h_11 = 1e-8 keeps 9 h_11
+    below kappa^2)."""
+    for lam in np.linspace(1.0, 9.0, 20001).tolist():
+        tm = TimeMetric.exponential(1e-8, lam)
+        v, kappa = tm.eval(0.0), christoffel_time(tm, 0.0).kappa
+        if 9.0 * v.h11 + kappa**2 != 9.0 * v.h11 + kappa * kappa:
+            return tm, v.h11, kappa
+    raise AssertionError("no kappa found whose pow and product squares differ")
+
+
+def test_kappa_squared_is_rounded_as_a_product_everywhere():
+    tm, h11, kappa = _kappa_where_pow_and_product_round_apart()
+    numerator = 9.0 * h11 + kappa * kappa
+    y = np.array([0.5, 1.0, 2.0, 3.0])
+    assert scalar_curvature_field(tm, 0.0, y) == -numerator / np.sqrt(np.prod(y))
+    assert xi_11(tm, 0.0, 0.7) == numerator / (2.0 * 0.7)
+    assert des_check(tm, [0.0]).r2[0] == numerator
 
 
 def test_des_needs_samples():

@@ -26,12 +26,15 @@ from jetbm.geometry import (
     CHUNK,
     GScalars,
     Metric,
+    TimeAxis,
     batches,
+    christoffel_time,
     geometry,
     g_hierarchy,
     metric_batches,
     point_geometry,
     take,
+    time_axis,
 )
 from jetbm.harness import checks
 from jetbm.harness.config import RunConfig
@@ -200,6 +203,27 @@ def test_metric_readers_never_build_the_derivative_tables(monkeypatch):
     np.testing.assert_array_equal(pot.xx_block, potential.xx_block)
     np.testing.assert_array_equal(pot.yy_block, potential.yy_block)
     assert [r.to_dict() for r in checks.run_verify(cfg).reports] == expected
+
+
+@pytest.mark.parametrize(
+    "tm",
+    [TimeMetric.constant(1.7), TimeMetric.exponential(0.8, 1.3), TimeMetric.power(-1.3)],
+    ids=lambda tm: tm.family,
+)
+def test_time_axis_is_the_per_point_time_metric(tm, rng):
+    ts = np.concatenate([rng.uniform(-3, 3, CHUNK + 1), [0.0, 0.0, -1.5e-05]])
+    ax = time_axis(tm, ts)
+    assert len(ax) == len(ts)
+    for n, t in enumerate(ts.tolist()):
+        v, ct = tm.eval(t), christoffel_time(tm, t)
+        per_point = (t, v.h11, v.h11_inv, v.dh11, v.d2h11, ct.kappa, ct.dkappa)
+        assert tuple(getattr(ax, f.name)[n] for f in fields(TimeAxis)) == per_point
+    # a bundle's time-axis fields are the helper's, whatever the chunking
+    ys = cone_points(rng, len(ts), lo=0.7, hi=1.4)
+    for m in metric_batches(QuarticTensor.berwald_moor(), tm, ts, ys):
+        ref = time_axis(tm, m.t)
+        for f in fields(TimeAxis):
+            np.testing.assert_array_equal(getattr(m, f.name), getattr(ref, f.name), err_msg=f.name)
 
 
 def test_g_scalars_is_one_point_of_the_hierarchy(rng):

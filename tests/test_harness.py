@@ -10,9 +10,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jetbm import ConfigError, QuarticTensor, Taylor2
+from jetbm import (
+    ConfigError,
+    JetPoint,
+    QuarticTensor,
+    Taylor2,
+    TimeMetric,
+    g_scalars,
+    scalar_curvature_field,
+    xi_11,
+)
+from jetbm.fieldtheory import closed_rhs_of
+from jetbm.geometry import CHUNK, point_metric
 from jetbm.harness import parse_config, parse_grid, run_verify, sweep
-from jetbm.harness.checks import check_names, sweep_csv
+from jetbm.harness.checks import SWEEP_FIELDS, check_names, sweep_csv
+from jetbm.harness.config import RunConfig
 
 MINIMAL = """
 [time_metric]
@@ -64,7 +76,7 @@ def test_minimal_document_gets_defaults():
     assert (cfg.y_min, cfg.y_max) == (0.1, 10.0)
     assert (cfg.t_min, cfg.t_max) == (-1.0, 1.0)
     assert cfg.einstein_k == 1.0
-    assert (cfg.rel_tol, cfg.abs_tol, cfg.fd_step) == (1e-9, 1e-10, 1e-5)
+    assert cfg.fd_step == 1e-5
     assert cfg.tensor.is_berwald_moor
     assert cfg.time_metric.family == "constant"
 
@@ -81,8 +93,9 @@ def test_negative_y_min_names_the_field():
         ("sampling", "samples = 0", "sampling.samples"),
         ("sampling", "seed = -3", "sampling.seed"),
         ("constants", "einstein_k = 0", "constants.einstein_k"),
-        ("tolerances", "rel = 0", "tolerances.rel"),
-        ("tolerances", "abs = -1e-9", "tolerances.abs"),
+        # rel and abs were never read by any check and are no longer keys
+        ("tolerances", "rel = 1e-9", "tolerances.rel: unknown key"),
+        ("tolerances", "abs = 1e-10", "tolerances.abs: unknown key"),
         ("tolerances", "fd = 0", "tolerances.fd"),
     ],
 )
@@ -254,6 +267,36 @@ def test_sweep_checks_the_tensor_once_per_call(monkeypatch):
     assert len(rows) == 12 and len(checks) == 1
 
 
+SWEEP_TIME_METRICS = [TimeMetric.constant(1.7), TimeMetric.exponential(0.8, 1.3), TimeMetric.power(-1.3)]
+
+
+def _field_at(cfg, field, t, y):
+    """The field-layer function of a sweep field at one point."""
+    G, tm, k = cfg.tensor, cfg.time_metric, cfg.einstein_k
+    if field == "Sc":
+        return scalar_curvature_field(tm, t, y)
+    if field == "xi11":
+        return xi_11(tm, t, k)
+    if field == "G1111":
+        return g_scalars(G, y).g1111
+    t1, ti, tyi = closed_rhs_of(point_metric(G, tm, JetPoint.from_y(y, t=t)), k)
+    return float({"T1": t1[0], "Ti": ti[0, 0], "Tyi": tyi[0, 0]}[field])
+
+
+@pytest.mark.parametrize("tm", SWEEP_TIME_METRICS, ids=lambda tm: tm.family)
+@pytest.mark.parametrize("field", SWEEP_FIELDS)
+def test_sweep_rows_equal_the_field_layer_bit_for_bit(field, tm):
+    """A grid of 3 x 5 x 3 rows spans two kernel chunks; every row is the
+    field-layer function at its point, to the last bit."""
+    cfg = RunConfig(time_metric=tm, einstein_k=0.7)
+    rows = sweep(cfg, field, "t=-0.9:0.8:3,s=0.5:3:5,y2=0.2:7:3")
+    assert len(rows) == 45 > CHUNK
+    for row in rows:
+        y = row["s"] * np.ones(4)
+        y[1] = row["y2"]
+        assert row[field] == _field_at(cfg, field, row["t"], y), row
+
+
 def test_sweep_csv_roundtrip():
     cfg = parse_config(MINIMAL)
     rows = sweep(cfg, "Tyi", "s=1:4:3")
@@ -336,6 +379,16 @@ def test_cli_verify_bad_config_exits_two(tmp_path):
     out = _cli("verify", "--config", str(cfg))
     assert out.returncode == 2
     assert "sampling.y_min" in out.stderr
+
+
+def test_cli_verify_refuses_dropped_tolerance_keys(tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(MINIMAL + "\n[tolerances]\nrel = 1e-9\nabs = 1e-10\nfd = 1e-5\n")
+    out = _cli("verify", "--config", str(cfg), "--samples", "1")
+    assert out.returncode == 2
+    assert "tolerances.rel: unknown key" in out.stderr
+    assert "tolerances.abs: unknown key" in out.stderr
+    assert out.stdout == ""
 
 
 GROUPS = [

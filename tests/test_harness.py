@@ -93,7 +93,10 @@ def test_negative_y_min_names_the_field():
         ("sampling", "samples = 0", "sampling.samples"),
         ("sampling", "seed = -3", "sampling.seed"),
         ("constants", "einstein_k = 0", "constants.einstein_k"),
-        # rel and abs were never read by any check and are no longer keys
+        # rel and abs were never read by any check and are no longer keys:
+        # a bad value and a formerly valid one are both refused by name
+        ("tolerances", "rel = 0", "tolerances.rel"),
+        ("tolerances", "abs = -1e-9", "tolerances.abs"),
         ("tolerances", "rel = 1e-9", "tolerances.rel: unknown key"),
         ("tolerances", "abs = 1e-10", "tolerances.abs: unknown key"),
         ("tolerances", "fd = 0", "tolerances.fd"),

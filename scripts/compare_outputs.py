@@ -7,7 +7,10 @@ checkout's ``src``).  Each tree runs the same fixed document set in one
 process of its own:
 
 * ``verify --samples 1000`` on the default configuration, seeds 1, 7 and 42,
-  and on ``benchmarks/custom.ini``, seeds 1 and 7;
+  on ``benchmarks/custom.ini``, seeds 1 and 7, and on
+  ``scripts/bm_exponential.ini``, seeds 1 and 7 (the default's constant h_11
+  gives kappa = 0, so L^i_jk and G^k_j1 vanish there and only a nonzero
+  kappa shows a change to them);
 * ``eval`` at the first 300 points of the benchmark's seed-1 eval inputs;
 * ``sweep`` of every sweep field over the benchmark's seed-1 sweep grid.
 
@@ -30,6 +33,7 @@ sys.path.insert(0, str(ROOT / "benchmarks"))
 
 import workloads  # noqa: E402  (the benchmark's seeded inputs)
 
+BM_EXPONENTIAL = ROOT / "scripts" / "bm_exponential.ini"
 SWEEP_FIELDS = ("Sc", "xi11", "T1", "Ti", "Tyi", "G1111")
 EVAL_DOCS = 300
 
@@ -56,8 +60,10 @@ def documents() -> list[tuple[str, list[str]]]:
     custom = str(workloads.HERE / "custom.ini")
     for seed in (1, 7, 42):
         docs.append((f"verify default seed {seed}", ["verify", "--samples", "1000", "--seed", str(seed)]))
-    for seed in (1, 7):
-        docs.append((f"verify custom.ini seed {seed}", ["verify", "--config", custom, "--samples", "1000", "--seed", str(seed)]))
+    for name, config in (("custom.ini", custom), ("bm_exponential.ini", str(BM_EXPONENTIAL))):
+        for seed in (1, 7):
+            argv = ["verify", "--config", config, "--samples", "1000", "--seed", str(seed)]
+            docs.append((f"verify {name} seed {seed}", argv))
     ev = workloads.Eval()
     ev.inputs(1)
     docs.extend((f"eval point {i}", ev.argv(i)) for i in range(EVAL_DOCS))

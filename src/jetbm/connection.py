@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ChristoffelTime, check_cone, christoffel_time, point_geometry
+from .geometry import ChristoffelTime, check_cone, christoffel_time, point_connection
 from .jetcore import DIM, JetPoint, QuarticTensor, TimeMetric
 
 __all__ = [
@@ -35,22 +35,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NonlinearConnection:
-    """Coefficients (M^i, N^i_j) defining the horizontal distribution."""
+    """Coefficients (M^i, N^i_j) defining the horizontal distribution, over a
+    batch: m of shape (N, 4) and n of shape (N, 4, 4)."""
 
     m: np.ndarray
     n: np.ndarray
 
 
-def canonical_nlc(tm: TimeMetric, p: JetPoint) -> NonlinearConnection:
-    """Canonical connection: M = -kappa y, N = 0 (spatially trivial)."""
-    kappa = christoffel_time(tm, p.t).kappa
-    return NonlinearConnection(m=-kappa * p.y, n=np.zeros((DIM, DIM)))
+def canonical_nlc(kappa: np.ndarray, y: np.ndarray) -> NonlinearConnection:
+    """Canonical connection: M = -kappa y, N = 0 (spatially trivial), from
+    kappa of shape (N,) and y of shape (N, 4)."""
+    return NonlinearConnection(m=-kappa[:, None] * y, n=np.zeros((len(y), DIM, DIM)))
 
 
-def apriori_nlc(tm: TimeMetric, p: JetPoint) -> NonlinearConnection:
-    """A-priori connection: M = -kappa y, N = -(kappa/3) identity."""
-    kappa = christoffel_time(tm, p.t).kappa
-    return NonlinearConnection(m=-kappa * p.y, n=-(kappa / 3.0) * np.eye(DIM))
+def apriori_nlc(kappa: np.ndarray, y: np.ndarray) -> NonlinearConnection:
+    """A-priori connection: M = -kappa y, N = -(kappa/3) identity, from kappa
+    of shape (N,) and y of shape (N, 4)."""
+    return NonlinearConnection(m=-kappa[:, None] * y, n=-(kappa / 3.0)[:, None, None] * np.eye(DIM))
 
 
 @dataclass(frozen=True)
@@ -66,18 +67,20 @@ def adapted_cobasis(nlc: NonlinearConnection) -> AdaptedCobasis:
 
 
 def adapted_frame(nlc: NonlinearConnection) -> np.ndarray:
-    """Rows are (delta/delta t, delta/delta x^i, d/dy^i) in (d/dt, d/dx, d/dy) components."""
-    F = np.eye(1 + 2 * DIM)
-    F[0, 1 + DIM :] = -nlc.m
-    F[1 : 1 + DIM, 1 + DIM :] = -nlc.n.T
+    """Rows are (delta/delta t, delta/delta x^i, d/dy^i) in (d/dt, d/dx, d/dy)
+    components, one (9, 9) frame per point of the batch."""
+    F = np.tile(np.eye(1 + 2 * DIM), (len(nlc.m), 1, 1))
+    F[:, 0, 1 + DIM :] = -nlc.m
+    F[:, 1 : 1 + DIM, 1 + DIM :] = -nlc.n.swapaxes(1, 2)
     return F
 
 
 def adapted_coframe(nlc: NonlinearConnection) -> np.ndarray:
-    """Rows are (dt, dx^i, delta y^i) in (dt, dx, dy) components."""
-    C = np.eye(1 + 2 * DIM)
-    C[1 + DIM :, 0] = nlc.m
-    C[1 + DIM :, 1 : 1 + DIM] = nlc.n
+    """Rows are (dt, dx^i, delta y^i) in (dt, dx, dy) components, one (9, 9)
+    coframe per point of the batch."""
+    C = np.tile(np.eye(1 + 2 * DIM), (len(nlc.m), 1, 1))
+    C[:, 1 + DIM :, 0] = nlc.m
+    C[:, 1 + DIM :, 1 : 1 + DIM] = nlc.n
     return C
 
 
@@ -119,8 +122,8 @@ def cartan_connection(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> CartanCo
     for x-constant G. G^k_j1 is computed honestly (g is 0-homogeneous in y, so
     it comes out zero) rather than assumed.
     """
-    geo = point_geometry(G, tm, p)
-    return CartanConnection(kappa=float(geo.kappa[0]), gk=geo.gk[0], l=geo.l[0], c=geo.c[0])
+    cn = point_connection(G, tm, p)
+    return CartanConnection(kappa=float(cn.kappa[0]), gk=cn.gk[0], l=cn.l[0], c=cn.c[0])
 
 
 def _bm_c_closed(y) -> np.ndarray:

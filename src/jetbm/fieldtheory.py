@@ -17,8 +17,9 @@ are ``closed_rhs_of``.  ``xi_11`` and ``des_check`` read the kernel's
 time-axis pass, ``geometry.time_axis``.
 
 Each ``*_of`` function computes its objects over the whole batch of a
-geometry (or metric-stage) bundle; the per-point functions read one point of
-an N = 1 bundle.
+bundle of the shallowest kernel stage that holds what it reads (metric,
+connection or full); the per-point functions read one point of an N = 1
+bundle of that stage.
 """
 
 from dataclasses import dataclass
@@ -27,7 +28,17 @@ import numpy as np
 
 from .curvature import bm_s_raised_field, bm_s_ricci_field, field_numerator
 from .errors import ConfigError, InvariantError
-from .geometry import Geometry, Metric, geometry, point_geometry, point_metric, take, time_axis
+from .geometry import (
+    Connection,
+    Geometry,
+    Metric,
+    geometry,
+    point_connection,
+    point_geometry,
+    point_metric,
+    take,
+    time_axis,
+)
 from .jetcore import DIM, JetPoint, QuarticTensor, TimeMetric, taylor2_seed
 
 __all__ = [
@@ -340,12 +351,13 @@ def des_check(tm: TimeMetric, t_samples) -> DesCheck:
     return DesCheck(r1=r1, r2=r2, solvable=solvable)
 
 
-def em_form_of(geo: Geometry) -> EMForm:
+def em_form_of(geo: Connection) -> EMForm:
     """F^(1)_(i)j = (h^11/2)[g_jm N^m_i - g_im N^m_j + (g_ir L^r_jm - g_jr L^r_im) y^m]
     over the batch, with the a-priori N^m_i = -(kappa/3) delta^m_i.
 
     Antisymmetric by construction; zero for any tensor whose C satisfies the
-    y-transversality identity, in particular Berwald-Moor."""
+    y-transversality identity, in particular Berwald-Moor.  It reads only the
+    connection stage."""
     n_apriori = -(geo.kappa / 3.0)[:, None, None] * np.eye(DIM)
     U = np.einsum("xjm,xmi->xij", geo.g_lo, n_apriori)
     V = np.einsum("xir,xrjm,xm->xij", geo.g_lo, geo.l, geo.y)
@@ -355,4 +367,4 @@ def em_form_of(geo: Geometry) -> EMForm:
 
 def em_form(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> EMForm:
     """The electromagnetic 2-form at one point (see ``em_form_of``)."""
-    return take(em_form_of(point_geometry(G, tm, p)), 0)
+    return take(em_form_of(point_connection(G, tm, p)), 0)

@@ -2,20 +2,28 @@
 
 One pass over a batch of points (t, y), with t of shape (N,) and y of shape
 (N, 4), evaluates the y-derivative hierarchy once and feeds every layer from
-it.  The kernel has two stages:
+it.  The kernel has three stages, each the one before it plus the next
+objects of the chain:
 
 * the metric stage (``Metric``, ``metric_batches``, ``point_metric``): the
   time-axis scalars (``time_axis``), the G-hierarchy, the fundamental metric
   and its inverse;
+* the connection stage (``Connection``, ``connection_batches``,
+  ``point_connection``): the metric stage, then the exact third and fourth
+  y-derivative tables of g and the Cartan connection C^i_j(k), L^i_jk and
+  G^k_j1;
 * the full stage (``Geometry``, ``batches``, ``geometry``,
-  ``point_geometry``): the metric stage, then the exact third and fourth
-  y-derivative tables of g, the Cartan connection, the torsions, the
+  ``point_geometry``): the connection stage, then dC, the torsions, the
   curvature d-tensors and the Ricci data.
 
-Readers of g, g^-1 and the G-hierarchy alone (the metric pair, the
-gravitational potential, the gscalars and metric_taylor checks) build only
-the metric stage; every other reader builds the full one.  A ``Geometry`` is
-a ``Metric``, and its metric fields come from the same lines either way.
+Each reader builds the shallowest stage that holds what it reads: readers of
+g, g^-1 and the G-hierarchy alone (the metric pair, the gravitational
+potential, the gscalars and metric_taylor checks) build the metric stage;
+readers of the connection alone (the Cartan connection, the
+electromagnetic 2-form, the cartan and field_misc checks) the connection
+stage; every other reader the full one.  A ``Geometry`` is a ``Connection``
+and a ``Connection`` is a ``Metric``, and a field shared by two stages comes
+from the same lines in both.
 
 The hierarchy is closed under differentiation,
     d G_1111 / dy^k = G_k111,   d G_i111 / dy^k = G_ik11,
@@ -43,6 +51,7 @@ from .jetcore import DIM, JetPoint, QuarticTensor, TimeMetric, TimeMetricValues
 __all__ = [
     "CHUNK",
     "ChristoffelTime",
+    "Connection",
     "GScalars",
     "Geometry",
     "Metric",
@@ -50,9 +59,11 @@ __all__ = [
     "batches",
     "check_cone",
     "christoffel_time",
+    "connection_batches",
     "g_hierarchy",
     "geometry",
     "metric_batches",
+    "point_connection",
     "point_geometry",
     "point_metric",
     "take",
@@ -176,26 +187,36 @@ class Metric(TimeAxis):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Geometry(Metric):
-    """Every y-dependent object of the generic pipeline over a batch of N
-    points: the metric stage plus the tables built on it.
+class Connection(Metric):
+    """The connection stage over a batch of N points: the metric stage, the
+    derivative tables of g and the Cartan connection.
 
     Index conventions (after the batch axis):
         t3[j,m,k] = dg_jm/dy^k,  t4[j,m,k,n] = d2 g_jm/dy^k dy^n (totally symmetric)
-        c[i,j,k] = C^i_j(k),  dc[i,j,k,n] = dC^i_j(k)/dy^n,  l[i,j,k] = L^i_jk
-        gk[k,j] = G^k_j1
+        c[i,j,k] = C^i_j(k),  l[i,j,k] = L^i_jk,  gk[k,j] = G^k_j1
+    """
+
+    t3: np.ndarray
+    t4: np.ndarray
+    c: np.ndarray
+    l: np.ndarray
+    gk: np.ndarray
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Geometry(Connection):
+    """Every y-dependent object of the generic pipeline over a batch of N
+    points: the connection stage plus the tables built on it.
+
+    Index conventions (after the batch axis), besides the connection's:
+        dc[i,j,k,n] = dC^i_j(k)/dy^n
         p_mixed[k,i,j] = P^(k)(1)_(1)i(j),  p_vert[k,i,j] = P^k(1)_i(j),  r_time[k,j] = R^(k)_(1)1j
         r_curv, p_curv, s_curv [l,i,j,k] = R^l_ijk, P^l_ij(k), S^l_i(j)(k)
         r_ij = R^m_ijm,  p_ricci = P^m_ij(m),  s_ricci = S^m_i(j)(m),  s_raised = g^mr s_ricci[r,i]
         sc = g^pq r_pq + h11 g^pq s_ricci_pq
     """
 
-    t3: np.ndarray
-    t4: np.ndarray
-    c: np.ndarray
     dc: np.ndarray
-    l: np.ndarray
-    gk: np.ndarray
     p_mixed: np.ndarray
     p_vert: np.ndarray
     r_time: np.ndarray
@@ -404,10 +425,10 @@ def _metric(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) -> M
     )
 
 
-def _geometry(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) -> Geometry:
+def _connection(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) -> Connection:
     m = _metric(G, tm, t, y)
     n = len(t)
-    kappa, dkappa, h11, g_up = m.kappa, m.dkappa, m.h11, m.g_up
+    kappa, g_up = m.kappa, m.g_up
 
     # the exact derivative tables of g; one representative per sorted
     # multi-index, stored into every permutation, keeps the downstream index
@@ -420,16 +441,28 @@ def _geometry(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) ->
     # Cartan connection: C^i_j(k) = (g^im/2) dg_jm/dy^k; for x-constant G the
     # three-term horizontal form with delta/delta x^k = (kappa/3) d/dy^k is
     # T3 + T3 - T3 = T3 exactly (T3 is totally symmetric), so L = (kappa/3) C
-    k3 = (kappa / 3.0)[:, None, None, None]
-    k3_5 = k3[..., None]
-    dgu = -np.einsum("xia,xabn,xbm->ximn", g_up, t3, g_up)
     c = 0.5 * np.einsum("xim,xjmk->xijk", g_up, t3)
-    dc = 0.5 * (np.einsum("ximn,xjmk->xijkn", dgu, t3) + np.einsum("xim,xjmkn->xijkn", g_up, t4))
-    l = k3 * c
-    dl = k3_5 * dc
+    l = (kappa / 3.0)[:, None, None, None] * c
     # G^k_j1 = (g^km/2) delta g_mj/delta t with delta/delta t = d/dt + kappa y^p d/dy^p
     dg_dt = kappa[:, None, None] * np.einsum("xmjp,xp->xmj", t3, y)
     gk = 0.5 * np.einsum("xkm,xmj->xkj", g_up, dg_dt)
+
+    return _frozen(
+        Connection(**{f.name: getattr(m, f.name) for f in fields(Metric)}, t3=t3, t4=t4, c=c, l=l, gk=gk)
+    )
+
+
+def _geometry(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) -> Geometry:
+    cn = _connection(G, tm, t, y)
+    kappa, dkappa, h11, g_up = cn.kappa, cn.dkappa, cn.h11, cn.g_up
+    t3, t4, c, l = cn.t3, cn.t4, cn.c, cn.l
+
+    # dC^i_j(k)/dy^n from dg^im/dy^n = -g^ia (dg_ab/dy^n) g^bm; dL = (kappa/3) dC
+    k3 = (kappa / 3.0)[:, None, None, None]
+    k3_5 = k3[..., None]
+    dgu = -np.einsum("xia,xabn,xbm->ximn", g_up, t3, g_up)
+    dc = 0.5 * (np.einsum("ximn,xjmk->xijkn", dgu, t3) + np.einsum("xim,xjmkn->xijkn", g_up, t4))
+    dl = k3_5 * dc
 
     # torsions
     p_mixed = -l.transpose(0, 1, 3, 2)  # -L^k_{ji} arranged as [k,i,j]
@@ -460,13 +493,8 @@ def _geometry(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) ->
 
     return _frozen(
         Geometry(
-            **{f.name: getattr(m, f.name) for f in fields(Metric)},
-            t3=t3,
-            t4=t4,
-            c=c,
+            **{f.name: getattr(cn, f.name) for f in fields(Connection)},
             dc=dc,
-            l=l,
-            gk=gk,
             p_mixed=p_mixed,
             p_vert=c,
             r_time=r_time,
@@ -504,6 +532,11 @@ def batches(G: QuarticTensor, tm: TimeMetric, t, y):
     return _chunks(_geometry, G, tm, t, y)
 
 
+def connection_batches(G: QuarticTensor, tm: TimeMetric, t, y):
+    """Connection-stage bundles over the same chunks as ``batches``."""
+    return _chunks(_connection, G, tm, t, y)
+
+
 def metric_batches(G: QuarticTensor, tm: TimeMetric, t, y):
     """Metric-stage bundles over the same chunks as ``batches``."""
     return _chunks(_metric, G, tm, t, y)
@@ -518,6 +551,12 @@ def geometry(G: QuarticTensor, tm: TimeMetric, t, y) -> Geometry:
 def point_geometry(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> Geometry:
     """The N = 1 bundle at the jet point p."""
     return geometry(G, tm, [p.t], p.y)
+
+
+def point_connection(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> Connection:
+    """The N = 1 connection-stage bundle at the jet point p."""
+    (cn,) = connection_batches(G, tm, [p.t], p.y)
+    return cn
 
 
 def point_metric(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> Metric:

@@ -8,11 +8,21 @@ index) and emits its reports in a fixed order, so output is deterministic for
 a fixed (config, seed) regardless of evaluation schedule.  The generic objects
 of a group come from geometry bundles over its points, one CHUNK at a time,
 checked with array operations; the Taylor2 oracles run batched over the same
-chunks.  The gscalars and metric_taylor groups read only g, g^-1 and the
-G-hierarchy, so they build metric-stage bundles (``metric_batches``); the
-other bundle-reading groups build the full bundle.  A group's point count is
-a fraction of the samples, except decay's, which is its four fixed rays in
-one bundle.
+chunks.  Each group builds the shallowest kernel stage that holds what it
+reads:
+
+* gscalars and metric_taylor read only g, g^-1 and the G-hierarchy, and
+  build the metric stage (``metric_batches``);
+* cartan and field_misc read only C, L, G^k_j1, g, y and the time axis, and
+  build the connection stage (``connection_batches``);
+* curvature, ricci, einstein, conservation and decay build the full stage
+  (``batches``, ``geometry``);
+* connection reads the time axis alone (``time_axis``) and builds the
+  nonlinear connections and adapted frames over all its points at once;
+  autodiff builds no bundle.
+
+A group's point count is a fraction of the samples, except decay's, which is
+its four fixed rays in one bundle.
 
 Each verdict is declared once, with its tolerances and a ``bm_only`` flag:
 a verdict that needs Berwald-Moor closed forms is reported as skipped for
@@ -38,8 +48,8 @@ import numpy as np
 
 from .. import connection, curvature, fieldtheory, metric
 from ..errors import ConfigError
-from ..geometry import CHUNK, batches, g_hierarchy, geometry, metric_batches, take, time_axis
-from ..jetcore import DIM, JetPoint, Taylor2, VerificationReport, taylor2_seed
+from ..geometry import CHUNK, batches, connection_batches, g_hierarchy, geometry, metric_batches, take, time_axis
+from ..jetcore import DIM, Taylor2, VerificationReport, taylor2_seed
 from .config import RunConfig
 
 __all__ = ["SuiteResult", "run_verify", "sweep", "parse_grid", "SWEEP_FIELDS", "check_names"]
@@ -178,13 +188,12 @@ def _grp_connection(cfg, rng, n):
     t, ys = _points(cfg, rng, n)
     h = cfg.fd_step
     tm = cfg.time_metric
-    fd.add(time_axis(tm, t).dkappa, (time_axis(tm, t + h).kappa - time_axis(tm, t - h).kappa) / (2.0 * h))
-    for i in range(n):
-        p = JetPoint.from_y(ys[i], t=t[i])
-        for nlc in (connection.canonical_nlc(tm, p), connection.apriori_nlc(tm, p)):
-            F = connection.adapted_frame(nlc)
-            C = connection.adapted_coframe(nlc)
-            duality.add_residual(F @ C.T - np.eye(1 + 2 * DIM))
+    ax = time_axis(tm, t)
+    fd.add(ax.dkappa, (time_axis(tm, t + h).kappa - time_axis(tm, t - h).kappa) / (2.0 * h))
+    for nlc in (connection.canonical_nlc(ax.kappa, ys), connection.apriori_nlc(ax.kappa, ys)):
+        F = connection.adapted_frame(nlc)
+        C = connection.adapted_coframe(nlc)
+        duality.add_residual(F @ C.swapaxes(1, 2) - np.eye(1 + 2 * DIM))
     return [
         _Verdict("christoffel/fd-cross-check", fd, abs_tol=1e-8, rel_tol=1e-6),
         _Verdict("connection/cobasis-duality", duality, abs_tol=1e-10),
@@ -199,7 +208,7 @@ def _grp_cartan(cfg, rng, n):
     transv = _Err()
     trace = _Err()
     t, ys = _points(cfg, rng, n)
-    for geo in batches(cfg.tensor, cfg.time_metric, t, ys):
+    for geo in connection_batches(cfg.tensor, cfg.time_metric, t, ys):
         time_zero.add_residual(geo.gk)
         sym.add_residual(geo.c - geo.c.transpose(0, 1, 3, 2))
         transv.add_residual(np.einsum("xijm,xm->xij", geo.c, geo.y))
@@ -389,7 +398,7 @@ def _grp_field_misc(cfg, rng, n):
     violation = max(violation, float(np.maximum(0.0, -out.r2).max()))
     des.add_residual(violation)
     t, ys = _points(cfg, rng, n)
-    for geo in batches(cfg.tensor, cfg.time_metric, t, ys):
+    for geo in connection_batches(cfg.tensor, cfg.time_metric, t, ys):
         f = fieldtheory.em_form_of(geo).f
         em.add_residual(f)
         em.add_residual(f + f.swapaxes(1, 2))

@@ -39,8 +39,8 @@ def _eval_point(cfg: RunConfig, p: JetPoint) -> dict:
     geo = point_geometry(cfg.tensor, tm, p)
     one = take(geo, 0)
     s = one.scalars
-    can = connection.canonical_nlc(tm, p)
-    apr = connection.apriori_nlc(tm, p)
+    can = take(connection.canonical_nlc(geo.kappa, geo.y), 0)
+    apr = take(connection.apriori_nlc(geo.kappa, geo.y), 0)
     pot = take(fieldtheory.grav_potential_of(geo), 0)
     ein = take(fieldtheory.einstein_blocks_of(geo, cfg.einstein_k), 0)
     cons = take(fieldtheory.conservation_residuals_of(geo, cfg.einstein_k), 0)

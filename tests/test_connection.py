@@ -16,6 +16,8 @@ from jetbm import (
     christoffel_time,
 )
 
+from jetbm.geometry import CHUNK, time_axis
+
 from conftest import cone_points, max_rel
 
 
@@ -54,56 +56,92 @@ def test_christoffel_derivative_matches_fd(families, rng):
 # -- nonlinear connections ----------------------------------------------------
 
 
+def _nlcs(tm, y, t=0.0):
+    """The canonical and a-priori connections at one point, as N = 1 batches."""
+    kappa = time_axis(tm, [t]).kappa
+    y = np.asarray(y, dtype=float)[None]
+    return canonical_nlc(kappa, y), apriori_nlc(kappa, y)
+
+
 def test_canonical_connection_constant_family():
-    nlc = canonical_nlc(TimeMetric.constant(2.0), JetPoint.from_y([1, 2, 3, 4]))
-    np.testing.assert_array_equal(nlc.m, np.zeros(4))
-    np.testing.assert_array_equal(nlc.n, np.zeros((4, 4)))
+    nlc, _ = _nlcs(TimeMetric.constant(2.0), [1, 2, 3, 4])
+    np.testing.assert_array_equal(nlc.m, np.zeros((1, 4)))
+    np.testing.assert_array_equal(nlc.n, np.zeros((1, 4, 4)))
 
 
 def test_canonical_connection_exponential():
-    nlc = canonical_nlc(TimeMetric.exponential(1.0, 1.0), JetPoint.from_y([1, 2, 3, 4], t=0.0))
-    np.testing.assert_allclose(nlc.m, [-0.5, -1.0, -1.5, -2.0], rtol=1e-14)
-    np.testing.assert_array_equal(nlc.n, np.zeros((4, 4)))
+    nlc, _ = _nlcs(TimeMetric.exponential(1.0, 1.0), [1, 2, 3, 4])
+    np.testing.assert_allclose(nlc.m[0], [-0.5, -1.0, -1.5, -2.0], rtol=1e-14)
+    np.testing.assert_array_equal(nlc.n[0], np.zeros((4, 4)))
 
 
 def test_canonical_connection_linear_in_kappa():
-    p = JetPoint.from_y([1, 2, 3, 4], t=0.0)
-    m1 = canonical_nlc(TimeMetric.exponential(1.0, 1.0), p).m
-    m2 = canonical_nlc(TimeMetric.exponential(1.0, 2.0), p).m
+    m1 = _nlcs(TimeMetric.exponential(1.0, 1.0), [1, 2, 3, 4])[0].m
+    m2 = _nlcs(TimeMetric.exponential(1.0, 2.0), [1, 2, 3, 4])[0].m
     np.testing.assert_allclose(m2, 2 * m1, rtol=1e-14)
 
 
 def test_apriori_connection():
-    tm = TimeMetric.exponential(1.0, 1.0)
-    p = JetPoint.from_y([1, 2, 3, 4], t=0.0)
-    apr = apriori_nlc(tm, p)
-    can = canonical_nlc(tm, p)
-    np.testing.assert_allclose(apr.n, -(1 / 6) * np.eye(4), rtol=1e-14)
+    can, apr = _nlcs(TimeMetric.exponential(1.0, 1.0), [1, 2, 3, 4])
+    np.testing.assert_allclose(apr.n[0], -(1 / 6) * np.eye(4), rtol=1e-14)
     np.testing.assert_array_equal(apr.m, can.m)
-    const = apriori_nlc(TimeMetric.constant(1.0), p)
-    np.testing.assert_array_equal(const.n, np.zeros((4, 4)))
+    _, const = _nlcs(TimeMetric.constant(1.0), [1, 2, 3, 4])
+    np.testing.assert_array_equal(const.n[0], np.zeros((4, 4)))
 
 
 # -- adapted bases ------------------------------------------------------------
 
 
 def test_cobasis_corrections_match_connection():
-    tm = TimeMetric.exponential(1.0, 1.0)
-    p = JetPoint.from_y([2.0, 2.0, 2.0, 2.0], t=0.0)
-    cob = adapted_cobasis(apriori_nlc(tm, p))
+    _, apr = _nlcs(TimeMetric.exponential(1.0, 1.0), [2.0, 2.0, 2.0, 2.0])
+    cob = adapted_cobasis(apr)
     # delta y^i = dy^i - kappa y^i dt - (kappa/3) dx^i with kappa = 1/2
-    np.testing.assert_allclose(cob.dy_correction_t, [-1.0, -1.0, -1.0, -1.0], rtol=1e-14)
-    np.testing.assert_allclose(cob.dy_correction_x, -(1 / 6) * np.eye(4), rtol=1e-14)
+    np.testing.assert_allclose(cob.dy_correction_t[0], [-1.0, -1.0, -1.0, -1.0], rtol=1e-14)
+    np.testing.assert_allclose(cob.dy_correction_x[0], -(1 / 6) * np.eye(4), rtol=1e-14)
 
 
 def test_frame_coframe_duality(families, rng):
     for tm in families:
         for y in cone_points(rng, 5):
-            p = JetPoint.from_y(y, t=float(rng.uniform(-1, 1)))
-            for nlc in (canonical_nlc(tm, p), apriori_nlc(tm, p)):
-                F = adapted_frame(nlc)
-                C = adapted_coframe(nlc)
+            for nlc in _nlcs(tm, y, t=float(rng.uniform(-1, 1))):
+                F = adapted_frame(nlc)[0]
+                C = adapted_coframe(nlc)[0]
                 np.testing.assert_allclose(F @ C.T, np.eye(9), atol=1e-12)
+
+
+@pytest.mark.parametrize("size", [1, CHUNK + 1])
+@pytest.mark.parametrize(
+    "tm",
+    [TimeMetric.constant(1.7), TimeMetric.exponential(0.8, 1.3), TimeMetric.power(-1.3)],
+    ids=lambda tm: tm.family,
+)
+def test_batched_connections_and_frames_are_the_per_point_formulas(tm, size, rng):
+    """The batched connections, frames and coframes equal the one-point
+    formulas bit for bit, kappa coming from christoffel_time at each t, and
+    the batched frame-coframe product equals the per-point one."""
+    ys = cone_points(rng, size)
+    ts = rng.uniform(-2, 2, size)
+    kappa = time_axis(tm, ts).kappa
+    batched = (canonical_nlc(kappa, ys), apriori_nlc(kappa, ys))
+    frames = [(adapted_frame(nlc), adapted_coframe(nlc)) for nlc in batched]
+    for n, (t, y) in enumerate(zip(ts.tolist(), ys)):
+        k = christoffel_time(tm, t).kappa
+        per_point = (
+            (-k * y, np.zeros((4, 4))),  # canonical
+            (-k * y, -(k / 3.0) * np.eye(4)),  # a-priori
+        )
+        for nlc, (F, C), (m, n_coef) in zip(batched, frames, per_point):
+            np.testing.assert_array_equal(nlc.m[n], m)
+            np.testing.assert_array_equal(nlc.n[n], n_coef)
+            F1 = np.eye(9)
+            F1[0, 5:] = -m
+            F1[1:5, 5:] = -n_coef.T
+            C1 = np.eye(9)
+            C1[5:, 0] = m
+            C1[5:, 1:5] = n_coef
+            np.testing.assert_array_equal(F[n], F1)
+            np.testing.assert_array_equal(C[n], C1)
+            np.testing.assert_array_equal((F @ C.swapaxes(1, 2))[n], F1 @ C1.T)
 
 
 # -- the coefficient table ---------------------------------------------------

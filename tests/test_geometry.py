@@ -1,5 +1,5 @@
 """The batched geometry kernel against the per-point Taylor2 oracle, its
-batch independence, its two stages, and its typed guards."""
+batch independence, its three stages, and its typed guards."""
 
 import subprocess
 import sys
@@ -16,19 +16,23 @@ from jetbm import (
     QuarticTensor,
     SingularTensorError,
     TimeMetric,
+    cartan_connection,
+    em_form,
     g_scalars,
     grav_potential,
     metric_pair,
     metric_taylor2,
 )
-from jetbm.fieldtheory import grav_potential_of
+from jetbm.fieldtheory import em_form_of, grav_potential_of
 from jetbm.geometry import (
     CHUNK,
+    Connection,
     GScalars,
     Metric,
     TimeAxis,
     batches,
     christoffel_time,
+    connection_batches,
     geometry,
     g_hierarchy,
     metric_batches,
@@ -110,17 +114,17 @@ def test_point_is_bit_identical_alone_and_in_a_batch(size, rng):
         _assert_point_equal(batch, n, geometry(CUSTOM_OTHER, EXP, ts[n : n + 1], ys[n : n + 1]))
 
 
-@pytest.mark.parametrize("G", [QuarticTensor.berwald_moor(), CUSTOM_OTHER], ids=["berwald-moor", "custom-other"])
-@pytest.mark.parametrize("size", [1, CHUNK, CHUNK + 1])
-def test_metric_stage_is_bit_identical_to_the_full_bundle(G, size, rng):
+def _assert_stage_is_the_full_bundle(stage, cls, G, size, rng):
+    """Every field of the stage's bundles is bit-identical to the full
+    bundle's over the same chunks."""
     ys = cone_points(rng, size, lo=0.7, hi=1.4)
     ts = rng.uniform(-1, 1, size)
-    parts = list(metric_batches(G, EXP, ts, ys))
+    parts = list(stage(G, EXP, ts, ys))
     full = list(batches(G, EXP, ts, ys))
     assert [len(m) for m in parts] == [len(geo) for geo in full]
     for m, geo in zip(parts, full):
-        assert type(m) is Metric
-        for f in fields(Metric):
+        assert type(m) is cls
+        for f in fields(cls):
             a, b = getattr(m, f.name), getattr(geo, f.name)
             if isinstance(a, GScalars):
                 for s in fields(GScalars):
@@ -130,6 +134,18 @@ def test_metric_stage_is_bit_identical_to_the_full_bundle(G, size, rng):
                 assert not a.flags.writeable
             else:
                 assert a is b
+
+
+@pytest.mark.parametrize("G", [QuarticTensor.berwald_moor(), CUSTOM_OTHER], ids=["berwald-moor", "custom-other"])
+@pytest.mark.parametrize("size", [1, CHUNK, CHUNK + 1])
+def test_metric_stage_is_bit_identical_to_the_full_bundle(G, size, rng):
+    _assert_stage_is_the_full_bundle(metric_batches, Metric, G, size, rng)
+
+
+@pytest.mark.parametrize("G", [QuarticTensor.berwald_moor(), CUSTOM_OTHER], ids=["berwald-moor", "custom-other"])
+@pytest.mark.parametrize("size", [1, CHUNK, CHUNK + 1])
+def test_connection_stage_is_bit_identical_to_the_full_bundle(G, size, rng):
+    _assert_stage_is_the_full_bundle(connection_batches, Connection, G, size, rng)
 
 
 _SKEWED = np.array([1e-2, 1e-2, 1e2, 1e2])  # det G_ij11 = -3 G_1111^2, tiny against max|G_ij11|^4
@@ -158,51 +174,78 @@ def _degenerate_at(bad, monkeypatch):
     ids=["non-cone", "singular", "degenerate"],
 )
 def test_both_stages_raise_the_same_typed_error_naming_the_point(bad, error, rng, monkeypatch):
+    """The full, connection and metric stages reject a bad point alike."""
     bm = QuarticTensor.berwald_moor()
     if error is DegenerateDenominatorError:
         _degenerate_at(bad, monkeypatch)
     ys = cone_points(rng, CHUNK + 8)
     ys[CHUNK + 3] = bad  # in the second chunk
     messages = []
-    for stage in (batches, metric_batches):
+    for stage in (batches, connection_batches, metric_batches):
         with pytest.raises(error) as exc:
             list(stage(bm, EXP, np.zeros(len(ys)), ys))
         messages.append(str(exc.value))
-    assert messages[0] == messages[1]
+    assert messages[1:] == messages[:-1]
     assert str(bad) in messages[0]
 
 
+def _deeper_stage_built(*args):
+    raise RuntimeError("a deeper stage was built")
+
+
 def test_metric_readers_never_build_the_derivative_tables(monkeypatch):
-    """metric_pair, grav_potential and the gscalars and metric_taylor verify
-    groups read the metric stage alone: with the derivative-table jet broken
-    they still run, and give what the full bundle gives."""
+    """Readers build no stage deeper than they read, and give what the full
+    bundle gives.  With the derivative-table jet broken, metric_pair,
+    grav_potential and the gscalars and metric_taylor verify groups still
+    run; with the full stage broken, cartan_connection, em_form and the
+    connection, cartan and field_misc verify groups still run."""
     bm = QuarticTensor.berwald_moor()
     p = JetPoint.from_y([1.0, 2.0, 3.0, 4.0], t=0.3)
     full = point_geometry(bm, EXP, p)
     potential = take(grav_potential_of(full), 0)
+
+    def metric_readers():
+        mp, pot = metric_pair(bm, EXP, p), grav_potential(bm, EXP, p)
+        return [mp.g_lo, mp.g_up, pot.tt_block, pot.xx_block, pot.yy_block]
+
+    def connection_readers():
+        cc = cartan_connection(bm, EXP, p)
+        return [cc.kappa, cc.gk, cc.l, cc.c, em_form(bm, EXP, p).f]
+
+    # (kernel function broken, verify groups, the stage reader those groups
+    # use, per-point readers, and the full bundle's values for them)
+    cases = [
+        (
+            "_metric_jet",
+            ("gscalars", "metric_taylor"),
+            "metric_batches",
+            metric_readers,
+            [full.g_lo[0], full.g_up[0], potential.tt_block, potential.xx_block, potential.yy_block],
+        ),
+        (
+            "_geometry",
+            ("connection", "cartan", "field_misc"),
+            "connection_batches",
+            connection_readers,
+            [full.kappa[0], full.gk[0], full.l[0], full.c[0], take(em_form_of(full), 0).f],
+        ),
+    ]
     cfg = RunConfig(time_metric=EXP, seed=5, samples=2 * CHUNK + 6)
-    groups = checks._groups()[:2]
-    assert [g.fn for g in groups] == [checks._grp_gscalars, checks._grp_metric_taylor]
-    monkeypatch.setattr(checks, "_groups", lambda: groups)
-    with monkeypatch.context() as full_path:
-        # the same two groups over full bundles, as they ran before the split
-        full_path.setattr(checks, "metric_batches", batches)
-        expected = [r.to_dict() for r in checks.run_verify(cfg).reports]
-
-    def broken(s):
-        raise RuntimeError("derivative tables built")
-
-    monkeypatch.setattr(kernel, "_metric_jet", broken)
-    with pytest.raises(RuntimeError):
-        point_geometry(bm, EXP, p)
-    mp = metric_pair(bm, EXP, p)
-    np.testing.assert_array_equal(mp.g_lo, full.g_lo[0])
-    np.testing.assert_array_equal(mp.g_up, full.g_up[0])
-    pot = grav_potential(bm, EXP, p)
-    assert pot.tt_block == potential.tt_block
-    np.testing.assert_array_equal(pot.xx_block, potential.xx_block)
-    np.testing.assert_array_equal(pot.yy_block, potential.yy_block)
-    assert [r.to_dict() for r in checks.run_verify(cfg).reports] == expected
+    by_name = {g.fn.__name__.removeprefix("_grp_"): g for g in checks._groups()}
+    for broken, names, stage, readers, values in cases:
+        groups = [by_name[name] for name in names]
+        with monkeypatch.context() as patch:
+            patch.setattr(checks, "_groups", lambda: groups)
+            with monkeypatch.context() as full_path:
+                # the same groups over full bundles, as they ran before the split
+                full_path.setattr(checks, stage, batches)
+                expected = [r.to_dict() for r in checks.run_verify(cfg).reports]
+            patch.setattr(kernel, broken, _deeper_stage_built)
+            with pytest.raises(RuntimeError):
+                point_geometry(bm, EXP, p)
+            for got, want in zip(readers(), values, strict=True):
+                np.testing.assert_array_equal(got, want, err_msg=broken)
+            assert [r.to_dict() for r in checks.run_verify(cfg).reports] == expected
 
 
 @pytest.mark.parametrize(
@@ -264,16 +307,18 @@ def test_bundle_is_read_only():
 
 
 def test_guard_survives_optimize_flag():
-    """The mixed-partial guard rejects a corrupted derivative table, and the
-    metric stage's inverse guard a corrupted G^jk11, with a typed error even
-    under python -O, which strips assert statements."""
+    """The mixed-partial guard rejects a corrupted derivative table, also
+    through the connection stage, and the metric stage's inverse guard a
+    corrupted G^jk11, with a typed error even under python -O, which strips
+    assert statements."""
     code = """
+import traceback
 from dataclasses import replace
 
 import numpy as np
 import jetbm.geometry as kernel
 from jetbm import InvariantError, QuarticTensor, TimeMetric
-from jetbm.geometry import _guard_mixed_partials, geometry, metric_batches
+from jetbm.geometry import _guard_mixed_partials, connection_batches, geometry, metric_batches
 
 if __debug__:
     raise SystemExit("not running under -O")
@@ -285,6 +330,20 @@ try:
     _guard_mixed_partials(t3, geo.t4, geo.y)
 except InvariantError as exc:
     print("InvariantError:", exc)
+real_jet = kernel._metric_jet
+
+def skewed_jet(s):
+    gv, gd, gh = real_jet(s)
+    gd = gd.copy()
+    gd[:, 0, 1, 2] += 1e-3
+    return gv, gd, gh
+
+kernel._metric_jet = skewed_jet
+try:
+    list(connection_batches(G, tm, [0.0], [[1.0, 2.0, 3.0, 4.0]]))
+except InvariantError as exc:
+    print("InvariantError:", traceback.extract_tb(exc.__traceback__)[-1].name, exc)
+kernel._metric_jet = real_jet
 real = kernel.g_hierarchy
 kernel.g_hierarchy = lambda G, y: replace(real(G, y), gij11_inv=1.01 * real(G, y).gij11_inv)
 try:
@@ -295,6 +354,7 @@ except InvariantError as exc:
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 2
+    assert len(lines) == 3
     assert lines[0].startswith("InvariantError: mixed-partial consistency")
-    assert lines[1].startswith("InvariantError: inverse-metric formula disagrees with direct inversion")
+    assert lines[1].startswith("InvariantError: _guard_mixed_partials mixed-partial consistency")
+    assert lines[2].startswith("InvariantError: inverse-metric formula disagrees with direct inversion")

@@ -28,18 +28,15 @@ from .jetcore import (
     Taylor2,
     TimeMetric,
     TimeMetricValues,
-    VerificationReport,
     taylor2_seed,
 )
 from .geometry import Geometry
 from .metric import GScalars, MetricPair, bm_metric_closed, g_scalars, metric_pair, metric_taylor2
 from .connection import (
-    AdaptedCobasis,
     CartanConnection,
     ChristoffelTime,
     NonlinearConnection,
     a_table,
-    adapted_cobasis,
     adapted_coframe,
     adapted_frame,
     apriori_nlc,
@@ -91,7 +88,6 @@ __all__ = [
     "TimeMetricValues",
     "QuarticTensor",
     "Taylor2",
-    "VerificationReport",
     "taylor2_seed",
     "GScalars",
     "MetricPair",
@@ -101,12 +97,10 @@ __all__ = [
     "metric_taylor2",
     "ChristoffelTime",
     "NonlinearConnection",
-    "AdaptedCobasis",
     "CartanConnection",
     "christoffel_time",
     "canonical_nlc",
     "apriori_nlc",
-    "adapted_cobasis",
     "adapted_frame",
     "adapted_coframe",
     "cartan_connection",

@@ -19,12 +19,10 @@ from .jetcore import DIM, JetPoint, QuarticTensor, TimeMetric
 __all__ = [
     "ChristoffelTime",
     "NonlinearConnection",
-    "AdaptedCobasis",
     "CartanConnection",
     "christoffel_time",
     "canonical_nlc",
     "apriori_nlc",
-    "adapted_cobasis",
     "adapted_frame",
     "adapted_coframe",
     "cartan_connection",
@@ -52,18 +50,6 @@ def apriori_nlc(kappa: np.ndarray, y: np.ndarray) -> NonlinearConnection:
     """A-priori connection: M = -kappa y, N = -(kappa/3) identity, from kappa
     of shape (N,) and y of shape (N, 4)."""
     return NonlinearConnection(m=-kappa[:, None] * y, n=-(kappa / 3.0)[:, None, None] * np.eye(DIM))
-
-
-@dataclass(frozen=True)
-class AdaptedCobasis:
-    """Coefficients of delta y^i = dy^i + (dy_correction_t)^i dt + (dy_correction_x)^i_j dx^j."""
-
-    dy_correction_t: np.ndarray
-    dy_correction_x: np.ndarray
-
-
-def adapted_cobasis(nlc: NonlinearConnection) -> AdaptedCobasis:
-    return AdaptedCobasis(dy_correction_t=nlc.m.copy(), dy_correction_x=nlc.n.copy())
 
 
 def adapted_frame(nlc: NonlinearConnection) -> np.ndarray:

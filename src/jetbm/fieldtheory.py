@@ -32,6 +32,7 @@ from .geometry import (
     Connection,
     Geometry,
     Metric,
+    TimeAxis,
     geometry,
     point_connection,
     point_geometry,
@@ -235,7 +236,7 @@ def conservation_residuals_of(geo: Geometry, k: float) -> ConservationResiduals:
     """
     xi = _xi(geo.h11, geo.kappa, k)
     dxi = (9.0 * geo.dh11 + 2.0 * geo.kappa * geo.dkappa) / (2.0 * k)
-    closed_t1, closed_ti, closed_tyi = closed_rhs_of(geo, k)
+    closed_t1, closed_ti, closed_tyi = closed_rhs_of(geo, geo.scalars.g1111, geo.y, k)
     if geo.tensor.is_berwald_moor:
         t1, ti, tyi = _divergences_reduced(geo, k, xi, dxi)
         _guard_reduction_terms(geo, einstein_blocks_of(geo, k))
@@ -246,20 +247,21 @@ def conservation_residuals_of(geo: Geometry, k: float) -> ConservationResiduals:
     )
 
 
-def closed_rhs_of(m: Metric, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed right-hand sides (T1, Ti, Tyi) of the conservation laws over the
-    batch, shapes (N,), (N, 4) and (N, 4); they read only the metric stage.
+def closed_rhs_of(ax: TimeAxis, g1111, y, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed right-hand sides (T1, Ti, Tyi) of the conservation laws over a
+    batch, shapes (N,), (N, 4) and (N, 4), from the time axis, G_1111 of
+    shape (N,) and y of shape (N, 4).
 
     T1  = (h^11)^2 h_11' (2 h_11'' - 3 h_11'^2 / h_11) / (8 K sqrt(G_1111))
     Ti  = kappa xi_11 / (18 sqrt(G_1111) y^i)
     Tyi = xi_11 / (6 sqrt(G_1111) y^i)
     """
-    xi = _xi(m.h11, m.kappa, k)
-    sq = np.sqrt(m.scalars.g1111)
-    v_inv, dh = m.h11_inv, m.dh11
-    t1 = (v_inv**2 / (8.0 * k)) * dh * (2.0 * m.d2h11 - 3.0 * dh**2 / m.h11) / sq
-    ti = (m.kappa * xi)[:, None] / (18.0 * sq[:, None] * m.y)
-    tyi = xi[:, None] / (6.0 * sq[:, None] * m.y)
+    xi = _xi(ax.h11, ax.kappa, k)
+    sq = np.sqrt(g1111)
+    v_inv, dh = ax.h11_inv, ax.dh11
+    t1 = (v_inv**2 / (8.0 * k)) * dh * (2.0 * ax.d2h11 - 3.0 * dh**2 / ax.h11) / sq
+    ti = (ax.kappa * xi)[:, None] / (18.0 * sq[:, None] * y)
+    tyi = xi[:, None] / (6.0 * sq[:, None] * y)
     return t1, ti, tyi
 
 

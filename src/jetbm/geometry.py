@@ -66,6 +66,7 @@ __all__ = [
     "point_connection",
     "point_geometry",
     "point_metric",
+    "quartic_form",
     "take",
     "time_axis",
 ]
@@ -275,6 +276,12 @@ def _first_bad(y: np.ndarray, bad: np.ndarray) -> np.ndarray:
     return y[np.flatnonzero(bad)[0]]
 
 
+def quartic_form(G: QuarticTensor, y: np.ndarray) -> np.ndarray:
+    """G_1111 = G_pqrs y^p y^q y^r y^s at y of shape (4,) or over y of shape
+    (N, 4); ``g_hierarchy`` holds this value."""
+    return np.einsum("pqrs,...p,...q,...r,...s->...", G.dense, y, y, y, y)
+
+
 def g_hierarchy(G: QuarticTensor, y: np.ndarray) -> GScalars:
     """G-hierarchy at one point y of shape (4,), or batched over y of shape (N, 4).
 
@@ -303,7 +310,7 @@ def g_hierarchy(G: QuarticTensor, y: np.ndarray) -> GScalars:
     if y.ndim == 2:  # one copy per point, like every other batched field
         gijkl = np.repeat(gijkl[None], len(y), axis=0)
     return GScalars(
-        g1111=np.einsum("pqrs,...p,...q,...r,...s->...", D, y, y, y, y),
+        g1111=quartic_form(G, y),
         gi111=gi111,
         gij11=gij11,
         gijk1=24.0 * np.einsum("ijkp,...p->...ijk", D, y),
@@ -514,6 +521,8 @@ def _batch(t, y) -> tuple[np.ndarray, np.ndarray]:
     y = check_cone(y)
     if y.ndim == 1:
         y = y[None]
+    if len(y) == 0:
+        raise DomainError("expected at least one point, got an empty batch")
     t = np.array(t, dtype=float).reshape(-1)
     if t.shape != (len(y),):
         raise DomainError(f"t has {t.size} entries for {len(y)} points")

@@ -1,6 +1,6 @@
 """Configuration, verification-suite runner, sweeps, and the CLI."""
 
-from .checks import SWEEP_FIELDS, SuiteResult, parse_grid, run_verify, sweep
+from .checks import SWEEP_FIELDS, SuiteResult, VerificationReport, parse_grid, run_verify, sweep
 from .config import RunConfig, default_config, parse_config
 
 __all__ = [
@@ -8,6 +8,7 @@ __all__ = [
     "parse_config",
     "default_config",
     "SuiteResult",
+    "VerificationReport",
     "run_verify",
     "sweep",
     "parse_grid",

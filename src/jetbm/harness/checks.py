@@ -2,14 +2,24 @@
 and report aggregation.
 
 Each report verifies one identity (an oracle equivalence between the generic
-pipeline and a closed form, or an internal identity).  Checks are organized
-into groups; a group draws its points from a generator seeded by (seed, group
-index) and emits its reports in a fixed order, so output is deterministic for
-a fixed (config, seed) regardless of evaluation schedule.  The generic objects
-of a group come from geometry bundles over its points, one CHUNK at a time,
-checked with array operations; the Taylor2 oracles run batched over the same
-chunks.  Each group builds the shallowest kernel stage that holds what it
-reads:
+pipeline and a closed form, or an internal identity).  ``_CATALOG`` declares
+every check once: its groups in run order, and for each group its function,
+its point count and its checks in report order as (name, abs_tol, rel_tol,
+bm_only).  ``check_names`` reads the catalog and evaluates nothing.
+
+``run_verify`` owns everything a group shares: it draws the group's points
+(t, y) from a generator seeded by (seed, group index), hands the group one
+error accumulator per declared check, skips a group whose every check is
+``bm_only`` on a custom tensor, and applies the pass rule
+(``VerificationReport.from_errors``).  Output is therefore deterministic for
+a fixed (config, seed) regardless of evaluation schedule.  A group's point
+count is a fraction of the samples, except decay's, which is its four fixed
+rays in one bundle; decay reads its rays, not the drawn points.
+
+The generic objects of a group come from geometry bundles over its points,
+one CHUNK at a time, checked with array operations; the Taylor2 oracles run
+batched over the same chunks.  Each group builds the shallowest kernel stage
+that holds what it reads:
 
 * gscalars and metric_taylor read only g, g^-1 and the G-hierarchy, and
   build the metric stage (``metric_batches``);
@@ -21,16 +31,12 @@ reads:
   nonlinear connections and adapted frames over all its points at once;
   autodiff builds no bundle.
 
-A group's point count is a fraction of the samples, except decay's, which is
-its four fixed rays in one bundle.
-
-Each verdict is declared once, with its tolerances and a ``bm_only`` flag:
-a verdict that needs Berwald-Moor closed forms is reported as skipped for
-custom tensors.  Three checks compare the honest Ricci contraction of the
-vertical curvature against the closed table the field-theory layer is built
-on; the diagonal of that table is exactly twice the contraction, so those
-checks report the discrepancy and fail by design on a correct
-implementation.
+A ``bm_only`` check needs Berwald-Moor closed forms and is reported as
+skipped for custom tensors.  A NaN in any compared value fails its check.
+Three checks compare the honest Ricci contraction of the vertical curvature
+against the closed table the field-theory layer is built on; the diagonal of
+that table is exactly twice the contraction, so those checks report the
+discrepancy and fail by design on a correct implementation.
 
 A sweep tabulates one field of the field layer over a grid; it evaluates the
 library function of that field (``scalar_curvature_field``, ``xi_11``,
@@ -40,7 +46,7 @@ and has no formula of its own.
 
 import json
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, isnan
 from time import perf_counter
 from typing import Callable
 
@@ -48,19 +54,35 @@ import numpy as np
 
 from .. import connection, curvature, fieldtheory, metric
 from ..errors import ConfigError
-from ..geometry import CHUNK, batches, connection_batches, g_hierarchy, geometry, metric_batches, take, time_axis
-from ..jetcore import DIM, Taylor2, VerificationReport, taylor2_seed
+from ..geometry import (
+    CHUNK,
+    batches,
+    connection_batches,
+    g_hierarchy,
+    geometry,
+    metric_batches,
+    quartic_form,
+    take,
+    time_axis,
+)
+from ..jetcore import DIM, Taylor2, taylor2_seed
 from .config import RunConfig
 
-__all__ = ["SuiteResult", "run_verify", "sweep", "parse_grid", "SWEEP_FIELDS", "check_names"]
+__all__ = ["SuiteResult", "VerificationReport", "run_verify", "sweep", "parse_grid", "SWEEP_FIELDS", "check_names"]
 
 
 # --------------------------------------------------------------------------
-# error accumulation
+# error accumulation and the pass rule
+
+
+def _worse(old: float, new: float) -> float:
+    """The larger of two worst values, a NaN winning over any number."""
+    return new if new > old or isnan(new) else old
 
 
 class _Err:
-    """Track worst absolute and relative deviation over a stream of pairs."""
+    """Track worst absolute and relative deviation over a stream of pairs.
+    A NaN in any compared value makes both NaN, which fails every tolerance."""
 
     __slots__ = ("abs", "rel")
 
@@ -72,28 +94,71 @@ class _Err:
         a = np.atleast_1d(np.asarray(a, dtype=float))
         b = np.atleast_1d(np.asarray(b, dtype=float))
         d = np.abs(a - b)
-        self.abs = max(self.abs, float(d.max()))
         denom = np.maximum(np.abs(a), np.abs(b))
         nz = denom > 0.0
-        if np.any(nz):
-            self.rel = max(self.rel, float((d[nz] / denom[nz]).max()))
+        self._fold(float(d.max()), float((d[nz] / denom[nz]).max()) if np.any(nz) else 0.0)
 
     def add_residual(self, r):
         """Residual against an exact-zero target (absolute only)."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        self.abs = max(self.abs, float(np.abs(r).max()))
+        self._fold(float(np.abs(np.asarray(r, dtype=float)).max()), 0.0)
+
+    def record(self, worst: float):
+        """A worst deviation the group measured itself, as both errors."""
+        self._fold(worst, worst)
+
+    def _fold(self, abs_err: float, rel_err: float):
+        if isnan(abs_err):
+            rel_err = abs_err
+        self.abs = _worse(self.abs, abs_err)
+        self.rel = _worse(self.rel, rel_err)
 
 
 @dataclass(frozen=True)
-class _Verdict:
-    """One report-to-be: name, accumulated errors, tolerances, and whether it
-    needs Berwald-Moor closed forms (then it is skipped for custom tensors)."""
+class VerificationReport:
+    """Outcome of one named check over a batch of sampled points."""
 
-    name: str
-    err: _Err
-    abs_tol: float | None = None
-    rel_tol: float | None = None
-    bm_only: bool = False
+    check_name: str
+    samples: int
+    max_abs_err: float
+    max_rel_err: float
+    passed: bool
+    seed: int
+    skipped: bool = False
+
+    @classmethod
+    def from_errors(
+        cls,
+        check_name: str,
+        samples: int,
+        max_abs_err: float,
+        max_rel_err: float,
+        seed: int,
+        abs_tol: float | None = None,
+        rel_tol: float | None = None,
+    ) -> "VerificationReport":
+        """Apply the pass rule: abs error within abs_tol OR rel error within
+        rel_tol.  A NaN error is within no tolerance."""
+        ok = False
+        if abs_tol is not None and max_abs_err <= abs_tol:
+            ok = True
+        if rel_tol is not None and max_rel_err <= rel_tol:
+            ok = True
+        return cls(check_name, samples, float(max_abs_err), float(max_rel_err), ok, seed)
+
+    @classmethod
+    def skip(cls, check_name: str, seed: int) -> "VerificationReport":
+        return cls(check_name, 0, float("nan"), float("nan"), True, seed, skipped=True)
+
+    def to_dict(self) -> dict:
+        return {
+            "check_name": self.check_name,
+            "samples": self.samples,
+            "max_abs_err": None if np.isnan(self.max_abs_err) else self.max_abs_err,
+            "max_rel_err": None if np.isnan(self.max_rel_err) else self.max_rel_err,
+            "pass": self.passed,
+            "seed": self.seed,
+            "skipped": self.skipped,
+        }
 
 
 def _points(cfg: RunConfig, rng: np.random.Generator, n: int):
@@ -125,18 +190,11 @@ def _g1111_taylor2(G, seeds) -> Taylor2:
 
 
 # --------------------------------------------------------------------------
-# check groups; each returns a list of _Verdict in fixed order
+# check groups; each takes the config, its drawn points (t, y) and one _Err
+# per catalog check, in catalog order
 
 
-def _grp_gscalars(cfg, rng, n):
-    oracle = _Err()
-    inverse = _Err()
-    euler = _Err()
-    det = _Err()
-    script = _Err()
-    raised = _Err()
-    inv_closed = _Err()
-    t, ys = _points(cfg, rng, n)
+def _grp_gscalars(cfg, t, ys, oracle, inverse, euler, det, script, raised, inv_closed):
     for m in metric_batches(cfg.tensor, cfg.time_metric, t, ys):
         s, y = m.scalars, m.y
         euler.add(np.einsum("xi,xi->x", s.gi111, y), 4.0 * s.g1111)
@@ -151,22 +209,10 @@ def _grp_gscalars(cfg, rng, n):
             script.add(s.g_script, (2.0 / 3.0) * s.g1111)
             raised.add(s.gj_up, y / 3.0)
             inv_closed.add(s.gij11_inv, (1.0 - 3.0 * np.eye(DIM)) * y[:, :, None] * y[:, None, :] / (3.0 * s.g1111[:, None, None]))
-    return [
-        _Verdict("metric/closed-form-oracle", oracle, rel_tol=1e-10, bm_only=True),
-        _Verdict("metric/inverse-pair", inverse, abs_tol=1e-10),
-        _Verdict("gscalars/euler-identities", euler, rel_tol=1e-12),
-        _Verdict("gscalars/determinant-closed", det, rel_tol=1e-12, bm_only=True),
-        _Verdict("gscalars/script-scalar-closed", script, rel_tol=1e-12, bm_only=True),
-        _Verdict("gscalars/raised-vector-closed", raised, rel_tol=1e-12, bm_only=True),
-        _Verdict("gscalars/inverse-closed-form", inv_closed, abs_tol=1e-10, rel_tol=1e-12, bm_only=True),
-    ]
 
 
-def _grp_metric_taylor(cfg, rng, n):
+def _grp_metric_taylor(cfg, t, ys, hess, homog):
     """g from the energy-function Hessian, and 0-homogeneity of g in y."""
-    hess = _Err()
-    homog = _Err()
-    t, ys = _points(cfg, rng, n)
     G, tm = cfg.tensor, cfg.time_metric
     # the scaled rays are chunked like the base points, so chunk k of each
     # holds the same points
@@ -176,16 +222,9 @@ def _grp_metric_taylor(cfg, rng, n):
         hess.add(0.5 * m.h11[:, None, None] * f2.hess, m.g_lo)
         for ray in rays:
             homog.add(ray.g_lo, m.g_lo)
-    return [
-        _Verdict("metric/hessian-of-energy", hess, rel_tol=1e-9),
-        _Verdict("metric/zero-homogeneity", homog, rel_tol=1e-12),
-    ]
 
 
-def _grp_connection(cfg, rng, n):
-    fd = _Err()
-    duality = _Err()
-    t, ys = _points(cfg, rng, n)
+def _grp_connection(cfg, t, ys, fd, duality):
     h = cfg.fd_step
     tm = cfg.time_metric
     ax = time_axis(tm, t)
@@ -194,20 +233,9 @@ def _grp_connection(cfg, rng, n):
         F = connection.adapted_frame(nlc)
         C = connection.adapted_coframe(nlc)
         duality.add_residual(F @ C.swapaxes(1, 2) - np.eye(1 + 2 * DIM))
-    return [
-        _Verdict("christoffel/fd-cross-check", fd, abs_tol=1e-8, rel_tol=1e-6),
-        _Verdict("connection/cobasis-duality", duality, abs_tol=1e-10),
-    ]
 
 
-def _grp_cartan(cfg, rng, n):
-    vert = _Err()
-    hor = _Err()
-    time_zero = _Err()
-    sym = _Err()
-    transv = _Err()
-    trace = _Err()
-    t, ys = _points(cfg, rng, n)
+def _grp_cartan(cfg, t, ys, vert, hor, time_zero, sym, transv, trace):
     for geo in connection_batches(cfg.tensor, cfg.time_metric, t, ys):
         time_zero.add_residual(geo.gk)
         sym.add_residual(geo.c - geo.c.transpose(0, 1, 3, 2))
@@ -217,22 +245,9 @@ def _grp_cartan(cfg, rng, n):
             vert.add(geo.c, closed)
             hor.add(geo.l, (geo.kappa / 3.0)[:, None, None, None] * closed)
             trace.add_residual(np.einsum("xmjm->xj", geo.c))
-    return [
-        _Verdict("cartan/vertical-oracle", vert, rel_tol=1e-9, bm_only=True),
-        _Verdict("cartan/horizontal-oracle", hor, abs_tol=1e-12, rel_tol=1e-9, bm_only=True),
-        _Verdict("cartan/time-component-zero", time_zero, abs_tol=1e-10),
-        _Verdict("cartan/vertical-symmetry", sym, abs_tol=1e-12),
-        _Verdict("cartan/vertical-y-transversality", transv, abs_tol=1e-10),
-        _Verdict("cartan/vertical-trace", trace, abs_tol=1e-10, bm_only=True),
-    ]
 
 
-def _grp_curvature(cfg, rng, n):
-    s_oracle = _Err()
-    antisym = _Err()
-    prop = _Err()
-    tor_closed = _Err()
-    t, ys = _points(cfg, rng, n)
+def _grp_curvature(cfg, t, ys, s_oracle, antisym, prop, tor_closed):
     for geo in batches(cfg.tensor, cfg.time_metric, t, ys):
         k3 = (geo.kappa / 3.0)[:, None, None, None]
         s = geo.s_curv
@@ -245,34 +260,14 @@ def _grp_curvature(cfg, rng, n):
         if cfg.tensor.is_berwald_moor:
             closed = curvature.bm_s_closed(geo.y)
             scale = np.maximum(np.abs(closed).max(axis=(1, 2, 3, 4)), 1e-300)
-            worst = float((np.abs(s - closed).max(axis=(1, 2, 3, 4)) / scale).max())
-            s_oracle.add_residual(worst)
-            s_oracle.rel = max(s_oracle.rel, worst)
-    return [
-        _Verdict("curvature/vertical-oracle", s_oracle, rel_tol=1e-9, bm_only=True),
-        _Verdict("curvature/antisymmetry", antisym, abs_tol=1e-12),
-        _Verdict("curvature/proportionality", prop, abs_tol=1e-12, rel_tol=1e-9),
-        _Verdict("torsion/closed-forms", tor_closed, abs_tol=1e-12, rel_tol=1e-9),
-    ]
+            s_oracle.record(float((np.abs(s - closed).max(axis=(1, 2, 3, 4)) / scale).max()))
 
 
 _CONTRACTED_COEF = (2.0 - 8.0 * np.eye(DIM)) / 4.0  # g-raising of the honest contraction
 
 
-def _grp_ricci(cfg, rng, n):
-    closed_form = _Err()
-    offdiag = _Err()
-    diag = _Err()
-    raised_field = _Err()
-    curl = _Err()
-    div_field = _Err()
-    div_contr = _Err()
-    sc_closed = _Err()
-    sc_field = _Err()
-    t, ys = _points(cfg, rng, n)
+def _grp_ricci(cfg, t, ys, closed_form, offdiag, diag, raised_field, curl, div_field, div_contr, sc_closed, sc_field):
     on = np.eye(DIM, dtype=bool)
-    if not cfg.tensor.is_berwald_moor:
-        t, ys = t[:0], ys[:0]  # every report in this group is skipped for custom tensors
     for geo in batches(cfg.tensor, cfg.time_metric, t, ys):
         y, kappa = geo.y, geo.kappa
         closed_form.add(geo.s_ricci, curvature.bm_s_ricci_contracted(y))
@@ -293,24 +288,9 @@ def _grp_ricci(cfg, rng, n):
         div_field.add(fieldtheory.t2_divergence(table, fieldtheory.FIELD_COEF), target)
         div_contr.add(fieldtheory.t2_divergence(table, _CONTRACTED_COEF), target)
         sc_field.add(geo.sc, curvature.scalar_curvature_field(cfg.time_metric, geo.t, y))
-    return [
-        _Verdict("ricci/contraction-closed-form", closed_form, rel_tol=1e-10, bm_only=True),
-        _Verdict("ricci/contraction-vs-field-offdiag", offdiag, rel_tol=1e-9, bm_only=True),
-        _Verdict("ricci/contraction-vs-field-diag", diag, rel_tol=1e-9, bm_only=True),
-        _Verdict("ricci/raised-field-closed", raised_field, rel_tol=1e-9, bm_only=True),
-        _Verdict("ricci/curl-orthogonality", curl, abs_tol=1e-10, bm_only=True),
-        _Verdict("ricci/divergence-field", div_field, rel_tol=1e-9, bm_only=True),
-        _Verdict("ricci/divergence-contraction", div_contr, rel_tol=1e-9, bm_only=True),
-        _Verdict("ricci/scalar-closed-form", sc_closed, rel_tol=1e-10, bm_only=True),
-        _Verdict("ricci/scalar-vs-field", sc_field, rel_tol=1e-9, bm_only=True),
-    ]
 
 
-def _grp_einstein(cfg, rng, n):
-    zeros = _Err()
-    sym = _Err()
-    raised = _Err()
-    t, ys = _points(cfg, rng, n)
+def _grp_einstein(cfg, t, ys, zeros, sym, raised):
     for geo in batches(cfg.tensor, cfg.time_metric, t, ys):
         b = fieldtheory.einstein_blocks_of(geo, cfg.einstein_k)
         g_up = geo.g_up
@@ -324,11 +304,6 @@ def _grp_einstein(cfg, rng, n):
         raised.add(b.raised_mixed_t, h11 * np.einsum("xmr,xri->xmi", g_up, b.t_yi_j))
         raised.add(b.raised_mixed_v, np.einsum("xmr,xri->xmi", g_up, b.t_i_yj))
         raised.add(b.raised_vv, h11 * np.einsum("xmr,xri->xmi", g_up, b.t_yy))
-    return [
-        _Verdict("einstein/zero-blocks", zeros, abs_tol=1e-12),
-        _Verdict("einstein/block-symmetry", sym, abs_tol=1e-10),
-        _Verdict("einstein/raised-cross-check", raised, abs_tol=1e-12, rel_tol=1e-9),
-    ]
 
 
 def _residual_norm(res):
@@ -336,36 +311,23 @@ def _residual_norm(res):
     return np.sqrt(res.t1**2 + np.sum(res.ti**2, axis=-1) + np.sum(res.tyi**2, axis=-1))
 
 
-def _grp_conservation(cfg, rng, n):
-    closed = _Err()
-    nonzero = _Err()
-    t, ys = _points(cfg, rng, n)
-    if not cfg.tensor.is_berwald_moor:
-        t, ys = t[:0], ys[:0]  # both reports in this group are skipped for custom tensors
+def _grp_conservation(cfg, t, ys, closed, nonzero):
     for geo in batches(cfg.tensor, cfg.time_metric, t, ys):
         res = fieldtheory.conservation_residuals_of(geo, cfg.einstein_k)
         closed.add(res.t1, res.closed_t1)
         closed.add(res.ti, res.closed_ti)
         closed.add(res.tyi, res.closed_tyi)
         nonzero.add_residual(np.where(_residual_norm(res) > 0.0, 0.0, 1.0))
-    return [
-        _Verdict("conservation/closed-rhs", closed, rel_tol=1e-8, bm_only=True),
-        _Verdict("conservation/residual-nonzero", nonzero, abs_tol=0.5, bm_only=True),
-    ]
 
 
 _DECAY_SCALES = (10.0, 100.0, 1000.0)
 
 
-def _grp_decay(cfg, rng, n):
+def _grp_decay(cfg, _t, _ys, err):
     """Computed residual norms along y = s*(1,1,1,1) decay at the rate the
     closed right-hand sides predict (asymptotically s^-2 when the time
     residual is active, s^-3 otherwise).  The points are the scaled rays and
-    the base ray s = 1, whatever the sample count."""
-    err = _Err()
-    verdicts = [_Verdict("conservation/decay-rate", err, abs_tol=0.02, bm_only=True)]
-    if not cfg.tensor.is_berwald_moor:
-        return verdicts
+    the base ray s = 1, not the drawn ones."""
     t_ref = 0.5 * (cfg.t_min + cfg.t_max)
     scales = _DECAY_SCALES
     ys = np.array(scales + (1.0,))[:, None] * np.ones(DIM)
@@ -386,26 +348,16 @@ def _grp_decay(cfg, rng, n):
     ]
     pred_slope = (np.log(predicted[2]) - np.log(predicted[1])) / (np.log(scales[2]) - np.log(scales[1]))
     err.add_residual(float(slope - pred_slope))
-    return verdicts
 
 
-def _grp_field_misc(cfg, rng, n):
-    des = _Err()
-    em = _Err()
-    ts = np.linspace(cfg.t_min, cfg.t_max, max(n, 2))
-    out = fieldtheory.des_check(cfg.time_metric, ts)
-    violation = 1.0 if out.solvable else 0.0
-    violation = max(violation, float(np.maximum(0.0, -out.r2).max()))
-    des.add_residual(violation)
-    t, ys = _points(cfg, rng, n)
+def _grp_field_misc(cfg, t, ys, des, em):
+    out = fieldtheory.des_check(cfg.time_metric, np.linspace(cfg.t_min, cfg.t_max, max(len(t), 2)))
+    des.add_residual(1.0 if out.solvable else 0.0)
+    des.add_residual(np.maximum(0.0, -out.r2))
     for geo in connection_batches(cfg.tensor, cfg.time_metric, t, ys):
         f = fieldtheory.em_form_of(geo).f
         em.add_residual(f)
         em.add_residual(f + f.swapaxes(1, 2))
-    return [
-        _Verdict("des/unsolvable", des, abs_tol=1e-15),
-        _Verdict("em/two-form-zero", em, abs_tol=1e-10),
-    ]
 
 
 def _autodiff_case(fn_index, s, sqrt):
@@ -430,14 +382,12 @@ def _along(h, a):
     return e
 
 
-def _grp_autodiff(cfg, rng, n):
+def _grp_autodiff(cfg, _t, ys, err):
     """Taylor2 gradients/Hessians versus central finite differences
     (steps scaled per coordinate; relative error with a unit floor).
     FD samples run the same compositions in plain float arithmetic; both
     sides run batched over chunks of points."""
-    worst = 0.0
-    _, ys = _points(cfg, rng, n)
-    for lo in range(0, n, CHUNK):
+    for lo in range(0, len(ys), CHUNK):
         y = ys[lo : lo + CHUNK]
         seeds = taylor2_seed(y)
         hg = 1e-6 * np.maximum(y, 1.0)
@@ -452,7 +402,7 @@ def _grp_autodiff(cfg, rng, n):
             for a in range(DIM):
                 e = _along(hg, a)
                 fd = (_fd_value(fi, y + e) - _fd_value(fi, y - e)) / (2 * hg[:, a])
-                worst = max(worst, rel(out.grad[:, a], fd))
+                err.record(rel(out.grad[:, a], fd))
             for a in range(DIM):
                 for b in range(a, DIM):
                     ea = _along(hh, a)
@@ -463,55 +413,113 @@ def _grp_autodiff(cfg, rng, n):
                         - _fd_value(fi, y - ea + eb)
                         + _fd_value(fi, y - ea - eb)
                     ) / (4 * hh[:, a] * hh[:, b])
-                    worst = max(worst, rel(out.hess[:, a, b], fd))
-    err = _Err()
-    err.add_residual(worst)
-    err.rel = worst
-    return [_Verdict("autodiff/fd-soundness", err, abs_tol=1e-7, rel_tol=1e-5)]
+                    err.record(rel(out.hess[:, a, b], fd))
 
 
 # --------------------------------------------------------------------------
-# catalog of groups
+# the catalog
+
+
+@dataclass(frozen=True)
+class _Check:
+    """One report of a group: its name, its tolerances (it passes when either
+    error is within its tolerance) and whether it needs Berwald-Moor closed
+    forms (then it is skipped for custom tensors)."""
+
+    name: str
+    abs_tol: float | None = None
+    rel_tol: float | None = None
+    bm_only: bool = False
 
 
 @dataclass(frozen=True)
 class _Group:
-    """A check group and its point count: a fraction of the samples, or a
-    fixed count for a group whose points do not depend on them."""
+    """A check group: its function, its checks in report order, and its point
+    count, a fraction of the samples or a fixed count for a group whose
+    points do not depend on them.  The function is called as
+    fn(cfg, t, y, *errs) with one _Err per check."""
 
     fn: Callable
+    checks: tuple[_Check, ...]
     fraction: float = 1.0
     points: int | None = None
+
+    @property
+    def name(self) -> str:
+        return self.fn.__name__.removeprefix("_grp_")
 
     def size(self, samples: int) -> int:
         return self.points if self.points is not None else max(1, round(self.fraction * samples))
 
 
-def _groups() -> list[_Group]:
-    return [
-        _Group(_grp_gscalars, fraction=1.0),
-        _Group(_grp_metric_taylor, fraction=0.5),
-        _Group(_grp_connection, fraction=0.5),
-        _Group(_grp_cartan, fraction=1.0),
-        _Group(_grp_curvature, fraction=0.5),
-        _Group(_grp_ricci, fraction=0.5),
-        _Group(_grp_einstein, fraction=0.5),
-        _Group(_grp_conservation, fraction=0.2),
-        _Group(_grp_decay, points=len(_DECAY_SCALES) + 1),
-        _Group(_grp_field_misc, fraction=0.2),
-        _Group(_grp_autodiff, fraction=0.1),
-    ]
+_CATALOG = (
+    _Group(_grp_gscalars, fraction=1.0, checks=(
+        _Check("metric/closed-form-oracle", rel_tol=1e-10, bm_only=True),
+        _Check("metric/inverse-pair", abs_tol=1e-10),
+        _Check("gscalars/euler-identities", rel_tol=1e-12),
+        _Check("gscalars/determinant-closed", rel_tol=1e-12, bm_only=True),
+        _Check("gscalars/script-scalar-closed", rel_tol=1e-12, bm_only=True),
+        _Check("gscalars/raised-vector-closed", rel_tol=1e-12, bm_only=True),
+        _Check("gscalars/inverse-closed-form", abs_tol=1e-10, rel_tol=1e-12, bm_only=True),
+    )),
+    _Group(_grp_metric_taylor, fraction=0.5, checks=(
+        _Check("metric/hessian-of-energy", rel_tol=1e-9),
+        _Check("metric/zero-homogeneity", rel_tol=1e-12),
+    )),
+    _Group(_grp_connection, fraction=0.5, checks=(
+        _Check("christoffel/fd-cross-check", abs_tol=1e-8, rel_tol=1e-6),
+        _Check("connection/cobasis-duality", abs_tol=1e-10),
+    )),
+    _Group(_grp_cartan, fraction=1.0, checks=(
+        _Check("cartan/vertical-oracle", rel_tol=1e-9, bm_only=True),
+        _Check("cartan/horizontal-oracle", abs_tol=1e-12, rel_tol=1e-9, bm_only=True),
+        _Check("cartan/time-component-zero", abs_tol=1e-10),
+        _Check("cartan/vertical-symmetry", abs_tol=1e-12),
+        _Check("cartan/vertical-y-transversality", abs_tol=1e-10),
+        _Check("cartan/vertical-trace", abs_tol=1e-10, bm_only=True),
+    )),
+    _Group(_grp_curvature, fraction=0.5, checks=(
+        _Check("curvature/vertical-oracle", rel_tol=1e-9, bm_only=True),
+        _Check("curvature/antisymmetry", abs_tol=1e-12),
+        _Check("curvature/proportionality", abs_tol=1e-12, rel_tol=1e-9),
+        _Check("torsion/closed-forms", abs_tol=1e-12, rel_tol=1e-9),
+    )),
+    _Group(_grp_ricci, fraction=0.5, checks=(
+        _Check("ricci/contraction-closed-form", rel_tol=1e-10, bm_only=True),
+        _Check("ricci/contraction-vs-field-offdiag", rel_tol=1e-9, bm_only=True),
+        _Check("ricci/contraction-vs-field-diag", rel_tol=1e-9, bm_only=True),
+        _Check("ricci/raised-field-closed", rel_tol=1e-9, bm_only=True),
+        _Check("ricci/curl-orthogonality", abs_tol=1e-10, bm_only=True),
+        _Check("ricci/divergence-field", rel_tol=1e-9, bm_only=True),
+        _Check("ricci/divergence-contraction", rel_tol=1e-9, bm_only=True),
+        _Check("ricci/scalar-closed-form", rel_tol=1e-10, bm_only=True),
+        _Check("ricci/scalar-vs-field", rel_tol=1e-9, bm_only=True),
+    )),
+    _Group(_grp_einstein, fraction=0.5, checks=(
+        _Check("einstein/zero-blocks", abs_tol=1e-12),
+        _Check("einstein/block-symmetry", abs_tol=1e-10),
+        _Check("einstein/raised-cross-check", abs_tol=1e-12, rel_tol=1e-9),
+    )),
+    _Group(_grp_conservation, fraction=0.2, checks=(
+        _Check("conservation/closed-rhs", rel_tol=1e-8, bm_only=True),
+        _Check("conservation/residual-nonzero", abs_tol=0.5, bm_only=True),
+    )),
+    _Group(_grp_decay, points=len(_DECAY_SCALES) + 1, checks=(
+        _Check("conservation/decay-rate", abs_tol=0.02, bm_only=True),
+    )),
+    _Group(_grp_field_misc, fraction=0.2, checks=(
+        _Check("des/unsolvable", abs_tol=1e-15),
+        _Check("em/two-form-zero", abs_tol=1e-10),
+    )),
+    _Group(_grp_autodiff, fraction=0.1, checks=(
+        _Check("autodiff/fd-soundness", abs_tol=1e-7, rel_tol=1e-5),
+    )),
+)
 
 
 def check_names() -> list[str]:
     """Catalog order of all report names (skipped or not)."""
-    cfg = RunConfig(samples=1)
-    names = []
-    for idx, grp in enumerate(_groups()):
-        rng = np.random.default_rng([0, idx])
-        n = grp.size(1)
-        names.extend(v.name for v in grp.fn(cfg, rng, n))
-    return names
+    return [check.name for grp in _CATALOG for check in grp.checks]
 
 
 # --------------------------------------------------------------------------
@@ -551,34 +559,30 @@ def run_verify(cfg: RunConfig, on_group: Callable[[str, int, float], None] | Non
     """Run the full check catalog over seeded samples.
 
     Deterministic for fixed (config, seed); failures are reported, not
-    raised.  Closed-form checks are skipped for custom tensors.  After each
-    group, on_group (if given) receives the group's name, its point count
-    and its wall time in seconds.
+    raised.  Closed-form checks are skipped for custom tensors, and a group
+    of closed-form checks alone does not run for them.  After each group,
+    on_group (if given) receives the group's name, its point count and its
+    wall time in seconds.
     """
     is_bm = cfg.tensor.is_berwald_moor
     reports: list[VerificationReport] = []
-    for idx, grp in enumerate(_groups()):
-        rng = np.random.default_rng([cfg.seed, idx])
+    for idx, grp in enumerate(_CATALOG):
         n = grp.size(cfg.samples)
+        errs = [_Err() for _ in grp.checks]
         start = perf_counter()
-        verdicts = grp.fn(cfg, rng, n)
+        if is_bm or not all(check.bm_only for check in grp.checks):
+            grp.fn(cfg, *_points(cfg, np.random.default_rng([cfg.seed, idx]), n), *errs)
         if on_group is not None:
-            on_group(grp.fn.__name__.removeprefix("_grp_"), n, perf_counter() - start)
-        for verdict in verdicts:
-            if verdict.bm_only and not is_bm:
-                reports.append(VerificationReport.skip(verdict.name, cfg.seed))
-                continue
-            reports.append(
-                VerificationReport.from_errors(
-                    verdict.name,
-                    n,
-                    verdict.err.abs,
-                    verdict.err.rel,
-                    cfg.seed,
-                    abs_tol=verdict.abs_tol,
-                    rel_tol=verdict.rel_tol,
+            on_group(grp.name, n, perf_counter() - start)
+        for check, err in zip(grp.checks, errs):
+            if check.bm_only and not is_bm:
+                reports.append(VerificationReport.skip(check.name, cfg.seed))
+            else:
+                reports.append(
+                    VerificationReport.from_errors(
+                        check.name, n, err.abs, err.rel, cfg.seed, abs_tol=check.abs_tol, rel_tol=check.rel_tol
+                    )
                 )
-            )
     overall = all(r.passed for r in reports)
     return SuiteResult(reports=reports, overall_pass=overall, config_echo=cfg)
 
@@ -617,6 +621,8 @@ def parse_grid(spec: str) -> list[tuple[str, np.ndarray]]:
             raise ConfigError(f"grid: cannot parse {rng_spec!r}") from exc
         if count < 1:
             raise ConfigError(f"grid: count must be >= 1, got {count}")
+        if not np.isfinite([start, stop]).all():
+            raise ConfigError(f"grid: axis {name} needs finite bounds, got [{start}, {stop}]")
         if name == "t":
             values = np.linspace(start, stop, count)
         else:
@@ -633,16 +639,17 @@ def _sweep_values(cfg: RunConfig, field: str, t: np.ndarray, y: np.ndarray) -> n
     """The field at every grid point, t of shape (R,) and y of shape (R, 4),
     evaluated one CHUNK of points at a time."""
     G, tm, k = cfg.tensor, cfg.time_metric, cfg.einstein_k
-    if field in ("T1", "Ti", "Tyi"):
-        parts = []
-        for m in metric_batches(G, tm, t, y):
-            t1, ti, tyi = fieldtheory.closed_rhs_of(m, k)
-            parts.append({"T1": t1, "Ti": ti[:, 0], "Tyi": tyi[:, 0]}[field])
-        return np.concatenate(parts)
+
+    def closed_rhs(t, y):
+        return fieldtheory.closed_rhs_of(time_axis(tm, t), quartic_form(G, y), y, k)
+
     fn = {
         "G1111": lambda t, y: g_hierarchy(G, y).g1111,
         "xi11": lambda t, y: fieldtheory.xi_11(tm, t, k),
         "Sc": lambda t, y: curvature.scalar_curvature_field(tm, t, y),
+        "T1": lambda t, y: closed_rhs(t, y)[0],
+        "Ti": lambda t, y: closed_rhs(t, y)[1][:, 0],
+        "Tyi": lambda t, y: closed_rhs(t, y)[2][:, 0],
     }[field]
     return np.concatenate([fn(t[lo : lo + CHUNK], y[lo : lo + CHUNK]) for lo in range(0, len(t), CHUNK)])
 

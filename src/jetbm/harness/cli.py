@@ -127,6 +127,8 @@ def _parse_vec(raw: str, name: str) -> np.ndarray:
         raise ConfigError(f"{name}: cannot parse {raw!r}") from exc
     if len(vals) != 4:
         raise ConfigError(f"{name}: expected four components, got {len(vals)}")
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"{name}: components must be finite, got {raw!r}")
     return np.array(vals)
 
 
@@ -139,6 +141,8 @@ def _emit(text: str, output: str | None):
 
 def _cmd_eval(args) -> int:
     cfg = _load_config(args.config)
+    if not np.isfinite(args.t):
+        raise ConfigError(f"--t: must be finite, got {args.t}")
     y = _parse_vec(args.y, "--y")
     x = _parse_vec(args.x, "--x") if args.x else None
     p = JetPoint.from_y(y, t=args.t, x=x)

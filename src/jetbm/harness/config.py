@@ -31,6 +31,7 @@ field path.
 """
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError, ConstructionError
@@ -111,6 +112,9 @@ def _parse_components(raw: str, errors: list[str]) -> dict:
         except ValueError:
             errors.append(f"tensor.components: cannot parse {line!r}")
             continue
+        if not math.isfinite(val):
+            errors.append(f"tensor.components: values must be finite, got {line!r}")
+            continue
         if len(idx) != 4 or any(i < 1 or i > 4 for i in idx):
             errors.append(f"tensor.components: indices must be four values in 1..4, got {idx}")
             continue
@@ -143,10 +147,14 @@ def parse_config(text: str) -> RunConfig:
             return default
         raw = parser.get(section, key)
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             errors.append(f"{section}.{key}: not a number: {raw!r}")
             return default
+        if not math.isfinite(value):
+            errors.append(f"{section}.{key}: must be finite, got {raw!r}")
+            return default
+        return value
 
     def get_int(section, key, default):
         if not parser.has_option(section, key):

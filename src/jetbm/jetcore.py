@@ -18,7 +18,6 @@ __all__ = [
     "TimeMetricValues",
     "QuarticTensor",
     "Taylor2",
-    "VerificationReport",
     "taylor2_seed",
 ]
 
@@ -366,50 +365,3 @@ def taylor2_seed(y) -> tuple[Taylor2, Taylor2, Taylor2, Taylor2]:
         _refuse(outside, y, DomainError, "seeds must lie in the positive cone, got")
     eye = np.eye(DIM)
     return tuple(Taylor2(y[..., i], np.broadcast_to(eye[i], y.shape)) for i in range(DIM))
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of one named check over a batch of sampled points."""
-
-    check_name: str
-    samples: int
-    max_abs_err: float
-    max_rel_err: float
-    passed: bool
-    seed: int
-    skipped: bool = False
-
-    @classmethod
-    def from_errors(
-        cls,
-        check_name: str,
-        samples: int,
-        max_abs_err: float,
-        max_rel_err: float,
-        seed: int,
-        abs_tol: float | None = None,
-        rel_tol: float | None = None,
-    ) -> "VerificationReport":
-        """Apply the pass rule: abs error within abs_tol OR rel error within rel_tol."""
-        ok = False
-        if abs_tol is not None and max_abs_err <= abs_tol:
-            ok = True
-        if rel_tol is not None and max_rel_err <= rel_tol:
-            ok = True
-        return cls(check_name, samples, float(max_abs_err), float(max_rel_err), ok, seed)
-
-    @classmethod
-    def skip(cls, check_name: str, seed: int) -> "VerificationReport":
-        return cls(check_name, 0, float("nan"), float("nan"), True, seed, skipped=True)
-
-    def to_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "samples": self.samples,
-            "max_abs_err": None if np.isnan(self.max_abs_err) else self.max_abs_err,
-            "max_rel_err": None if np.isnan(self.max_rel_err) else self.max_rel_err,
-            "pass": self.passed,
-            "seed": self.seed,
-            "skipped": self.skipped,
-        }

@@ -6,7 +6,6 @@ from jetbm import (
     QuarticTensor,
     TimeMetric,
     a_table,
-    adapted_cobasis,
     adapted_coframe,
     adapted_frame,
     apriori_nlc,
@@ -90,14 +89,6 @@ def test_apriori_connection():
 
 
 # -- adapted bases ------------------------------------------------------------
-
-
-def test_cobasis_corrections_match_connection():
-    _, apr = _nlcs(TimeMetric.exponential(1.0, 1.0), [2.0, 2.0, 2.0, 2.0])
-    cob = adapted_cobasis(apr)
-    # delta y^i = dy^i - kappa y^i dt - (kappa/3) dx^i with kappa = 1/2
-    np.testing.assert_allclose(cob.dy_correction_t[0], [-1.0, -1.0, -1.0, -1.0], rtol=1e-14)
-    np.testing.assert_allclose(cob.dy_correction_x[0], -(1 / 6) * np.eye(4), rtol=1e-14)
 
 
 def test_frame_coframe_duality(families, rng):

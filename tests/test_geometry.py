@@ -170,23 +170,28 @@ def _degenerate_at(bad, monkeypatch):
         (np.array([1.0, 2.0, -3.0, 4.0]), DomainError),
         (_SKEWED, SingularTensorError),
         (np.array([1.5, 2.5, 3.5, 4.5]), DegenerateDenominatorError),
+        (np.empty((0, 4)), DomainError),
     ],
-    ids=["non-cone", "singular", "degenerate"],
+    ids=["non-cone", "singular", "degenerate", "empty"],
 )
 def test_both_stages_raise_the_same_typed_error_naming_the_point(bad, error, rng, monkeypatch):
-    """The full, connection and metric stages reject a bad point alike."""
+    """The full, connection and metric stages and the one-bundle
+    ``geometry`` reject a bad point, or a batch of no points, alike."""
     bm = QuarticTensor.berwald_moor()
     if error is DegenerateDenominatorError:
         _degenerate_at(bad, monkeypatch)
-    ys = cone_points(rng, CHUNK + 8)
-    ys[CHUNK + 3] = bad  # in the second chunk
+    if bad.ndim == 2:
+        ys = bad
+    else:
+        ys = cone_points(rng, CHUNK + 8)
+        ys[CHUNK + 3] = bad  # in the second chunk
     messages = []
-    for stage in (batches, connection_batches, metric_batches):
+    for stage in (batches, connection_batches, metric_batches, geometry):
         with pytest.raises(error) as exc:
             list(stage(bm, EXP, np.zeros(len(ys)), ys))
         messages.append(str(exc.value))
     assert messages[1:] == messages[:-1]
-    assert str(bad) in messages[0]
+    assert (str(bad) if bad.ndim == 1 else "empty batch") in messages[0]
 
 
 def _deeper_stage_built(*args):
@@ -231,11 +236,10 @@ def test_metric_readers_never_build_the_derivative_tables(monkeypatch):
         ),
     ]
     cfg = RunConfig(time_metric=EXP, seed=5, samples=2 * CHUNK + 6)
-    by_name = {g.fn.__name__.removeprefix("_grp_"): g for g in checks._groups()}
+    by_name = {g.name: g for g in checks._CATALOG}
     for broken, names, stage, readers, values in cases:
-        groups = [by_name[name] for name in names]
         with monkeypatch.context() as patch:
-            patch.setattr(checks, "_groups", lambda: groups)
+            patch.setattr(checks, "_CATALOG", tuple(by_name[name] for name in names))
             with monkeypatch.context() as full_path:
                 # the same groups over full bundles, as they ran before the split
                 full_path.setattr(checks, stage, batches)

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import importlib.util
 import json
@@ -22,7 +23,8 @@ from jetbm import (
 )
 from jetbm.fieldtheory import closed_rhs_of
 from jetbm.geometry import CHUNK, point_metric
-from jetbm.harness import parse_config, parse_grid, run_verify, sweep
+from jetbm.harness import checks as verify_checks
+from jetbm.harness import cli, parse_config, parse_grid, run_verify, sweep
 from jetbm.harness.checks import SWEEP_FIELDS, check_names, sweep_csv
 from jetbm.harness.config import RunConfig
 
@@ -108,6 +110,26 @@ def test_violations_are_reported_with_field_paths(section, line, path):
         parse_config(doc)
 
 
+FLOAT_KEYS = [
+    ("time_metric", "c"),
+    ("time_metric", "lam"),
+    ("time_metric", "a"),
+    ("sampling", "y_min"),
+    ("sampling", "y_max"),
+    ("sampling", "t_min"),
+    ("sampling", "t_max"),
+    ("constants", "einstein_k"),
+    ("tolerances", "fd"),
+]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("section,key", FLOAT_KEYS, ids=lambda v: v)
+def test_non_finite_float_keys_are_refused_by_name(section, key, value):
+    with pytest.raises(ConfigError, match=rf"{section}\.{key}: must be finite"):
+        parse_config(f"[{section}]\n{key} = {value}\n")
+
+
 def test_bad_family_and_kind_named():
     with pytest.raises(ConfigError, match=r"time_metric\.family"):
         parse_config(MINIMAL.replace("family = constant", "family = fourier"))
@@ -144,6 +166,8 @@ def test_custom_components_parse_errors():
     )
     with pytest.raises(ConfigError, match="tensor.components"):
         parse_config(conflicting)
+    with pytest.raises(ConfigError, match="tensor.components: values must be finite"):
+        parse_config(CUSTOM_OTHER.replace("1 1 2 2 = 0.01", "1 1 2 2 = nan"))
 
 
 # -- suite runner ---------------------------------------------------------------
@@ -163,6 +187,119 @@ def test_known_failures_are_exactly_the_bridge_checks(small_bm_result):
 
 def test_report_order_matches_catalog(small_bm_result):
     assert [r.check_name for r in small_bm_result.reports] == check_names()
+
+
+CATALOG_NAMES = [
+    "metric/closed-form-oracle",
+    "metric/inverse-pair",
+    "gscalars/euler-identities",
+    "gscalars/determinant-closed",
+    "gscalars/script-scalar-closed",
+    "gscalars/raised-vector-closed",
+    "gscalars/inverse-closed-form",
+    "metric/hessian-of-energy",
+    "metric/zero-homogeneity",
+    "christoffel/fd-cross-check",
+    "connection/cobasis-duality",
+    "cartan/vertical-oracle",
+    "cartan/horizontal-oracle",
+    "cartan/time-component-zero",
+    "cartan/vertical-symmetry",
+    "cartan/vertical-y-transversality",
+    "cartan/vertical-trace",
+    "curvature/vertical-oracle",
+    "curvature/antisymmetry",
+    "curvature/proportionality",
+    "torsion/closed-forms",
+    "ricci/contraction-closed-form",
+    "ricci/contraction-vs-field-offdiag",
+    "ricci/contraction-vs-field-diag",
+    "ricci/raised-field-closed",
+    "ricci/curl-orthogonality",
+    "ricci/divergence-field",
+    "ricci/divergence-contraction",
+    "ricci/scalar-closed-form",
+    "ricci/scalar-vs-field",
+    "einstein/zero-blocks",
+    "einstein/block-symmetry",
+    "einstein/raised-cross-check",
+    "conservation/closed-rhs",
+    "conservation/residual-nonzero",
+    "conservation/decay-rate",
+    "des/unsolvable",
+    "em/two-form-zero",
+    "autodiff/fd-soundness",
+]
+
+
+def _raising(fn):
+    """A stand-in for the group function fn, under its name, that fails if run."""
+
+    @functools.wraps(fn)
+    def run(*args):
+        raise AssertionError(f"group {fn.__name__} ran")
+
+    return run
+
+
+def test_check_names_reads_the_catalog_and_runs_no_group(monkeypatch):
+    """check_names evaluates nothing: with every group function raising it
+    still lists the 39 checks in report order (run_verify does run them)."""
+    patched = tuple(replace(g, fn=_raising(g.fn)) for g in verify_checks._CATALOG)
+    monkeypatch.setattr(verify_checks, "_CATALOG", patched)
+    assert check_names() == CATALOG_NAMES
+    with pytest.raises(AssertionError, match="group _grp_gscalars ran"):
+        run_verify(RunConfig(samples=1))
+
+
+def test_custom_tensor_runs_no_group_of_closed_form_checks_alone(monkeypatch):
+    """On a custom tensor the runner does not run a group whose every check
+    is bm_only (ricci, conservation, decay), reports those checks as skipped,
+    and still times every group in catalog order."""
+    bm_groups = [g.name for g in verify_checks._CATALOG if all(c.bm_only for c in g.checks)]
+    assert bm_groups == ["ricci", "conservation", "decay"]
+    patched = tuple(replace(g, fn=_raising(g.fn)) if g.name in bm_groups else g for g in verify_checks._CATALOG)
+    monkeypatch.setattr(verify_checks, "_CATALOG", patched)
+    timed = []
+    cfg = replace(parse_config(CUSTOM_OTHER), samples=10, y_min=0.7, y_max=1.4)
+    res = run_verify(cfg, on_group=lambda name, n, seconds: timed.append(name))
+    assert timed == GROUPS
+    skipped = [r.check_name for r in res.reports if r.skipped]
+    assert [name for name in skipped if name.startswith(("ricci/", "conservation/"))] == CATALOG_NAMES[21:30] + CATALOG_NAMES[33:36]
+
+
+@pytest.mark.parametrize(
+    "feed",
+    [
+        lambda err: err.add([1.0, np.nan], [1.0, 2.0]),
+        lambda err: err.add_residual([0.0, np.nan]),
+        lambda err: err.record(np.nan),
+    ],
+    ids=["add", "add_residual", "record"],
+)
+def test_error_accumulator_keeps_a_nan(feed):
+    """A NaN makes both worst errors NaN, whatever was folded before or after."""
+    err = verify_checks._Err()
+    err.add([3.0], [1.0])
+    feed(err)
+    err.add([50.0], [1.0])
+    err.add_residual([7.0])
+    assert np.isnan(err.abs) and np.isnan(err.rel)
+    report = verify_checks.VerificationReport.from_errors("x", 1, err.abs, err.rel, seed=1, abs_tol=1e3, rel_tol=1e3)
+    assert not report.passed
+
+
+def test_nan_in_a_compared_value_fails_its_check():
+    """einstein_k = nan (which parse_config refuses) makes the Einstein blocks
+    and the conservation right-hand sides NaN; their checks fail instead of
+    passing with a zero error, are not skipped, and serialise as strict JSON."""
+    res = run_verify(RunConfig(einstein_k=float("nan"), samples=50, seed=1))
+    by_name = {r.check_name: r.to_dict() for r in res.reports}
+    for name in ("einstein/raised-cross-check", "conservation/closed-rhs", "conservation/decay-rate"):
+        doc = by_name[name]
+        assert (doc["pass"], doc["skipped"], doc["max_abs_err"]) == (False, False, None), name
+    json.dumps(list(by_name.values()), allow_nan=False)
+    assert res.overall_pass is False
 
 
 def test_custom_bm_equivalent_runs_full_suite():
@@ -245,6 +382,9 @@ def test_sweep_rejects_unknown_field_and_axis():
         parse_grid("s=1:2")
     with pytest.raises(ConfigError):
         parse_grid("s=-1:2:2")
+    for spec in ("t=0:inf:3", "t=nan:1:3", "s=1:inf:3"):
+        with pytest.raises(ConfigError, match="finite bounds"):
+            parse_grid(spec)
 
 
 @pytest.mark.parametrize("field", ["Sc", "xi11", "T1", "Ti", "Tyi"])
@@ -282,7 +422,8 @@ def _field_at(cfg, field, t, y):
         return xi_11(tm, t, k)
     if field == "G1111":
         return g_scalars(G, y).g1111
-    t1, ti, tyi = closed_rhs_of(point_metric(G, tm, JetPoint.from_y(y, t=t)), k)
+    m = point_metric(G, tm, JetPoint.from_y(y, t=t))
+    t1, ti, tyi = closed_rhs_of(m, m.scalars.g1111, m.y, k)
     return float({"T1": t1[0], "Ti": ti[0, 0], "Tyi": tyi[0, 0]}[field])
 
 
@@ -355,6 +496,26 @@ def test_cli_eval_rejects_bad_point():
     out = _cli("eval", "--y", "1,2,-3,4")
     assert out.returncode == 2
     assert "error" in out.stderr
+
+
+@pytest.mark.parametrize(
+    "option,value",
+    [("--t", "nan"), ("--t", "inf"), ("--t", "-inf"), ("--y", "1,nan,3,4"), ("--y", "1,2,inf,4"), ("--x", "0,-inf,0,0")],
+)
+def test_cli_eval_refuses_a_non_finite_point(option, value, capsys):
+    argv = ["eval", "--y", "1,2,3,4", f"{option}={value}"]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"error: {option}:" in out.err and "finite" in out.err
+
+
+def test_cli_verify_non_finite_config_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(MINIMAL + "\n[sampling]\ny_max = inf\n")
+    assert cli.main(["verify", "--config", str(cfg), "--samples", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "sampling.y_max: must be finite" in out.err
 
 
 def test_cli_verify_bm_exits_one_and_is_deterministic(tmp_path):

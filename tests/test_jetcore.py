@@ -10,11 +10,11 @@ from jetbm import (
     QuarticTensor,
     Taylor2,
     TimeMetric,
-    VerificationReport,
     taylor2_seed,
 )
 
 from jetbm.geometry import CHUNK
+from jetbm.harness.checks import VerificationReport
 
 from conftest import assert_close, cone_points, max_rel
 

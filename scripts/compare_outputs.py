@@ -7,10 +7,13 @@ checkout's ``src``).  Each tree runs the same fixed document set in one
 process of its own:
 
 * ``verify --samples 1000`` on the default configuration, seeds 1, 7 and 42,
-  on ``benchmarks/custom.ini``, seeds 1 and 7, and on
-  ``scripts/bm_exponential.ini``, seeds 1 and 7 (the default's constant h_11
-  gives kappa = 0, so L^i_jk and G^k_j1 vanish there and only a nonzero
-  kappa shows a change to them);
+  on ``benchmarks/custom.ini``, seeds 1 and 7, on
+  ``scripts/bm_exponential.ini``, seeds 1 and 7, and on
+  ``scripts/bm_power.ini``, seeds 1 and 7 (the default's constant h_11 gives
+  kappa = 0, so L^i_jk and G^k_j1 vanish there and only a nonzero kappa
+  shows a change to them; the exponential family's kappa is constant, so
+  only the power family shows a change to the power branch of the time
+  metric or to dkappa/dt);
 * ``eval`` at the first 300 points of the benchmark's seed-1 eval inputs;
 * ``sweep`` of every sweep field over the benchmark's seed-1 sweep grid.
 
@@ -34,6 +37,7 @@ sys.path.insert(0, str(ROOT / "benchmarks"))
 import workloads  # noqa: E402  (the benchmark's seeded inputs)
 
 BM_EXPONENTIAL = ROOT / "scripts" / "bm_exponential.ini"
+BM_POWER = ROOT / "scripts" / "bm_power.ini"
 SWEEP_FIELDS = ("Sc", "xi11", "T1", "Ti", "Tyi", "G1111")
 EVAL_DOCS = 300
 
@@ -60,7 +64,11 @@ def documents() -> list[tuple[str, list[str]]]:
     custom = str(workloads.HERE / "custom.ini")
     for seed in (1, 7, 42):
         docs.append((f"verify default seed {seed}", ["verify", "--samples", "1000", "--seed", str(seed)]))
-    for name, config in (("custom.ini", custom), ("bm_exponential.ini", str(BM_EXPONENTIAL))):
+    for name, config in (
+        ("custom.ini", custom),
+        ("bm_exponential.ini", str(BM_EXPONENTIAL)),
+        ("bm_power.ini", str(BM_POWER)),
+    ):
         for seed in (1, 7):
             argv = ["verify", "--config", config, "--samples", "1000", "--seed", str(seed)]
             docs.append((f"verify {name} seed {seed}", argv))

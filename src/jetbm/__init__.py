@@ -26,15 +26,14 @@ from .jetcore import (
     JetPoint,
     QuarticTensor,
     Taylor2,
+    TimeAxis,
     TimeMetric,
-    TimeMetricValues,
     taylor2_seed,
 )
 from .geometry import Geometry
 from .metric import GScalars, MetricPair, bm_metric_closed, g_scalars, metric_pair, metric_taylor2
 from .connection import (
     CartanConnection,
-    ChristoffelTime,
     NonlinearConnection,
     a_table,
     adapted_coframe,
@@ -85,7 +84,7 @@ __all__ = [
     "Geometry",
     "JetPoint",
     "TimeMetric",
-    "TimeMetricValues",
+    "TimeAxis",
     "QuarticTensor",
     "Taylor2",
     "taylor2_seed",
@@ -95,7 +94,6 @@ __all__ = [
     "metric_pair",
     "bm_metric_closed",
     "metric_taylor2",
-    "ChristoffelTime",
     "NonlinearConnection",
     "CartanConnection",
     "christoffel_time",

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ChristoffelTime, check_cone, christoffel_time, point_connection
-from .jetcore import DIM, JetPoint, QuarticTensor, TimeMetric
+from .geometry import check_cone, point_connection
+from .jetcore import DIM, JetPoint, QuarticTensor, TimeAxis, TimeMetric
 
 __all__ = [
-    "ChristoffelTime",
     "NonlinearConnection",
     "CartanConnection",
     "christoffel_time",
@@ -29,6 +28,12 @@ __all__ = [
     "bm_cartan_closed",
     "a_table",
 ]
+
+
+def christoffel_time(tm: TimeMetric, t) -> TimeAxis:
+    """kappa = (h^11 / 2) dh_11/dt and dkappa/dt, with the rest of the time
+    axis, at a float t or over t of shape (N,): ``tm.eval(t)``."""
+    return tm.eval(t)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from itertools import product
 
 import numpy as np
 
-from .geometry import check_cone, point_geometry, time_axis
+from .geometry import check_cone, point_geometry
 from .jetcore import DIM, JetPoint, QuarticTensor, TimeMetric
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "bm_s_raised_field",
     "scalar_curvature_field",
     "field_numerator",
+    "FIELD_COEF",
 ]
 
 
@@ -193,13 +194,17 @@ def bm_s_ricci_field(y) -> np.ndarray:
     return (7.0 * np.eye(DIM) - 1.0) / (8.0 * y[..., :, None] * y[..., None, :])
 
 
+# coefficients [m, i] of the raised field-theory Ricci table:
+# S_i^m11 = FIELD_COEF[m, i] y^m / (y^i sqrt(G_1111))
+FIELD_COEF = (5.0 - 14.0 * np.eye(DIM)) / 4.0
+
+
 def bm_s_raised_field(y) -> np.ndarray:
     """g-raising of the field-theory Ricci table:
     S_i^m11 = (5 - 14 delta^m_i) / (4 sqrt(G_1111)) * y^m / y^i."""
     y = check_cone(y)
     sq = np.sqrt(np.prod(y, axis=-1))[..., None, None]
-    coef = (5.0 - 14.0 * np.eye(DIM)) / (4.0 * sq)
-    return coef * (y[..., :, None] * (1.0 / y)[..., None, :])
+    return (FIELD_COEF / sq) * (y[..., :, None] * (1.0 / y)[..., None, :])
 
 
 def field_numerator(h11, kappa):
@@ -211,9 +216,9 @@ def field_numerator(h11, kappa):
 def scalar_curvature_field(tm: TimeMetric, t, y):
     """Field-theory scalar curvature -(9 h_11 + kappa^2) / sqrt(G_1111), at
     one point (a float) or over a batch, t of shape (N,) and y of shape
-    (N, 4).  The time-axis scalars come from ``time_axis``, so a batch
+    (N, 4).  The time-axis scalars come from one ``tm.eval``, so a batch
     reproduces its points bit for bit."""
     y = check_cone(y)
-    ax = time_axis(tm, t)
-    out = -field_numerator(ax.h11, ax.kappa).reshape(np.shape(t)) / np.sqrt(np.prod(y, axis=-1))
-    return float(out) if out.ndim == 0 else out
+    ax = tm.eval(t)
+    out = -field_numerator(ax.h11, ax.kappa) / np.sqrt(np.prod(y, axis=-1))
+    return float(out) if np.ndim(out) == 0 else out

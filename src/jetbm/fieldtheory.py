@@ -13,8 +13,8 @@ with finite differences.
 
 Each closed formula is written once: 9 h_11 + kappa^2 is
 ``curvature.field_numerator`` and the closed conservation right-hand sides
-are ``closed_rhs_of``.  ``xi_11`` and ``des_check`` read the kernel's
-time-axis pass, ``geometry.time_axis``.
+are ``closed_rhs_of``.  ``xi_11`` and ``des_check`` read the time axis
+from one ``TimeMetric.eval`` over their t, as the kernel does per chunk.
 
 Each ``*_of`` function computes its objects over the whole batch of a
 bundle of the shallowest kernel stage that holds what it reads (metric,
@@ -26,21 +26,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import bm_s_raised_field, bm_s_ricci_field, field_numerator
+from .curvature import FIELD_COEF, bm_s_raised_field, bm_s_ricci_field, field_numerator
 from .errors import ConfigError, InvariantError
 from .geometry import (
     Connection,
     Geometry,
     Metric,
-    TimeAxis,
     geometry,
     point_connection,
     point_geometry,
     point_metric,
     take,
-    time_axis,
 )
-from .jetcore import DIM, JetPoint, QuarticTensor, TimeMetric, taylor2_seed
+from .jetcore import DIM, JetPoint, QuarticTensor, TimeAxis, TimeMetric, taylor2_seed
 
 __all__ = [
     "GravPotential",
@@ -61,7 +59,6 @@ __all__ = [
     "em_form_of",
     "t2_raised_table",
     "t2_divergence",
-    "FIELD_COEF",
 ]
 
 
@@ -146,9 +143,8 @@ def _xi(h11, kappa, k: float):
 def xi_11(tm: TimeMetric, t, k: float):
     """xi_11 = (9 h_11 + kappa^2) / (2 K), the scalar in every diagonal block,
     at one t (a float) or over t of shape (N,)."""
-    ax = time_axis(tm, t)
-    out = _xi(ax.h11, ax.kappa, k).reshape(np.shape(t))
-    return float(out) if out.ndim == 0 else out
+    ax = tm.eval(t)
+    return _xi(ax.h11, ax.kappa, k)
 
 
 def _s_source(geo: Geometry):
@@ -198,11 +194,6 @@ def einstein_blocks_of(geo: Geometry, k: float) -> EinsteinBlocks:
 def einstein_blocks(G: QuarticTensor, tm: TimeMetric, p: JetPoint, k: float) -> EinsteinBlocks:
     """Stress-energy blocks at one point (see ``einstein_blocks_of``)."""
     return take(einstein_blocks_of(point_geometry(G, tm, p), k), 0)
-
-
-# coefficients [m, i] of the raised field-theory Ricci table on the raised
-# table: S_i^m11 = FIELD_COEF[m, i] y^m / (y^i sqrt(G_1111))
-FIELD_COEF = (5.0 - 14.0 * np.eye(DIM)) / 4.0
 
 
 def t2_raised_table(y):
@@ -346,7 +337,7 @@ def des_check(tm: TimeMetric, t_samples) -> DesCheck:
     ts = np.atleast_1d(np.asarray(t_samples, dtype=float))
     if ts.size == 0:
         raise ConfigError("des_check needs a nonempty sample list")
-    ax = time_axis(tm, ts)
+    ax = tm.eval(ts)
     r1 = ax.dh11 * (2.0 * ax.d2h11 - 3.0 * ax.dh11**2 / ax.h11)
     r2 = field_numerator(ax.h11, ax.kappa)
     solvable = bool(np.any((np.abs(r1) <= 1e-12) & (np.abs(r2) <= 1e-12)))

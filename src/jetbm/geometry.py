@@ -6,8 +6,8 @@ it.  The kernel has three stages, each the one before it plus the next
 objects of the chain:
 
 * the metric stage (``Metric``, ``metric_batches``, ``point_metric``): the
-  time-axis scalars (``time_axis``), the G-hierarchy, the fundamental metric
-  and its inverse;
+  time-axis scalars (one ``TimeMetric.eval`` per chunk), the G-hierarchy, the
+  fundamental metric and its inverse;
 * the connection stage (``Connection``, ``connection_batches``,
   ``point_connection``): the metric stage, then the exact third and fourth
   y-derivative tables of g and the Cartan connection C^i_j(k), L^i_jk and
@@ -46,19 +46,16 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import DegenerateDenominatorError, DomainError, InvariantError, SingularTensorError
-from .jetcore import DIM, JetPoint, QuarticTensor, TimeMetric, TimeMetricValues
+from .jetcore import DIM, JetPoint, QuarticTensor, TimeAxis, TimeMetric
 
 __all__ = [
     "CHUNK",
-    "ChristoffelTime",
     "Connection",
     "GScalars",
     "Geometry",
     "Metric",
-    "TimeAxis",
     "batches",
     "check_cone",
-    "christoffel_time",
     "connection_batches",
     "g_hierarchy",
     "geometry",
@@ -68,7 +65,6 @@ __all__ = [
     "point_metric",
     "quartic_form",
     "take",
-    "time_axis",
 ]
 
 # points per chunk: each 5-index table holds 256 doubles per point, so a
@@ -105,24 +101,6 @@ def check_cone(y) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ChristoffelTime:
-    """kappa = (h^11 / 2) dh_11/dt and its exact t-derivative."""
-
-    kappa: float
-    dkappa: float
-
-
-def _christoffel(v: TimeMetricValues) -> ChristoffelTime:
-    kappa = 0.5 * v.h11_inv * v.dh11
-    dkappa = 0.5 * v.d2h11 / v.h11 - 0.5 * (v.dh11 / v.h11) ** 2
-    return ChristoffelTime(kappa=kappa, dkappa=dkappa)
-
-
-def christoffel_time(tm: TimeMetric, t: float) -> ChristoffelTime:
-    return _christoffel(tm.eval(t))
-
-
-@dataclass(frozen=True)
 class GScalars:
     """All y-contractions of G_pqrs used by the metric and its derivatives.
 
@@ -138,37 +116,6 @@ class GScalars:
     det_gij11: float
     g_script: float
     gj_up: np.ndarray
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class TimeAxis:
-    """The time-axis scalars at each t of a batch, as (N,) arrays: h_11, h^11,
-    dh_11/dt, d2h_11/dt2, kappa and dkappa/dt."""
-
-    t: np.ndarray
-    h11: np.ndarray
-    h11_inv: np.ndarray
-    dh11: np.ndarray
-    d2h11: np.ndarray
-    kappa: np.ndarray
-    dkappa: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-
-def time_axis(tm: TimeMetric, t) -> TimeAxis:
-    """The time-axis scalars over t of shape (N,), one point at a time, so that
-    a batch never changes how the transcendental functions of t are evaluated:
-    each entry is the per-point ``tm.eval`` and ``christoffel_time`` value."""
-    t = np.array(t, dtype=float).reshape(-1)
-    rows = []
-    for ti in t.tolist():
-        v = tm.eval(ti)
-        ct = _christoffel(v)
-        rows.append((v.h11, v.h11_inv, v.dh11, v.d2h11, ct.kappa, ct.dkappa))
-    cols = np.array(rows, dtype=float).reshape(len(t), 6).T
-    return _frozen(TimeAxis(t, *cols))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -395,7 +342,7 @@ def _guard_torsions(p_mixed, c, r_time, kappa, dkappa, y):
 
 
 def _metric(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) -> Metric:
-    ax = time_axis(tm, t)
+    ax = tm.eval(t)
     s = g_hierarchy(G, y)
     if (s.g1111 <= 0.0).any():
         bad = s.g1111 <= 0.0

@@ -27,8 +27,9 @@ that holds what it reads:
   build the connection stage (``connection_batches``);
 * curvature, ricci, einstein, conservation and decay build the full stage
   (``batches``, ``geometry``);
-* connection reads the time axis alone (``time_axis``) and builds the
-  nonlinear connections and adapted frames over all its points at once;
+* connection reads the time axis alone (``TimeMetric.eval`` over all its
+  t) and builds the nonlinear connections and adapted frames over all its
+  points at once;
   autodiff builds no bundle.
 
 A ``bm_only`` check needs Berwald-Moor closed forms and is reported as
@@ -63,7 +64,6 @@ from ..geometry import (
     metric_batches,
     quartic_form,
     take,
-    time_axis,
 )
 from ..jetcore import DIM, Taylor2, taylor2_seed
 from .config import RunConfig
@@ -227,8 +227,8 @@ def _grp_metric_taylor(cfg, t, ys, hess, homog):
 def _grp_connection(cfg, t, ys, fd, duality):
     h = cfg.fd_step
     tm = cfg.time_metric
-    ax = time_axis(tm, t)
-    fd.add(ax.dkappa, (time_axis(tm, t + h).kappa - time_axis(tm, t - h).kappa) / (2.0 * h))
+    ax = tm.eval(t)
+    fd.add(ax.dkappa, (tm.eval(t + h).kappa - tm.eval(t - h).kappa) / (2.0 * h))
     for nlc in (connection.canonical_nlc(ax.kappa, ys), connection.apriori_nlc(ax.kappa, ys)):
         F = connection.adapted_frame(nlc)
         C = connection.adapted_coframe(nlc)
@@ -285,7 +285,7 @@ def _grp_ricci(cfg, t, ys, closed_form, offdiag, diag, raised_field, curl, div_f
         sc_closed.add(geo.sc, -(6.0 * geo.h11 + (2.0 / 3.0) * kappa**2) / sq)
         table, _ = fieldtheory.t2_raised_table(y)
         target = 3.0 / (sq[:, None] * y)
-        div_field.add(fieldtheory.t2_divergence(table, fieldtheory.FIELD_COEF), target)
+        div_field.add(fieldtheory.t2_divergence(table, curvature.FIELD_COEF), target)
         div_contr.add(fieldtheory.t2_divergence(table, _CONTRACTED_COEF), target)
         sc_field.add(geo.sc, curvature.scalar_curvature_field(cfg.time_metric, geo.t, y))
 
@@ -641,7 +641,7 @@ def _sweep_values(cfg: RunConfig, field: str, t: np.ndarray, y: np.ndarray) -> n
     G, tm, k = cfg.tensor, cfg.time_metric, cfg.einstein_k
 
     def closed_rhs(t, y):
-        return fieldtheory.closed_rhs_of(time_axis(tm, t), quartic_form(G, y), y, k)
+        return fieldtheory.closed_rhs_of(tm.eval(t), quartic_form(G, y), y, k)
 
     fn = {
         "G1111": lambda t, y: g_hierarchy(G, y).g1111,

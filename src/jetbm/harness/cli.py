@@ -157,15 +157,9 @@ def _print_group_time(name: str, points: int, seconds: float):
 
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.samples is not None:
-        overrides["samples"] = args.samples
-    if overrides:
-        cfg = replace(cfg, **overrides)
-        if cfg.seed < 0 or cfg.samples < 1:
-            raise ConfigError("sampling.seed must be >= 0 and sampling.samples >= 1")
+    overrides = {"seed": args.seed, "samples": args.samples}
+    # RunConfig refuses an override that breaks a value rule, by field path
+    cfg = replace(cfg, **{name: value for name, value in overrides.items() if value is not None})
     result = run_verify(cfg, on_group=_print_group_time)
     for r in result.reports:
         status = "SKIP" if r.skipped else ("PASS" if r.passed else "FAIL")
@@ -197,22 +191,34 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    try:
-        doc = json.loads(Path(args.input).read_text())
-        reports = doc["reports"]
-        overall = doc["overall_pass"]
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"cannot read report: {exc}", file=sys.stderr)
-        return 2
+def _summary(doc) -> list[str]:
+    """The lines ``report`` prints for a verify document; a malformed one
+    raises KeyError, TypeError or ValueError."""
+    if not isinstance(doc, dict) or not isinstance(doc["reports"], list):
+        raise ValueError("expected a JSON object whose reports are a list")
+    reports = doc["reports"]
+    if not all(isinstance(r, dict) for r in reports):
+        raise ValueError("every report entry must be a JSON object")
     width = max((len(r["check_name"]) for r in reports), default=10)
+    lines = []
     for r in reports:
         status = "SKIP" if r.get("skipped") else ("PASS" if r["pass"] else "FAIL")
         abs_e = r["max_abs_err"]
         rel_e = r["max_rel_err"]
         errs = "" if abs_e is None else f"  abs={abs_e:.3e} rel={rel_e:.3e} samples={r['samples']}"
-        print(f"[{status}] {r['check_name']:<{width}}{errs}")
-    print(f"overall: {'PASS' if overall else 'FAIL'}")
+        lines.append(f"[{status}] {r['check_name']:<{width}}{errs}")
+    lines.append(f"overall: {'PASS' if doc['overall_pass'] else 'FAIL'}")
+    return lines
+
+
+def _cmd_report(args) -> int:
+    try:
+        lines = _summary(json.loads(Path(args.input).read_text()))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        print(f"cannot read report: {what}", file=sys.stderr)
+        return 2
+    print("\n".join(lines))
     return 0
 
 

@@ -27,12 +27,13 @@ Example::
 
 Custom tensors list components one per line as ``p q r s = value`` under a
 multiline ``components`` key.  Every violated invariant is reported with its
-field path.
+field path.  The value rules (``_RULES``) hold for every ``RunConfig``, however
+it is built: by ``parse_config``, directly, or by ``dataclasses.replace``.
 """
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from ..errors import ConfigError, ConstructionError
 from ..jetcore import QuarticTensor, TimeMetric
@@ -47,6 +48,52 @@ _KNOWN_KEYS = {
     "tolerances": {"fd"},
 }
 
+# the document path of each number a run configuration holds
+_PATHS = {
+    "c": "time_metric.c",
+    "lam": "time_metric.lam",
+    "a": "time_metric.a",
+    "seed": "sampling.seed",
+    "samples": "sampling.samples",
+    "y_min": "sampling.y_min",
+    "y_max": "sampling.y_max",
+    "t_min": "sampling.t_min",
+    "t_max": "sampling.t_max",
+    "einstein_k": "constants.einstein_k",
+    "fd_step": "tolerances.fd",
+}
+_TIME_METRIC_KEYS = ("c", "lam", "a")
+
+# the value rules besides finiteness, as (the numbers a rule reads, the rule,
+# what it asks); a broken rule is reported at the path of its last number
+_RULES = (
+    (("seed",), lambda seed: seed >= 0, "be >= 0"),
+    (("samples",), lambda samples: samples >= 1, "be >= 1"),
+    (("y_min",), lambda lo: lo > 0.0, "be > 0"),
+    (("y_min", "y_max"), lambda lo, hi: lo < hi, "satisfy 0 < y_min < y_max"),
+    (("t_min", "t_max"), lambda lo, hi: lo <= hi, "satisfy t_min <= t_max"),
+    (("einstein_k",), lambda k: k != 0.0, "be nonzero"),
+    (("fd_step",), lambda h: h > 0.0, "be > 0"),
+)
+
+
+def _violations(numbers: dict) -> list[str]:
+    """One message per value rule the numbers (keyed as ``_PATHS``) break,
+    each naming its field path; a rule over a non-finite number is not
+    tried, that number being reported as not finite."""
+    bad = {name for name, value in numbers.items() if not math.isfinite(value)}
+    errors = [f"{_PATHS[name]}: must be finite, got {numbers[name]!r}" for name in _PATHS if name in bad]
+    for names, holds, rule in _RULES:
+        values = [numbers[name] for name in names]
+        if bad.isdisjoint(names) and not holds(*values):
+            errors.append(f"{_PATHS[names[-1]]}: must {rule}, got {values[0] if len(values) == 1 else values}")
+    return errors
+
+
+def _refuse(errors: list[str]):
+    if errors:
+        raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -60,6 +107,10 @@ class RunConfig:
     t_max: float = 1.0
     einstein_k: float = 1.0
     fd_step: float = 1e-5
+
+    def __post_init__(self):
+        tm = self.time_metric
+        _refuse(_violations({name: getattr(tm if name in _TIME_METRIC_KEYS else self, name) for name in _PATHS}))
 
     def to_dict(self) -> dict:
         """Sectioned echo of the configuration, suitable for report output."""
@@ -94,6 +145,9 @@ class RunConfig:
 
 def default_config() -> RunConfig:
     return RunConfig()
+
+
+_DEFAULTS = {f.name: f.default for cls in (TimeMetric, RunConfig) for f in fields(cls) if f.default is not MISSING}
 
 
 def _parse_components(raw: str, errors: list[str]) -> dict:
@@ -142,41 +196,22 @@ def parse_config(text: str) -> RunConfig:
             if key not in _KNOWN_KEYS[section]:
                 errors.append(f"{section}.{key}: unknown key")
 
-    def get_float(section, key, default):
-        if not parser.has_option(section, key):
-            return default
-        raw = parser.get(section, key)
+    numbers = {}
+    for name, path in _PATHS.items():
+        default = _DEFAULTS[name]
+        raw = parser.get(*path.split("."), fallback=None)
         try:
-            value = float(raw)
+            numbers[name] = default if raw is None else type(default)(raw)
         except ValueError:
-            errors.append(f"{section}.{key}: not a number: {raw!r}")
-            return default
-        if not math.isfinite(value):
-            errors.append(f"{section}.{key}: must be finite, got {raw!r}")
-            return default
-        return value
-
-    def get_int(section, key, default):
-        if not parser.has_option(section, key):
-            return default
-        raw = parser.get(section, key)
-        try:
-            return int(raw)
-        except ValueError:
-            errors.append(f"{section}.{key}: not an integer: {raw!r}")
-            return default
+            errors.append(f"{path}: not {'an integer' if type(default) is int else 'a number'}: {raw!r}")
+            numbers[name] = default
+    errors.extend(_violations(numbers))
 
     family = parser.get("time_metric", "family", fallback="constant").strip()
-    c = get_float("time_metric", "c", 1.0)
-    lam = get_float("time_metric", "lam", 0.0)
-    a = get_float("time_metric", "a", 1.0)
-    tm = None
     if family not in ("constant", "exponential", "power"):
         errors.append(f"time_metric.family: must be constant, exponential or power, got {family!r}")
-    elif family in ("constant", "exponential") and c <= 0.0:
-        errors.append(f"time_metric.c: must be > 0, got {c}")
-    else:
-        tm = TimeMetric(family=family, c=c, lam=lam, a=a)
+    elif family in ("constant", "exponential") and numbers["c"] <= 0.0:
+        errors.append(f"time_metric.c: must be > 0, got {numbers['c']}")
 
     kind = parser.get("tensor", "kind", fallback="berwald_moor").strip()
     tensor = None
@@ -195,41 +230,6 @@ def parse_config(text: str) -> RunConfig:
     else:
         errors.append(f"tensor.kind: must be berwald_moor or custom, got {kind!r}")
 
-    seed = get_int("sampling", "seed", 42)
-    samples = get_int("sampling", "samples", 1000)
-    y_min = get_float("sampling", "y_min", 0.1)
-    y_max = get_float("sampling", "y_max", 10.0)
-    t_min = get_float("sampling", "t_min", -1.0)
-    t_max = get_float("sampling", "t_max", 1.0)
-    einstein_k = get_float("constants", "einstein_k", 1.0)
-    fd_step = get_float("tolerances", "fd", 1e-5)
-
-    if seed < 0:
-        errors.append(f"sampling.seed: must be >= 0, got {seed}")
-    if samples < 1:
-        errors.append(f"sampling.samples: must be >= 1, got {samples}")
-    if not y_min > 0.0:
-        errors.append(f"sampling.y_min: must be > 0, got {y_min}")
-    if not y_min < y_max:
-        errors.append(f"sampling.y_max: must satisfy 0 < y_min < y_max, got [{y_min}, {y_max}]")
-    if not t_min <= t_max:
-        errors.append(f"sampling.t_max: must satisfy t_min <= t_max, got [{t_min}, {t_max}]")
-    if einstein_k == 0.0:
-        errors.append("constants.einstein_k: must be nonzero")
-    if not fd_step > 0.0:
-        errors.append(f"tolerances.fd: must be > 0, got {fd_step}")
-
-    if errors:
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
-    return RunConfig(
-        time_metric=tm,
-        tensor=tensor,
-        seed=seed,
-        samples=samples,
-        y_min=y_min,
-        y_max=y_max,
-        t_min=t_min,
-        t_max=t_max,
-        einstein_k=einstein_k,
-        fd_step=fd_step,
-    )
+    _refuse(errors)
+    tm = TimeMetric(family, **{name: numbers.pop(name) for name in _TIME_METRIC_KEYS})
+    return RunConfig(time_metric=tm, tensor=tensor, **numbers)

@@ -1,6 +1,11 @@
 """Core domain types: jet points, time-metric families, the symmetric quartic
 tensor, and second-order forward-mode Taylor arithmetic.
 
+``TimeMetric.eval`` is the one evaluator of the time axis: h_11, h^11, the
+t-derivatives of h_11, kappa and dkappa/dt at a float t or over a whole batch
+of t, returned as a ``TimeAxis``.  Every reader of these scalars calls it
+once per batch.
+
 Every object is immutable after construction and every operation is a pure
 function of its inputs, so evaluation at many points can run concurrently.
 """
@@ -15,7 +20,7 @@ from .errors import ConstructionError, DomainError
 __all__ = [
     "JetPoint",
     "TimeMetric",
-    "TimeMetricValues",
+    "TimeAxis",
     "QuarticTensor",
     "Taylor2",
     "taylor2_seed",
@@ -54,14 +59,22 @@ class JetPoint:
         return cls(t=t, x=np.zeros(DIM) if x is None else x, y=y)
 
 
-@dataclass(frozen=True)
-class TimeMetricValues:
-    """h_11 and its exact first and second t-derivatives, plus h^11 = 1/h_11."""
+@dataclass(frozen=True, eq=False, repr=False)
+class TimeAxis:
+    """The time-axis scalars at t: h_11, h^11 = 1/h_11, dh_11/dt, d2h_11/dt2,
+    kappa = (h^11 / 2) dh_11/dt and dkappa/dt.  Each field has t's shape: a
+    float at a float t, an (N,) array over t of shape (N,)."""
 
-    h11: float
-    h11_inv: float
-    dh11: float
-    d2h11: float
+    t: np.ndarray
+    h11: np.ndarray
+    h11_inv: np.ndarray
+    dh11: np.ndarray
+    d2h11: np.ndarray
+    kappa: np.ndarray
+    dkappa: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 @dataclass(frozen=True)
@@ -100,20 +113,31 @@ class TimeMetric:
     def power(cls, a: float) -> "TimeMetric":
         return cls(family="power", a=a)
 
-    def eval(self, t: float) -> TimeMetricValues:
-        """Evaluate h_11, h^11 and the exact t-derivatives of the family at t."""
+    def eval(self, t) -> TimeAxis:
+        """The time-axis scalars at a float t, or over t of shape (N,), by
+        array operations.  Every power goes through ``pointwise_pow``, so each
+        entry equals the one-point value bit for bit."""
+        shape = np.shape(t)
+        t = np.asarray(t, dtype=float).reshape(-1)
         if self.family == "constant":
-            h, dh, d2h = self.c, 0.0, 0.0
+            h, dh, d2h = np.full(t.shape, self.c), np.zeros(t.shape), np.zeros(t.shape)
         elif self.family == "exponential":
             h = self.c * np.exp(self.lam * t)
             dh = self.lam * h
             d2h = self.lam * self.lam * h
         else:
             u = 1.0 + t * t
-            h = u**self.a
-            dh = 2.0 * self.a * t * u ** (self.a - 1.0)
-            d2h = 2.0 * self.a * u ** (self.a - 1.0) + 4.0 * self.a * (self.a - 1.0) * t * t * u ** (self.a - 2.0)
-        return TimeMetricValues(h11=h, h11_inv=1.0 / h, dh11=dh, d2h11=d2h)
+            h = pointwise_pow(u, self.a)
+            u1 = pointwise_pow(u, self.a - 1.0)
+            dh = 2.0 * self.a * t * u1
+            d2h = 2.0 * self.a * u1 + 4.0 * self.a * (self.a - 1.0) * t * t * pointwise_pow(u, self.a - 2.0)
+        h_inv = 1.0 / h
+        kappa = 0.5 * h_inv * dh
+        dkappa = 0.5 * d2h / h - 0.5 * pointwise_pow(dh / h, 2.0)
+        values = (t, h, h_inv, dh, d2h, kappa, dkappa)
+        if not shape:
+            return TimeAxis(*(float(v[0]) for v in values))
+        return TimeAxis(*(_frozen(v, shape) for v in values))
 
 
 def _sorted_quad(idx) -> tuple[int, int, int, int]:

@@ -15,7 +15,7 @@ from jetbm import (
     christoffel_time,
 )
 
-from jetbm.geometry import CHUNK, time_axis
+from jetbm.geometry import CHUNK
 
 from conftest import cone_points, max_rel
 
@@ -57,7 +57,7 @@ def test_christoffel_derivative_matches_fd(families, rng):
 
 def _nlcs(tm, y, t=0.0):
     """The canonical and a-priori connections at one point, as N = 1 batches."""
-    kappa = time_axis(tm, [t]).kappa
+    kappa = tm.eval([t]).kappa
     y = np.asarray(y, dtype=float)[None]
     return canonical_nlc(kappa, y), apriori_nlc(kappa, y)
 
@@ -112,7 +112,7 @@ def test_batched_connections_and_frames_are_the_per_point_formulas(tm, size, rng
     the batched frame-coframe product equals the per-point one."""
     ys = cone_points(rng, size)
     ts = rng.uniform(-2, 2, size)
-    kappa = time_axis(tm, ts).kappa
+    kappa = tm.eval(ts).kappa
     batched = (canonical_nlc(kappa, ys), apriori_nlc(kappa, ys))
     frames = [(adapted_frame(nlc), adapted_coframe(nlc)) for nlc in batched]
     for n, (t, y) in enumerate(zip(ts.tolist(), ys)):

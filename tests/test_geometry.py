@@ -15,8 +15,10 @@ from jetbm import (
     JetPoint,
     QuarticTensor,
     SingularTensorError,
+    TimeAxis,
     TimeMetric,
     cartan_connection,
+    christoffel_time,
     em_form,
     g_scalars,
     grav_potential,
@@ -29,16 +31,13 @@ from jetbm.geometry import (
     Connection,
     GScalars,
     Metric,
-    TimeAxis,
     batches,
-    christoffel_time,
     connection_batches,
     geometry,
     g_hierarchy,
     metric_batches,
     point_geometry,
     take,
-    time_axis,
 )
 from jetbm.harness import checks
 from jetbm.harness.config import RunConfig
@@ -259,16 +258,16 @@ def test_metric_readers_never_build_the_derivative_tables(monkeypatch):
 )
 def test_time_axis_is_the_per_point_time_metric(tm, rng):
     ts = np.concatenate([rng.uniform(-3, 3, CHUNK + 1), [0.0, 0.0, -1.5e-05]])
-    ax = time_axis(tm, ts)
+    ax = tm.eval(ts)
     assert len(ax) == len(ts)
     for n, t in enumerate(ts.tolist()):
         v, ct = tm.eval(t), christoffel_time(tm, t)
         per_point = (t, v.h11, v.h11_inv, v.dh11, v.d2h11, ct.kappa, ct.dkappa)
         assert tuple(getattr(ax, f.name)[n] for f in fields(TimeAxis)) == per_point
-    # a bundle's time-axis fields are the helper's, whatever the chunking
+    # a bundle's time-axis fields are the evaluator's, whatever the chunking
     ys = cone_points(rng, len(ts), lo=0.7, hi=1.4)
     for m in metric_batches(QuarticTensor.berwald_moor(), tm, ts, ys):
-        ref = time_axis(tm, m.t)
+        ref = tm.eval(m.t)
         for f in fields(TimeAxis):
             np.testing.assert_array_equal(getattr(m, f.name), getattr(ref, f.name), err_msg=f.name)
 

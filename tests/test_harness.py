@@ -21,6 +21,7 @@ from jetbm import (
     scalar_curvature_field,
     xi_11,
 )
+from jetbm import fieldtheory
 from jetbm.fieldtheory import closed_rhs_of
 from jetbm.geometry import CHUNK, point_metric
 from jetbm.harness import checks as verify_checks
@@ -289,17 +290,37 @@ def test_error_accumulator_keeps_a_nan(feed):
     assert not report.passed
 
 
-def test_nan_in_a_compared_value_fails_its_check():
-    """einstein_k = nan (which parse_config refuses) makes the Einstein blocks
-    and the conservation right-hand sides NaN; their checks fail instead of
-    passing with a zero error, are not skipped, and serialise as strict JSON."""
-    res = run_verify(RunConfig(einstein_k=float("nan"), samples=50, seed=1))
+def test_nan_in_a_compared_value_fails_its_check(monkeypatch):
+    """A NaN xi_11, patched into the field layer, makes the Einstein blocks and
+    the conservation right-hand sides NaN; their checks fail instead of
+    passing with a zero error, are not skipped, and the whole document
+    serialises as strict JSON."""
+    monkeypatch.setattr(fieldtheory, "_xi", lambda h11, kappa, k: np.full(np.shape(h11), np.nan))
+    res = run_verify(RunConfig(samples=50, seed=1))
     by_name = {r.check_name: r.to_dict() for r in res.reports}
     for name in ("einstein/raised-cross-check", "conservation/closed-rhs", "conservation/decay-rate"):
         doc = by_name[name]
         assert (doc["pass"], doc["skipped"], doc["max_abs_err"]) == (False, False, None), name
-    json.dumps(list(by_name.values()), allow_nan=False)
+    json.dumps(res.to_dict(), allow_nan=False)
     assert res.overall_pass is False
+
+
+@pytest.mark.parametrize(
+    "build,paths",
+    [
+        (lambda: RunConfig(einstein_k=float("nan")), ["constants.einstein_k: must be finite"]),
+        (lambda: RunConfig(samples=0, y_min=-1.0), ["sampling.samples: must be >= 1", "sampling.y_min: must be > 0"]),
+        (lambda: RunConfig(t_min=1.0, t_max=-1.0), ["sampling.t_max: must satisfy t_min <= t_max"]),
+        (lambda: RunConfig(time_metric=TimeMetric.exponential(1.0, float("inf"))), ["time_metric.lam: must be finite"]),
+        (lambda: replace(RunConfig(), seed=-1, fd_step=0.0), ["sampling.seed: must be >= 0", "tolerances.fd: must be > 0"]),
+    ],
+)
+def test_run_config_applies_the_value_rules_however_built(build, paths):
+    """A RunConfig built directly or by replace obeys the rules parse_config
+    applies, every broken rule named by its field path."""
+    with pytest.raises(ConfigError) as exc:
+        build()
+    assert all(path in str(exc.value) for path in paths)
 
 
 def test_custom_bm_equivalent_runs_full_suite():
@@ -518,6 +539,13 @@ def test_cli_verify_non_finite_config_exits_two(tmp_path, capsys):
     assert out.out == "" and "sampling.y_max: must be finite" in out.err
 
 
+@pytest.mark.parametrize("option,value,path", [("--seed", "-1", "sampling.seed"), ("--samples", "0", "sampling.samples")])
+def test_cli_verify_refuses_a_bad_override_by_field_path(option, value, path, capsys):
+    assert cli.main(["verify", option, value]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"{path}: must be" in out.err
+
+
 def test_cli_verify_bm_exits_one_and_is_deterministic(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(MINIMAL)
@@ -642,3 +670,20 @@ def test_cli_sweep_and_report(tmp_path):
 def test_cli_report_missing_file():
     out = _cli("report", "--input", "/nonexistent/report.json")
     assert out.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"overall_pass": True, "reports": [{"pass": True, "samples": 1, "max_abs_err": 0.0, "max_rel_err": 0.0}]},
+        [{"check_name": "metric/inverse-pair"}],
+        {"overall_pass": True, "reports": ["metric/inverse-pair"]},
+    ],
+    ids=["entry-without-check-name", "top-level-list", "entry-not-an-object"],
+)
+def test_cli_report_refuses_a_malformed_document(doc, tmp_path, capsys):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["report", "--input", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("cannot read report: ")

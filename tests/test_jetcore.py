@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from jetbm import (
     JetPoint,
     QuarticTensor,
     Taylor2,
+    TimeAxis,
     TimeMetric,
     taylor2_seed,
 )
@@ -68,6 +71,62 @@ def test_derivatives_match_finite_differences(families, rng):
             fd2 = (tm.eval(t + h2).h11 - 2 * v.h11 + tm.eval(t - h2).h11) / h2**2
             assert max_rel(v.dh11, fd1) <= 1e-6 or abs(v.dh11 - fd1) <= 1e-8
             assert max_rel(v.d2h11, fd2) <= 1e-5 or abs(v.d2h11 - fd2) <= 1e-6
+
+
+def _one_point(tm: TimeMetric, t: float) -> tuple:
+    """(t, h_11, h^11, h_11', h_11'', kappa, kappa') at one float t by the plain
+    float formulas; exp is numpy's, the function the family is defined with
+    (the C library's exp rounds differently on some hosts)."""
+    if tm.family == "constant":
+        h, dh, d2h = tm.c, 0.0, 0.0
+    elif tm.family == "exponential":
+        h = tm.c * float(np.exp(tm.lam * t))
+        dh = tm.lam * h
+        d2h = tm.lam * tm.lam * h
+    else:
+        u = 1.0 + t * t
+        h = u**tm.a
+        dh = 2.0 * tm.a * t * u ** (tm.a - 1.0)
+        d2h = 2.0 * tm.a * u ** (tm.a - 1.0) + 4.0 * tm.a * (tm.a - 1.0) * t * t * u ** (tm.a - 2.0)
+    h_inv = 1.0 / h
+    return (t, h, h_inv, dh, d2h, 0.5 * h_inv * dh, 0.5 * d2h / h - 0.5 * (dh / h) ** 2)
+
+
+def _random_family(family: str, rng) -> TimeMetric:
+    if family == "constant":
+        return TimeMetric.constant(float(np.exp(rng.uniform(-2, 2))))
+    if family == "exponential":
+        return TimeMetric.exponential(float(np.exp(rng.uniform(-2, 2))), float(rng.uniform(-2.5, 2.5)))
+    return TimeMetric.power(float(rng.uniform(-3, 3)))
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("size", [1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("family", ["constant", "exponential", "power"])
+def test_eval_over_a_batch_is_the_one_point_formulas(family, size, rng):
+    """TimeMetric.eval over t of shape (N,) equals the plain float formulas at
+    each t bit for bit, kappa and kappa' included."""
+    for _ in range(5):
+        tm = _random_family(family, rng)
+        ts = rng.uniform(-3, 3, size)
+        ax = tm.eval(ts)
+        got = np.stack([getattr(ax, f.name) for f in fields(TimeAxis)], axis=1)
+        assert got.shape == (size, 7)
+        want = [_one_point(tm, t) for t in ts.tolist()]
+        np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=repr(tm))
+
+
+@pytest.mark.parametrize("family", ["constant", "exponential", "power"])
+def test_eval_at_a_float_gives_floats(family, rng):
+    tm = _random_family(family, rng)
+    t = float(rng.uniform(-3, 3))
+    ax = tm.eval(t)
+    got = tuple(getattr(ax, f.name) for f in fields(TimeAxis))
+    assert all(type(v) is float for v in got)
+    np.testing.assert_array_equal(_bits(got), _bits(_one_point(tm, t)))
 
 
 # -- jet points --------------------------------------------------------------

@@ -147,19 +147,22 @@ def xi_11(tm: TimeMetric, t, k: float):
     return _xi(ax.h11, ax.kappa, k)
 
 
-def _s_source(geo: Geometry):
+def _s_source(geo: Metric):
     """Ricci table and its g-raising feeding the block formulas.
 
-    Berwald-Moor tensors use the closed field-theory table; custom tensors
-    fall back to the honest contraction of the generic pipeline.
+    Berwald-Moor tensors use the closed field-theory table, read from y
+    alone; custom tensors fall back to the honest contraction of the generic
+    pipeline, which only a full-stage ``Geometry`` holds.
     """
     if geo.tensor.is_berwald_moor:
         return bm_s_ricci_field(geo.y), bm_s_raised_field(geo.y)
     return geo.s_ricci, geo.s_raised
 
 
-def einstein_blocks_of(geo: Geometry, k: float) -> EinsteinBlocks:
+def einstein_blocks_of(geo: Metric, k: float) -> EinsteinBlocks:
     """Stress-energy blocks of the local Einstein equations over the batch.
+    On Berwald-Moor they read only the metric stage; a custom tensor's read
+    the Ricci contraction of the full stage (``Geometry``).
 
     T_11 = xi h_11 / sqrt(G_1111)
     T_ij = (kappa^2 / 9K) S_(i)(j) + (xi / sqrt(G_1111)) g_ij
@@ -216,14 +219,15 @@ def t2_divergence(table, coef: np.ndarray) -> np.ndarray:
     return np.stack([sum(table[m][i].grad[..., m] * coef[m, i] for m in range(DIM)) for i in range(DIM)], axis=-1)
 
 
-def conservation_residuals_of(geo: Geometry, k: float) -> ConservationResiduals:
+def conservation_residuals_of(geo: Connection, k: float) -> ConservationResiduals:
     """Divergence combinations of the stress-energy components versus their
     closed right-hand sides, over the batch.
 
     For Berwald-Moor tensors the reduced covariant forms are differentiated
     exactly (Taylor2), and the C- and L-terms the reduction drops are checked
-    to vanish.  Custom tensors use the unreduced definitions with central
-    finite differences.
+    to vanish; they read only the connection stage.  Custom tensors use the
+    unreduced definitions with central finite differences, whose blocks read
+    the Ricci contraction of the full stage (``Geometry``).
     """
     xi = _xi(geo.h11, geo.kappa, k)
     dxi = (9.0 * geo.dh11 + 2.0 * geo.kappa * geo.dkappa) / (2.0 * k)
@@ -261,7 +265,7 @@ def conservation_residuals(G: QuarticTensor, tm: TimeMetric, p: JetPoint, k: flo
     return take(conservation_residuals_of(point_geometry(G, tm, p), k), 0)
 
 
-def _divergences_reduced(geo: Geometry, k: float, xi, dxi):
+def _divergences_reduced(geo: Metric, k: float, xi, dxi):
     """Reduced covariant divergences of the Berwald-Moor blocks over the batch,
     on one batched exact Taylor2 raised table."""
     table, inv_sq = t2_raised_table(geo.y)
@@ -279,7 +283,7 @@ def _divergences_reduced(geo: Geometry, k: float, xi, dxi):
     return t1, ti, tyi
 
 
-def _guard_reduction_terms(geo: Geometry, blocks: EinsteinBlocks):
+def _guard_reduction_terms(geo: Connection, blocks: EinsteinBlocks):
     """The reduced divergence forms drop C/L contraction terms; they vanish
     through the trace-free property of C and the raised-orthogonality
     identity, which is what this guard pins down."""

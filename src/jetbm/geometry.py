@@ -13,17 +13,19 @@ objects of the chain:
   y-derivative tables of g and the Cartan connection C^i_j(k), L^i_jk and
   G^k_j1;
 * the full stage (``Geometry``, ``batches``, ``geometry``,
-  ``point_geometry``): the connection stage, then dC, the torsions, the
-  curvature d-tensors and the Ricci data.
+  ``point_geometry``): the connection stage, then the torsions, the
+  curvature d-tensors (from dC, which the bundle does not keep) and the
+  Ricci data.
 
 Each reader builds the shallowest stage that holds what it reads: readers of
 g, g^-1 and the G-hierarchy alone (the metric pair, the gravitational
-potential, the gscalars and metric_taylor checks) build the metric stage;
-readers of the connection alone (the Cartan connection, the
-electromagnetic 2-form, the cartan and field_misc checks) the connection
-stage; every other reader the full one.  A ``Geometry`` is a ``Connection``
-and a ``Connection`` is a ``Metric``, and a field shared by two stages comes
-from the same lines in both.
+potential, the gscalars and metric_taylor checks, and the einstein checks on
+Berwald-Moor, whose blocks read the closed field table) build the metric
+stage; readers of the connection alone (the Cartan connection, the
+electromagnetic 2-form, the cartan, field_misc, conservation and decay
+checks) the connection stage; every other reader the full one.  A
+``Geometry`` is a ``Connection`` and a ``Connection`` is a ``Metric``, and a
+field shared by two stages comes from the same lines in both.
 
 The hierarchy is closed under differentiation,
     d G_1111 / dy^k = G_k111,   d G_i111 / dy^k = G_ik11,
@@ -67,10 +69,13 @@ __all__ = [
     "take",
 ]
 
-# points per chunk: each 5-index table holds 256 doubles per point, so a
-# small chunk keeps the process's peak memory where the per-point code had it,
-# while a chunk still amortises numpy's per-call overhead
-CHUNK = 32
+# points per chunk: a chunk amortises numpy's per-call overhead, and each
+# curvature-sized table holds 256 doubles (2 KiB) per point, so the chunk
+# also bounds the kernel's working memory.  One 64-point full-stage chunk
+# peaks at about 1.1 MiB of numpy allocations (tracemalloc, numpy 2.4); with
+# G_ijkl copied per point, dC kept and no in-place sums, a 32-point chunk
+# peaked at 0.85 MiB and a 64-point one at 1.7 MiB
+CHUNK = 64
 
 _SINGULAR_RTOL = 1e-12
 _DEGENERATE_RTOL = 1e-12
@@ -157,14 +162,12 @@ class Geometry(Connection):
     points: the connection stage plus the tables built on it.
 
     Index conventions (after the batch axis), besides the connection's:
-        dc[i,j,k,n] = dC^i_j(k)/dy^n
         p_mixed[k,i,j] = P^(k)(1)_(1)i(j),  p_vert[k,i,j] = P^k(1)_i(j),  r_time[k,j] = R^(k)_(1)1j
         r_curv, p_curv, s_curv [l,i,j,k] = R^l_ijk, P^l_ij(k), S^l_i(j)(k)
         r_ij = R^m_ijm,  p_ricci = P^m_ij(m),  s_ricci = S^m_i(j)(m),  s_raised = g^mr s_ricci[r,i]
         sc = g^pq r_pq + h11 g^pq s_ricci_pq
     """
 
-    dc: np.ndarray
     p_mixed: np.ndarray
     p_vert: np.ndarray
     r_time: np.ndarray
@@ -253,15 +256,13 @@ def g_hierarchy(G: QuarticTensor, y: np.ndarray) -> GScalars:
     inv = np.linalg.inv(gij11)
     inv = 0.5 * (inv + inv.swapaxes(-1, -2))
     gj_up = (inv @ gi111[..., None])[..., 0]
-    gijkl = 24.0 * D
-    if y.ndim == 2:  # one copy per point, like every other batched field
-        gijkl = np.repeat(gijkl[None], len(y), axis=0)
     return GScalars(
         g1111=quartic_form(G, y),
         gi111=gi111,
         gij11=gij11,
         gijk1=24.0 * np.einsum("ijkp,...p->...ijk", D, y),
-        gijkl=gijkl,
+        # the constant 24 G_ijkl, one read-only zero-stride view over the batch
+        gijkl=np.broadcast_to(24.0 * D, y.shape[:-1] + D.shape),
         gij11_inv=inv,
         det_gij11=det,
         g_script=0.5 * (gi111[..., None, :] @ inv @ gi111[..., :, None])[..., 0, 0],
@@ -411,11 +412,16 @@ def _geometry(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) ->
     kappa, dkappa, h11, g_up = cn.kappa, cn.dkappa, cn.h11, cn.g_up
     t3, t4, c, l = cn.t3, cn.t4, cn.c, cn.l
 
-    # dC^i_j(k)/dy^n from dg^im/dy^n = -g^ia (dg_ab/dy^n) g^bm; dL = (kappa/3) dC
+    # dC^i_j(k)/dy^n from dg^im/dy^n = -g^ia (dg_ab/dy^n) g^bm; dL = (kappa/3) dC.
+    # The 5-index sums run in place and left to right as written (a sum of
+    # two terms may start from either, since IEEE addition commutes), and a
+    # temporary is dropped once its last reader ran
     k3 = (kappa / 3.0)[:, None, None, None]
     k3_5 = k3[..., None]
     dgu = -np.einsum("xia,xabn,xbm->ximn", g_up, t3, g_up)
-    dc = 0.5 * (np.einsum("ximn,xjmk->xijkn", dgu, t3) + np.einsum("xim,xjmkn->xijkn", g_up, t4))
+    dc = np.einsum("ximn,xjmk->xijkn", dgu, t3)
+    dc += np.einsum("xim,xjmkn->xijkn", g_up, t4)
+    dc *= 0.5
     dl = k3_5 * dc
 
     # torsions
@@ -425,18 +431,22 @@ def _geometry(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) ->
     _guard_torsions(p_mixed, c, r_time, kappa, dkappa, y)
 
     # curvatures; S and R are exactly antisymmetric in (j,k) (X minus its swap)
-    x = dc + np.einsum("xmij,xlmk->xlijk", c, c)
+    x = np.einsum("xmij,xlmk->xlijk", c, c)
+    x += dc
     s_curv = x - x.swapaxes(3, 4)
-    x = k3_5 * dl + np.einsum("xmij,xlmk->xlijk", l, l)
+    x = k3_5 * dl
+    x += np.einsum("xmij,xlmk->xlijk", l, l)
     r_curv = x - x.swapaxes(3, 4)
+    del x
     c_mixed = -k3 * c  # torsion P^(m)(1)_(1)j(k) arranged [m,j,k]
-    cov = (
-        k3_5 * dc.swapaxes(3, 4)  # delta C^l_i(k) / delta x^j
-        + np.einsum("xmik,xlmj->xlijk", c, l)
-        - np.einsum("xlmk,xmij->xlijk", c, l)
-        - np.einsum("xlim,xmkj->xlijk", c, l)
-    )
-    p_curv = dl - cov + np.einsum("xlim,xmjk->xlijk", c, c_mixed)
+    cov = k3_5 * dc.swapaxes(3, 4)  # delta C^l_i(k) / delta x^j
+    del dc
+    cov += np.einsum("xmik,xlmj->xlijk", c, l)
+    cov -= np.einsum("xlmk,xmij->xlijk", c, l)
+    cov -= np.einsum("xlim,xmkj->xlijk", c, l)
+    p_curv = np.subtract(dl, cov, out=cov)
+    del dl
+    p_curv += np.einsum("xlim,xmjk->xlijk", c, c_mixed)
 
     # Ricci contractions, raised vertical Ricci and the scalar curvature
     r_ij = np.einsum("xmijm->xij", r_curv)
@@ -448,7 +458,6 @@ def _geometry(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) ->
     return _frozen(
         Geometry(
             **{f.name: getattr(cn, f.name) for f in fields(Connection)},
-            dc=dc,
             p_mixed=p_mixed,
             p_vert=c,
             r_time=r_time,

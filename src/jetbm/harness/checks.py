@@ -14,7 +14,7 @@ error accumulator per declared check, skips a group whose every check is
 (``VerificationReport.from_errors``).  Output is therefore deterministic for
 a fixed (config, seed) regardless of evaluation schedule.  A group's point
 count is a fraction of the samples, except decay's, which is its four fixed
-rays in one bundle; decay reads its rays, not the drawn points.
+rays in one chunk; decay reads its rays, not the drawn points.
 
 The generic objects of a group come from geometry bundles over its points,
 one CHUNK at a time, checked with array operations; the Taylor2 oracles run
@@ -22,11 +22,16 @@ batched over the same chunks.  Each group builds the shallowest kernel stage
 that holds what it reads:
 
 * gscalars and metric_taylor read only g, g^-1 and the G-hierarchy, and
-  build the metric stage (``metric_batches``);
+  build the metric stage (``metric_batches``); so does einstein on
+  Berwald-Moor, whose blocks read the closed field table in place of the
+  Ricci contraction;
 * cartan and field_misc read only C, L, G^k_j1, g, y and the time axis, and
-  build the connection stage (``connection_batches``);
-* curvature, ricci, einstein, conservation and decay build the full stage
-  (``batches``, ``geometry``);
+  build the connection stage (``connection_batches``); so do conservation
+  and decay, which run on Berwald-Moor alone and whose reduced divergences
+  read C besides the metric stage;
+* curvature and ricci build the full stage (``batches``), and so does
+  einstein on a custom tensor, whose blocks read the honest contraction
+  S^m_i(j)(m);
 * connection reads the time axis alone (``TimeMetric.eval`` over all its
   t) and builds the nonlinear connections and adapted frames over all its
   points at once;
@@ -60,7 +65,6 @@ from ..geometry import (
     batches,
     connection_batches,
     g_hierarchy,
-    geometry,
     metric_batches,
     quartic_form,
     take,
@@ -291,7 +295,10 @@ def _grp_ricci(cfg, t, ys, closed_form, offdiag, diag, raised_field, curl, div_f
 
 
 def _grp_einstein(cfg, t, ys, zeros, sym, raised):
-    for geo in batches(cfg.tensor, cfg.time_metric, t, ys):
+    # the Berwald-Moor blocks read the closed field table, a custom tensor's
+    # the honest contraction S^m_i(j)(m) of the full stage
+    stage = metric_batches if cfg.tensor.is_berwald_moor else batches
+    for geo in stage(cfg.tensor, cfg.time_metric, t, ys):
         b = fieldtheory.einstein_blocks_of(geo, cfg.einstein_k)
         g_up = geo.g_up
         h11 = geo.h11[:, None, None]
@@ -312,7 +319,9 @@ def _residual_norm(res):
 
 
 def _grp_conservation(cfg, t, ys, closed, nonzero):
-    for geo in batches(cfg.tensor, cfg.time_metric, t, ys):
+    # every check is bm_only, so the group runs on Berwald-Moor alone, where
+    # the reduced divergences read no table past the connection stage
+    for geo in connection_batches(cfg.tensor, cfg.time_metric, t, ys):
         res = fieldtheory.conservation_residuals_of(geo, cfg.einstein_k)
         closed.add(res.t1, res.closed_t1)
         closed.add(res.ti, res.closed_ti)
@@ -331,7 +340,7 @@ def _grp_decay(cfg, _t, _ys, err):
     t_ref = 0.5 * (cfg.t_min + cfg.t_max)
     scales = _DECAY_SCALES
     ys = np.array(scales + (1.0,))[:, None] * np.ones(DIM)
-    geo = geometry(cfg.tensor, cfg.time_metric, np.full(len(ys), t_ref), ys)
+    (geo,) = connection_batches(cfg.tensor, cfg.time_metric, np.full(len(ys), t_ref), ys)
     res = fieldtheory.conservation_residuals_of(geo, cfg.einstein_k)
     *rays, base = (take(res, i) for i in range(len(ys)))
     measured = [_residual_norm(ray) for ray in rays]
@@ -689,9 +698,17 @@ def sweep(cfg: RunConfig, field: str, grid) -> list[dict]:
     return [{**dict(zip(names, point)), field: v} for point, v in zip(points.tolist(), values.tolist())]
 
 
+def _repr_column(values: list[float]) -> list[str]:
+    """repr of each float, taken once per distinct value; the values are told
+    apart by their bits, since -0.0 == 0.0 but their reprs differ."""
+    bits, where = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+    return text[where].tolist()
+
+
 def sweep_csv(rows: list[dict], field: str, axes: list[str]) -> str:
-    header = ",".join(axes + [field])
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(repr(row[a]) for a in axes) + "," + repr(row[field]))
-    return "\n".join(lines) + "\n"
+    """The rows of ``sweep`` as CSV, one column of reprs at a time: a grid
+    axis repeats few distinct values, so each is formatted once."""
+    cols = [_repr_column([row[a] for row in rows]) for a in axes]
+    cols.append([repr(row[field]) for row in rows])
+    return "\n".join([",".join(axes + [field]), *map(",".join, zip(*cols))]) + "\n"

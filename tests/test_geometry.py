@@ -200,9 +200,10 @@ def _deeper_stage_built(*args):
 def test_metric_readers_never_build_the_derivative_tables(monkeypatch):
     """Readers build no stage deeper than they read, and give what the full
     bundle gives.  With the derivative-table jet broken, metric_pair,
-    grav_potential and the gscalars and metric_taylor verify groups still
-    run; with the full stage broken, cartan_connection, em_form and the
-    connection, cartan and field_misc verify groups still run."""
+    grav_potential and the gscalars, metric_taylor and (on Berwald-Moor)
+    einstein verify groups still run; with the full stage broken,
+    cartan_connection, em_form and the connection, cartan, field_misc and
+    (on Berwald-Moor) conservation and decay verify groups still run."""
     bm = QuarticTensor.berwald_moor()
     p = JetPoint.from_y([1.0, 2.0, 3.0, 4.0], t=0.3)
     full = point_geometry(bm, EXP, p)
@@ -221,14 +222,14 @@ def test_metric_readers_never_build_the_derivative_tables(monkeypatch):
     cases = [
         (
             "_metric_jet",
-            ("gscalars", "metric_taylor"),
+            ("gscalars", "metric_taylor", "einstein"),
             "metric_batches",
             metric_readers,
             [full.g_lo[0], full.g_up[0], potential.tt_block, potential.xx_block, potential.yy_block],
         ),
         (
             "_geometry",
-            ("connection", "cartan", "field_misc"),
+            ("connection", "cartan", "field_misc", "conservation", "decay"),
             "connection_batches",
             connection_readers,
             [full.kappa[0], full.gk[0], full.l[0], full.c[0], take(em_form_of(full), 0).f],
@@ -249,6 +250,34 @@ def test_metric_readers_never_build_the_derivative_tables(monkeypatch):
             for got, want in zip(readers(), values, strict=True):
                 np.testing.assert_array_equal(got, want, err_msg=broken)
             assert [r.to_dict() for r in checks.run_verify(cfg).reports] == expected
+
+
+def test_custom_einstein_reads_the_full_stage(monkeypatch):
+    """A custom tensor's Einstein blocks read the honest contraction
+    S^m_i(j)(m), so its einstein group builds the full stage and reports
+    what it reports over full bundles alone."""
+    cfg = RunConfig(tensor=CUSTOM_OTHER, time_metric=EXP, seed=5, samples=2 * CHUNK + 6)
+    monkeypatch.setattr(checks, "_CATALOG", tuple(g for g in checks._CATALOG if g.name == "einstein"))
+    with monkeypatch.context() as full_path:
+        full_path.setattr(checks, "metric_batches", batches)
+        expected = [r.to_dict() for r in checks.run_verify(cfg).reports]
+    assert [r.to_dict() for r in checks.run_verify(cfg).reports] == expected
+    monkeypatch.setattr(kernel, "_geometry", _deeper_stage_built)
+    with pytest.raises(RuntimeError):
+        checks.run_verify(cfg)
+
+
+def test_take_and_concat_keep_the_constant_fourth_level(rng):
+    """G_ijkl is one zero-stride view of 24 G_ijkl over a chunk; a point
+    sliced from a chunk or from joined chunks holds 24 G_ijkl."""
+    ys = cone_points(rng, CHUNK + 5)
+    parts = list(metric_batches(CUSTOM_OTHER, EXP, np.zeros(len(ys)), ys))
+    assert parts[0].scalars.gijkl.strides[0] == 0
+    joined = kernel._concat(parts)
+    assert joined.scalars.gijkl.shape == (len(ys),) + (4,) * 4
+    for bundle in (*parts, joined, geometry(CUSTOM_OTHER, EXP, np.zeros(len(ys)), ys)):
+        for n in (0, len(bundle) - 1):
+            np.testing.assert_array_equal(take(bundle, n).scalars.gijkl, 24.0 * CUSTOM_OTHER.dense)
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from jetbm import (
 )
 from jetbm import fieldtheory
 from jetbm.fieldtheory import closed_rhs_of
+import jetbm.geometry as kernel
 from jetbm.geometry import CHUNK, point_metric
 from jetbm.harness import checks as verify_checks
 from jetbm.harness import cli, parse_config, parse_grid, run_verify, sweep
@@ -451,11 +452,11 @@ def _field_at(cfg, field, t, y):
 @pytest.mark.parametrize("tm", SWEEP_TIME_METRICS, ids=lambda tm: tm.family)
 @pytest.mark.parametrize("field", SWEEP_FIELDS)
 def test_sweep_rows_equal_the_field_layer_bit_for_bit(field, tm):
-    """A grid of 3 x 5 x 3 rows spans two kernel chunks; every row is the
-    field-layer function at its point, to the last bit."""
+    """A grid of 3 x 5 x 9 rows spans more than one kernel chunk; every row
+    is the field-layer function at its point, to the last bit."""
     cfg = RunConfig(time_metric=tm, einstein_k=0.7)
-    rows = sweep(cfg, field, "t=-0.9:0.8:3,s=0.5:3:5,y2=0.2:7:3")
-    assert len(rows) == 45 > CHUNK
+    rows = sweep(cfg, field, "t=-0.9:0.8:3,s=0.5:3:5,y2=0.2:7:9")
+    assert len(rows) == 135 > CHUNK
     for row in rows:
         y = row["s"] * np.ones(4)
         y[1] = row["y2"]
@@ -469,6 +470,59 @@ def test_sweep_csv_roundtrip():
     lines = text.strip().splitlines()
     assert lines[0] == "s,Tyi"
     assert float(lines[1].split(",")[1]) == pytest.approx(0.75)
+
+
+def _per_row_csv(rows, field, axes):
+    """The plain writer: every value of every row through repr."""
+    lines = [",".join(axes + [field])]
+    lines.extend(",".join(repr(row[a]) for a in axes) + "," + repr(row[field]) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        "t=-0:0:2,s=1:2:3",
+        [("t", [-0.0, 0.0, -0.0]), ("s", [1.0, 2.0])],
+        "t=-0.9:0.8:3,s=0.5:3:5,y2=0.2:7:9",
+    ],
+    ids=["zero-span", "signed-zeros", "three-axes"],
+)
+def test_sweep_csv_is_the_per_row_repr_writer(grid):
+    """The column writer formats each distinct axis value once, yet writes
+    the bytes of the per-row repr writer; -0.0 and 0.0 keep their own reprs."""
+    rows = sweep(parse_config(MINIMAL), "Sc", grid)
+    axes = [name for name, _ in (parse_grid(grid) if isinstance(grid, str) else grid)]
+    text = sweep_csv(rows, "Sc", axes)
+    assert text == _per_row_csv(rows, "Sc", axes)
+    if not isinstance(grid, str):
+        assert [line.split(",")[0] for line in text.splitlines()[1::2]] == ["-0.0", "0.0", "-0.0"]
+
+
+_CUSTOM_INI = Path(__file__).resolve().parents[1] / "benchmarks" / "custom.ini"
+
+
+@pytest.mark.parametrize("config", ["bm-exponential", "custom.ini"])
+def test_chunk_size_moves_no_digit(config, monkeypatch):
+    """The verify document and the sweep rows are byte-identical over chunks
+    of 32 points and of CHUNK: a point's results do not depend on its batch,
+    and the error accumulators fold maxima.  The exponential time metric has
+    kappa != 0, so L^i_jk and G^k_j1 show."""
+    if config == "custom.ini":
+        cfg = parse_config(_CUSTOM_INI.read_text())
+    else:
+        cfg = RunConfig(time_metric=TimeMetric.exponential(1.0, 1.0))
+    cfg = replace(cfg, samples=2 * CHUNK + 6, seed=3)
+    fields = SWEEP_FIELDS if cfg.tensor.is_berwald_moor else ("G1111",)
+    runs = []
+    for chunk in (32, CHUNK):
+        monkeypatch.setattr(kernel, "CHUNK", chunk)
+        monkeypatch.setattr(verify_checks, "CHUNK", chunk)
+        rows = [sweep(cfg, field, "t=-0.9:0.8:3,s=0.5:3:5,y2=0.2:7:9") for field in fields]
+        assert len(rows[0]) > 2 * CHUNK
+        runs.append((run_verify(cfg).to_json(), repr(rows)))
+    assert CHUNK != 32
+    assert runs[0] == runs[1]
 
 
 # -- CLI --------------------------------------------------------------------------

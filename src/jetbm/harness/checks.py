@@ -710,5 +710,5 @@ def sweep_csv(rows: list[dict], field: str, axes: list[str]) -> str:
     """The rows of ``sweep`` as CSV, one column of reprs at a time: a grid
     axis repeats few distinct values, so each is formatted once."""
     cols = [_repr_column([row[a] for row in rows]) for a in axes]
-    cols.append([repr(row[field]) for row in rows])
-    return "\n".join([",".join(axes + [field]), *map(",".join, zip(*cols))]) + "\n"
+    values = (repr(row[field]) for row in rows)  # one row's text alive at a time
+    return "\n".join([",".join(axes + [field]), *map(",".join, zip(*cols, values))]) + "\n"

@@ -698,6 +698,9 @@ def sweep(cfg: RunConfig, field: str, grid) -> list[dict]:
     return [{**dict(zip(names, point)), field: v} for point, v in zip(points.tolist(), values.tolist())]
 
 
+_CSV_BLOCK = 4096  # rows per block of the CSV writer
+
+
 def _repr_column(values: list[float]) -> list[str]:
     """repr of each float, taken once per distinct value; the values are told
     apart by their bits, since -0.0 == 0.0 but their reprs differ."""
@@ -708,7 +711,12 @@ def _repr_column(values: list[float]) -> list[str]:
 
 def sweep_csv(rows: list[dict], field: str, axes: list[str]) -> str:
     """The rows of ``sweep`` as CSV, one column of reprs at a time: a grid
-    axis repeats few distinct values, so each is formatted once."""
-    cols = [_repr_column([row[a] for row in rows]) for a in axes]
-    values = (repr(row[field]) for row in rows)  # one row's text alive at a time
-    return "\n".join([",".join(axes + [field]), *map(",".join, zip(*cols, values))]) + "\n"
+    axis repeats few distinct values, so each is formatted once per block of
+    rows.  A block's columns and lines are dropped once it is joined, which
+    keeps the writer's peak memory below that of one string per row."""
+    text = [",".join(axes + [field])]
+    for lo in range(0, len(rows), _CSV_BLOCK):
+        block = rows[lo : lo + _CSV_BLOCK]
+        cols = [_repr_column([row[a] for row in block]) for a in axes]
+        text.append("\n".join(map(",".join, zip(*cols, (repr(row[field]) for row in block)))))
+    return "\n".join(text) + "\n"

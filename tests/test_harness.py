@@ -488,9 +488,11 @@ def _per_row_csv(rows, field, axes):
     ],
     ids=["zero-span", "signed-zeros", "three-axes"],
 )
-def test_sweep_csv_is_the_per_row_repr_writer(grid):
-    """The column writer formats each distinct axis value once, yet writes
-    the bytes of the per-row repr writer; -0.0 and 0.0 keep their own reprs."""
+def test_sweep_csv_is_the_per_row_repr_writer(grid, monkeypatch):
+    """The column writer formats each distinct axis value once per block of
+    rows, yet writes the bytes of the per-row repr writer, across block
+    boundaries too; -0.0 and 0.0 keep their own reprs."""
+    monkeypatch.setattr(verify_checks, "_CSV_BLOCK", 4)
     rows = sweep(parse_config(MINIMAL), "Sc", grid)
     axes = [name for name, _ in (parse_grid(grid) if isinstance(grid, str) else grid)]
     text = sweep_csv(rows, "Sc", axes)

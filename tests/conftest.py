@@ -2,6 +2,12 @@ import numpy as np
 import pytest
 
 from jetbm import QuarticTensor, TimeMetric
+from jetbm.geometry import CHUNK
+
+# batch sizes of the tests that a point computes the same alone and in a
+# batch: one point, part of a chunk (even and odd), a whole chunk, and one
+# point past it
+BATCH_SIZES = (1, CHUNK // 2, CHUNK // 2 + 1, CHUNK, CHUNK + 1)
 
 
 @pytest.fixture

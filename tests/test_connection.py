@@ -15,9 +15,7 @@ from jetbm import (
     christoffel_time,
 )
 
-from jetbm.geometry import CHUNK
-
-from conftest import cone_points, max_rel
+from conftest import BATCH_SIZES, cone_points, max_rel
 
 
 # -- Christoffel symbol of h_11 ----------------------------------------------
@@ -100,7 +98,7 @@ def test_frame_coframe_duality(families, rng):
                 np.testing.assert_allclose(F @ C.T, np.eye(9), atol=1e-12)
 
 
-@pytest.mark.parametrize("size", [1, CHUNK + 1])
+@pytest.mark.parametrize("size", BATCH_SIZES)
 @pytest.mark.parametrize(
     "tm",
     [TimeMetric.constant(1.7), TimeMetric.exponential(0.8, 1.3), TimeMetric.power(-1.3)],

@@ -26,9 +26,9 @@ from jetbm.fieldtheory import (
     t2_divergence,
     t2_raised_table,
 )
-from jetbm.geometry import CHUNK, geometry
+from jetbm.geometry import geometry
 
-from conftest import assert_close, cone_points, max_rel
+from conftest import BATCH_SIZES, assert_close, cone_points, max_rel
 
 CONST = TimeMetric.constant(1.0)
 EXP = TimeMetric.exponential(1.0, 1.0)
@@ -296,7 +296,7 @@ def test_batched_field_layer_equals_per_point(G, rng):
         np.testing.assert_array_equal(em.f[n], em_form(G, EXP, p).f)
 
 
-@pytest.mark.parametrize("size", [1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("size", BATCH_SIZES)
 def test_batched_raised_table_is_the_per_entry_division(size, rng):
     """The hoisted batched table equals s[m] / s[i] / sqrt(G) computed at
     each point on its own, bit for bit, and so do its divergences."""
@@ -318,7 +318,7 @@ def test_batched_raised_table_is_the_per_entry_division(size, rng):
             np.testing.assert_array_equal(t2_divergence(table, coef)[n], t2_divergence(one, coef))
 
 
-@pytest.mark.parametrize("size", [1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("size", BATCH_SIZES)
 def test_bm_conservation_point_alone_equals_point_in_batch(bm, size, rng):
     ys = cone_points(rng, size)
     ts = rng.uniform(-1, 1, size)

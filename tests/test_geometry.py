@@ -42,7 +42,7 @@ from jetbm.geometry import (
 from jetbm.harness import checks
 from jetbm.harness.config import RunConfig
 
-from conftest import cone_points
+from conftest import BATCH_SIZES, cone_points
 
 EXP = TimeMetric.exponential(1.0, 1.0)
 # the custom tensor of tests/test_harness.py::CUSTOM_OTHER
@@ -103,7 +103,7 @@ def _assert_point_equal(batch, n, one):
             np.testing.assert_array_equal(a[n], b[0], err_msg=f.name)
 
 
-@pytest.mark.parametrize("size", [1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("size", BATCH_SIZES)
 def test_point_is_bit_identical_alone_and_in_a_batch(size, rng):
     ys = cone_points(rng, size, lo=0.7, hi=1.4)
     ts = rng.uniform(-1, 1, size)
@@ -136,13 +136,13 @@ def _assert_stage_is_the_full_bundle(stage, cls, G, size, rng):
 
 
 @pytest.mark.parametrize("G", [QuarticTensor.berwald_moor(), CUSTOM_OTHER], ids=["berwald-moor", "custom-other"])
-@pytest.mark.parametrize("size", [1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("size", BATCH_SIZES)
 def test_metric_stage_is_bit_identical_to_the_full_bundle(G, size, rng):
     _assert_stage_is_the_full_bundle(metric_batches, Metric, G, size, rng)
 
 
 @pytest.mark.parametrize("G", [QuarticTensor.berwald_moor(), CUSTOM_OTHER], ids=["berwald-moor", "custom-other"])
-@pytest.mark.parametrize("size", [1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("size", BATCH_SIZES)
 def test_connection_stage_is_bit_identical_to_the_full_bundle(G, size, rng):
     _assert_stage_is_the_full_bundle(connection_batches, Connection, G, size, rng)
 

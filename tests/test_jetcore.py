@@ -19,7 +19,7 @@ from jetbm import (
 from jetbm.geometry import CHUNK
 from jetbm.harness.checks import VerificationReport
 
-from conftest import assert_close, cone_points, max_rel
+from conftest import BATCH_SIZES, assert_close, cone_points, max_rel
 
 cone_floats = st.floats(min_value=0.1, max_value=10.0, allow_nan=False)
 
@@ -104,7 +104,7 @@ def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.int64)
 
 
-@pytest.mark.parametrize("size", [1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("size", BATCH_SIZES)
 @pytest.mark.parametrize("family", ["constant", "exponential", "power"])
 def test_eval_over_a_batch_is_the_one_point_formulas(family, size, rng):
     """TimeMetric.eval over t of shape (N,) equals the plain float formulas at
@@ -335,7 +335,7 @@ def _compositions(s, c):
     }
 
 
-@pytest.mark.parametrize("size", [1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("size", BATCH_SIZES)
 def test_batched_rules_are_bit_identical_per_point(size, rng):
     ys = cone_points(rng, size)
     cs = rng.uniform(0.5, 3.0, size)

@@ -19,7 +19,10 @@ from one ``TimeMetric.eval`` over their t, as the kernel does per chunk.
 Each ``*_of`` function computes its objects over the whole batch of a
 bundle of the shallowest kernel stage that holds what it reads (metric,
 connection or full); the per-point functions read one point of an N = 1
-bundle of that stage.
+bundle of that stage.  Where that stage depends on the tensor (the Einstein
+blocks and the conservation residuals), ``einstein_batches`` and
+``conservation_batches`` choose it, for the per-point functions and the
+verify groups alike.
 """
 
 from dataclasses import dataclass
@@ -32,9 +35,11 @@ from .geometry import (
     Connection,
     Geometry,
     Metric,
+    batches,
+    connection_batches,
     geometry,
+    metric_batches,
     point_connection,
-    point_geometry,
     point_metric,
     take,
 )
@@ -55,6 +60,8 @@ __all__ = [
     "grav_potential_of",
     "einstein_blocks_of",
     "conservation_residuals_of",
+    "einstein_batches",
+    "conservation_batches",
     "closed_rhs_of",
     "em_form_of",
     "t2_raised_table",
@@ -194,9 +201,18 @@ def einstein_blocks_of(geo: Metric, k: float) -> EinsteinBlocks:
     )
 
 
+def einstein_batches(G: QuarticTensor, tm: TimeMetric, t, y):
+    """Bundles of the shallowest stage the Einstein blocks of G read, over the
+    chunks of ``batches``: the metric stage on Berwald-Moor, whose blocks read
+    the closed field table, and the full stage on a custom tensor, whose
+    blocks read the honest contraction S^m_i(j)(m)."""
+    return (metric_batches if G.is_berwald_moor else batches)(G, tm, t, y)
+
+
 def einstein_blocks(G: QuarticTensor, tm: TimeMetric, p: JetPoint, k: float) -> EinsteinBlocks:
     """Stress-energy blocks at one point (see ``einstein_blocks_of``)."""
-    return take(einstein_blocks_of(point_geometry(G, tm, p), k), 0)
+    (geo,) = einstein_batches(G, tm, [p.t], p.y)
+    return take(einstein_blocks_of(geo, k), 0)
 
 
 def t2_raised_table(y):
@@ -260,9 +276,18 @@ def closed_rhs_of(ax: TimeAxis, g1111, y, k: float) -> tuple[np.ndarray, np.ndar
     return t1, ti, tyi
 
 
+def conservation_batches(G: QuarticTensor, tm: TimeMetric, t, y):
+    """Bundles of the shallowest stage the conservation residuals of G read,
+    over the chunks of ``batches``: the connection stage on Berwald-Moor,
+    whose reduced divergences read C, and the full stage on a custom tensor,
+    whose unreduced divergences read the blocks' Ricci contraction."""
+    return (connection_batches if G.is_berwald_moor else batches)(G, tm, t, y)
+
+
 def conservation_residuals(G: QuarticTensor, tm: TimeMetric, p: JetPoint, k: float) -> ConservationResiduals:
     """Conservation residuals at one point (see ``conservation_residuals_of``)."""
-    return take(conservation_residuals_of(point_geometry(G, tm, p), k), 0)
+    (geo,) = conservation_batches(G, tm, [p.t], p.y)
+    return take(conservation_residuals_of(geo, k), 0)
 
 
 def _divergences_reduced(geo: Metric, k: float, xi, dxi):

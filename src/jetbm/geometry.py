@@ -80,18 +80,41 @@ CHUNK = 64
 _SINGULAR_RTOL = 1e-12
 _DEGENERATE_RTOL = 1e-12
 
-# canonical-representative maps for the totally symmetric derivative tables:
-# the flat index of each sorted triple (a, b, c) and of its swap (a, c, b),
-# and flat (j, m, k) -> flat index of sorted(j, m, k); likewise for quadruples
-_TRIPLES = np.array(list(combinations_with_replacement(range(DIM), 3))).T
-_QUADS = np.array(list(combinations_with_replacement(range(DIM), 4))).T
-_REP3 = np.ravel_multi_index(_TRIPLES, (DIM,) * 3)
-_SWAP3 = np.ravel_multi_index(_TRIPLES[[0, 2, 1]], (DIM,) * 3)
-_REP4 = np.ravel_multi_index(_QUADS, (DIM,) * 4)
-_SWAP4 = np.ravel_multi_index(_QUADS[[0, 2, 1, 3]], (DIM,) * 4)
-_CANON3 = np.ravel_multi_index(np.sort(np.indices((DIM,) * 3).reshape(3, -1), axis=0), (DIM,) * 3)
-_CANON4 = np.ravel_multi_index(np.sort(np.indices((DIM,) * 4).reshape(4, -1), axis=0), (DIM,) * 4)
+# The packed metric jet computes only the entries that the mixed-partial
+# guard and the canonical gather read: every sorted quadruple (a, b, c, d) and
+# every swap (a, c, b, d), once each (50 of the 256 Hessian entries).  Entry e
+# holds d g_ij/dy^k and d2 g_ij/dy^k dy^n at (i, j, k, n) = _ENTRIES[e]; the
+# first derivative of a sorted triple (a, b, c) and of its swap (a, c, b) is
+# read at (a, b, c, 3) and (a, c, b, 3).  _REP* and _SWAP* give the entry of
+# each sorted multi-index and of its swap, and _T3 and _T4 the entry of the
+# sorted multi-index of every flat (j, m, k) and (j, m, k, n)
+_QUADS = list(combinations_with_replacement(range(DIM), 4))
+_TRIPLES = list(combinations_with_replacement(range(DIM), 3))
+_ENTRIES = list(dict.fromkeys(_QUADS + [(a, c, b, d) for a, b, c, d in _QUADS]))
+_POS = {e: p for p, e in enumerate(_ENTRIES)}
+_REP3 = np.array([_POS[(a, b, c, DIM - 1)] for a, b, c in _TRIPLES])
+_SWAP3 = np.array([_POS[(a, c, b, DIM - 1)] for a, b, c in _TRIPLES])
+_REP4 = np.array([_POS[q] for q in _QUADS])
+_SWAP4 = np.array([_POS[(a, c, b, d)] for a, b, c, d in _QUADS])
+_T3 = np.array([_POS[(*sorted(ix), DIM - 1)] for ix in np.ndindex((DIM,) * 3)])
+_T4 = np.array([_POS[tuple(sorted(ix))] for ix in np.ndindex((DIM,) * 4)])
+# per entry, the flat indices into G_i111, G_ij11, G_ijk1 and G_ijkl of the
+# operands it reads, in the order _metric_jet unpacks them
+_I, _J, _K, _N = _IJKN = np.array(_ENTRIES).T
+
+
+def _flat(*ix) -> np.ndarray:
+    return np.ravel_multi_index(ix, (DIM,) * len(ix))
+
+
+_AT2 = np.stack([_flat(_K, _N), _flat(_I, _K), _flat(_I, _N), _flat(_J, _K), _flat(_J, _N), _flat(_I, _J)])
+_AT3 = np.stack([_flat(_I, _K, _N), _flat(_J, _K, _N), _flat(_I, _J, _K), _flat(_I, _J, _N)])
+_AT4 = _flat(_I, _J, _K, _N)
 _EYE = np.eye(DIM)
+# axis orders that read a table held as [x,l,k,i,j] as [x,l,i,j,k] and as
+# [x,l,i,k,j]
+_LIJK = (0, 1, 3, 4, 2)
+_LIKJ = (0, 1, 3, 2, 4)
 
 
 def check_cone(y) -> np.ndarray:
@@ -271,55 +294,55 @@ def g_hierarchy(G: QuarticTensor, y: np.ndarray) -> GScalars:
 
 
 # -- closed-form Taylor propagation ------------------------------------------
-# A jet is (value, gradient, Hessian) over the four fiber coordinates, with
-# the derivative axes trailing the value's own axes.
+# A jet is (value, d/dy^k, d/dy^n, d2/dy^k dy^n) at the packed entries
+# (i, j, k, n): arrays [e, x], or a value [x] broadcast over the entries.
 
 
 def _jet_mul(a, b):
-    av, ad, ah = a
-    bv, bd, bh = b
-    cross = ad[..., :, None] * bd[..., None, :]
-    return (
-        av * bv,
-        av[..., None] * bd + bv[..., None] * ad,
-        (av[..., None, None] * bh + bv[..., None, None] * ah) + (cross + cross.swapaxes(-1, -2)),
-    )
+    av, ak, an, ah = a
+    bv, bk, bn, bh = b
+    return av * bv, av * bk + bv * ak, av * bn + bv * an, (av * bh + bv * ah) + (ak * bn + an * bk)
 
 
 def _jet_chain(a, f0, f1, f2):
     """Compose the jet a with a scalar map given its value and first two derivatives."""
-    _, ad, ah = a
-    hess = f1[..., None, None] * ah + f2[..., None, None] * (ad[..., :, None] * ad[..., None, :])
-    return f0, f1[..., None] * ad, hess
+    _, ak, an, ah = a
+    return f0, f1 * ak, f1 * an, f1 * ah + f2 * (ak * an)
 
 
 def _metric_jet(s: GScalars):
-    """Value, gradient and Hessian of g_ij from the G-hierarchy, as arrays
-    [x,i,j], [x,i,j,k] and [x,i,j,k,n]."""
-    # the jets of G_1111, G_i111 and G_j111, broadcast over the (i, j) axes
-    g = s.g1111[:, None, None]
-    g_jet = (g, s.gi111[:, None, None, :], s.gij11[:, None, None, :, :])
-    pi_jet = (s.gi111[:, :, None], s.gij11[:, :, None, :], s.gijk1[:, :, None, :, :])
-    pj_jet = (s.gi111[:, None, :], s.gij11[:, None, :, :], s.gijk1[:, None, :, :, :])
+    """d g_ij/dy^k and d2 g_ij/dy^k dy^n at the packed entries (i, j, k, n) =
+    _ENTRIES[e], as arrays [e, x].  Each entry runs the product and chain
+    rules on its own index order, so a swap entry is computed, not copied."""
+    n = len(s.g1111)
+    gi, gj, gk, gn = s.gi111.T[_IJKN]
+    gkn, gik, gin, gjk, gjn, gij = s.gij11.reshape(n, -1).T[_AT2]
+    gikn, gjkn, gijk, gijn = s.gijk1.reshape(n, -1).T[_AT3]
+    gijkn = s.gijkl.reshape(n, -1).T[_AT4]
+    # the jets of G_1111, G_i111 and G_j111
+    g = s.g1111
+    g_jet = (g, gk, gn, gkn)
+    pi_jet = (gi, gik, gin, gikn)
+    pj_jet = (gj, gjk, gjn, gjkn)
     # 1/(2G) and 1/(4 sqrt(G)) with their first two derivatives in G
     r = np.sqrt(g)
     inv_2g = _jet_chain(g_jet, 0.5 / g, -0.5 / (g * g), 1.0 / (g * g * g))
     inv_4sq = _jet_chain(g_jet, 0.25 / r, -0.125 / (r * g), 0.1875 / (r * g * g))
-    qv, qd, qh = _jet_mul(_jet_mul(pi_jet, pj_jet), inv_2g)
-    u = (s.gij11 - qv, s.gijk1 - qd, s.gijkl - qh)
-    return _jet_mul(u, inv_4sq)
+    qv, qk, qn, qh = _jet_mul(_jet_mul(pi_jet, pj_jet), inv_2g)
+    # g_ij = (G_ij11 - G_i111 G_j111 / (2 G)) / (4 sqrt(G))
+    _, dk, _, dkn = _jet_mul((gij - qv, gijk - qk, gijn - qn, gijkn - qh), inv_4sq)
+    return dk, dkn
 
 
-def _guard_mixed_partials(t3_full: np.ndarray, t4_full: np.ndarray, y: np.ndarray):
+def _guard_mixed_partials(d: np.ndarray, h: np.ndarray, y: np.ndarray):
     """d g_ab/dy^c = d g_ac/dy^b and d2 g_ab/dy^c dy^d = d2 g_ac/dy^b dy^d on
-    every sorted multi-index, before the canonical gather discards the copies."""
-    n = len(t3_full)
-    for full, rep, swap in ((t3_full, _REP3, _SWAP3), (t4_full, _REP4, _SWAP4)):
-        flat = full.reshape(n, -1)
-        val = flat[:, rep]
-        bad = np.abs(flat[:, swap] - val) > 1e-9 * np.maximum(np.abs(val), 1.0)
+    every sorted multi-index, over the packed jet's entries before the
+    canonical gather keeps the representatives."""
+    for packed, rep, swap in ((d, _REP3, _SWAP3), (h, _REP4, _SWAP4)):
+        val = packed[rep]
+        bad = np.abs(packed[swap] - val) > 1e-9 * np.maximum(np.abs(val), 1.0)
         if bad.any():
-            bad_y = _first_bad(y, bad.any(axis=1))
+            bad_y = _first_bad(y, bad.any(axis=0))
             raise InvariantError(f"mixed-partial consistency of the metric derivative tables fails at y={bad_y}")
 
 
@@ -388,15 +411,16 @@ def _connection(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) 
     # the exact derivative tables of g; one representative per sorted
     # multi-index, stored into every permutation, keeps the downstream index
     # symmetries exact in floating point
-    _, gd, gh = _metric_jet(m.scalars)
-    _guard_mixed_partials(gd, gh, y)
-    t3 = np.take(gd.reshape(n, -1), _CANON3, axis=1).reshape(n, DIM, DIM, DIM)
-    t4 = np.take(gh.reshape(n, -1), _CANON4, axis=1).reshape(n, DIM, DIM, DIM, DIM)
+    d, h = _metric_jet(m.scalars)
+    _guard_mixed_partials(d, h, y)
+    t3 = np.take(d.T, _T3, axis=1).reshape(n, DIM, DIM, DIM)
+    t4 = np.take(h.T, _T4, axis=1).reshape(n, DIM, DIM, DIM, DIM)
 
-    # Cartan connection: C^i_j(k) = (g^im/2) dg_jm/dy^k; for x-constant G the
+    # Cartan connection: C^i_j(k) = (g^im/2) dg_jm/dy^k, one matmul of g^im with
+    # t3[m,j,k] per point (t3 is totally symmetric); for x-constant G the
     # three-term horizontal form with delta/delta x^k = (kappa/3) d/dy^k is
     # T3 + T3 - T3 = T3 exactly (T3 is totally symmetric), so L = (kappa/3) C
-    c = 0.5 * np.einsum("xim,xjmk->xijk", g_up, t3)
+    c = 0.5 * (g_up @ t3.reshape(n, DIM, DIM * DIM)).reshape(n, DIM, DIM, DIM)
     l = (kappa / 3.0)[:, None, None, None] * c
     # G^k_j1 = (g^km/2) delta g_mj/delta t with delta/delta t = d/dt + kappa y^p d/dy^p
     dg_dt = kappa[:, None, None] * np.einsum("xmjp,xp->xmj", t3, y)
@@ -407,22 +431,20 @@ def _connection(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) 
     )
 
 
+def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_m a[x,p,q,m] b[x,m,r,s] as [x,p,q,r,s]: one 16 x 4 by 4 x 16 matmul per point."""
+    n = len(a)
+    return (a.reshape(n, DIM * DIM, DIM) @ b.reshape(n, DIM, DIM * DIM)).reshape(n, DIM, DIM, DIM, DIM)
+
+
 def _geometry(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) -> Geometry:
     cn = _connection(G, tm, t, y)
+    n = len(t)
     kappa, dkappa, h11, g_up = cn.kappa, cn.dkappa, cn.h11, cn.g_up
     t3, t4, c, l = cn.t3, cn.t4, cn.c, cn.l
 
-    # dC^i_j(k)/dy^n from dg^im/dy^n = -g^ia (dg_ab/dy^n) g^bm; dL = (kappa/3) dC.
-    # The 5-index sums run in place and left to right as written (a sum of
-    # two terms may start from either, since IEEE addition commutes), and a
-    # temporary is dropped once its last reader ran
     k3 = (kappa / 3.0)[:, None, None, None]
     k3_5 = k3[..., None]
-    dgu = -np.einsum("xia,xabn,xbm->ximn", g_up, t3, g_up)
-    dc = np.einsum("ximn,xjmk->xijkn", dgu, t3)
-    dc += np.einsum("xim,xjmkn->xijkn", g_up, t4)
-    dc *= 0.5
-    dl = k3_5 * dc
 
     # torsions
     p_mixed = -l.transpose(0, 1, 3, 2)  # -L^k_{ji} arranged as [k,i,j]
@@ -430,23 +452,45 @@ def _geometry(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) ->
     r_time = (-(kappa**2) / 3.0 + dkappa / 3.0)[:, None, None] * _EYE
     _guard_torsions(p_mixed, c, r_time, kappa, dkappa, y)
 
-    # curvatures; S and R are exactly antisymmetric in (j,k) (X minus its swap)
-    x = np.einsum("xmij,xlmk->xlijk", c, c)
-    x += dc
-    s_curv = x - x.swapaxes(3, 4)
-    x = k3_5 * dl
-    x += np.einsum("xmij,xlmk->xlijk", l, l)
-    r_curv = x - x.swapaxes(3, 4)
+    # dC^i_j(k)/dy^n = (1/2)[dg^im/dy^n dg_jm/dy^k + g^im d2 g_jm/dy^k dy^n] with
+    # dg^im/dy^n = -g^ia (dg_ab/dy^n) g^bm = -2 C^i_a(n) g^am; dL = (kappa/3) dC.
+    # Every 5-index table below is held as [x,l,k,i,j] for its entry [l,i,j,k]
+    # (the last index second), the layout the stacked matmuls give, and is
+    # read as [x,l,i,j,k] when S, R and P are formed.  The sums run left to
+    # right as written (a sum of two terms may start from either, since IEEE
+    # addition commutes), and P comes first and R last, in dL's buffer, so at
+    # most five 5-index tables are alive at once
+    dgu = -2.0 * (c.reshape(n, DIM * DIM, DIM) @ g_up).reshape(n, DIM, DIM, DIM)  # [i,n,m]
+    dc = _contract(dgu, t3)
+    dc += (g_up @ t4.reshape(n, DIM, DIM**3)).reshape(dc.shape)
+    dc *= 0.5
+    dl = k3_5 * dc
+
+    # P^l_ij(k) = dL^l_ij/dy^k - delta C^l_i(k)/delta x^j - C^m_i(k) L^l_mj
+    #             + C^l_m(k) L^m_ij + C^l_i(m) L^m_kj + C^l_i(m) P^(m)(1)_(1)j(k),
+    # with delta C^l_i(k)/delta x^j = (kappa/3) dC^l_i(k)/dy^j
+    x = _contract(l, c)  # held [x,l,j,i,k]
+    x += dl
+    cl = _contract(c, l)
+    cov = np.subtract(x.transpose(_LIKJ), cl.transpose(_LIJK))
     del x
+    cov -= cl  # C^l_i(m) L^m_jk, as L^m_kj = L^m_jk
+    del cl
+    p_curv = np.subtract(dl.transpose(_LIJK), cov, out=cov)
     c_mixed = -k3 * c  # torsion P^(m)(1)_(1)j(k) arranged [m,j,k]
-    cov = k3_5 * dc.swapaxes(3, 4)  # delta C^l_i(k) / delta x^j
+    p_curv += _contract(c, c_mixed)
+
+    # S and R are exactly antisymmetric in (j,k) (X minus its swap)
+    x = _contract(c, c)
+    x += dc
     del dc
-    cov += np.einsum("xmik,xlmj->xlijk", c, l)
-    cov -= np.einsum("xlmk,xmij->xlijk", c, l)
-    cov -= np.einsum("xlim,xmkj->xlijk", c, l)
-    p_curv = np.subtract(dl, cov, out=cov)
-    del dl
-    p_curv += np.einsum("xlim,xmjk->xlijk", c, c_mixed)
+    s_curv = np.subtract(x.transpose(_LIJK), x.transpose(_LIKJ))
+    del x
+    x = dl
+    x *= k3_5
+    x += _contract(l, l)
+    r_curv = np.subtract(x.transpose(_LIJK), x.transpose(_LIKJ))
+    del x, dl
 
     # Ricci contractions, raised vertical Ricci and the scalar curvature
     r_ij = np.einsum("xmijm->xij", r_curv)

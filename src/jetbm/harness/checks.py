@@ -22,16 +22,16 @@ batched over the same chunks.  Each group builds the shallowest kernel stage
 that holds what it reads:
 
 * gscalars and metric_taylor read only g, g^-1 and the G-hierarchy, and
-  build the metric stage (``metric_batches``); so does einstein on
-  Berwald-Moor, whose blocks read the closed field table in place of the
-  Ricci contraction;
+  build the metric stage (``metric_batches``);
 * cartan and field_misc read only C, L, G^k_j1, g, y and the time axis, and
-  build the connection stage (``connection_batches``); so do conservation
-  and decay, which run on Berwald-Moor alone and whose reduced divergences
-  read C besides the metric stage;
-* curvature and ricci build the full stage (``batches``), and so does
-  einstein on a custom tensor, whose blocks read the honest contraction
-  S^m_i(j)(m);
+  build the connection stage (``connection_batches``);
+* curvature and ricci build the full stage (``batches``);
+* einstein, conservation and decay build the stage that the field layer's
+  rule for their tensor names (``fieldtheory.einstein_batches`` and
+  ``conservation_batches``, which the per-point functions use too): on
+  Berwald-Moor the metric stage for einstein, whose blocks read the closed
+  field table, and the connection stage for conservation and decay, whose
+  reduced divergences read C; on a custom tensor the full stage;
 * connection reads the time axis alone (``TimeMetric.eval`` over all its
   t) and builds the nonlinear connections and adapted frames over all its
   points at once;
@@ -295,10 +295,7 @@ def _grp_ricci(cfg, t, ys, closed_form, offdiag, diag, raised_field, curl, div_f
 
 
 def _grp_einstein(cfg, t, ys, zeros, sym, raised):
-    # the Berwald-Moor blocks read the closed field table, a custom tensor's
-    # the honest contraction S^m_i(j)(m) of the full stage
-    stage = metric_batches if cfg.tensor.is_berwald_moor else batches
-    for geo in stage(cfg.tensor, cfg.time_metric, t, ys):
+    for geo in fieldtheory.einstein_batches(cfg.tensor, cfg.time_metric, t, ys):
         b = fieldtheory.einstein_blocks_of(geo, cfg.einstein_k)
         g_up = geo.g_up
         h11 = geo.h11[:, None, None]
@@ -319,9 +316,7 @@ def _residual_norm(res):
 
 
 def _grp_conservation(cfg, t, ys, closed, nonzero):
-    # every check is bm_only, so the group runs on Berwald-Moor alone, where
-    # the reduced divergences read no table past the connection stage
-    for geo in connection_batches(cfg.tensor, cfg.time_metric, t, ys):
+    for geo in fieldtheory.conservation_batches(cfg.tensor, cfg.time_metric, t, ys):
         res = fieldtheory.conservation_residuals_of(geo, cfg.einstein_k)
         closed.add(res.t1, res.closed_t1)
         closed.add(res.ti, res.closed_ti)
@@ -340,7 +335,7 @@ def _grp_decay(cfg, _t, _ys, err):
     t_ref = 0.5 * (cfg.t_min + cfg.t_max)
     scales = _DECAY_SCALES
     ys = np.array(scales + (1.0,))[:, None] * np.ones(DIM)
-    (geo,) = connection_batches(cfg.tensor, cfg.time_metric, np.full(len(ys), t_ref), ys)
+    (geo,) = fieldtheory.conservation_batches(cfg.tensor, cfg.time_metric, np.full(len(ys), t_ref), ys)
     res = fieldtheory.conservation_residuals_of(geo, cfg.einstein_k)
     *rays, base = (take(res, i) for i in range(len(ys)))
     measured = [_residual_norm(ray) for ray in rays]

@@ -19,13 +19,16 @@ from jetbm import (
     TimeMetric,
     cartan_connection,
     christoffel_time,
+    conservation_residuals,
+    einstein_blocks,
     em_form,
     g_scalars,
     grav_potential,
     metric_pair,
     metric_taylor2,
 )
-from jetbm.fieldtheory import em_form_of, grav_potential_of
+from jetbm import fieldtheory
+from jetbm.fieldtheory import conservation_residuals_of, einstein_blocks_of, em_form_of, grav_potential_of
 from jetbm.geometry import (
     CHUNK,
     Connection,
@@ -92,6 +95,99 @@ def test_metric_is_the_plain_closed_formulas(rng):
         g_up = 4.0 * np.sqrt(g) * (inv + np.outer(gj_up, gj_up) / (2.0 * (g - script)))
         np.testing.assert_array_equal(mp.g_lo, 0.5 * (g_lo + g_lo.T))
         np.testing.assert_array_equal(mp.g_up, 0.5 * (g_up + g_up.T))
+
+
+def _dense_jet_tables(s):
+    """t3 and t4 from the dense jet: value, gradient and Hessian of g_ij as
+    [x,i,j], [x,i,j,k] and [x,i,j,k,n] by the product and chain rules over
+    whole arrays, then the sorted representative of every index."""
+
+    def mul(a, b):
+        (av, ad, ah), (bv, bd, bh) = a, b
+        cross = ad[..., :, None] * bd[..., None, :]
+        hess = (av[..., None, None] * bh + bv[..., None, None] * ah) + (cross + cross.swapaxes(-1, -2))
+        return av * bv, av[..., None] * bd + bv[..., None] * ad, hess
+
+    def chain(a, f0, f1, f2):
+        _, ad, ah = a
+        hess = f1[..., None, None] * ah + f2[..., None, None] * (ad[..., :, None] * ad[..., None, :])
+        return f0, f1[..., None] * ad, hess
+
+    g = s.g1111[:, None, None]
+    g_jet = (g, s.gi111[:, None, None, :], s.gij11[:, None, None, :, :])
+    pi_jet = (s.gi111[:, :, None], s.gij11[:, :, None, :], s.gijk1[:, :, None, :, :])
+    pj_jet = (s.gi111[:, None, :], s.gij11[:, None, :, :], s.gijk1[:, None, :, :, :])
+    r = np.sqrt(g)
+    inv_2g = chain(g_jet, 0.5 / g, -0.5 / (g * g), 1.0 / (g * g * g))
+    inv_4sq = chain(g_jet, 0.25 / r, -0.125 / (r * g), 0.1875 / (r * g * g))
+    qv, qd, qh = mul(mul(pi_jet, pj_jet), inv_2g)
+    _, gd, gh = mul((s.gij11 - qv, s.gijk1 - qd, s.gijkl - qh), inv_4sq)
+    canon = [np.sort(np.indices((4,) * k).reshape(k, -1), axis=0) for k in (3, 4)]
+    return gd[(slice(None), *canon[0])].reshape(gd.shape), gh[(slice(None), *canon[1])].reshape(gh.shape)
+
+
+def _einsum_tables(geo, magnitude=False):
+    """Every connection- and full-stage table of the bundle by its np.einsum
+    spec, each from the bundle's own inputs to it.  With magnitude, every
+    operand is replaced by its absolute value and every difference by a sum,
+    so each table bounds the terms its sums add, the scale of its rounding
+    error (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.1)."""
+    f, m = (np.abs, 1.0) if magnitude else (np.asarray, -1.0)  # m: the sign of a subtracted term
+    g_up, t3, t4, c, l, kappa = (f(v) for v in (geo.g_up, geo.t3, geo.t4, geo.c, geo.l, geo.kappa))
+    k3 = (kappa / 3.0)[:, None, None, None]
+    k3_5 = k3[..., None]
+    dgu = m * np.einsum("xia,xabn,xbm->ximn", g_up, t3, g_up)
+    dc = 0.5 * (np.einsum("ximn,xjmk->xijkn", dgu, t3) + np.einsum("xim,xjmkn->xijkn", g_up, t4))
+    dl = k3_5 * dc
+    x = np.einsum("xmij,xlmk->xlijk", c, c) + dc
+    s_curv = x + m * x.swapaxes(3, 4)
+    x = k3_5 * dl + np.einsum("xmij,xlmk->xlijk", l, l)
+    r_curv = x + m * x.swapaxes(3, 4)
+    cov = k3_5 * dc.swapaxes(3, 4) + np.einsum("xmik,xlmj->xlijk", c, l)
+    cov = cov + m * np.einsum("xlmk,xmij->xlijk", c, l) + m * np.einsum("xlim,xmkj->xlijk", c, l)
+    p_curv = dl + m * cov + np.einsum("xlim,xmjk->xlijk", c, m * k3 * c)
+    r_ij, p_ricci, s_ricci = (np.einsum("xmijm->xij", f(v)) for v in (geo.r_curv, geo.p_curv, geo.s_curv))
+    dg_dt = kappa[:, None, None] * np.einsum("xmjp,xp->xmj", t3, geo.y)
+    return {
+        "c": 0.5 * np.einsum("xim,xjmk->xijk", g_up, t3),
+        "l": k3 * c,
+        "gk": 0.5 * np.einsum("xkm,xmj->xkj", g_up, dg_dt),
+        "p_mixed": m * l.transpose(0, 1, 3, 2),
+        "p_vert": c,
+        "r_curv": r_curv,
+        "p_curv": p_curv,
+        "s_curv": s_curv,
+        "r_ij": r_ij,
+        "p_ricci": p_ricci,
+        "s_ricci": s_ricci,
+        "s_raised": np.einsum("xmr,xri->xmi", g_up, s_ricci),
+        "sc": np.einsum("xpq,xpq->x", g_up, r_ij) + f(geo.h11) * np.einsum("xpq,xpq->x", g_up, s_ricci),
+    }
+
+
+# the stacked matmuls sum in another order than np.einsum: every table stays
+# within this many units in the last place of the largest magnitude its
+# sums add
+_EINSUM_ULPS = 4
+
+
+@pytest.mark.parametrize("G", [QuarticTensor.berwald_moor(), CUSTOM_OTHER], ids=["berwald-moor", "custom-other"])
+@pytest.mark.parametrize("size", BATCH_SIZES)
+def test_stage_tables_match_their_einsum_specs(G, size, rng):
+    """The packed jet's t3 and t4 are the dense jet's bit for bit, and every
+    other connection- and full-stage table is its np.einsum spec within a
+    few ulps of the largest magnitude its sums add."""
+    ys = cone_points(rng, size)
+    ts = rng.uniform(-1, 1, size)
+    for geo in batches(G, EXP, ts, ys):
+        t3, t4 = _dense_jet_tables(geo.scalars)
+        np.testing.assert_array_equal(geo.t3, t3)
+        np.testing.assert_array_equal(geo.t4, t4)
+        scale = _einsum_tables(geo, magnitude=True)
+        for name, want in _einsum_tables(geo).items():
+            got = getattr(geo, name)
+            assert got.shape == want.shape, name
+            assert np.abs(got - want).max() <= _EINSUM_ULPS * np.spacing(scale[name].max()), name
 
 
 def _assert_point_equal(batch, n, one):
@@ -200,22 +296,27 @@ def _deeper_stage_built(*args):
 def test_metric_readers_never_build_the_derivative_tables(monkeypatch):
     """Readers build no stage deeper than they read, and give what the full
     bundle gives.  With the derivative-table jet broken, metric_pair,
-    grav_potential and the gscalars, metric_taylor and (on Berwald-Moor)
-    einstein verify groups still run; with the full stage broken,
-    cartan_connection, em_form and the connection, cartan, field_misc and
-    (on Berwald-Moor) conservation and decay verify groups still run."""
-    bm = QuarticTensor.berwald_moor()
+    grav_potential, einstein_blocks and the gscalars, metric_taylor and
+    einstein verify groups still run on Berwald-Moor; with the full stage
+    broken, cartan_connection, em_form, conservation_residuals and the
+    connection, cartan, field_misc, conservation and decay verify groups
+    still run."""
+    bm, k = QuarticTensor.berwald_moor(), 1.5
     p = JetPoint.from_y([1.0, 2.0, 3.0, 4.0], t=0.3)
     full = point_geometry(bm, EXP, p)
     potential = take(grav_potential_of(full), 0)
 
+    def entries(result):
+        return [getattr(result, f.name) for f in fields(result) if f.name != "zero_blocks"]
+
     def metric_readers():
         mp, pot = metric_pair(bm, EXP, p), grav_potential(bm, EXP, p)
-        return [mp.g_lo, mp.g_up, pot.tt_block, pot.xx_block, pot.yy_block]
+        return [mp.g_lo, mp.g_up, pot.tt_block, pot.xx_block, pot.yy_block, *entries(einstein_blocks(bm, EXP, p, k))]
 
     def connection_readers():
         cc = cartan_connection(bm, EXP, p)
-        return [cc.kappa, cc.gk, cc.l, cc.c, em_form(bm, EXP, p).f]
+        res = conservation_residuals(bm, EXP, p, k)
+        return [cc.kappa, cc.gk, cc.l, cc.c, em_form(bm, EXP, p).f, *entries(res)]
 
     # (kernel function broken, verify groups, the stage reader those groups
     # use, per-point readers, and the full bundle's values for them)
@@ -225,14 +326,20 @@ def test_metric_readers_never_build_the_derivative_tables(monkeypatch):
             ("gscalars", "metric_taylor", "einstein"),
             "metric_batches",
             metric_readers,
-            [full.g_lo[0], full.g_up[0], potential.tt_block, potential.xx_block, potential.yy_block],
+            [
+                *(full.g_lo[0], full.g_up[0], potential.tt_block, potential.xx_block, potential.yy_block),
+                *entries(take(einstein_blocks_of(full, k), 0)),
+            ],
         ),
         (
             "_geometry",
             ("connection", "cartan", "field_misc", "conservation", "decay"),
             "connection_batches",
             connection_readers,
-            [full.kappa[0], full.gk[0], full.l[0], full.c[0], take(em_form_of(full), 0).f],
+            [
+                *(full.kappa[0], full.gk[0], full.l[0], full.c[0], take(em_form_of(full), 0).f),
+                *entries(take(conservation_residuals_of(full, k), 0)),
+            ],
         ),
     ]
     cfg = RunConfig(time_metric=EXP, seed=5, samples=2 * CHUNK + 6)
@@ -242,7 +349,8 @@ def test_metric_readers_never_build_the_derivative_tables(monkeypatch):
             patch.setattr(checks, "_CATALOG", tuple(by_name[name] for name in names))
             with monkeypatch.context() as full_path:
                 # the same groups over full bundles, as they ran before the split
-                full_path.setattr(checks, stage, batches)
+                for module in (checks, fieldtheory):
+                    full_path.setattr(module, stage, batches)
                 expected = [r.to_dict() for r in checks.run_verify(cfg).reports]
             patch.setattr(kernel, broken, _deeper_stage_built)
             with pytest.raises(RuntimeError):
@@ -259,7 +367,7 @@ def test_custom_einstein_reads_the_full_stage(monkeypatch):
     cfg = RunConfig(tensor=CUSTOM_OTHER, time_metric=EXP, seed=5, samples=2 * CHUNK + 6)
     monkeypatch.setattr(checks, "_CATALOG", tuple(g for g in checks._CATALOG if g.name == "einstein"))
     with monkeypatch.context() as full_path:
-        full_path.setattr(checks, "metric_batches", batches)
+        full_path.setattr(fieldtheory, "metric_batches", batches)
         expected = [r.to_dict() for r in checks.run_verify(cfg).reports]
     assert [r.to_dict() for r in checks.run_verify(cfg).reports] == expected
     monkeypatch.setattr(kernel, "_geometry", _deeper_stage_built)
@@ -339,11 +447,17 @@ def test_bundle_is_read_only():
 
 
 def test_guard_survives_optimize_flag():
-    """The mixed-partial guard rejects a corrupted derivative table, also
-    through the connection stage, and the metric stage's inverse guard a
-    corrupted G^jk11, with a typed error even under python -O, which strips
-    assert statements."""
-    code = """
+    """The mixed-partial guard rejects a packed jet with a skewed swap entry,
+    in t3 directly and in t4 through the connection stage, and the metric
+    stage's inverse guard a corrupted G^jk11, with a typed error even under
+    python -O, which strips assert statements."""
+    # (0, 2, 1, 3) is the swap entry of the sorted triple (0, 1, 2) and of the
+    # sorted quadruple (0, 1, 2, 3), and no representative
+    swap = kernel._ENTRIES.index((0, 2, 1, 3))
+    assert swap == kernel._SWAP3[kernel._TRIPLES.index((0, 1, 2))]
+    assert swap == kernel._SWAP4[kernel._QUADS.index((0, 1, 2, 3))]
+    assert swap not in kernel._REP3 and swap not in kernel._REP4
+    code = f"""
 import traceback
 from dataclasses import replace
 
@@ -356,19 +470,18 @@ if __debug__:
     raise SystemExit("not running under -O")
 G, tm = QuarticTensor.berwald_moor(), TimeMetric.constant(1.0)
 geo = geometry(G, tm, [0.0], [[1.0, 2.0, 3.0, 4.0]])
-t3 = geo.t3.copy()
-t3[0, 0, 1, 2] += 1e-3
+d, h = kernel._metric_jet(geo.scalars)
+d[{swap}] += 1e-3
 try:
-    _guard_mixed_partials(t3, geo.t4, geo.y)
+    _guard_mixed_partials(d, h, geo.y)
 except InvariantError as exc:
     print("InvariantError:", exc)
 real_jet = kernel._metric_jet
 
 def skewed_jet(s):
-    gv, gd, gh = real_jet(s)
-    gd = gd.copy()
-    gd[:, 0, 1, 2] += 1e-3
-    return gv, gd, gh
+    d, h = real_jet(s)
+    h[{swap}] += 1e-3
+    return d, h
 
 kernel._metric_jet = skewed_jet
 try:

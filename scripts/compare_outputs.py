@@ -1,6 +1,7 @@
 """Compare the documents two source trees write through the jetbm CLI.
 
     python scripts/compare_outputs.py OLD_SRC NEW_SRC
+    python scripts/compare_outputs.py --verdicts OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories that hold the ``jetbm`` package (a
 checkout's ``src``).  Each tree runs the same fixed document set in one
@@ -19,8 +20,21 @@ process of its own:
 
 For each document the script prints whether the two trees wrote it
 identically.  For a document that differs it prints how many numbers changed
-and the largest relative change, and the lines one tree has and the other
-lacks.  Exit status is 0 when every document is identical, 1 otherwise.
+and the largest relative change, the verify checks whose "pass" moved, and
+the lines one tree has and the other lacks.  A changed number is measured
+against the largest magnitude in its own row: the JSON array that holds it,
+with every array nested in it (one table of an eval document), or its CSV
+line (a sweep row); a number outside any array is measured against itself.
+So a round-off-sized entry of a table that flips sign counts as a change of
+its own size against the table, not as a relative change of 2.  Exit status
+is 0 when every document is identical, 1 otherwise.
+
+With ``--verdicts`` each tree runs ``verify --samples 1000`` on the default
+configuration at seeds 1-800 and on ``benchmarks/custom.ini`` at seeds
+1-120, and the script prints only the checks whose "pass" moved, each with
+both trees' errors.  Exit status is 0 when no verdict moved, 1 otherwise.
+This is the gate for a change that moves last bits, whose documents cannot
+stay byte-identical.
 """
 
 import difflib
@@ -57,6 +71,8 @@ json.dump(out, sys.stdout)
 """
 
 NUMBER = r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+# a line that is one number element of a JSON array written with indent
+ELEMENT = re.compile(rf"\s*({NUMBER}),?")
 
 
 def documents() -> list[tuple[str, list[str]]]:
@@ -81,6 +97,19 @@ def documents() -> list[tuple[str, list[str]]]:
     return docs
 
 
+def verdict_documents() -> list[tuple[str, list[str]]]:
+    custom = str(workloads.HERE / "custom.ini")
+    docs = [
+        (f"verify default seed {seed}", ["verify", "--samples", "1000", "--seed", str(seed)])
+        for seed in range(1, 801)
+    ]
+    docs.extend(
+        (f"verify custom.ini seed {seed}", ["verify", "--config", custom, "--samples", "1000", "--seed", str(seed)])
+        for seed in range(1, 121)
+    )
+    return docs
+
+
 def run_tree(src: str, argvs: list[list[str]]) -> list[tuple[int, str]]:
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     proc = subprocess.run(
@@ -97,35 +126,99 @@ def _split(line: str) -> tuple[list[str], list[str]]:
     return parts[0::2], parts[1::2]
 
 
+def _row_scales(lines: list[str]) -> list[float]:
+    """Per line, the largest magnitude among the numbers of its row: in a
+    JSON document written with indent, the array (with every array nested in
+    it) that a line holding a number element belongs to, such as one table
+    of an eval document; in any other document (a CSV one) the line itself.
+    0 for a JSON line that is no element of an array of numbers."""
+    if not lines or not lines[0].startswith("{"):
+        return [max((abs(float(v)) for v in _split(line)[1]), default=0.0) for line in lines]
+    members: dict[int, list[int]] = {}  # per array, the lines of its number elements
+    owner: list[int | None] = []  # per open container, its array (None for an object)
+    for i, line in enumerate(lines):
+        text = line.strip()
+        if text.endswith("{"):
+            owner.append(None)
+        elif text.endswith("["):
+            nested = text == "[" and owner and owner[-1] is not None
+            owner.append(owner[-1] if nested else i)
+            members.setdefault(owner[-1], [])
+        elif text.startswith(("]", "}")):
+            owner.pop()
+        elif owner and owner[-1] is not None and ELEMENT.fullmatch(line):
+            members[owner[-1]].append(i)
+    scales = [0.0] * len(lines)
+    for rows in members.values():
+        scale = max((abs(float(ELEMENT.fullmatch(lines[k])[1])) for k in rows), default=0.0)
+        for k in rows:
+            scales[k] = scale
+    return scales
+
+
+def verdicts(doc: str) -> dict[str, dict]:
+    """Check name -> report of a verify document; empty for any other."""
+    try:
+        parsed = json.loads(doc)
+    except ValueError:
+        return {}
+    if not isinstance(parsed, dict) or "reports" not in parsed:
+        return {}
+    return {r["check_name"]: r for r in parsed["reports"]}
+
+
+def _err(value) -> str:
+    return "null" if value is None else f"{value:.3g}"
+
+
+def moved_verdicts(old: str, new: str) -> list[str]:
+    """One line per check whose "pass" differs between two verify documents,
+    with both documents' errors."""
+    before, after = verdicts(old), verdicts(new)
+    lines = []
+    for name, a in before.items():
+        b = after.get(name)
+        if b is not None and a["pass"] != b["pass"]:
+            lines.append(
+                f"{name}: pass {json.dumps(a['pass'])} -> {json.dumps(b['pass'])}"
+                f" (max_abs_err {_err(a['max_abs_err'])} -> {_err(b['max_abs_err'])},"
+                f" max_rel_err {_err(a['max_rel_err'])} -> {_err(b['max_rel_err'])})"
+            )
+    return lines
+
+
 def compare(old: str, new: str) -> str | None:
     """None when identical, else a one-paragraph summary of the difference."""
     if old == new:
         return None
     a, b = old.splitlines(), new.splitlines()
+    scale_a, scale_b = _row_scales(a), _row_scales(b)
     pairs, removed, added = [], [], []
     if len(a) == len(b):
-        pairs = [(x, y) for x, y in zip(a, b) if x != y]
+        pairs = [(i, i) for i, (x, y) in enumerate(zip(a, b)) if x != y]
     else:
         for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes():
             if tag == "replace" and i2 - i1 == j2 - j1:
-                pairs.extend(zip(a[i1:i2], b[j1:j2]))
+                pairs.extend(zip(range(i1, i2), range(j1, j2)))
             elif tag != "equal":
                 removed.extend(a[i1:i2])
                 added.extend(b[j1:j2])
     changed, worst = 0, 0.0
-    for x, y in pairs:
-        (tx, nx), (ty, ny) = _split(x), _split(y)
+    for i, j in pairs:
+        (tx, nx), (ty, ny) = _split(a[i]), _split(b[j])
         if tx != ty or len(nx) != len(ny):
-            removed.append(x)
-            added.append(y)
+            removed.append(a[i])
+            added.append(b[j])
             continue
+        row = max(scale_a[i], scale_b[j])
         for u, v in zip(nx, ny):
             if u != v:
                 changed += 1
                 fu, fv = float(u), float(v)
-                scale = max(abs(fu), abs(fv))
+                scale = max(abs(fu), abs(fv), row)
                 worst = max(worst, abs(fu - fv) / scale if scale > 0.0 else 0.0)
     lines = [f"{changed} numbers changed, largest relative change {worst:.3g}"]
+    lines.extend(f"    verdict moved: {line}" for line in moved_verdicts(old, new))
     for sign, block in (("-", removed), ("+", added)):
         lines.extend(f"    {sign} {line.strip()}" for line in block[:5])
         if len(block) > 5:
@@ -134,14 +227,24 @@ def compare(old: str, new: str) -> str | None:
 
 
 def main(argv: list[str]) -> int:
+    only_verdicts = argv[:1] == ["--verdicts"]
+    if only_verdicts:
+        argv = argv[1:]
     if len(argv) != 2:
-        print("usage: python scripts/compare_outputs.py OLD_SRC NEW_SRC", file=sys.stderr)
+        print("usage: python scripts/compare_outputs.py [--verdicts] OLD_SRC NEW_SRC", file=sys.stderr)
         return 2
-    docs = documents()
+    docs = verdict_documents() if only_verdicts else documents()
     argvs = [args for _, args in docs]
     old_out, new_out = (run_tree(src, argvs) for src in argv)
     n_diff = 0
     for (name, _), (rc_old, doc_old), (rc_new, doc_new) in zip(docs, old_out, new_out):
+        if only_verdicts:
+            moved = [f"exit code {rc_old} -> {rc_new}"] if rc_old != rc_new else []
+            moved.extend(moved_verdicts(doc_old, doc_new))
+            n_diff += bool(moved)
+            for line in moved:
+                print(f"{name}: {line}")
+            continue
         summary = compare(doc_old, doc_new)
         if rc_old != rc_new:
             summary = f"exit code {rc_old} -> {rc_new}" + ("" if summary is None else f"; {summary}")
@@ -150,7 +253,8 @@ def main(argv: list[str]) -> int:
         else:
             n_diff += 1
             print(f"{name}: differs, {summary}")
-    print(f"{len(docs) - n_diff} of {len(docs)} documents identical")
+    kind = "with no moved verdict" if only_verdicts else "identical"
+    print(f"{len(docs) - n_diff} of {len(docs)} documents {kind}")
     return 0 if n_diff == 0 else 1
 
 

@@ -34,8 +34,18 @@ so the value, gradient and Hessian of
     g_ij = (G_ij11 - G_i111 G_j111 / (2 G_1111)) / (4 sqrt(G_1111))
 follow by the product and chain rules applied to whole arrays: multivariate
 second-order Taylor propagation in closed form (Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).  Taylor2 stays the
-independent oracle for these tables and shares no code with this module.
+*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).  The propagation runs
+only at the 50 (i, j, k, n) entries that the mixed-partial guard and the
+canonical gather read, a packed jet; each swap entry comes out of the
+product rule on its own index order, so the guard compares two computations.
+Taylor2 stays the independent oracle for these tables and shares no code
+with this module.
+
+The full stage's contractions over one index (dC, and the C.C, C.L, L.L and
+C.P products of the curvatures) are stacked matmuls, one 16 x 4 by 4 x 16
+product per point, read through the total symmetry of t3 and t4 and the
+(j, k) symmetry of C; their 5-index results stay in the layout the matmul
+gives and are read in index order once, where S, R and P are formed.
 
 Batches are processed in chunks of at most CHUNK points, and a point's
 results do not depend on which batch it was computed in.  Every correctness
@@ -71,10 +81,12 @@ __all__ = [
 
 # points per chunk: a chunk amortises numpy's per-call overhead, and each
 # curvature-sized table holds 256 doubles (2 KiB) per point, so the chunk
-# also bounds the kernel's working memory.  One 64-point full-stage chunk
-# peaks at about 1.1 MiB of numpy allocations (tracemalloc, numpy 2.4); with
-# G_ijkl copied per point, dC kept and no in-place sums, a 32-point chunk
-# peaked at 0.85 MiB and a 64-point one at 1.7 MiB
+# also bounds the kernel's working memory.  A 64-point chunk peaks at about
+# 0.96 MiB of numpy allocations in the connection stage (the packed jet's
+# operands and intermediates) and 1.13 MiB in the full stage (at most five
+# 5-index tables alive); a 128-point chunk peaks at 1.9 and 2.1 MiB
+# (tracemalloc, numpy 2.4), about 1 MiB more resident memory for every run
+# that builds those stages, so the chunk stays at 64 points
 CHUNK = 64
 
 _SINGULAR_RTOL = 1e-12
@@ -485,12 +497,10 @@ def _geometry(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) ->
     x += dc
     del dc
     s_curv = np.subtract(x.transpose(_LIJK), x.transpose(_LIKJ))
-    del x
     x = dl
     x *= k3_5
     x += _contract(l, l)
     r_curv = np.subtract(x.transpose(_LIJK), x.transpose(_LIKJ))
-    del x, dl
 
     # Ricci contractions, raised vertical Ricci and the scalar curvature
     r_ij = np.einsum("xmijm->xij", r_curv)

@@ -1,7 +1,10 @@
-"""scripts/compare_outputs.py, the byte-identity gate for the CLI documents:
-its line splitter and its one-paragraph difference summary."""
+"""scripts/compare_outputs.py, the gate for the CLI documents: its line
+splitter, its one-paragraph difference summary with each number measured
+against its own row, the verify checks whose verdict moved, and the
+verdict-only pass."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -35,3 +38,51 @@ def test_a_line_only_one_side_has_is_listed(sign):
     old, new = (REPORT, shorter) if sign == "-" else (shorter, REPORT)
     summary = compare_outputs.compare(old, new)
     assert summary.splitlines() == ["0 numbers changed, largest relative change 0", f'    {sign} "samples": 500']
+
+
+def _verify_doc(passes: bool, err: float) -> str:
+    report = {"check_name": "einstein/block-symmetry", "max_abs_err": err, "max_rel_err": None, "pass": passes}
+    return json.dumps({"overall_pass": passes, "reports": [report]}, indent=2) + "\n"
+
+
+def test_a_number_in_a_json_array_is_measured_against_its_whole_array():
+    """A round-off entry of a table that flips sign is a change of its own
+    size against the table's largest entry, however deeply nested; another
+    array's entries count not."""
+    doc = {"S": [[1e-17, 0.0], [[2.0], -1.0]], "x": [1e5], "scalar": 3.0}
+    old = json.dumps(doc, indent=2)
+    new = old.replace("1e-17", "-1e-17")
+    assert compare_outputs.compare(old, new) == "1 numbers changed, largest relative change 1e-17"
+
+
+def test_a_number_in_a_csv_row_is_measured_against_its_row():
+    old = "t,y1,Sc\n0.5,2.0,-1e-16\n"
+    new = "t,y1,Sc\n0.5,2.0,1e-16\n"
+    assert compare_outputs.compare(old, new) == "1 numbers changed, largest relative change 1e-16"
+
+
+def test_a_moved_verdict_names_its_check_and_both_errors():
+    summary = compare_outputs.compare(_verify_doc(True, 4.4e-11), _verify_doc(False, 1.02e-10))
+    assert "    verdict moved: einstein/block-symmetry: pass true -> false (max_abs_err 4.4e-11 -> 1.02e-10," in summary
+    assert compare_outputs.moved_verdicts(_verify_doc(True, 1.0), _verify_doc(True, 2.0)) == []
+
+
+def test_the_verdict_pass_covers_its_seeds_and_prints_only_moved_verdicts(monkeypatch, capsys):
+    docs = compare_outputs.verdict_documents()
+    names = [name for name, _ in docs]
+    assert names[0] == "verify default seed 1" and names[799] == "verify default seed 800"
+    assert names[800] == "verify custom.ini seed 1" and names[-1] == "verify custom.ini seed 120"
+    assert len(docs) == 920 and all(argv[:1] == ["verify"] and "1000" in argv for _, argv in docs)
+    runs = {
+        "old": [(0, _verify_doc(True, 1.0)), (0, _verify_doc(True, 1.0))],
+        "new": [(0, _verify_doc(True, 2.0)), (1, _verify_doc(False, 3.0))],
+    }
+    monkeypatch.setattr(compare_outputs, "verdict_documents", lambda: docs[:2])
+    monkeypatch.setattr(compare_outputs, "run_tree", lambda src, argvs: runs[src])
+    assert compare_outputs.main(["--verdicts", "old", "new"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "verify default seed 2: exit code 0 -> 1",
+        "verify default seed 2: einstein/block-symmetry: pass true -> false"
+        " (max_abs_err 1 -> 3, max_rel_err null -> null)",
+        "1 of 2 documents with no moved verdict",
+    ]

@@ -446,6 +446,17 @@ def test_bundle_is_read_only():
         geo.c[0, 0, 0, 0] = 1.0
 
 
+def test_swap_entries_are_computed_not_copied(rng):
+    """The packed jet computes each swap entry on its own index order, so
+    over a chunk most swap entries differ from their representative in the
+    last bits, and the mixed-partial guard compares two computations."""
+    ys = cone_points(rng, CHUNK)
+    d, h = kernel._metric_jet(g_hierarchy(CUSTOM_OTHER, ys))
+    for packed, rep, swap in ((d, kernel._REP3, kernel._SWAP3), (h, kernel._REP4, kernel._SWAP4)):
+        own = swap != rep
+        assert (packed[swap[own]] != packed[rep[own]]).mean() > 0.5
+
+
 def test_guard_survives_optimize_flag():
     """The mixed-partial guard rejects a packed jet with a skewed swap entry,
     in t3 directly and in t4 through the connection stage, and the metric

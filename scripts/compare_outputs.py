@@ -15,8 +15,16 @@ process of its own:
   shows a change to them; the exponential family's kappa is constant, so
   only the power family shows a change to the power branch of the time
   metric or to dkappa/dt);
-* ``eval`` at the first 300 points of the benchmark's seed-1 eval inputs;
-* ``sweep`` of every sweep field over the benchmark's seed-1 sweep grid.
+* ``verify --samples 1000 --format csv`` on the default configuration,
+  seed 1;
+* ``eval`` at the first 300 points of the benchmark's seed-1 eval inputs,
+  and at the first 20 of them on ``benchmarks/custom.ini`` (whose
+  ``S_ricci_field`` and ``Sc_field`` are null) and on
+  ``scripts/bm_power.ini`` (kappa != 0);
+* ``sweep`` of every sweep field over the benchmark's seed-1 sweep grid, as
+  CSV and as JSON.
+
+That is 362 documents, every kind of document the CLI writes.
 
 For each document the script prints whether the two trees wrote it
 identically.  For a document that differs it prints how many numbers changed
@@ -54,6 +62,7 @@ BM_EXPONENTIAL = ROOT / "scripts" / "bm_exponential.ini"
 BM_POWER = ROOT / "scripts" / "bm_power.ini"
 SWEEP_FIELDS = ("Sc", "xi11", "T1", "Ti", "Tyi", "G1111")
 EVAL_DOCS = 300
+EVAL_CONFIG_DOCS = 20
 
 # runs in each tree: reads a JSON list of argv lists on stdin, runs each
 # through jetbm.harness.cli.main in-process and writes [exit code, stdout]
@@ -88,12 +97,21 @@ def documents() -> list[tuple[str, list[str]]]:
         for seed in (1, 7):
             argv = ["verify", "--config", config, "--samples", "1000", "--seed", str(seed)]
             docs.append((f"verify {name} seed {seed}", argv))
+    docs.append(("verify default seed 1 csv", ["verify", "--samples", "1000", "--seed", "1", "--format", "csv"]))
     ev = workloads.Eval()
     ev.inputs(1)
     docs.extend((f"eval point {i}", ev.argv(i)) for i in range(EVAL_DOCS))
+    for name, config in (("custom.ini", custom), ("bm_power.ini", str(BM_POWER))):
+        docs.extend(
+            (f"eval {name} point {i}", ev.argv(i) + ["--config", config]) for i in range(EVAL_CONFIG_DOCS)
+        )
     sw = workloads.Sweep()
     sw.inputs(1)
-    docs.extend((f"sweep {field}", ["sweep", "--field", field, "--grid", sw.grid]) for field in SWEEP_FIELDS)
+    for fmt in ("csv", "json"):
+        docs.extend(
+            (f"sweep {field} {fmt}", ["sweep", "--field", field, "--grid", sw.grid, "--format", fmt])
+            for field in SWEEP_FIELDS
+        )
     return docs
 
 

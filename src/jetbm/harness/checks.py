@@ -47,10 +47,11 @@ discrepancy and fail by design on a correct implementation.
 A sweep tabulates one field of the field layer over a grid; it evaluates the
 library function of that field (``scalar_curvature_field``, ``xi_11``,
 ``closed_rhs_of`` or the G-hierarchy) one CHUNK of grid points at a time,
-and has no formula of its own.
+and has no formula of its own.  It returns its table as columns (the grid
+axes, then the field), which ``sweep_csv`` and ``jsondoc.dumps_records``
+write.
 """
 
-import json
 from dataclasses import dataclass
 from math import factorial, isnan
 from time import perf_counter
@@ -70,6 +71,7 @@ from ..geometry import (
     take,
 )
 from ..jetcore import DIM, Taylor2, taylor2_seed
+from . import jsondoc
 from .config import RunConfig
 
 __all__ = ["SuiteResult", "VerificationReport", "run_verify", "sweep", "parse_grid", "SWEEP_FIELDS", "check_names"]
@@ -546,7 +548,7 @@ class SuiteResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return jsondoc.dumps(self.to_dict()) + "\n"
 
     def to_csv(self) -> str:
         lines = ["check_name,samples,max_abs_err,max_rel_err,pass,seed,skipped"]
@@ -658,8 +660,10 @@ def _sweep_values(cfg: RunConfig, field: str, t: np.ndarray, y: np.ndarray) -> n
     return np.concatenate([fn(t[lo : lo + CHUNK], y[lo : lo + CHUNK]) for lo in range(0, len(t), CHUNK)])
 
 
-def sweep(cfg: RunConfig, field: str, grid) -> list[dict]:
-    """One row per grid point, lexicographic in grid indices.
+def sweep(cfg: RunConfig, field: str, grid) -> dict[str, np.ndarray]:
+    """The sweep table as columns: one 1-D array per grid axis, in grid
+    order, then the field's, with one entry per grid point, lexicographic in
+    grid indices (the last axis varies fastest).
 
     Every field is a read of the field layer: Sc is
     ``curvature.scalar_curvature_field``, xi11 ``fieldtheory.xi_11``, T1, Ti
@@ -677,41 +681,41 @@ def sweep(cfg: RunConfig, field: str, grid) -> list[dict]:
             "for a custom tensor; only G1111 is"
         )
     axes = parse_grid(grid) if isinstance(grid, str) else list(grid)
-    names = [name for name, _ in axes]
-    # grid points in itertools.product order (the last axis varies fastest)
     mesh = np.meshgrid(*[np.asarray(vals, dtype=float) for _, vals in axes], indexing="ij")
-    points = np.stack(mesh, axis=-1).reshape(-1, len(axes))
-    cols = dict(zip(names, points.T))
-    t = cols.get("t", np.full(len(points), 0.5 * (cfg.t_min + cfg.t_max)))
-    y = np.ones((len(points), DIM))
+    cols = {name: m.ravel() for (name, _), m in zip(axes, mesh)}
+    n = mesh[0].size
+    t = cols.get("t", np.full(n, 0.5 * (cfg.t_min + cfg.t_max)))
+    y = np.ones((n, DIM))
     if "s" in cols:
         y = cols["s"][:, None] * y
     for ax in ("y1", "y2", "y3", "y4"):
         if ax in cols:
             y[:, int(ax[1]) - 1] = cols[ax]
-    values = _sweep_values(cfg, field, t, y)
-    return [{**dict(zip(names, point)), field: v} for point, v in zip(points.tolist(), values.tolist())]
+    cols[field] = _sweep_values(cfg, field, t, y)
+    return cols
 
 
 _CSV_BLOCK = 4096  # rows per block of the CSV writer
 
 
-def _repr_column(values: list[float]) -> list[str]:
+def _repr_column(values: np.ndarray) -> list[str]:
     """repr of each float, taken once per distinct value; the values are told
     apart by their bits, since -0.0 == 0.0 but their reprs differ."""
-    bits, where = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
     text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
     return text[where].tolist()
 
 
-def sweep_csv(rows: list[dict], field: str, axes: list[str]) -> str:
-    """The rows of ``sweep`` as CSV, one column of reprs at a time: a grid
+def sweep_csv(columns: dict[str, np.ndarray]) -> str:
+    """The columns of ``sweep`` as CSV, one column of reprs at a time: a grid
     axis repeats few distinct values, so each is formatted once per block of
-    rows.  A block's columns and lines are dropped once it is joined, which
-    keeps the writer's peak memory below that of one string per row."""
-    text = [",".join(axes + [field])]
-    for lo in range(0, len(rows), _CSV_BLOCK):
-        block = rows[lo : lo + _CSV_BLOCK]
-        cols = [_repr_column([row[a] for row in block]) for a in axes]
-        text.append("\n".join(map(",".join, zip(*cols, (repr(row[field]) for row in block)))))
+    rows, and the field (the last column) once per row.  A block's columns
+    and lines are dropped once it is joined, which keeps the writer's peak
+    memory below that of one string per row."""
+    *axes, field = columns.values()
+    text = [",".join(columns)]
+    for lo in range(0, len(field), _CSV_BLOCK):
+        cols = [_repr_column(ax[lo : lo + _CSV_BLOCK]) for ax in axes]
+        cols.append(map(repr, field[lo : lo + _CSV_BLOCK].tolist()))
+        text.append("\n".join(map(",".join, zip(*cols))))
     return "\n".join(text) + "\n"

@@ -6,10 +6,12 @@ Subcommands:
   sweep   -- tabulate one scalar field over a (t, y) grid
   report  -- human-readable summary of a previously written verify JSON
 
-Exit codes: 0 pass, 1 verification failure, 2 invalid input, 3 internal
-invariant violated (a consistency guard of the program failed).
-The verify/sweep documents are byte-deterministic for a fixed config and
-seed; human-readable progress goes to stderr.
+Exit codes: 0 pass, 1 verification failure, 2 invalid input (an unreadable
+--config or an unwritable --output included), 3 internal invariant violated
+(a consistency guard of the program failed).
+Every JSON document is the text of json.dumps(doc, indent=2) (written by
+``jsondoc``).  The verify/sweep documents are byte-deterministic for a fixed
+config and seed; human-readable progress goes to stderr.
 """
 
 import argparse
@@ -24,6 +26,7 @@ from .. import __version__, connection, curvature, fieldtheory
 from ..errors import ConfigError, InvariantError, JetBMError
 from ..geometry import point_geometry, take
 from ..jetcore import JetPoint
+from . import jsondoc
 from .checks import SWEEP_FIELDS, parse_grid, run_verify, sweep, sweep_csv
 from .config import RunConfig, default_config, parse_config
 
@@ -31,7 +34,11 @@ from .config import RunConfig, default_config, parse_config
 def _load_config(path: str | None) -> RunConfig:
     if path is None:
         return default_config()
-    return parse_config(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"--config: cannot read {path}: {exc.strerror or exc}") from exc
+    return parse_config(text)
 
 
 def _eval_point(cfg: RunConfig, p: JetPoint) -> dict:
@@ -46,7 +53,7 @@ def _eval_point(cfg: RunConfig, p: JetPoint) -> dict:
     cons = take(fieldtheory.conservation_residuals_of(geo, cfg.einstein_k), 0)
     em = take(fieldtheory.em_form_of(geo), 0)
     doc = {
-        "point": {"t": p.t, "x": p.x.tolist(), "y": p.y.tolist()},
+        "point": {"t": p.t, "x": p.x, "y": p.y},
         "time_metric": {
             "h11": one.h11,
             "h11_inv": one.h11_inv,
@@ -57,65 +64,65 @@ def _eval_point(cfg: RunConfig, p: JetPoint) -> dict:
         },
         "g_scalars": {
             "G1111": s.g1111,
-            "Gi111": s.gi111.tolist(),
-            "Gij11": s.gij11.tolist(),
-            "Gij11_inv": s.gij11_inv.tolist(),
+            "Gi111": s.gi111,
+            "Gij11": s.gij11,
+            "Gij11_inv": s.gij11_inv,
             "det_Gij11": s.det_gij11,
             "G_script": s.g_script,
-            "Gj_up": s.gj_up.tolist(),
+            "Gj_up": s.gj_up,
         },
-        "metric": {"g_lo": one.g_lo.tolist(), "g_up": one.g_up.tolist()},
+        "metric": {"g_lo": one.g_lo, "g_up": one.g_up},
         "nonlinear_connection": {
-            "canonical": {"M": can.m.tolist(), "N": can.n.tolist()},
-            "apriori": {"M": apr.m.tolist(), "N": apr.n.tolist()},
+            "canonical": {"M": can.m, "N": can.n},
+            "apriori": {"M": apr.m, "N": apr.n},
         },
-        "cartan": {"kappa": one.kappa, "Gk": one.gk.tolist(), "L": one.l.tolist(), "C": one.c.tolist()},
+        "cartan": {"kappa": one.kappa, "Gk": one.gk, "L": one.l, "C": one.c},
         "torsions": {
-            "P_mixed": one.p_mixed.tolist(),
-            "P_vert": one.p_vert.tolist(),
-            "R_time": one.r_time.tolist(),
+            "P_mixed": one.p_mixed,
+            "P_vert": one.p_vert,
+            "R_time": one.r_time,
         },
-        "curvatures": {"R": one.r_curv.tolist(), "P": one.p_curv.tolist(), "S": one.s_curv.tolist()},
+        "curvatures": {"R": one.r_curv, "P": one.p_curv, "S": one.s_curv},
         "ricci": {
-            "R_ij": one.r_ij.tolist(),
-            "P_ricci": one.p_ricci.tolist(),
-            "S_ricci": one.s_ricci.tolist(),
-            "S_raised": one.s_raised.tolist(),
+            "R_ij": one.r_ij,
+            "P_ricci": one.p_ricci,
+            "S_ricci": one.s_ricci,
+            "S_raised": one.s_raised,
             "Sc": one.sc,
-            "S_ricci_field": curvature.bm_s_ricci_field(p.y).tolist() if cfg.tensor.is_berwald_moor else None,
+            "S_ricci_field": curvature.bm_s_ricci_field(p.y) if cfg.tensor.is_berwald_moor else None,
             "Sc_field": curvature.scalar_curvature_field(tm, p.t, p.y) if cfg.tensor.is_berwald_moor else None,
         },
         "grav_potential": {
             "tt_block": pot.tt_block,
-            "xx_block": pot.xx_block.tolist(),
-            "yy_block": pot.yy_block.tolist(),
+            "xx_block": pot.xx_block,
+            "yy_block": pot.yy_block,
         },
         "einstein": {
             "K": ein.k,
             "xi11": ein.xi11,
             "T_11": ein.t_11,
-            "T_ij": ein.t_ij.tolist(),
-            "T_yy": ein.t_yy.tolist(),
-            "T_i_yj": ein.t_i_yj.tolist(),
-            "T_yi_j": ein.t_yi_j.tolist(),
+            "T_ij": ein.t_ij,
+            "T_yy": ein.t_yy,
+            "T_i_yj": ein.t_i_yj,
+            "T_yi_j": ein.t_yi_j,
             "zero_blocks": ein.zero_blocks,
             "raised": {
                 "T1_1": ein.raised_t11,
-                "Tm_i": ein.raised_h.tolist(),
-                "Tm_1i_mixed_t": ein.raised_mixed_t.tolist(),
-                "Tm_i_mixed_v": ein.raised_mixed_v.tolist(),
-                "Tm_i_vv": ein.raised_vv.tolist(),
+                "Tm_i": ein.raised_h,
+                "Tm_1i_mixed_t": ein.raised_mixed_t,
+                "Tm_i_mixed_v": ein.raised_mixed_v,
+                "Tm_i_vv": ein.raised_vv,
             },
         },
         "conservation": {
             "T1": cons.t1,
-            "Ti": cons.ti.tolist(),
-            "Tyi": cons.tyi.tolist(),
+            "Ti": cons.ti,
+            "Tyi": cons.tyi,
             "closed_T1": cons.closed_t1,
-            "closed_Ti": cons.closed_ti.tolist(),
-            "closed_Tyi": cons.closed_tyi.tolist(),
+            "closed_Ti": cons.closed_ti,
+            "closed_Tyi": cons.closed_tyi,
         },
-        "em_form": {"F": em.f.tolist()},
+        "em_form": {"F": em.f},
     }
     return doc
 
@@ -134,7 +141,10 @@ def _parse_vec(raw: str, name: str) -> np.ndarray:
 
 def _emit(text: str, output: str | None):
     if output:
-        Path(output).write_text(text)
+        try:
+            Path(output).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"--output: cannot write {output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -147,7 +157,7 @@ def _cmd_eval(args) -> int:
     x = _parse_vec(args.x, "--x") if args.x else None
     p = JetPoint.from_y(y, t=args.t, x=x)
     doc = _eval_point(cfg, p)
-    _emit(json.dumps(doc, indent=2) + "\n", args.output)
+    _emit(jsondoc.dumps(doc) + "\n", args.output)
     return 0
 
 
@@ -181,13 +191,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    axes = parse_grid(args.grid)
-    rows = sweep(cfg, args.field, axes)
-    names = [name for name, _ in axes]
-    if args.format == "json":
-        _emit(json.dumps(rows, indent=2) + "\n", args.output)
-    else:
-        _emit(sweep_csv(rows, args.field, names), args.output)
+    columns = sweep(cfg, args.field, parse_grid(args.grid))
+    text = jsondoc.dumps_records(columns) + "\n" if args.format == "json" else sweep_csv(columns)
+    _emit(text, args.output)
     return 0
 
 

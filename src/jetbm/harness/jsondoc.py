@@ -1,0 +1,115 @@
+"""The JSON writer of the CLI documents: exactly the text of
+``json.dumps(obj, indent=2)``, built straight from float64 arrays.
+
+With an indent set, ``json.dumps`` runs its pure-Python encoder, which
+visits every float of every table one call at a time.  ``dumps`` writes a
+float64 ``ndarray`` as ``json.dumps`` writes its ``tolist()``: the reprs of
+its entries, interleaved with the separators of its shape at its nesting
+depth, which are made once per (shape, depth).  Dicts (with str keys),
+lists and tuples recurse, and a leaf is written by ``json``'s own rule for
+it: a float as its repr (or ``NaN``, ``Infinity`` and ``-Infinity``), an
+int as its repr, a str through ``json``'s ASCII string encoder, None, True
+and False as ``null``, ``true`` and ``false``, and an array of another
+dtype as its ``tolist()``.  Anything else goes to ``json.dumps``, which
+raises TypeError for what JSON cannot hold.
+
+``dumps_records`` writes a table held as columns as the list of one
+{name: value} object per row.
+"""
+
+import json
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
+
+__all__ = ["dumps", "dumps_records", "float_reprs"]
+
+INDENT = 2
+
+
+def _float(v: float) -> str:
+    if v != v:
+        return "NaN"
+    if v == np.inf:
+        return "Infinity"
+    if v == -np.inf:
+        return "-Infinity"
+    return float.__repr__(v)
+
+
+def float_reprs(values: np.ndarray) -> list[str]:
+    """The JSON text of every entry of a float64 array, in C order."""
+    flat = values.ravel().tolist()
+    return list(map(float.__repr__ if np.isfinite(values).all() else _float, flat))
+
+
+@lru_cache(maxsize=128)
+def _separators(shape: tuple[int, ...], depth: int) -> tuple[str, ...]:
+    """The text of a zero array of this shape at this nesting depth, split
+    around its entries: one more piece than the array has entries."""
+    text = json.dumps(np.zeros(shape).tolist(), indent=INDENT)
+    return tuple(text.replace("\n", "\n" + " " * (INDENT * depth)).split("0.0"))
+
+
+def _array(arr: np.ndarray, depth: int) -> str:
+    if arr.dtype != np.float64:
+        return _encode(arr.tolist(), depth)
+    seps = _separators(arr.shape, depth)
+    parts = [""] * (2 * len(seps) - 1)
+    parts[0::2] = seps
+    parts[1::2] = float_reprs(arr)
+    return "".join(parts)
+
+
+def _key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return encode_basestring_ascii(key)
+
+
+def _container(open_: str, items: list[str], close: str, depth: int) -> str:
+    if not items:
+        return open_ + close
+    inner = "\n" + " " * (INDENT * (depth + 1))
+    return open_ + inner + ("," + inner).join(items) + "\n" + " " * (INDENT * depth) + close
+
+
+def _encode(obj, depth: int) -> str:
+    if isinstance(obj, float):
+        return _float(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, np.ndarray):
+        return _array(obj, depth)
+    if isinstance(obj, dict):
+        items = [_key(key) + ": " + _encode(value, depth + 1) for key, value in obj.items()]
+        return _container("{", items, "}", depth)
+    if isinstance(obj, (list, tuple)):
+        return _container("[", [_encode(value, depth + 1) for value in obj], "]", depth)
+    return json.dumps(obj)
+
+
+def dumps(obj) -> str:
+    """The text of ``json.dumps(obj, indent=2)``, with each ndarray written
+    as its ``tolist()``."""
+    return _encode(obj, 0)
+
+
+def dumps_records(columns: dict[str, np.ndarray]) -> str:
+    """The text of ``json.dumps(rows, indent=2)`` for the rows of equal-length
+    float64 columns, each row one object with the columns' names in order."""
+    pad = " " * (2 * INDENT)
+    heads = [("{\n" if i == 0 else ",\n") + pad + _key(name) + ": " for i, name in enumerate(columns)]
+    row = "".join(h.replace("{", "{{").replace("}", "}}") + "{}" for h in heads) + "\n" + " " * INDENT + "}}"
+    texts = [float_reprs(col) for col in columns.values()]
+    rows = list(map(row.format, *texts))
+    return _container("[", rows, "]", 0)

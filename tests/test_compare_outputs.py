@@ -86,3 +86,16 @@ def test_the_verdict_pass_covers_its_seeds_and_prints_only_moved_verdicts(monkey
         " (max_abs_err 1 -> 3, max_rel_err null -> null)",
         "1 of 2 documents with no moved verdict",
     ]
+
+
+def test_the_document_set_covers_every_kind_the_cli_writes():
+    """Verify as JSON and CSV, eval on the default, custom.ini and
+    bm_power.ini, and every sweep field as CSV and JSON: 362 documents."""
+    docs = compare_outputs.documents()
+    assert len(docs) == 362
+    argvs = [argv for _, argv in docs]
+    assert sum(argv[0] == "verify" and argv[-1] == "csv" for argv in argvs) == 1
+    configs = [Path(argv[-1]).name for argv in argvs if argv[0] == "eval" and "--config" in argv]
+    assert configs == ["custom.ini"] * 20 + ["bm_power.ini"] * 20
+    sweeps = {(argv[argv.index("--field") + 1], argv[-1]) for argv in argvs if argv[0] == "sweep"}
+    assert sweeps == {(field, fmt) for field in compare_outputs.SWEEP_FIELDS for fmt in ("csv", "json")}

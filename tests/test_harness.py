@@ -26,7 +26,7 @@ from jetbm.fieldtheory import closed_rhs_of
 import jetbm.geometry as kernel
 from jetbm.geometry import CHUNK, point_metric
 from jetbm.harness import checks as verify_checks
-from jetbm.harness import cli, parse_config, parse_grid, run_verify, sweep
+from jetbm.harness import cli, default_config, jsondoc, parse_config, parse_grid, run_verify, sweep
 from jetbm.harness.checks import SWEEP_FIELDS, check_names, sweep_csv
 from jetbm.harness.config import RunConfig
 
@@ -366,32 +366,72 @@ def test_seed_changes_errors():
 # -- sweeps -----------------------------------------------------------------------
 
 
+def _rows(columns):
+    """The row form of a sweep table: one {name: value} dict per grid point."""
+    return [dict(zip(columns, row)) for row in zip(*(col.tolist() for col in columns.values()))]
+
+
+def _row_sweep(cfg, field, grid):
+    """The rows as sweep returned them before it returned columns: the grid
+    points stacked from the mesh, one dict per point."""
+    axes = parse_grid(grid) if isinstance(grid, str) else list(grid)
+    names = [name for name, _ in axes]
+    mesh = np.meshgrid(*[np.asarray(vals, dtype=float) for _, vals in axes], indexing="ij")
+    points = np.stack(mesh, axis=-1).reshape(-1, len(axes))
+    values = sweep(cfg, field, axes)[field]
+    return [{**dict(zip(names, point)), field: v} for point, v in zip(points.tolist(), values.tolist())]
+
+
+def _row_sweep_csv(rows, field, axes, block=4096):
+    """sweep_csv as it read rows: each axis's reprs once per distinct value
+    of a block of rows, the field's once per row."""
+
+    def repr_column(values):
+        bits, where = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
+        return np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)[where].tolist()
+
+    text = [",".join(axes + [field])]
+    for lo in range(0, len(rows), block):
+        part = rows[lo : lo + block]
+        cols = [repr_column([row[a] for row in part]) for a in axes]
+        text.append("\n".join(map(",".join, zip(*cols, (repr(row[field]) for row in part)))))
+    return "\n".join(text) + "\n"
+
+
 def test_sweep_scalar_curvature_ray():
     cfg = parse_config(MINIMAL)
-    rows = sweep(cfg, "Sc", "s=1:4:3")
-    np.testing.assert_allclose([r["s"] for r in rows], [1.0, 2.0, 4.0], rtol=1e-12)
-    np.testing.assert_allclose([r["Sc"] for r in rows], [-9.0, -2.25, -0.5625], rtol=1e-12)
+    cols = sweep(cfg, "Sc", "s=1:4:3")
+    np.testing.assert_allclose(cols["s"], [1.0, 2.0, 4.0], rtol=1e-12)
+    np.testing.assert_allclose(cols["Sc"], [-9.0, -2.25, -0.5625], rtol=1e-12)
 
 
 def test_sweep_g1111_point():
     cfg = parse_config(MINIMAL)
-    rows = sweep(cfg, "G1111", "y1=1:1:1,y2=2:2:1,y3=3:3:1,y4=4:4:1")
-    assert len(rows) == 1
-    assert rows[0]["G1111"] == pytest.approx(24.0, rel=1e-14)
+    cols = sweep(cfg, "G1111", "y1=1:1:1,y2=2:2:1,y3=3:3:1,y4=4:4:1")
+    assert len(cols["G1111"]) == 1
+    assert cols["G1111"][0] == pytest.approx(24.0, rel=1e-14)
 
 
 def test_sweep_xi_constant_across_grid():
     cfg = parse_config(MINIMAL)
-    rows = sweep(cfg, "xi11", "t=-1:1:5,s=1:10:3")
-    assert len(rows) == 15
-    assert all(r["xi11"] == pytest.approx(4.5) for r in rows)
+    cols = sweep(cfg, "xi11", "t=-1:1:5,s=1:10:3")
+    assert len(cols["xi11"]) == 15
+    assert all(v == pytest.approx(4.5) for v in cols["xi11"])
 
 
 def test_sweep_rows_lexicographic():
     cfg = parse_config(MINIMAL)
-    rows = sweep(cfg, "G1111", "t=0:1:2,s=1:2:2")
-    coords = [(r["t"], r["s"]) for r in rows]
+    cols = sweep(cfg, "G1111", "t=0:1:2,s=1:2:2")
+    coords = list(zip(cols["t"].tolist(), cols["s"].tolist()))
     assert coords == sorted(coords)
+
+
+def test_sweep_columns_are_the_axes_then_the_field():
+    """One 1-D float64 column per grid axis, in grid order, then the field's,
+    all one entry per grid point."""
+    cols = sweep(parse_config(MINIMAL), "Ti", "y2=1:2:3,t=0:1:2")
+    assert list(cols) == ["y2", "t", "Ti"]
+    assert all(col.dtype == np.float64 and col.shape == (6,) for col in cols.values())
 
 
 def test_sweep_rejects_unknown_field_and_axis():
@@ -417,10 +457,10 @@ def test_sweep_refuses_closed_field_layer_for_custom_tensor(field):
 
 
 def test_sweep_g1111_of_custom_tensor():
-    rows = sweep(parse_config(CUSTOM_OTHER), "G1111", "t=0:1:4,s=1:2:3")
-    assert len(rows) == 12
+    cols = sweep(parse_config(CUSTOM_OTHER), "G1111", "t=0:1:4,s=1:2:3")
+    assert len(cols["G1111"]) == 12
     # G_1111 on the ray y = s (1,1,1,1) is (24/24 + 6 * 0.01) s^4
-    np.testing.assert_allclose([r["G1111"] for r in rows[:3]], [1.06 * s**4 for s in (1.0, 2**0.5, 2.0)], rtol=1e-12)
+    np.testing.assert_allclose(cols["G1111"][:3], [1.06 * s**4 for s in (1.0, 2**0.5, 2.0)], rtol=1e-12)
 
 
 def test_sweep_checks_the_tensor_once_per_call(monkeypatch):
@@ -428,8 +468,8 @@ def test_sweep_checks_the_tensor_once_per_call(monkeypatch):
     checks = []
     real = QuarticTensor.is_berwald_moor.fget
     monkeypatch.setattr(QuarticTensor, "is_berwald_moor", property(lambda G: checks.append(1) or real(G)))
-    rows = sweep(parse_config(MINIMAL), "Sc", "t=0:1:4,s=1:2:3")
-    assert len(rows) == 12 and len(checks) == 1
+    cols = sweep(parse_config(MINIMAL), "Sc", "t=0:1:4,s=1:2:3")
+    assert len(cols["Sc"]) == 12 and len(checks) == 1
 
 
 SWEEP_TIME_METRICS = [TimeMetric.constant(1.7), TimeMetric.exponential(0.8, 1.3), TimeMetric.power(-1.3)]
@@ -455,7 +495,7 @@ def test_sweep_rows_equal_the_field_layer_bit_for_bit(field, tm):
     """A grid of 3 x 5 x 9 rows spans more than one kernel chunk; every row
     is the field-layer function at its point, to the last bit."""
     cfg = RunConfig(time_metric=tm, einstein_k=0.7)
-    rows = sweep(cfg, field, "t=-0.9:0.8:3,s=0.5:3:5,y2=0.2:7:9")
+    rows = _rows(sweep(cfg, field, "t=-0.9:0.8:3,s=0.5:3:5,y2=0.2:7:9"))
     assert len(rows) == 135 > CHUNK
     for row in rows:
         y = row["s"] * np.ones(4)
@@ -465,8 +505,8 @@ def test_sweep_rows_equal_the_field_layer_bit_for_bit(field, tm):
 
 def test_sweep_csv_roundtrip():
     cfg = parse_config(MINIMAL)
-    rows = sweep(cfg, "Tyi", "s=1:4:3")
-    text = sweep_csv(rows, "Tyi", ["s"])
+    cols = sweep(cfg, "Tyi", "s=1:4:3")
+    text = sweep_csv(cols)
     lines = text.strip().splitlines()
     assert lines[0] == "s,Tyi"
     assert float(lines[1].split(",")[1]) == pytest.approx(0.75)
@@ -493,12 +533,32 @@ def test_sweep_csv_is_the_per_row_repr_writer(grid, monkeypatch):
     rows, yet writes the bytes of the per-row repr writer, across block
     boundaries too; -0.0 and 0.0 keep their own reprs."""
     monkeypatch.setattr(verify_checks, "_CSV_BLOCK", 4)
-    rows = sweep(parse_config(MINIMAL), "Sc", grid)
+    cols = sweep(parse_config(MINIMAL), "Sc", grid)
     axes = [name for name, _ in (parse_grid(grid) if isinstance(grid, str) else grid)]
-    text = sweep_csv(rows, "Sc", axes)
-    assert text == _per_row_csv(rows, "Sc", axes)
+    text = sweep_csv(cols)
+    assert text == _per_row_csv(_rows(cols), "Sc", axes)
     if not isinstance(grid, str):
         assert [line.split(",")[0] for line in text.splitlines()[1::2]] == ["-0.0", "0.0", "-0.0"]
+
+
+@pytest.mark.parametrize("field", ["Sc", "G1111"])
+def test_column_writers_write_the_row_documents(field, capsys):
+    """On a grid of 17^3 rows, which crosses both CHUNK and the CSV writer's
+    block, the CSV and JSON written from the columns are the texts of the
+    row form: the row-reading sweep_csv and json.dumps(rows, indent=2), on
+    the CLI too."""
+    grid = "t=-0.9:0.8:17,s=0.5:3:17,y2=0.2:7:17"
+    cfg = default_config()
+    cols = sweep(cfg, field, grid)
+    rows = _row_sweep(cfg, field, grid)
+    assert len(rows) > verify_checks._CSV_BLOCK > CHUNK
+    assert _rows(cols) == rows
+    csv_text, json_text = sweep_csv(cols), jsondoc.dumps_records(cols)
+    assert csv_text == _row_sweep_csv(rows, field, ["t", "s", "y2"])
+    assert json_text == json.dumps(rows, indent=2)
+    for fmt, text in (("csv", csv_text), ("json", json_text + "\n")):
+        assert cli.main(["sweep", "--field", field, "--grid", grid, "--format", fmt]) == 0
+        assert capsys.readouterr().out == text
 
 
 _CUSTOM_INI = Path(__file__).resolve().parents[1] / "benchmarks" / "custom.ini"
@@ -520,7 +580,7 @@ def test_chunk_size_moves_no_digit(config, monkeypatch):
     for chunk in (32, CHUNK):
         monkeypatch.setattr(kernel, "CHUNK", chunk)
         monkeypatch.setattr(verify_checks, "CHUNK", chunk)
-        rows = [sweep(cfg, field, "t=-0.9:0.8:3,s=0.5:3:5,y2=0.2:7:9") for field in fields]
+        rows = [_rows(sweep(cfg, field, "t=-0.9:0.8:3,s=0.5:3:5,y2=0.2:7:9")) for field in fields]
         assert len(rows[0]) > 2 * CHUNK
         runs.append((run_verify(cfg).to_json(), repr(rows)))
     assert CHUNK != 32
@@ -721,6 +781,31 @@ def test_cli_sweep_and_report(tmp_path):
     assert shown.returncode == 0
     assert "overall: FAIL" in shown.stdout
     assert "[FAIL] ricci/contraction-vs-field-diag" in shown.stdout
+
+
+_IO_ARGV = {
+    "eval": ["eval", "--y", "1,2,3,4"],
+    "verify": ["verify", "--samples", "1"],
+    "sweep": ["sweep", "--field", "Sc", "--grid", "s=1:2:2"],
+}
+
+
+@pytest.mark.parametrize("command", list(_IO_ARGV))
+def test_cli_unreadable_config_exits_two(command, tmp_path, capsys):
+    missing = tmp_path / "missing.ini"
+    assert cli.main(_IO_ARGV[command] + ["--config", str(missing)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: --config: cannot read {missing}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("command", list(_IO_ARGV))
+def test_cli_unwritable_output_exits_two(command, tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "out.txt"
+    assert cli.main(_IO_ARGV[command] + ["--output", str(target)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and not target.parent.exists()
+    assert out.err.endswith(f"error: --output: cannot write {target}: No such file or directory\n")
 
 
 def test_cli_report_missing_file():

@@ -9,22 +9,24 @@ process of its own:
 
 * ``verify --samples 1000`` on the default configuration, seeds 1, 7 and 42,
   on ``benchmarks/custom.ini``, seeds 1 and 7, on
-  ``scripts/bm_exponential.ini``, seeds 1 and 7, and on
-  ``scripts/bm_power.ini``, seeds 1 and 7 (the default's constant h_11 gives
-  kappa = 0, so L^i_jk and G^k_j1 vanish there and only a nonzero kappa
-  shows a change to them; the exponential family's kappa is constant, so
-  only the power family shows a change to the power branch of the time
-  metric or to dkappa/dt);
+  ``scripts/bm_exponential.ini``, seeds 1 and 7, on
+  ``scripts/bm_power.ini``, seeds 1 and 7, and on ``scripts/dense.ini``,
+  seeds 1 and 7 (the default's constant h_11 gives kappa = 0, so L^i_jk and
+  G^k_j1 vanish there and only a nonzero kappa shows a change to them; the
+  exponential family's kappa is constant, so only the power family shows a
+  change to the power branch of the time metric or to dkappa/dt; only the
+  dense tensor makes every G-hierarchy contraction sum all of its terms);
 * ``verify --samples 1000 --format csv`` on the default configuration,
   seed 1;
 * ``eval`` at the first 300 points of the benchmark's seed-1 eval inputs,
   and at the first 20 of them on ``benchmarks/custom.ini`` (whose
-  ``S_ricci_field`` and ``Sc_field`` are null) and on
-  ``scripts/bm_power.ini`` (kappa != 0);
+  ``S_ricci_field`` and ``Sc_field`` are null), on ``scripts/bm_power.ini``
+  (kappa != 0) and on ``scripts/dense.ini``;
 * ``sweep`` of every sweep field over the benchmark's seed-1 sweep grid, as
-  CSV and as JSON.
+  CSV and as JSON, and ``sweep --field G1111`` (the one field a custom
+  tensor has) on ``benchmarks/custom.ini`` and on ``scripts/dense.ini``.
 
-That is 362 documents, every kind of document the CLI writes.
+That is 386 documents, every kind of document the CLI writes.
 
 For each document the script prints whether the two trees wrote it
 identically.  For a document that differs it prints how many numbers changed
@@ -60,6 +62,7 @@ import workloads  # noqa: E402  (the benchmark's seeded inputs)
 
 BM_EXPONENTIAL = ROOT / "scripts" / "bm_exponential.ini"
 BM_POWER = ROOT / "scripts" / "bm_power.ini"
+DENSE = ROOT / "scripts" / "dense.ini"
 SWEEP_FIELDS = ("Sc", "xi11", "T1", "Ti", "Tyi", "G1111")
 EVAL_DOCS = 300
 EVAL_CONFIG_DOCS = 20
@@ -93,6 +96,7 @@ def documents() -> list[tuple[str, list[str]]]:
         ("custom.ini", custom),
         ("bm_exponential.ini", str(BM_EXPONENTIAL)),
         ("bm_power.ini", str(BM_POWER)),
+        ("dense.ini", str(DENSE)),
     ):
         for seed in (1, 7):
             argv = ["verify", "--config", config, "--samples", "1000", "--seed", str(seed)]
@@ -101,7 +105,7 @@ def documents() -> list[tuple[str, list[str]]]:
     ev = workloads.Eval()
     ev.inputs(1)
     docs.extend((f"eval point {i}", ev.argv(i)) for i in range(EVAL_DOCS))
-    for name, config in (("custom.ini", custom), ("bm_power.ini", str(BM_POWER))):
+    for name, config in (("custom.ini", custom), ("bm_power.ini", str(BM_POWER)), ("dense.ini", str(DENSE))):
         docs.extend(
             (f"eval {name} point {i}", ev.argv(i) + ["--config", config]) for i in range(EVAL_CONFIG_DOCS)
         )
@@ -112,6 +116,8 @@ def documents() -> list[tuple[str, list[str]]]:
             (f"sweep {field} {fmt}", ["sweep", "--field", field, "--grid", sw.grid, "--format", fmt])
             for field in SWEEP_FIELDS
         )
+    for name, config in (("custom.ini", custom), ("dense.ini", str(DENSE))):
+        docs.append((f"sweep G1111 {name}", ["sweep", "--field", "G1111", "--grid", sw.grid, "--config", config]))
     return docs
 
 

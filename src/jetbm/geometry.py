@@ -27,6 +27,17 @@ checks) the connection stage; every other reader the full one.  A
 ``Geometry`` is a ``Connection`` and a ``Connection`` is a ``Metric``, and a
 field shared by two stages comes from the same lines in both.
 
+G_1111, G_i111 and G_ij11 are sums over the tensor's nonzero terms only
+(``QuarticTensor.terms``, built once per tensor): each product is formed
+left to right, ((G y^p) y^q) ..., and the terms are added one after another
+in lexicographic order of the summed indices, starting from +0.0.  That is
+np.einsum's own arithmetic.  A left-out term multiplies a zero entry of G,
+so for finite y it is a signed zero, and adding a signed zero (or a +0.0
+pad) to a sum that starts from +0.0 changes no bit.  So each value is the
+plain einsum formula's bit for bit (for Berwald-Moor, 232 of the 256
+products of einsum's G_1111 multiply a zero).  G_ijk1 stays the two-operand
+einsum, which sums a dense G in another order.
+
 The hierarchy is closed under differentiation,
     d G_1111 / dy^k = G_k111,   d G_i111 / dy^k = G_ik11,
     d G_ij11 / dy^k = G_ijk1,   d G_ijk1 / dy^l = 24 G_ijkl,
@@ -58,7 +69,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import DegenerateDenominatorError, DomainError, InvariantError, SingularTensorError
-from .jetcore import DIM, JetPoint, QuarticTensor, TimeAxis, TimeMetric
+from .jetcore import DIM, JetPoint, QuarticTensor, TermTable, TimeAxis, TimeMetric
 
 __all__ = [
     "CHUNK",
@@ -261,10 +272,41 @@ def _first_bad(y: np.ndarray, bad: np.ndarray) -> np.ndarray:
     return y[np.flatnonzero(bad)[0]]
 
 
+def _term_sums(table: TermTable, y: np.ndarray, count: int = 3) -> list[np.ndarray]:
+    """G_pqrs y^p y^q y^r y^s, G_ipqr y^p y^q y^r and G_ijpq y^p y^q (the
+    first ``count`` of them) at y of shape (4,) or (N, 4), each as [M, N], by
+    np.einsum's own arithmetic over the tensor's nonzero terms (see the module
+    docstring).  A factor 1.0 multiplies exactly.  Adding +0.0 to every term
+    turns a -0.0 product into +0.0, which is what einsum's start from +0.0 does
+    to the first term, and changes no later addition, since a running sum
+    that does not start at -0.0 never becomes -0.0.  np.add.accumulate adds
+    in order, where np.sum and np.add.reduceat may add pairwise.
+    """
+    coef, factors, blocks = table
+    blocks = blocks[:count]
+    end = blocks[-1][1]
+    y = y.reshape(-1, DIM)
+    n = len(y)
+    yt = np.empty((DIM + 1, n))
+    yt[:DIM] = y.T
+    yt[DIM] = 1.0
+    ys = yt[factors[:, :end]]  # [4, terms, N]
+    prod = coef[:end] * ys[0]
+    for y_j in ys[1:]:
+        prod *= y_j
+    prod += 0.0
+    sums = []
+    for lo, hi, k, m in blocks:
+        terms = prod[lo:hi].reshape(k, m, n)
+        sums.append(np.add.accumulate(terms, out=terms)[-1])
+    return sums
+
+
 def quartic_form(G: QuarticTensor, y: np.ndarray) -> np.ndarray:
     """G_1111 = G_pqrs y^p y^q y^r y^s at y of shape (4,) or over y of shape
     (N, 4); ``g_hierarchy`` holds this value."""
-    return np.einsum("pqrs,...p,...q,...r,...s->...", G.dense, y, y, y, y)
+    (g,) = _term_sums(G.terms, y, 1)
+    return g[0, 0] if y.ndim == 1 else g[0]
 
 
 def g_hierarchy(G: QuarticTensor, y: np.ndarray) -> GScalars:
@@ -273,14 +315,23 @@ def g_hierarchy(G: QuarticTensor, y: np.ndarray) -> GScalars:
     Each level is a direct polynomial contraction of G_pqrs with y:
     G_ijk1 = 24 G_ijkp y^p, G_ij11 = 12 G_ijpq y^p y^q,
     G_i111 = 4 G_ipqr y^p y^q y^r, G_1111 = G_pqrs y^p y^q y^r y^s,
-    and G^j_1 and scriptG are matrix products.  These are the sums of the
-    plain one-point formulas, so every value matches them bit for bit: checks
-    such as einstein/raised-cross-check compare g^jk g_kl with delta at an
-    absolute tolerance near rounding, and their verdicts follow the last bits.
+    and G^j_1 and scriptG are matrix products.  G_1111, G_i111 and G_ij11 are
+    summed over the tensor's nonzero terms only (``_term_sums``), each
+    product left to right and the terms one after another in lexicographic
+    order of the summed indices from +0.0, as np.einsum sums them; a left-out
+    term is a signed zero, which changes no bit of such a sum.  G_ijk1 is the
+    two-operand np.einsum itself, whose order for a dense G differs.  So
+    every value matches the plain one-point einsum formulas bit for bit:
+    checks such as einstein/raised-cross-check compare g^jk g_kl with delta at
+    an absolute tolerance near rounding, and their verdicts follow the last
+    bits.  Every level is C-contiguous, because a matmul of a strided operand
+    may round differently.
     """
     D = G.dense
-    gij11 = 12.0 * np.einsum("ijpq,...p,...q->...ij", D, y, y)
-    gi111 = 4.0 * np.einsum("ipqr,...p,...q,...r->...i", D, y, y, y)
+    lead = y.shape[:-1]
+    g, gi, gij = _term_sums(G.terms, y)
+    gij11 = np.multiply(gij.T, 12.0, order="C").reshape(lead + (DIM, DIM))
+    gi111 = np.multiply(gi.T, 4.0, order="C").reshape(lead + (DIM,))
 
     det = np.linalg.det(gij11)
     scale = np.abs(gij11).max(axis=(-2, -1))
@@ -292,7 +343,7 @@ def g_hierarchy(G: QuarticTensor, y: np.ndarray) -> GScalars:
     inv = 0.5 * (inv + inv.swapaxes(-1, -2))
     gj_up = (inv @ gi111[..., None])[..., 0]
     return GScalars(
-        g1111=quartic_form(G, y),
+        g1111=g[0, 0] if y.ndim == 1 else g[0],
         gi111=gi111,
         gij11=gij11,
         gijk1=24.0 * np.einsum("ijkp,...p->...ijk", D, y),

@@ -101,8 +101,10 @@ class _Err:
         b = np.atleast_1d(np.asarray(b, dtype=float))
         d = np.abs(a - b)
         denom = np.maximum(np.abs(a), np.abs(b))
-        nz = denom > 0.0
-        self._fold(float(d.max()), float((d[nz] / denom[nz]).max()) if np.any(nz) else 0.0)
+        # the relative error is 0 where both values are 0 (or NaN, whose
+        # absolute error makes both errors NaN)
+        rel = np.divide(d, denom, out=np.zeros_like(d), where=denom > 0.0)
+        self._fold(float(d.max()), float(rel.max()))
 
     def add_residual(self, r):
         """Residual against an exact-zero target (absolute only)."""

@@ -139,6 +139,23 @@ def _parse_vec(raw: str, name: str) -> np.ndarray:
     return np.array(vals)
 
 
+def _check_output(output: str | None):
+    """Refuse an unwritable --output before any work is done.  Opening for
+    append truncates no existing file, and a file this check makes is
+    removed again, so a run that fails later leaves the path as it was."""
+    if not output:
+        return
+    path = Path(output)
+    existed = path.exists()
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise ConfigError(f"--output: cannot write {output}: {exc.strerror or exc}") from exc
+    if not existed:
+        path.unlink()
+
+
 def _emit(text: str, output: str | None):
     if output:
         try:
@@ -289,6 +306,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else list(argv)))
     try:
+        _check_output(getattr(args, "output", None))
         return args.fn(args)
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

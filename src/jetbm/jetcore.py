@@ -11,7 +11,8 @@ function of its inputs, so evaluation at many points can run concurrently.
 """
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations
+from itertools import chain, combinations_with_replacement
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,18 +148,89 @@ def _sorted_quad(idx) -> tuple[int, int, int, int]:
     return q
 
 
+# the 35 sorted quadruples (1-based), in the order of QuarticTensor.components,
+# per entry (p, q, r, s) of the dense table, in C order, the place in that
+# order of its sorted quadruple, and per quadruple its entries in C order
+_QUADS = tuple(combinations_with_replacement(range(1, DIM + 1), 4))
+_QUAD_OF_ENTRY = np.array([_QUADS.index(tuple(sorted(i + 1 for i in ix))) for ix in np.ndindex((DIM,) * 4)])
+_ENTRIES_OF_QUAD = [np.flatnonzero(_QUAD_OF_ENTRY == q).tolist() for q in range(len(_QUADS))]
+_BERWALD_MOOR = {quad: (1.0 / 24.0 if quad == (1, 2, 3, 4) else 0.0) for quad in _QUADS}
+
+# The term tables of the three contractions of G_pqrs with y that the
+# G-hierarchy sums, by the number m of summed indices:
+#     m = 4: G_pqrs y^p y^q y^r y^s (one output),
+#     m = 3: G_ipqr y^p y^q y^r     (four outputs i),
+#     m = 2: G_ijpq y^p y^q         (sixteen outputs (i, j)).
+# In C order the output indices of an entry lead and its summed indices
+# follow, so an output's entries are one run of DIM**m consecutive entries,
+# in lexicographic order of the summed indices.  The term of block b at
+# entry e has the code b * (_PAD + 1) + e, and a +0.0 pad the entry _PAD.
+# Per code: the place of its value in QuarticTensor's value array, whose
+# last value, 0.0, is the pads'; and the indices of y it is multiplied by, in
+# order: 4 - m times DIM, which stands for 1.0, then its last m indices.
+_ORDERS = (4, 3, 2)
+_PAD = DIM**4
+_QUAD_OF_CODE = np.tile(np.append(_QUAD_OF_ENTRY, len(_QUADS)), len(_ORDERS))
+_FACTORS_OF_CODE = np.full((DIM, len(_ORDERS), _PAD + 1), DIM)
+for _b, _m in enumerate(_ORDERS):
+    _FACTORS_OF_CODE[DIM - _m :, _b, :_PAD] = np.array(list(np.ndindex((DIM,) * 4))).T[DIM - _m :]
+_FACTORS_OF_CODE = _FACTORS_OF_CODE.reshape(DIM, -1)
+
+
+class TermTable(NamedTuple):
+    """The nonzero terms of the contractions sum_s G[o, s] y^s_1 ... y^s_m of
+    orders m = 4, 3, 2, one block of rows each, in that order.
+
+    Block b is ``coef[lo:hi]`` and ``factors[:, lo:hi]`` with
+    ``(lo, hi, K, M) = blocks[b]``: its rows, read as [K, M], hold each of its
+    M outputs' K terms, in lexicographic order of the summed indices s, and
+    an output with fewer than K terms ends in +0.0 terms.  ``coef[l, 0]`` is
+    the entry of G of term l (the last axis broadcasts over the points) and
+    ``factors[:, l]`` the indices of y it is multiplied by, in order, where
+    the index DIM stands for 1.0: an order-m term first reads it 4 - m times.
+    """
+
+    coef: np.ndarray
+    factors: np.ndarray
+    blocks: tuple[tuple[int, int, int, int], ...]
+
+
+def _term_tables(values: np.ndarray) -> TermTable:
+    """The read-only term tables of the tensor whose 35 components, then
+    0.0, are ``values``.  They are laid out by plain Python over the nonzero
+    components' entries: a dozen numpy calls on arrays of a few dozen
+    entries cost more than the layout itself."""
+    nonzero = sorted(e for q, v in enumerate(values.tolist()) if v != 0.0 for e in _ENTRIES_OF_QUAD[q])
+    codes, blocks = [], []
+    for b, m in enumerate(_ORDERS):
+        base = b * (_PAD + 1)
+        rows = [[] for _ in range(_PAD // DIM**m)]
+        for e in nonzero:
+            rows[e // DIM**m].append(base + e)
+        k = max(max(map(len, rows)), 1)
+        lo = len(codes)
+        codes.extend(chain.from_iterable(zip(*(row + [base + _PAD] * (k - len(row)) for row in rows))))
+        blocks.append((lo, len(codes), k, len(rows)))
+    codes = np.array(codes)
+    coef = values[_QUAD_OF_CODE[codes[:, None]]]
+    factors = _FACTORS_OF_CODE[:, codes]
+    coef.flags.writeable = factors.flags.writeable = False
+    return TermTable(coef, factors, tuple(blocks))
+
+
 class QuarticTensor:
     """Totally symmetric (0,4) tensor G_pqrs stored by sorted index quadruple.
 
     Keys use 1-based indices p <= q <= r <= s; the 35 independent components
     are all present (zeros included). Any permutation of a quadruple reads
-    the same stored entry.
+    the same stored entry.  ``is_berwald_moor`` and the term tables of the
+    G-hierarchy's contractions (``terms``) are computed once, here.
     """
 
-    __slots__ = ("components", "_dense")
+    __slots__ = ("components", "_is_berwald_moor", "_dense", "_terms")
 
     def __init__(self, components: dict[tuple[int, int, int, int], float]):
-        table = {q: 0.0 for q in combinations_with_replacement(range(1, DIM + 1), 4)}
+        table = dict.fromkeys(_QUADS, 0.0)
         seen: dict[tuple[int, int, int, int], float] = {}
         for idx, val in components.items():
             quad = _sorted_quad(idx)
@@ -170,14 +242,13 @@ class QuarticTensor:
             seen[quad] = val
             table[quad] = val
         self.components = table
-        dense = np.zeros((DIM, DIM, DIM, DIM))
-        for quad, val in table.items():
-            if val != 0.0:
-                zero_based = tuple(i - 1 for i in quad)
-                for perm in set(permutations(zero_based)):
-                    dense[perm] = val
+        self._is_berwald_moor = table == _BERWALD_MOOR
+        # adding +0.0 stores a -0.0 component as the +0.0 entries it stands for
+        values = np.array([*table.values(), 0.0]) + 0.0
+        dense = values[_QUAD_OF_ENTRY].reshape((DIM,) * 4)
         dense.flags.writeable = False
         self._dense = dense
+        self._terms = _term_tables(values)
 
     @classmethod
     def berwald_moor(cls) -> "QuarticTensor":
@@ -198,10 +269,13 @@ class QuarticTensor:
 
     @property
     def is_berwald_moor(self) -> bool:
-        bm = 1.0 / 24.0
-        return all(
-            val == (bm if quad == (1, 2, 3, 4) else 0.0) for quad, val in self.components.items()
-        )
+        return self._is_berwald_moor
+
+    @property
+    def terms(self) -> TermTable:
+        """The term tables of G_pqrs y^p y^q y^r y^s, G_ipqr y^p y^q y^r and
+        G_ijpq y^p y^q."""
+        return self._terms
 
     def __repr__(self):
         nonzero = {q: v for q, v in self.components.items() if v != 0.0}

@@ -89,13 +89,19 @@ def test_the_verdict_pass_covers_its_seeds_and_prints_only_moved_verdicts(monkey
 
 
 def test_the_document_set_covers_every_kind_the_cli_writes():
-    """Verify as JSON and CSV, eval on the default, custom.ini and
-    bm_power.ini, and every sweep field as CSV and JSON: 362 documents."""
+    """Verify as JSON and CSV, on dense.ini too, eval on the default,
+    custom.ini, bm_power.ini and dense.ini, every sweep field as CSV and
+    JSON, and G1111 swept on custom.ini and dense.ini: 386 documents."""
     docs = compare_outputs.documents()
-    assert len(docs) == 362
+    assert len(docs) == 386
     argvs = [argv for _, argv in docs]
     assert sum(argv[0] == "verify" and argv[-1] == "csv" for argv in argvs) == 1
+    dense = [argv for argv in argvs if argv[0] == "verify" and "--config" in argv and argv[2].endswith("dense.ini")]
+    assert len(dense) == 2
     configs = [Path(argv[-1]).name for argv in argvs if argv[0] == "eval" and "--config" in argv]
-    assert configs == ["custom.ini"] * 20 + ["bm_power.ini"] * 20
-    sweeps = {(argv[argv.index("--field") + 1], argv[-1]) for argv in argvs if argv[0] == "sweep"}
-    assert sweeps == {(field, fmt) for field in compare_outputs.SWEEP_FIELDS for fmt in ("csv", "json")}
+    assert configs == ["custom.ini"] * 20 + ["bm_power.ini"] * 20 + ["dense.ini"] * 20
+    sweeps = {(argv[argv.index("--field") + 1], Path(argv[-1]).name) for argv in argvs if argv[0] == "sweep"}
+    assert sweeps == {(field, fmt) for field in compare_outputs.SWEEP_FIELDS for fmt in ("csv", "json")} | {
+        ("G1111", "custom.ini"),
+        ("G1111", "dense.ini"),
+    }

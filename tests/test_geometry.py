@@ -4,11 +4,16 @@ batch independence, its three stages, and its typed guards."""
 import subprocess
 import sys
 from dataclasses import fields, replace
+from itertools import combinations_with_replacement
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import jetbm.geometry as kernel
+import jetbm.jetcore as jetcore
 from jetbm import (
     DegenerateDenominatorError,
     DomainError,
@@ -40,10 +45,11 @@ from jetbm.geometry import (
     g_hierarchy,
     metric_batches,
     point_geometry,
+    quartic_form,
     take,
 )
 from jetbm.harness import checks
-from jetbm.harness.config import RunConfig
+from jetbm.harness.config import RunConfig, parse_config
 
 from conftest import BATCH_SIZES, cone_points
 
@@ -95,6 +101,118 @@ def test_metric_is_the_plain_closed_formulas(rng):
         g_up = 4.0 * np.sqrt(g) * (inv + np.outer(gj_up, gj_up) / (2.0 * (g - script)))
         np.testing.assert_array_equal(mp.g_lo, 0.5 * (g_lo + g_lo.T))
         np.testing.assert_array_equal(mp.g_up, 0.5 * (g_up + g_up.T))
+
+
+# the G-hierarchy's contractions by their np.einsum specs, the reference the
+# term-table sums reproduce bit for bit (G_ijk1 is still this einsum)
+_HIERARCHY_SPECS = {
+    "g1111": (1.0, "pqrs,...p,...q,...r,...s->...", 4),
+    "gi111": (4.0, "ipqr,...p,...q,...r->...i", 3),
+    "gij11": (12.0, "ijpq,...p,...q->...ij", 2),
+    "gijk1": (24.0, "ijkp,...p->...ijk", 1),
+}
+# every component nonzero, so each contraction sums all of its terms
+DENSE = parse_config(Path(__file__).resolve().parents[1].joinpath("scripts", "dense.ini").read_text()).tensor
+
+
+def _einsum_level(G, name, y):
+    scale, spec, order = _HIERARCHY_SPECS[name]
+    return scale * np.einsum(spec, G.dense, *[y] * order)
+
+
+def _assert_bits_equal(got, want, name=""):
+    """Equal bit patterns (a -0.0 against a +0.0 differs), and the same type,
+    so a one-point G_1111 stays a numpy scalar."""
+    assert type(got) is type(want) and np.shape(got) == np.shape(want), name
+    np.testing.assert_array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64), err_msg=name)
+
+
+@pytest.mark.parametrize(
+    "G", [QuarticTensor.berwald_moor(), CUSTOM_OTHER, DENSE], ids=["berwald-moor", "custom-other", "dense"]
+)
+@pytest.mark.parametrize("size", (None,) + BATCH_SIZES)
+def test_hierarchy_is_its_einsum_specs_bit_for_bit(G, size, rng):
+    """quartic_form and every level of g_hierarchy equal their np.einsum specs
+    bit for bit, at one point y of shape (4,) (size None) and over batches, and
+    every level is C-contiguous."""
+    y = cone_points(rng, 1 if size is None else size)
+    if size is None:
+        y = y[0]
+    s = g_hierarchy(G, y)
+    for name in _HIERARCHY_SPECS:
+        got = getattr(s, name)
+        _assert_bits_equal(got, _einsum_level(G, name, y), name)
+        assert np.ndim(got) == 0 or got.flags.c_contiguous, name
+    _assert_bits_equal(quartic_form(G, y), _einsum_level(G, "g1111", y))
+
+
+_QUADS = list(combinations_with_replacement(range(1, 5), 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pattern=st.lists(st.booleans(), min_size=len(_QUADS), max_size=len(_QUADS)),
+    values=st.lists(
+        st.floats(-1e250, 1e250, allow_nan=False, allow_infinity=False), min_size=len(_QUADS), max_size=len(_QUADS)
+    ),
+    logy=st.lists(st.lists(st.floats(-8.0, 8.0), min_size=4, max_size=4), min_size=1, max_size=5),
+)
+@example(  # G_2233 alone: G_i111 for i = 1, 4 and every G_ij11 with i or j in {1, 4} are all-zero
+    pattern=[q == (2, 2, 3, 3) for q in _QUADS], values=[1.0] * len(_QUADS), logy=[[0.0, 1.0, -2.0, 3.0]]
+)
+@example(  # the first term underflows to -0.0: the sum starts from +0.0
+    pattern=[q == (1, 1, 1, 1) for q in _QUADS], values=[-1e-300] * len(_QUADS), logy=[[-8.0, 0.0, 0.0, 0.0]]
+)
+def test_term_sums_are_einsum_for_any_sparsity(pattern, values, logy):
+    """Over random sparsity patterns, coefficients and y in [1e-8, 1e8]^4, the
+    term-table sum of every contraction (before the guards of g_hierarchy)
+    equals its np.einsum spec bit for bit, signed zeros included."""
+    G = QuarticTensor({q: v for q, v, on in zip(_QUADS, values, pattern) if on})
+    y = 10.0 ** np.array(logy)
+    for ys in (y, y[0]):
+        _assert_bits_equal(quartic_form(G, ys), _einsum_level(G, "g1111", ys))
+        for name, sums in zip(("g1111", "gi111", "gij11"), kernel._term_sums(G.terms, ys)):
+            scale = _HIERARCHY_SPECS[name][0]
+            want = _einsum_level(G, name, ys)
+            _assert_bits_equal(scale * sums.T.reshape(want.shape), want, name)
+
+
+def test_term_tables_are_read_only_and_built_once(monkeypatch, rng):
+    """The tables are built when the tensor is, from its nonzero entries
+    only, and no contraction builds them again."""
+    built = []
+    real = jetcore._term_tables
+    monkeypatch.setattr(jetcore, "_term_tables", lambda values: built.append(1) or real(values))
+    G = QuarticTensor.berwald_moor()
+    assert len(built) == 1
+    ys = cone_points(rng, CHUNK + 1)
+    for y in (ys, ys[0]):
+        g_hierarchy(G, y)
+        quartic_form(G, y)
+    list(metric_batches(G, EXP, np.zeros(len(ys)), ys))
+    assert len(built) == 1 and G.terms is G.terms
+    # Berwald-Moor: 24 terms of G_1111, 6 of each G_i111, and 2 of each
+    # off-diagonal G_ij11 (the diagonal's are +0.0 pads)
+    assert G.terms.blocks == ((0, 24, 24, 1), (24, 48, 6, 4), (48, 80, 2, 16))
+    assert G.terms.coef.shape == (80, 1) and G.terms.factors.shape == (4, 80)
+    for arr in (G.terms.coef, G.terms.factors):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0
+
+
+@pytest.mark.parametrize(
+    "components, expected",
+    [
+        ({(1, 2, 3, 4): 1 / 24}, True),
+        ({(4, 3, 2, 1): 1 / 24, (1, 1, 1, 1): -0.0}, True),
+        ({(1, 2, 3, 4): 1 / 24, (1, 1, 2, 2): 0.01}, False),
+        ({(1, 2, 3, 4): 1 / 12}, False),
+    ],
+)
+def test_is_berwald_moor_is_stored_at_construction(components, expected):
+    G = QuarticTensor(components)
+    assert G.is_berwald_moor is expected and G._is_berwald_moor is expected
 
 
 def _dense_jet_tables(s):

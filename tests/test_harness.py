@@ -291,6 +291,26 @@ def test_error_accumulator_keeps_a_nan(feed):
     assert not report.passed
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
+def test_error_accumulator_divides_where_the_scale_is_nonzero(rng):
+    """add's relative error is the maximum of |a - b| / max(|a|, |b|) over the
+    entries whose scale is nonzero (0 if there is none): the same floats as
+    dividing the compacted nonzero entries."""
+    a = rng.normal(size=(64, 4, 4)) * 10.0 ** rng.integers(-300, 300, size=(64, 4, 4))
+    b = a * (1.0 + 1e-13 * rng.normal(size=a.shape))
+    a[0], b[0] = 0.0, 0.0
+    a[1, 0], b[1, 1] = np.inf, -np.inf
+    for x, y in ((a, b), (np.zeros(3), np.zeros(3)), ([0.0, 1.0], [-0.0, 3.0])):
+        x, y = np.asarray(x, float), np.asarray(y, float)
+        d = np.abs(x - y)
+        denom = np.maximum(np.abs(x), np.abs(y))
+        nz = denom > 0.0
+        err = verify_checks._Err()
+        err.add(x, y)
+        rel = (d[nz] / denom[nz]).max() if nz.any() else 0.0
+        assert np.array_equal([err.abs, err.rel], [d.max(), rel], equal_nan=True)
+
+
 def test_nan_in_a_compared_value_fails_its_check(monkeypatch):
     """A NaN xi_11, patched into the field layer, makes the Einstein blocks and
     the conservation right-hand sides NaN; their checks fail instead of
@@ -464,7 +484,7 @@ def test_sweep_g1111_of_custom_tensor():
 
 
 def test_sweep_checks_the_tensor_once_per_call(monkeypatch):
-    """is_berwald_moor walks all 35 components, so a sweep asks it once, not per row."""
+    """A sweep asks is_berwald_moor once per call, not per row."""
     checks = []
     real = QuarticTensor.is_berwald_moor.fget
     monkeypatch.setattr(QuarticTensor, "is_berwald_moor", property(lambda G: checks.append(1) or real(G)))
@@ -806,6 +826,32 @@ def test_cli_unwritable_output_exits_two(command, tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == "" and not target.parent.exists()
     assert out.err.endswith(f"error: --output: cannot write {target}: No such file or directory\n")
+
+
+def test_cli_unwritable_output_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    """An unwritable --output is refused before the suite runs, however many
+    samples were asked for."""
+
+    def entered(*args, **kwargs):
+        raise AssertionError("run_verify was entered")
+
+    monkeypatch.setattr(cli, "run_verify", entered)
+    target = tmp_path / "no-such-dir" / "r.json"
+    assert cli.main(["verify", "--samples", "1000", "--output", str(target)]) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: --output: cannot write {target}: No such file or directory\n"
+
+
+def test_cli_output_check_leaves_the_path_as_it_was(tmp_path, capsys):
+    """A run that fails after the --output check (here on --samples 0)
+    neither truncates an existing report nor leaves a new empty file."""
+    old = tmp_path / "old.json"
+    old.write_text("earlier report\n")
+    new = tmp_path / "new.json"
+    for target in (old, new):
+        assert cli.main(["verify", "--samples", "0", "--output", str(target)]) == 2
+    capsys.readouterr()
+    assert old.read_text() == "earlier report\n" and not new.exists()
 
 
 def test_cli_report_missing_file():

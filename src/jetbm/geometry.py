@@ -6,8 +6,8 @@ it.  The kernel has three stages, each the one before it plus the next
 objects of the chain:
 
 * the metric stage (``Metric``, ``metric_batches``, ``point_metric``): the
-  time-axis scalars (one ``TimeMetric.eval`` per chunk), the G-hierarchy, the
-  fundamental metric and its inverse;
+  time-axis scalars (one ``TimeMetric.eval`` per metric batch), the
+  G-hierarchy, the fundamental metric and its inverse;
 * the connection stage (``Connection``, ``connection_batches``,
   ``point_connection``): the metric stage, then the exact third and fourth
   y-derivative tables of g and the Cartan connection C^i_j(k), L^i_jk and
@@ -58,13 +58,28 @@ product per point, read through the total symmetry of t3 and t4 and the
 (j, k) symmetry of C; their 5-index results stay in the layout the matmul
 gives and are read in index order once, where S, R and P are formed.
 
-Batches are processed in chunks of at most CHUNK points, and a point's
-results do not depend on which batch it was computed in.  Every correctness
-guard raises a typed error, so none of them vanishes under ``python -O``.
+The stages run over two batch sizes.  The metric stage runs once per
+metric batch of at most METRIC_CHUNK points; the connection and full stages
+run over consecutive slices of at most CHUNK points of it, each slice taken
+with ``take`` as views of the metric bundle's C-contiguous arrays.  The
+deeper stages hold tens of KiB per point (the packed jet's operands, the
+5-index tables), so their chunk bounds the kernel's working memory; the
+metric stage holds about 1.2 KB per point, so its larger batch spreads
+numpy's and LAPACK's fixed per-call cost over more points.  The stages do
+not nest: each takes the bundle of the stage before it, and ``_chunks`` is
+the one chain that calls them, and times them (``stage_times``).
+
+A point's results do not depend on which batch or slice it was computed in:
+the G-hierarchy sums are elementwise plus in-order accumulation, and LAPACK
+and the stacked matmuls work one matrix at a time.  Every correctness guard
+raises a typed error, so none of them vanishes under ``python -O``.
 """
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from itertools import combinations_with_replacement
+from time import perf_counter
 
 import numpy as np
 
@@ -73,6 +88,7 @@ from .jetcore import DIM, JetPoint, QuarticTensor, TermTable, TimeAxis, TimeMetr
 
 __all__ = [
     "CHUNK",
+    "METRIC_CHUNK",
     "Connection",
     "GScalars",
     "Geometry",
@@ -87,18 +103,27 @@ __all__ = [
     "point_geometry",
     "point_metric",
     "quartic_form",
+    "stage_times",
     "take",
 ]
 
-# points per chunk: a chunk amortises numpy's per-call overhead, and each
-# curvature-sized table holds 256 doubles (2 KiB) per point, so the chunk
-# also bounds the kernel's working memory.  A 64-point chunk peaks at about
-# 0.96 MiB of numpy allocations in the connection stage (the packed jet's
-# operands and intermediates) and 1.13 MiB in the full stage (at most five
-# 5-index tables alive); a 128-point chunk peaks at 1.9 and 2.1 MiB
-# (tracemalloc, numpy 2.4), about 1 MiB more resident memory for every run
-# that builds those stages, so the chunk stays at 64 points
+# points per chunk of the connection and full stages: a chunk amortises
+# numpy's per-call overhead, and each curvature-sized table holds 256 doubles
+# (2 KiB) per point, so the chunk also bounds the kernel's working memory.  A
+# 64-point chunk peaks at about 0.96 MiB of numpy allocations in the
+# connection stage (the packed jet's operands and intermediates) and 1.13 MiB
+# in the full stage (at most five 5-index tables alive); a 128-point chunk
+# peaks at 1.9 and 2.1 MiB (tracemalloc, numpy 2.4), about 1 MiB more
+# resident memory for every run that builds those stages, so the chunk stays
+# at 64 points
 CHUNK = 64
+# points per metric batch: the metric bundle keeps about 1.2 KB per point,
+# and at 1 000 points the metric stage peaks at about 1.5 MiB of numpy
+# allocations (tracemalloc), so one batch can serve sixteen chunks of the
+# deeper stages and pay the metric stage's fixed numpy and LAPACK call cost
+# once.  verify --samples 1000 runs about as fast with batches of 512 points
+# and slower with 256 or 64 (in-process, interleaved runs)
+METRIC_CHUNK = 1024
 
 _SINGULAR_RTOL = 1e-12
 _DEGENERATE_RTOL = 1e-12
@@ -227,10 +252,13 @@ class Geometry(Connection):
     sc: np.ndarray
 
 
-def take(bundle, n: int):
-    """Point n of a batched dataclass: array fields lose their batch axis (0-d
-    results become floats), a nested GScalars is sliced alike, and any other
-    field is kept."""
+def take(bundle, n: int | slice):
+    """Point n of a batched dataclass, or the batch of the points in the
+    slice n: at a point array fields lose their batch axis (0-d results
+    become floats), over a slice they keep it as views; a nested GScalars is
+    taken alike, and any other field is kept.  A slice along the batch axis
+    of a C-contiguous array is C-contiguous, so the stacked matmuls round on
+    it as on the whole batch."""
     out = {}
     for name in bundle.__dataclass_fields__:
         v = getattr(bundle, name)
@@ -290,15 +318,17 @@ def _term_sums(table: TermTable, y: np.ndarray, count: int = 3) -> list[np.ndarr
     yt = np.empty((DIM + 1, n))
     yt[:DIM] = y.T
     yt[DIM] = 1.0
-    ys = yt[factors[:, :end]]  # [4, terms, N]
-    prod = coef[:end] * ys[0]
-    for y_j in ys[1:]:
-        prod *= y_j
+    # one gathered factor row [terms, N] at a time, not the whole [4, terms, N]
+    first, *rest = factors[:, :end]
+    prod = coef[:end] * yt[first]
+    for f in rest:
+        prod *= yt[f]
     prod += 0.0
     sums = []
     for lo, hi, k, m in blocks:
         terms = prod[lo:hi].reshape(k, m, n)
-        sums.append(np.add.accumulate(terms, out=terms)[-1])
+        # a copy, so that no returned sum keeps the whole product block alive
+        sums.append(np.add.accumulate(terms, out=terms)[-1].copy())
     return sums
 
 
@@ -332,6 +362,8 @@ def g_hierarchy(G: QuarticTensor, y: np.ndarray) -> GScalars:
     g, gi, gij = _term_sums(G.terms, y)
     gij11 = np.multiply(gij.T, 12.0, order="C").reshape(lead + (DIM, DIM))
     gi111 = np.multiply(gi.T, 4.0, order="C").reshape(lead + (DIM,))
+    gijk1 = np.einsum("ijkp,...p->...ijk", D, y)
+    gijk1 *= 24.0
 
     det = np.linalg.det(gij11)
     scale = np.abs(gij11).max(axis=(-2, -1))
@@ -346,7 +378,7 @@ def g_hierarchy(G: QuarticTensor, y: np.ndarray) -> GScalars:
         g1111=g[0, 0] if y.ndim == 1 else g[0],
         gi111=gi111,
         gij11=gij11,
-        gijk1=24.0 * np.einsum("ijkp,...p->...ijk", D, y),
+        gijk1=gijk1,
         # the constant 24 G_ijkl, one read-only zero-stride view over the batch
         gijkl=np.broadcast_to(24.0 * D, y.shape[:-1] + D.shape),
         gij11_inv=inv,
@@ -428,7 +460,32 @@ def _guard_torsions(p_mixed, c, r_time, kappa, dkappa, y):
         raise InvariantError(f"torsion identities fail at y={_first_bad(y, bad)}")
 
 
+# per-stage wall time of the kernel calls made in a context that holds a
+# counter (``stage_times``); by default no counter, and nothing is recorded
+_STAGE_TIMES: ContextVar[dict[str, float] | None] = ContextVar("stage_times", default=None)
+
+
+@contextmanager
+def stage_times():
+    """A counter of the seconds that the kernel stages ("metric",
+    "connection", "full") take in the calls made while the block runs, in
+    this context; the time between them is the caller's own."""
+    times = dict.fromkeys(("metric", "connection", "full"), 0.0)
+    token = _STAGE_TIMES.set(times)
+    try:
+        yield times
+    finally:
+        _STAGE_TIMES.reset(token)
+
+
 def _metric(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) -> Metric:
+    """The metric stage over one metric batch.  Its guards each check the
+    whole batch, in this order: G_ij11 singular (SingularTensorError, in
+    ``g_hierarchy``), G_1111 > 0 (DomainError), G_1111 - scriptG degenerate
+    (DegenerateDenominatorError), and the inverse-metric formula against
+    direct inversion (InvariantError).  So a singular point anywhere in the
+    batch raises before a degenerate one, and the error names the first
+    point that fails its guard by its y."""
     ax = tm.eval(t)
     s = g_hierarchy(G, y)
     if (s.g1111 <= 0.0).any():
@@ -466,10 +523,10 @@ def _metric(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) -> M
     )
 
 
-def _connection(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) -> Connection:
-    m = _metric(G, tm, t, y)
-    n = len(t)
-    kappa, g_up = m.kappa, m.g_up
+def _connection(m: Metric) -> Connection:
+    """The connection stage over the points of the metric bundle m."""
+    n = len(m)
+    kappa, g_up, y = m.kappa, m.g_up, m.y
 
     # the exact derivative tables of g; one representative per sorted
     # multi-index, stored into every permutation, keeps the downstream index
@@ -500,10 +557,10 @@ def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.reshape(n, DIM * DIM, DIM) @ b.reshape(n, DIM, DIM * DIM)).reshape(n, DIM, DIM, DIM, DIM)
 
 
-def _geometry(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) -> Geometry:
-    cn = _connection(G, tm, t, y)
-    n = len(t)
-    kappa, dkappa, h11, g_up = cn.kappa, cn.dkappa, cn.h11, cn.g_up
+def _geometry(cn: Connection) -> Geometry:
+    """The full stage over the points of the connection bundle cn."""
+    n = len(cn)
+    kappa, dkappa, h11, g_up, y = cn.kappa, cn.dkappa, cn.h11, cn.g_up, cn.y
     t3, t4, c, l = cn.t3, cn.t4, cn.c, cn.l
 
     k3 = (kappa / 3.0)[:, None, None, None]
@@ -590,26 +647,52 @@ def _batch(t, y) -> tuple[np.ndarray, np.ndarray]:
     return t, y.copy()
 
 
-def _chunks(stage, G: QuarticTensor, tm: TimeMetric, t, y):
+def _timed(name: str, stage, *args):
+    start = perf_counter()
+    out = stage(*args)
+    times = _STAGE_TIMES.get()
+    if times is not None:
+        times[name] += perf_counter() - start
+    return out
+
+
+def _chunks(stages, G: QuarticTensor, tm: TimeMetric, t, y):
+    """The one chain of the kernel stages.  The metric stage runs once per
+    consecutive metric batch of at most METRIC_CHUNK points; with no deeper
+    ``stages`` the batch's bundle is yielded as it is, otherwise it is cut
+    into slices of at most CHUNK points, and each slice runs through the
+    named ``stages`` in order.  A metric batch is checked whole before any of
+    its slices runs, by the guard order of ``_metric``: singular, then
+    G_1111 > 0, then degenerate, each over the whole metric batch.  Each
+    stage call's wall time goes to the context's ``stage_times`` counter."""
     t, y = _batch(t, y)
-    for lo in range(0, len(t), CHUNK):
-        yield stage(G, tm, t[lo : lo + CHUNK], y[lo : lo + CHUNK])
+    for lo in range(0, len(t), METRIC_CHUNK):
+        m = _timed("metric", _metric, G, tm, t[lo : lo + METRIC_CHUNK], y[lo : lo + METRIC_CHUNK])
+        if not stages:
+            yield m
+            continue
+        for a in range(0, len(m), CHUNK):
+            bundle = take(m, slice(a, a + CHUNK))
+            for name, stage in stages:
+                bundle = _timed(name, stage, bundle)
+            yield bundle
 
 
 def batches(G: QuarticTensor, tm: TimeMetric, t, y):
     """Full bundles over consecutive chunks of at most CHUNK points, in order,
     so a caller holds one chunk's tables at a time."""
-    return _chunks(_geometry, G, tm, t, y)
+    return _chunks((("connection", _connection), ("full", _geometry)), G, tm, t, y)
 
 
 def connection_batches(G: QuarticTensor, tm: TimeMetric, t, y):
     """Connection-stage bundles over the same chunks as ``batches``."""
-    return _chunks(_connection, G, tm, t, y)
+    return _chunks((("connection", _connection),), G, tm, t, y)
 
 
 def metric_batches(G: QuarticTensor, tm: TimeMetric, t, y):
-    """Metric-stage bundles over the same chunks as ``batches``."""
-    return _chunks(_metric, G, tm, t, y)
+    """Metric-stage bundles over consecutive metric batches of at most
+    METRIC_CHUNK points, in order."""
+    return _chunks((), G, tm, t, y)
 
 
 def geometry(G: QuarticTensor, tm: TimeMetric, t, y) -> Geometry:

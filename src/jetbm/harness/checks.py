@@ -17,9 +17,10 @@ count is a fraction of the samples, except decay's, which is its four fixed
 rays in one chunk; decay reads its rays, not the drawn points.
 
 The generic objects of a group come from geometry bundles over its points,
-one CHUNK at a time, checked with array operations; the Taylor2 oracles run
-batched over the same chunks.  Each group builds the shallowest kernel stage
-that holds what it reads:
+checked with array operations; the Taylor2 oracles run batched over the same
+bundles.  A metric-stage bundle holds up to METRIC_CHUNK points and a
+connection- or full-stage bundle up to CHUNK (see ``geometry``).  Each group
+builds the shallowest kernel stage that holds what it reads:
 
 * gscalars and metric_taylor read only g, g^-1 and the G-hierarchy, and
   build the metric stage (``metric_batches``);
@@ -68,6 +69,7 @@ from ..geometry import (
     g_hierarchy,
     metric_batches,
     quartic_form,
+    stage_times,
     take,
 )
 from ..jetcore import DIM, Taylor2, taylor2_seed
@@ -222,13 +224,12 @@ def _grp_gscalars(cfg, t, ys, oracle, inverse, euler, det, script, raised, inv_c
 def _grp_metric_taylor(cfg, t, ys, hess, homog):
     """g from the energy-function Hessian, and 0-homogeneity of g in y."""
     G, tm = cfg.tensor, cfg.time_metric
-    # the scaled rays are chunked like the base points, so chunk k of each
-    # holds the same points
-    scaled = [metric_batches(G, tm, t, lam * ys) for lam in (0.5, 2.0, 7.0)]
-    for m, *rays in zip(metric_batches(G, tm, t, ys), *scaled):
+    for m in metric_batches(G, tm, t, ys):
         f2 = _g1111_taylor2(G, taylor2_seed(m.y)).sqrt() * m.h11_inv
         hess.add(0.5 * m.h11[:, None, None] * f2.hess, m.g_lo)
-        for ray in rays:
+        # each scaled ray over the base bundle's points, one alive at a time
+        for lam in (0.5, 2.0, 7.0):
+            (ray,) = metric_batches(G, tm, m.t, lam * m.y)
             homog.add(ray.g_lo, m.g_lo)
 
 
@@ -563,14 +564,17 @@ class SuiteResult:
         return "\n".join(lines) + "\n"
 
 
-def run_verify(cfg: RunConfig, on_group: Callable[[str, int, float], None] | None = None) -> SuiteResult:
+def run_verify(
+    cfg: RunConfig, on_group: Callable[[str, int, float, dict[str, float]], None] | None = None
+) -> SuiteResult:
     """Run the full check catalog over seeded samples.
 
     Deterministic for fixed (config, seed); failures are reported, not
     raised.  Closed-form checks are skipped for custom tensors, and a group
     of closed-form checks alone does not run for them.  After each group,
-    on_group (if given) receives the group's name, its point count and its
-    wall time in seconds.
+    on_group (if given) receives the group's name, its point count, its
+    wall time in seconds, and the seconds of that wall time spent in each
+    kernel stage, by stage name (``geometry.stage_times``).
     """
     is_bm = cfg.tensor.is_berwald_moor
     reports: list[VerificationReport] = []
@@ -578,10 +582,11 @@ def run_verify(cfg: RunConfig, on_group: Callable[[str, int, float], None] | Non
         n = grp.size(cfg.samples)
         errs = [_Err() for _ in grp.checks]
         start = perf_counter()
-        if is_bm or not all(check.bm_only for check in grp.checks):
-            grp.fn(cfg, *_points(cfg, np.random.default_rng([cfg.seed, idx]), n), *errs)
+        with stage_times() as stages:
+            if is_bm or not all(check.bm_only for check in grp.checks):
+                grp.fn(cfg, *_points(cfg, np.random.default_rng([cfg.seed, idx]), n), *errs)
         if on_group is not None:
-            on_group(grp.name, n, perf_counter() - start)
+            on_group(grp.name, n, perf_counter() - start, stages)
         for check, err in zip(grp.checks, errs):
             if check.bm_only and not is_bm:
                 reports.append(VerificationReport.skip(check.name, cfg.seed))

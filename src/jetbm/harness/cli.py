@@ -178,8 +178,14 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _print_group_time(name: str, points: int, seconds: float):
-    print(f"[time] {name}  points={points} wall={seconds:.3f}s", file=sys.stderr)
+def _print_group_time(name: str, points: int, seconds: float, stages: dict[str, float]):
+    """The group's wall time, split into its kernel stages' time and the
+    rest, which its checks take."""
+    split = " ".join(f"{stage}={s:.3f}s" for stage, s in stages.items())
+    print(
+        f"[time] {name}  points={points} wall={seconds:.3f}s {split} checks={seconds - sum(stages.values()):.3f}s",
+        file=sys.stderr,
+    )
 
 
 def _cmd_verify(args) -> int:

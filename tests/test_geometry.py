@@ -36,6 +36,7 @@ from jetbm import fieldtheory
 from jetbm.fieldtheory import conservation_residuals_of, einstein_blocks_of, em_form_of, grav_potential_of
 from jetbm.geometry import (
     CHUNK,
+    METRIC_CHUNK,
     Connection,
     GScalars,
     Metric,
@@ -329,21 +330,24 @@ def test_point_is_bit_identical_alone_and_in_a_batch(size, rng):
 
 def _assert_stage_is_the_full_bundle(stage, cls, G, size, rng):
     """Every field of the stage's bundles is bit-identical to the full
-    bundle's over the same chunks."""
+    bundle's, point by point: the metric stage's batches hold up to
+    METRIC_CHUNK points, the deeper stages' chunks up to CHUNK."""
     ys = cone_points(rng, size, lo=0.7, hi=1.4)
     ts = rng.uniform(-1, 1, size)
     parts = list(stage(G, EXP, ts, ys))
     full = list(batches(G, EXP, ts, ys))
-    assert [len(m) for m in parts] == [len(geo) for geo in full]
-    for m, geo in zip(parts, full):
+    points = [(m, n) for m in parts for n in range(len(m))]
+    full_points = [(geo, n) for geo in full for n in range(len(geo))]
+    assert len(points) == len(full_points) == size
+    for (m, i), (geo, j) in zip(points, full_points):
         assert type(m) is cls
         for f in fields(cls):
             a, b = getattr(m, f.name), getattr(geo, f.name)
             if isinstance(a, GScalars):
                 for s in fields(GScalars):
-                    np.testing.assert_array_equal(getattr(a, s.name), getattr(b, s.name), err_msg=s.name)
+                    np.testing.assert_array_equal(getattr(a, s.name)[i], getattr(b, s.name)[j], err_msg=s.name)
             elif isinstance(a, np.ndarray):
-                np.testing.assert_array_equal(a, b, err_msg=f.name)
+                np.testing.assert_array_equal(a[i], b[j], err_msg=f.name)
                 assert not a.flags.writeable
             else:
                 assert a is b
@@ -359,6 +363,53 @@ def test_metric_stage_is_bit_identical_to_the_full_bundle(G, size, rng):
 @pytest.mark.parametrize("size", BATCH_SIZES)
 def test_connection_stage_is_bit_identical_to_the_full_bundle(G, size, rng):
     _assert_stage_is_the_full_bundle(connection_batches, Connection, G, size, rng)
+
+
+@pytest.mark.parametrize(
+    "G", [QuarticTensor.berwald_moor(), CUSTOM_OTHER, DENSE], ids=["berwald-moor", "custom-other", "dense"]
+)
+@pytest.mark.parametrize("size", [METRIC_CHUNK, METRIC_CHUNK + 1])
+def test_points_are_bit_identical_across_the_metric_batch_boundary(G, size, rng):
+    """Each stage gives a point the same bits in a batch of METRIC_CHUNK
+    points or one more (a second metric batch of one point) as alone: at
+    the ends of the first and second chunk slices, of the metric batch, and
+    in the next one."""
+    ys = cone_points(rng, size)
+    ts = rng.uniform(-1, 1, size)
+    picks = sorted({0, CHUNK - 1, CHUNK, METRIC_CHUNK - 1, size - 1})
+    for stage in (metric_batches, connection_batches, batches):
+        parts = list(stage(G, EXP, ts, ys))
+        step = METRIC_CHUNK if stage is metric_batches else CHUNK
+        assert [len(b) for b in parts] == [len(ys[lo : lo + step]) for lo in range(0, size, step)]
+        batch = kernel._concat(parts)
+        for n in picks:
+            (one,) = stage(G, EXP, ts[n : n + 1], ys[n : n + 1])
+            _assert_point_equal(batch, n, one)
+
+
+def test_connection_stage_gets_c_contiguous_slices(rng, monkeypatch):
+    """Each CHUNK slice of a metric batch that reaches the connection stage
+    holds views of the metric bundle's arrays, C-contiguous, which the
+    stacked matmuls need to round as over a whole batch; G_ijkl stays the
+    zero-stride constant."""
+    seen = []
+    real = kernel._connection
+
+    def connection(m):
+        seen.append(m)
+        return real(m)
+
+    monkeypatch.setattr(kernel, "_connection", connection)
+    ys = cone_points(rng, METRIC_CHUNK + 1)
+    list(connection_batches(DENSE, EXP, rng.uniform(-1, 1, len(ys)), ys))
+    assert [len(m) for m in seen] == [CHUNK] * (METRIC_CHUNK // CHUNK) + [1]
+    for m in seen[:-1]:
+        arrays = {f.name: getattr(m, f.name) for f in fields(Metric) if isinstance(getattr(m, f.name), np.ndarray)}
+        arrays.update({f.name: getattr(m.scalars, f.name) for f in fields(GScalars)})
+        assert m.scalars.gijkl.strides[0] == 0
+        del arrays["gijkl"]
+        for name, a in arrays.items():
+            assert a.flags.c_contiguous and not a.flags.owndata, name
 
 
 _SKEWED = np.array([1e-2, 1e-2, 1e2, 1e2])  # det G_ij11 = -3 G_1111^2, tiny against max|G_ij11|^4
@@ -411,9 +462,30 @@ def _deeper_stage_built(*args):
     raise RuntimeError("a deeper stage was built")
 
 
+def test_a_metric_batch_checks_singular_before_degenerate(rng, monkeypatch):
+    """Each guard of the metric stage checks a whole metric batch before the
+    next guard runs: a singular point raises before a degenerate one in an
+    earlier chunk of the same metric batch, and a degenerate point before a
+    singular one in a later metric batch.  The error names the bad point."""
+    bm = QuarticTensor.berwald_moor()
+    degenerate = np.array([1.5, 2.5, 3.5, 4.5])
+    _degenerate_at(degenerate, monkeypatch)
+    for singular_at, error, bad in (
+        (CHUNK + 3, SingularTensorError, _SKEWED),
+        (METRIC_CHUNK + 3, DegenerateDenominatorError, degenerate),
+    ):
+        ys = cone_points(rng, singular_at + 5)
+        ys[5] = degenerate
+        ys[singular_at] = _SKEWED
+        for stage in (batches, connection_batches, metric_batches, geometry):
+            with pytest.raises(error) as exc:
+                list(stage(bm, EXP, np.zeros(len(ys)), ys))
+            assert str(bad) in str(exc.value)
+
+
 def test_metric_readers_never_build_the_derivative_tables(monkeypatch):
     """Readers build no stage deeper than they read, and give what the full
-    bundle gives.  With the derivative-table jet broken, metric_pair,
+    bundle gives.  With the connection stage broken, metric_pair,
     grav_potential, einstein_blocks and the gscalars, metric_taylor and
     einstein verify groups still run on Berwald-Moor; with the full stage
     broken, cartan_connection, em_form, conservation_residuals and the
@@ -440,7 +512,7 @@ def test_metric_readers_never_build_the_derivative_tables(monkeypatch):
     # use, per-point readers, and the full bundle's values for them)
     cases = [
         (
-            "_metric_jet",
+            "_connection",
             ("gscalars", "metric_taylor", "einstein"),
             "metric_batches",
             metric_readers,

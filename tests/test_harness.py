@@ -24,7 +24,7 @@ from jetbm import (
 from jetbm import fieldtheory
 from jetbm.fieldtheory import closed_rhs_of
 import jetbm.geometry as kernel
-from jetbm.geometry import CHUNK, point_metric
+from jetbm.geometry import CHUNK, METRIC_CHUNK, point_metric
 from jetbm.harness import checks as verify_checks
 from jetbm.harness import cli, default_config, jsondoc, parse_config, parse_grid, run_verify, sweep
 from jetbm.harness.checks import SWEEP_FIELDS, check_names, sweep_csv
@@ -264,7 +264,7 @@ def test_custom_tensor_runs_no_group_of_closed_form_checks_alone(monkeypatch):
     monkeypatch.setattr(verify_checks, "_CATALOG", patched)
     timed = []
     cfg = replace(parse_config(CUSTOM_OTHER), samples=10, y_min=0.7, y_max=1.4)
-    res = run_verify(cfg, on_group=lambda name, n, seconds: timed.append(name))
+    res = run_verify(cfg, on_group=lambda name, n, seconds, stages: timed.append(name))
     assert timed == GROUPS
     skipped = [r.check_name for r in res.reports if r.skipped]
     assert [name for name in skipped if name.startswith(("ricci/", "conservation/"))] == CATALOG_NAMES[21:30] + CATALOG_NAMES[33:36]
@@ -587,7 +587,8 @@ _CUSTOM_INI = Path(__file__).resolve().parents[1] / "benchmarks" / "custom.ini"
 @pytest.mark.parametrize("config", ["bm-exponential", "custom.ini"])
 def test_chunk_size_moves_no_digit(config, monkeypatch):
     """The verify document and the sweep rows are byte-identical over chunks
-    of 32 points and of CHUNK: a point's results do not depend on its batch,
+    of 32 points in metric batches of 64, and over chunks of CHUNK in metric
+    batches of METRIC_CHUNK: a point's results do not depend on its batch,
     and the error accumulators fold maxima.  The exponential time metric has
     kappa != 0, so L^i_jk and G^k_j1 show."""
     if config == "custom.ini":
@@ -597,13 +598,14 @@ def test_chunk_size_moves_no_digit(config, monkeypatch):
     cfg = replace(cfg, samples=2 * CHUNK + 6, seed=3)
     fields = SWEEP_FIELDS if cfg.tensor.is_berwald_moor else ("G1111",)
     runs = []
-    for chunk in (32, CHUNK):
+    for chunk, metric_chunk in ((32, 64), (CHUNK, METRIC_CHUNK)):
         monkeypatch.setattr(kernel, "CHUNK", chunk)
+        monkeypatch.setattr(kernel, "METRIC_CHUNK", metric_chunk)
         monkeypatch.setattr(verify_checks, "CHUNK", chunk)
         rows = [_rows(sweep(cfg, field, "t=-0.9:0.8:3,s=0.5:3:5,y2=0.2:7:9")) for field in fields]
         assert len(rows[0]) > 2 * CHUNK
         runs.append((run_verify(cfg).to_json(), repr(rows)))
-    assert CHUNK != 32
+    assert (CHUNK, METRIC_CHUNK) != (32, 64)
     assert runs[0] == runs[1]
 
 
@@ -734,6 +736,31 @@ GROUPS = [
 ]
 
 
+def test_run_verify_splits_each_group_time_by_kernel_stage():
+    """Each group's stage times count the stages it builds and no other,
+    and they are part of its wall time."""
+    timed = {}
+    run_verify(RunConfig(samples=40), on_group=lambda name, n, seconds, stages: timed.update({name: (seconds, stages)}))
+    assert list(timed) == GROUPS
+    built = {
+        "gscalars": {"metric"},
+        "metric_taylor": {"metric"},
+        "connection": set(),
+        "cartan": {"metric", "connection"},
+        "curvature": {"metric", "connection", "full"},
+        "ricci": {"metric", "connection", "full"},
+        "einstein": {"metric"},
+        "conservation": {"metric", "connection"},
+        "decay": {"metric", "connection"},
+        "field_misc": {"metric", "connection"},
+        "autodiff": set(),
+    }
+    for name, (seconds, stages) in timed.items():
+        assert list(stages) == ["metric", "connection", "full"]
+        assert {stage for stage, s in stages.items() if s > 0.0} == built[name], name
+        assert sum(stages.values()) <= seconds
+
+
 def test_cli_verify_prints_one_wall_time_per_group(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(MINIMAL)
@@ -741,7 +768,14 @@ def test_cli_verify_prints_one_wall_time_per_group(tmp_path):
     lines = [line for line in out.stderr.splitlines() if line.startswith("[time] ")]
     assert [line.split()[1] for line in lines] == GROUPS
     for line in lines:
-        assert re.fullmatch(r"\[time\] [a-z_]+  points=\d+ wall=\d+\.\d{3}s", line), line
+        assert re.fullmatch(
+            r"\[time\] [a-z_]+  points=\d+ wall=\d+\.\d{3}s metric=\d+\.\d{3}s connection=\d+\.\d{3}s "
+            r"full=\d+\.\d{3}s checks=\d+\.\d{3}s",
+            line,
+        ), line
+        # the four parts split the wall time, each rounded to the millisecond
+        wall, *parts = (float(v) for v in re.findall(r"=(\d+\.\d{3})s", line))
+        assert abs(sum(parts) - wall) <= 0.0025, line
     # the timings leave the stdout document as run_verify writes it
     assert out.stdout == run_verify(replace(parse_config(MINIMAL), samples=30)).to_json()
     # decay evaluates the three scaled rays and the base ray, whatever the sample count

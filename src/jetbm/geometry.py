@@ -661,10 +661,9 @@ def _chunks(stages, G: QuarticTensor, tm: TimeMetric, t, y):
     consecutive metric batch of at most METRIC_CHUNK points; with no deeper
     ``stages`` the batch's bundle is yielded as it is, otherwise it is cut
     into slices of at most CHUNK points, and each slice runs through the
-    named ``stages`` in order.  A metric batch is checked whole before any of
-    its slices runs, by the guard order of ``_metric``: singular, then
-    G_1111 > 0, then degenerate, each over the whole metric batch.  Each
-    stage call's wall time goes to the context's ``stage_times`` counter."""
+    named ``stages`` in order.  So a metric batch passes every guard of
+    ``_metric`` before any of its slices runs.  Each stage call's wall time
+    goes to the context's ``stage_times`` counter."""
     t, y = _batch(t, y)
     for lo in range(0, len(t), METRIC_CHUNK):
         m = _timed("metric", _metric, G, tm, t[lo : lo + METRIC_CHUNK], y[lo : lo + METRIC_CHUNK])

@@ -37,7 +37,6 @@ from .geometry import (
     Metric,
     batches,
     connection_batches,
-    geometry,
     metric_batches,
     point_connection,
     point_metric,
@@ -323,15 +322,27 @@ def _guard_reduction_terms(geo: Connection, blocks: EinsteinBlocks):
         raise InvariantError(f"the terms dropped by the reduced conservation divergences do not vanish at y={y}")
 
 
+# the raised fields of the Einstein blocks that the unreduced divergences read
+_RAISED = ("raised_h", "raised_mixed_t", "raised_mixed_v", "raised_vv")
+
+
 def _divergences_unreduced(geo: Geometry, k: float, xi, dxi):
-    """Unreduced covariant divergences with central finite differences in y;
-    the eight shifted points of every point form one bundle."""
+    """Unreduced covariant divergences with central finite differences in y.
+    The eight shifted points of every point run through ``batches`` one
+    chunk at a time, and only what the differences read is kept: G_1111 and
+    the raised fields of the Einstein blocks."""
     n = len(geo)
     h = 1e-5 * geo.y  # step per direction
     shift = h[:, :, None] * np.eye(DIM)  # [point, direction, coordinate]
     ys = np.stack([geo.y[:, None, :] + shift, geo.y[:, None, :] - shift], axis=2)
-    shifted = geometry(geo.tensor, geo.tm, np.repeat(geo.t, 2 * DIM), ys.reshape(-1, DIM))
-    bs = einstein_blocks_of(shifted, k)
+    kept = []
+    for shifted in batches(geo.tensor, geo.tm, np.repeat(geo.t, 2 * DIM), ys.reshape(-1, DIM)):
+        b = einstein_blocks_of(shifted, k)
+        kept.append([shifted.scalars.g1111] + [getattr(b, name) for name in _RAISED])
+        del shifted, b  # so that no chunk's tables are alive while the next one's are built
+    g1111, *raised = [np.concatenate(part) for part in zip(*kept)]
+    del kept
+    shifted_raised = dict(zip(_RAISED, raised))
 
     def deriv(field):
         """d field / dy^n at every point, arranged [point, n, ...]."""
@@ -339,7 +350,7 @@ def _divergences_unreduced(geo: Geometry, k: float, xi, dxi):
         return (f[:, :, 0] - f[:, :, 1]) / (2.0 * h.reshape((n, DIM) + (1,) * (field.ndim - 1)))
 
     # T1: only delta T^1_1 / delta t survives (the other two fields vanish)
-    d_invsq = deriv(1.0 / np.sqrt(shifted.scalars.g1111))
+    d_invsq = deriv(1.0 / np.sqrt(g1111))
     t1 = dxi / np.sqrt(geo.scalars.g1111) + geo.kappa * xi * np.einsum("xn,xn->x", geo.y, d_invsq)
 
     b0 = einstein_blocks_of(geo, k)
@@ -348,7 +359,7 @@ def _divergences_unreduced(geo: Geometry, k: float, xi, dxi):
         """scale d T^m_i/dy^m + T^r_i conn^m_rm - T^m_r conn^r_im for the raised field `name`."""
         field = getattr(b0, name)
         trace = np.einsum("xmrm->xr", conn)
-        d = np.einsum("xmmi->xi", deriv(getattr(bs, name)))
+        d = np.einsum("xmmi->xi", deriv(shifted_raised[name]))
         return scale * d + np.einsum("xri,xr->xi", field, trace) - np.einsum("xmr,xrim->xi", field, conn)
 
     # horizontal parts with L and delta/delta x^m = (kappa/3) d/dy^m, vertical parts with C

@@ -62,12 +62,13 @@ The stages run over two batch sizes.  The metric stage runs once per
 metric batch of at most METRIC_CHUNK points; the connection and full stages
 run over consecutive slices of at most CHUNK points of it, each slice taken
 with ``take`` as views of the metric bundle's C-contiguous arrays.  The
-deeper stages hold tens of KiB per point (the packed jet's operands, the
-5-index tables), so their chunk bounds the kernel's working memory; the
-metric stage holds about 1.2 KB per point, so its larger batch spreads
-numpy's and LAPACK's fixed per-call cost over more points.  The stages do
-not nest: each takes the bundle of the stage before it, and ``_chunks`` is
-the one chain that calls them, and times them (``stage_times``).
+deeper stages peak at about 6 and 12 KiB per point (the packed jet's
+operands, the 5-index tables), so their chunk bounds the kernel's working
+memory; the metric stage holds about 1.2 KB per point, so its larger batch
+spreads numpy's and LAPACK's fixed per-call cost over more points.  The
+stages do not nest: each takes the bundle of the stage before it, and
+``_chunks`` is the one chain that calls them, and times them
+(``stage_times``).
 
 A point's results do not depend on which batch or slice it was computed in:
 the G-hierarchy sums are elementwise plus in-order accumulation, and LAPACK
@@ -110,13 +111,13 @@ __all__ = [
 # points per chunk of the connection and full stages: a chunk amortises
 # numpy's per-call overhead, and each curvature-sized table holds 256 doubles
 # (2 KiB) per point, so the chunk also bounds the kernel's working memory.  A
-# 64-point chunk peaks at about 0.96 MiB of numpy allocations in the
-# connection stage (the packed jet's operands and intermediates) and 1.13 MiB
-# in the full stage (at most five 5-index tables alive); a 128-point chunk
-# peaks at 1.9 and 2.1 MiB (tracemalloc, numpy 2.4), about 1 MiB more
-# resident memory for every run that builds those stages, so the chunk stays
-# at 64 points
-CHUNK = 64
+# 128-point chunk peaks at about 0.79 MiB of numpy allocations in the
+# connection stage (the packed jet, at most about sixteen [50, N] arrays
+# alive) and 1.52 MiB in the full stage (at most five 5-index tables alive);
+# a 64-point chunk at 0.40 and 0.82 MiB (tracemalloc, numpy 2.4).  The larger
+# chunk halves the calls of every per-chunk stage and check for about 1 MiB
+# more resident memory in the runs that build the full stage
+CHUNK = 128
 # points per metric batch: the metric bundle keeps about 1.2 KB per point,
 # and at 1 000 points the metric stage peaks at about 1.5 MiB of numpy
 # allocations (tracemalloc), so one batch can serve sixteen chunks of the
@@ -147,8 +148,8 @@ _SWAP4 = np.array([_POS[(a, c, b, d)] for a, b, c, d in _QUADS])
 _T3 = np.array([_POS[(*sorted(ix), DIM - 1)] for ix in np.ndindex((DIM,) * 3)])
 _T4 = np.array([_POS[tuple(sorted(ix))] for ix in np.ndindex((DIM,) * 4)])
 # per entry, the flat indices into G_i111, G_ij11, G_ijk1 and G_ijkl of the
-# operands it reads, in the order _metric_jet unpacks them
-_I, _J, _K, _N = _IJKN = np.array(_ENTRIES).T
+# operands _metric_jet reads
+_I, _J, _K, _N = np.array(_ENTRIES).T
 
 
 def _flat(*ix) -> np.ndarray:
@@ -393,10 +394,16 @@ def g_hierarchy(G: QuarticTensor, y: np.ndarray) -> GScalars:
 # (i, j, k, n): arrays [e, x], or a value [x] broadcast over the entries.
 
 
-def _jet_mul(a, b):
+def _jet_mul(a, b, value: bool = True):
+    """The jet of the product a b; with value=False only its d/dy^k and
+    d2/dy^k dy^n parts."""
     av, ak, an, ah = a
     bv, bk, bn, bh = b
-    return av * bv, av * bk + bv * ak, av * bn + bv * an, (av * bh + bv * ah) + (ak * bn + an * bk)
+    dk = av * bk + bv * ak
+    dkn = (av * bh + bv * ah) + (ak * bn + an * bk)
+    if not value:
+        return dk, dkn
+    return av * bv, dk, av * bn + bv * an, dkn
 
 
 def _jet_chain(a, f0, f1, f2):
@@ -408,25 +415,33 @@ def _jet_chain(a, f0, f1, f2):
 def _metric_jet(s: GScalars):
     """d g_ij/dy^k and d2 g_ij/dy^k dy^n at the packed entries (i, j, k, n) =
     _ENTRIES[e], as arrays [e, x].  Each entry runs the product and chain
-    rules on its own index order, so a swap entry is computed, not copied."""
+    rules on its own index order, so a swap entry is computed, not copied.
+    Each operand is gathered just before the product that reads it, and
+    each jet is dropped once read, so at most about sixteen [e, x] arrays
+    are alive at once."""
     n = len(s.g1111)
-    gi, gj, gk, gn = s.gi111.T[_IJKN]
-    gkn, gik, gin, gjk, gjn, gij = s.gij11.reshape(n, -1).T[_AT2]
-    gikn, gjkn, gijk, gijn = s.gijk1.reshape(n, -1).T[_AT3]
-    gijkn = s.gijkl.reshape(n, -1).T[_AT4]
-    # the jets of G_1111, G_i111 and G_j111
     g = s.g1111
-    g_jet = (g, gk, gn, gkn)
-    pi_jet = (gi, gik, gin, gikn)
-    pj_jet = (gj, gjk, gjn, gjkn)
-    # 1/(2G) and 1/(4 sqrt(G)) with their first two derivatives in G
+    g1 = s.gi111.T
+    g2 = s.gij11.reshape(n, -1).T
+    g3 = s.gijk1.reshape(n, -1).T
+    # the jet of G_i111 G_j111, from the jets of G_i111 and G_j111
+    p = _jet_mul((g1[_I], g2[_AT2[1]], g2[_AT2[2]], g3[_AT3[0]]), (g1[_J], g2[_AT2[3]], g2[_AT2[4]], g3[_AT3[1]]))
+    # 1/(2G) and 1/(4 sqrt(G)) with their first two derivatives in G, from
+    # the jet of G_1111
+    g_jet = (g, g1[_K], g1[_N], g2[_AT2[0]])
     r = np.sqrt(g)
     inv_2g = _jet_chain(g_jet, 0.5 / g, -0.5 / (g * g), 1.0 / (g * g * g))
     inv_4sq = _jet_chain(g_jet, 0.25 / r, -0.125 / (r * g), 0.1875 / (r * g * g))
-    qv, qk, qn, qh = _jet_mul(_jet_mul(pi_jet, pj_jet), inv_2g)
-    # g_ij = (G_ij11 - G_i111 G_j111 / (2 G)) / (4 sqrt(G))
-    _, dk, _, dkn = _jet_mul((gij - qv, gijk - qk, gijn - qn, gijkn - qh), inv_4sq)
-    return dk, dkn
+    del g_jet
+    qv, qk, qn, qh = _jet_mul(p, inv_2g)
+    del p, inv_2g
+    # g_ij = (G_ij11 - G_i111 G_j111 / (2 G)) / (4 sqrt(G)), in place of the
+    # quotient's jet
+    np.subtract(g2[_AT2[5]], qv, out=qv)
+    np.subtract(g3[_AT3[2]], qk, out=qk)
+    np.subtract(g3[_AT3[3]], qn, out=qn)
+    np.subtract(s.gijkl.reshape(n, -1).T[_AT4], qh, out=qh)
+    return _jet_mul((qv, qk, qn, qh), inv_4sq, value=False)
 
 
 def _guard_mixed_partials(d: np.ndarray, h: np.ndarray, y: np.ndarray):

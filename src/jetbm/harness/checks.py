@@ -18,9 +18,13 @@ rays in one chunk; decay reads its rays, not the drawn points.
 
 The generic objects of a group come from geometry bundles over its points,
 checked with array operations; the Taylor2 oracles run batched over the same
-bundles.  A metric-stage bundle holds up to METRIC_CHUNK points and a
-connection- or full-stage bundle up to CHUNK (see ``geometry``).  Each group
-builds the shallowest kernel stage that holds what it reads:
+bundles.  A metric-stage bundle holds up to METRIC_CHUNK points (1 024) and
+a connection- or full-stage bundle up to CHUNK (128; see ``geometry``), so
+a group over 500 points checks four full-stage chunks, each with one call
+of every closed form, oracle and error accumulator it reads.  A group that
+reads the full stage drops each chunk's bundle before the next one is
+built, so at most one chunk's 5-index tables are alive.  Each group builds
+the shallowest kernel stage that holds what it reads:
 
 * gscalars and metric_taylor read only g, g^-1 and the G-hierarchy, and
   build the metric stage (``metric_batches``);
@@ -270,6 +274,7 @@ def _grp_curvature(cfg, t, ys, s_oracle, antisym, prop, tor_closed):
             closed = curvature.bm_s_closed(geo.y)
             scale = np.maximum(np.abs(closed).max(axis=(1, 2, 3, 4)), 1e-300)
             s_oracle.record(float((np.abs(s - closed).max(axis=(1, 2, 3, 4)) / scale).max()))
+        del geo, s  # so that no chunk's tables are alive while the next one's are built
 
 
 _CONTRACTED_COEF = (2.0 - 8.0 * np.eye(DIM)) / 4.0  # g-raising of the honest contraction
@@ -297,6 +302,7 @@ def _grp_ricci(cfg, t, ys, closed_form, offdiag, diag, raised_field, curl, div_f
         div_field.add(fieldtheory.t2_divergence(table, curvature.FIELD_COEF), target)
         div_contr.add(fieldtheory.t2_divergence(table, _CONTRACTED_COEF), target)
         sc_field.add(geo.sc, curvature.scalar_curvature_field(cfg.time_metric, geo.t, y))
+        del geo, table  # so that no chunk's tables are alive while the next one's are built
 
 
 def _grp_einstein(cfg, t, ys, zeros, sym, raised):
@@ -313,6 +319,7 @@ def _grp_einstein(cfg, t, ys, zeros, sym, raised):
         raised.add(b.raised_mixed_t, h11 * np.einsum("xmr,xri->xmi", g_up, b.t_yi_j))
         raised.add(b.raised_mixed_v, np.einsum("xmr,xri->xmi", g_up, b.t_i_yj))
         raised.add(b.raised_vv, h11 * np.einsum("xmr,xri->xmi", g_up, b.t_yy))
+        del geo, g_up, b  # so that no chunk's tables are alive while the next one's are built
 
 
 def _residual_norm(res):

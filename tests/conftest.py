@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,9 @@ from jetbm import QuarticTensor, TimeMetric
 from jetbm.geometry import CHUNK
 
 # batch sizes of the tests that a point computes the same alone and in a
-# batch: one point, part of a chunk (even and odd), a whole chunk, and one
-# point past it
-BATCH_SIZES = (1, CHUNK // 2, CHUNK // 2 + 1, CHUNK, CHUNK + 1)
+# batch: one point, a quarter and a half of a chunk (even and odd), a whole
+# chunk, and one point past it
+BATCH_SIZES = (1, CHUNK // 4, CHUNK // 4 + 1, CHUNK // 2, CHUNK // 2 + 1, CHUNK, CHUNK + 1)
 
 
 @pytest.fixture
@@ -34,6 +36,18 @@ def families():
 
 def cone_points(rng, n, lo=0.1, hi=10.0):
     return np.exp(rng.uniform(np.log(lo), np.log(hi), size=(n, 4)))
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes of the largest traced allocation total (numpy's buffers
+    included) that fn(*args) reaches above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def max_rel(a, b):

@@ -19,6 +19,7 @@ from jetbm import (
     taylor2_seed,
     xi_11,
 )
+from jetbm import fieldtheory
 from jetbm.fieldtheory import (
     conservation_residuals_of,
     einstein_blocks_of,
@@ -26,9 +27,9 @@ from jetbm.fieldtheory import (
     t2_divergence,
     t2_raised_table,
 )
-from jetbm.geometry import geometry
+from jetbm.geometry import CHUNK, _geometry, connection_batches, geometry
 
-from conftest import BATCH_SIZES, assert_close, cone_points, max_rel
+from conftest import BATCH_SIZES, assert_close, cone_points, max_rel, traced_peak
 
 CONST = TimeMetric.constant(1.0)
 EXP = TimeMetric.exponential(1.0, 1.0)
@@ -176,6 +177,21 @@ def test_conservation_custom_tensor_runs(rng):
     G = QuarticTensor.from_components({(1, 2, 3, 4): 1 / 24, (1, 1, 2, 2): 0.005})
     res = conservation_residuals(G, EXP, JetPoint.from_y(np.array([1.0, 1.1, 0.9, 1.2]), t=0.2), 1.0)
     assert np.isfinite(res.t1) and np.all(np.isfinite(res.ti)) and np.all(np.isfinite(res.tyi))
+
+
+def test_unreduced_divergences_read_one_shifted_chunk_at_a_time(rng, monkeypatch):
+    """Over one CHUNK of a custom tensor, the finite-difference divergences
+    equal those read off one bundle of all the shifted points, bit for bit,
+    yet their traced peak stays below four full-stage peaks over the chunk."""
+    G = QuarticTensor.from_components({(1, 2, 3, 4): 1 / 24, (1, 1, 2, 2): 0.01})
+    (cn,) = connection_batches(G, EXP, rng.uniform(-1, 1, CHUNK), cone_points(rng, CHUNK))
+    geo = _geometry(cn)
+    chunked = conservation_residuals_of(geo, 1.5)
+    assert traced_peak(conservation_residuals_of, geo, 1.5) < 4 * traced_peak(_geometry, cn)
+    monkeypatch.setattr(fieldtheory, "batches", lambda *args: [geometry(*args)])
+    whole = conservation_residuals_of(geo, 1.5)
+    for name in ("t1", "ti", "tyi"):
+        np.testing.assert_array_equal(getattr(chunked, name).view(np.int64), getattr(whole, name).view(np.int64))
 
 
 # -- the unsolvable ODE system ------------------------------------------------------

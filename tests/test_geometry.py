@@ -52,7 +52,7 @@ from jetbm.geometry import (
 from jetbm.harness import checks
 from jetbm.harness.config import RunConfig, parse_config
 
-from conftest import BATCH_SIZES, cone_points
+from conftest import BATCH_SIZES, cone_points, traced_peak
 
 EXP = TimeMetric.exponential(1.0, 1.0)
 # the custom tensor of tests/test_harness.py::CUSTOM_OTHER
@@ -307,6 +307,54 @@ def test_stage_tables_match_their_einsum_specs(G, size, rng):
             got = getattr(geo, name)
             assert got.shape == want.shape, name
             assert np.abs(got - want).max() <= _EINSUM_ULPS * np.spacing(scale[name].max()), name
+
+
+def _packed_jet(s):
+    """The packed jet with every operand gathered up front and every jet
+    alive to the end, each product forming all four of its parts: the
+    reference that the trimmed ``_metric_jet`` reproduces bit for bit."""
+
+    def mul(a, b):
+        av, ak, an, ah = a
+        bv, bk, bn, bh = b
+        return av * bv, av * bk + bv * ak, av * bn + bv * an, (av * bh + bv * ah) + (ak * bn + an * bk)
+
+    def chain(a, f0, f1, f2):
+        _, ak, an, ah = a
+        return f0, f1 * ak, f1 * an, f1 * ah + f2 * (ak * an)
+
+    n = len(s.g1111)
+    gi, gj, gk, gn = s.gi111.T[np.stack([kernel._I, kernel._J, kernel._K, kernel._N])]
+    gkn, gik, gin, gjk, gjn, gij = s.gij11.reshape(n, -1).T[kernel._AT2]
+    gikn, gjkn, gijk, gijn = s.gijk1.reshape(n, -1).T[kernel._AT3]
+    gijkn = s.gijkl.reshape(n, -1).T[kernel._AT4]
+    g = s.g1111
+    g_jet = (g, gk, gn, gkn)
+    r = np.sqrt(g)
+    inv_2g = chain(g_jet, 0.5 / g, -0.5 / (g * g), 1.0 / (g * g * g))
+    inv_4sq = chain(g_jet, 0.25 / r, -0.125 / (r * g), 0.1875 / (r * g * g))
+    qv, qk, qn, qh = mul(mul((gi, gik, gin, gikn), (gj, gjk, gjn, gjkn)), inv_2g)
+    _, dk, _, dkn = mul((gij - qv, gijk - qk, gijn - qn, gijkn - qh), inv_4sq)
+    return dk, dkn
+
+
+@pytest.mark.parametrize(
+    "G", [QuarticTensor.berwald_moor(), CUSTOM_OTHER, DENSE], ids=["berwald-moor", "custom-other", "dense"]
+)
+@pytest.mark.parametrize("size", BATCH_SIZES)
+def test_trimmed_jet_is_the_packed_jet_bit_for_bit(G, size, rng):
+    s = g_hierarchy(G, cone_points(rng, size))
+    for got, want, name in zip(kernel._metric_jet(s), _packed_jet(s), ("d", "h")):
+        _assert_bits_equal(got, want, name)
+
+
+def test_the_jet_no_longer_sets_the_kernels_peak(rng):
+    """Over one CHUNK, the connection stage (the packed jet and the tables
+    it feeds) allocates less at its peak than the full stage."""
+    (m,) = metric_batches(CUSTOM_OTHER, EXP, rng.uniform(-1, 1, CHUNK), cone_points(rng, CHUNK))
+    cn = kernel._connection(m)
+    kernel._geometry(cn)
+    assert traced_peak(kernel._connection, m) < traced_peak(kernel._geometry, cn)
 
 
 def _assert_point_equal(batch, n, one):

@@ -602,7 +602,7 @@ def test_chunk_size_moves_no_digit(config, monkeypatch):
         monkeypatch.setattr(kernel, "CHUNK", chunk)
         monkeypatch.setattr(kernel, "METRIC_CHUNK", metric_chunk)
         monkeypatch.setattr(verify_checks, "CHUNK", chunk)
-        rows = [_rows(sweep(cfg, field, "t=-0.9:0.8:3,s=0.5:3:5,y2=0.2:7:9")) for field in fields]
+        rows = [_rows(sweep(cfg, field, "t=-0.9:0.8:3,s=0.5:3:5,y2=0.2:7:18")) for field in fields]
         assert len(rows[0]) > 2 * CHUNK
         runs.append((run_verify(cfg).to_json(), repr(rows)))
     assert (CHUNK, METRIC_CHUNK) != (32, 64)

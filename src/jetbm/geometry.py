@@ -147,8 +147,8 @@ _REP4 = np.array([_POS[q] for q in _QUADS])
 _SWAP4 = np.array([_POS[(a, c, b, d)] for a, b, c, d in _QUADS])
 _T3 = np.array([_POS[(*sorted(ix), DIM - 1)] for ix in np.ndindex((DIM,) * 3)])
 _T4 = np.array([_POS[tuple(sorted(ix))] for ix in np.ndindex((DIM,) * 4)])
-# per entry, the flat indices into G_i111, G_ij11, G_ijk1 and G_ijkl of the
-# operands _metric_jet reads
+# per entry, its indices i, j, k and n (into G_i111) and, below, the flat
+# indices into G_ij11, G_ijk1 and G_ijkl of the operands _metric_jet reads
 _I, _J, _K, _N = np.array(_ENTRIES).T
 
 
@@ -156,9 +156,9 @@ def _flat(*ix) -> np.ndarray:
     return np.ravel_multi_index(ix, (DIM,) * len(ix))
 
 
-_AT2 = np.stack([_flat(_K, _N), _flat(_I, _K), _flat(_I, _N), _flat(_J, _K), _flat(_J, _N), _flat(_I, _J)])
-_AT3 = np.stack([_flat(_I, _K, _N), _flat(_J, _K, _N), _flat(_I, _J, _K), _flat(_I, _J, _N)])
-_AT4 = _flat(_I, _J, _K, _N)
+_KN, _IK, _IN, _JK, _JN, _IJ = _flat(_K, _N), _flat(_I, _K), _flat(_I, _N), _flat(_J, _K), _flat(_J, _N), _flat(_I, _J)
+_IKN, _JKN, _IJK, _IJN = _flat(_I, _K, _N), _flat(_J, _K, _N), _flat(_I, _J, _K), _flat(_I, _J, _N)
+_IJKN = _flat(_I, _J, _K, _N)
 _EYE = np.eye(DIM)
 # axis orders that read a table held as [x,l,k,i,j] as [x,l,i,j,k] and as
 # [x,l,i,k,j]
@@ -425,10 +425,10 @@ def _metric_jet(s: GScalars):
     g2 = s.gij11.reshape(n, -1).T
     g3 = s.gijk1.reshape(n, -1).T
     # the jet of G_i111 G_j111, from the jets of G_i111 and G_j111
-    p = _jet_mul((g1[_I], g2[_AT2[1]], g2[_AT2[2]], g3[_AT3[0]]), (g1[_J], g2[_AT2[3]], g2[_AT2[4]], g3[_AT3[1]]))
+    p = _jet_mul((g1[_I], g2[_IK], g2[_IN], g3[_IKN]), (g1[_J], g2[_JK], g2[_JN], g3[_JKN]))
     # 1/(2G) and 1/(4 sqrt(G)) with their first two derivatives in G, from
     # the jet of G_1111
-    g_jet = (g, g1[_K], g1[_N], g2[_AT2[0]])
+    g_jet = (g, g1[_K], g1[_N], g2[_KN])
     r = np.sqrt(g)
     inv_2g = _jet_chain(g_jet, 0.5 / g, -0.5 / (g * g), 1.0 / (g * g * g))
     inv_4sq = _jet_chain(g_jet, 0.25 / r, -0.125 / (r * g), 0.1875 / (r * g * g))
@@ -437,10 +437,10 @@ def _metric_jet(s: GScalars):
     del p, inv_2g
     # g_ij = (G_ij11 - G_i111 G_j111 / (2 G)) / (4 sqrt(G)), in place of the
     # quotient's jet
-    np.subtract(g2[_AT2[5]], qv, out=qv)
-    np.subtract(g3[_AT3[2]], qk, out=qk)
-    np.subtract(g3[_AT3[3]], qn, out=qn)
-    np.subtract(s.gijkl.reshape(n, -1).T[_AT4], qh, out=qh)
+    np.subtract(g2[_IJ], qv, out=qv)
+    np.subtract(g3[_IJK], qk, out=qk)
+    np.subtract(g3[_IJN], qn, out=qn)
+    np.subtract(s.gijkl.reshape(n, -1).T[_IJKN], qh, out=qh)
     return _jet_mul((qv, qk, qn, qh), inv_4sq, value=False)
 
 

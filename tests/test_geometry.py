@@ -324,10 +324,11 @@ def _packed_jet(s):
         return f0, f1 * ak, f1 * an, f1 * ah + f2 * (ak * an)
 
     n = len(s.g1111)
-    gi, gj, gk, gn = s.gi111.T[np.stack([kernel._I, kernel._J, kernel._K, kernel._N])]
-    gkn, gik, gin, gjk, gjn, gij = s.gij11.reshape(n, -1).T[kernel._AT2]
-    gikn, gjkn, gijk, gijn = s.gijk1.reshape(n, -1).T[kernel._AT3]
-    gijkn = s.gijkl.reshape(n, -1).T[kernel._AT4]
+    k = kernel
+    gi, gj, gk, gn = s.gi111.T[np.stack([k._I, k._J, k._K, k._N])]
+    gkn, gik, gin, gjk, gjn, gij = s.gij11.reshape(n, -1).T[np.stack([k._KN, k._IK, k._IN, k._JK, k._JN, k._IJ])]
+    gikn, gjkn, gijk, gijn = s.gijk1.reshape(n, -1).T[np.stack([k._IKN, k._JKN, k._IJK, k._IJN])]
+    gijkn = s.gijkl.reshape(n, -1).T[k._IJKN]
     g = s.g1111
     g_jet = (g, gk, gn, gkn)
     r = np.sqrt(g)

@@ -51,10 +51,11 @@ discrepancy and fail by design on a correct implementation.
 
 A sweep tabulates one field of the field layer over a grid; it evaluates the
 library function of that field (``scalar_curvature_field``, ``xi_11``,
-``closed_rhs_of`` or the G-hierarchy) one CHUNK of grid points at a time,
-and has no formula of its own.  It returns its table as columns (the grid
-axes, then the field), which ``sweep_csv`` and ``jsondoc.dumps_records``
-write.
+``closed_rhs_of`` or the G-hierarchy) one METRIC_CHUNK of grid points at a
+time, since every field reads only metric-stage objects, and has no formula
+of its own.  It returns its table as columns (the grid axes, then the
+field), which ``sweep_csv`` and ``jsondoc.dumps_records`` write, formatting
+each distinct value of a column once (``jsondoc.column_reprs``).
 """
 
 from dataclasses import dataclass
@@ -68,6 +69,7 @@ from .. import connection, curvature, fieldtheory, metric
 from ..errors import ConfigError
 from ..geometry import (
     CHUNK,
+    METRIC_CHUNK,
     batches,
     connection_batches,
     g_hierarchy,
@@ -657,7 +659,9 @@ def parse_grid(spec: str) -> list[tuple[str, np.ndarray]]:
 
 def _sweep_values(cfg: RunConfig, field: str, t: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The field at every grid point, t of shape (R,) and y of shape (R, 4),
-    evaluated one CHUNK of points at a time."""
+    evaluated one METRIC_CHUNK of points at a time: every field reads only
+    the time axis, the quartic form or the G-hierarchy, so a batch holds no
+    more than a metric-stage bundle does."""
     G, tm, k = cfg.tensor, cfg.time_metric, cfg.einstein_k
 
     def closed_rhs(t, y):
@@ -671,7 +675,9 @@ def _sweep_values(cfg: RunConfig, field: str, t: np.ndarray, y: np.ndarray) -> n
         "Ti": lambda t, y: closed_rhs(t, y)[1][:, 0],
         "Tyi": lambda t, y: closed_rhs(t, y)[2][:, 0],
     }[field]
-    return np.concatenate([fn(t[lo : lo + CHUNK], y[lo : lo + CHUNK]) for lo in range(0, len(t), CHUNK)])
+    return np.concatenate(
+        [fn(t[lo : lo + METRIC_CHUNK], y[lo : lo + METRIC_CHUNK]) for lo in range(0, len(t), METRIC_CHUNK)]
+    )
 
 
 def sweep(cfg: RunConfig, field: str, grid) -> dict[str, np.ndarray]:
@@ -712,24 +718,20 @@ def sweep(cfg: RunConfig, field: str, grid) -> dict[str, np.ndarray]:
 _CSV_BLOCK = 4096  # rows per block of the CSV writer
 
 
-def _repr_column(values: np.ndarray) -> list[str]:
-    """repr of each float, taken once per distinct value; the values are told
-    apart by their bits, since -0.0 == 0.0 but their reprs differ."""
-    bits, where = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
-    return text[where].tolist()
+def _reprs(values: np.ndarray) -> list[str]:
+    """Python's repr of each float (``nan``, ``inf``, ``-inf`` for the
+    non-finite ones)."""
+    return list(map(repr, values.tolist()))
 
 
 def sweep_csv(columns: dict[str, np.ndarray]) -> str:
-    """The columns of ``sweep`` as CSV, one column of reprs at a time: a grid
-    axis repeats few distinct values, so each is formatted once per block of
-    rows, and the field (the last column) once per row.  A block's columns
-    and lines are dropped once it is joined, which keeps the writer's peak
-    memory below that of one string per row."""
-    *axes, field = columns.values()
+    """The columns of ``sweep`` as CSV, one column of reprs at a time, each
+    distinct value formatted once per block of rows.  A block's columns and
+    lines are dropped once it is joined, which keeps the writer's peak memory
+    below that of one string per row."""
+    n = len(next(iter(columns.values())))
     text = [",".join(columns)]
-    for lo in range(0, len(field), _CSV_BLOCK):
-        cols = [_repr_column(ax[lo : lo + _CSV_BLOCK]) for ax in axes]
-        cols.append(map(repr, field[lo : lo + _CSV_BLOCK].tolist()))
+    for lo in range(0, n, _CSV_BLOCK):
+        cols = [jsondoc.column_reprs(col[lo : lo + _CSV_BLOCK], _reprs) for col in columns.values()]
         text.append("\n".join(map(",".join, zip(*cols))))
     return "\n".join(text) + "\n"

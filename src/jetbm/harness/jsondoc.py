@@ -14,7 +14,10 @@ dtype as its ``tolist()``.  Anything else goes to ``json.dumps``, which
 raises TypeError for what JSON cannot hold.
 
 ``dumps_records`` writes a table held as columns as the list of one
-{name: value} object per row.
+{name: value} object per row.  ``column_reprs`` formats a column once per
+distinct value, which both sweep writers use: a grid axis repeats few
+values, and a field repeats its values wherever it does not depend on an
+axis (Sc under a constant h_11 does not depend on t).
 """
 
 import json
@@ -23,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-__all__ = ["dumps", "dumps_records", "float_reprs"]
+__all__ = ["column_reprs", "dumps", "dumps_records", "float_reprs"]
 
 INDENT = 2
 
@@ -42,6 +45,14 @@ def float_reprs(values: np.ndarray) -> list[str]:
     """The JSON text of every entry of a float64 array, in C order."""
     flat = values.ravel().tolist()
     return list(map(float.__repr__ if np.isfinite(values).all() else _float, flat))
+
+
+def column_reprs(values: np.ndarray, reprs=float_reprs) -> list[str]:
+    """``reprs`` of a 1-D float64 array, called on its distinct entries only
+    and spread back over the column.  Entries are told apart by their bits,
+    since -0.0 == 0.0 but their texts differ."""
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(reprs(bits.view(np.float64)), dtype=object)[where].tolist()
 
 
 @lru_cache(maxsize=128)
@@ -110,6 +121,6 @@ def dumps_records(columns: dict[str, np.ndarray]) -> str:
     pad = " " * (2 * INDENT)
     heads = [("{\n" if i == 0 else ",\n") + pad + _key(name) + ": " for i, name in enumerate(columns)]
     row = "".join(h.replace("{", "{{").replace("}", "}}") + "{}" for h in heads) + "\n" + " " * INDENT + "}}"
-    texts = [float_reprs(col) for col in columns.values()]
+    texts = [column_reprs(col) for col in columns.values()]
     rows = list(map(row.format, *texts))
     return _container("[", rows, "]", 0)

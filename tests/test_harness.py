@@ -539,39 +539,52 @@ def _per_row_csv(rows, field, axes):
     return "\n".join(lines) + "\n"
 
 
+# repeats, -0.0 beside 0.0 in one block of 4 rows, NaN and +-inf
+_SPECIAL_FIELD = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -0.0, 0.0, 1.5, np.nan, -np.inf, 0.0]
+
+
 @pytest.mark.parametrize(
-    "grid",
+    "grid, field_values",
     [
-        "t=-0:0:2,s=1:2:3",
-        [("t", [-0.0, 0.0, -0.0]), ("s", [1.0, 2.0])],
-        "t=-0.9:0.8:3,s=0.5:3:5,y2=0.2:7:9",
+        ("t=-0:0:2,s=1:2:3", None),
+        ([("t", [-0.0, 0.0, -0.0]), ("s", [1.0, 2.0])], None),
+        ("t=-0.9:0.8:3,s=0.5:3:5,y2=0.2:7:9", None),
+        ([("t", [-0.0, 0.0, -0.0]), ("s", [1.0, 2.0])], _SPECIAL_FIELD),
+        ("t=-0.9:0.8:3,s=0.5:3:5,y2=0.2:7:9", _SPECIAL_FIELD),
     ],
-    ids=["zero-span", "signed-zeros", "three-axes"],
+    ids=["zero-span", "signed-zeros", "three-axes", "special-field", "special-field-three-axes"],
 )
-def test_sweep_csv_is_the_per_row_repr_writer(grid, monkeypatch):
-    """The column writer formats each distinct axis value once per block of
-    rows, yet writes the bytes of the per-row repr writer, across block
-    boundaries too; -0.0 and 0.0 keep their own reprs."""
+def test_sweep_csv_is_the_per_row_repr_writer(grid, field_values, monkeypatch):
+    """The column writers format each distinct value of a column once (per
+    block of rows for CSV), yet write the bytes of the per-row writers,
+    across block boundaries too: -0.0 and 0.0 keep their own texts, in an
+    axis and in the field, and NaN and +-inf are written as repr writes them
+    in CSV and as json writes them in JSON."""
     monkeypatch.setattr(verify_checks, "_CSV_BLOCK", 4)
     cols = sweep(parse_config(MINIMAL), "Sc", grid)
+    if field_values is not None:
+        cols["Sc"] = np.resize(np.array(field_values), len(cols["Sc"]))
     axes = [name for name, _ in (parse_grid(grid) if isinstance(grid, str) else grid)]
+    rows = _rows(cols)
     text = sweep_csv(cols)
-    assert text == _per_row_csv(_rows(cols), "Sc", axes)
+    assert text == _per_row_csv(rows, "Sc", axes)
+    assert jsondoc.dumps_records(cols) == json.dumps(rows, indent=2)
     if not isinstance(grid, str):
         assert [line.split(",")[0] for line in text.splitlines()[1::2]] == ["-0.0", "0.0", "-0.0"]
 
 
 @pytest.mark.parametrize("field", ["Sc", "G1111"])
 def test_column_writers_write_the_row_documents(field, capsys):
-    """On a grid of 17^3 rows, which crosses both CHUNK and the CSV writer's
-    block, the CSV and JSON written from the columns are the texts of the
+    """On a grid of 17^3 rows, which crosses both a sweep batch (METRIC_CHUNK)
+    and the CSV writer's block, the CSV and JSON written from the columns
+    are the texts of the
     row form: the row-reading sweep_csv and json.dumps(rows, indent=2), on
     the CLI too."""
     grid = "t=-0.9:0.8:17,s=0.5:3:17,y2=0.2:7:17"
     cfg = default_config()
     cols = sweep(cfg, field, grid)
     rows = _row_sweep(cfg, field, grid)
-    assert len(rows) > verify_checks._CSV_BLOCK > CHUNK
+    assert len(rows) > verify_checks._CSV_BLOCK > METRIC_CHUNK
     assert _rows(cols) == rows
     csv_text, json_text = sweep_csv(cols), jsondoc.dumps_records(cols)
     assert csv_text == _row_sweep_csv(rows, field, ["t", "s", "y2"])
@@ -589,7 +602,8 @@ def test_chunk_size_moves_no_digit(config, monkeypatch):
     """The verify document and the sweep rows are byte-identical over chunks
     of 32 points in metric batches of 64, and over chunks of CHUNK in metric
     batches of METRIC_CHUNK: a point's results do not depend on its batch,
-    and the error accumulators fold maxima.  The exponential time metric has
+    and the error accumulators fold maxima.  A sweep runs in metric batches,
+    so the 64-point run spans several.  The exponential time metric has
     kappa != 0, so L^i_jk and G^k_j1 show."""
     if config == "custom.ini":
         cfg = parse_config(_CUSTOM_INI.read_text())
@@ -602,8 +616,9 @@ def test_chunk_size_moves_no_digit(config, monkeypatch):
         monkeypatch.setattr(kernel, "CHUNK", chunk)
         monkeypatch.setattr(kernel, "METRIC_CHUNK", metric_chunk)
         monkeypatch.setattr(verify_checks, "CHUNK", chunk)
+        monkeypatch.setattr(verify_checks, "METRIC_CHUNK", metric_chunk)
         rows = [_rows(sweep(cfg, field, "t=-0.9:0.8:3,s=0.5:3:5,y2=0.2:7:18")) for field in fields]
-        assert len(rows[0]) > 2 * CHUNK
+        assert len(rows[0]) > 2 * CHUNK > 2 * 64
         runs.append((run_verify(cfg).to_json(), repr(rows)))
     assert (CHUNK, METRIC_CHUNK) != (32, 64)
     assert runs[0] == runs[1]

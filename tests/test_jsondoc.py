@@ -68,9 +68,27 @@ def test_a_key_that_is_not_a_str_is_refused():
 
 
 def test_records_match_json_of_the_rows():
-    cols = {"t": np.array([0.5, -0.0, np.nan]), "y{1}": np.array([1e16, 5e-324, np.inf]), "Sc": np.array([-1.0, 2.0, 3.0])}
+    cols = {
+        "t": np.array([0.5, -0.0, np.nan, 0.0, 0.5, -0.0]),
+        "y{1}": np.array([1e16, 5e-324, np.inf, -np.inf, np.inf, 1e16]),
+        "Sc": np.array([-1.0, 2.0, 3.0, -1.0, np.nan, -1.0]),
+    }
     rows = [dict(zip(cols, row)) for row in zip(*(col.tolist() for col in cols.values()))]
     assert jsondoc.dumps_records(cols) == json.dumps(rows, indent=2)
+
+
+def test_a_column_is_formatted_once_per_distinct_bit_pattern():
+    """column_reprs hands its formatter each distinct bit pattern once: -0.0
+    and 0.0 are two, the repeats of 1.5 and of one NaN are one each."""
+    col = np.array([1.5, -0.0, 0.0, 1.5, np.nan, 1.5, np.nan, -np.inf, 0.0])
+    seen = []
+
+    def reprs(values):
+        seen.extend(values.tolist())
+        return jsondoc.float_reprs(values)
+
+    assert jsondoc.column_reprs(col, reprs) == jsondoc.float_reprs(col)
+    assert len(seen) == 5 and sorted(map(repr, seen)) == ["-0.0", "-inf", "0.0", "1.5", "nan"]
 
 
 floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIAL_FLOATS))

@@ -55,7 +55,8 @@ library function of that field (``scalar_curvature_field``, ``xi_11``,
 time, since every field reads only metric-stage objects, and has no formula
 of its own.  It returns its table as columns (the grid axes, then the
 field), which ``sweep_csv`` and ``jsondoc.dumps_records`` write, formatting
-each distinct value of a column once (``jsondoc.column_reprs``).
+each distinct value of a column once (per block of rows for CSV) through
+``jsondoc.column_reprs``.
 """
 
 from dataclasses import dataclass

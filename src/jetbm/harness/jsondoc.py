@@ -23,6 +23,7 @@ axis (Sc under a constant h_11 does not depend on t).
 import json
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
+from typing import Callable
 
 import numpy as np
 
@@ -47,7 +48,7 @@ def float_reprs(values: np.ndarray) -> list[str]:
     return list(map(float.__repr__ if np.isfinite(values).all() else _float, flat))
 
 
-def column_reprs(values: np.ndarray, reprs=float_reprs) -> list[str]:
+def column_reprs(values: np.ndarray, reprs: Callable[[np.ndarray], list[str]]) -> list[str]:
     """``reprs`` of a 1-D float64 array, called on its distinct entries only
     and spread back over the column.  Entries are told apart by their bits,
     since -0.0 == 0.0 but their texts differ."""
@@ -121,6 +122,6 @@ def dumps_records(columns: dict[str, np.ndarray]) -> str:
     pad = " " * (2 * INDENT)
     heads = [("{\n" if i == 0 else ",\n") + pad + _key(name) + ": " for i, name in enumerate(columns)]
     row = "".join(h.replace("{", "{{").replace("}", "}}") + "{}" for h in heads) + "\n" + " " * INDENT + "}}"
-    texts = [column_reprs(col) for col in columns.values()]
+    texts = [column_reprs(col, float_reprs) for col in columns.values()]
     rows = list(map(row.format, *texts))
     return _container("[", rows, "]", 0)

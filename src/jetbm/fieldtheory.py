@@ -6,10 +6,13 @@ The Einstein blocks and conservation laws form the closed field-theory layer
 built on the Ricci table with diagonal 3/(4 y_i^2) (``bm_s_ricci_field``) and
 on xi_11 = (9 h_11 + kappa^2) / (2 K).  That layer is internally consistent:
 the raised identities follow from g-/h-raising the blocks and the computed
-divergences reproduce the closed right-hand sides at machine precision.  For
-non-Berwald-Moor tensors the honest Ricci contraction feeds the same block
-formulas and divergences fall back to the unreduced covariant definitions
-with finite differences.
+divergences reproduce the closed right-hand sides at machine precision.  On
+Berwald-Moor the divergences differentiate the raised table
+y^m / (y^i sqrt(G_1111)) exactly to first order (``raised_table_grad``,
+Taylor2's gradient rules in one broadcast pass, bit for bit the per-entry
+Taylor2 quotient).  For non-Berwald-Moor tensors the honest Ricci
+contraction feeds the same block formulas and divergences fall back to the
+unreduced covariant definitions with finite differences.
 
 Each closed formula is written once: 9 h_11 + kappa^2 is
 ``curvature.field_numerator`` and the closed conservation right-hand sides
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import FIELD_COEF, bm_s_raised_field, bm_s_ricci_field, field_numerator
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError, DomainError, InvariantError
 from .geometry import (
     Connection,
     Geometry,
@@ -42,7 +45,7 @@ from .geometry import (
     point_metric,
     take,
 )
-from .jetcore import DIM, JetPoint, QuarticTensor, TimeAxis, TimeMetric, taylor2_seed
+from .jetcore import DIM, JetPoint, QuarticTensor, TimeAxis, TimeMetric, _refuse
 
 __all__ = [
     "GravPotential",
@@ -63,8 +66,8 @@ __all__ = [
     "conservation_batches",
     "closed_rhs_of",
     "em_form_of",
-    "t2_raised_table",
-    "t2_divergence",
+    "raised_table_grad",
+    "raised_divergence",
 ]
 
 
@@ -214,24 +217,51 @@ def einstein_blocks(G: QuarticTensor, tm: TimeMetric, p: JetPoint, k: float) -> 
     return take(einstein_blocks_of(geo, k), 0)
 
 
-def t2_raised_table(y):
-    """Taylor2 entries y^m / (y^i sqrt(G_1111)) of the Berwald-Moor raised
-    table, indexed [m][i], and 1/sqrt(G_1111), at one point y of shape (4,)
-    or batched over y of shape (N, 4).  The five reciprocals are taken once;
-    a / b is a * b.reciprocal(), so every entry rounds as the plain quotient
-    s[m] / s[i] / sqrt(G_1111) does."""
-    s = taylor2_seed(y)
-    inv = [si.reciprocal() for si in s]
-    inv_sq = (s[0] * s[1] * s[2] * s[3]).sqrt().reciprocal()
-    return [[s[m] * inv[i] * inv_sq for i in range(DIM)] for m in range(DIM)], inv_sq
+def raised_table_grad(y):
+    """First-order partials of the Berwald-Moor raised table
+    y^m / (y^i sqrt(G_1111)) over y of shape (N, 4): the partials
+    d/dy^m of entry [m][i] as an (N, 4, 4) array indexed [point, m, i], then
+    1/sqrt(G_1111) of shape (N,) and its gradient of shape (N, 4).
+
+    The gradient rules of ``Taylor2.__mul__``, ``reciprocal`` and ``sqrt``
+    are applied in the operand order of the per-entry Taylor2 quotient
+    s[m] / s[i] / sqrt(s[0] s[1] s[2] s[3]), so every number equals that
+    quotient's gradient bit for bit; no Hessian is formed.  The Taylor2
+    chain's guards raise the same errors: y outside the positive cone, a
+    product that is not positive (it can underflow to 0) before the square
+    root, and a reciprocal of zero."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 2 or y.shape[-1] != DIM:
+        raise DomainError(f"expected an (N, 4) batch, got shape {y.shape}")
+    _refuse(~np.all(y > 0.0, axis=-1), y, DomainError, "seeds must lie in the positive cone, got")
+    for i in range(DIM):
+        _refuse(y[:, i] == 0.0, y[:, i], ZeroDivisionError, "reciprocal of a zero Taylor2 value")
+    r = 1.0 / y  # 1/y^i, whose gradient is -(1/y^i)^2 e_i
+    eye = np.eye(DIM)
+    g, dg = y[:, 0], eye[0]  # y^1 y^2 y^3 y^4 and its gradient, product by product
+    for i in range(1, DIM):
+        g, dg = g * y[:, i], g[:, None] * eye[i] + y[:, i, None] * dg
+    _refuse(g <= 0.0, g, DomainError, "sqrt of non-positive Taylor2 value")
+    sq = np.sqrt(g)
+    d_sq = (0.5 / sq)[:, None] * dg
+    _refuse(sq == 0.0, sq, ZeroDivisionError, "reciprocal of a zero Taylor2 value")
+    inv_sq = 1.0 / sq
+    d_inv_sq = (-inv_sq * inv_sq)[:, None] * d_sq
+    # entry [m][i] is (s[m] * inv[i]) * inv_sq; only its partial d/dy^m is read,
+    # and s[m] has the unit gradient e_m, so d(s[m] inv[i])/dy^m is
+    # y^m (-(1/y^i)^2 delta_mi) + (1/y^i) 1
+    d_quot = y[:, :, None] * ((-r * r)[:, None, :] * eye) + r[:, None, :]
+    quot = y[:, :, None] * r[:, None, :]
+    return quot * d_inv_sq[:, :, None] + inv_sq[:, None, None] * d_quot, inv_sq, d_inv_sq
 
 
-def t2_divergence(table, coef: np.ndarray) -> np.ndarray:
-    """Sum over m of d/dy^m [ coef[m,i] table[m][i] ], as a 4-vector or, over
-    a batch, an (N, 4) array: each entry's gradient is scaled by its
+def raised_divergence(d_table, coef: np.ndarray) -> np.ndarray:
+    """Sum over m of coef[m, i] d/dy^m table[m][i], an (N, 4) array, from the
+    partials of ``raised_table_grad``: each partial is scaled by its
     coefficient, the same single multiplication as scaling the entry itself,
     and the sum runs in m-order."""
-    return np.stack([sum(table[m][i].grad[..., m] * coef[m, i] for m in range(DIM)) for i in range(DIM)], axis=-1)
+    scaled = d_table * coef
+    return sum(scaled[:, m] for m in range(DIM))
 
 
 def conservation_residuals_of(geo: Connection, k: float) -> ConservationResiduals:
@@ -239,10 +269,11 @@ def conservation_residuals_of(geo: Connection, k: float) -> ConservationResidual
     closed right-hand sides, over the batch.
 
     For Berwald-Moor tensors the reduced covariant forms are differentiated
-    exactly (Taylor2), and the C- and L-terms the reduction drops are checked
-    to vanish; they read only the connection stage.  Custom tensors use the
-    unreduced definitions with central finite differences, whose blocks read
-    the Ricci contraction of the full stage (``Geometry``).
+    exactly to first order (``raised_table_grad``), and the C- and L-terms
+    the reduction drops are checked to vanish; they read only the connection
+    stage.  Custom tensors use the unreduced definitions with central finite
+    differences, whose blocks read the Ricci contraction of the full stage
+    (``Geometry``).
     """
     xi = _xi(geo.h11, geo.kappa, k)
     dxi = (9.0 * geo.dh11 + 2.0 * geo.kappa * geo.dkappa) / (2.0 * k)
@@ -291,17 +322,17 @@ def conservation_residuals(G: QuarticTensor, tm: TimeMetric, p: JetPoint, k: flo
 
 def _divergences_reduced(geo: Metric, k: float, xi, dxi):
     """Reduced covariant divergences of the Berwald-Moor blocks over the batch,
-    on one batched exact Taylor2 raised table."""
-    table, inv_sq = t2_raised_table(geo.y)
-    div_s = t2_divergence(table, FIELD_COEF)
-    div_delta = inv_sq.grad
+    on the exact first-order partials of the raised table
+    (``raised_table_grad``)."""
+    d_table, inv_sq, div_delta = raised_table_grad(geo.y)
+    div_s = raised_divergence(d_table, FIELD_COEF)
     kappa, h11, xi_c = geo.kappa[:, None], geo.h11[:, None], xi[:, None]
     kappa_sq = (geo.kappa * geo.kappa)[:, None]
     # T1 = delta(xi / sqrt(G)) / delta t with delta/delta t = d/dt + kappa y^p d/dy^p;
     # y^p d/dy^p is np.dot per point, because a stacked matmul or einsum sums
     # the four products in another order than the BLAS dot of one point
-    y_grad = np.array([np.dot(y, g) for y, g in zip(geo.y, inv_sq.grad)])
-    t1 = dxi * inv_sq.value + geo.kappa * xi * y_grad
+    y_grad = np.array([np.dot(y, g) for y, g in zip(geo.y, div_delta)])
+    t1 = dxi * inv_sq + geo.kappa * xi * y_grad
     ti = (kappa / 3.0) * ((kappa_sq / (9.0 * k)) * div_s + xi_c * div_delta) + (h11 * kappa / (3.0 * k)) * div_s
     tyi = (kappa / 3.0) * (kappa / (3.0 * k)) * div_s + (h11 / k) * div_s + xi_c * div_delta
     return t1, ti, tyi

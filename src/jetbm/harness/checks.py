@@ -108,12 +108,16 @@ class _Err:
     def add(self, a, b):
         a = np.atleast_1d(np.asarray(a, dtype=float))
         b = np.atleast_1d(np.asarray(b, dtype=float))
-        d = np.abs(a - b)
-        denom = np.maximum(np.abs(a), np.abs(b))
-        # the relative error is 0 where both values are 0 (or NaN, whose
-        # absolute error makes both errors NaN)
-        rel = np.divide(d, denom, out=np.zeros_like(d), where=denom > 0.0)
-        self._fold(float(d.max()), float(rel.max()))
+        d = np.subtract(a, b)
+        np.abs(d, out=d)
+        # max(|a|, |b|) is formed in one array of the broadcast shape, which
+        # then takes the relative error in place: it stays 0 where both
+        # values are 0 (and NaN where either is, whose absolute error makes
+        # both errors NaN)
+        denom = np.abs(np.broadcast_to(a, d.shape))
+        np.maximum(denom, np.abs(b), out=denom)
+        np.divide(d, denom, out=denom, where=denom > 0.0)
+        self._fold(float(d.max()), float(denom.max()))
 
     def add_residual(self, r):
         """Residual against an exact-zero target (absolute only)."""
@@ -300,12 +304,12 @@ def _grp_ricci(cfg, t, ys, closed_form, offdiag, diag, raised_field, curl, div_f
         curl.add_residual(np.einsum("xmr,xrim->xi", geo.s_raised, connection._bm_c_closed(y)))
         sq = np.sqrt(np.prod(y, axis=1))
         sc_closed.add(geo.sc, -(6.0 * geo.h11 + (2.0 / 3.0) * kappa**2) / sq)
-        table, _ = fieldtheory.t2_raised_table(y)
+        d_table, _, _ = fieldtheory.raised_table_grad(y)
         target = 3.0 / (sq[:, None] * y)
-        div_field.add(fieldtheory.t2_divergence(table, curvature.FIELD_COEF), target)
-        div_contr.add(fieldtheory.t2_divergence(table, _CONTRACTED_COEF), target)
+        div_field.add(fieldtheory.raised_divergence(d_table, curvature.FIELD_COEF), target)
+        div_contr.add(fieldtheory.raised_divergence(d_table, _CONTRACTED_COEF), target)
         sc_field.add(geo.sc, curvature.scalar_curvature_field(cfg.time_metric, geo.t, y))
-        del geo, table  # so that no chunk's tables are alive while the next one's are built
+        del geo, d_table  # so that no chunk's tables are alive while the next one's are built
 
 
 def _grp_einstein(cfg, t, ys, zeros, sym, raised):

@@ -1,8 +1,14 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetbm import (
     ConfigError,
+    DomainError,
     JetPoint,
     QuarticTensor,
     TimeMetric,
@@ -24,8 +30,8 @@ from jetbm.fieldtheory import (
     conservation_residuals_of,
     einstein_blocks_of,
     em_form_of,
-    t2_divergence,
-    t2_raised_table,
+    raised_divergence,
+    raised_table_grad,
 )
 from jetbm.geometry import CHUNK, _geometry, connection_batches, geometry
 
@@ -265,25 +271,115 @@ def test_em_form_antisymmetric_for_custom_tensor(rng):
     np.testing.assert_array_equal(f, -f.T)
 
 
-# -- the shared Taylor2 raised table and the batched field layer ----------------
+# -- the first-order raised table and the batched field layer ------------------
+
+COEFS = ((5 - 14 * np.eye(4)) / 4, (2 - 8 * np.eye(4)) / 4)
+
+
+def _per_entry_grad(y):
+    """The per-entry Taylor2 oracle of ``raised_table_grad`` at one point y:
+    the partials d/dy^m of s[m] / s[i] / sqrt(G_1111), indexed [m, i], then
+    1/sqrt(G_1111) and its gradient."""
+    s = taylor2_seed(y)
+    sq = (s[0] * s[1] * s[2] * s[3]).sqrt()
+    d = np.array([[(s[m] / s[i] / sq).grad[m] for i in range(4)] for m in range(4)])
+    inv_sq = sq.reciprocal()
+    return d, inv_sq.value, inv_sq.grad
+
+
+def _assert_per_entry(ys, got):
+    d, inv_sq, d_inv_sq = got
+    assert d.shape == (len(ys), 4, 4) and inv_sq.shape == (len(ys),) and d_inv_sq.shape == (len(ys), 4)
+    for n, y in enumerate(ys):
+        want_d, want_inv, want_grad = _per_entry_grad(y)
+        np.testing.assert_array_equal(d[n], want_d)
+        assert inv_sq[n] == want_inv
+        np.testing.assert_array_equal(d_inv_sq[n], want_grad)
 
 
 def test_shared_raised_table_divergence_equals_scaled_entries(rng):
-    """Scaling each entry's gradient by its coefficient equals building the
-    scaled entry, bit for bit, for both coefficient tables."""
+    """Scaling each partial by its coefficient and summing in m-order equals
+    the m-th gradient entry of the scaled Taylor2 entry, summed the same way,
+    bit for bit, for both coefficient tables."""
     for y in cone_points(rng, 5):
-        table, inv_sq = t2_raised_table(y)
-        seeds = taylor2_seed(y)
-        sq = (seeds[0] * seeds[1] * seeds[2] * seeds[3]).sqrt()
-        assert inv_sq.value == sq.reciprocal().value
-        for coef in ((5 - 14 * np.eye(4)) / 4, (2 - 8 * np.eye(4)) / 4):
+        d, _, _ = raised_table_grad(y[None])
+        s = taylor2_seed(y)
+        sq = (s[0] * s[1] * s[2] * s[3]).sqrt()
+        for coef in COEFS:
             div = np.zeros(4)
             for i in range(4):
                 acc = 0.0
                 for m in range(4):
-                    acc += (seeds[m] / seeds[i] / sq * coef[m, i]).grad[m]
+                    acc += (s[m] / s[i] / sq * coef[m, i]).grad[m]
                 div[i] = acc
-            np.testing.assert_array_equal(t2_divergence(table, coef), div)
+            np.testing.assert_array_equal(raised_divergence(d, coef)[0], div)
+
+
+@pytest.mark.parametrize("size", BATCH_SIZES)
+def test_batched_raised_table_is_the_per_entry_division(size, rng):
+    """Every array of the batched first-order table equals the gradient of
+    s[m] / s[i] / sqrt(G) computed at each point on its own, bit for bit, and
+    a point alone gets what it gets in the batch, divergences included."""
+    ys = cone_points(rng, size)
+    batch = raised_table_grad(ys)
+    _assert_per_entry(ys, batch)
+    for n in (0, size // 2, size - 1):
+        alone = raised_table_grad(ys[n : n + 1])
+        for got, want in zip(alone, batch):
+            np.testing.assert_array_equal(got[0], want[n])
+        for coef in COEFS:
+            np.testing.assert_array_equal(raised_divergence(alone[0], coef)[0], raised_divergence(batch[0], coef)[n])
+
+
+@settings(max_examples=60, deadline=None)
+@given(logy=st.lists(st.lists(st.floats(-8.0, 8.0), min_size=4, max_size=4), min_size=1, max_size=5))
+def test_raised_table_is_the_per_entry_division_on_the_wide_cone(logy):
+    """Over y log-uniform in [1e-8, 1e8]^4 the first-order table equals the
+    per-entry Taylor2 gradients bit for bit."""
+    ys = 10.0 ** np.array(logy)
+    _assert_per_entry(ys, raised_table_grad(ys))
+
+
+def test_raised_table_guards():
+    """A point outside the positive cone, and one whose product y^1 y^2 y^3 y^4
+    underflows to 0, raise the DomainError the Taylor2 chain raises."""
+    ys = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, -2.0, 3.0, 4.0]])
+    with pytest.raises(DomainError, match="positive cone") as exc:
+        raised_table_grad(ys)
+    with pytest.raises(DomainError) as want:
+        taylor2_seed(ys)
+    assert str(exc.value) == str(want.value)
+    tiny = np.full((1, 4), 1e-100)
+    with pytest.raises(DomainError) as exc:
+        raised_table_grad(tiny)
+    s = taylor2_seed(tiny)
+    with pytest.raises(DomainError) as want:
+        (s[0] * s[1] * s[2] * s[3]).sqrt()
+    assert str(exc.value) == str(want.value) == "sqrt of non-positive Taylor2 value 0.0 at batch index 0"
+
+
+def test_raised_table_guards_survive_optimize_flag():
+    """Both guards raise their DomainError under python -O, which strips
+    assert statements."""
+    code = """
+import numpy as np
+from jetbm import DomainError
+from jetbm.fieldtheory import raised_table_grad
+
+if __debug__:
+    raise SystemExit("not running under -O")
+for y in ([[1.0, 0.0, 3.0, 4.0]], [[1e-100] * 4]):
+    try:
+        raised_table_grad(np.array(y))
+    except DomainError as exc:
+        print("DomainError:", exc)
+"""
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "DomainError: seeds must lie in the positive cone, got [1. 0. 3. 4.] at batch index 0",
+        "DomainError: sqrt of non-positive Taylor2 value 0.0 at batch index 0",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -310,28 +406,6 @@ def test_batched_field_layer_equals_per_point(G, rng):
         np.testing.assert_allclose(cons.ti[n], res.ti, rtol=1e-12)
         np.testing.assert_allclose(cons.tyi[n], res.tyi, rtol=1e-12)
         np.testing.assert_array_equal(em.f[n], em_form(G, EXP, p).f)
-
-
-@pytest.mark.parametrize("size", BATCH_SIZES)
-def test_batched_raised_table_is_the_per_entry_division(size, rng):
-    """The hoisted batched table equals s[m] / s[i] / sqrt(G) computed at
-    each point on its own, bit for bit, and so do its divergences."""
-    ys = cone_points(rng, size)
-    table, inv_sq = t2_raised_table(ys)
-    for n in (0, size // 2, size - 1):
-        s = taylor2_seed(ys[n])
-        sq = (s[0] * s[1] * s[2] * s[3]).sqrt()
-        assert inv_sq.value[n] == sq.reciprocal().value
-        np.testing.assert_array_equal(inv_sq.grad[n], sq.reciprocal().grad)
-        for m in range(4):
-            for i in range(4):
-                entry = s[m] / s[i] / sq
-                assert table[m][i].value[n] == entry.value
-                np.testing.assert_array_equal(table[m][i].grad[n], entry.grad)
-                np.testing.assert_array_equal(table[m][i].hess[n], entry.hess)
-        one, _ = t2_raised_table(ys[n])
-        for coef in ((5 - 14 * np.eye(4)) / 4, (2 - 8 * np.eye(4)) / 4):
-            np.testing.assert_array_equal(t2_divergence(table, coef)[n], t2_divergence(one, coef))
 
 
 @pytest.mark.parametrize("size", BATCH_SIZES)

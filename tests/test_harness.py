@@ -30,6 +30,8 @@ from jetbm.harness import cli, default_config, jsondoc, parse_config, parse_grid
 from jetbm.harness.checks import SWEEP_FIELDS, check_names, sweep_csv
 from jetbm.harness.config import RunConfig
 
+from conftest import traced_peak
+
 MINIMAL = """
 [time_metric]
 family = constant
@@ -309,6 +311,38 @@ def test_error_accumulator_divides_where_the_scale_is_nonzero(rng):
         err.add(x, y)
         rel = (d[nz] / denom[nz]).max() if nz.any() else 0.0
         assert np.array_equal([err.abs, err.rel], [d.max(), rel], equal_nan=True)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_error_accumulator_in_place_equals_the_four_array_form(rng):
+    """add forms max(|a|, |b|) and the relative error in place, yet gives the
+    errors of |a - b| / max(|a|, |b|) over four separate arrays bit for bit,
+    for operands of one shape and for operands that broadcast against each
+    other either way round (NaN and inf entries included), and holds at most
+    three arrays of the broadcast shape at once."""
+
+    def four_arrays(x, y):
+        d = np.abs(x - y)
+        denom = np.maximum(np.abs(x), np.abs(y))
+        rel = np.divide(d, denom, out=np.zeros_like(d), where=denom > 0.0)
+        return float(d.max()), float(rel.max())
+
+    a = rng.normal(size=(64, 4, 4)) * 10.0 ** rng.integers(-300, 300, size=(64, 4, 4))
+    b = a * (1.0 + 1e-13 * rng.normal(size=a.shape))
+    a[0], b[0] = 0.0, 0.0
+    a[1, 0], b[1, 1] = np.inf, -np.inf
+    col, row = rng.normal(size=(64, 1)), rng.normal(size=(1, 4))
+    pairs = [(a, b), (a, b[0]), (b[3], a), (col, row), (row, col), (a[:, :, :1], b[:, :1, :]), (a[5, 2], 0.5)]
+    pairs.append((np.where(a > 1.0, np.nan, a), b))
+    for x, y in pairs:
+        err = verify_checks._Err()
+        err.add(x, y)
+        assert np.array_equal([err.abs, err.rel], four_arrays(np.asarray(x), np.asarray(y)), equal_nan=True)
+    big = rng.normal(size=(128, 4, 4, 4, 4))
+    peak = traced_peak(verify_checks._Err().add, big, big * (1.0 + 1e-14))
+    assert peak < 3.2 * big.nbytes
+    with pytest.raises(ValueError):
+        verify_checks._Err().add(np.ones(3), np.ones(4))
 
 
 def test_nan_in_a_compared_value_fails_its_check(monkeypatch):

@@ -24,9 +24,12 @@ process of its own:
   (kappa != 0) and on ``scripts/dense.ini``;
 * ``sweep`` of every sweep field over the benchmark's seed-1 sweep grid, as
   CSV and as JSON, and ``sweep --field G1111`` (the one field a custom
-  tensor has) on ``benchmarks/custom.ini`` and on ``scripts/dense.ini``.
+  tensor has) on ``benchmarks/custom.ini`` and on ``scripts/dense.ini``;
+* the parser's own texts: the usage, help and version texts and the usage
+  errors of ``PARSER_ARGVS`` (for an argv that makes argparse exit, the
+  document is its stdout followed by its stderr).
 
-That is 386 documents, every kind of document the CLI writes.
+That is 395 documents, every kind of document the CLI writes.
 
 For each document the script prints whether the two trees wrote it
 identically.  For a document that differs it prints how many numbers changed
@@ -66,18 +69,37 @@ DENSE = ROOT / "scripts" / "dense.ini"
 SWEEP_FIELDS = ("Sc", "xi11", "T1", "Ti", "Tyi", "G1111")
 EVAL_DOCS = 300
 EVAL_CONFIG_DOCS = 20
+# argv on which argparse prints a text of its own and exits: help, version
+# and usage errors
+PARSER_ARGVS = (
+    ["--help"],
+    ["--version"],
+    ["bogus"],
+    ["eval", "--help"],
+    ["verify", "--help"],
+    ["sweep", "--help"],
+    ["report", "--help"],
+    ["eval", "--y=1,1,1,1", "--bogus"],
+    ["sweep", "--field", "Sc"],
+)
 
 # runs in each tree: reads a JSON list of argv lists on stdin, runs each
 # through jetbm.harness.cli.main in-process and writes [exit code, stdout]
-# pairs as JSON; stderr (progress and timings) is discarded
+# pairs as JSON; stderr (progress and timings) is discarded, except where
+# argparse exits (help, version and usage errors), whose stderr text is
+# appended to stdout
 CHILD = """
 import contextlib, io, json, sys
 from jetbm.harness.cli import main
 out = []
 for argv in json.load(sys.stdin):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
-        rc = main(argv)
+    buf, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+            buf.write(err.getvalue())
     out.append([rc, buf.getvalue()])
 json.dump(out, sys.stdout)
 """
@@ -118,6 +140,7 @@ def documents() -> list[tuple[str, list[str]]]:
         )
     for name, config in (("custom.ini", custom), ("dense.ini", str(DENSE))):
         docs.append((f"sweep G1111 {name}", ["sweep", "--field", "G1111", "--grid", sw.grid, "--config", config]))
+    docs.extend((f"parser {' '.join(argv)}", list(argv)) for argv in PARSER_ARGVS)
     return docs
 
 

@@ -251,38 +251,71 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# every sub-command: its name, help, handler and arguments, each argument
+# its flag and add_argument's keywords
+_COMMANDS = (
+    (
+        "eval",
+        "evaluate all geometric objects at one point",
+        _cmd_eval,
+        (
+            ("--config", {"help": "configuration file"}),
+            ("--t", {"type": float, "default": 0.0, "help": "time coordinate"}),
+            ("--x", {"help": "base coordinates, four comma-separated values"}),
+            ("--y", {"required": True, "help": "fiber coordinates, four comma-separated positive values"}),
+            ("--output", {"help": "write JSON here instead of stdout"}),
+        ),
+    ),
+    (
+        "verify",
+        "run the verification suite",
+        _cmd_verify,
+        (
+            ("--config", {"help": "configuration file"}),
+            ("--seed", {"type": int, "help": "override sampling.seed"}),
+            ("--samples", {"type": int, "help": "override sampling.samples"}),
+            ("--format", {"choices": ("json", "csv"), "default": "json"}),
+            ("--output", {"help": "write the report document here instead of stdout"}),
+        ),
+    ),
+    (
+        "sweep",
+        "tabulate a scalar field over a grid",
+        _cmd_sweep,
+        (
+            ("--config", {"help": "configuration file"}),
+            ("--field", {"required": True, "choices": SWEEP_FIELDS}),
+            ("--grid", {"required": True, "help": "axis=start:stop:count[,axis=...]; axes t, s, y1..y4"}),
+            ("--format", {"choices": ("csv", "json"), "default": "csv"}),
+            ("--output", {"help": "write the table here instead of stdout"}),
+        ),
+    ),
+    (
+        "report",
+        "summarize a previously written verify JSON",
+        _cmd_report,
+        (("--input", {"required": True, "help": "path to a verify JSON document"}),),
+    ),
+)
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  Every sub-command is registered, so every
+    usage, help and error text is the same whatever ``argv`` holds, but only
+    the command that ``argv[0]`` names gets its arguments: adding them is
+    most of the cost of a build, which ``main`` pays on every call.  When
+    ``argv[0]`` names no command (or ``argv`` is None), every command gets
+    its arguments."""
     parser = argparse.ArgumentParser(prog="jetbm", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"jetbm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="evaluate all geometric objects at one point")
-    p_eval.add_argument("--config", help="configuration file")
-    p_eval.add_argument("--t", type=float, default=0.0, help="time coordinate")
-    p_eval.add_argument("--x", help="base coordinates, four comma-separated values")
-    p_eval.add_argument("--y", required=True, help="fiber coordinates, four comma-separated positive values")
-    p_eval.add_argument("--output", help="write JSON here instead of stdout")
-    p_eval.set_defaults(fn=_cmd_eval)
-
-    p_verify = sub.add_parser("verify", help="run the verification suite")
-    p_verify.add_argument("--config", help="configuration file")
-    p_verify.add_argument("--seed", type=int, help="override sampling.seed")
-    p_verify.add_argument("--samples", type=int, help="override sampling.samples")
-    p_verify.add_argument("--format", choices=("json", "csv"), default="json")
-    p_verify.add_argument("--output", help="write the report document here instead of stdout")
-    p_verify.set_defaults(fn=_cmd_verify)
-
-    p_sweep = sub.add_parser("sweep", help="tabulate a scalar field over a grid")
-    p_sweep.add_argument("--config", help="configuration file")
-    p_sweep.add_argument("--field", required=True, choices=SWEEP_FIELDS)
-    p_sweep.add_argument("--grid", required=True, help="axis=start:stop:count[,axis=...]; axes t, s, y1..y4")
-    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.add_argument("--output", help="write the table here instead of stdout")
-    p_sweep.set_defaults(fn=_cmd_sweep)
-
-    p_report = sub.add_parser("report", help="summarize a previously written verify JSON")
-    p_report.add_argument("--input", required=True, help="path to a verify JSON document")
-    p_report.set_defaults(fn=_cmd_report)
+    invoked = argv[0] if argv and argv[0] in (name for name, *_ in _COMMANDS) else None
+    for name, help_text, handler, arguments in _COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        if invoked in (None, name):
+            for flag, options in arguments:
+                command.add_argument(flag, **options)
+        command.set_defaults(fn=handler)
     return parser
 
 
@@ -309,8 +342,8 @@ def _join_signed_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else list(argv)))
+    argv = _join_signed_values(sys.argv[1:] if argv is None else list(argv))
+    args = build_parser(argv).parse_args(argv)
     try:
         _check_output(getattr(args, "output", None))
         return args.fn(args)

@@ -91,10 +91,11 @@ def test_the_verdict_pass_covers_its_seeds_and_prints_only_moved_verdicts(monkey
 def test_the_document_set_covers_every_kind_the_cli_writes():
     """Verify as JSON and CSV, on dense.ini too, eval on the default,
     custom.ini, bm_power.ini and dense.ini, every sweep field as CSV and
-    JSON, and G1111 swept on custom.ini and dense.ini: 386 documents."""
+    JSON, G1111 swept on custom.ini and dense.ini, and the parser's usage,
+    help, version and error texts: 395 documents."""
     docs = compare_outputs.documents()
-    assert len(docs) == 386
-    argvs = [argv for _, argv in docs]
+    assert len(docs) == 395
+    argvs = [argv for name, argv in docs if not name.startswith("parser ")]
     assert sum(argv[0] == "verify" and argv[-1] == "csv" for argv in argvs) == 1
     dense = [argv for argv in argvs if argv[0] == "verify" and "--config" in argv and argv[2].endswith("dense.ini")]
     assert len(dense) == 2
@@ -105,3 +106,18 @@ def test_the_document_set_covers_every_kind_the_cli_writes():
         ("G1111", "custom.ini"),
         ("G1111", "dense.ini"),
     }
+    parser_docs = [argv for name, argv in docs if name.startswith("parser ")]
+    assert parser_docs == list(compare_outputs.PARSER_ARGVS)
+    assert {argv[0] for argv in parser_docs if argv[1:] == ["--help"]} == {"eval", "verify", "sweep", "report"}
+
+
+def test_a_parser_exit_keeps_its_code_and_both_texts():
+    """Where argparse exits, the document is its stdout and then its stderr;
+    elsewhere stderr is dropped."""
+    src = str(_PATH.parents[1] / "src")
+    (rc_help, help_text), (rc_bogus, bogus), (rc_run, report) = compare_outputs.run_tree(
+        src, [["--help"], ["bogus"], ["report", "--input", "/nonexistent/report.json"]]
+    )
+    assert rc_help == 0 and help_text.startswith("usage: jetbm [-h] [--version] {eval,verify,sweep,report} ...")
+    assert rc_bogus == 2 and bogus.startswith("usage: jetbm") and "invalid choice: 'bogus'" in bogus
+    assert (rc_run, report) == (2, "")

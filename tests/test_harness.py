@@ -688,6 +688,57 @@ def test_cli_eval_accepts_values_that_start_with_a_dash():
     assert doc["point"]["x"] == [-1.0, 2.0, 3.0, 4.0]
 
 
+def _main_outcome(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["--version"],
+        ["bogus"],
+        ["eval", "--help"],
+        ["verify", "--help"],
+        ["sweep", "--help"],
+        ["report", "--help"],
+        ["eval", "--y=1,1,1,1", "--bogus"],
+        ["sweep", "--field", "Sc"],
+    ],
+    ids=" ".join,
+)
+def test_cli_texts_equal_those_of_the_parser_with_every_command(argv, monkeypatch, capsys):
+    """build_parser adds arguments only to the command argv[0] names; every
+    usage, help and error text stays that of the parser with all of them."""
+    outcome = _main_outcome(argv, capsys)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full())
+    assert outcome == _main_outcome(argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--t", "-1.5e-05", "--y", "1,2,3,4", "--x", "-1,2,3,4", "--output", "doc.json"],
+        ["eval", "--y=1,1,1,1", "--config", "a.ini"],
+        ["verify", "--config", "a.ini", "--seed", "7", "--samples", "10", "--format", "csv", "--output", "r.csv"],
+        ["verify"],
+        ["sweep", "--field", "Sc", "--grid", "t=0:1:3", "--format", "json", "--output", "s.json", "--config", "a.ini"],
+        ["report", "--input", "r.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_parses_as_the_parser_with_every_command(argv):
+    argv = cli._join_signed_values(argv)
+    assert cli.build_parser(argv).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
 def test_cli_internal_invariant_exits_three(monkeypatch, capsys):
     from jetbm import InvariantError
     from jetbm.harness import cli

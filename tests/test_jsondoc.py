@@ -18,6 +18,21 @@ def _reference(obj) -> str:
 
 SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e16, 1e-7, 1.0, -2.5e300]
 
+# float64 arrays that share values (-0.0 and 0.0 in different ones, 1.5 in
+# three, a NaN in one only), with arrays of other dtypes, an empty and a 0-d
+# one between them, and a str holding the NUL that marks an entry's place
+# in the writer's text
+MIXED_ARRAYS = {
+    "nul\x00": "\x00",
+    "a": np.array([[1.5, -0.0], [2.0, 1.5]]),
+    "ints": np.array([1, 2, 3]),
+    "b": np.array([0.0, np.nan, 1.5]),
+    "flags": np.array([True, False]),
+    "empty": np.zeros((0, 3)),
+    "point": np.array(-0.0),
+    "rest": [np.array([2.0, 0.0]), 3, 1.5, np.array(1.5)],
+}
+
 
 @pytest.mark.parametrize(
     "obj",
@@ -36,6 +51,7 @@ SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 
         np.array(2.0),
         np.array([1, 2, 3]),
         np.array([True, False]),
+        MIXED_ARRAYS,
     ],
     ids=repr,
 )
@@ -89,6 +105,22 @@ def test_a_column_is_formatted_once_per_distinct_bit_pattern():
 
     assert jsondoc.column_reprs(col, reprs) == jsondoc.float_reprs(col)
     assert len(seen) == 5 and sorted(map(repr, seen)) == ["-0.0", "-inf", "0.0", "1.5", "nan"]
+
+
+def test_a_document_is_formatted_once_per_distinct_bit_pattern(monkeypatch):
+    """dumps hands float_reprs the entries of all its float64 arrays in one
+    call, each distinct bit pattern once: -0.0 and 0.0 are two, 1.5 in three
+    arrays is one; a float outside any array is no entry."""
+    calls = []
+    float_reprs = jsondoc.float_reprs
+
+    def reprs(values):
+        calls.append(values.tolist())
+        return float_reprs(values)
+
+    monkeypatch.setattr(jsondoc, "float_reprs", reprs)
+    assert jsondoc.dumps(MIXED_ARRAYS) == _reference(MIXED_ARRAYS)
+    assert len(calls) == 1 and sorted(map(repr, calls[0])) == ["-0.0", "0.0", "1.5", "2.0", "nan"]
 
 
 floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIAL_FLOATS))

@@ -7,15 +7,15 @@ objects of the chain:
 
 * the metric stage (``Metric``, ``metric_batches``, ``point_metric``): the
   time-axis scalars (one ``TimeMetric.eval`` per metric batch), the
-  G-hierarchy, the fundamental metric and its inverse;
+  G-hierarchy up to G_ij11 with 24 G_ijkl, the fundamental metric and its
+  inverse;
 * the connection stage (``Connection``, ``connection_batches``,
-  ``point_connection``): the metric stage, then the exact third and fourth
-  y-derivative tables of g and the Cartan connection C^i_j(k), L^i_jk and
-  G^k_j1;
+  ``point_connection``): the metric stage, then the first y-derivative table
+  t3 of g and the Cartan connection C^i_j(k), L^i_jk and G^k_j1;
 * the full stage (``Geometry``, ``batches``, ``geometry``,
-  ``point_geometry``): the connection stage, then the torsions, the
-  curvature d-tensors (from dC, which the bundle does not keep) and the
-  Ricci data.
+  ``point_geometry``): the connection stage, then the second y-derivative
+  table t4 of g, the torsions, the curvature d-tensors (from dC, which the
+  bundle does not keep) and the Ricci data.
 
 Each reader builds the shallowest stage that holds what it reads: readers of
 g, g^-1 and the G-hierarchy alone (the metric pair, the gravitational
@@ -26,6 +26,17 @@ electromagnetic 2-form, the cartan, field_misc, conservation and decay
 checks) the connection stage; every other reader the full one.  A
 ``Geometry`` is a ``Connection`` and a ``Connection`` is a ``Metric``, and a
 field shared by two stages comes from the same lines in both.
+
+Each derivative order is built only on the chains that read it.  The
+connection stage computes G_ijk1 (``third_derivative``), which only its jet
+reads.  C, L and G^k_j1 read first y-derivatives of g alone, so the chains
+that stop at the connection stage run a first-order jet (value and d/dy^k)
+and check the t3 half of the mixed-partial guard; only the full chain
+(``batches``) runs the second-order jet, once per chunk, gathers t4 from it
+and checks the t4 half too, in its connection stage, and hands t4 to the
+full stage, which keeps it.  Both orders give t3 the same bits, because the
+first-order rules are the second-order rules' d/dy^k parts, the same
+products in the same operand order.
 
 G_1111, G_i111 and G_ij11 are sums over the tensor's nonzero terms only
 (``QuarticTensor.terms``, built once per tensor): each product is formed
@@ -62,9 +73,10 @@ The stages run over two batch sizes.  The metric stage runs once per
 metric batch of at most METRIC_CHUNK points; the connection and full stages
 run over consecutive slices of at most CHUNK points of it, each slice taken
 with ``take`` as views of the metric bundle's C-contiguous arrays.  The
-deeper stages peak at about 6 and 12 KiB per point (the packed jet's
-operands, the 5-index tables), so their chunk bounds the kernel's working
-memory; the metric stage holds about 1.2 KB per point, so its larger batch
+deeper stages peak at about 6 and 12 KiB per point (the second-order packed
+jet's operands, the 5-index tables), so their chunk bounds the kernel's
+working memory; the metric stage holds about 0.7 KB per point (1.2 KB while
+it held G_ijk1's 512 B), so its larger batch
 spreads numpy's and LAPACK's fixed per-call cost over more points.  The
 stages do not nest: each takes the bundle of the stage before it, and
 ``_chunks`` is the one chain that calls them, and times them
@@ -106,20 +118,23 @@ __all__ = [
     "quartic_form",
     "stage_times",
     "take",
+    "third_derivative",
 ]
 
 # points per chunk of the connection and full stages: a chunk amortises
 # numpy's per-call overhead, and each curvature-sized table holds 256 doubles
 # (2 KiB) per point, so the chunk also bounds the kernel's working memory.  A
-# 128-point chunk peaks at about 0.79 MiB of numpy allocations in the
-# connection stage (the packed jet, at most about sixteen [50, N] arrays
-# alive) and 1.52 MiB in the full stage (at most five 5-index tables alive);
-# a 64-point chunk at 0.40 and 0.82 MiB (tracemalloc, numpy 2.4).  The larger
-# chunk halves the calls of every per-chunk stage and check for about 1 MiB
-# more resident memory in the runs that build the full stage
+# 128-point chunk peaks at about 0.85 MiB of numpy allocations in the full
+# chain's connection stage (the second-order packed jet, at most about
+# sixteen [50, N] arrays alive), 0.41 MiB in the connection-only chain's
+# (the first-order jet) and 1.52 MiB in the full stage (at most five 5-index
+# tables alive); a 64-point chunk took about half of each (tracemalloc,
+# numpy 2.4).  The larger chunk halves the calls of every per-chunk stage and
+# check for about 1 MiB more resident memory in the runs that build the full
+# stage
 CHUNK = 128
-# points per metric batch: the metric bundle keeps about 1.2 KB per point,
-# and at 1 000 points the metric stage peaks at about 1.5 MiB of numpy
+# points per metric batch: the metric bundle keeps about 0.7 KB per point,
+# and at 1 000 points the metric stage peaks at about 1.4 MiB of numpy
 # allocations (tracemalloc), so one batch can serve sixteen chunks of the
 # deeper stages and pay the metric stage's fixed numpy and LAPACK call cost
 # once.  verify --samples 1000 runs about as fast with batches of 512 points
@@ -132,9 +147,9 @@ _DEGENERATE_RTOL = 1e-12
 # The packed metric jet computes only the entries that the mixed-partial
 # guard and the canonical gather read: every sorted quadruple (a, b, c, d) and
 # every swap (a, c, b, d), once each (50 of the 256 Hessian entries).  Entry e
-# holds d g_ij/dy^k and d2 g_ij/dy^k dy^n at (i, j, k, n) = _ENTRIES[e]; the
-# first derivative of a sorted triple (a, b, c) and of its swap (a, c, b) is
-# read at (a, b, c, 3) and (a, c, b, 3).  _REP* and _SWAP* give the entry of
+# holds d g_ij/dy^k and, in a second-order jet, d2 g_ij/dy^k dy^n at
+# (i, j, k, n) = _ENTRIES[e]; the first derivative of a sorted triple
+# (a, b, c) and of its swap (a, c, b) is read at (a, b, c, 3) and (a, c, b, 3).  _REP* and _SWAP* give the entry of
 # each sorted multi-index and of its swap, and _T3 and _T4 the entry of the
 # sorted multi-index of every flat (j, m, k) and (j, m, k, n)
 _QUADS = list(combinations_with_replacement(range(DIM), 4))
@@ -179,7 +194,9 @@ def check_cone(y) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GScalars:
-    """All y-contractions of G_pqrs used by the metric and its derivatives.
+    """The y-contractions of G_pqrs that the metric stage reads, and the
+    constant 24 G_ijkl; G_ijk1 is ``third_derivative``, which the connection
+    stage computes.
 
     Over a batch every field carries a leading batch axis.
     """
@@ -187,7 +204,6 @@ class GScalars:
     g1111: float
     gi111: np.ndarray
     gij11: np.ndarray
-    gijk1: np.ndarray
     gijkl: np.ndarray
     gij11_inv: np.ndarray
     det_gij11: float
@@ -214,15 +230,14 @@ class Metric(TimeAxis):
 @dataclass(frozen=True, eq=False, repr=False)
 class Connection(Metric):
     """The connection stage over a batch of N points: the metric stage, the
-    derivative tables of g and the Cartan connection.
+    first y-derivative table of g and the Cartan connection.
 
     Index conventions (after the batch axis):
-        t3[j,m,k] = dg_jm/dy^k,  t4[j,m,k,n] = d2 g_jm/dy^k dy^n (totally symmetric)
+        t3[j,m,k] = dg_jm/dy^k (totally symmetric)
         c[i,j,k] = C^i_j(k),  l[i,j,k] = L^i_jk,  gk[k,j] = G^k_j1
     """
 
     t3: np.ndarray
-    t4: np.ndarray
     c: np.ndarray
     l: np.ndarray
     gk: np.ndarray
@@ -234,12 +249,14 @@ class Geometry(Connection):
     points: the connection stage plus the tables built on it.
 
     Index conventions (after the batch axis), besides the connection's:
+        t4[j,m,k,n] = d2 g_jm/dy^k dy^n (totally symmetric)
         p_mixed[k,i,j] = P^(k)(1)_(1)i(j),  p_vert[k,i,j] = P^k(1)_i(j),  r_time[k,j] = R^(k)_(1)1j
         r_curv, p_curv, s_curv [l,i,j,k] = R^l_ijk, P^l_ij(k), S^l_i(j)(k)
         r_ij = R^m_ijm,  p_ricci = P^m_ij(m),  s_ricci = S^m_i(j)(m),  s_raised = g^mr s_ricci[r,i]
         sc = g^pq r_pq + h11 g^pq s_ricci_pq
     """
 
+    t4: np.ndarray
     p_mixed: np.ndarray
     p_vert: np.ndarray
     r_time: np.ndarray
@@ -340,31 +357,39 @@ def quartic_form(G: QuarticTensor, y: np.ndarray) -> np.ndarray:
     return g[0, 0] if y.ndim == 1 else g[0]
 
 
+def third_derivative(G: QuarticTensor, y: np.ndarray) -> np.ndarray:
+    """G_ijk1 = d3 G_1111 / dy^i dy^j dy^k = 24 G_ijkp y^p at one point y of
+    shape (4,), or batched over y of shape (N, 4), C-contiguous.  It is the
+    two-operand np.einsum, whose order for a dense G differs from the term
+    sums of ``g_hierarchy``; only the connection stage's jet and
+    ``metric_taylor2`` read it."""
+    gijk1 = np.einsum("ijkp,...p->...ijk", G.dense, y)
+    gijk1 *= 24.0
+    return gijk1
+
+
 def g_hierarchy(G: QuarticTensor, y: np.ndarray) -> GScalars:
     """G-hierarchy at one point y of shape (4,), or batched over y of shape (N, 4).
 
     Each level is a direct polynomial contraction of G_pqrs with y:
-    G_ijk1 = 24 G_ijkp y^p, G_ij11 = 12 G_ijpq y^p y^q,
-    G_i111 = 4 G_ipqr y^p y^q y^r, G_1111 = G_pqrs y^p y^q y^r y^s,
-    and G^j_1 and scriptG are matrix products.  G_1111, G_i111 and G_ij11 are
-    summed over the tensor's nonzero terms only (``_term_sums``), each
-    product left to right and the terms one after another in lexicographic
-    order of the summed indices from +0.0, as np.einsum sums them; a left-out
-    term is a signed zero, which changes no bit of such a sum.  G_ijk1 is the
-    two-operand np.einsum itself, whose order for a dense G differs.  So
-    every value matches the plain one-point einsum formulas bit for bit:
-    checks such as einstein/raised-cross-check compare g^jk g_kl with delta at
-    an absolute tolerance near rounding, and their verdicts follow the last
-    bits.  Every level is C-contiguous, because a matmul of a strided operand
-    may round differently.
+    G_ij11 = 12 G_ijpq y^p y^q, G_i111 = 4 G_ipqr y^p y^q y^r,
+    G_1111 = G_pqrs y^p y^q y^r y^s, and G^j_1 and scriptG are matrix
+    products.  They are summed over the tensor's nonzero terms only
+    (``_term_sums``), each product left to right and the terms one after
+    another in lexicographic order of the summed indices from +0.0, as
+    np.einsum sums them; a left-out term is a signed zero, which changes no
+    bit of such a sum.  So every value matches the plain one-point einsum
+    formulas bit for bit: checks such as einstein/raised-cross-check compare
+    g^jk g_kl with delta at an absolute tolerance near rounding, and their
+    verdicts follow the last bits.  Every level is C-contiguous, because a
+    matmul of a strided operand may round differently.  G_ijk1 is not a level
+    here: the metric stage does not read it (``third_derivative``).
     """
     D = G.dense
     lead = y.shape[:-1]
     g, gi, gij = _term_sums(G.terms, y)
     gij11 = np.multiply(gij.T, 12.0, order="C").reshape(lead + (DIM, DIM))
     gi111 = np.multiply(gi.T, 4.0, order="C").reshape(lead + (DIM,))
-    gijk1 = np.einsum("ijkp,...p->...ijk", D, y)
-    gijk1 *= 24.0
 
     det = np.linalg.det(gij11)
     scale = np.abs(gij11).max(axis=(-2, -1))
@@ -379,7 +404,6 @@ def g_hierarchy(G: QuarticTensor, y: np.ndarray) -> GScalars:
         g1111=g[0, 0] if y.ndim == 1 else g[0],
         gi111=gi111,
         gij11=gij11,
-        gijk1=gijk1,
         # the constant 24 G_ijkl, one read-only zero-stride view over the batch
         gijkl=np.broadcast_to(24.0 * D, y.shape[:-1] + D.shape),
         gij11_inv=inv,
@@ -390,16 +414,23 @@ def g_hierarchy(G: QuarticTensor, y: np.ndarray) -> GScalars:
 
 
 # -- closed-form Taylor propagation ------------------------------------------
-# A jet is (value, d/dy^k, d/dy^n, d2/dy^k dy^n) at the packed entries
-# (i, j, k, n): arrays [e, x], or a value [x] broadcast over the entries.
+# A jet is (value, d/dy^k) at first order and (value, d/dy^k, d/dy^n,
+# d2/dy^k dy^n) at second, at the packed entries (i, j, k, n): arrays [e, x],
+# or a value [x] broadcast over the entries.  The first-order rules are the
+# second-order rules' value and d/dy^k parts, the same products in the same
+# operand order, so both orders give the same d/dy^k bit for bit.
 
 
 def _jet_mul(a, b, value: bool = True):
-    """The jet of the product a b; with value=False only its d/dy^k and
-    d2/dy^k dy^n parts."""
-    av, ak, an, ah = a
-    bv, bk, bn, bh = b
+    """The jet of the product a b, to the order of a and b; with value=False
+    without its value."""
+    av, ak = a[:2]
+    bv, bk = b[:2]
     dk = av * bk + bv * ak
+    if len(a) == 2:
+        return (av * bv, dk) if value else (dk,)
+    _, _, an, ah = a
+    _, _, bn, bh = b
     dkn = (av * bh + bv * ah) + (ak * bn + an * bk)
     if not value:
         return dk, dkn
@@ -407,48 +438,57 @@ def _jet_mul(a, b, value: bool = True):
 
 
 def _jet_chain(a, f0, f1, f2):
-    """Compose the jet a with a scalar map given its value and first two derivatives."""
+    """Compose the jet a with a scalar map given its value and first two
+    derivatives (a first-order jet does not read f2)."""
+    if len(a) == 2:
+        return f0, f1 * a[1]
     _, ak, an, ah = a
     return f0, f1 * ak, f1 * an, f1 * ah + f2 * (ak * an)
 
 
-def _metric_jet(s: GScalars):
-    """d g_ij/dy^k and d2 g_ij/dy^k dy^n at the packed entries (i, j, k, n) =
-    _ENTRIES[e], as arrays [e, x].  Each entry runs the product and chain
-    rules on its own index order, so a swap entry is computed, not copied.
-    Each operand is gathered just before the product that reads it, and
-    each jet is dropped once read, so at most about sixteen [e, x] arrays
-    are alive at once."""
+def _metric_jet(s: GScalars, gijk1: np.ndarray, order: int):
+    """The packed jet of g_ij to the given order, as arrays [e, x] at the
+    packed entries (i, j, k, n) = _ENTRIES[e]: (d,) at first order and (d, h)
+    at second, with d g_ij/dy^k in d and d2 g_ij/dy^k dy^n in h.  Each entry
+    runs the product and chain rules on its own index order, so a swap entry
+    is computed, not copied.  Each operand is gathered just before the
+    product that reads it, and each jet is dropped once read, so at most
+    about sixteen [e, x] arrays are alive at once; the first-order jet
+    gathers no operand of a d/dy^n part."""
     n = len(s.g1111)
     g = s.g1111
     g1 = s.gi111.T
     g2 = s.gij11.reshape(n, -1).T
-    g3 = s.gijk1.reshape(n, -1).T
-    # the jet of G_i111 G_j111, from the jets of G_i111 and G_j111
-    p = _jet_mul((g1[_I], g2[_IK], g2[_IN], g3[_IKN]), (g1[_J], g2[_JK], g2[_JN], g3[_JKN]))
-    # 1/(2G) and 1/(4 sqrt(G)) with their first two derivatives in G, from
-    # the jet of G_1111
-    g_jet = (g, g1[_K], g1[_N], g2[_KN])
+    g3 = gijk1.reshape(n, -1).T
+    # the jet of G_i111 G_j111, from the jets of G_i111 and G_j111, and the
+    # jet of G_1111
+    if order == 2:
+        p = _jet_mul((g1[_I], g2[_IK], g2[_IN], g3[_IKN]), (g1[_J], g2[_JK], g2[_JN], g3[_JKN]))
+        g_jet = (g, g1[_K], g1[_N], g2[_KN])
+    else:
+        p = _jet_mul((g1[_I], g2[_IK]), (g1[_J], g2[_JK]))
+        g_jet = (g, g1[_K])
+    # 1/(2G) and 1/(4 sqrt(G)) with their first two derivatives in G
     r = np.sqrt(g)
     inv_2g = _jet_chain(g_jet, 0.5 / g, -0.5 / (g * g), 1.0 / (g * g * g))
     inv_4sq = _jet_chain(g_jet, 0.25 / r, -0.125 / (r * g), 0.1875 / (r * g * g))
     del g_jet
-    qv, qk, qn, qh = _jet_mul(p, inv_2g)
+    q = _jet_mul(p, inv_2g)
     del p, inv_2g
     # g_ij = (G_ij11 - G_i111 G_j111 / (2 G)) / (4 sqrt(G)), in place of the
     # quotient's jet
-    np.subtract(g2[_IJ], qv, out=qv)
-    np.subtract(g3[_IJK], qk, out=qk)
-    np.subtract(g3[_IJN], qn, out=qn)
-    np.subtract(s.gijkl.reshape(n, -1).T[_IJKN], qh, out=qh)
-    return _jet_mul((qv, qk, qn, qh), inv_4sq, value=False)
+    g4 = s.gijkl.reshape(n, -1).T
+    for part, level, ix in zip(q, (g2, g3, g3, g4), (_IJ, _IJK, _IJN, _IJKN)):
+        np.subtract(level[ix], part, out=part)
+    return _jet_mul(q, inv_4sq, value=False)
 
 
-def _guard_mixed_partials(d: np.ndarray, h: np.ndarray, y: np.ndarray):
-    """d g_ab/dy^c = d g_ac/dy^b and d2 g_ab/dy^c dy^d = d2 g_ac/dy^b dy^d on
-    every sorted multi-index, over the packed jet's entries before the
-    canonical gather keeps the representatives."""
-    for packed, rep, swap in ((d, _REP3, _SWAP3), (h, _REP4, _SWAP4)):
+def _guard_mixed_partials(jet, y: np.ndarray):
+    """d g_ab/dy^c = d g_ac/dy^b and, for a second-order jet,
+    d2 g_ab/dy^c dy^d = d2 g_ac/dy^b dy^d, on every sorted multi-index, over
+    the packed jet's entries before the canonical gather keeps the
+    representatives."""
+    for packed, rep, swap in zip(jet, (_REP3, _REP4), (_SWAP3, _SWAP4)):
         val = packed[rep]
         bad = np.abs(packed[swap] - val) > 1e-9 * np.maximum(np.abs(val), 1.0)
         if bad.any():
@@ -538,19 +578,25 @@ def _metric(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) -> M
     )
 
 
-def _connection(m: Metric) -> Connection:
-    """The connection stage over the points of the metric bundle m."""
+def _derivative_tables(m: Metric, order: int) -> list[np.ndarray]:
+    """[t3] at first order and [t3, t4] at second over the points of the
+    metric bundle m: G_ijk1, the packed jet of g_ij to that order, each of its
+    orders' half of the mixed-partial guard, and the canonical gather.  One
+    representative per sorted multi-index, stored into every permutation,
+    keeps the downstream index symmetries exact in floating point."""
+    n = len(m)
+    jet = _metric_jet(m.scalars, third_derivative(m.tensor, m.y), order)
+    _guard_mixed_partials(jet, m.y)
+    return [
+        np.take(part.T, table, axis=1).reshape((n,) + (DIM,) * rank)
+        for part, table, rank in zip(jet, (_T3, _T4), (3, 4))
+    ]
+
+
+def _cartan(m: Metric, t3: np.ndarray) -> Connection:
+    """The connection bundle over the points of m, from t3."""
     n = len(m)
     kappa, g_up, y = m.kappa, m.g_up, m.y
-
-    # the exact derivative tables of g; one representative per sorted
-    # multi-index, stored into every permutation, keeps the downstream index
-    # symmetries exact in floating point
-    d, h = _metric_jet(m.scalars)
-    _guard_mixed_partials(d, h, y)
-    t3 = np.take(d.T, _T3, axis=1).reshape(n, DIM, DIM, DIM)
-    t4 = np.take(h.T, _T4, axis=1).reshape(n, DIM, DIM, DIM, DIM)
-
     # Cartan connection: C^i_j(k) = (g^im/2) dg_jm/dy^k, one matmul of g^im with
     # t3[m,j,k] per point (t3 is totally symmetric); for x-constant G the
     # three-term horizontal form with delta/delta x^k = (kappa/3) d/dy^k is
@@ -560,10 +606,23 @@ def _connection(m: Metric) -> Connection:
     # G^k_j1 = (g^km/2) delta g_mj/delta t with delta/delta t = d/dt + kappa y^p d/dy^p
     dg_dt = kappa[:, None, None] * np.einsum("xmjp,xp->xmj", t3, y)
     gk = 0.5 * np.einsum("xkm,xmj->xkj", g_up, dg_dt)
+    return _frozen(Connection(**{f.name: getattr(m, f.name) for f in fields(Metric)}, t3=t3, c=c, l=l, gk=gk))
 
-    return _frozen(
-        Connection(**{f.name: getattr(m, f.name) for f in fields(Metric)}, t3=t3, t4=t4, c=c, l=l, gk=gk)
-    )
+
+def _connection(m: Metric) -> Connection:
+    """The connection stage of the chains that stop at it, over the points of
+    the metric bundle m: t3 from the first-order jet, which is all that C, L
+    and G^k_j1 read."""
+    (t3,) = _derivative_tables(m, 1)
+    return _cartan(m, t3)
+
+
+def _connection_t4(m: Metric) -> tuple[Connection, np.ndarray]:
+    """The connection stage of the full chain, over the points of the metric
+    bundle m: the connection bundle and t4, both from one second-order jet;
+    only the full stage reads t4, and keeps it."""
+    t3, t4 = _derivative_tables(m, 2)
+    return _cartan(m, t3), t4
 
 
 def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -572,11 +631,13 @@ def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.reshape(n, DIM * DIM, DIM) @ b.reshape(n, DIM, DIM * DIM)).reshape(n, DIM, DIM, DIM, DIM)
 
 
-def _geometry(cn: Connection) -> Geometry:
-    """The full stage over the points of the connection bundle cn."""
+def _geometry(cn_t4: tuple[Connection, np.ndarray]) -> Geometry:
+    """The full stage over the points of the connection bundle and t4 that
+    ``_connection_t4`` gives."""
+    cn, t4 = cn_t4
     n = len(cn)
     kappa, dkappa, h11, g_up, y = cn.kappa, cn.dkappa, cn.h11, cn.g_up, cn.y
-    t3, t4, c, l = cn.t3, cn.t4, cn.c, cn.l
+    t3, c, l = cn.t3, cn.c, cn.l
 
     k3 = (kappa / 3.0)[:, None, None, None]
     k3_5 = k3[..., None]
@@ -635,6 +696,7 @@ def _geometry(cn: Connection) -> Geometry:
     return _frozen(
         Geometry(
             **{f.name: getattr(cn, f.name) for f in fields(Connection)},
+            t4=t4,
             p_mixed=p_mixed,
             p_vert=c,
             r_time=r_time,
@@ -676,7 +738,7 @@ def _chunks(stages, G: QuarticTensor, tm: TimeMetric, t, y):
     consecutive metric batch of at most METRIC_CHUNK points; with no deeper
     ``stages`` the batch's bundle is yielded as it is, otherwise it is cut
     into slices of at most CHUNK points, and each slice runs through the
-    named ``stages`` in order.  So a metric batch passes every guard of
+    named ``stages`` in order, each taking what the one before it gives.  So a metric batch passes every guard of
     ``_metric`` before any of its slices runs.  Each stage call's wall time
     goes to the context's ``stage_times`` counter."""
     t, y = _batch(t, y)
@@ -695,7 +757,7 @@ def _chunks(stages, G: QuarticTensor, tm: TimeMetric, t, y):
 def batches(G: QuarticTensor, tm: TimeMetric, t, y):
     """Full bundles over consecutive chunks of at most CHUNK points, in order,
     so a caller holds one chunk's tables at a time."""
-    return _chunks((("connection", _connection), ("full", _geometry)), G, tm, t, y)
+    return _chunks((("connection", _connection_t4), ("full", _geometry)), G, tm, t, y)
 
 
 def connection_batches(G: QuarticTensor, tm: TimeMetric, t, y):

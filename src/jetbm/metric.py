@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import GScalars, check_cone, g_hierarchy, point_metric
+from .geometry import GScalars, check_cone, g_hierarchy, point_metric, third_derivative
 from .jetcore import DIM, JetPoint, QuarticTensor, Taylor2, TimeMetric
 
 __all__ = [
@@ -76,17 +76,19 @@ def metric_taylor2(G: QuarticTensor, y) -> list[list[Taylor2]]:
     data (G_1111 has gradient G_i111 and Hessian G_ij11, and so on down the
     hierarchy), so no expression tree over raw seeds is needed.
     """
+    y = check_cone(y)
     s = g_scalars(G, y)
     if s.g1111 <= 0.0:
         raise DomainError(f"G_1111 must be positive, got {s.g1111} at y={y}")
+    gijk1 = third_derivative(G, y)
     G_t = Taylor2(s.g1111, s.gi111, s.gij11)
-    Gi_t = [Taylor2(s.gi111[i], s.gij11[i], s.gijk1[i]) for i in range(DIM)]
+    Gi_t = [Taylor2(s.gi111[i], s.gij11[i], gijk1[i]) for i in range(DIM)]
     inv_2g = (G_t * 2.0).reciprocal()
     inv_4sq = (G_t.sqrt() * 4.0).reciprocal()
     g: list[list[Taylor2]] = [[None] * DIM for _ in range(DIM)]
     for i in range(DIM):
         for j in range(i, DIM):
-            Gij_t = Taylor2(s.gij11[i, j], s.gijk1[i, j], s.gijkl[i, j])
+            Gij_t = Taylor2(s.gij11[i, j], gijk1[i, j], s.gijkl[i, j])
             gij = (Gij_t - Gi_t[i] * Gi_t[j] * inv_2g) * inv_4sq
             g[i][j] = gij
             g[j][i] = gij

@@ -33,7 +33,7 @@ from jetbm.fieldtheory import (
     raised_divergence,
     raised_table_grad,
 )
-from jetbm.geometry import CHUNK, _geometry, connection_batches, geometry
+from jetbm.geometry import CHUNK, _connection_t4, _geometry, geometry, metric_batches
 
 from conftest import BATCH_SIZES, assert_close, cone_points, max_rel, traced_peak
 
@@ -190,10 +190,11 @@ def test_unreduced_divergences_read_one_shifted_chunk_at_a_time(rng, monkeypatch
     equal those read off one bundle of all the shifted points, bit for bit,
     yet their traced peak stays below four full-stage peaks over the chunk."""
     G = QuarticTensor.from_components({(1, 2, 3, 4): 1 / 24, (1, 1, 2, 2): 0.01})
-    (cn,) = connection_batches(G, EXP, rng.uniform(-1, 1, CHUNK), cone_points(rng, CHUNK))
-    geo = _geometry(cn)
+    (m,) = metric_batches(G, EXP, rng.uniform(-1, 1, CHUNK), cone_points(rng, CHUNK))
+    cn_t4 = _connection_t4(m)
+    geo = _geometry(cn_t4)
     chunked = conservation_residuals_of(geo, 1.5)
-    assert traced_peak(conservation_residuals_of, geo, 1.5) < 4 * traced_peak(_geometry, cn)
+    assert traced_peak(conservation_residuals_of, geo, 1.5) < 4 * traced_peak(_geometry, cn_t4)
     monkeypatch.setattr(fieldtheory, "batches", lambda *args: [geometry(*args)])
     whole = conservation_residuals_of(geo, 1.5)
     for name in ("t1", "ti", "tyi"):

@@ -38,6 +38,7 @@ from jetbm.geometry import (
     CHUNK,
     METRIC_CHUNK,
     Connection,
+    Geometry,
     GScalars,
     Metric,
     batches,
@@ -48,6 +49,7 @@ from jetbm.geometry import (
     point_geometry,
     quartic_form,
     take,
+    third_derivative,
 )
 from jetbm.harness import checks
 from jetbm.harness.config import RunConfig, parse_config
@@ -55,6 +57,8 @@ from jetbm.harness.config import RunConfig, parse_config
 from conftest import BATCH_SIZES, cone_points, traced_peak
 
 EXP = TimeMetric.exponential(1.0, 1.0)
+# kappa varies with t, so L and G^k_j1 are nonzero and differ point by point
+POWER = TimeMetric.power(-1.3)
 # the custom tensor of tests/test_harness.py::CUSTOM_OTHER
 CUSTOM_OTHER = QuarticTensor.from_components({(1, 2, 3, 4): 1 / 24, (1, 1, 2, 2): 0.01})
 
@@ -105,7 +109,8 @@ def test_metric_is_the_plain_closed_formulas(rng):
 
 
 # the G-hierarchy's contractions by their np.einsum specs, the reference the
-# term-table sums reproduce bit for bit (G_ijk1 is still this einsum)
+# term-table sums reproduce bit for bit (G_ijk1, third_derivative, is still
+# this einsum)
 _HIERARCHY_SPECS = {
     "g1111": (1.0, "pqrs,...p,...q,...r,...s->...", 4),
     "gi111": (4.0, "ipqr,...p,...q,...r->...i", 3),
@@ -133,15 +138,15 @@ def _assert_bits_equal(got, want, name=""):
 )
 @pytest.mark.parametrize("size", (None,) + BATCH_SIZES)
 def test_hierarchy_is_its_einsum_specs_bit_for_bit(G, size, rng):
-    """quartic_form and every level of g_hierarchy equal their np.einsum specs
-    bit for bit, at one point y of shape (4,) (size None) and over batches, and
-    every level is C-contiguous."""
+    """quartic_form, third_derivative and every level of g_hierarchy equal
+    their np.einsum specs bit for bit, at one point y of shape (4,) (size None)
+    and over batches, and every level is C-contiguous."""
     y = cone_points(rng, 1 if size is None else size)
     if size is None:
         y = y[0]
     s = g_hierarchy(G, y)
     for name in _HIERARCHY_SPECS:
-        got = getattr(s, name)
+        got = third_derivative(G, y) if name == "gijk1" else getattr(s, name)
         _assert_bits_equal(got, _einsum_level(G, name, y), name)
         assert np.ndim(got) == 0 or got.flags.c_contiguous, name
     _assert_bits_equal(quartic_form(G, y), _einsum_level(G, "g1111", y))
@@ -216,7 +221,7 @@ def test_is_berwald_moor_is_stored_at_construction(components, expected):
     assert G.is_berwald_moor is expected and G._is_berwald_moor is expected
 
 
-def _dense_jet_tables(s):
+def _dense_jet_tables(s, gijk1):
     """t3 and t4 from the dense jet: value, gradient and Hessian of g_ij as
     [x,i,j], [x,i,j,k] and [x,i,j,k,n] by the product and chain rules over
     whole arrays, then the sorted representative of every index."""
@@ -234,13 +239,13 @@ def _dense_jet_tables(s):
 
     g = s.g1111[:, None, None]
     g_jet = (g, s.gi111[:, None, None, :], s.gij11[:, None, None, :, :])
-    pi_jet = (s.gi111[:, :, None], s.gij11[:, :, None, :], s.gijk1[:, :, None, :, :])
-    pj_jet = (s.gi111[:, None, :], s.gij11[:, None, :, :], s.gijk1[:, None, :, :, :])
+    pi_jet = (s.gi111[:, :, None], s.gij11[:, :, None, :], gijk1[:, :, None, :, :])
+    pj_jet = (s.gi111[:, None, :], s.gij11[:, None, :, :], gijk1[:, None, :, :, :])
     r = np.sqrt(g)
     inv_2g = chain(g_jet, 0.5 / g, -0.5 / (g * g), 1.0 / (g * g * g))
     inv_4sq = chain(g_jet, 0.25 / r, -0.125 / (r * g), 0.1875 / (r * g * g))
     qv, qd, qh = mul(mul(pi_jet, pj_jet), inv_2g)
-    _, gd, gh = mul((s.gij11 - qv, s.gijk1 - qd, s.gijkl - qh), inv_4sq)
+    _, gd, gh = mul((s.gij11 - qv, gijk1 - qd, s.gijkl - qh), inv_4sq)
     canon = [np.sort(np.indices((4,) * k).reshape(k, -1), axis=0) for k in (3, 4)]
     return gd[(slice(None), *canon[0])].reshape(gd.shape), gh[(slice(None), *canon[1])].reshape(gh.shape)
 
@@ -299,7 +304,7 @@ def test_stage_tables_match_their_einsum_specs(G, size, rng):
     ys = cone_points(rng, size)
     ts = rng.uniform(-1, 1, size)
     for geo in batches(G, EXP, ts, ys):
-        t3, t4 = _dense_jet_tables(geo.scalars)
+        t3, t4 = _dense_jet_tables(geo.scalars, third_derivative(G, geo.y))
         np.testing.assert_array_equal(geo.t3, t3)
         np.testing.assert_array_equal(geo.t4, t4)
         scale = _einsum_tables(geo, magnitude=True)
@@ -309,10 +314,11 @@ def test_stage_tables_match_their_einsum_specs(G, size, rng):
             assert np.abs(got - want).max() <= _EINSUM_ULPS * np.spacing(scale[name].max()), name
 
 
-def _packed_jet(s):
+def _packed_jet(s, gijk1):
     """The packed jet with every operand gathered up front and every jet
     alive to the end, each product forming all four of its parts: the
-    reference that the trimmed ``_metric_jet`` reproduces bit for bit."""
+    reference that the trimmed ``_metric_jet`` reproduces bit for bit, at
+    second order, and whose first part its first order does."""
 
     def mul(a, b):
         av, ak, an, ah = a
@@ -327,7 +333,7 @@ def _packed_jet(s):
     k = kernel
     gi, gj, gk, gn = s.gi111.T[np.stack([k._I, k._J, k._K, k._N])]
     gkn, gik, gin, gjk, gjn, gij = s.gij11.reshape(n, -1).T[np.stack([k._KN, k._IK, k._IN, k._JK, k._JN, k._IJ])]
-    gikn, gjkn, gijk, gijn = s.gijk1.reshape(n, -1).T[np.stack([k._IKN, k._JKN, k._IJK, k._IJN])]
+    gikn, gjkn, gijk, gijn = gijk1.reshape(n, -1).T[np.stack([k._IKN, k._JKN, k._IJK, k._IJN])]
     gijkn = s.gijkl.reshape(n, -1).T[k._IJKN]
     g = s.g1111
     g_jet = (g, gk, gn, gkn)
@@ -344,18 +350,29 @@ def _packed_jet(s):
 )
 @pytest.mark.parametrize("size", BATCH_SIZES)
 def test_trimmed_jet_is_the_packed_jet_bit_for_bit(G, size, rng):
-    s = g_hierarchy(G, cone_points(rng, size))
-    for got, want, name in zip(kernel._metric_jet(s), _packed_jet(s), ("d", "h")):
-        _assert_bits_equal(got, want, name)
+    """The second-order jet is the packed jet bit for bit, and the
+    first-order jet is its d/dy^k part bit for bit."""
+    ys = cone_points(rng, size)
+    s, gijk1 = g_hierarchy(G, ys), third_derivative(G, ys)
+    want = _packed_jet(s, gijk1)
+    for order in (1, 2):
+        got = kernel._metric_jet(s, gijk1, order)
+        assert len(got) == order
+        for part, ref, name in zip(got, want, ("d", "h")):
+            _assert_bits_equal(part, ref, f"{name} at order {order}")
 
 
 def test_the_jet_no_longer_sets_the_kernels_peak(rng):
-    """Over one CHUNK, the connection stage (the packed jet and the tables
-    it feeds) allocates less at its peak than the full stage."""
+    """Over one CHUNK, the full chain's connection stage (the second-order
+    jet and the tables it feeds) allocates less at its peak than the full
+    stage, and the connection-only stage (the first-order jet) less than
+    that."""
     (m,) = metric_batches(CUSTOM_OTHER, EXP, rng.uniform(-1, 1, CHUNK), cone_points(rng, CHUNK))
-    cn = kernel._connection(m)
-    kernel._geometry(cn)
-    assert traced_peak(kernel._connection, m) < traced_peak(kernel._geometry, cn)
+    cn_t4 = kernel._connection_t4(m)
+    kernel._connection(m)
+    kernel._geometry(cn_t4)
+    second = traced_peak(kernel._connection_t4, m)
+    assert traced_peak(kernel._connection, m) < second < traced_peak(kernel._geometry, cn_t4)
 
 
 def _assert_point_equal(batch, n, one):
@@ -377,41 +394,86 @@ def test_point_is_bit_identical_alone_and_in_a_batch(size, rng):
         _assert_point_equal(batch, n, geometry(CUSTOM_OTHER, EXP, ts[n : n + 1], ys[n : n + 1]))
 
 
-def _assert_stage_is_the_full_bundle(stage, cls, G, size, rng):
+def _assert_stage_is_the_full_bundle(stage, cls, G, tm, size, rng):
     """Every field of the stage's bundles is bit-identical to the full
-    bundle's, point by point: the metric stage's batches hold up to
-    METRIC_CHUNK points, the deeper stages' chunks up to CHUNK."""
+    bundle's: the metric stage's batches hold up to METRIC_CHUNK points, the
+    deeper stages' chunks up to CHUNK.  A metric bundle holds no G_ijk1 and a
+    connection-only bundle no t4, so no stage keeps what only a deeper one
+    reads."""
     ys = cone_points(rng, size, lo=0.7, hi=1.4)
     ts = rng.uniform(-1, 1, size)
-    parts = list(stage(G, EXP, ts, ys))
-    full = list(batches(G, EXP, ts, ys))
-    points = [(m, n) for m in parts for n in range(len(m))]
-    full_points = [(geo, n) for geo in full for n in range(len(geo))]
-    assert len(points) == len(full_points) == size
-    for (m, i), (geo, j) in zip(points, full_points):
-        assert type(m) is cls
+    parts = list(stage(G, tm, ts, ys))
+    full = list(batches(G, tm, ts, ys))
+    step = METRIC_CHUNK if cls is Metric else CHUNK
+    assert [len(b) for b in parts] == [len(ys[lo : lo + step]) for lo in range(0, size, step)]
+    for b in parts:
+        assert type(b) is cls and not hasattr(b, "t4") and not hasattr(b.scalars, "gijk1")
         for f in fields(cls):
-            a, b = getattr(m, f.name), getattr(geo, f.name)
-            if isinstance(a, GScalars):
-                for s in fields(GScalars):
-                    np.testing.assert_array_equal(getattr(a, s.name)[i], getattr(b, s.name)[j], err_msg=s.name)
-            elif isinstance(a, np.ndarray):
-                np.testing.assert_array_equal(a[i], b[j], err_msg=f.name)
-                assert not a.flags.writeable
-            else:
-                assert a is b
+            a = getattr(b, f.name)
+            if isinstance(a, np.ndarray):
+                assert not a.flags.writeable, f.name
+            elif not isinstance(a, GScalars):
+                assert a is getattr(full[0], f.name), f.name
+    got, want = kernel._concat(parts), kernel._concat(full)
+    for f in fields(cls):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(a, GScalars):
+            for s in fields(GScalars):
+                np.testing.assert_array_equal(getattr(a, s.name), getattr(b, s.name), err_msg=s.name)
+        elif isinstance(a, np.ndarray):
+            np.testing.assert_array_equal(a, b, err_msg=f.name)
 
 
 @pytest.mark.parametrize("G", [QuarticTensor.berwald_moor(), CUSTOM_OTHER], ids=["berwald-moor", "custom-other"])
 @pytest.mark.parametrize("size", BATCH_SIZES)
 def test_metric_stage_is_bit_identical_to_the_full_bundle(G, size, rng):
-    _assert_stage_is_the_full_bundle(metric_batches, Metric, G, size, rng)
+    _assert_stage_is_the_full_bundle(metric_batches, Metric, G, EXP, size, rng)
 
 
 @pytest.mark.parametrize("G", [QuarticTensor.berwald_moor(), CUSTOM_OTHER], ids=["berwald-moor", "custom-other"])
 @pytest.mark.parametrize("size", BATCH_SIZES)
 def test_connection_stage_is_bit_identical_to_the_full_bundle(G, size, rng):
-    _assert_stage_is_the_full_bundle(connection_batches, Connection, G, size, rng)
+    """The first-order jet's t3, C, L and G^k_j1 are the full chain's
+    second-order jet's, bit for bit."""
+    _assert_stage_is_the_full_bundle(connection_batches, Connection, G, EXP, size, rng)
+
+
+@pytest.mark.parametrize(
+    "G", [QuarticTensor.berwald_moor(), CUSTOM_OTHER, DENSE], ids=["berwald-moor", "custom-other", "dense"]
+)
+@pytest.mark.parametrize("tm", [EXP, POWER], ids=lambda tm: tm.family)
+@pytest.mark.parametrize(
+    "stage, cls", [(metric_batches, Metric), (connection_batches, Connection)], ids=["metric", "connection"]
+)
+def test_stages_are_bit_identical_across_both_batch_sizes(stage, cls, G, tm, rng):
+    """Both shallower stages hold the full bundle's bits over a second metric
+    batch of CHUNK + 1 points, so their bundles cross both CHUNK and
+    METRIC_CHUNK, on every tensor and with a kappa that varies with t."""
+    _assert_stage_is_the_full_bundle(stage, cls, G, tm, METRIC_CHUNK + CHUNK + 1, rng)
+
+
+def test_each_chain_builds_only_the_orders_it_reads(rng, monkeypatch):
+    """The metric chain computes no G_ijk1; the connection chain computes it
+    and runs the first-order jet once per chunk; the full chain computes it
+    and runs the second-order jet once per chunk, and its bundles keep t4."""
+    calls = []
+    real_third, real_jet = kernel.third_derivative, kernel._metric_jet
+    monkeypatch.setattr(kernel, "third_derivative", lambda G, y: calls.append("gijk1") or real_third(G, y))
+    monkeypatch.setattr(kernel, "_metric_jet", lambda s, g3, order: calls.append(order) or real_jet(s, g3, order))
+    ys = cone_points(rng, CHUNK + 1)
+    ts = rng.uniform(-1, 1, len(ys))
+    chains = (
+        (metric_batches, Metric, []),
+        (connection_batches, Connection, ["gijk1", 1]),
+        (batches, Geometry, ["gijk1", 2]),
+    )
+    for stage, cls, per_chunk in chains:
+        calls.clear()
+        parts = list(stage(DENSE, POWER, ts, ys))
+        assert calls == per_chunk * len(parts) and len(parts) == (1 if cls is Metric else 2)
+        for b in parts:
+            assert type(b) is cls and not hasattr(b.scalars, "gijk1")
+            assert hasattr(b, "t4") is (cls is Geometry)
 
 
 @pytest.mark.parametrize(
@@ -534,12 +596,12 @@ def test_a_metric_batch_checks_singular_before_degenerate(rng, monkeypatch):
 
 def test_metric_readers_never_build_the_derivative_tables(monkeypatch):
     """Readers build no stage deeper than they read, and give what the full
-    bundle gives.  With the connection stage broken, metric_pair,
+    bundle gives.  With the derivative tables broken, metric_pair,
     grav_potential, einstein_blocks and the gscalars, metric_taylor and
-    einstein verify groups still run on Berwald-Moor; with the full stage
-    broken, cartan_connection, em_form, conservation_residuals and the
-    connection, cartan, field_misc, conservation and decay verify groups
-    still run."""
+    einstein verify groups still run on Berwald-Moor; with the full chain's
+    connection stage (the second-order jet) broken, cartan_connection,
+    em_form, conservation_residuals and the connection, cartan, field_misc,
+    conservation and decay verify groups still run."""
     bm, k = QuarticTensor.berwald_moor(), 1.5
     p = JetPoint.from_y([1.0, 2.0, 3.0, 4.0], t=0.3)
     full = point_geometry(bm, EXP, p)
@@ -561,7 +623,7 @@ def test_metric_readers_never_build_the_derivative_tables(monkeypatch):
     # use, per-point readers, and the full bundle's values for them)
     cases = [
         (
-            "_connection",
+            "_derivative_tables",
             ("gscalars", "metric_taylor", "einstein"),
             "metric_batches",
             metric_readers,
@@ -571,7 +633,7 @@ def test_metric_readers_never_build_the_derivative_tables(monkeypatch):
             ],
         ),
         (
-            "_geometry",
+            "_connection_t4",
             ("connection", "cartan", "field_misc", "conservation", "decay"),
             "connection_batches",
             connection_readers,
@@ -686,21 +748,26 @@ def test_bundle_is_read_only():
 
 
 def test_swap_entries_are_computed_not_copied(rng):
-    """The packed jet computes each swap entry on its own index order, so
-    over a chunk most swap entries differ from their representative in the
-    last bits, and the mixed-partial guard compares two computations."""
+    """The packed jet of either order computes each swap entry on its own
+    index order, so over a chunk most swap entries differ from their
+    representative in the last bits, and each half of the mixed-partial
+    guard compares two computations."""
     ys = cone_points(rng, CHUNK)
-    d, h = kernel._metric_jet(g_hierarchy(CUSTOM_OTHER, ys))
-    for packed, rep, swap in ((d, kernel._REP3, kernel._SWAP3), (h, kernel._REP4, kernel._SWAP4)):
-        own = swap != rep
-        assert (packed[swap[own]] != packed[rep[own]]).mean() > 0.5
+    s, gijk1 = g_hierarchy(CUSTOM_OTHER, ys), third_derivative(CUSTOM_OTHER, ys)
+    for order in (1, 2):
+        jet = kernel._metric_jet(s, gijk1, order)
+        assert len(jet) == order
+        for packed, rep, swap in zip(jet, (kernel._REP3, kernel._REP4), (kernel._SWAP3, kernel._SWAP4)):
+            own = swap != rep
+            assert (packed[swap[own]] != packed[rep[own]]).mean() > 0.5
 
 
 def test_guard_survives_optimize_flag():
-    """The mixed-partial guard rejects a packed jet with a skewed swap entry,
-    in t3 directly and in t4 through the connection stage, and the metric
-    stage's inverse guard a corrupted G^jk11, with a typed error even under
-    python -O, which strips assert statements."""
+    """The mixed-partial guard rejects a packed jet with a skewed swap entry:
+    in t3 directly, in t3 through the connection-only chain's first-order
+    jet, and in t4 through the full chain's second-order jet; and the metric
+    stage's inverse guard a corrupted G^jk11; each with a typed error even
+    under python -O, which strips assert statements."""
     # (0, 2, 1, 3) is the swap entry of the sorted triple (0, 1, 2) and of the
     # sorted quadruple (0, 1, 2, 3), and no representative
     swap = kernel._ENTRIES.index((0, 2, 1, 3))
@@ -714,30 +781,32 @@ from dataclasses import replace
 import numpy as np
 import jetbm.geometry as kernel
 from jetbm import InvariantError, QuarticTensor, TimeMetric
-from jetbm.geometry import _guard_mixed_partials, connection_batches, geometry, metric_batches
+from jetbm.geometry import _guard_mixed_partials, batches, connection_batches, geometry, metric_batches
 
 if __debug__:
     raise SystemExit("not running under -O")
 G, tm = QuarticTensor.berwald_moor(), TimeMetric.constant(1.0)
 geo = geometry(G, tm, [0.0], [[1.0, 2.0, 3.0, 4.0]])
-d, h = kernel._metric_jet(geo.scalars)
-d[{swap}] += 1e-3
+jet = kernel._metric_jet(geo.scalars, kernel.third_derivative(G, geo.y), 2)
+jet[0][{swap}] += 1e-3
 try:
-    _guard_mixed_partials(d, h, geo.y)
+    _guard_mixed_partials(jet, geo.y)
 except InvariantError as exc:
     print("InvariantError:", exc)
 real_jet = kernel._metric_jet
 
-def skewed_jet(s):
-    d, h = real_jet(s)
-    h[{swap}] += 1e-3
-    return d, h
+def skewed_jet(s, gijk1, order):
+    jet = real_jet(s, gijk1, order)
+    print("order", order)
+    jet[-1][{swap}] += 1e-3
+    return jet
 
 kernel._metric_jet = skewed_jet
-try:
-    list(connection_batches(G, tm, [0.0], [[1.0, 2.0, 3.0, 4.0]]))
-except InvariantError as exc:
-    print("InvariantError:", traceback.extract_tb(exc.__traceback__)[-1].name, exc)
+for chain in (connection_batches, batches):
+    try:
+        list(chain(G, tm, [0.0], [[1.0, 2.0, 3.0, 4.0]]))
+    except InvariantError as exc:
+        print("InvariantError:", traceback.extract_tb(exc.__traceback__)[-1].name, exc)
 kernel._metric_jet = real_jet
 real = kernel.g_hierarchy
 kernel.g_hierarchy = lambda G, y: replace(real(G, y), gij11_inv=1.01 * real(G, y).gij11_inv)
@@ -749,7 +818,10 @@ except InvariantError as exc:
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 6
     assert lines[0].startswith("InvariantError: mixed-partial consistency")
-    assert lines[1].startswith("InvariantError: _guard_mixed_partials mixed-partial consistency")
-    assert lines[2].startswith("InvariantError: inverse-metric formula disagrees with direct inversion")
+    # the connection-only chain skews t3's half, the full chain t4's
+    for n, order in ((1, 1), (3, 2)):
+        assert lines[n] == f"order {order}"
+        assert lines[n + 1].startswith("InvariantError: _guard_mixed_partials mixed-partial consistency")
+    assert lines[5].startswith("InvariantError: inverse-metric formula disagrees with direct inversion")

@@ -13,6 +13,7 @@ from jetbm import (
     metric_taylor2,
     taylor2_seed,
 )
+from jetbm.geometry import third_derivative
 
 from conftest import assert_close, cone_points, max_rel
 
@@ -69,15 +70,20 @@ def test_gij11_inverse_closed_form(bm, rng):
 
 
 def test_higher_contractions_are_derivatives(bm, rng):
-    """Gijk1 and Gijkl really are the third/fourth y-derivatives of G1111."""
+    """Gijk1 (``third_derivative``, the one helper that metric_taylor2 and
+    the connection stage read) and Gijkl really are the third/fourth
+    y-derivatives of G1111."""
     y = cone_points(rng, 1)[0]
     s = g_scalars(bm, y)
+    gijk1 = third_derivative(bm, y)
     h = 1e-5
     for k in range(4):
         e = np.zeros(4)
         e[k] = h
         fd = (g_scalars(bm, y + e).gij11 - g_scalars(bm, y - e).gij11) / (2 * h)
-        np.testing.assert_allclose(s.gijk1[:, :, k], fd, rtol=1e-7, atol=1e-7)
+        np.testing.assert_allclose(gijk1[:, :, k], fd, rtol=1e-7, atol=1e-7)
+        fd = (third_derivative(bm, y + e) - third_derivative(bm, y - e)) / (2 * h)
+        np.testing.assert_allclose(s.gijkl[:, :, :, k], fd, rtol=1e-7, atol=1e-7)
     np.testing.assert_allclose(s.gijkl, 24 * bm.dense, rtol=1e-15)
 
 

@@ -32,12 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .connection import apriori_nlc
 from .curvature import FIELD_COEF, bm_s_raised_field, bm_s_ricci_field, field_numerator
 from .errors import ConfigError, DomainError, InvariantError
 from .geometry import (
     Connection,
     Geometry,
     Metric,
+    _first_bad,
     batches,
     connection_batches,
     metric_batches,
@@ -344,12 +346,12 @@ def _guard_reduction_terms(geo: Connection, blocks: EinsteinBlocks):
     identity, which is what this guard pins down."""
     c = geo.c
     trace = np.einsum("xmjm->xj", c)
-    bad = np.abs(trace).max(axis=1) > 1e-9 * np.maximum(np.abs(c).max(axis=(1, 2, 3)), 1.0)
+    bad = ~(np.abs(trace).max(axis=1) <= 1e-9 * np.maximum(np.abs(c).max(axis=(1, 2, 3)), 1.0))
     for field in (blocks.raised_h, blocks.raised_mixed_t, blocks.raised_mixed_v, blocks.raised_vv):
         dropped = np.einsum("xmr,xrim->xi", field, c)
-        bad |= np.abs(dropped).max(axis=1) > 1e-9 * np.maximum(np.abs(field).max(axis=(1, 2)), 1.0)
+        bad |= ~(np.abs(dropped).max(axis=1) <= 1e-9 * np.maximum(np.abs(field).max(axis=(1, 2)), 1.0))
     if bad.any():
-        y = geo.y[np.flatnonzero(bad)[0]]
+        y = _first_bad(geo.y, bad)
         raise InvariantError(f"the terms dropped by the reduced conservation divergences do not vanish at y={y}")
 
 
@@ -417,13 +419,13 @@ def des_check(tm: TimeMetric, t_samples) -> DesCheck:
 
 def em_form_of(geo: Connection) -> EMForm:
     """F^(1)_(i)j = (h^11/2)[g_jm N^m_i - g_im N^m_j + (g_ir L^r_jm - g_jr L^r_im) y^m]
-    over the batch, with the a-priori N^m_i = -(kappa/3) delta^m_i.
+    over the batch, with the a-priori N^m_i = -(kappa/3) delta^m_i
+    (``connection.apriori_nlc``).
 
     Antisymmetric by construction; zero for any tensor whose C satisfies the
     y-transversality identity, in particular Berwald-Moor.  It reads only the
     connection stage."""
-    n_apriori = -(geo.kappa / 3.0)[:, None, None] * np.eye(DIM)
-    U = np.einsum("xjm,xmi->xij", geo.g_lo, n_apriori)
+    U = np.einsum("xjm,xmi->xij", geo.g_lo, apriori_nlc(geo.kappa, geo.y).n)
     V = np.einsum("xir,xrjm,xm->xij", geo.g_lo, geo.l, geo.y)
     F = (0.5 * geo.h11_inv)[:, None, None] * ((U - U.swapaxes(1, 2)) + (V - V.swapaxes(1, 2)))
     return EMForm(f=F)

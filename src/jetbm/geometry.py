@@ -2,41 +2,41 @@
 
 One pass over a batch of points (t, y), with t of shape (N,) and y of shape
 (N, 4), evaluates the y-derivative hierarchy once and feeds every layer from
-it.  The kernel has three stages, each the one before it plus the next
-objects of the chain:
+it.  The kernel has one chain, ``_chunks(order, ...)``, keyed by the highest
+y-derivative order of g that its readers need.  Each order's bundle is the
+one before it plus the next objects of the chain:
 
-* the metric stage (``Metric``, ``metric_batches``, ``point_metric``): the
-  time-axis scalars (one ``TimeMetric.eval`` per metric batch), the
-  G-hierarchy up to G_ij11 with 24 G_ijkl, the fundamental metric and its
-  inverse;
-* the connection stage (``Connection``, ``connection_batches``,
-  ``point_connection``): the metric stage, then the first y-derivative table
-  t3 of g and the Cartan connection C^i_j(k), L^i_jk and G^k_j1;
-* the full stage (``Geometry``, ``batches``, ``geometry``,
-  ``point_geometry``): the connection stage, then the second y-derivative
-  table t4 of g, the torsions, the curvature d-tensors (from dC, which the
-  bundle does not keep) and the Ricci data.
+* order 0, the metric stage (``Metric``, ``metric_batches``,
+  ``point_metric``): the time-axis scalars (one ``TimeMetric.eval`` per
+  metric batch), the G-hierarchy up to G_ij11 with 24 G_ijkl, the
+  fundamental metric and its inverse;
+* order 1, the connection stage (``Connection``, ``connection_batches``,
+  ``point_connection``): the metric stage, then G_ijk1
+  (``third_derivative``), the first-order packed jet of g, its first
+  y-derivative table t3 and the Cartan connection C^i_j(k), L^i_jk and
+  G^k_j1;
+* order 2, the full stage (``Geometry``, ``batches``, ``geometry``,
+  ``point_geometry``): the connection stage built from the second-order jet,
+  which also gives the second y-derivative table t4, then the torsions, the
+  curvature d-tensors (from dC, which the bundle does not keep) and the
+  Ricci data.
 
-Each reader builds the shallowest stage that holds what it reads: readers of
+Each reader builds the shallowest order that holds what it reads: readers of
 g, g^-1 and the G-hierarchy alone (the metric pair, the gravitational
 potential, the gscalars and metric_taylor checks, and the einstein checks on
-Berwald-Moor, whose blocks read the closed field table) build the metric
-stage; readers of the connection alone (the Cartan connection, the
-electromagnetic 2-form, the cartan, field_misc, conservation and decay
-checks) the connection stage; every other reader the full one.  A
-``Geometry`` is a ``Connection`` and a ``Connection`` is a ``Metric``, and a
-field shared by two stages comes from the same lines in both.
+Berwald-Moor, whose blocks read the closed field table) order 0; readers of
+the connection alone (the Cartan connection, the electromagnetic 2-form, the
+cartan, field_misc, conservation and decay checks) order 1; every other
+reader order 2.  A ``Geometry`` is a ``Connection`` and a ``Connection`` is a
+``Metric``, and a field shared by two stages comes from the same lines in
+both.
 
-Each derivative order is built only on the chains that read it.  The
-connection stage computes G_ijk1 (``third_derivative``), which only its jet
-reads.  C, L and G^k_j1 read first y-derivatives of g alone, so the chains
-that stop at the connection stage run a first-order jet (value and d/dy^k)
-and check the t3 half of the mixed-partial guard; only the full chain
-(``batches``) runs the second-order jet, once per chunk, gathers t4 from it
-and checks the t4 half too, in its connection stage, and hands t4 to the
-full stage, which keeps it.  Both orders give t3 the same bits, because the
-first-order rules are the second-order rules' d/dy^k parts, the same
-products in the same operand order.
+The connection stage (``_connection``) runs the packed jet to the chain's
+order and checks each of its orders' half of the mixed-partial guard; at
+order 2 it also gathers t4, which only the full stage reads and keeps.  Both
+orders give t3 the same bits, because the first-order rules are the
+second-order rules' d/dy^k parts, the same products in the same operand
+order.
 
 G_1111, G_i111 and G_ij11 are sums over the tensor's nonzero terms only
 (``QuarticTensor.terms``, built once per tensor): each product is formed
@@ -75,17 +75,17 @@ run over consecutive slices of at most CHUNK points of it, each slice taken
 with ``take`` as views of the metric bundle's C-contiguous arrays.  The
 deeper stages peak at about 6 and 12 KiB per point (the second-order packed
 jet's operands, the 5-index tables), so their chunk bounds the kernel's
-working memory; the metric stage holds about 0.7 KB per point (1.2 KB while
-it held G_ijk1's 512 B), so its larger batch
-spreads numpy's and LAPACK's fixed per-call cost over more points.  The
-stages do not nest: each takes the bundle of the stage before it, and
+working memory; the metric stage holds about 0.7 KB per point, so its larger
+batch spreads numpy's and LAPACK's fixed per-call cost over more points.
+The stages do not nest: each takes the bundle of the stage before it, and
 ``_chunks`` is the one chain that calls them, and times them
 (``stage_times``).
 
 A point's results do not depend on which batch or slice it was computed in:
 the G-hierarchy sums are elementwise plus in-order accumulation, and LAPACK
 and the stacked matmuls work one matrix at a time.  Every correctness guard
-raises a typed error, so none of them vanishes under ``python -O``.
+raises a typed error, so none of them vanishes under ``python -O``, and
+counts a NaN as a failure, so no non-finite value passes one.
 """
 
 from contextlib import contextmanager
@@ -124,14 +124,13 @@ __all__ = [
 # points per chunk of the connection and full stages: a chunk amortises
 # numpy's per-call overhead, and each curvature-sized table holds 256 doubles
 # (2 KiB) per point, so the chunk also bounds the kernel's working memory.  A
-# 128-point chunk peaks at about 0.85 MiB of numpy allocations in the full
+# 128-point chunk peaks at about 0.85 MiB of numpy allocations in the order-2
 # chain's connection stage (the second-order packed jet, at most about
-# sixteen [50, N] arrays alive), 0.41 MiB in the connection-only chain's
-# (the first-order jet) and 1.52 MiB in the full stage (at most five 5-index
-# tables alive); a 64-point chunk took about half of each (tracemalloc,
-# numpy 2.4).  The larger chunk halves the calls of every per-chunk stage and
-# check for about 1 MiB more resident memory in the runs that build the full
-# stage
+# sixteen [50, N] arrays alive), 0.41 MiB in the order-1 chain's (the
+# first-order jet) and 1.52 MiB in the full stage (at most five 5-index
+# tables alive) (tracemalloc, numpy 2.4).  A chunk half this size would save
+# about 1 MiB of resident memory in the runs that build the full stage and
+# double the calls of every per-chunk stage and check
 CHUNK = 128
 # points per metric batch: the metric bundle keeps about 0.7 KB per point,
 # and at 1 000 points the metric stage peaks at about 1.4 MiB of numpy
@@ -187,8 +186,7 @@ def check_cone(y) -> np.ndarray:
     if y.ndim not in (1, 2) or y.shape[-1] != DIM:
         raise DomainError(f"expected a 4-vector or an (N, 4) batch, got shape {y.shape}")
     if not (y > 0.0).all():
-        bad = y if y.ndim == 1 else y[np.flatnonzero(~np.all(y > 0.0, axis=1))[0]]
-        raise DomainError(f"y must lie in the open positive cone, got {bad}")
+        raise DomainError(f"y must lie in the open positive cone, got {_first_bad(y, ~np.all(y > 0.0, axis=-1))}")
     return y
 
 
@@ -314,8 +312,10 @@ def _frozen(bundle):
     return bundle
 
 
-def _first_bad(y: np.ndarray, bad: np.ndarray) -> np.ndarray:
-    return y[np.flatnonzero(bad)[0]]
+def _first_bad(values, bad):
+    """The entry of values at the first point that bad flags, along the
+    batch axis; a 0-d bad flags the one point that values is."""
+    return values[np.flatnonzero(bad)[0]] if np.ndim(bad) else values
 
 
 def _term_sums(table: TermTable, y: np.ndarray, count: int = 3) -> list[np.ndarray]:
@@ -383,20 +383,26 @@ def g_hierarchy(G: QuarticTensor, y: np.ndarray) -> GScalars:
     g^jk g_kl with delta at an absolute tolerance near rounding, and their
     verdicts follow the last bits.  Every level is C-contiguous, because a
     matmul of a strided operand may round differently.  G_ijk1 is not a level
-    here: the metric stage does not read it (``third_derivative``).
+    here: the metric stage does not read it (``third_derivative``).  A level or
+    determinant that is not finite (y so large that a contraction or det
+    G_ij11 overflows) raises DomainError, before the singular test.
     """
     D = G.dense
     lead = y.shape[:-1]
     g, gi, gij = _term_sums(G.terms, y)
     gij11 = np.multiply(gij.T, 12.0, order="C").reshape(lead + (DIM, DIM))
     gi111 = np.multiply(gi.T, 4.0, order="C").reshape(lead + (DIM,))
-
     det = np.linalg.det(gij11)
+    finite = np.isfinite(g[0]) & np.isfinite(det.reshape(-1)) & np.isfinite(gi111.reshape(-1, DIM)).all(axis=1)
+    finite &= np.isfinite(gij11.reshape(-1, DIM * DIM)).all(axis=1)
+    if not finite.all():
+        bad_y = _first_bad(y.reshape(-1, DIM), ~finite)
+        raise DomainError(f"the G-hierarchy must be finite, got a non-finite value at y={bad_y}")
+
     scale = np.abs(gij11).max(axis=(-2, -1))
-    singular = (scale == 0.0) | (np.abs(det) < _SINGULAR_RTOL * scale**4)
+    singular = (scale == 0.0) | ~(np.abs(det) >= _SINGULAR_RTOL * scale**4)
     if singular.any():
-        k = np.flatnonzero(singular)[0]
-        raise SingularTensorError(f"G_ij11 is singular at y={y.reshape(-1, DIM)[k]} (det={det.reshape(-1)[k]})")
+        raise SingularTensorError(f"G_ij11 is singular at y={_first_bad(y, singular)} (det={_first_bad(det, singular)})")
     inv = np.linalg.inv(gij11)
     inv = 0.5 * (inv + inv.swapaxes(-1, -2))
     gj_up = (inv @ gi111[..., None])[..., 0]
@@ -446,6 +452,11 @@ def _jet_chain(a, f0, f1, f2):
     return f0, f1 * ak, f1 * an, f1 * ah + f2 * (ak * an)
 
 
+def _gather(parts: int, *operands) -> tuple:
+    """level[ix] for the first ``parts`` (level, ix) operands, in order."""
+    return tuple(level[ix] for level, ix in operands[:parts])
+
+
 def _metric_jet(s: GScalars, gijk1: np.ndarray, order: int):
     """The packed jet of g_ij to the given order, as arrays [e, x] at the
     packed entries (i, j, k, n) = _ENTRIES[e]: (d,) at first order and (d, h)
@@ -460,14 +471,14 @@ def _metric_jet(s: GScalars, gijk1: np.ndarray, order: int):
     g1 = s.gi111.T
     g2 = s.gij11.reshape(n, -1).T
     g3 = gijk1.reshape(n, -1).T
+    parts = 2**order  # value, d/dy^k and, at second order, d/dy^n and d2/dy^k dy^n
     # the jet of G_i111 G_j111, from the jets of G_i111 and G_j111, and the
     # jet of G_1111
-    if order == 2:
-        p = _jet_mul((g1[_I], g2[_IK], g2[_IN], g3[_IKN]), (g1[_J], g2[_JK], g2[_JN], g3[_JKN]))
-        g_jet = (g, g1[_K], g1[_N], g2[_KN])
-    else:
-        p = _jet_mul((g1[_I], g2[_IK]), (g1[_J], g2[_JK]))
-        g_jet = (g, g1[_K])
+    p = _jet_mul(
+        _gather(parts, (g1, _I), (g2, _IK), (g2, _IN), (g3, _IKN)),
+        _gather(parts, (g1, _J), (g2, _JK), (g2, _JN), (g3, _JKN)),
+    )
+    g_jet = (g, *_gather(parts - 1, (g1, _K), (g1, _N), (g2, _KN)))
     # 1/(2G) and 1/(4 sqrt(G)) with their first two derivatives in G
     r = np.sqrt(g)
     inv_2g = _jet_chain(g_jet, 0.5 / g, -0.5 / (g * g), 1.0 / (g * g * g))
@@ -490,7 +501,7 @@ def _guard_mixed_partials(jet, y: np.ndarray):
     representatives."""
     for packed, rep, swap in zip(jet, (_REP3, _REP4), (_SWAP3, _SWAP4)):
         val = packed[rep]
-        bad = np.abs(packed[swap] - val) > 1e-9 * np.maximum(np.abs(val), 1.0)
+        bad = ~(np.abs(packed[swap] - val) <= 1e-9 * np.maximum(np.abs(val), 1.0))
         if bad.any():
             bad_y = _first_bad(y, bad.any(axis=0))
             raise InvariantError(f"mixed-partial consistency of the metric derivative tables fails at y={bad_y}")
@@ -499,7 +510,7 @@ def _guard_mixed_partials(jet, y: np.ndarray):
 def _guard_inverse(formula: np.ndarray, direct: np.ndarray, y: np.ndarray):
     """The inverse-metric formula agrees with direct inversion of g_lo."""
     scale = np.abs(direct).max(axis=(1, 2))
-    bad = np.abs(formula - direct).max(axis=(1, 2)) > 1e-8 * np.maximum(scale, 1.0)
+    bad = ~(np.abs(formula - direct).max(axis=(1, 2)) <= 1e-8 * np.maximum(scale, 1.0))
     if bad.any():
         raise InvariantError(f"inverse-metric formula disagrees with direct inversion at y={_first_bad(y, bad)}")
 
@@ -508,9 +519,9 @@ def _guard_torsions(p_mixed, c, r_time, kappa, dkappa, y):
     """P^(k)(1)_(1)i(j) = -(kappa/3) C^k_i(j) and R^(k)_(1)1j = ((kappa' - kappa^2)/3) delta."""
     k3 = (kappa / 3.0)[:, None, None, None]
     scale = np.maximum(np.abs(c).max(axis=(1, 2, 3)), 1.0)
-    bad = np.abs(p_mixed + k3 * c).max(axis=(1, 2, 3)) > 1e-9 * scale * (1 + np.abs(kappa))
+    bad = ~(np.abs(p_mixed + k3 * c).max(axis=(1, 2, 3)) <= 1e-9 * scale * (1 + np.abs(kappa)))
     closed_r = ((dkappa - kappa**2) / 3.0)[:, None, None] * _EYE
-    bad |= np.abs(r_time - closed_r).max(axis=(1, 2)) > 1e-12 * (1 + np.abs(kappa) + np.abs(dkappa))
+    bad |= ~(np.abs(r_time - closed_r).max(axis=(1, 2)) <= 1e-12 * (1 + np.abs(kappa) + np.abs(dkappa)))
     if bad.any():
         raise InvariantError(f"torsion identities fail at y={_first_bad(y, bad)}")
 
@@ -535,23 +546,25 @@ def stage_times():
 
 def _metric(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) -> Metric:
     """The metric stage over one metric batch.  Its guards each check the
-    whole batch, in this order: G_ij11 singular (SingularTensorError, in
-    ``g_hierarchy``), G_1111 > 0 (DomainError), G_1111 - scriptG degenerate
-    (DegenerateDenominatorError), and the inverse-metric formula against
-    direct inversion (InvariantError).  So a singular point anywhere in the
-    batch raises before a degenerate one, and the error names the first
-    point that fails its guard by its y."""
+    whole batch, in this order: the time axis finite (DomainError, in
+    ``TimeMetric.eval``), the G-hierarchy finite (DomainError) and G_ij11
+    singular (SingularTensorError), both in ``g_hierarchy``, G_1111 > 0
+    (DomainError), G_1111 - scriptG degenerate (DegenerateDenominatorError),
+    and the inverse-metric formula against direct inversion
+    (InvariantError).  So a singular point anywhere in the batch raises
+    before a degenerate one, and the error names the first point that fails
+    its guard by its t or y."""
     ax = tm.eval(t)
     s = g_hierarchy(G, y)
     if (s.g1111 <= 0.0).any():
         bad = s.g1111 <= 0.0
         raise DomainError(f"G_1111 must be positive, got {s.g1111[bad][0]} at y={_first_bad(y, bad)}")
     denom = s.g1111 - s.g_script
-    degenerate = np.abs(denom) < _DEGENERATE_RTOL * np.abs(s.g1111)
+    degenerate = ~(np.abs(denom) >= _DEGENERATE_RTOL * np.abs(s.g1111))
     if degenerate.any():
-        k = np.flatnonzero(degenerate)[0]
         raise DegenerateDenominatorError(
-            f"G_1111 - scriptG = {denom[k]} is degenerate relative to G_1111 = {s.g1111[k]} at y={y[k]}"
+            f"G_1111 - scriptG = {_first_bad(denom, degenerate)} is degenerate relative to "
+            f"G_1111 = {_first_bad(s.g1111, degenerate)} at y={_first_bad(y, degenerate)}"
         )
 
     # g_ij and g^jk are the closed formulas
@@ -578,25 +591,23 @@ def _metric(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) -> M
     )
 
 
-def _derivative_tables(m: Metric, order: int) -> list[np.ndarray]:
-    """[t3] at first order and [t3, t4] at second over the points of the
-    metric bundle m: G_ijk1, the packed jet of g_ij to that order, each of its
-    orders' half of the mixed-partial guard, and the canonical gather.  One
-    representative per sorted multi-index, stored into every permutation,
-    keeps the downstream index symmetries exact in floating point."""
+def _connection(m: Metric, order: int) -> list:
+    """The connection stage over the points of the metric bundle m, from the
+    packed jet of g to the given order: G_ijk1, the jet, each of its orders'
+    half of the mixed-partial guard, and the canonical gather of t3 and, at
+    second order, t4.  One representative per sorted multi-index, stored into
+    every permutation, keeps the downstream index symmetries exact in
+    floating point.  Returns the connection bundle, then t4 at second order:
+    only the full stage reads t4, and keeps it."""
     n = len(m)
-    jet = _metric_jet(m.scalars, third_derivative(m.tensor, m.y), order)
-    _guard_mixed_partials(jet, m.y)
-    return [
+    kappa, g_up, y = m.kappa, m.g_up, m.y
+    jet = _metric_jet(m.scalars, third_derivative(m.tensor, y), order)
+    _guard_mixed_partials(jet, y)
+    t3, *t4 = [
         np.take(part.T, table, axis=1).reshape((n,) + (DIM,) * rank)
         for part, table, rank in zip(jet, (_T3, _T4), (3, 4))
     ]
-
-
-def _cartan(m: Metric, t3: np.ndarray) -> Connection:
-    """The connection bundle over the points of m, from t3."""
-    n = len(m)
-    kappa, g_up, y = m.kappa, m.g_up, m.y
+    del jet
     # Cartan connection: C^i_j(k) = (g^im/2) dg_jm/dy^k, one matmul of g^im with
     # t3[m,j,k] per point (t3 is totally symmetric); for x-constant G the
     # three-term horizontal form with delta/delta x^k = (kappa/3) d/dy^k is
@@ -606,23 +617,8 @@ def _cartan(m: Metric, t3: np.ndarray) -> Connection:
     # G^k_j1 = (g^km/2) delta g_mj/delta t with delta/delta t = d/dt + kappa y^p d/dy^p
     dg_dt = kappa[:, None, None] * np.einsum("xmjp,xp->xmj", t3, y)
     gk = 0.5 * np.einsum("xkm,xmj->xkj", g_up, dg_dt)
-    return _frozen(Connection(**{f.name: getattr(m, f.name) for f in fields(Metric)}, t3=t3, c=c, l=l, gk=gk))
-
-
-def _connection(m: Metric) -> Connection:
-    """The connection stage of the chains that stop at it, over the points of
-    the metric bundle m: t3 from the first-order jet, which is all that C, L
-    and G^k_j1 read."""
-    (t3,) = _derivative_tables(m, 1)
-    return _cartan(m, t3)
-
-
-def _connection_t4(m: Metric) -> tuple[Connection, np.ndarray]:
-    """The connection stage of the full chain, over the points of the metric
-    bundle m: the connection bundle and t4, both from one second-order jet;
-    only the full stage reads t4, and keeps it."""
-    t3, t4 = _derivative_tables(m, 2)
-    return _cartan(m, t3), t4
+    cn = _frozen(Connection(**{f.name: getattr(m, f.name) for f in fields(Metric)}, t3=t3, c=c, l=l, gk=gk))
+    return [cn, *t4]
 
 
 def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -631,10 +627,9 @@ def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.reshape(n, DIM * DIM, DIM) @ b.reshape(n, DIM, DIM * DIM)).reshape(n, DIM, DIM, DIM, DIM)
 
 
-def _geometry(cn_t4: tuple[Connection, np.ndarray]) -> Geometry:
+def _geometry(cn: Connection, t4: np.ndarray) -> Geometry:
     """The full stage over the points of the connection bundle and t4 that
-    ``_connection_t4`` gives."""
-    cn, t4 = cn_t4
+    ``_connection`` gives at second order."""
     n = len(cn)
     kappa, dkappa, h11, g_up, y = cn.kappa, cn.dkappa, cn.h11, cn.g_up, cn.y
     t3, c, l = cn.t3, cn.c, cn.l
@@ -733,42 +728,42 @@ def _timed(name: str, stage, *args):
     return out
 
 
-def _chunks(stages, G: QuarticTensor, tm: TimeMetric, t, y):
-    """The one chain of the kernel stages.  The metric stage runs once per
-    consecutive metric batch of at most METRIC_CHUNK points; with no deeper
-    ``stages`` the batch's bundle is yielded as it is, otherwise it is cut
-    into slices of at most CHUNK points, and each slice runs through the
-    named ``stages`` in order, each taking what the one before it gives.  So a metric batch passes every guard of
-    ``_metric`` before any of its slices runs.  Each stage call's wall time
-    goes to the context's ``stage_times`` counter."""
+def _chunks(order: int, G: QuarticTensor, tm: TimeMetric, t, y):
+    """The one chain of the kernel stages, to the highest y-derivative order
+    of g that its readers need.  The metric stage runs once per consecutive
+    metric batch of at most METRIC_CHUNK points; at order 0 the batch's
+    bundle is yielded as it is, otherwise it is cut into slices of at most
+    CHUNK points, and each slice runs through the connection stage to that
+    order, and through the full stage when the connection stage gives it
+    t4.  So a metric batch passes every guard of ``_metric`` before any of
+    its slices runs.  Each stage call's wall time goes to the context's
+    ``stage_times`` counter."""
     t, y = _batch(t, y)
     for lo in range(0, len(t), METRIC_CHUNK):
         m = _timed("metric", _metric, G, tm, t[lo : lo + METRIC_CHUNK], y[lo : lo + METRIC_CHUNK])
-        if not stages:
+        if not order:
             yield m
             continue
         for a in range(0, len(m), CHUNK):
-            bundle = take(m, slice(a, a + CHUNK))
-            for name, stage in stages:
-                bundle = _timed(name, stage, bundle)
-            yield bundle
+            cn, *t4 = _timed("connection", _connection, take(m, slice(a, a + CHUNK)), order)
+            yield _timed("full", _geometry, cn, *t4) if t4 else cn
 
 
 def batches(G: QuarticTensor, tm: TimeMetric, t, y):
     """Full bundles over consecutive chunks of at most CHUNK points, in order,
     so a caller holds one chunk's tables at a time."""
-    return _chunks((("connection", _connection_t4), ("full", _geometry)), G, tm, t, y)
+    return _chunks(2, G, tm, t, y)
 
 
 def connection_batches(G: QuarticTensor, tm: TimeMetric, t, y):
     """Connection-stage bundles over the same chunks as ``batches``."""
-    return _chunks((("connection", _connection),), G, tm, t, y)
+    return _chunks(1, G, tm, t, y)
 
 
 def metric_batches(G: QuarticTensor, tm: TimeMetric, t, y):
     """Metric-stage bundles over consecutive metric batches of at most
     METRIC_CHUNK points, in order."""
-    return _chunks((), G, tm, t, y)
+    return _chunks(0, G, tm, t, y)
 
 
 def geometry(G: QuarticTensor, tm: TimeMetric, t, y) -> Geometry:
@@ -779,7 +774,8 @@ def geometry(G: QuarticTensor, tm: TimeMetric, t, y) -> Geometry:
 
 def point_geometry(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> Geometry:
     """The N = 1 bundle at the jet point p."""
-    return geometry(G, tm, [p.t], p.y)
+    (geo,) = batches(G, tm, [p.t], p.y)
+    return geo
 
 
 def point_connection(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> Connection:

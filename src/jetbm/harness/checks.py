@@ -9,8 +9,9 @@ bm_only).  ``check_names`` reads the catalog and evaluates nothing.
 
 ``run_verify`` owns everything a group shares: it draws the group's points
 (t, y) from a generator seeded by (seed, group index), hands the group one
-error accumulator per declared check, skips a group whose every check is
-``bm_only`` on a custom tensor, and applies the pass rule
+error accumulator per declared check (None for a ``bm_only`` check on a
+custom tensor), skips a group whose every check is ``bm_only`` on a custom
+tensor, and applies the pass rule
 (``VerificationReport.from_errors``).  Output is therefore deterministic for
 a fixed (config, seed) regardless of evaluation schedule.  A group's point
 count is a fraction of the samples, except decay's, which is its four fixed
@@ -212,7 +213,9 @@ def _g1111_taylor2(G, seeds) -> Taylor2:
 
 # --------------------------------------------------------------------------
 # check groups; each takes the config, its drawn points (t, y) and one _Err
-# per catalog check, in catalog order
+# per catalog check, in catalog order, or None for a check that needs the
+# Berwald-Moor closed forms on a custom tensor; a group that mixes such checks
+# with others computes the closed forms only where their accumulators exist
 
 
 def _grp_gscalars(cfg, t, ys, oracle, inverse, euler, det, script, raised, inv_closed):
@@ -222,7 +225,7 @@ def _grp_gscalars(cfg, t, ys, oracle, inverse, euler, det, script, raised, inv_c
         euler.add(np.einsum("xij,xj->xi", s.gij11, y), 3.0 * s.gi111)
         euler.add(np.einsum("xi,xij,xj->x", y, s.gij11, y), 12.0 * s.g1111)
         inverse.add_residual(m.g_lo @ m.g_up - np.eye(DIM))
-        if cfg.tensor.is_berwald_moor:
+        if oracle is not None:
             cl = metric.bm_metric_closed(y)
             oracle.add(m.g_lo, cl.g_lo)
             oracle.add(m.g_up, cl.g_up)
@@ -260,7 +263,7 @@ def _grp_cartan(cfg, t, ys, vert, hor, time_zero, sym, transv, trace):
         time_zero.add_residual(geo.gk)
         sym.add_residual(geo.c - geo.c.transpose(0, 1, 3, 2))
         transv.add_residual(np.einsum("xijm,xm->xij", geo.c, geo.y))
-        if cfg.tensor.is_berwald_moor:
+        if vert is not None:
             closed = connection._bm_c_closed(geo.y)
             vert.add(geo.c, closed)
             hor.add(geo.l, (geo.kappa / 3.0)[:, None, None, None] * closed)
@@ -277,7 +280,7 @@ def _grp_curvature(cfg, t, ys, s_oracle, antisym, prop, tor_closed):
         tor_closed.add(geo.p_vert, geo.c)
         tor_closed.add(geo.p_mixed, -k3 * geo.c)
         tor_closed.add(geo.r_time, ((geo.dkappa - geo.kappa**2) / 3.0)[:, None, None] * np.eye(DIM))
-        if cfg.tensor.is_berwald_moor:
+        if s_oracle is not None:
             closed = curvature.bm_s_closed(geo.y)
             scale = np.maximum(np.abs(closed).max(axis=(1, 2, 3, 4)), 1e-300)
             s_oracle.record(float((np.abs(s - closed).max(axis=(1, 2, 3, 4)) / scale).max()))
@@ -599,15 +602,15 @@ def run_verify(
     reports: list[VerificationReport] = []
     for idx, grp in enumerate(_CATALOG):
         n = grp.size(cfg.samples)
-        errs = [_Err() for _ in grp.checks]
+        errs = [_Err() if is_bm or not check.bm_only else None for check in grp.checks]
         start = perf_counter()
         with stage_times() as stages:
-            if is_bm or not all(check.bm_only for check in grp.checks):
+            if any(err is not None for err in errs):
                 grp.fn(cfg, *_points(cfg, np.random.default_rng([cfg.seed, idx]), n), *errs)
         if on_group is not None:
             on_group(grp.name, n, perf_counter() - start, stages)
         for check, err in zip(grp.checks, errs):
-            if check.bm_only and not is_bm:
+            if err is None:
                 reports.append(VerificationReport.skip(check.name, cfg.seed))
             else:
                 reports.append(

@@ -36,23 +36,19 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 
 from ..errors import ConfigError, ConstructionError
-from ..jetcore import QuarticTensor, TimeMetric
+from ..jetcore import _FAMILY_PARAMS, QuarticTensor, TimeMetric
 
 __all__ = ["RunConfig", "parse_config", "default_config"]
 
-_KNOWN_KEYS = {
-    "time_metric": {"family", "c", "lam", "a"},
-    "tensor": {"kind", "components"},
-    "sampling": {"seed", "samples", "y_min", "y_max", "t_min", "t_max"},
-    "constants": {"einstein_k"},
-    "tolerances": {"fd"},
-}
-
-# the document path of each number a run configuration holds
+# the document path of each value a run configuration holds, in the order of
+# its echo (``RunConfig.to_dict``): every section and key a document may hold
 _PATHS = {
+    "family": "time_metric.family",
     "c": "time_metric.c",
     "lam": "time_metric.lam",
     "a": "time_metric.a",
+    "kind": "tensor.kind",
+    "components": "tensor.components",
     "seed": "sampling.seed",
     "samples": "sampling.samples",
     "y_min": "sampling.y_min",
@@ -62,7 +58,12 @@ _PATHS = {
     "einstein_k": "constants.einstein_k",
     "fd_step": "tolerances.fd",
 }
-_TIME_METRIC_KEYS = ("c", "lam", "a")
+# the keys a document may hold, by section
+_KNOWN_KEYS: dict[str, set[str]] = {}
+for _section, _key in (path.split(".") for path in _PATHS.values()):
+    _KNOWN_KEYS.setdefault(_section, set()).add(_key)
+# the numbers a TimeMetric holds: the parameters of every family
+_TIME_METRIC_KEYS = {name for params in _FAMILY_PARAMS.values() for name in params}
 
 # the value rules besides finiteness, as (the numbers a rule reads, the rule,
 # what it asks); a broken rule is reported at the path of its last number
@@ -110,44 +111,38 @@ class RunConfig:
 
     def __post_init__(self):
         tm = self.time_metric
-        _refuse(_violations({name: getattr(tm if name in _TIME_METRIC_KEYS else self, name) for name in _PATHS}))
+        _refuse(_violations({name: getattr(tm if name in _TIME_METRIC_KEYS else self, name) for name in _DEFAULTS}))
 
     def to_dict(self) -> dict:
-        """Sectioned echo of the configuration, suitable for report output."""
-        tm = self.time_metric
-        tm_doc = {"family": tm.family}
-        if tm.family in ("constant", "exponential"):
-            tm_doc["c"] = tm.c
-        if tm.family == "exponential":
-            tm_doc["lam"] = tm.lam
-        if tm.family == "power":
-            tm_doc["a"] = tm.a
-        tensor_doc: dict = {"kind": "berwald_moor" if self.tensor.is_berwald_moor else "custom"}
-        if not self.tensor.is_berwald_moor:
-            tensor_doc["components"] = {
-                " ".join(map(str, quad)): val for quad, val in self.tensor.components.items() if val != 0.0
-            }
-        return {
-            "time_metric": tm_doc,
-            "tensor": tensor_doc,
-            "sampling": {
-                "seed": self.seed,
-                "samples": self.samples,
-                "y_min": self.y_min,
-                "y_max": self.y_max,
-                "t_min": self.t_min,
-                "t_max": self.t_max,
-            },
-            "constants": {"einstein_k": self.einstein_k},
-            "tolerances": {"fd": self.fd_step},
-        }
+        """Sectioned echo of the configuration, suitable for report output:
+        the time-metric family with its own parameters, the tensor's kind
+        with a custom tensor's nonzero components, and every other number,
+        each at its document path, in the order of ``_PATHS``."""
+        tm, G = self.time_metric, self.tensor
+        values = {name: getattr(self, name) for name in _DEFAULTS if name not in _TIME_METRIC_KEYS}
+        values.update({name: getattr(tm, name) for name in _FAMILY_PARAMS[tm.family]})
+        values.update(family=tm.family, kind="berwald_moor" if G.is_berwald_moor else "custom")
+        if not G.is_berwald_moor:
+            values["components"] = {" ".join(map(str, quad)): val for quad, val in G.components.items() if val != 0.0}
+        doc: dict = {}
+        for name, path in _PATHS.items():
+            if name in values:
+                section, key = path.split(".")
+                doc.setdefault(section, {})[key] = values[name]
+        return doc
 
 
 def default_config() -> RunConfig:
     return RunConfig()
 
 
+# the default of each number a run configuration holds, keyed as ``_PATHS``
 _DEFAULTS = {f.name: f.default for cls in (TimeMetric, RunConfig) for f in fields(cls) if f.default is not MISSING}
+
+
+def _raw(parser: configparser.ConfigParser, name: str, fallback: str | None = None) -> str | None:
+    """The text at the document path of the value ``name``, or fallback."""
+    return parser.get(*_PATHS[name].split("."), fallback=fallback)
 
 
 def _parse_components(raw: str, errors: list[str]) -> dict:
@@ -197,28 +192,28 @@ def parse_config(text: str) -> RunConfig:
                 errors.append(f"{section}.{key}: unknown key")
 
     numbers = {}
-    for name, path in _PATHS.items():
-        default = _DEFAULTS[name]
-        raw = parser.get(*path.split("."), fallback=None)
+    for name, default in _DEFAULTS.items():
+        raw = _raw(parser, name)
         try:
             numbers[name] = default if raw is None else type(default)(raw)
         except ValueError:
-            errors.append(f"{path}: not {'an integer' if type(default) is int else 'a number'}: {raw!r}")
+            errors.append(f"{_PATHS[name]}: not {'an integer' if type(default) is int else 'a number'}: {raw!r}")
             numbers[name] = default
     errors.extend(_violations(numbers))
 
-    family = parser.get("time_metric", "family", fallback="constant").strip()
-    if family not in ("constant", "exponential", "power"):
-        errors.append(f"time_metric.family: must be constant, exponential or power, got {family!r}")
-    elif family in ("constant", "exponential") and numbers["c"] <= 0.0:
-        errors.append(f"time_metric.c: must be > 0, got {numbers['c']}")
+    family = _raw(parser, "family", "constant").strip()
+    if family not in _FAMILY_PARAMS:
+        *others, last = _FAMILY_PARAMS
+        errors.append(f"{_PATHS['family']}: must be {', '.join(others)} or {last}, got {family!r}")
+    elif "c" in _FAMILY_PARAMS[family] and numbers["c"] <= 0.0:
+        errors.append(f"{_PATHS['c']}: must be > 0, got {numbers['c']}")
 
-    kind = parser.get("tensor", "kind", fallback="berwald_moor").strip()
+    kind = _raw(parser, "kind", "berwald_moor").strip()
     tensor = None
     if kind == "berwald_moor":
         tensor = QuarticTensor.berwald_moor()
     elif kind == "custom":
-        raw = parser.get("tensor", "components", fallback="")
+        raw = _raw(parser, "components", "")
         comps = _parse_components(raw, errors)
         if not comps:
             errors.append("tensor.components: custom tensor needs at least one component")

@@ -78,6 +78,11 @@ class TimeAxis:
         return len(self.t)
 
 
+# the parameters of each time-metric family, in document order; a family
+# that reads c needs c > 0
+_FAMILY_PARAMS = {"constant": ("c",), "exponential": ("c", "lam"), "power": ("a",)}
+
+
 @dataclass(frozen=True)
 class TimeMetric:
     """A closed-form family h_11(t) > 0 on the time axis.
@@ -97,9 +102,9 @@ class TimeMetric:
     a: float = 1.0
 
     def __post_init__(self):
-        if self.family not in ("constant", "exponential", "power"):
+        if self.family not in _FAMILY_PARAMS:
             raise ConstructionError(f"unknown time-metric family {self.family!r}")
-        if self.family in ("constant", "exponential") and not self.c > 0.0:
+        if "c" in _FAMILY_PARAMS[self.family] and not self.c > 0.0:
             raise ConstructionError(f"time metric requires c > 0, got c={self.c}")
 
     @classmethod
@@ -117,7 +122,9 @@ class TimeMetric:
     def eval(self, t) -> TimeAxis:
         """The time-axis scalars at a float t, or over t of shape (N,), by
         array operations.  Every power goes through ``pointwise_pow``, so each
-        entry equals the one-point value bit for bit."""
+        entry equals the one-point value bit for bit.  A t at which any of
+        them is not finite (h_11 overflows, say) raises DomainError naming
+        the first such t."""
         shape = np.shape(t)
         t = np.asarray(t, dtype=float).reshape(-1)
         if self.family == "constant":
@@ -136,6 +143,10 @@ class TimeMetric:
         kappa = 0.5 * h_inv * dh
         dkappa = 0.5 * d2h / h - 0.5 * pointwise_pow(dh / h, 2.0)
         values = (t, h, h_inv, dh, d2h, kappa, dkappa)
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = ~finite.all(axis=0)
+            raise DomainError(f"the {self.family} time metric is not finite at t={float(t[bad][0])}")
         if not shape:
             return TimeAxis(*(float(v[0]) for v in values))
         return TimeAxis(*(_frozen(v, shape) for v in values))

@@ -33,7 +33,7 @@ from jetbm.fieldtheory import (
     raised_divergence,
     raised_table_grad,
 )
-from jetbm.geometry import CHUNK, _connection_t4, _geometry, geometry, metric_batches
+from jetbm.geometry import CHUNK, _connection, _geometry, geometry, metric_batches
 
 from conftest import BATCH_SIZES, assert_close, cone_points, max_rel, traced_peak
 
@@ -191,10 +191,10 @@ def test_unreduced_divergences_read_one_shifted_chunk_at_a_time(rng, monkeypatch
     yet their traced peak stays below four full-stage peaks over the chunk."""
     G = QuarticTensor.from_components({(1, 2, 3, 4): 1 / 24, (1, 1, 2, 2): 0.01})
     (m,) = metric_batches(G, EXP, rng.uniform(-1, 1, CHUNK), cone_points(rng, CHUNK))
-    cn_t4 = _connection_t4(m)
-    geo = _geometry(cn_t4)
+    cn_t4 = _connection(m, 2)
+    geo = _geometry(*cn_t4)
     chunked = conservation_residuals_of(geo, 1.5)
-    assert traced_peak(conservation_residuals_of, geo, 1.5) < 4 * traced_peak(_geometry, cn_t4)
+    assert traced_peak(conservation_residuals_of, geo, 1.5) < 4 * traced_peak(_geometry, *cn_t4)
     monkeypatch.setattr(fieldtheory, "batches", lambda *args: [geometry(*args)])
     whole = conservation_residuals_of(geo, 1.5)
     for name in ("t1", "ti", "tyi"):

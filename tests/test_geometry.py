@@ -1,6 +1,7 @@
 """The batched geometry kernel against the per-point Taylor2 oracle, its
 batch independence, its three stages, and its typed guards."""
 
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -31,6 +32,7 @@ from jetbm import (
     grav_potential,
     metric_pair,
     metric_taylor2,
+    scalar_curvature_field,
 )
 from jetbm import fieldtheory
 from jetbm.fieldtheory import conservation_residuals_of, einstein_blocks_of, em_form_of, grav_potential_of
@@ -368,11 +370,11 @@ def test_the_jet_no_longer_sets_the_kernels_peak(rng):
     stage, and the connection-only stage (the first-order jet) less than
     that."""
     (m,) = metric_batches(CUSTOM_OTHER, EXP, rng.uniform(-1, 1, CHUNK), cone_points(rng, CHUNK))
-    cn_t4 = kernel._connection_t4(m)
-    kernel._connection(m)
-    kernel._geometry(cn_t4)
-    second = traced_peak(kernel._connection_t4, m)
-    assert traced_peak(kernel._connection, m) < second < traced_peak(kernel._geometry, cn_t4)
+    cn_t4 = kernel._connection(m, 2)
+    kernel._connection(m, 1)
+    kernel._geometry(*cn_t4)
+    second = traced_peak(kernel._connection, m, 2)
+    assert traced_peak(kernel._connection, m, 1) < second < traced_peak(kernel._geometry, *cn_t4)
 
 
 def _assert_point_equal(batch, n, one):
@@ -506,9 +508,9 @@ def test_connection_stage_gets_c_contiguous_slices(rng, monkeypatch):
     seen = []
     real = kernel._connection
 
-    def connection(m):
+    def connection(m, order):
         seen.append(m)
-        return real(m)
+        return real(m, order)
 
     monkeypatch.setattr(kernel, "_connection", connection)
     ys = cone_points(rng, METRIC_CHUNK + 1)
@@ -596,12 +598,12 @@ def test_a_metric_batch_checks_singular_before_degenerate(rng, monkeypatch):
 
 def test_metric_readers_never_build_the_derivative_tables(monkeypatch):
     """Readers build no stage deeper than they read, and give what the full
-    bundle gives.  With the derivative tables broken, metric_pair,
+    bundle gives.  With the connection stage broken, metric_pair,
     grav_potential, einstein_blocks and the gscalars, metric_taylor and
-    einstein verify groups still run on Berwald-Moor; with the full chain's
-    connection stage (the second-order jet) broken, cartan_connection,
-    em_form, conservation_residuals and the connection, cartan, field_misc,
-    conservation and decay verify groups still run."""
+    einstein verify groups still run on Berwald-Moor; with the second-order
+    jet broken, cartan_connection, em_form, conservation_residuals and the
+    connection, cartan, field_misc, conservation and decay verify groups
+    still run."""
     bm, k = QuarticTensor.berwald_moor(), 1.5
     p = JetPoint.from_y([1.0, 2.0, 3.0, 4.0], t=0.3)
     full = point_geometry(bm, EXP, p)
@@ -619,11 +621,18 @@ def test_metric_readers_never_build_the_derivative_tables(monkeypatch):
         res = conservation_residuals(bm, EXP, p, k)
         return [cc.kappa, cc.gk, cc.l, cc.c, em_form(bm, EXP, p).f, *entries(res)]
 
-    # (kernel function broken, verify groups, the stage reader those groups
-    # use, per-point readers, and the full bundle's values for them)
+    real_jet = kernel._metric_jet
+
+    def first_order_jet(s, gijk1, order):
+        return real_jet(s, gijk1, order) if order < 2 else _deeper_stage_built()
+
+    # (kernel function broken, its broken form, verify groups, the stage
+    # reader those groups use, per-point readers, and the full bundle's
+    # values for them)
     cases = [
         (
-            "_derivative_tables",
+            "_connection",
+            _deeper_stage_built,
             ("gscalars", "metric_taylor", "einstein"),
             "metric_batches",
             metric_readers,
@@ -633,7 +642,8 @@ def test_metric_readers_never_build_the_derivative_tables(monkeypatch):
             ],
         ),
         (
-            "_connection_t4",
+            "_metric_jet",
+            first_order_jet,
             ("connection", "cartan", "field_misc", "conservation", "decay"),
             "connection_batches",
             connection_readers,
@@ -645,7 +655,7 @@ def test_metric_readers_never_build_the_derivative_tables(monkeypatch):
     ]
     cfg = RunConfig(time_metric=EXP, seed=5, samples=2 * CHUNK + 6)
     by_name = {g.name: g for g in checks._CATALOG}
-    for broken, names, stage, readers, values in cases:
+    for broken, breakage, names, stage, readers, values in cases:
         with monkeypatch.context() as patch:
             patch.setattr(checks, "_CATALOG", tuple(by_name[name] for name in names))
             with monkeypatch.context() as full_path:
@@ -653,7 +663,7 @@ def test_metric_readers_never_build_the_derivative_tables(monkeypatch):
                 for module in (checks, fieldtheory):
                     full_path.setattr(module, stage, batches)
                 expected = [r.to_dict() for r in checks.run_verify(cfg).reports]
-            patch.setattr(kernel, broken, _deeper_stage_built)
+            patch.setattr(kernel, broken, breakage)
             with pytest.raises(RuntimeError):
                 point_geometry(bm, EXP, p)
             for got, want in zip(readers(), values, strict=True):
@@ -825,3 +835,91 @@ except InvariantError as exc:
         assert lines[n] == f"order {order}"
         assert lines[n + 1].startswith("InvariantError: _guard_mixed_partials mixed-partial consistency")
     assert lines[5].startswith("InvariantError: inverse-metric formula disagrees with direct inversion")
+
+
+def test_every_guard_counts_a_nan_as_a_failure():
+    """A NaN fed into each consistency guard raises InvariantError naming its
+    point, and a NaN scriptG the degenerate-denominator guard
+    DegenerateDenominatorError, under python -O as without it: a NaN error
+    is within no tolerance."""
+    code = """
+from dataclasses import replace
+
+import numpy as np
+import jetbm.geometry as kernel
+from jetbm import DegenerateDenominatorError, InvariantError, QuarticTensor, TimeMetric, fieldtheory
+
+if __debug__:
+    raise SystemExit("not running under -O")
+G, tm = QuarticTensor.berwald_moor(), TimeMetric.exponential(1.0, 1.0)
+t, y = np.array([0.1, 0.2]), np.array([[1.0, 2.0, 3.0, 4.0], [1.5, 2.5, 3.5, 4.5]])
+geo = kernel.geometry(G, tm, t, y)
+jet = kernel._metric_jet(geo.scalars, kernel.third_derivative(G, y), 2)
+blocks = fieldtheory.einstein_blocks_of(geo, 1.0)
+
+
+def nan_at_1(a, axis=0):
+    a = np.array(a)
+    a[(slice(None),) * axis + (1,)] = np.nan
+    return a
+
+
+real = kernel.g_hierarchy
+cases = {
+    "mixed-partials-t3": lambda: kernel._guard_mixed_partials((nan_at_1(jet[0], 1), jet[1]), y),
+    "mixed-partials-t4": lambda: kernel._guard_mixed_partials((jet[0], nan_at_1(jet[1], 1)), y),
+    "inverse": lambda: kernel._guard_inverse(nan_at_1(geo.g_up), geo.g_up, y),
+    "torsions-p": lambda: kernel._guard_torsions(nan_at_1(geo.p_mixed), geo.c, geo.r_time, geo.kappa, geo.dkappa, y),
+    "torsions-r": lambda: kernel._guard_torsions(geo.p_mixed, geo.c, nan_at_1(geo.r_time), geo.kappa, geo.dkappa, y),
+    "reduction-c": lambda: fieldtheory._guard_reduction_terms(replace(geo, c=nan_at_1(geo.c)), blocks),
+    "reduction-blocks": lambda: fieldtheory._guard_reduction_terms(geo, replace(blocks, raised_vv=nan_at_1(blocks.raised_vv))),
+    "degenerate": lambda: list(kernel.metric_batches(G, tm, t, y)),
+}
+for name, call in cases.items():
+    if name == "degenerate":
+        kernel.g_hierarchy = lambda G, y: replace(real(G, y), g_script=nan_at_1(real(G, y).g_script))
+    try:
+        call()
+        print(name, "passed")
+    except (InvariantError, DegenerateDenominatorError) as exc:
+        print(name, type(exc).__name__, str(y[1]) in str(exc))
+"""
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        *(
+            f"{name} InvariantError True"
+            for name in (
+                "mixed-partials-t3",
+                "mixed-partials-t4",
+                "inverse",
+                "torsions-p",
+                "torsions-r",
+                "reduction-c",
+                "reduction-blocks",
+            )
+        ),
+        "degenerate DegenerateDenominatorError True",
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns of the overflow before the guard raises
+def test_the_kernel_refuses_values_that_overflow():
+    """A point whose G-hierarchy overflows, or a t at which h_11 does, raises
+    DomainError naming the first such y or t, through every chain and the
+    field layer, instead of giving NaN or infinite tables."""
+    bm = QuarticTensor.berwald_moor()
+    ys = np.array([[1.0, 2.0, 3.0, 4.0], [1e100, 1e100, 1e100, 1e100], [1e90, 1.0, 1.0, 1.0]])
+    for stage in (metric_batches, connection_batches, batches, geometry):
+        with pytest.raises(DomainError, match=re.escape(f"at y={ys[1]}")):
+            list(stage(bm, EXP, np.zeros(3), ys))
+        with pytest.raises(DomainError, match=r"exponential time metric is not finite at t=1000\.0"):
+            list(stage(bm, EXP, [0.0, 1000.0, 2000.0], ys[[0, 0, 0]]))
+    with pytest.raises(DomainError, match=r"at t=1000\.0"):
+        EXP.eval(1000.0)
+    with pytest.raises(DomainError, match=r"at t=-1e\+200"):
+        TimeMetric.power(2.0).eval(np.array([0.0, -1e200]))
+    with pytest.raises(DomainError, match=re.escape(f"at y={ys[1]}")):
+        g_scalars(bm, ys[1])
+    with pytest.raises(DomainError, match=r"at t=1000\.0"):
+        scalar_curvature_field(EXP, np.array([1000.0]), ys[:1])

@@ -13,6 +13,7 @@ import pytest
 
 from jetbm import (
     ConfigError,
+    InvariantError,
     JetPoint,
     QuarticTensor,
     Taylor2,
@@ -346,18 +347,40 @@ def test_error_accumulator_in_place_equals_the_four_array_form(rng):
 
 
 def test_nan_in_a_compared_value_fails_its_check(monkeypatch):
-    """A NaN xi_11, patched into the field layer, makes the Einstein blocks and
-    the conservation right-hand sides NaN; their checks fail instead of
-    passing with a zero error, are not skipped, and the whole document
-    serialises as strict JSON."""
-    monkeypatch.setattr(fieldtheory, "_xi", lambda h11, kappa, k: np.full(np.shape(h11), np.nan))
-    res = run_verify(RunConfig(samples=50, seed=1))
-    by_name = {r.check_name: r.to_dict() for r in res.reports}
-    for name in ("einstein/raised-cross-check", "conservation/closed-rhs", "conservation/decay-rate"):
-        doc = by_name[name]
-        assert (doc["pass"], doc["skipped"], doc["max_abs_err"]) == (False, False, None), name
-    json.dumps(res.to_dict(), allow_nan=False)
-    assert res.overall_pass is False
+    """A NaN xi_11, patched into the field layer, makes the Einstein blocks
+    NaN, and NaN closed right-hand sides the conservation references; their
+    checks fail instead of passing with a zero error, are not skipped, and
+    the whole document serialises as strict JSON.  The conservation
+    residuals read the Einstein blocks through the reduction guard, which
+    refuses a NaN xi_11 with InvariantError, so each NaN goes to the groups
+    that compare it without a guard between."""
+    cfg = RunConfig(samples=50, seed=1)
+    by_group = {g.name: g for g in verify_checks._CATALOG}
+    real_rhs = fieldtheory.closed_rhs_of
+    cases = (
+        ("_xi", lambda h11, kappa, k: np.full(np.shape(h11), np.nan), ("einstein",), ("einstein/raised-cross-check",)),
+        (
+            "closed_rhs_of",
+            lambda *args: tuple(np.full_like(v, np.nan) for v in real_rhs(*args)),
+            ("conservation", "decay"),
+            ("conservation/closed-rhs", "conservation/decay-rate"),
+        ),
+    )
+    for name, nan_source, groups, failing in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(fieldtheory, name, nan_source)
+            patch.setattr(verify_checks, "_CATALOG", tuple(by_group[g] for g in groups))
+            res = run_verify(cfg)
+        by_name = {r.check_name: r.to_dict() for r in res.reports}
+        for check in failing:
+            doc = by_name[check]
+            assert (doc["pass"], doc["skipped"], doc["max_abs_err"]) == (False, False, None), check
+        json.dumps(res.to_dict(), allow_nan=False)
+        assert res.overall_pass is False
+    monkeypatch.setattr(fieldtheory, "_xi", cases[0][1])
+    monkeypatch.setattr(verify_checks, "_CATALOG", (by_group["conservation"],))
+    with pytest.raises(InvariantError, match="terms dropped by the reduced conservation divergences"):
+        run_verify(cfg)
 
 
 @pytest.mark.parametrize(
@@ -376,6 +399,55 @@ def test_run_config_applies_the_value_rules_however_built(build, paths):
     with pytest.raises(ConfigError) as exc:
         build()
     assert all(path in str(exc.value) for path in paths)
+
+
+_DENSE_INI = Path(__file__).resolve().parents[1] / "scripts" / "dense.ini"
+
+
+class _CountedErr(verify_checks._Err):
+    """An error accumulator that counts the values it folds in: one per
+    compared entry pair or residual entry, one per recorded worst value."""
+
+    __slots__ = ("values",)
+
+    def __init__(self):
+        super().__init__()
+        self.values = 0
+
+    def add(self, a, b):
+        self.values += np.broadcast(np.atleast_1d(a), np.atleast_1d(b)).size
+        super().add(a, b)
+
+    def add_residual(self, r):
+        self.values += np.size(r)
+        super().add_residual(r)
+
+    def record(self, worst):
+        self.values += 1
+        super().record(worst)
+
+
+@pytest.mark.parametrize(
+    "tensor",
+    [QuarticTensor.berwald_moor(), parse_config(CUSTOM_OTHER).tensor, parse_config(_DENSE_INI.read_text()).tensor],
+    ids=["berwald-moor", "custom-other", "dense"],
+)
+def test_no_check_passes_vacuously(tensor, monkeypatch):
+    """An accumulator starts from a zero error, so a check that folds in no
+    value would pass any tolerance: every report that is not skipped has
+    folded in at least one value, on Berwald-Moor, on a custom and on a
+    dense tensor, with kappa != 0."""
+    made = []
+
+    def counted():
+        made.append(_CountedErr())
+        return made[-1]
+
+    monkeypatch.setattr(verify_checks, "_Err", counted)
+    cfg = RunConfig(time_metric=TimeMetric.exponential(1.0, 1.0), tensor=tensor, samples=20, seed=3)
+    ran = [r for r in run_verify(cfg).reports if not r.skipped]
+    assert len(ran) == len(made) and ran
+    assert [r.check_name for r, err in zip(ran, made) if err.values == 0] == []
 
 
 def test_custom_bm_equivalent_runs_full_suite():
@@ -767,6 +839,28 @@ def test_cli_eval_refuses_a_non_finite_point(option, value, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert f"error: {option}:" in out.err and "finite" in out.err
+
+
+_BM_EXPONENTIAL = str(Path(__file__).resolve().parents[1] / "scripts" / "bm_exponential.ini")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns of the overflow before the guard raises
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["eval", "--y=1e100,1e100,1e100,1e100"], "y=[1.e+100 1.e+100 1.e+100 1.e+100]"),
+        (["eval", "--t=1000", "--y=1,2,3,4", "--config", _BM_EXPONENTIAL], "t=1000.0"),
+        (["sweep", "--field", "Sc", "--grid", "t=1000:1001:2,y1=1:2:2", "--config", _BM_EXPONENTIAL], "t=1000.0"),
+    ],
+    ids=["eval-huge-y", "eval-overflowing-h11", "sweep-overflowing-h11"],
+)
+def test_cli_refuses_a_point_whose_values_overflow(argv, named, capsys):
+    """A finite point at which h_11 or the G-hierarchy overflows exits 2 with
+    one error line naming the first such t or y, and writes no document."""
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and out.err.startswith("error: ") and named in out.err
 
 
 def test_cli_verify_non_finite_config_exits_two(tmp_path, capsys):

@@ -23,13 +23,18 @@ process of its own:
   ``S_ricci_field`` and ``Sc_field`` are null), on ``scripts/bm_power.ini``
   (kappa != 0) and on ``scripts/dense.ini``;
 * ``sweep`` of every sweep field over the benchmark's seed-1 sweep grid, as
-  CSV and as JSON, and ``sweep --field G1111`` (the one field a custom
-  tensor has) on ``benchmarks/custom.ini`` and on ``scripts/dense.ini``;
+  CSV and as JSON, ``sweep --field G1111`` (the one field a custom tensor
+  has) on ``benchmarks/custom.ini`` and on ``scripts/dense.ini``, and, as
+  CSV, every field of the closed Berwald-Moor layer on
+  ``scripts/bm_power.ini`` and ``scripts/bm_exponential.ini`` (the
+  default's constant h_11 reaches neither the power branch of the time
+  metric nor a nonzero kappa or dkappa/dt, and the exponential Sc repeats
+  no value, so its column is formatted value by value);
 * the parser's own texts: the usage, help and version texts and the usage
   errors of ``PARSER_ARGVS`` (for an argv that makes argparse exit, the
   document is its stdout followed by its stderr).
 
-That is 395 documents, every kind of document the CLI writes.
+That is 405 documents, every kind of document the CLI writes.
 
 For each document the script prints whether the two trees wrote it
 identically.  For a document that differs it prints how many numbers changed
@@ -66,7 +71,8 @@ import workloads  # noqa: E402  (the benchmark's seeded inputs)
 BM_EXPONENTIAL = ROOT / "scripts" / "bm_exponential.ini"
 BM_POWER = ROOT / "scripts" / "bm_power.ini"
 DENSE = ROOT / "scripts" / "dense.ini"
-SWEEP_FIELDS = ("Sc", "xi11", "T1", "Ti", "Tyi", "G1111")
+CLOSED_FIELDS = ("Sc", "xi11", "T1", "Ti", "Tyi")  # the sweep fields of the closed Berwald-Moor layer
+SWEEP_FIELDS = CLOSED_FIELDS + ("G1111",)
 EVAL_DOCS = 300
 EVAL_CONFIG_DOCS = 20
 # argv on which argparse prints a text of its own and exits: help, version
@@ -140,6 +146,11 @@ def documents() -> list[tuple[str, list[str]]]:
         )
     for name, config in (("custom.ini", custom), ("dense.ini", str(DENSE))):
         docs.append((f"sweep G1111 {name}", ["sweep", "--field", "G1111", "--grid", sw.grid, "--config", config]))
+    for name, config in (("bm_power.ini", str(BM_POWER)), ("bm_exponential.ini", str(BM_EXPONENTIAL))):
+        docs.extend(
+            (f"sweep {field} {name}", ["sweep", "--field", field, "--grid", sw.grid, "--config", config])
+            for field in CLOSED_FIELDS
+        )
     docs.extend((f"parser {' '.join(argv)}", list(argv)) for argv in PARSER_ARGVS)
     return docs
 

@@ -55,9 +55,8 @@ library function of that field (``scalar_curvature_field``, ``xi_11``,
 ``closed_rhs_of`` or the G-hierarchy) one METRIC_CHUNK of grid points at a
 time, since every field reads only metric-stage objects, and has no formula
 of its own.  It returns its table as columns (the grid axes, then the
-field), which ``sweep_csv`` and ``jsondoc.dumps_records`` write, formatting
-each distinct value of a column once (per block of rows for CSV) through
-``jsondoc.column_reprs``.
+field), which ``sweep_csv`` and ``jsondoc.dumps_records`` write through
+``jsondoc.join_rows``, formatting each distinct value of a column once.
 """
 
 from dataclasses import dataclass
@@ -728,9 +727,6 @@ def sweep(cfg: RunConfig, field: str, grid) -> dict[str, np.ndarray]:
     return cols
 
 
-_CSV_BLOCK = 4096  # rows per block of the CSV writer
-
-
 def _reprs(values: np.ndarray) -> list[str]:
     """Python's repr of each float (``nan``, ``inf``, ``-inf`` for the
     non-finite ones)."""
@@ -738,13 +734,7 @@ def _reprs(values: np.ndarray) -> list[str]:
 
 
 def sweep_csv(columns: dict[str, np.ndarray]) -> str:
-    """The columns of ``sweep`` as CSV, one column of reprs at a time, each
-    distinct value formatted once per block of rows.  A block's columns and
-    lines are dropped once it is joined, which keeps the writer's peak memory
-    below that of one string per row."""
-    n = len(next(iter(columns.values())))
-    text = [",".join(columns)]
-    for lo in range(0, n, _CSV_BLOCK):
-        cols = [jsondoc.column_reprs(col[lo : lo + _CSV_BLOCK], _reprs) for col in columns.values()]
-        text.append("\n".join(map(",".join, zip(*cols))))
-    return "\n".join(text) + "\n"
+    """The columns of ``sweep`` as CSV, written by ``jsondoc.join_rows``:
+    each distinct value of a column is formatted once."""
+    seps = [","] * (len(columns) - 1) + ["\n"]
+    return jsondoc.join_rows(",".join(columns) + "\n", columns.values(), _reprs, seps, "\n")

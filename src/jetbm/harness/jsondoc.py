@@ -24,18 +24,23 @@ for what JSON cannot hold.
 distinct value, which ``dumps`` and both sweep writers use: a grid axis
 repeats few values, and a field repeats its values wherever it does not
 depend on an axis (Sc under a constant h_11 does not depend on t).
+``join_rows`` writes the rows of a table held as columns, for
+``dumps_records`` and the CSV sweep writer alike: it formats each column
+once, each distinct value with its separator, and joins a block of rows
+at a time in one pass over their texts.
 """
 
 import json
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
-__all__ = ["column_reprs", "dumps", "dumps_records", "float_reprs"]
+__all__ = ["column_reprs", "dumps", "dumps_records", "float_reprs", "join_rows"]
 
 INDENT = 2
+_JOIN_ROWS = 4096  # rows per block of join_rows
 
 
 def _float(v: float) -> str:
@@ -135,12 +140,38 @@ def dumps(obj) -> str:
     return "".join(parts)
 
 
+def join_rows(
+    head: str, columns: Iterable[np.ndarray], reprs: Callable[[np.ndarray], list[str]], seps: list[str], end: str
+) -> str:
+    """``head``, then one row per index of equal-length 1-D float64
+    columns: each entry's text from ``reprs`` followed by its column's
+    separator in ``seps``, except the last entry of the last row, which is
+    followed by ``end``.
+
+    Each column goes through ``column_reprs`` once, with its separator
+    appended to the text of each distinct value, so a row is one token per
+    column.  Each block of ``_JOIN_ROWS`` rows is one ``"".join`` over the
+    columns' tokens interleaved, so one block's token list is alive at a
+    time."""
+    texts = [column_reprs(col, lambda v, sep=sep: [r + sep for r in reprs(v)]) for col, sep in zip(columns, seps)]
+    k, n = len(texts), len(texts[0])
+    parts = [head]
+    for lo in range(0, n, _JOIN_ROWS):
+        tokens = [""] * (k * min(_JOIN_ROWS, n - lo))
+        for j, text in enumerate(texts):
+            tokens[j::k] = text[lo : lo + _JOIN_ROWS]
+        if lo + _JOIN_ROWS >= n:
+            tokens[-1] = tokens[-1].removesuffix(seps[-1]) + end
+        parts.append("".join(tokens))
+    return "".join(parts)
+
+
 def dumps_records(columns: dict[str, np.ndarray]) -> str:
     """The text of ``json.dumps(rows, indent=2)`` for the rows of equal-length
     float64 columns, each row one object with the columns' names in order."""
-    pad = " " * (2 * INDENT)
-    heads = [("{\n" if i == 0 else ",\n") + pad + _key(name) + ": " for i, name in enumerate(columns)]
-    row = "".join(h.replace("{", "{{").replace("}", "}}") + "{}" for h in heads) + "\n" + " " * INDENT + "}}"
-    texts = [column_reprs(col, float_reprs) for col in columns.values()]
-    rows = list(map(row.format, *texts))
-    return _container("[", rows, "]", 0)
+    if not len(next(iter(columns.values()))):
+        return "[]"
+    keys = ["\n" + " " * (2 * INDENT) + _key(name) + ": " for name in columns]
+    row = "\n" + " " * INDENT  # the line break before a row's braces
+    seps = ["," + key for key in keys[1:]] + [row + "}," + row + "{" + keys[0]]
+    return join_rows("[" + row + "{" + keys[0], columns.values(), float_reprs, seps, row + "}\n]")

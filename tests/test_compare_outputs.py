@@ -91,10 +91,11 @@ def test_the_verdict_pass_covers_its_seeds_and_prints_only_moved_verdicts(monkey
 def test_the_document_set_covers_every_kind_the_cli_writes():
     """Verify as JSON and CSV, on dense.ini too, eval on the default,
     custom.ini, bm_power.ini and dense.ini, every sweep field as CSV and
-    JSON, G1111 swept on custom.ini and dense.ini, and the parser's usage,
-    help, version and error texts: 395 documents."""
+    JSON, G1111 swept on custom.ini and dense.ini, every closed-layer field
+    swept on bm_power.ini and bm_exponential.ini, and the parser's usage,
+    help, version and error texts: 405 documents."""
     docs = compare_outputs.documents()
-    assert len(docs) == 395
+    assert len(docs) == 405
     argvs = [argv for name, argv in docs if not name.startswith("parser ")]
     assert sum(argv[0] == "verify" and argv[-1] == "csv" for argv in argvs) == 1
     dense = [argv for argv in argvs if argv[0] == "verify" and "--config" in argv and argv[2].endswith("dense.ini")]
@@ -105,7 +106,7 @@ def test_the_document_set_covers_every_kind_the_cli_writes():
     assert sweeps == {(field, fmt) for field in compare_outputs.SWEEP_FIELDS for fmt in ("csv", "json")} | {
         ("G1111", "custom.ini"),
         ("G1111", "dense.ini"),
-    }
+    } | {(field, ini) for field in compare_outputs.CLOSED_FIELDS for ini in ("bm_power.ini", "bm_exponential.ini")}
     parser_docs = [argv for name, argv in docs if name.startswith("parser ")]
     assert parser_docs == list(compare_outputs.PARSER_ARGVS)
     assert {argv[0] for argv in parser_docs if argv[1:] == ["--help"]} == {"eval", "verify", "sweep", "report"}

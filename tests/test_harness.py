@@ -661,12 +661,12 @@ _SPECIAL_FIELD = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -0.0, 0.0, 1.5, np.na
     ids=["zero-span", "signed-zeros", "three-axes", "special-field", "special-field-three-axes"],
 )
 def test_sweep_csv_is_the_per_row_repr_writer(grid, field_values, monkeypatch):
-    """The column writers format each distinct value of a column once (per
-    block of rows for CSV), yet write the bytes of the per-row writers,
-    across block boundaries too: -0.0 and 0.0 keep their own texts, in an
-    axis and in the field, and NaN and +-inf are written as repr writes them
-    in CSV and as json writes them in JSON."""
-    monkeypatch.setattr(verify_checks, "_CSV_BLOCK", 4)
+    """The column writers format each distinct value of a column once, yet
+    write the bytes of the per-row writers, across the row blocks of their
+    joins too: -0.0 and 0.0 keep their own texts, in an axis and in the
+    field, and NaN and +-inf are written as repr writes them in CSV and as
+    json writes them in JSON."""
+    monkeypatch.setattr(jsondoc, "_JOIN_ROWS", 4)
     cols = sweep(parse_config(MINIMAL), "Sc", grid)
     if field_values is not None:
         cols["Sc"] = np.resize(np.array(field_values), len(cols["Sc"]))
@@ -682,15 +682,14 @@ def test_sweep_csv_is_the_per_row_repr_writer(grid, field_values, monkeypatch):
 @pytest.mark.parametrize("field", ["Sc", "G1111"])
 def test_column_writers_write_the_row_documents(field, capsys):
     """On a grid of 17^3 rows, which crosses both a sweep batch (METRIC_CHUNK)
-    and the CSV writer's block, the CSV and JSON written from the columns
-    are the texts of the
-    row form: the row-reading sweep_csv and json.dumps(rows, indent=2), on
-    the CLI too."""
+    and a row block of the writers' joins, the CSV and JSON written from the
+    columns are the texts of the row form: the row-reading sweep_csv and
+    json.dumps(rows, indent=2), on the CLI too."""
     grid = "t=-0.9:0.8:17,s=0.5:3:17,y2=0.2:7:17"
     cfg = default_config()
     cols = sweep(cfg, field, grid)
     rows = _row_sweep(cfg, field, grid)
-    assert len(rows) > verify_checks._CSV_BLOCK > METRIC_CHUNK
+    assert len(rows) > jsondoc._JOIN_ROWS > METRIC_CHUNK
     assert _rows(cols) == rows
     csv_text, json_text = sweep_csv(cols), jsondoc.dumps_records(cols)
     assert csv_text == _row_sweep_csv(rows, field, ["t", "s", "y2"])

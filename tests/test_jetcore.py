@@ -120,6 +120,31 @@ def test_eval_over_a_batch_is_the_one_point_formulas(family, size, rng):
 
 
 @pytest.mark.parametrize("family", ["constant", "exponential", "power"])
+def test_eval_over_repeated_t_is_the_one_point_formulas(family, rng):
+    """Over an unsorted t that repeats its values, -0.0 beside 0.0, eval
+    evaluates each distinct bit pattern once and spreads it back: every
+    entry still equals the plain float formulas at its own t bit for bit
+    (under the power family, h_11' is -0.0 at t = -0.0 and 0.0 at 0.0)."""
+    for _ in range(5):
+        tm = _random_family(family, rng)
+        distinct = np.append(rng.uniform(-3, 3, 6), [0.0, -0.0])
+        ts = np.concatenate([distinct, rng.choice(distinct, 40)])
+        rng.shuffle(ts)
+        ax = tm.eval(ts)
+        got = np.stack([getattr(ax, f.name) for f in fields(TimeAxis)], axis=1)
+        want = [_one_point(tm, t) for t in ts.tolist()]
+        np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=repr(tm))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_time_axis_names_the_first_bad_t_in_input_order():
+    """The distinct t are evaluated in sorted order, yet the refusal names
+    the first bad t of the batch as given."""
+    with pytest.raises(DomainError, match=r"exponential time metric is not finite at t=2000\.0$"):
+        TimeMetric.exponential(1.0, 1.0).eval([2000.0, 1000.0, 2000.0])
+
+
+@pytest.mark.parametrize("family", ["constant", "exponential", "power"])
 def test_eval_at_a_float_gives_floats(family, rng):
     tm = _random_family(family, rng)
     t = float(rng.uniform(-3, 3))

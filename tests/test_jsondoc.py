@@ -91,6 +91,7 @@ def test_records_match_json_of_the_rows():
     }
     rows = [dict(zip(cols, row)) for row in zip(*(col.tolist() for col in cols.values()))]
     assert jsondoc.dumps_records(cols) == json.dumps(rows, indent=2)
+    assert jsondoc.dumps_records({"t": np.array([])}) == json.dumps([], indent=2)
 
 
 def test_a_column_is_formatted_once_per_distinct_bit_pattern():

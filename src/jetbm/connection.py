@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import check_cone, point_connection
-from .jetcore import DIM, JetPoint, QuarticTensor, TimeAxis, TimeMetric
+from .geometry import point_connection
+from .jetcore import DIM, JetPoint, QuarticTensor, TimeAxis, TimeMetric, check_cone
 
 __all__ = [
     "NonlinearConnection",

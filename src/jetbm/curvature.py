@@ -28,8 +28,8 @@ from itertools import product
 
 import numpy as np
 
-from .geometry import check_cone, point_geometry
-from .jetcore import DIM, JetPoint, QuarticTensor, TimeMetric
+from .geometry import point_geometry
+from .jetcore import DIM, JetPoint, QuarticTensor, TimeMetric, check_cone
 
 __all__ = [
     "TorsionSet",

@@ -34,12 +34,11 @@ import numpy as np
 
 from .connection import apriori_nlc
 from .curvature import FIELD_COEF, bm_s_raised_field, bm_s_ricci_field, field_numerator
-from .errors import ConfigError, DomainError, InvariantError
+from .errors import ConfigError, DomainError, InvariantError, refuse
 from .geometry import (
     Connection,
     Geometry,
     Metric,
-    _first_bad,
     batches,
     connection_batches,
     metric_batches,
@@ -47,7 +46,7 @@ from .geometry import (
     point_metric,
     take,
 )
-from .jetcore import DIM, JetPoint, QuarticTensor, TimeAxis, TimeMetric, _refuse
+from .jetcore import DIM, JetPoint, QuarticTensor, TimeAxis, TimeMetric, check_cone
 
 __all__ = [
     "GravPotential",
@@ -228,25 +227,21 @@ def raised_table_grad(y):
     The gradient rules of ``Taylor2.__mul__``, ``reciprocal`` and ``sqrt``
     are applied in the operand order of the per-entry Taylor2 quotient
     s[m] / s[i] / sqrt(s[0] s[1] s[2] s[3]), so every number equals that
-    quotient's gradient bit for bit; no Hessian is formed.  The Taylor2
-    chain's guards raise the same errors: y outside the positive cone, a
-    product that is not positive (it can underflow to 0) before the square
-    root, and a reciprocal of zero."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 2 or y.shape[-1] != DIM:
+    quotient's gradient bit for bit; no Hessian is formed.  Its refusals are
+    that quotient's: a y outside the cone (``check_cone``) and a product
+    y^1 y^2 y^3 y^4 that underflows to 0 (``Taylor2.sqrt``'s DomainError);
+    past them no y^i and no square root is zero."""
+    y = check_cone(y)
+    if y.ndim != 2:
         raise DomainError(f"expected an (N, 4) batch, got shape {y.shape}")
-    _refuse(~np.all(y > 0.0, axis=-1), y, DomainError, "seeds must lie in the positive cone, got")
-    for i in range(DIM):
-        _refuse(y[:, i] == 0.0, y[:, i], ZeroDivisionError, "reciprocal of a zero Taylor2 value")
     r = 1.0 / y  # 1/y^i, whose gradient is -(1/y^i)^2 e_i
     eye = np.eye(DIM)
     g, dg = y[:, 0], eye[0]  # y^1 y^2 y^3 y^4 and its gradient, product by product
     for i in range(1, DIM):
         g, dg = g * y[:, i], g[:, None] * eye[i] + y[:, i, None] * dg
-    _refuse(g <= 0.0, g, DomainError, "sqrt of non-positive Taylor2 value")
+    refuse(~(g > 0.0), DomainError, "sqrt of non-positive Taylor2 value", value=g)
     sq = np.sqrt(g)
     d_sq = (0.5 / sq)[:, None] * dg
-    _refuse(sq == 0.0, sq, ZeroDivisionError, "reciprocal of a zero Taylor2 value")
     inv_sq = 1.0 / sq
     d_inv_sq = (-inv_sq * inv_sq)[:, None] * d_sq
     # entry [m][i] is (s[m] * inv[i]) * inv_sq; only its partial d/dy^m is read,
@@ -350,9 +345,7 @@ def _guard_reduction_terms(geo: Connection, blocks: EinsteinBlocks):
     for field in (blocks.raised_h, blocks.raised_mixed_t, blocks.raised_mixed_v, blocks.raised_vv):
         dropped = np.einsum("xmr,xrim->xi", field, c)
         bad |= ~(np.abs(dropped).max(axis=1) <= 1e-9 * np.maximum(np.abs(field).max(axis=(1, 2)), 1.0))
-    if bad.any():
-        y = _first_bad(geo.y, bad)
-        raise InvariantError(f"the terms dropped by the reduced conservation divergences do not vanish at y={y}")
+    refuse(bad, InvariantError, "the terms dropped by the reduced conservation divergences do not vanish", y=geo.y)
 
 
 # the raised fields of the Einstein blocks that the unreduced divergences read

@@ -84,8 +84,10 @@ The stages do not nest: each takes the bundle of the stage before it, and
 A point's results do not depend on which batch or slice it was computed in:
 the G-hierarchy sums are elementwise plus in-order accumulation, and LAPACK
 and the stacked matmuls work one matrix at a time.  Every correctness guard
-raises a typed error, so none of them vanishes under ``python -O``, and
-counts a NaN as a failure, so no non-finite value passes one.
+flags the points that fail it and raises a typed error through
+``errors.refuse``, naming the first flagged point; none of them vanishes
+under ``python -O``, and each flags a point as ``~(condition)``, so no
+non-finite value passes one.
 """
 
 from contextlib import contextmanager
@@ -96,8 +98,8 @@ from time import perf_counter
 
 import numpy as np
 
-from .errors import DegenerateDenominatorError, DomainError, InvariantError, SingularTensorError
-from .jetcore import DIM, JetPoint, QuarticTensor, TermTable, TimeAxis, TimeMetric
+from .errors import DegenerateDenominatorError, DomainError, InvariantError, SingularTensorError, refuse
+from .jetcore import DIM, JetPoint, QuarticTensor, TermTable, TimeAxis, TimeMetric, check_cone
 
 __all__ = [
     "CHUNK",
@@ -107,7 +109,6 @@ __all__ = [
     "Geometry",
     "Metric",
     "batches",
-    "check_cone",
     "connection_batches",
     "g_hierarchy",
     "geometry",
@@ -178,16 +179,6 @@ _EYE = np.eye(DIM)
 # [x,l,i,k,j]
 _LIJK = (0, 1, 3, 4, 2)
 _LIKJ = (0, 1, 3, 2, 4)
-
-
-def check_cone(y) -> np.ndarray:
-    """y as a float 4-vector or an (N, 4) batch, every point in the open positive cone."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim not in (1, 2) or y.shape[-1] != DIM:
-        raise DomainError(f"expected a 4-vector or an (N, 4) batch, got shape {y.shape}")
-    if not (y > 0.0).all():
-        raise DomainError(f"y must lie in the open positive cone, got {_first_bad(y, ~np.all(y > 0.0, axis=-1))}")
-    return y
 
 
 @dataclass(frozen=True)
@@ -312,12 +303,6 @@ def _frozen(bundle):
     return bundle
 
 
-def _first_bad(values, bad):
-    """The entry of values at the first point that bad flags, along the
-    batch axis; a 0-d bad flags the one point that values is."""
-    return values[np.flatnonzero(bad)[0]] if np.ndim(bad) else values
-
-
 def _term_sums(table: TermTable, y: np.ndarray, count: int = 3) -> list[np.ndarray]:
     """G_pqrs y^p y^q y^r y^s, G_ipqr y^p y^q y^r and G_ijpq y^p y^q (the
     first ``count`` of them) at y of shape (4,) or (N, 4), each as [M, N], by
@@ -395,14 +380,11 @@ def g_hierarchy(G: QuarticTensor, y: np.ndarray) -> GScalars:
     det = np.linalg.det(gij11)
     finite = np.isfinite(g[0]) & np.isfinite(det.reshape(-1)) & np.isfinite(gi111.reshape(-1, DIM)).all(axis=1)
     finite &= np.isfinite(gij11.reshape(-1, DIM * DIM)).all(axis=1)
-    if not finite.all():
-        bad_y = _first_bad(y.reshape(-1, DIM), ~finite)
-        raise DomainError(f"the G-hierarchy must be finite, got a non-finite value at y={bad_y}")
+    refuse(~finite.reshape(lead), DomainError, "the G-hierarchy is not finite", y=y)
 
     scale = np.abs(gij11).max(axis=(-2, -1))
     singular = (scale == 0.0) | ~(np.abs(det) >= _SINGULAR_RTOL * scale**4)
-    if singular.any():
-        raise SingularTensorError(f"G_ij11 is singular at y={_first_bad(y, singular)} (det={_first_bad(det, singular)})")
+    refuse(singular, SingularTensorError, "G_ij11 is singular", y=y, det=det)
     inv = np.linalg.inv(gij11)
     inv = 0.5 * (inv + inv.swapaxes(-1, -2))
     gj_up = (inv @ gi111[..., None])[..., 0]
@@ -502,17 +484,14 @@ def _guard_mixed_partials(jet, y: np.ndarray):
     for packed, rep, swap in zip(jet, (_REP3, _REP4), (_SWAP3, _SWAP4)):
         val = packed[rep]
         bad = ~(np.abs(packed[swap] - val) <= 1e-9 * np.maximum(np.abs(val), 1.0))
-        if bad.any():
-            bad_y = _first_bad(y, bad.any(axis=0))
-            raise InvariantError(f"mixed-partial consistency of the metric derivative tables fails at y={bad_y}")
+        refuse(bad.any(axis=0), InvariantError, "mixed-partial consistency of the metric derivative tables fails", y=y)
 
 
 def _guard_inverse(formula: np.ndarray, direct: np.ndarray, y: np.ndarray):
     """The inverse-metric formula agrees with direct inversion of g_lo."""
     scale = np.abs(direct).max(axis=(1, 2))
     bad = ~(np.abs(formula - direct).max(axis=(1, 2)) <= 1e-8 * np.maximum(scale, 1.0))
-    if bad.any():
-        raise InvariantError(f"inverse-metric formula disagrees with direct inversion at y={_first_bad(y, bad)}")
+    refuse(bad, InvariantError, "inverse-metric formula disagrees with direct inversion", y=y)
 
 
 def _guard_torsions(p_mixed, c, r_time, kappa, dkappa, y):
@@ -522,8 +501,7 @@ def _guard_torsions(p_mixed, c, r_time, kappa, dkappa, y):
     bad = ~(np.abs(p_mixed + k3 * c).max(axis=(1, 2, 3)) <= 1e-9 * scale * (1 + np.abs(kappa)))
     closed_r = ((dkappa - kappa**2) / 3.0)[:, None, None] * _EYE
     bad |= ~(np.abs(r_time - closed_r).max(axis=(1, 2)) <= 1e-12 * (1 + np.abs(kappa) + np.abs(dkappa)))
-    if bad.any():
-        raise InvariantError(f"torsion identities fail at y={_first_bad(y, bad)}")
+    refuse(bad, InvariantError, "torsion identities fail", y=y)
 
 
 # per-stage wall time of the kernel calls made in a context that holds a
@@ -553,19 +531,20 @@ def _metric(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) -> M
     and the inverse-metric formula against direct inversion
     (InvariantError).  So a singular point anywhere in the batch raises
     before a degenerate one, and the error names the first point that fails
-    its guard by its t or y."""
+    its guard, by its batch index and its t or y."""
     ax = tm.eval(t)
     s = g_hierarchy(G, y)
-    if (s.g1111 <= 0.0).any():
-        bad = s.g1111 <= 0.0
-        raise DomainError(f"G_1111 must be positive, got {s.g1111[bad][0]} at y={_first_bad(y, bad)}")
+    refuse(~(s.g1111 > 0.0), DomainError, "G_1111 must be positive", y=y, G_1111=s.g1111)
     denom = s.g1111 - s.g_script
     degenerate = ~(np.abs(denom) >= _DEGENERATE_RTOL * np.abs(s.g1111))
-    if degenerate.any():
-        raise DegenerateDenominatorError(
-            f"G_1111 - scriptG = {_first_bad(denom, degenerate)} is degenerate relative to "
-            f"G_1111 = {_first_bad(s.g1111, degenerate)} at y={_first_bad(y, degenerate)}"
-        )
+    refuse(
+        degenerate,
+        DegenerateDenominatorError,
+        "G_1111 - scriptG is degenerate relative to G_1111",
+        y=y,
+        denominator=denom,
+        G_1111=s.g1111,
+    )
 
     # g_ij and g^jk are the closed formulas
     # g_ij = (G_ij11 - G_i111 G_j111 / (2 G_1111)) / (4 sqrt(G)) and

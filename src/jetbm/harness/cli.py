@@ -7,8 +7,9 @@ Subcommands:
   report  -- human-readable summary of a previously written verify JSON
 
 Exit codes: 0 pass, 1 verification failure, 2 invalid input (an unreadable
---config or an unwritable --output included), 3 internal invariant violated
-(a consistency guard of the program failed).
+--config or an unwritable --output included), 3 internal error: a
+consistency guard of the program failed, or an unexpected exception, whose
+traceback goes to stderr.  No crash exits 1.
 Every JSON document is the text of json.dumps(doc, indent=2) (written by
 ``jsondoc``).  The verify/sweep documents are byte-deterministic for a fixed
 config and seed; human-readable progress goes to stderr.
@@ -17,6 +18,7 @@ config and seed; human-readable progress goes to stderr.
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -243,7 +245,7 @@ def _summary(doc) -> list[str]:
 def _cmd_report(args) -> int:
     try:
         lines = _summary(json.loads(Path(args.input).read_text()))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         print(f"cannot read report: {what}", file=sys.stderr)
         return 2
@@ -353,6 +355,9 @@ def main(argv=None) -> int:
     except JetBMError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -6,6 +6,9 @@ t-derivatives of h_11, kappa and dkappa/dt at a float t or over a whole batch
 of t, returned as a ``TimeAxis``.  Every reader of these scalars calls it
 once per batch.
 
+``check_cone`` is the one test of the open positive cone: ``JetPoint``,
+``taylor2_seed``, the kernel and the field layer call it.
+
 Every object is immutable after construction and every operation is a pure
 function of its inputs, so evaluation at many points can run concurrently.
 """
@@ -16,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError
+from .errors import ConstructionError, DomainError, refuse
 
 __all__ = [
     "JetPoint",
@@ -24,6 +27,7 @@ __all__ = [
     "TimeAxis",
     "QuarticTensor",
     "Taylor2",
+    "check_cone",
     "taylor2_seed",
 ]
 
@@ -34,6 +38,21 @@ def _frozen(a, shape) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True).reshape(shape)
     out.flags.writeable = False
     return out
+
+
+def check_cone(y) -> np.ndarray:
+    """y as a float 4-vector or an (N, 4) batch, every point in the open
+    positive cone, where the fourth roots and sqrt(G_1111) downstream are
+    real.  The one cone test: a point with a coordinate that is not > 0, NaN
+    included, raises DomainError naming it."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim not in (1, 2) or y.shape[-1] != DIM:
+        raise DomainError(f"expected a 4-vector or an (N, 4) batch, got shape {y.shape}")
+    # each point's smallest coordinate, pairwise (np.minimum keeps a NaN):
+    # min(axis=-1) over four entries per point costs about ten times as much
+    smallest = np.minimum(np.minimum(y[..., 0], y[..., 1]), np.minimum(y[..., 2], y[..., 3]))
+    refuse(~(smallest > 0.0), DomainError, "y must lie in the open positive cone", y=y)
+    return y
 
 
 @dataclass(frozen=True)
@@ -51,9 +70,7 @@ class JetPoint:
     def __post_init__(self):
         object.__setattr__(self, "t", float(self.t))
         object.__setattr__(self, "x", _frozen(self.x, (DIM,)))
-        object.__setattr__(self, "y", _frozen(self.y, (DIM,)))
-        if not np.all(self.y > 0.0):
-            raise DomainError(f"fiber coordinates must be strictly positive, got y={self.y}")
+        object.__setattr__(self, "y", check_cone(_frozen(self.y, (DIM,))))
 
     @classmethod
     def from_y(cls, y, t: float = 0.0, x=None) -> "JetPoint":
@@ -153,10 +170,8 @@ class TimeMetric:
         if where is not None:
             values = tuple(v[where] for v in values)
         values = (t,) + values
-        finite = np.isfinite(values)
-        if not finite.all():
-            bad = ~finite.all(axis=0)
-            raise DomainError(f"the {self.family} time metric is not finite at t={float(t[bad][0])}")
+        bad = ~np.isfinite(values).all(axis=0)
+        refuse(bad.reshape(shape), DomainError, f"the {self.family} time metric is not finite", t=t.reshape(shape))
         if not shape:
             return TimeAxis(*(float(v[0]) for v in values))
         return TimeAxis(*(_frozen(v, shape) for v in values))
@@ -313,17 +328,6 @@ def _mat(v):
     return v[:, None, None] if isinstance(v, np.ndarray) else v
 
 
-def _refuse(bad, value, error, what: str):
-    """Raise error(what) naming the first flagged value, and over a batch the
-    index of its point."""
-    if isinstance(value, np.ndarray):
-        if np.count_nonzero(bad):
-            k = int(np.flatnonzero(bad)[0])
-            raise error(f"{what} {value[k]} at batch index {k}")
-    elif bad:
-        raise error(f"{what} {value}")
-
-
 def pointwise_pow(x, p: float):
     """x ** p through the C library's pow, one value at a time: numpy's
     vectorised power rounds some results differently, and a batch must
@@ -438,7 +442,7 @@ class Taylor2:
         )
 
     def reciprocal(self) -> "Taylor2":
-        _refuse(self.value == 0.0, self.value, ZeroDivisionError, "reciprocal of a zero Taylor2 value")
+        refuse(self.value == 0.0, ZeroDivisionError, "reciprocal of a zero Taylor2 value", value=self.value)
         r = 1.0 / self.value
         return self._chain(r, -r * r, 2.0 * r * r * r)
 
@@ -451,16 +455,20 @@ class Taylor2:
         return self.reciprocal() * other
 
     def sqrt(self) -> "Taylor2":
-        _refuse(self.value <= 0.0, self.value, DomainError, "sqrt of non-positive Taylor2 value")
+        # np.greater, not >: at a float value ~ must negate a numpy bool, not
+        # a Python one (~True is -2)
+        refuse(~np.greater(self.value, 0.0), DomainError, "sqrt of non-positive Taylor2 value", value=self.value)
         r = np.sqrt(self.value)
         return self._chain(r, 0.5 / r, -0.25 / (r * self.value))
 
     def __pow__(self, p):
         p = float(p)
         if p != int(p):
-            _refuse(self.value <= 0.0, self.value, DomainError, "non-integer power of non-positive value")
+            refuse(
+                ~np.greater(self.value, 0.0), DomainError, "non-integer power of non-positive value", value=self.value
+            )
         if p < 2.0:
-            _refuse(self.value == 0.0, self.value, ZeroDivisionError, f"power {p} of a zero Taylor2 value")
+            refuse(self.value == 0.0, ZeroDivisionError, f"power {p} of a zero Taylor2 value", value=self.value)
         f0 = pointwise_pow(self.value, p)
         f1 = p * pointwise_pow(self.value, p - 1.0)
         f2 = p * (p - 1.0) * pointwise_pow(self.value, p - 2.0)
@@ -474,13 +482,6 @@ def taylor2_seed(y) -> tuple[Taylor2, Taylor2, Taylor2, Taylor2]:
     """Seed the four fiber coordinates: the i-th output has value y_i,
     grad = e_i and hess = 0, at one point y of shape (4,) or over a batch of
     shape (N, 4)."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim not in (1, 2) or y.shape[-1] != DIM:
-        raise DomainError(f"expected a 4-vector or an (N, 4) batch, got shape {y.shape}")
-    outside = ~np.all(y > 0.0, axis=-1)
-    if y.ndim == 1 and outside:
-        raise DomainError(f"seeds must lie in the positive cone, got {y}")
-    if y.ndim == 2:
-        _refuse(outside, y, DomainError, "seeds must lie in the positive cone, got")
+    y = check_cone(y)
     eye = np.eye(DIM)
     return tuple(Taylor2(y[..., i], np.broadcast_to(eye[i], y.shape)) for i in range(DIM))

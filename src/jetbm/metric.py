@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .geometry import GScalars, check_cone, g_hierarchy, point_metric, third_derivative
-from .jetcore import DIM, JetPoint, QuarticTensor, Taylor2, TimeMetric
+from .errors import DomainError, refuse
+from .geometry import GScalars, g_hierarchy, point_metric, third_derivative
+from .jetcore import DIM, JetPoint, QuarticTensor, Taylor2, TimeMetric, check_cone
 
 __all__ = [
     "GScalars",
@@ -78,8 +78,7 @@ def metric_taylor2(G: QuarticTensor, y) -> list[list[Taylor2]]:
     """
     y = check_cone(y)
     s = g_scalars(G, y)
-    if s.g1111 <= 0.0:
-        raise DomainError(f"G_1111 must be positive, got {s.g1111} at y={y}")
+    refuse(~(s.g1111 > 0.0), DomainError, "G_1111 must be positive", y=y, G_1111=s.g1111)
     gijk1 = third_derivative(G, y)
     G_t = Taylor2(s.g1111, s.gi111, s.gij11)
     Gi_t = [Taylor2(s.gi111[i], s.gij11[i], gijk1[i]) for i in range(DIM)]

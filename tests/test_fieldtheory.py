@@ -385,7 +385,7 @@ def test_raised_table_guards():
     s = taylor2_seed(tiny)
     with pytest.raises(DomainError) as want:
         (s[0] * s[1] * s[2] * s[3]).sqrt()
-    assert str(exc.value) == str(want.value) == "sqrt of non-positive Taylor2 value 0.0 at batch index 0"
+    assert str(exc.value) == str(want.value) == "sqrt of non-positive Taylor2 value at batch index 0, value=0.0"
 
 
 def test_raised_table_guards_survive_optimize_flag():
@@ -407,8 +407,8 @@ for y in ([[1.0, 0.0, 3.0, 4.0]], [[1e-100] * 4]):
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
-        "DomainError: seeds must lie in the positive cone, got [1. 0. 3. 4.] at batch index 0",
-        "DomainError: sqrt of non-positive Taylor2 value 0.0 at batch index 0",
+        "DomainError: y must lie in the open positive cone at batch index 0, y=[1. 0. 3. 4.]",
+        "DomainError: sqrt of non-positive Taylor2 value at batch index 0, value=0.0",
     ]
 
 

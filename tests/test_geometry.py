@@ -816,7 +816,8 @@ for chain in (connection_batches, batches):
     try:
         list(chain(G, tm, [0.0], [[1.0, 2.0, 3.0, 4.0]]))
     except InvariantError as exc:
-        print("InvariantError:", traceback.extract_tb(exc.__traceback__)[-1].name, exc)
+        # the last frame is the refusal helper, the one below it the guard
+        print("InvariantError:", traceback.extract_tb(exc.__traceback__)[-2].name, exc)
 kernel._metric_jet = real_jet
 real = kernel.g_hierarchy
 kernel.g_hierarchy = lambda G, y: replace(real(G, y), gij11_inv=1.01 * real(G, y).gij11_inv)
@@ -882,7 +883,7 @@ for name, call in cases.items():
         call()
         print(name, "passed")
     except (InvariantError, DegenerateDenominatorError) as exc:
-        print(name, type(exc).__name__, str(y[1]) in str(exc))
+        print(name, type(exc).__name__, f" at batch index 1, y={y[1]}" in str(exc))
 """
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
@@ -911,15 +912,15 @@ def test_the_kernel_refuses_values_that_overflow():
     bm = QuarticTensor.berwald_moor()
     ys = np.array([[1.0, 2.0, 3.0, 4.0], [1e100, 1e100, 1e100, 1e100], [1e90, 1.0, 1.0, 1.0]])
     for stage in (metric_batches, connection_batches, batches, geometry):
-        with pytest.raises(DomainError, match=re.escape(f"at y={ys[1]}")):
+        with pytest.raises(DomainError, match=re.escape(f"the G-hierarchy is not finite at batch index 1, y={ys[1]}")):
             list(stage(bm, EXP, np.zeros(3), ys))
-        with pytest.raises(DomainError, match=r"exponential time metric is not finite at t=1000\.0"):
+        with pytest.raises(DomainError, match=r"exponential time metric is not finite at batch index 1, t=1000\.0$"):
             list(stage(bm, EXP, [0.0, 1000.0, 2000.0], ys[[0, 0, 0]]))
-    with pytest.raises(DomainError, match=r"at t=1000\.0"):
+    with pytest.raises(DomainError, match=r"exponential time metric is not finite, t=1000\.0$"):
         EXP.eval(1000.0)
-    with pytest.raises(DomainError, match=r"at t=-1e\+200"):
+    with pytest.raises(DomainError, match=r"at batch index 1, t=-1e\+200$"):
         TimeMetric.power(2.0).eval(np.array([0.0, -1e200]))
-    with pytest.raises(DomainError, match=re.escape(f"at y={ys[1]}")):
+    with pytest.raises(DomainError, match=re.escape(f"the G-hierarchy is not finite, y={ys[1]}")):
         g_scalars(bm, ys[1])
-    with pytest.raises(DomainError, match=r"at t=1000\.0"):
+    with pytest.raises(DomainError, match=r"at batch index 0, t=1000\.0$"):
         scalar_curvature_field(EXP, np.array([1000.0]), ys[:1])

@@ -38,14 +38,16 @@ That is 405 documents, every kind of document the CLI writes.
 
 For each document the script prints whether the two trees wrote it
 identically.  For a document that differs it prints how many numbers changed
-and the largest relative change, the verify checks whose "pass" moved, and
-the lines one tree has and the other lacks.  A changed number is measured
-against the largest magnitude in its own row: the JSON array that holds it,
-with every array nested in it (one table of an eval document), or its CSV
-line (a sweep row); a number outside any array is measured against itself.
-So a round-off-sized entry of a table that flips sign counts as a change of
-its own size against the table, not as a relative change of 2.  Exit status
-is 0 when every document is identical, 1 otherwise.
+and the largest relative change, the key path of each array or value that
+changed in a JSON document (such as ``conservation.Ti``), the verify checks
+whose "pass" moved, and the lines one tree has and the other lacks.  A
+changed number is measured against the largest magnitude in its own row:
+the JSON array that holds it, with every array nested in it (one table of
+an eval document), or its CSV line (a sweep row); a number outside any
+array is measured against itself.  So a round-off-sized entry of a table
+that flips sign counts as a change of its own size against the table, not
+as a relative change of 2.  Exit status is 0 when every document is
+identical, 1 otherwise.
 
 With ``--verdicts`` each tree runs ``verify --samples 1000`` on the default
 configuration at seeds 1-800 and on ``benchmarks/custom.ini`` at seeds
@@ -245,6 +247,37 @@ def moved_verdicts(old: str, new: str) -> list[str]:
     return lines
 
 
+def _values(doc, path: str = "") -> dict[str, str]:
+    """Key path -> JSON text of each value of a parsed JSON document: an
+    object's members by their keys, joined with ".", a list that holds an
+    object by index ("reports[3]"), and any other list (an array of numbers,
+    however nested) or value as a whole."""
+    if isinstance(doc, dict):
+        items = [(f"{path}.{key}" if path else key, v) for key, v in doc.items()]
+    elif isinstance(doc, list) and any(isinstance(v, dict) for v in doc):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(doc)]
+    else:
+        return {path: json.dumps(doc)}
+    out = {}
+    for sub, v in items:
+        out.update(_values(v, sub))
+    return out
+
+
+def moved_paths(old: str, new: str) -> list[str]:
+    """The key path of each array or value that differs between two JSON
+    documents, in the old document's order and then the paths only the new
+    one has; empty unless both are JSON objects."""
+    try:
+        a, b = json.loads(old), json.loads(new)
+    except ValueError:
+        return []
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return []
+    va, vb = _values(a), _values(b)
+    return [path for path in dict.fromkeys([*va, *vb]) if va.get(path) != vb.get(path)]
+
+
 def compare(old: str, new: str) -> str | None:
     """None when identical, else a one-paragraph summary of the difference."""
     if old == new:
@@ -276,6 +309,10 @@ def compare(old: str, new: str) -> str | None:
                 scale = max(abs(fu), abs(fv), row)
                 worst = max(worst, abs(fu - fv) / scale if scale > 0.0 else 0.0)
     lines = [f"{changed} numbers changed, largest relative change {worst:.3g}"]
+    paths = moved_paths(old, new)
+    if paths:
+        shown = ", ".join(paths[:10]) + (f", ... {len(paths) - 10} more" if len(paths) > 10 else "")
+        lines.append(f"    changed: {shown}")
     lines.extend(f"    verdict moved: {line}" for line in moved_verdicts(old, new))
     for sign, block in (("-", removed), ("+", added)):
         lines.extend(f"    {sign} {line.strip()}" for line in block[:5])

@@ -6,13 +6,21 @@ The Einstein blocks and conservation laws form the closed field-theory layer
 built on the Ricci table with diagonal 3/(4 y_i^2) (``bm_s_ricci_field``) and
 on xi_11 = (9 h_11 + kappa^2) / (2 K).  That layer is internally consistent:
 the raised identities follow from g-/h-raising the blocks and the computed
-divergences reproduce the closed right-hand sides at machine precision.  On
-Berwald-Moor the divergences differentiate the raised table
-y^m / (y^i sqrt(G_1111)) exactly to first order (``raised_table_grad``,
-Taylor2's gradient rules in one broadcast pass, bit for bit the per-entry
-Taylor2 quotient).  For non-Berwald-Moor tensors the honest Ricci
-contraction feeds the same block formulas and divergences fall back to the
-unreduced covariant definitions with finite differences.
+divergences reproduce the closed right-hand sides at machine precision.  For
+non-Berwald-Moor tensors the honest Ricci contraction feeds the same block
+formulas.
+
+The conservation laws are one assembly (``conservation_residuals_of``):
+every raised block is a t-scalar times the raised Ricci table S^m_i plus a
+t-scalar times (xi / sqrt(G_1111)) delta, so T1, Ti and Tyi follow from
+div S = dS^m_i/dy^m, 1/sqrt(G_1111) and its gradient, plus the C- and
+L-contraction terms of the unreduced covariant divergences.  The partials
+have two sources.  On Berwald-Moor they are exact to first order
+(``raised_table_grad``, Taylor2's gradient rules in one broadcast pass, bit
+for bit the per-entry Taylor2 quotient), and the contraction terms are
+guarded to vanish.  On a custom tensor the gradient of 1/sqrt(G_1111) is
+exact from the metric stage, div S comes from central differences of the
+raised table alone, and the contraction terms are added.
 
 Each closed formula is written once: 9 h_11 + kappa^2 is
 ``curvature.field_numerator`` and the closed conservation right-hand sides
@@ -37,7 +45,6 @@ from .curvature import FIELD_COEF, bm_s_raised_field, bm_s_ricci_field, field_nu
 from .errors import ConfigError, DomainError, InvariantError, refuse
 from .geometry import (
     Connection,
-    Geometry,
     Metric,
     batches,
     connection_batches,
@@ -109,14 +116,15 @@ class EinsteinBlocks:
 
 @dataclass(frozen=True)
 class ConservationResiduals:
-    """Computed divergence combinations and their closed right-hand sides."""
+    """Computed divergence combinations and their closed right-hand sides,
+    which are None on a custom tensor: they hold for Berwald-Moor alone."""
 
     t1: float
     ti: np.ndarray
     tyi: np.ndarray
-    closed_t1: float
-    closed_ti: np.ndarray
-    closed_tyi: np.ndarray
+    closed_t1: float | None
+    closed_ti: np.ndarray | None
+    closed_tyi: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -265,24 +273,101 @@ def conservation_residuals_of(geo: Connection, k: float) -> ConservationResidual
     """Divergence combinations of the stress-energy components versus their
     closed right-hand sides, over the batch.
 
-    For Berwald-Moor tensors the reduced covariant forms are differentiated
-    exactly to first order (``raised_table_grad``), and the C- and L-terms
-    the reduction drops are checked to vanish; they read only the connection
-    stage.  Custom tensors use the unreduced definitions with central finite
-    differences, whose blocks read the Ricci contraction of the full stage
-    (``Geometry``).
+    Every raised block is a t-scalar times the raised Ricci table S^m_i plus
+    a t-scalar times (xi / sqrt(G_1111)) delta, so T1, Ti and Tyi are one
+    assembly of div S = dS^m_i/dy^m, 1/sqrt(G_1111) and its gradient
+    (``_divergence_sources``), plus the C- and L-contraction terms of the
+    unreduced covariant divergences (``_contraction_terms``).  On
+    Berwald-Moor the partials are the exact first-order ones of the closed
+    table (``raised_table_grad``), the contraction terms are checked to
+    vanish (``_guard_reduction_terms``) and everything reads the connection
+    stage.  On a custom tensor the gradient of 1/sqrt(G_1111) is exact from
+    the metric stage, div S comes from central differences of the honest
+    contraction, which only the full stage (``Geometry``) holds, the
+    contraction terms are added, and the closed right-hand sides, which hold
+    for Berwald-Moor alone, are None.
     """
     xi = _xi(geo.h11, geo.kappa, k)
     dxi = (9.0 * geo.dh11 + 2.0 * geo.kappa * geo.dkappa) / (2.0 * k)
-    closed_t1, closed_ti, closed_tyi = closed_rhs_of(geo, geo.scalars.g1111, geo.y, k)
+    div_s, inv_sq, d_inv_sq = _divergence_sources(geo)
+    kappa, h11, xi_c = geo.kappa[:, None], geo.h11[:, None], xi[:, None]
+    kappa_sq = (geo.kappa * geo.kappa)[:, None]
+    # T1 = delta(xi / sqrt(G)) / delta t with delta/delta t = d/dt + kappa y^p d/dy^p;
+    # y^p d/dy^p is np.dot per point, because a stacked matmul or einsum sums
+    # the four products in another order than the BLAS dot of one point
+    y_grad = np.array([np.dot(y, g) for y, g in zip(geo.y, d_inv_sq)])
+    t1 = dxi * inv_sq + geo.kappa * xi * y_grad
+    # horizontal parts with delta/delta x^m = (kappa/3) d/dy^m, vertical parts with d/dy^m
+    ti = (kappa / 3.0) * ((kappa_sq / (9.0 * k)) * div_s + xi_c * d_inv_sq) + (h11 * kappa / (3.0 * k)) * div_s
+    tyi = (kappa / 3.0) * (kappa / (3.0 * k)) * div_s + (h11 / k) * div_s + xi_c * d_inv_sq
+    blocks = einstein_blocks_of(geo, k)
     if geo.tensor.is_berwald_moor:
-        t1, ti, tyi = _divergences_reduced(geo, k, xi, dxi)
-        _guard_reduction_terms(geo, einstein_blocks_of(geo, k))
+        _guard_reduction_terms(geo, blocks)
+        closed = closed_rhs_of(geo, geo.scalars.g1111, geo.y, k)
     else:
-        t1, ti, tyi = _divergences_unreduced(geo, k, xi, dxi)
-    return ConservationResiduals(
-        t1=t1, ti=ti, tyi=tyi, closed_t1=closed_t1, closed_ti=closed_ti, closed_tyi=closed_tyi
-    )
+        trace, dropped = _contraction_terms(geo, blocks)
+        h, mixed_t, mixed_v, vv = (np.einsum("xri,xr->xi", f, trace) - d for f, d in dropped)
+        ti = ti + ((kappa / 3.0) * h + mixed_t)
+        tyi = tyi + ((kappa / 3.0) * mixed_v + vv)
+        closed = (None, None, None)
+    return ConservationResiduals(t1, ti, tyi, *closed)
+
+
+def _divergence_sources(geo: Connection):
+    """div S = dS^m_i/dy^m of the raised Ricci table of ``_s_source``, of
+    shape (N, 4), then 1/sqrt(G_1111) of shape (N,) and its gradient of shape
+    (N, 4): on Berwald-Moor the exact first-order partials of
+    ``raised_table_grad``; on a custom tensor the gradient
+    -G_i111 / (2 G_1111^(3/2)) from the metric stage and div S by central
+    differences (``_difference_partials``)."""
+    if geo.tensor.is_berwald_moor:
+        d_table, inv_sq, d_inv_sq = raised_table_grad(geo.y)
+        return raised_divergence(d_table, FIELD_COEF), inv_sq, d_inv_sq
+    g = geo.scalars.g1111
+    inv_sq = 1.0 / np.sqrt(g)
+    d_inv_sq = (-0.5 * inv_sq / g)[:, None] * geo.scalars.gi111
+    return raised_divergence(_difference_partials(geo), 1.0), inv_sq, d_inv_sq
+
+
+def _difference_partials(geo: Metric) -> np.ndarray:
+    """dS^m_i/dy^m of the raised Ricci table of ``_s_source``, arranged
+    [point, m, i], by central differences with the step 1e-5 y^m.  The eight
+    shifted points of every point run through ``einstein_batches`` one chunk
+    at a time, and each chunk keeps only its (N, 4, 4) raised table."""
+    n = len(geo)
+    h = 1e-5 * geo.y  # step per direction
+    shift = h[:, :, None] * np.eye(DIM)  # [point, direction, coordinate]
+    ys = np.stack([geo.y[:, None, :] + shift, geo.y[:, None, :] - shift], axis=2)
+    tables = []
+    for shifted in einstein_batches(geo.tensor, geo.tm, np.repeat(geo.t, 2 * DIM), ys.reshape(-1, DIM)):
+        tables.append(_s_source(shifted)[1])
+        del shifted  # so that no chunk's tables are alive while the next one's are built
+    s = np.concatenate(tables).reshape(n, DIM, 2, DIM, DIM)  # [point, direction, sign, m, i]
+    rows = np.einsum("xmsmi->xsmi", s)  # row m of the points shifted along y^m
+    return (rows[:, 0] - rows[:, 1]) / (2.0 * h[:, :, None])
+
+
+def _contraction_terms(geo: Connection, blocks: EinsteinBlocks):
+    """The C-terms of the unreduced divergences: the trace C^m_rm of shape
+    (N, 4), and for each of the four raised blocks F (T^m_i, then the mixed
+    T and V blocks, then the vv block) the pair F and F^m_r C^r_im, which the
+    divergence of F subtracts after adding F^r_i C^m_rm.  A horizontal
+    divergence reads L where a vertical one reads C, and the connection
+    stage builds L as (kappa/3) C, so its L-terms are kappa/3 times these."""
+    c = geo.c
+    fields = (blocks.raised_h, blocks.raised_mixed_t, blocks.raised_mixed_v, blocks.raised_vv)
+    return np.einsum("xmjm->xj", c), [(f, np.einsum("xmr,xrim->xi", f, c)) for f in fields]
+
+
+def _guard_reduction_terms(geo: Connection, blocks: EinsteinBlocks):
+    """On Berwald-Moor the contraction terms (``_contraction_terms``) vanish
+    through the trace-free property of C and the raised-orthogonality
+    identity, so the assembly leaves them out; this guard pins that down."""
+    trace, dropped = _contraction_terms(geo, blocks)
+    bad = ~(np.abs(trace).max(axis=1) <= 1e-9 * np.maximum(np.abs(geo.c).max(axis=(1, 2, 3)), 1.0))
+    for field, d in dropped:
+        bad |= ~(np.abs(d).max(axis=1) <= 1e-9 * np.maximum(np.abs(field).max(axis=(1, 2)), 1.0))
+    refuse(bad, InvariantError, "the terms dropped by the reduced conservation divergences do not vanish", y=geo.y)
 
 
 def closed_rhs_of(ax: TimeAxis, g1111, y, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -306,8 +391,8 @@ def closed_rhs_of(ax: TimeAxis, g1111, y, k: float) -> tuple[np.ndarray, np.ndar
 def conservation_batches(G: QuarticTensor, tm: TimeMetric, t, y):
     """Bundles of the shallowest stage the conservation residuals of G read,
     over the chunks of ``batches``: the connection stage on Berwald-Moor,
-    whose reduced divergences read C, and the full stage on a custom tensor,
-    whose unreduced divergences read the blocks' Ricci contraction."""
+    whose guarded contraction terms read C, and the full stage on a custom
+    tensor, whose divergences read the honest Ricci contraction."""
     return (connection_batches if G.is_berwald_moor else batches)(G, tm, t, y)
 
 
@@ -315,84 +400,6 @@ def conservation_residuals(G: QuarticTensor, tm: TimeMetric, p: JetPoint, k: flo
     """Conservation residuals at one point (see ``conservation_residuals_of``)."""
     (geo,) = conservation_batches(G, tm, [p.t], p.y)
     return take(conservation_residuals_of(geo, k), 0)
-
-
-def _divergences_reduced(geo: Metric, k: float, xi, dxi):
-    """Reduced covariant divergences of the Berwald-Moor blocks over the batch,
-    on the exact first-order partials of the raised table
-    (``raised_table_grad``)."""
-    d_table, inv_sq, div_delta = raised_table_grad(geo.y)
-    div_s = raised_divergence(d_table, FIELD_COEF)
-    kappa, h11, xi_c = geo.kappa[:, None], geo.h11[:, None], xi[:, None]
-    kappa_sq = (geo.kappa * geo.kappa)[:, None]
-    # T1 = delta(xi / sqrt(G)) / delta t with delta/delta t = d/dt + kappa y^p d/dy^p;
-    # y^p d/dy^p is np.dot per point, because a stacked matmul or einsum sums
-    # the four products in another order than the BLAS dot of one point
-    y_grad = np.array([np.dot(y, g) for y, g in zip(geo.y, div_delta)])
-    t1 = dxi * inv_sq + geo.kappa * xi * y_grad
-    ti = (kappa / 3.0) * ((kappa_sq / (9.0 * k)) * div_s + xi_c * div_delta) + (h11 * kappa / (3.0 * k)) * div_s
-    tyi = (kappa / 3.0) * (kappa / (3.0 * k)) * div_s + (h11 / k) * div_s + xi_c * div_delta
-    return t1, ti, tyi
-
-
-def _guard_reduction_terms(geo: Connection, blocks: EinsteinBlocks):
-    """The reduced divergence forms drop C/L contraction terms; they vanish
-    through the trace-free property of C and the raised-orthogonality
-    identity, which is what this guard pins down."""
-    c = geo.c
-    trace = np.einsum("xmjm->xj", c)
-    bad = ~(np.abs(trace).max(axis=1) <= 1e-9 * np.maximum(np.abs(c).max(axis=(1, 2, 3)), 1.0))
-    for field in (blocks.raised_h, blocks.raised_mixed_t, blocks.raised_mixed_v, blocks.raised_vv):
-        dropped = np.einsum("xmr,xrim->xi", field, c)
-        bad |= ~(np.abs(dropped).max(axis=1) <= 1e-9 * np.maximum(np.abs(field).max(axis=(1, 2)), 1.0))
-    refuse(bad, InvariantError, "the terms dropped by the reduced conservation divergences do not vanish", y=geo.y)
-
-
-# the raised fields of the Einstein blocks that the unreduced divergences read
-_RAISED = ("raised_h", "raised_mixed_t", "raised_mixed_v", "raised_vv")
-
-
-def _divergences_unreduced(geo: Geometry, k: float, xi, dxi):
-    """Unreduced covariant divergences with central finite differences in y.
-    The eight shifted points of every point run through ``batches`` one
-    chunk at a time, and only what the differences read is kept: G_1111 and
-    the raised fields of the Einstein blocks."""
-    n = len(geo)
-    h = 1e-5 * geo.y  # step per direction
-    shift = h[:, :, None] * np.eye(DIM)  # [point, direction, coordinate]
-    ys = np.stack([geo.y[:, None, :] + shift, geo.y[:, None, :] - shift], axis=2)
-    kept = []
-    for shifted in batches(geo.tensor, geo.tm, np.repeat(geo.t, 2 * DIM), ys.reshape(-1, DIM)):
-        b = einstein_blocks_of(shifted, k)
-        kept.append([shifted.scalars.g1111] + [getattr(b, name) for name in _RAISED])
-        del shifted, b  # so that no chunk's tables are alive while the next one's are built
-    g1111, *raised = [np.concatenate(part) for part in zip(*kept)]
-    del kept
-    shifted_raised = dict(zip(_RAISED, raised))
-
-    def deriv(field):
-        """d field / dy^n at every point, arranged [point, n, ...]."""
-        f = field.reshape((n, DIM, 2) + field.shape[1:])
-        return (f[:, :, 0] - f[:, :, 1]) / (2.0 * h.reshape((n, DIM) + (1,) * (field.ndim - 1)))
-
-    # T1: only delta T^1_1 / delta t survives (the other two fields vanish)
-    d_invsq = deriv(1.0 / np.sqrt(g1111))
-    t1 = dxi / np.sqrt(geo.scalars.g1111) + geo.kappa * xi * np.einsum("xn,xn->x", geo.y, d_invsq)
-
-    b0 = einstein_blocks_of(geo, k)
-
-    def divergence(name, conn, scale):
-        """scale d T^m_i/dy^m + T^r_i conn^m_rm - T^m_r conn^r_im for the raised field `name`."""
-        field = getattr(b0, name)
-        trace = np.einsum("xmrm->xr", conn)
-        d = np.einsum("xmmi->xi", deriv(shifted_raised[name]))
-        return scale * d + np.einsum("xri,xr->xi", field, trace) - np.einsum("xmr,xrim->xi", field, conn)
-
-    # horizontal parts with L and delta/delta x^m = (kappa/3) d/dy^m, vertical parts with C
-    k3 = (geo.kappa / 3.0)[:, None]
-    ti = divergence("raised_h", geo.l, k3) + divergence("raised_mixed_t", geo.c, 1.0)
-    tyi = divergence("raised_mixed_v", geo.l, k3) + divergence("raised_vv", geo.c, 1.0)
-    return t1, ti, tyi
 
 
 def des_check(tm: TimeMetric, t_samples) -> DesCheck:

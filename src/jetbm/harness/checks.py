@@ -37,7 +37,8 @@ the shallowest kernel stage that holds what it reads:
   ``conservation_batches``, which the per-point functions use too): on
   Berwald-Moor the metric stage for einstein, whose blocks read the closed
   field table, and the connection stage for conservation and decay, whose
-  reduced divergences read C; on a custom tensor the full stage;
+  guard on the dropped contraction terms reads C; on a custom tensor the
+  full stage;
 * connection reads the time axis alone (``TimeMetric.eval`` over all its
   t) and builds the nonlinear connections and adapted frames over all its
   points at once;

@@ -43,15 +43,17 @@ def _frozen(a, shape) -> np.ndarray:
 def check_cone(y) -> np.ndarray:
     """y as a float 4-vector or an (N, 4) batch, every point in the open
     positive cone, where the fourth roots and sqrt(G_1111) downstream are
-    real.  The one cone test: a point with a coordinate that is not > 0, NaN
-    included, raises DomainError naming it."""
+    real.  The one cone test: a point with a coordinate that is not > 0 or
+    not < inf, NaN included, raises DomainError naming it."""
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2) or y.shape[-1] != DIM:
         raise DomainError(f"expected a 4-vector or an (N, 4) batch, got shape {y.shape}")
-    # each point's smallest coordinate, pairwise (np.minimum keeps a NaN):
-    # min(axis=-1) over four entries per point costs about ten times as much
+    # each point's smallest and largest coordinate, pairwise (np.minimum and
+    # np.maximum keep a NaN): min(axis=-1) over four entries per point costs
+    # about ten times as much
     smallest = np.minimum(np.minimum(y[..., 0], y[..., 1]), np.minimum(y[..., 2], y[..., 3]))
-    refuse(~(smallest > 0.0), DomainError, "y must lie in the open positive cone", y=y)
+    largest = np.maximum(np.maximum(y[..., 0], y[..., 1]), np.maximum(y[..., 2], y[..., 3]))
+    refuse(~((smallest > 0.0) & (largest < np.inf)), DomainError, "y must lie in the open positive cone", y=y)
     return y
 
 

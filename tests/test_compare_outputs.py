@@ -29,7 +29,7 @@ def test_identical_documents_give_none():
 
 def test_one_changed_number_gives_its_count_and_largest_relative_change():
     summary = compare_outputs.compare(REPORT, REPORT.replace("4.0", "5.0"))
-    assert summary == "1 numbers changed, largest relative change 0.2"
+    assert summary.splitlines() == ["1 numbers changed, largest relative change 0.2", "    changed: max_abs_err"]
 
 
 @pytest.mark.parametrize("sign", ["-", "+"])
@@ -52,13 +52,48 @@ def test_a_number_in_a_json_array_is_measured_against_its_whole_array():
     doc = {"S": [[1e-17, 0.0], [[2.0], -1.0]], "x": [1e5], "scalar": 3.0}
     old = json.dumps(doc, indent=2)
     new = old.replace("1e-17", "-1e-17")
-    assert compare_outputs.compare(old, new) == "1 numbers changed, largest relative change 1e-17"
+    assert compare_outputs.compare(old, new).splitlines() == [
+        "1 numbers changed, largest relative change 1e-17",
+        "    changed: S",
+    ]
 
 
 def test_a_number_in_a_csv_row_is_measured_against_its_row():
     old = "t,y1,Sc\n0.5,2.0,-1e-16\n"
     new = "t,y1,Sc\n0.5,2.0,1e-16\n"
     assert compare_outputs.compare(old, new) == "1 numbers changed, largest relative change 1e-16"
+
+
+def test_a_changed_json_document_names_the_key_path_of_each_changed_value():
+    """Each array (as a whole) or value that differs is named by its key
+    path, in the old document's order and then the paths only the new one
+    has; a list of objects is indexed, an unchanged NaN is not named, and a
+    document that is not a JSON object names none."""
+    old = {
+        "point": {"t": 0.5, "y": [1.0, 2.0]},
+        "conservation": {"T1": 1.0, "Ti": [[1.0, 2.0]], "closed_T1": 3.0, "spare": float("nan")},
+        "reports": [{"check_name": name, "max_abs_err": err, "pass": True} for name, err in (("a", 1.0), ("b", 2.0))],
+    }
+    new = json.loads(json.dumps(old))
+    new["conservation"].update(T1=1.5, closed_T1=None, closed_Ti=None)
+    new["conservation"]["Ti"][0][1] = 2.5
+    new["reports"][1]["max_abs_err"] = 4.0
+    old_text, new_text = json.dumps(old, indent=2), json.dumps(new, indent=2)
+    assert compare_outputs.moved_paths(old_text, new_text) == [
+        "conservation.T1",
+        "conservation.Ti",
+        "conservation.closed_T1",
+        "reports[1].max_abs_err",
+        "conservation.closed_Ti",
+    ]
+    assert (
+        "    changed: conservation.T1, conservation.Ti, conservation.closed_T1, reports[1].max_abs_err,"
+        " conservation.closed_Ti" in compare_outputs.compare(old_text, new_text).splitlines()
+    )
+    assert compare_outputs.moved_paths("t,y1,Sc\n0.5,2.0,1.0\n", "t,y1,Sc\n0.5,2.0,2.0\n") == []
+    many = {f"k{i}": i for i in range(12)}
+    summary = compare_outputs.compare(json.dumps(many), json.dumps({k: v + 1 for k, v in many.items()}))
+    assert "    changed: k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, ... 2 more" in summary.splitlines()
 
 
 def test_a_moved_verdict_names_its_check_and_both_errors():

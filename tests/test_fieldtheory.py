@@ -27,14 +27,16 @@ from jetbm import (
     xi_11,
 )
 from jetbm import fieldtheory
+from jetbm.curvature import FIELD_COEF
 from jetbm.fieldtheory import (
+    conservation_batches,
     conservation_residuals_of,
     einstein_blocks_of,
     em_form_of,
     raised_divergence,
     raised_table_grad,
 )
-from jetbm.geometry import CHUNK, _connection, _geometry, batches, geometry, metric_batches
+from jetbm.geometry import CHUNK, _connection, _geometry, geometry, metric_batches
 from jetbm.harness.config import parse_config
 
 from conftest import BATCH_SIZES, assert_close, cone_points, max_rel, traced_peak
@@ -42,6 +44,7 @@ from conftest import BATCH_SIZES, assert_close, cone_points, max_rel, traced_pea
 CONST = TimeMetric.constant(1.0)
 EXP = TimeMetric.exponential(1.0, 1.0)
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+CUSTOM = SCRIPTS.parent / "benchmarks" / "custom.ini"
 
 
 # -- gravitational potential ----------------------------------------------------
@@ -181,53 +184,115 @@ def test_decay_is_cubic_for_constant_family(bm):
 
 
 def test_conservation_custom_tensor_runs(rng):
-    """Custom tensors go through the unreduced finite-difference route; the
-    divergences are finite and the closed forms are still reported."""
+    """Custom tensors go through the same assembly with finite-difference
+    div S; the divergences are finite, and the closed right-hand sides,
+    which hold for Berwald-Moor alone, are None."""
     G = QuarticTensor.from_components({(1, 2, 3, 4): 1 / 24, (1, 1, 2, 2): 0.005})
     res = conservation_residuals(G, EXP, JetPoint.from_y(np.array([1.0, 1.1, 0.9, 1.2]), t=0.2), 1.0)
     assert np.isfinite(res.t1) and np.all(np.isfinite(res.ti)) and np.all(np.isfinite(res.tyi))
+    assert res.closed_t1 is None and res.closed_ti is None and res.closed_tyi is None
 
 
 def test_unreduced_divergences_read_one_shifted_chunk_at_a_time(rng, monkeypatch):
-    """Over one CHUNK of a custom tensor, the finite-difference divergences
-    equal those read off one bundle of all the shifted points, bit for bit,
-    yet their traced peak stays below four full-stage peaks over the chunk."""
+    """Over one CHUNK of a custom tensor, the finite-difference partials of
+    the raised Ricci table equal those read off one bundle of all the
+    shifted points, bit for bit, yet their traced peak stays below four
+    full-stage peaks over the chunk."""
     G = QuarticTensor.from_components({(1, 2, 3, 4): 1 / 24, (1, 1, 2, 2): 0.01})
     (m,) = metric_batches(G, EXP, rng.uniform(-1, 1, CHUNK), cone_points(rng, CHUNK))
     cn_t4 = _connection(m, 2)
     geo = _geometry(*cn_t4)
-    chunked = conservation_residuals_of(geo, 1.5)
-    assert traced_peak(conservation_residuals_of, geo, 1.5) < 4 * traced_peak(_geometry, *cn_t4)
+    chunked = fieldtheory._difference_partials(geo)
+    assert chunked.shape == (CHUNK, 4, 4)
+    assert traced_peak(fieldtheory._difference_partials, geo) < 4 * traced_peak(_geometry, *cn_t4)
     monkeypatch.setattr(fieldtheory, "batches", lambda *args: [geometry(*args)])
-    whole = conservation_residuals_of(geo, 1.5)
-    for name in ("t1", "ti", "tyi"):
-        np.testing.assert_array_equal(getattr(chunked, name).view(np.int64), getattr(whole, name).view(np.int64))
+    whole = fieldtheory._difference_partials(geo)
+    np.testing.assert_array_equal(chunked.view(np.int64), whole.view(np.int64))
+
+
+def _seeded_geometry(ini: str, rng, n: int):
+    cfg = parse_config(ini.read_text())
+    t = rng.uniform(cfg.t_min, cfg.t_max, n)
+    return cfg, geometry(cfg.tensor, cfg.time_metric, t, cone_points(rng, n, cfg.y_min, cfg.y_max))
+
+
+def _unreduced_reference(geo, k: float):
+    """Ti and Tyi by the unreduced covariant definitions, which share no
+    assembly with the kernel: for each raised block F,
+    scale dF^m_i/dy^m + F^r_i conn^m_rm - F^m_r conn^r_im, with the partials
+    central differences of F itself at the eight shifted points of every
+    point (step 1e-5 y), the horizontal parts with L and scale kappa/3 and
+    the vertical ones with C and scale 1."""
+    n = len(geo)
+    h = 1e-5 * geo.y
+    shift = h[:, :, None] * np.eye(4)
+    ys = np.stack([geo.y[:, None, :] + shift, geo.y[:, None, :] - shift], axis=2).reshape(-1, 4)
+    shifted = einstein_blocks_of(geometry(geo.tensor, geo.tm, np.repeat(geo.t, 8), ys), k)
+    blocks = einstein_blocks_of(geo, k)
+
+    def divergence(name, conn, scale):
+        f = getattr(shifted, name).reshape(n, 4, 2, 4, 4)
+        d = np.einsum("xmmi->xi", (f[:, :, 0] - f[:, :, 1]) / (2.0 * h[:, :, None, None]))
+        field = getattr(blocks, name)
+        return scale * d + np.einsum("xri,xmrm->xi", field, conn) - np.einsum("xmr,xrim->xi", field, conn)
+
+    k3 = (geo.kappa / 3.0)[:, None]
+    ti = divergence("raised_h", geo.l, k3) + divergence("raised_mixed_t", geo.c, 1.0)
+    tyi = divergence("raised_mixed_v", geo.l, k3) + divergence("raised_vv", geo.c, 1.0)
+    return ti, tyi
+
+
+@pytest.mark.parametrize("ini", [CUSTOM, SCRIPTS / "dense.ini"], ids=lambda p: p.name)
+def test_custom_conservation_matches_the_unreduced_definitions(ini, rng):
+    """On a custom tensor, at 128 seeded points of the config's box, the one
+    assembly (finite-difference div S, exact gradient of 1/sqrt(G_1111),
+    added C- and L-terms) gives the Ti and Tyi of the unreduced definitions
+    (``_unreduced_reference``) within 1e-8 of each point's max|value| (about
+    1.5e-9 at worst: both differentiate numerically, at one step), and T1
+    is (xi' - 2 kappa xi) / sqrt(G_1111) within 1e-12 relative: Euler's
+    theorem, as 1/sqrt(G_1111) has degree -2 in y, with G_1111 from an
+    einsum of G alone."""
+    cfg, geo = _seeded_geometry(ini, rng, 128)
+    k = cfg.einstein_k
+    res = conservation_residuals_of(geo, k)
+    for name, got, want in zip(("Ti", "Tyi"), (res.ti, res.tyi), _unreduced_reference(geo, k)):
+        scale = np.abs(want).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-8 * scale), name
+    xi = xi_11(cfg.time_metric, geo.t, k)
+    dxi = (9.0 * geo.dh11 + 2.0 * geo.kappa * geo.dkappa) / (2.0 * k)
+    g1111 = np.einsum("pqrs,xp,xq,xr,xs->x", cfg.tensor.dense, geo.y, geo.y, geo.y, geo.y)
+    euler = (dxi - 2.0 * geo.kappa * xi) / np.sqrt(g1111)
+    assert np.all(np.abs(res.t1 - euler) <= 1e-12 * np.abs(euler))
+    assert res.closed_t1 is None and res.closed_ti is None and res.closed_tyi is None
 
 
 @pytest.mark.parametrize("ini", ["bm_power.ini", "bm_exponential.ini"])
-def test_unreduced_divergences_agree_on_berwald_moor(ini, rng):
-    """On Berwald-Moor the unreduced divergences (central differences of the
-    blocks at shifted points, the custom-tensor path) match the reduced ones
-    (exact first-order partials of the raised table) and the closed
-    right-hand sides at 200 seeded points of the config's box, relative to
-    max|closed|: T1 to 1e-7, Ti and Tyi to 1e-8 (about 5e-9 and 2e-10 at
-    worst).  The two derivations share no differentiation code."""
+def test_unreduced_divergences_agree_on_berwald_moor(ini, rng, monkeypatch):
+    """On Berwald-Moor, at 200 seeded points of the config's box, div S by
+    central differences of the raised table (``_difference_partials``, the
+    custom-tensor source) matches the exact first-order partials
+    (``raised_table_grad``) within 1e-9 of max|div S| (about 5e-11 at
+    worst); assembled in their place, it gives Ti and Tyi within 1e-8 of
+    max|closed| of the closed right-hand sides.  The two derivations share
+    no differentiation code."""
     cfg = parse_config((SCRIPTS / ini).read_text())
     tm, k = cfg.time_metric, cfg.einstein_k
     t = rng.uniform(cfg.t_min, cfg.t_max, 200)
     y = cone_points(rng, 200, cfg.y_min, cfg.y_max)
-    for geo in batches(cfg.tensor, tm, t, y):
-        xi = xi_11(tm, geo.t, k)
-        # d xi_11 / dt for xi_11 = (9 h_11 + kappa^2) / (2K)
-        dxi = (9.0 * geo.dh11 + 2.0 * geo.kappa * geo.dkappa) / (2.0 * k)
-        closed = fieldtheory.closed_rhs_of(geo, geo.scalars.g1111, geo.y, k)
-        reduced = fieldtheory._divergences_reduced(geo, k, xi, dxi)
-        unreduced = fieldtheory._divergences_unreduced(geo, k, xi, dxi)
-        for name, c, r, u, bound in zip(("T1", "Ti", "Tyi"), closed, reduced, unreduced, (1e-7, 1e-8, 1e-8)):
-            scale = np.abs(c).max()
-            assert np.abs(u - c).max() <= bound * scale, name
-            assert np.abs(u - r).max() <= bound * scale, name
-            assert np.abs(r - c).max() <= bound * scale, name
+    exact_sources = fieldtheory._divergence_sources
+
+    def difference_sources(geo):
+        return (raised_divergence(fieldtheory._difference_partials(geo), 1.0), *exact_sources(geo)[1:])
+
+    for geo in conservation_batches(cfg.tensor, tm, t, y):
+        exact = raised_divergence(raised_table_grad(geo.y)[0], FIELD_COEF)
+        differenced = raised_divergence(fieldtheory._difference_partials(geo), 1.0)
+        assert np.abs(differenced - exact).max() <= 1e-9 * np.abs(exact).max()
+        monkeypatch.setattr(fieldtheory, "_divergence_sources", difference_sources)
+        res = conservation_residuals_of(geo, k)
+        monkeypatch.setattr(fieldtheory, "_divergence_sources", exact_sources)
+        for name, got, closed in (("Ti", res.ti, res.closed_ti), ("Tyi", res.tyi, res.closed_tyi)):
+            assert np.abs(got - closed).max() <= 1e-8 * np.abs(closed).max(), name
 
 
 # -- the unsolvable ODE system ------------------------------------------------------

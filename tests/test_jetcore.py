@@ -17,8 +17,10 @@ from jetbm import (
     taylor2_seed,
 )
 
-from jetbm.geometry import CHUNK
+from jetbm.curvature import bm_s_closed
+from jetbm.geometry import CHUNK, metric_batches
 from jetbm.harness.checks import VerificationReport
+from jetbm.metric import bm_metric_closed
 
 from conftest import BATCH_SIZES, assert_close, cone_points, max_rel
 
@@ -169,6 +171,25 @@ def test_jet_point_requires_positive_cone():
     # a NaN is outside the cone, and the point is named as it is
     with pytest.raises(DomainError, match=re.escape("y must lie in the open positive cone, y=[ 1. nan  3.  4.]")):
         JetPoint.from_y([1.0, np.nan, 3.0, 4.0])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_every_reader_of_the_cone_refuses_a_non_finite_coordinate(bad):
+    """+inf passes y > 0 but lies outside the cone: the jet point, the
+    Taylor2 seed, the closed forms and the kernel refuse it with
+    DomainError, naming the point (at its batch index in a batch), as they
+    refuse -inf and NaN, before any arithmetic warns."""
+    y = np.array([bad, 1.0, 1.0, 1.0])
+    message = re.escape(f"y must lie in the open positive cone, y={y}")
+    for call in (JetPoint.from_y, taylor2_seed, bm_metric_closed, bm_s_closed):
+        with pytest.raises(DomainError, match=message):
+            call(y)
+    ys = np.ones((3, 4))
+    ys[1] = y
+    with pytest.raises(DomainError, match=re.escape(f"open positive cone at batch index 1, y={y}")):
+        list(metric_batches(QuarticTensor.berwald_moor(), TimeMetric.constant(1.0), np.zeros(3), ys))
+    with pytest.raises(DomainError, match=re.escape(f"open positive cone at batch index 1, y={y}")):
+        bm_s_closed(ys)
 
 
 def test_jet_point_immutable():

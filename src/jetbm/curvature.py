@@ -107,7 +107,14 @@ def curvatures(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> CurvatureSet:
     P^l_ij(k)   = dL^l_ij/dy^k - C^l_i(k)|j + C^l_i(m) P^(m)(1)_(1)j(k)
     with C^l_i(k)|j = delta C^l_i(k)/delta x^j + C^m_i(k) L^l_mj - C^l_m(k) L^m_ij - C^l_i(m) L^m_kj.
 
-    S is exactly antisymmetric in (j,k) by construction (X minus its swap).
+    C is totally symmetric, so dC^l_i(j)/dy^k is -2 C^l_m(k) C^m_i(j) plus a
+    part totally symmetric in (i, j, k), which cancels wherever dC or
+    dL = (kappa/3) dC enters these formulas antisymmetrized.  So all three
+    read C and L alone, and
+        S^l_i(j)(k) = C^m_i(k) C^l_m(j) - C^m_i(j) C^l_m(k)
+    (Bao, Chern & Shen, An Introduction to Riemann-Finsler Geometry, GTM
+    200, 2000).  S and R are exactly antisymmetric in (j,k) by construction
+    (X minus its swap).
     """
     geo = point_geometry(G, tm, p)
     return CurvatureSet(r=geo.r_curv[0], p=geo.p_curv[0], s=geo.s_curv[0])

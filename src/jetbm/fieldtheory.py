@@ -15,12 +15,14 @@ every raised block is a t-scalar times the raised Ricci table S^m_i plus a
 t-scalar times (xi / sqrt(G_1111)) delta, so T1, Ti and Tyi follow from
 div S = dS^m_i/dy^m, 1/sqrt(G_1111) and its gradient, plus the C- and
 L-contraction terms of the unreduced covariant divergences.  The partials
-have two sources.  On Berwald-Moor they are exact to first order
-(``raised_table_grad``, Taylor2's gradient rules in one broadcast pass, bit
-for bit the per-entry Taylor2 quotient), and the contraction terms are
-guarded to vanish.  On a custom tensor the gradient of 1/sqrt(G_1111) is
-exact from the metric stage, div S comes from central differences of the
-raised table alone, and the contraction terms are added.
+are exact and have two sources.  On Berwald-Moor they are the first-order
+partials of the closed table (``raised_table_grad``, Taylor2's gradient
+rules in one broadcast pass, bit for bit the per-entry Taylor2 quotient),
+and the contraction terms are guarded to vanish.  On a custom tensor the
+gradient of 1/sqrt(G_1111) comes from the metric stage, div S from the
+full stage's raised contraction and the second-order jet
+(``geometry.raised_ricci_divergence``), and the contraction terms are
+added.
 
 Each closed formula is written once: 9 h_11 + kappa^2 is
 ``curvature.field_numerator`` and the closed conservation right-hand sides
@@ -51,6 +53,7 @@ from .geometry import (
     metric_batches,
     point_connection,
     point_metric,
+    raised_ricci_divergence,
     take,
 )
 from .jetcore import DIM, JetPoint, QuarticTensor, TimeAxis, TimeMetric, check_cone
@@ -282,8 +285,9 @@ def conservation_residuals_of(geo: Connection, k: float) -> ConservationResidual
     table (``raised_table_grad``), the contraction terms are checked to
     vanish (``_guard_reduction_terms``) and everything reads the connection
     stage.  On a custom tensor the gradient of 1/sqrt(G_1111) is exact from
-    the metric stage, div S comes from central differences of the honest
-    contraction, which only the full stage (``Geometry``) holds, the
+    the metric stage, div S is the exact divergence of the honest
+    contraction, which only the full stage (``Geometry``) holds
+    (``raised_ricci_divergence``, which runs the second-order jet), the
     contraction terms are added, and the closed right-hand sides, which hold
     for Berwald-Moor alone, are None.
     """
@@ -318,33 +322,15 @@ def _divergence_sources(geo: Connection):
     shape (N, 4), then 1/sqrt(G_1111) of shape (N,) and its gradient of shape
     (N, 4): on Berwald-Moor the exact first-order partials of
     ``raised_table_grad``; on a custom tensor the gradient
-    -G_i111 / (2 G_1111^(3/2)) from the metric stage and div S by central
-    differences (``_difference_partials``)."""
+    -G_i111 / (2 G_1111^(3/2)) from the metric stage and the exact div S of
+    the full stage's raised contraction (``raised_ricci_divergence``)."""
     if geo.tensor.is_berwald_moor:
         d_table, inv_sq, d_inv_sq = raised_table_grad(geo.y)
         return raised_divergence(d_table, FIELD_COEF), inv_sq, d_inv_sq
     g = geo.scalars.g1111
     inv_sq = 1.0 / np.sqrt(g)
     d_inv_sq = (-0.5 * inv_sq / g)[:, None] * geo.scalars.gi111
-    return raised_divergence(_difference_partials(geo), 1.0), inv_sq, d_inv_sq
-
-
-def _difference_partials(geo: Metric) -> np.ndarray:
-    """dS^m_i/dy^m of the raised Ricci table of ``_s_source``, arranged
-    [point, m, i], by central differences with the step 1e-5 y^m.  The eight
-    shifted points of every point run through ``einstein_batches`` one chunk
-    at a time, and each chunk keeps only its (N, 4, 4) raised table."""
-    n = len(geo)
-    h = 1e-5 * geo.y  # step per direction
-    shift = h[:, :, None] * np.eye(DIM)  # [point, direction, coordinate]
-    ys = np.stack([geo.y[:, None, :] + shift, geo.y[:, None, :] - shift], axis=2)
-    tables = []
-    for shifted in einstein_batches(geo.tensor, geo.tm, np.repeat(geo.t, 2 * DIM), ys.reshape(-1, DIM)):
-        tables.append(_s_source(shifted)[1])
-        del shifted  # so that no chunk's tables are alive while the next one's are built
-    s = np.concatenate(tables).reshape(n, DIM, 2, DIM, DIM)  # [point, direction, sign, m, i]
-    rows = np.einsum("xmsmi->xsmi", s)  # row m of the points shifted along y^m
-    return (rows[:, 0] - rows[:, 1]) / (2.0 * h[:, :, None])
+    return raised_ricci_divergence(geo), inv_sq, d_inv_sq
 
 
 def _contraction_terms(geo: Connection, blocks: EinsteinBlocks):

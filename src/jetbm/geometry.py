@@ -2,41 +2,48 @@
 
 One pass over a batch of points (t, y), with t of shape (N,) and y of shape
 (N, 4), evaluates the y-derivative hierarchy once and feeds every layer from
-it.  The kernel has one chain, ``_chunks(order, ...)``, keyed by the highest
-y-derivative order of g that its readers need.  Each order's bundle is the
-one before it plus the next objects of the chain:
+it.  The kernel has one chain, ``_chunks(depth, ...)``, of three stages;
+each stage's bundle is the one before it plus the next objects of the chain:
 
-* order 0, the metric stage (``Metric``, ``metric_batches``,
+* depth 0, the metric stage (``Metric``, ``metric_batches``,
   ``point_metric``): the time-axis scalars (one ``TimeMetric.eval`` per
   metric batch), the G-hierarchy up to G_ij11 with 24 G_ijkl, the
   fundamental metric and its inverse;
-* order 1, the connection stage (``Connection``, ``connection_batches``,
+* depth 1, the connection stage (``Connection``, ``connection_batches``,
   ``point_connection``): the metric stage, then G_ijk1
   (``third_derivative``), the first-order packed jet of g, its first
   y-derivative table t3 and the Cartan connection C^i_j(k), L^i_jk and
   G^k_j1;
-* order 2, the full stage (``Geometry``, ``batches``, ``geometry``,
-  ``point_geometry``): the connection stage built from the second-order jet,
-  which also gives the second y-derivative table t4, then the torsions, the
-  curvature d-tensors (from dC, which the bundle does not keep) and the
-  Ricci data.
+* depth 2, the full stage (``Geometry``, ``batches``, ``geometry``,
+  ``point_geometry``): the connection stage, then the torsions, the
+  curvature d-tensors and the Ricci data, from C and L alone.
 
-Each reader builds the shallowest order that holds what it reads: readers of
-g, g^-1 and the G-hierarchy alone (the metric pair, the gravitational
+C^i_j(k) = (g^im/2) dg_jm/dy^k is totally symmetric, so the curvatures read
+dC only antisymmetrized, where its second derivative of g cancels: the
+vertical curvature is S^l_i(j)(k) = C^m_i(k) C^l_m(j) - C^m_i(j) C^l_m(k),
+and R and P follow alike, as dL = (kappa/3) dC (Bao, Chern & Shen, *An
+Introduction to Riemann-Finsler Geometry*, GTM 200, 2000).  So every stage
+runs from the first-order jet.  The one reader of the second derivative of
+g is ``raised_ricci_divergence``, the exact dS^m_i/dy^m of the raised Ricci
+table over a full bundle, which the conservation laws of a custom tensor
+read: it runs the second-order packed jet over the bundle's own
+G-hierarchy and gathers the second y-derivative table t4 for dC.
+
+Each reader builds the shallowest stage that holds what it reads: readers
+of g, g^-1 and the G-hierarchy alone (the metric pair, the gravitational
 potential, the gscalars and metric_taylor checks, and the einstein checks on
-Berwald-Moor, whose blocks read the closed field table) order 0; readers of
-the connection alone (the Cartan connection, the electromagnetic 2-form, the
-cartan, field_misc, conservation and decay checks) order 1; every other
-reader order 2.  A ``Geometry`` is a ``Connection`` and a ``Connection`` is a
-``Metric``, and a field shared by two stages comes from the same lines in
-both.
+Berwald-Moor, whose blocks read the closed field table) the metric stage;
+readers of the connection alone (the Cartan connection, the electromagnetic
+2-form, the cartan, field_misc, conservation and decay checks) the
+connection stage; every other reader the full stage.  A ``Geometry`` is a
+``Connection`` and a ``Connection`` is a ``Metric``, and a field shared by
+two stages comes from the same lines in both.
 
-The connection stage (``_connection``) runs the packed jet to the chain's
-order and checks each of its orders' half of the mixed-partial guard; at
-order 2 it also gathers t4, which only the full stage reads and keeps.  Both
-orders give t3 the same bits, because the first-order rules are the
-second-order rules' d/dy^k parts, the same products in the same operand
-order.
+The connection stage (``_connection``) runs the first-order packed jet and
+checks its half of the mixed-partial guard; ``raised_ricci_divergence``
+runs the second-order jet and checks both halves.  Both orders give d/dy^k
+the same bits, because the first-order rules are the second-order rules'
+d/dy^k parts, the same products in the same operand order.
 
 G_1111, G_i111 and G_ij11 are sums over the tensor's nonzero terms only
 (``QuarticTensor.terms``, built once per tensor): each product is formed
@@ -63,23 +70,25 @@ product rule on its own index order, so the guard compares two computations.
 Taylor2 stays the independent oracle for these tables and shares no code
 with this module.
 
-The full stage's contractions over one index (dC, and the C.C, C.L, L.L and
-C.P products of the curvatures) are stacked matmuls, one 16 x 4 by 4 x 16
-product per point, read through the total symmetry of t3 and t4 and the
-(j, k) symmetry of C; their 5-index results stay in the layout the matmul
-gives and are read in index order once, where S, R and P are formed.
+The kernel's contractions over one index (the C.C, C.L, L.L and C.P
+products of the curvatures, and dC in ``raised_ricci_divergence``) are
+stacked matmuls, one 16 x 4 by 4 x 16 product per point, read through the
+total symmetry of t3 and t4 and the (j, k) symmetry of C; their 5-index
+results stay in the layout the matmul gives and are read in index order
+once, where S, R and P are formed.
 
 The stages run over two batch sizes.  The metric stage runs once per
 metric batch of at most METRIC_CHUNK points; the connection and full stages
 run over consecutive slices of at most CHUNK points of it, each slice taken
 with ``take`` as views of the metric bundle's C-contiguous arrays.  The
-deeper stages peak at about 6 and 12 KiB per point (the second-order packed
-jet's operands, the 5-index tables), so their chunk bounds the kernel's
-working memory; the metric stage holds about 0.7 KB per point, so its larger
-batch spreads numpy's and LAPACK's fixed per-call cost over more points.
-The stages do not nest: each takes the bundle of the stage before it, and
-``_chunks`` is the one chain that calls them, and times them
-(``stage_times``).
+connection stage peaks at about 3 KiB per point (the first-order packed
+jet), the full stage at about 12 KiB (the 5-index tables) and
+``raised_ricci_divergence`` at about 7 KiB (the second-order packed jet), so
+the chunk bounds the kernel's working memory; the metric stage holds about
+0.7 KB per point, so its larger batch spreads numpy's and LAPACK's fixed
+per-call cost over more points.  The stages do not nest: each takes the
+bundle of the stage before it, and ``_chunks`` is the one chain that calls
+them, and times them (``stage_times``).
 
 A point's results do not depend on which batch or slice it was computed in:
 the G-hierarchy sums are elementwise plus in-order accumulation, and LAPACK
@@ -117,6 +126,7 @@ __all__ = [
     "point_geometry",
     "point_metric",
     "quartic_form",
+    "raised_ricci_divergence",
     "stage_times",
     "take",
     "third_derivative",
@@ -125,13 +135,14 @@ __all__ = [
 # points per chunk of the connection and full stages: a chunk amortises
 # numpy's per-call overhead, and each curvature-sized table holds 256 doubles
 # (2 KiB) per point, so the chunk also bounds the kernel's working memory.  A
-# 128-point chunk peaks at about 0.85 MiB of numpy allocations in the order-2
-# chain's connection stage (the second-order packed jet, at most about
-# sixteen [50, N] arrays alive), 0.41 MiB in the order-1 chain's (the
-# first-order jet) and 1.52 MiB in the full stage (at most five 5-index
-# tables alive) (tracemalloc, numpy 2.4).  A chunk half this size would save
-# about 1 MiB of resident memory in the runs that build the full stage and
-# double the calls of every per-chunk stage and check
+# 128-point chunk peaks at about 0.41 MiB of numpy allocations in the
+# connection stage (the first-order packed jet), 1.46 MiB in the full stage
+# (at most five 5-index tables alive) and 0.85 MiB in
+# ``raised_ricci_divergence`` (the second-order packed jet, at most about
+# sixteen [50, N] arrays alive, then dC), which only a custom tensor's
+# conservation laws run (tracemalloc, numpy 2.4).  A chunk half this size
+# would save about 1 MiB of resident memory in the runs that build the full
+# stage and double the calls of every per-chunk stage and check
 CHUNK = 128
 # points per metric batch: the metric bundle keeps about 0.7 KB per point,
 # and at 1 000 points the metric stage peaks at about 1.4 MiB of numpy
@@ -238,14 +249,12 @@ class Geometry(Connection):
     points: the connection stage plus the tables built on it.
 
     Index conventions (after the batch axis), besides the connection's:
-        t4[j,m,k,n] = d2 g_jm/dy^k dy^n (totally symmetric)
         p_mixed[k,i,j] = P^(k)(1)_(1)i(j),  p_vert[k,i,j] = P^k(1)_i(j),  r_time[k,j] = R^(k)_(1)1j
         r_curv, p_curv, s_curv [l,i,j,k] = R^l_ijk, P^l_ij(k), S^l_i(j)(k)
         r_ij = R^m_ijm,  p_ricci = P^m_ij(m),  s_ricci = S^m_i(j)(m),  s_raised = g^mr s_ricci[r,i]
         sc = g^pq r_pq + h11 g^pq s_ricci_pq
     """
 
-    t4: np.ndarray
     p_mixed: np.ndarray
     p_vert: np.ndarray
     r_time: np.ndarray
@@ -570,22 +579,17 @@ def _metric(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) -> M
     )
 
 
-def _connection(m: Metric, order: int) -> list:
+def _connection(m: Metric) -> Connection:
     """The connection stage over the points of the metric bundle m, from the
-    packed jet of g to the given order: G_ijk1, the jet, each of its orders'
-    half of the mixed-partial guard, and the canonical gather of t3 and, at
-    second order, t4.  One representative per sorted multi-index, stored into
-    every permutation, keeps the downstream index symmetries exact in
-    floating point.  Returns the connection bundle, then t4 at second order:
-    only the full stage reads t4, and keeps it."""
+    first-order packed jet of g: G_ijk1, the jet, its half of the
+    mixed-partial guard, and the canonical gather of t3.  One representative
+    per sorted multi-index, stored into every permutation, keeps the
+    downstream index symmetries exact in floating point."""
     n = len(m)
     kappa, g_up, y = m.kappa, m.g_up, m.y
-    jet = _metric_jet(m.scalars, third_derivative(m.tensor, y), order)
+    jet = _metric_jet(m.scalars, third_derivative(m.tensor, y), 1)
     _guard_mixed_partials(jet, y)
-    t3, *t4 = [
-        np.take(part.T, table, axis=1).reshape((n,) + (DIM,) * rank)
-        for part, table, rank in zip(jet, (_T3, _T4), (3, 4))
-    ]
+    t3 = np.take(jet[0].T, _T3, axis=1).reshape(n, DIM, DIM, DIM)
     del jet
     # Cartan connection: C^i_j(k) = (g^im/2) dg_jm/dy^k, one matmul of g^im with
     # t3[m,j,k] per point (t3 is totally symmetric); for x-constant G the
@@ -596,8 +600,7 @@ def _connection(m: Metric, order: int) -> list:
     # G^k_j1 = (g^km/2) delta g_mj/delta t with delta/delta t = d/dt + kappa y^p d/dy^p
     dg_dt = kappa[:, None, None] * np.einsum("xmjp,xp->xmj", t3, y)
     gk = 0.5 * np.einsum("xkm,xmj->xkj", g_up, dg_dt)
-    cn = _frozen(Connection(**{f.name: getattr(m, f.name) for f in fields(Metric)}, t3=t3, c=c, l=l, gk=gk))
-    return [cn, *t4]
+    return _frozen(Connection(**{f.name: getattr(m, f.name) for f in fields(Metric)}, t3=t3, c=c, l=l, gk=gk))
 
 
 def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -606,12 +609,11 @@ def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.reshape(n, DIM * DIM, DIM) @ b.reshape(n, DIM, DIM * DIM)).reshape(n, DIM, DIM, DIM, DIM)
 
 
-def _geometry(cn: Connection, t4: np.ndarray) -> Geometry:
-    """The full stage over the points of the connection bundle and t4 that
-    ``_connection`` gives at second order."""
-    n = len(cn)
+def _geometry(cn: Connection) -> Geometry:
+    """The full stage over the points of the connection bundle: the torsions,
+    the curvature d-tensors, formed from C and L alone, and the Ricci data."""
     kappa, dkappa, h11, g_up, y = cn.kappa, cn.dkappa, cn.h11, cn.g_up, cn.y
-    t3, c, l = cn.t3, cn.c, cn.l
+    c, l = cn.c, cn.l
 
     k3 = (kappa / 3.0)[:, None, None, None]
     k3_5 = k3[..., None]
@@ -622,19 +624,23 @@ def _geometry(cn: Connection, t4: np.ndarray) -> Geometry:
     r_time = (-(kappa**2) / 3.0 + dkappa / 3.0)[:, None, None] * _EYE
     _guard_torsions(p_mixed, c, r_time, kappa, dkappa, y)
 
-    # dC^i_j(k)/dy^n = (1/2)[dg^im/dy^n dg_jm/dy^k + g^im d2 g_jm/dy^k dy^n] with
-    # dg^im/dy^n = -g^ia (dg_ab/dy^n) g^bm = -2 C^i_a(n) g^am; dL = (kappa/3) dC.
+    # dC^l_i(j)/dy^k = (1/2)[dg^lm/dy^k dg_im/dy^j + g^lm d2 g_im/dy^j dy^k] with
+    # dg^lm/dy^k = -2 C^l_a(k) g^am, that is -2 C^l_m(k) C^m_i(j) plus a part
+    # totally symmetric in (i, j, k); dL = (kappa/3) dC.  S, R and P read dC
+    # and dL only antisymmetrized in their last two indices, where that part
+    # cancels (see the module docstring), so they take dC as
+    # -2 C^l_m(k) C^m_i(j), and S^l_i(j)(k) = C^m_i(k) C^l_m(j) - C^m_i(j) C^l_m(k).
     # Every 5-index table below is held as [x,l,k,i,j] for its entry [l,i,j,k]
     # (the last index second), the layout the stacked matmuls give, and is
     # read as [x,l,i,j,k] when S, R and P are formed.  The sums run left to
     # right as written (a sum of two terms may start from either, since IEEE
-    # addition commutes), and P comes first and R last, in dL's buffer, so at
-    # most five 5-index tables are alive at once
-    dgu = -2.0 * (c.reshape(n, DIM * DIM, DIM) @ g_up).reshape(n, DIM, DIM, DIM)  # [i,n,m]
-    dc = _contract(dgu, t3)
-    dc += (g_up @ t4.reshape(n, DIM, DIM**3)).reshape(dc.shape)
-    dc *= 0.5
-    dl = k3_5 * dc
+    # addition commutes), S comes first, P next and R last, in dL's buffer, so
+    # at most five 5-index tables are alive at once
+    cc = _contract(c, c)  # C^m_i(j) C^l_m(k)
+    s_curv = np.subtract(cc.transpose(_LIKJ), cc.transpose(_LIJK))
+    dl = cc
+    dl *= -2.0 * k3_5
+    del cc
 
     # P^l_ij(k) = dL^l_ij/dy^k - delta C^l_i(k)/delta x^j - C^m_i(k) L^l_mj
     #             + C^l_m(k) L^m_ij + C^l_i(m) L^m_kj + C^l_i(m) P^(m)(1)_(1)j(k),
@@ -650,11 +656,7 @@ def _geometry(cn: Connection, t4: np.ndarray) -> Geometry:
     c_mixed = -k3 * c  # torsion P^(m)(1)_(1)j(k) arranged [m,j,k]
     p_curv += _contract(c, c_mixed)
 
-    # S and R are exactly antisymmetric in (j,k) (X minus its swap)
-    x = _contract(c, c)
-    x += dc
-    del dc
-    s_curv = np.subtract(x.transpose(_LIJK), x.transpose(_LIKJ))
+    # R is exactly antisymmetric in (j,k) (X minus its swap), as S is
     x = dl
     x *= k3_5
     x += _contract(l, l)
@@ -670,7 +672,6 @@ def _geometry(cn: Connection, t4: np.ndarray) -> Geometry:
     return _frozen(
         Geometry(
             **{f.name: getattr(cn, f.name) for f in fields(Connection)},
-            t4=t4,
             p_mixed=p_mixed,
             p_vert=c,
             r_time=r_time,
@@ -684,6 +685,36 @@ def _geometry(cn: Connection, t4: np.ndarray) -> Geometry:
             sc=sc,
         )
     )
+
+
+def raised_ricci_divergence(geo: Geometry) -> np.ndarray:
+    """dS^m_i/dy^m of the raised Ricci table S^m_i = g^mr S_ri over the
+    points of the full bundle geo, of shape (N, 4), exact:
+        dS^m_i/dy^m = (dg^mr/dy^m) S_ri + g^mr dS_ri/dy^m,
+    with dg^mr/dy^n = -2 C^m_a(n) g^ar, S_ri the bundle's ``s_ricci`` and,
+    as S_ri = C^m_r(l) C^l_m(i) - C^m_r(i) C^l_m(l), dS_ri/dy^n by the
+    product rule over dC.  dC reads d2 g, which only this function computes:
+    the second-order packed jet over the bundle's own G-hierarchy and G_ijk1,
+    both halves of the mixed-partial guard, and the canonical gather of t4,
+    as the connection stage gathers t3."""
+    n = len(geo)
+    c, g_up, y = geo.c, geo.g_up, geo.y
+    jet = _metric_jet(geo.scalars, third_derivative(geo.tensor, y), 2)
+    _guard_mixed_partials(jet, y)
+    t4 = np.take(jet[1].T, _T4, axis=1).reshape(n, DIM, DIM, DIM, DIM)
+    del jet
+    # dC^i_j(k)/dy^n = (1/2)[dg^im/dy^n dg_jm/dy^k + g^im d2 g_jm/dy^k dy^n],
+    # held [x,i,n,j,k]
+    dgu = -2.0 * (c.reshape(n, DIM * DIM, DIM) @ g_up).reshape(n, DIM, DIM, DIM)  # [i,n,m]
+    dc = _contract(dgu, geo.t3)
+    dc += (g_up @ t4.reshape(n, DIM, DIM**3)).reshape(dc.shape)
+    dc *= 0.5
+    # dS_ri/dy^n as [x,n,r,i], with the trace C^l_m(l) and its partials
+    trace = np.einsum("xlml->xm", c)
+    d_trace = np.einsum("xlnml->xnm", dc)
+    d_s = np.einsum("xmnrl,xlmi->xnri", dc, c) + np.einsum("xmrl,xlnmi->xnri", c, dc)
+    d_s -= np.einsum("xmnri,xm->xnri", dc, trace) + np.einsum("xmri,xnm->xnri", c, d_trace)
+    return np.einsum("xmmr,xri->xi", dgu, geo.s_ricci) + np.einsum("xnr,xnri->xi", g_up, d_s)
 
 
 def _batch(t, y) -> tuple[np.ndarray, np.ndarray]:
@@ -707,25 +738,24 @@ def _timed(name: str, stage, *args):
     return out
 
 
-def _chunks(order: int, G: QuarticTensor, tm: TimeMetric, t, y):
-    """The one chain of the kernel stages, to the highest y-derivative order
-    of g that its readers need.  The metric stage runs once per consecutive
-    metric batch of at most METRIC_CHUNK points; at order 0 the batch's
-    bundle is yielded as it is, otherwise it is cut into slices of at most
-    CHUNK points, and each slice runs through the connection stage to that
-    order, and through the full stage when the connection stage gives it
-    t4.  So a metric batch passes every guard of ``_metric`` before any of
-    its slices runs.  Each stage call's wall time goes to the context's
-    ``stage_times`` counter."""
+def _chunks(depth: int, G: QuarticTensor, tm: TimeMetric, t, y):
+    """The one chain of the kernel stages, to the given depth: 0 the metric
+    stage, 1 the connection stage, 2 the full stage.  The metric stage runs
+    once per consecutive metric batch of at most METRIC_CHUNK points; at
+    depth 0 the batch's bundle is yielded as it is, otherwise it is cut into
+    slices of at most CHUNK points, and each slice runs through the
+    connection stage and, at depth 2, the full stage.  So a metric batch
+    passes every guard of ``_metric`` before any of its slices runs.  Each
+    stage call's wall time goes to the context's ``stage_times`` counter."""
     t, y = _batch(t, y)
     for lo in range(0, len(t), METRIC_CHUNK):
         m = _timed("metric", _metric, G, tm, t[lo : lo + METRIC_CHUNK], y[lo : lo + METRIC_CHUNK])
-        if not order:
+        if not depth:
             yield m
             continue
         for a in range(0, len(m), CHUNK):
-            cn, *t4 = _timed("connection", _connection, take(m, slice(a, a + CHUNK)), order)
-            yield _timed("full", _geometry, cn, *t4) if t4 else cn
+            cn = _timed("connection", _connection, take(m, slice(a, a + CHUNK)))
+            yield _timed("full", _geometry, cn) if depth == 2 else cn
 
 
 def batches(G: QuarticTensor, tm: TimeMetric, t, y):

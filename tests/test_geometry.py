@@ -53,7 +53,7 @@ from jetbm.geometry import (
     take,
     third_derivative,
 )
-from jetbm.harness import checks
+from jetbm.harness import checks, cli, jsondoc
 from jetbm.harness.config import RunConfig, parse_config
 
 from conftest import BATCH_SIZES, cone_points, traced_peak
@@ -69,11 +69,22 @@ def _rel(a, b) -> float:
     return float(np.abs(np.asarray(a) - np.asarray(b)).max() / np.abs(b).max())
 
 
+def _second_order_t4(geo):
+    """t4[j,m,k,n] = d2 g_jm/dy^k dy^n over the bundle's points, from the
+    second-order packed jet that ``raised_ricci_divergence`` runs, gathered
+    as that function gathers it."""
+    jet = kernel._metric_jet(geo.scalars, third_derivative(geo.tensor, geo.y), 2)
+    return np.take(jet[1].T, kernel._T4, axis=1).reshape((len(geo),) + (4,) * 4)
+
+
 @pytest.mark.parametrize("G", [QuarticTensor.berwald_moor(), CUSTOM_OTHER], ids=["berwald-moor", "custom-other"])
 def test_tables_match_taylor2(G, rng):
+    """The first-order jet's t3 and the second-order jet's t4 are the Taylor2
+    gradients and Hessians of g within 1e-12."""
     ys = cone_points(rng, 40)
     ts = rng.uniform(-1, 1, 40)
     geo = geometry(G, EXP, ts, ys)
+    geo_t4 = _second_order_t4(geo)
     for n, y in enumerate(ys):
         gt = metric_taylor2(G, y)
         g = np.array([[gt[i][j].value for j in range(4)] for i in range(4)])
@@ -81,7 +92,7 @@ def test_tables_match_taylor2(G, rng):
         t4 = np.array([[gt[i][j].hess for j in range(4)] for i in range(4)])
         assert _rel(geo.g_lo[n], g) <= 1e-12
         assert _rel(geo.t3[n], t3) <= 1e-12
-        assert _rel(geo.t4[n], t4) <= 1e-12
+        assert _rel(geo_t4[n], t4) <= 1e-12
 
 
 def test_metric_is_the_plain_closed_formulas(rng):
@@ -252,14 +263,15 @@ def _dense_jet_tables(s, gijk1):
     return gd[(slice(None), *canon[0])].reshape(gd.shape), gh[(slice(None), *canon[1])].reshape(gh.shape)
 
 
-def _einsum_tables(geo, magnitude=False):
+def _einsum_tables(geo, t4, magnitude=False):
     """Every connection- and full-stage table of the bundle by its np.einsum
-    spec, each from the bundle's own inputs to it.  With magnitude, every
+    spec, each from the bundle's own inputs to it, the curvatures by their
+    defining formulas over dC, which reads t4.  With magnitude, every
     operand is replaced by its absolute value and every difference by a sum,
     so each table bounds the terms its sums add, the scale of its rounding
     error (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.1)."""
     f, m = (np.abs, 1.0) if magnitude else (np.asarray, -1.0)  # m: the sign of a subtracted term
-    g_up, t3, t4, c, l, kappa = (f(v) for v in (geo.g_up, geo.t3, geo.t4, geo.c, geo.l, geo.kappa))
+    g_up, t3, t4, c, l, kappa = (f(v) for v in (geo.g_up, geo.t3, t4, geo.c, geo.l, geo.kappa))
     k3 = (kappa / 3.0)[:, None, None, None]
     k3_5 = k3[..., None]
     dgu = m * np.einsum("xia,xabn,xbm->ximn", g_up, t3, g_up)
@@ -300,17 +312,18 @@ _EINSUM_ULPS = 4
 @pytest.mark.parametrize("G", [QuarticTensor.berwald_moor(), CUSTOM_OTHER], ids=["berwald-moor", "custom-other"])
 @pytest.mark.parametrize("size", BATCH_SIZES)
 def test_stage_tables_match_their_einsum_specs(G, size, rng):
-    """The packed jet's t3 and t4 are the dense jet's bit for bit, and every
+    """The packed jets' t3 and t4 are the dense jet's bit for bit, and every
     other connection- and full-stage table is its np.einsum spec within a
-    few ulps of the largest magnitude its sums add."""
+    few ulps of the largest magnitude its sums add: S, R and P against their
+    defining formulas over dC, which the kernel forms from C alone."""
     ys = cone_points(rng, size)
     ts = rng.uniform(-1, 1, size)
     for geo in batches(G, EXP, ts, ys):
         t3, t4 = _dense_jet_tables(geo.scalars, third_derivative(G, geo.y))
         np.testing.assert_array_equal(geo.t3, t3)
-        np.testing.assert_array_equal(geo.t4, t4)
-        scale = _einsum_tables(geo, magnitude=True)
-        for name, want in _einsum_tables(geo).items():
+        np.testing.assert_array_equal(_second_order_t4(geo), t4)
+        scale = _einsum_tables(geo, t4, magnitude=True)
+        for name, want in _einsum_tables(geo, t4).items():
             got = getattr(geo, name)
             assert got.shape == want.shape, name
             assert np.abs(got - want).max() <= _EINSUM_ULPS * np.spacing(scale[name].max()), name
@@ -365,16 +378,16 @@ def test_trimmed_jet_is_the_packed_jet_bit_for_bit(G, size, rng):
 
 
 def test_the_jet_no_longer_sets_the_kernels_peak(rng):
-    """Over one CHUNK, the full chain's connection stage (the second-order
-    jet and the tables it feeds) allocates less at its peak than the full
-    stage, and the connection-only stage (the first-order jet) less than
-    that."""
+    """Over one CHUNK, the connection stage (the first-order jet and the
+    tables it feeds) allocates less at its peak than the exact divergence of
+    the raised Ricci table (the second-order jet and dC), and that less than
+    the full stage."""
     (m,) = metric_batches(CUSTOM_OTHER, EXP, rng.uniform(-1, 1, CHUNK), cone_points(rng, CHUNK))
-    cn_t4 = kernel._connection(m, 2)
-    kernel._connection(m, 1)
-    kernel._geometry(*cn_t4)
-    second = traced_peak(kernel._connection, m, 2)
-    assert traced_peak(kernel._connection, m, 1) < second < traced_peak(kernel._geometry, *cn_t4)
+    cn = kernel._connection(m)
+    geo = kernel._geometry(cn)
+    kernel.raised_ricci_divergence(geo)
+    second = traced_peak(kernel.raised_ricci_divergence, geo)
+    assert traced_peak(kernel._connection, m) < second < traced_peak(kernel._geometry, cn)
 
 
 def _assert_point_equal(batch, n, one):
@@ -399,9 +412,9 @@ def test_point_is_bit_identical_alone_and_in_a_batch(size, rng):
 def _assert_stage_is_the_full_bundle(stage, cls, G, tm, size, rng):
     """Every field of the stage's bundles is bit-identical to the full
     bundle's: the metric stage's batches hold up to METRIC_CHUNK points, the
-    deeper stages' chunks up to CHUNK.  A metric bundle holds no G_ijk1 and a
-    connection-only bundle no t4, so no stage keeps what only a deeper one
-    reads."""
+    deeper stages' chunks up to CHUNK.  A metric bundle holds no G_ijk1 and
+    no bundle a second derivative of g, so no stage keeps what only a deeper
+    stage or the exact divergence reads."""
     ys = cone_points(rng, size, lo=0.7, hi=1.4)
     ts = rng.uniform(-1, 1, size)
     parts = list(stage(G, tm, ts, ys))
@@ -455,9 +468,12 @@ def test_stages_are_bit_identical_across_both_batch_sizes(stage, cls, G, tm, rng
 
 
 def test_each_chain_builds_only_the_orders_it_reads(rng, monkeypatch):
-    """The metric chain computes no G_ijk1; the connection chain computes it
-    and runs the first-order jet once per chunk; the full chain computes it
-    and runs the second-order jet once per chunk, and its bundles keep t4."""
+    """The metric chain computes no G_ijk1; the connection and full chains
+    compute it and run the first-order jet once per chunk, and no bundle
+    keeps a second derivative.  The second-order jet runs only in the exact
+    divergence of the raised Ricci table, once per chunk of the conservation
+    readers on a custom tensor (its eval included); no verify group runs it,
+    on any tensor, nor does a Berwald-Moor eval."""
     calls = []
     real_third, real_jet = kernel.third_derivative, kernel._metric_jet
     monkeypatch.setattr(kernel, "third_derivative", lambda G, y: calls.append("gijk1") or real_third(G, y))
@@ -467,15 +483,27 @@ def test_each_chain_builds_only_the_orders_it_reads(rng, monkeypatch):
     chains = (
         (metric_batches, Metric, []),
         (connection_batches, Connection, ["gijk1", 1]),
-        (batches, Geometry, ["gijk1", 2]),
+        (batches, Geometry, ["gijk1", 1]),
     )
     for stage, cls, per_chunk in chains:
         calls.clear()
         parts = list(stage(DENSE, POWER, ts, ys))
         assert calls == per_chunk * len(parts) and len(parts) == (1 if cls is Metric else 2)
         for b in parts:
-            assert type(b) is cls and not hasattr(b.scalars, "gijk1")
-            assert hasattr(b, "t4") is (cls is Geometry)
+            assert type(b) is cls and not hasattr(b.scalars, "gijk1") and not hasattr(b, "t4")
+    calls.clear()
+    for geo in fieldtheory.conservation_batches(DENSE, POWER, ts, ys):
+        conservation_residuals_of(geo, 1.5)
+    assert calls == ["gijk1", 1, "gijk1", 2] * 2
+    dense_ini = Path(__file__).resolve().parents[1] / "scripts" / "dense.ini"
+    for argv, per_eval in (([], ["gijk1", 1]), ([f"--config={dense_ini}"], ["gijk1", 1, "gijk1", 2])):
+        calls.clear()
+        assert cli.main(["eval", "--t=0.3", "--y=1,2,3,4", *argv]) == 0
+        assert calls == per_eval
+    for G in (QuarticTensor.berwald_moor(), DENSE):
+        calls.clear()
+        checks.run_verify(RunConfig(tensor=G, time_metric=POWER, seed=5, samples=CHUNK + 6))
+        assert 1 in calls and 2 not in calls
 
 
 @pytest.mark.parametrize(
@@ -508,9 +536,9 @@ def test_connection_stage_gets_c_contiguous_slices(rng, monkeypatch):
     seen = []
     real = kernel._connection
 
-    def connection(m, order):
+    def connection(m):
         seen.append(m)
-        return real(m, order)
+        return real(m)
 
     monkeypatch.setattr(kernel, "_connection", connection)
     ys = cone_points(rng, METRIC_CHUNK + 1)
@@ -600,14 +628,17 @@ def test_metric_readers_never_build_the_derivative_tables(monkeypatch):
     """Readers build no stage deeper than they read, and give what the full
     bundle gives.  With the connection stage broken, metric_pair,
     grav_potential, einstein_blocks and the gscalars, metric_taylor and
-    einstein verify groups still run on Berwald-Moor; with the second-order
-    jet broken, cartan_connection, em_form, conservation_residuals and the
+    einstein verify groups still run on Berwald-Moor; with the full stage
+    broken, cartan_connection, em_form, conservation_residuals and the
     connection, cartan, field_misc, conservation and decay verify groups
-    still run."""
+    still run; with the second-order jet broken, the full stage, eval and
+    every verify group still run, and only a custom tensor's conservation
+    residuals fail."""
     bm, k = QuarticTensor.berwald_moor(), 1.5
     p = JetPoint.from_y([1.0, 2.0, 3.0, 4.0], t=0.3)
     full = point_geometry(bm, EXP, p)
     potential = take(grav_potential_of(full), 0)
+    cfg = RunConfig(time_metric=EXP, seed=5, samples=2 * CHUNK + 6)
 
     def entries(result):
         return [getattr(result, f.name) for f in fields(result) if f.name != "zero_blocks"]
@@ -620,6 +651,11 @@ def test_metric_readers_never_build_the_derivative_tables(monkeypatch):
         cc = cartan_connection(bm, EXP, p)
         res = conservation_residuals(bm, EXP, p, k)
         return [cc.kappa, cc.gk, cc.l, cc.c, em_form(bm, EXP, p).f, *entries(res)]
+
+    def full_readers():
+        geo = point_geometry(bm, EXP, p)
+        tables = (geo.r_curv, geo.p_curv, geo.s_curv, geo.r_ij, geo.p_ricci, geo.s_ricci, geo.s_raised, geo.sc)
+        return [*tables, jsondoc.dumps(cli._eval_point(cfg, p))]
 
     real_jet = kernel._metric_jet
 
@@ -642,8 +678,8 @@ def test_metric_readers_never_build_the_derivative_tables(monkeypatch):
             ],
         ),
         (
-            "_metric_jet",
-            first_order_jet,
+            "_geometry",
+            _deeper_stage_built,
             ("connection", "cartan", "field_misc", "conservation", "decay"),
             "connection_batches",
             connection_readers,
@@ -652,8 +688,15 @@ def test_metric_readers_never_build_the_derivative_tables(monkeypatch):
                 *entries(take(conservation_residuals_of(full, k), 0)),
             ],
         ),
+        (
+            "_metric_jet",
+            first_order_jet,
+            tuple(g.name for g in checks._CATALOG),
+            "batches",
+            full_readers,
+            full_readers(),
+        ),
     ]
-    cfg = RunConfig(time_metric=EXP, seed=5, samples=2 * CHUNK + 6)
     by_name = {g.name: g for g in checks._CATALOG}
     for broken, breakage, names, stage, readers, values in cases:
         with monkeypatch.context() as patch:
@@ -664,8 +707,8 @@ def test_metric_readers_never_build_the_derivative_tables(monkeypatch):
                     full_path.setattr(module, stage, batches)
                 expected = [r.to_dict() for r in checks.run_verify(cfg).reports]
             patch.setattr(kernel, broken, breakage)
-            with pytest.raises(RuntimeError):
-                point_geometry(bm, EXP, p)
+            with pytest.raises(RuntimeError):  # a custom tensor's conservation residuals read every stage
+                conservation_residuals(CUSTOM_OTHER, EXP, p, k)
             for got, want in zip(readers(), values, strict=True):
                 np.testing.assert_array_equal(got, want, err_msg=broken)
             assert [r.to_dict() for r in checks.run_verify(cfg).reports] == expected
@@ -774,10 +817,11 @@ def test_swap_entries_are_computed_not_copied(rng):
 
 def test_guard_survives_optimize_flag():
     """The mixed-partial guard rejects a packed jet with a skewed swap entry:
-    in t3 directly, in t3 through the connection-only chain's first-order
-    jet, and in t4 through the full chain's second-order jet; and the metric
-    stage's inverse guard a corrupted G^jk11; each with a typed error even
-    under python -O, which strips assert statements."""
+    in t3 directly, in t3 through the connection chain's first-order jet,
+    and in t4 through the second-order jet of the exact divergence of the
+    raised Ricci table; and the metric stage's inverse guard a corrupted
+    G^jk11; each with a typed error even under python -O, which strips
+    assert statements."""
     # (0, 2, 1, 3) is the swap entry of the sorted triple (0, 1, 2) and of the
     # sorted quadruple (0, 1, 2, 3), and no representative
     swap = kernel._ENTRIES.index((0, 2, 1, 3))
@@ -791,7 +835,7 @@ from dataclasses import replace
 import numpy as np
 import jetbm.geometry as kernel
 from jetbm import InvariantError, QuarticTensor, TimeMetric
-from jetbm.geometry import _guard_mixed_partials, batches, connection_batches, geometry, metric_batches
+from jetbm.geometry import _guard_mixed_partials, connection_batches, geometry, metric_batches
 
 if __debug__:
     raise SystemExit("not running under -O")
@@ -812,9 +856,9 @@ def skewed_jet(s, gijk1, order):
     return jet
 
 kernel._metric_jet = skewed_jet
-for chain in (connection_batches, batches):
+for run in (lambda: list(connection_batches(G, tm, geo.t, geo.y)), lambda: kernel.raised_ricci_divergence(geo)):
     try:
-        list(chain(G, tm, [0.0], [[1.0, 2.0, 3.0, 4.0]]))
+        run()
     except InvariantError as exc:
         # the last frame is the refusal helper, the one below it the guard
         print("InvariantError:", traceback.extract_tb(exc.__traceback__)[-2].name, exc)
@@ -831,7 +875,7 @@ except InvariantError as exc:
     lines = out.stdout.splitlines()
     assert len(lines) == 6
     assert lines[0].startswith("InvariantError: mixed-partial consistency")
-    # the connection-only chain skews t3's half, the full chain t4's
+    # the connection chain skews t3's half, the divergence t4's
     for n, order in ((1, 1), (3, 2)):
         assert lines[n] == f"order {order}"
         assert lines[n + 1].startswith("InvariantError: _guard_mixed_partials mixed-partial consistency")

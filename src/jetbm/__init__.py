@@ -31,11 +31,22 @@ from .jetcore import (
     taylor2_seed,
 )
 from .geometry import Geometry
-from .metric import GScalars, MetricPair, bm_metric_closed, g_scalars, metric_pair, metric_taylor2
+from .closed import (
+    MetricPair,
+    a_table,
+    bm_metric_closed,
+    bm_s_closed,
+    bm_s_raised_field,
+    bm_s_ricci_contracted,
+    bm_s_ricci_field,
+    classify_s_case,
+    scalar_curvature_field,
+    xi_11,
+)
+from .metric import GScalars, g_scalars, metric_pair, metric_taylor2
 from .connection import (
     CartanConnection,
     NonlinearConnection,
-    a_table,
     adapted_coframe,
     adapted_frame,
     apriori_nlc,
@@ -44,20 +55,7 @@ from .connection import (
     cartan_connection,
     christoffel_time,
 )
-from .curvature import (
-    CurvatureSet,
-    RicciSet,
-    TorsionSet,
-    bm_s_closed,
-    bm_s_raised_field,
-    bm_s_ricci_contracted,
-    bm_s_ricci_field,
-    classify_s_case,
-    curvatures,
-    ricci_scalar,
-    scalar_curvature_field,
-    torsions,
-)
+from .curvature import CurvatureSet, RicciSet, TorsionSet, curvatures, ricci_scalar, torsions
 from .fieldtheory import (
     ConservationResiduals,
     DesCheck,
@@ -69,7 +67,6 @@ from .fieldtheory import (
     einstein_blocks,
     em_form,
     grav_potential,
-    xi_11,
 )
 
 __all__ = [

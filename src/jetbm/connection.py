@@ -7,14 +7,18 @@ The adapted operators induced by a nonlinear connection (M, N) are
     delta y^i       = dy^i + M^i dt + N^i_j dx^j
 For the a-priori connection M^i = -kappa y^i and N^i_j = -(kappa/3) delta^i_j,
 so delta y^i = dy^i - kappa y^i dt - (kappa/3) dx^i.
+
+The closed Berwald-Moor C^i_j(k) and its table A^i_jk are in ``closed``;
+``bm_cartan_closed`` reads them at one point.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .closed import bm_c_closed
 from .geometry import point_connection
-from .jetcore import DIM, JetPoint, QuarticTensor, TimeAxis, TimeMetric, check_cone
+from .jetcore import DIM, JetPoint, QuarticTensor, TimeAxis, TimeMetric
 
 __all__ = [
     "NonlinearConnection",
@@ -26,7 +30,6 @@ __all__ = [
     "adapted_coframe",
     "cartan_connection",
     "bm_cartan_closed",
-    "a_table",
 ]
 
 
@@ -75,25 +78,6 @@ def adapted_coframe(nlc: NonlinearConnection) -> np.ndarray:
     return C
 
 
-def a_table() -> np.ndarray:
-    """Dense coefficient table A^i_{jk} = (2 d^i_j + 2 d^i_k + 2 d_jk - 8 d^i_j d_jk - 1)/8.
-
-    Values: -1/8 on distinct triples, +1/8 when exactly two indices agree,
-    -3/8 on the diagonal i = j = k.
-    """
-    d = np.eye(DIM)
-    A = np.empty((DIM, DIM, DIM))
-    for i in range(DIM):
-        for j in range(DIM):
-            for k in range(DIM):
-                A[i, j, k] = (2 * d[i, j] + 2 * d[i, k] + 2 * d[j, k] - 8 * d[i, j] * d[j, k] - 1) / 8.0
-    A.flags.writeable = False
-    return A
-
-
-_A = a_table()
-
-
 @dataclass(frozen=True)
 class CartanConnection:
     """Adapted components (kappa, G^k_j1, L^i_jk, C^i_j(k)) of the Cartan connection."""
@@ -117,15 +101,9 @@ def cartan_connection(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> CartanCo
     return CartanConnection(kappa=float(cn.kappa[0]), gk=cn.gk[0], l=cn.l[0], c=cn.c[0])
 
 
-def _bm_c_closed(y) -> np.ndarray:
-    """C^i_j(k) = A^i_jk y^i / (y^j y^k) at one point or over an (N, 4) batch."""
-    y = check_cone(y)
-    return _A * y[..., :, None, None] / (y[..., None, :, None] * y[..., None, None, :])
-
-
 def bm_cartan_closed(tm: TimeMetric, p: JetPoint) -> CartanConnection:
     """Closed Berwald-Moor components: C^i_j(k) = A^i_jk y^i / (y^j y^k),
     L = (kappa/3) C, G^k_j1 = 0."""
     kappa = christoffel_time(tm, p.t).kappa
-    C = _bm_c_closed(p.y)
+    C = bm_c_closed(p.y)
     return CartanConnection(kappa=kappa, gk=np.zeros((DIM, DIM)), l=(kappa / 3.0) * C, c=C)

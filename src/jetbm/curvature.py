@@ -1,6 +1,5 @@
-"""Torsion and curvature d-tensors of the Cartan connection, the ten-case
-closed form of the vertical curvature S, Ricci contractions, raised Ricci,
-and scalar curvature.
+"""Torsion and curvature d-tensors of the Cartan connection and their
+Ricci contractions, raised Ricci and scalar curvature.
 
 Index conventions for arrays:
     C[i,j,k]      = C^i_j(k)
@@ -9,27 +8,21 @@ Index conventions for arrays:
     R[l,i,j,k]    = R^l_ijk
     s_raised[m,i] = S_i^m11 = g^mr S_ricci[r,i]
 
-The generic objects are reads of the geometry kernel's bundle
-(``geometry.py``); the Berwald-Moor closed tables ``bm_s_*`` accept one
-point or an (N, 4) batch of points.
-
-Two Ricci-level closed forms are provided for the Berwald-Moor case.
-``bm_s_ricci_contracted`` is the exact contraction S^m_i(j)(m) of the closed
-S tensor, with diagonal 3/(8 y_i^2).  ``bm_s_ricci_field`` is the table the
-gravitational field-theory layer is built on, with diagonal 3/(4 y_i^2); that
-layer (raised form, divergence identity, scalar curvature, Einstein blocks,
-conservation laws) is internally consistent, but its diagonal is twice the
-honest contraction.  The verification suite surfaces the discrepancy instead
-of hiding it.
+Each object is a per-point read of the geometry kernel's bundle
+(``geometry.py``).  The Berwald-Moor closed forms, the ten-case S and both
+Ricci-level tables (the honest contraction and the paper's field table,
+whose diagonal is twice it) among them, are in ``closed``.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
+# bm_s_closed, classify_s_case and scalar_curvature_field stay names of this
+# module: benchmarks/workloads.py and the benchmark tracer read them here
+from .closed import bm_s_closed, classify_s_case, scalar_curvature_field
 from .geometry import point_geometry
-from .jetcore import DIM, JetPoint, QuarticTensor, TimeMetric, check_cone
+from .jetcore import JetPoint, QuarticTensor, TimeMetric
 
 __all__ = [
     "TorsionSet",
@@ -37,15 +30,7 @@ __all__ = [
     "RicciSet",
     "torsions",
     "curvatures",
-    "bm_s_closed",
-    "classify_s_case",
     "ricci_scalar",
-    "bm_s_ricci_contracted",
-    "bm_s_ricci_field",
-    "bm_s_raised_field",
-    "scalar_curvature_field",
-    "field_numerator",
-    "FIELD_COEF",
 ]
 
 
@@ -120,112 +105,9 @@ def curvatures(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> CurvatureSet:
     return CurvatureSet(r=geo.r_curv[0], p=geo.p_curv[0], s=geo.s_curv[0])
 
 
-def classify_s_case(l: int, i: int, j: int, k: int) -> int:
-    """Return which of the ten closed-form cases covers (l,i,j,k), 0-based
-    indices; 0 means j == k (forced to zero by antisymmetry). Exactly one
-    case matches any index combination with j != k."""
-    if j == k:
-        return 0
-    matches = []
-    if len({i, j, k, l}) == 4:
-        matches.append(1)
-    if i == j and len({i, k, l}) == 3:
-        matches.append(2)
-    if i == k and len({i, j, l}) == 3:
-        matches.append(3)
-    if l == i and len({i, j, k}) == 3:
-        matches.append(4)
-    if j == l and len({i, k, l}) == 3:
-        matches.append(5)
-    if k == l and len({i, j, l}) == 3:
-        matches.append(6)
-    if i == j and k == l and i != k:
-        matches.append(7)
-    if i == k and j == l and i != j:
-        matches.append(8)
-    if i == j == l and k != l:
-        matches.append(9)
-    if i == k == l and j != l:
-        matches.append(10)
-    if len(matches) != 1:
-        raise AssertionError(f"case table must cover (l={l},i={i},j={j},k={k}) exactly once, got {matches}")
-    return matches[0]
-
-
-# the nonzero cases of the ten-case closed form, as functions of
-# (y^l, y^i, y^j, y^k), and their index sets tabulated once from classify_s_case
-_S_ENTRIES = {
-    2: lambda yl, yi, yj, yk: -yl / (16.0 * yi**2 * yk),
-    3: lambda yl, yi, yj, yk: yl / (16.0 * yi**2 * yj),
-    5: lambda yl, yi, yj, yk: 1.0 / (16.0 * yi * yk),
-    6: lambda yl, yi, yj, yk: -1.0 / (16.0 * yi * yj),
-    7: lambda yl, yi, yj, yk: 1.0 / (8.0 * yi**2),
-    8: lambda yl, yi, yj, yk: -1.0 / (8.0 * yi**2),
-}
-_S_CASE = np.array([classify_s_case(*idx) for idx in product(range(DIM), repeat=4)]).reshape((DIM,) * 4)
-_S_INDEX = {case: np.nonzero(_S_CASE == case) for case in _S_ENTRIES}
-
-
-def bm_s_closed(y) -> np.ndarray:
-    """All 256 entries of S^l_i(j)(k) from the ten-case closed form, at one
-    point or over an (N, 4) batch; cases 0, 1, 4, 9 and 10 vanish."""
-    y = check_cone(y)
-    S = np.zeros(y.shape[:-1] + (DIM,) * 4)
-    for case, entry in _S_ENTRIES.items():
-        idx = _S_INDEX[case]
-        S[(..., *idx)] = entry(*(y[..., a] for a in idx))
-    return S
-
-
 def ricci_scalar(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> RicciSet:
     """Honest Ricci contractions and scalar curvature of the generic pipeline."""
     geo = point_geometry(G, tm, p)
     return RicciSet(
         r_ij=geo.r_ij[0], p_ricci=geo.p_ricci[0], s_ricci=geo.s_ricci[0], s_raised=geo.s_raised[0], sc=float(geo.sc[0])
     )
-
-
-def bm_s_ricci_contracted(y) -> np.ndarray:
-    """Closed form of the contraction S^m_i(j)(m) for the Berwald-Moor case:
-    (4 delta_ij - 1) / (8 y^i y^j), i.e. diagonal 3/(8 y_i^2), off-diagonal
-    -1/(8 y_i y_j)."""
-    y = check_cone(y)
-    return (4.0 * np.eye(DIM) - 1.0) / (8.0 * y[..., :, None] * y[..., None, :])
-
-
-def bm_s_ricci_field(y) -> np.ndarray:
-    """Ricci table the field-theory layer is built on:
-    (7 delta_ij - 1) / (8 y^i y^j).  Off-diagonal agrees with the honest
-    contraction; the diagonal is exactly twice it."""
-    y = check_cone(y)
-    return (7.0 * np.eye(DIM) - 1.0) / (8.0 * y[..., :, None] * y[..., None, :])
-
-
-# coefficients [m, i] of the raised field-theory Ricci table:
-# S_i^m11 = FIELD_COEF[m, i] y^m / (y^i sqrt(G_1111))
-FIELD_COEF = (5.0 - 14.0 * np.eye(DIM)) / 4.0
-
-
-def bm_s_raised_field(y) -> np.ndarray:
-    """g-raising of the field-theory Ricci table:
-    S_i^m11 = (5 - 14 delta^m_i) / (4 sqrt(G_1111)) * y^m / y^i."""
-    y = check_cone(y)
-    sq = np.sqrt(np.prod(y, axis=-1))[..., None, None]
-    return (FIELD_COEF / sq) * (y[..., :, None] * (1.0 / y)[..., None, :])
-
-
-def field_numerator(h11, kappa):
-    """9 h_11 + kappa^2, the numerator of the field-theory scalar curvature and
-    of xi_11; kappa^2 is rounded as kappa * kappa wherever it enters."""
-    return 9.0 * h11 + kappa * kappa
-
-
-def scalar_curvature_field(tm: TimeMetric, t, y):
-    """Field-theory scalar curvature -(9 h_11 + kappa^2) / sqrt(G_1111), at
-    one point (a float) or over a batch, t of shape (N,) and y of shape
-    (N, 4).  The time-axis scalars come from one ``tm.eval``, so a batch
-    reproduces its points bit for bit."""
-    y = check_cone(y)
-    ax = tm.eval(t)
-    out = -field_numerator(ax.h11, ax.kappa) / np.sqrt(np.prod(y, axis=-1))
-    return float(out) if np.ndim(out) == 0 else out

@@ -24,10 +24,12 @@ full stage's raised contraction and the second-order jet
 (``geometry.raised_ricci_divergence``), and the contraction terms are
 added.
 
-Each closed formula is written once: 9 h_11 + kappa^2 is
-``curvature.field_numerator`` and the closed conservation right-hand sides
-are ``closed_rhs_of``.  ``xi_11`` and ``des_check`` read the time axis
-from one ``TimeMetric.eval`` over their t, as the kernel does per chunk.
+This module writes no closed formula: the field tables, xi_11 and its
+t-derivative (``_xi``, ``xi_rate``), the closed conservation right-hand
+sides (``closed_rhs_of``), the h_11 system (``des_residuals``) and the
+partials of the raised table are written once, in ``closed``, and imported
+from there.  ``des_check`` reads the time axis from one ``TimeMetric.eval``
+over its t, as the kernel does per chunk.
 
 Each ``*_of`` function computes its objects over the whole batch of a
 bundle of the shallowest kernel stage that holds what it reads (metric,
@@ -42,9 +44,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed import (
+    FIELD_COEF,
+    _xi,
+    bm_s_raised_field,
+    bm_s_ricci_field,
+    closed_rhs_of,
+    des_residuals,
+    raised_divergence,
+    raised_table_grad,
+    xi_rate,
+)
 from .connection import apriori_nlc
-from .curvature import FIELD_COEF, bm_s_raised_field, bm_s_ricci_field, field_numerator
-from .errors import ConfigError, DomainError, InvariantError, refuse
+from .errors import ConfigError, InvariantError, refuse
 from .geometry import (
     Connection,
     Metric,
@@ -56,7 +68,7 @@ from .geometry import (
     raised_ricci_divergence,
     take,
 )
-from .jetcore import DIM, JetPoint, QuarticTensor, TimeAxis, TimeMetric, check_cone
+from .jetcore import DIM, JetPoint, QuarticTensor, TimeMetric
 
 __all__ = [
     "GravPotential",
@@ -69,16 +81,12 @@ __all__ = [
     "conservation_residuals",
     "des_check",
     "em_form",
-    "xi_11",
     "grav_potential_of",
     "einstein_blocks_of",
     "conservation_residuals_of",
     "einstein_batches",
     "conservation_batches",
-    "closed_rhs_of",
     "em_form_of",
-    "raised_table_grad",
-    "raised_divergence",
 ]
 
 
@@ -155,19 +163,6 @@ def grav_potential(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> GravPotenti
     return take(grav_potential_of(point_metric(G, tm, p)), 0)
 
 
-def _xi(h11, kappa, k: float):
-    if k == 0.0:
-        raise ConfigError("einstein constant K must be nonzero")
-    return field_numerator(h11, kappa) / (2.0 * k)
-
-
-def xi_11(tm: TimeMetric, t, k: float):
-    """xi_11 = (9 h_11 + kappa^2) / (2 K), the scalar in every diagonal block,
-    at one t (a float) or over t of shape (N,)."""
-    ax = tm.eval(t)
-    return _xi(ax.h11, ax.kappa, k)
-
-
 def _s_source(geo: Metric):
     """Ricci table and its g-raising feeding the block formulas.
 
@@ -229,49 +224,6 @@ def einstein_blocks(G: QuarticTensor, tm: TimeMetric, p: JetPoint, k: float) -> 
     return take(einstein_blocks_of(geo, k), 0)
 
 
-def raised_table_grad(y):
-    """First-order partials of the Berwald-Moor raised table
-    y^m / (y^i sqrt(G_1111)) over y of shape (N, 4): the partials
-    d/dy^m of entry [m][i] as an (N, 4, 4) array indexed [point, m, i], then
-    1/sqrt(G_1111) of shape (N,) and its gradient of shape (N, 4).
-
-    The gradient rules of ``Taylor2.__mul__``, ``reciprocal`` and ``sqrt``
-    are applied in the operand order of the per-entry Taylor2 quotient
-    s[m] / s[i] / sqrt(s[0] s[1] s[2] s[3]), so every number equals that
-    quotient's gradient bit for bit; no Hessian is formed.  Its refusals are
-    that quotient's: a y outside the cone (``check_cone``) and a product
-    y^1 y^2 y^3 y^4 that underflows to 0 (``Taylor2.sqrt``'s DomainError);
-    past them no y^i and no square root is zero."""
-    y = check_cone(y)
-    if y.ndim != 2:
-        raise DomainError(f"expected an (N, 4) batch, got shape {y.shape}")
-    r = 1.0 / y  # 1/y^i, whose gradient is -(1/y^i)^2 e_i
-    eye = np.eye(DIM)
-    g, dg = y[:, 0], eye[0]  # y^1 y^2 y^3 y^4 and its gradient, product by product
-    for i in range(1, DIM):
-        g, dg = g * y[:, i], g[:, None] * eye[i] + y[:, i, None] * dg
-    refuse(~(g > 0.0), DomainError, "sqrt of non-positive Taylor2 value", value=g)
-    sq = np.sqrt(g)
-    d_sq = (0.5 / sq)[:, None] * dg
-    inv_sq = 1.0 / sq
-    d_inv_sq = (-inv_sq * inv_sq)[:, None] * d_sq
-    # entry [m][i] is (s[m] * inv[i]) * inv_sq; only its partial d/dy^m is read,
-    # and s[m] has the unit gradient e_m, so d(s[m] inv[i])/dy^m is
-    # y^m (-(1/y^i)^2 delta_mi) + (1/y^i) 1
-    d_quot = y[:, :, None] * ((-r * r)[:, None, :] * eye) + r[:, None, :]
-    quot = y[:, :, None] * r[:, None, :]
-    return quot * d_inv_sq[:, :, None] + inv_sq[:, None, None] * d_quot, inv_sq, d_inv_sq
-
-
-def raised_divergence(d_table, coef: np.ndarray) -> np.ndarray:
-    """Sum over m of coef[m, i] d/dy^m table[m][i], an (N, 4) array, from the
-    partials of ``raised_table_grad``: each partial is scaled by its
-    coefficient, the same single multiplication as scaling the entry itself,
-    and the sum runs in m-order."""
-    scaled = d_table * coef
-    return sum(scaled[:, m] for m in range(DIM))
-
-
 def conservation_residuals_of(geo: Connection, k: float) -> ConservationResiduals:
     """Divergence combinations of the stress-energy components versus their
     closed right-hand sides, over the batch.
@@ -292,7 +244,7 @@ def conservation_residuals_of(geo: Connection, k: float) -> ConservationResidual
     for Berwald-Moor alone, are None.
     """
     xi = _xi(geo.h11, geo.kappa, k)
-    dxi = (9.0 * geo.dh11 + 2.0 * geo.kappa * geo.dkappa) / (2.0 * k)
+    dxi = xi_rate(geo, k)
     div_s, inv_sq, d_inv_sq = _divergence_sources(geo)
     kappa, h11, xi_c = geo.kappa[:, None], geo.h11[:, None], xi[:, None]
     kappa_sq = (geo.kappa * geo.kappa)[:, None]
@@ -356,24 +308,6 @@ def _guard_reduction_terms(geo: Connection, blocks: EinsteinBlocks):
     refuse(bad, InvariantError, "the terms dropped by the reduced conservation divergences do not vanish", y=geo.y)
 
 
-def closed_rhs_of(ax: TimeAxis, g1111, y, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed right-hand sides (T1, Ti, Tyi) of the conservation laws over a
-    batch, shapes (N,), (N, 4) and (N, 4), from the time axis, G_1111 of
-    shape (N,) and y of shape (N, 4).
-
-    T1  = (h^11)^2 h_11' (2 h_11'' - 3 h_11'^2 / h_11) / (8 K sqrt(G_1111))
-    Ti  = kappa xi_11 / (18 sqrt(G_1111) y^i)
-    Tyi = xi_11 / (6 sqrt(G_1111) y^i)
-    """
-    xi = _xi(ax.h11, ax.kappa, k)
-    sq = np.sqrt(g1111)
-    v_inv, dh = ax.h11_inv, ax.dh11
-    t1 = (v_inv**2 / (8.0 * k)) * dh * (2.0 * ax.d2h11 - 3.0 * dh**2 / ax.h11) / sq
-    ti = (ax.kappa * xi)[:, None] / (18.0 * sq[:, None] * y)
-    tyi = xi[:, None] / (6.0 * sq[:, None] * y)
-    return t1, ti, tyi
-
-
 def conservation_batches(G: QuarticTensor, tm: TimeMetric, t, y):
     """Bundles of the shallowest stage the conservation residuals of G read,
     over the chunks of ``batches``: the connection stage on Berwald-Moor,
@@ -391,14 +325,12 @@ def conservation_residuals(G: QuarticTensor, tm: TimeMetric, p: JetPoint, k: flo
 def des_check(tm: TimeMetric, t_samples) -> DesCheck:
     """Residuals of the system
     dh [2 h'' - 3 (h')^2 / h] = 0   and   9 h + kappa^2 = 0
-    over the samples; the second residual is bounded below by 9 h > 0, so the
-    system is never solvable."""
+    (``closed.des_residuals``) over the samples; the second residual is
+    bounded below by 9 h > 0, so the system is never solvable."""
     ts = np.atleast_1d(np.asarray(t_samples, dtype=float))
     if ts.size == 0:
         raise ConfigError("des_check needs a nonempty sample list")
-    ax = tm.eval(ts)
-    r1 = ax.dh11 * (2.0 * ax.d2h11 - 3.0 * ax.dh11**2 / ax.h11)
-    r2 = field_numerator(ax.h11, ax.kappa)
+    r1, r2 = des_residuals(tm.eval(ts))
     solvable = bool(np.any((np.abs(r1) <= 1e-12) & (np.abs(r2) <= 1e-12)))
     return DesCheck(r1=r1, r2=r2, solvable=solvable)
 

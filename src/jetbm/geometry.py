@@ -435,12 +435,13 @@ def _jet_mul(a, b, value: bool = True):
 
 
 def _jet_chain(a, f0, f1, f2):
-    """Compose the jet a with a scalar map given its value and first two
-    derivatives (a first-order jet does not read f2)."""
+    """Compose the jet a with a scalar map given its value, its first
+    derivative and a callable that returns its second, which a first-order
+    jet never calls."""
     if len(a) == 2:
         return f0, f1 * a[1]
     _, ak, an, ah = a
-    return f0, f1 * ak, f1 * an, f1 * ah + f2 * (ak * an)
+    return f0, f1 * ak, f1 * an, f1 * ah + f2() * (ak * an)
 
 
 def _gather(parts: int, *operands) -> tuple:
@@ -470,10 +471,12 @@ def _metric_jet(s: GScalars, gijk1: np.ndarray, order: int):
         _gather(parts, (g1, _J), (g2, _JK), (g2, _JN), (g3, _JKN)),
     )
     g_jet = (g, *_gather(parts - 1, (g1, _K), (g1, _N), (g2, _KN)))
-    # 1/(2G) and 1/(4 sqrt(G)) with their first two derivatives in G
+    # 1/(2G) and 1/(4 sqrt(G)) with their first two derivatives in G; the
+    # second is formed only at second order, since at first order it is never
+    # read and 1/G^3 can overflow where G itself is still positive
     r = np.sqrt(g)
-    inv_2g = _jet_chain(g_jet, 0.5 / g, -0.5 / (g * g), 1.0 / (g * g * g))
-    inv_4sq = _jet_chain(g_jet, 0.25 / r, -0.125 / (r * g), 0.1875 / (r * g * g))
+    inv_2g = _jet_chain(g_jet, 0.5 / g, -0.5 / (g * g), lambda: 1.0 / (g * g * g))
+    inv_4sq = _jet_chain(g_jet, 0.25 / r, -0.125 / (r * g), lambda: 0.1875 / (r * g * g))
     del g_jet
     q = _jet_mul(p, inv_2g)
     del p, inv_2g

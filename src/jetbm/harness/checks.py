@@ -45,19 +45,22 @@ the shallowest kernel stage that holds what it reads:
   autodiff builds no bundle.
 
 A ``bm_only`` check needs Berwald-Moor closed forms and is reported as
-skipped for custom tensors.  A NaN in any compared value fails its check.
-Three checks compare the honest Ricci contraction of the vertical curvature
-against the closed table the field-theory layer is built on; the diagonal of
-that table is exactly twice the contraction, so those checks report the
-discrepancy and fail by design on a correct implementation.
+skipped for custom tensors.  Every closed form a check compares against
+comes from ``jetbm.closed`` (imported as ``bm``); this module writes none.
+A NaN in any compared value fails its check.  Three checks compare the
+honest Ricci contraction of the vertical curvature against the closed table
+the field-theory layer is built on; the diagonal of that table is exactly
+twice the contraction, so those checks report the discrepancy and fail by
+design on a correct implementation.
 
 A sweep tabulates one field of the field layer over a grid; it evaluates the
-library function of that field (``scalar_curvature_field``, ``xi_11``,
-``closed_rhs_of`` or the G-hierarchy) one METRIC_CHUNK of grid points at a
-time, since every field reads only metric-stage objects, and has no formula
-of its own.  It returns its table as columns (the grid axes, then the
-field), which ``sweep_csv`` and ``jsondoc.dumps_records`` write through
-``jsondoc.join_rows``, formatting each distinct value of a column once.
+library function of that field (``closed.scalar_curvature_field``,
+``closed.xi_11``, ``closed.closed_rhs_of`` or the G-hierarchy) one
+METRIC_CHUNK of grid points at a time, since every field reads only
+metric-stage objects, and has no formula of its own.  It returns its table
+as columns (the grid axes, then the field), which ``sweep_csv`` and
+``jsondoc.dumps_records`` write through ``jsondoc.join_rows``, formatting
+each distinct value of a column once.
 """
 
 from dataclasses import dataclass
@@ -67,7 +70,7 @@ from typing import Callable
 
 import numpy as np
 
-from .. import connection, curvature, fieldtheory, metric
+from .. import closed as bm, connection, fieldtheory
 from ..errors import ConfigError
 from ..geometry import (
     CHUNK,
@@ -226,13 +229,12 @@ def _grp_gscalars(cfg, t, ys, oracle, inverse, euler, det, script, raised, inv_c
         euler.add(np.einsum("xi,xij,xj->x", y, s.gij11, y), 12.0 * s.g1111)
         inverse.add_residual(m.g_lo @ m.g_up - np.eye(DIM))
         if oracle is not None:
-            cl = metric.bm_metric_closed(y)
+            cl = bm.bm_metric_closed(y)
             oracle.add(m.g_lo, cl.g_lo)
             oracle.add(m.g_up, cl.g_up)
-            det.add(s.det_gij11, -3.0 * s.g1111**2)
-            script.add(s.g_script, (2.0 / 3.0) * s.g1111)
-            raised.add(s.gj_up, y / 3.0)
-            inv_closed.add(s.gij11_inv, (1.0 - 3.0 * np.eye(DIM)) * y[:, :, None] * y[:, None, :] / (3.0 * s.g1111[:, None, None]))
+            got = (s.gij11_inv, s.det_gij11, s.g_script, s.gj_up)
+            for err, a, b in zip((inv_closed, det, script, raised), got, bm.bm_hierarchy_closed(s.g1111, y)):
+                err.add(a, b)
 
 
 def _grp_metric_taylor(cfg, t, ys, hess, homog):
@@ -264,7 +266,7 @@ def _grp_cartan(cfg, t, ys, vert, hor, time_zero, sym, transv, trace):
         sym.add_residual(geo.c - geo.c.transpose(0, 1, 3, 2))
         transv.add_residual(np.einsum("xijm,xm->xij", geo.c, geo.y))
         if vert is not None:
-            closed = connection._bm_c_closed(geo.y)
+            closed = bm.bm_c_closed(geo.y)
             vert.add(geo.c, closed)
             hor.add(geo.l, (geo.kappa / 3.0)[:, None, None, None] * closed)
             trace.add_residual(np.einsum("xmjm->xj", geo.c))
@@ -281,37 +283,33 @@ def _grp_curvature(cfg, t, ys, s_oracle, antisym, prop, tor_closed):
         tor_closed.add(geo.p_mixed, -k3 * geo.c)
         tor_closed.add(geo.r_time, ((geo.dkappa - geo.kappa**2) / 3.0)[:, None, None] * np.eye(DIM))
         if s_oracle is not None:
-            closed = curvature.bm_s_closed(geo.y)
+            closed = bm.bm_s_closed(geo.y)
             scale = np.maximum(np.abs(closed).max(axis=(1, 2, 3, 4)), 1e-300)
             s_oracle.record(float((np.abs(s - closed).max(axis=(1, 2, 3, 4)) / scale).max()))
         del geo, s  # so that no chunk's tables are alive while the next one's are built
-
-
-_CONTRACTED_COEF = (2.0 - 8.0 * np.eye(DIM)) / 4.0  # g-raising of the honest contraction
 
 
 def _grp_ricci(cfg, t, ys, closed_form, offdiag, diag, raised_field, curl, div_field, div_contr, sc_closed, sc_field):
     on = np.eye(DIM, dtype=bool)
     for geo in batches(cfg.tensor, cfg.time_metric, t, ys):
         y, kappa = geo.y, geo.kappa
-        closed_form.add(geo.s_ricci, curvature.bm_s_ricci_contracted(y))
+        closed_form.add(geo.s_ricci, bm.bm_s_ricci_contracted(y))
         closed_form.add(geo.r_ij, (kappa**2 / 9.0)[:, None, None] * geo.s_ricci)
         closed_form.add(geo.p_ricci, (kappa / 3.0)[:, None, None] * geo.s_ricci)
-        tbl = curvature.bm_s_ricci_field(y)
+        tbl = bm.bm_s_ricci_field(y)
         offdiag.add(geo.s_ricci[:, ~on], tbl[:, ~on])
         diag.add(geo.s_ricci[:, on], tbl[:, on])
-        mp_up = metric.bm_metric_closed(y).g_up
-        raised_field.add(np.einsum("xmr,xri->xmi", mp_up, tbl), curvature.bm_s_raised_field(y))
+        mp_up = bm.bm_metric_closed(y).g_up
+        raised_field.add(np.einsum("xmr,xri->xmi", mp_up, tbl), bm.bm_s_raised_field(y))
         # the generic C equals the closed one (cartan/vertical-oracle), so the
         # orthogonality identity can contract against the cheap closed form
-        curl.add_residual(np.einsum("xmr,xrim->xi", geo.s_raised, connection._bm_c_closed(y)))
-        sq = np.sqrt(np.prod(y, axis=1))
-        sc_closed.add(geo.sc, -(6.0 * geo.h11 + (2.0 / 3.0) * kappa**2) / sq)
-        d_table, _, _ = fieldtheory.raised_table_grad(y)
-        target = 3.0 / (sq[:, None] * y)
-        div_field.add(fieldtheory.raised_divergence(d_table, curvature.FIELD_COEF), target)
-        div_contr.add(fieldtheory.raised_divergence(d_table, _CONTRACTED_COEF), target)
-        sc_field.add(geo.sc, curvature.scalar_curvature_field(cfg.time_metric, geo.t, y))
+        curl.add_residual(np.einsum("xmr,xrim->xi", geo.s_raised, bm.bm_c_closed(y)))
+        sc_closed.add(geo.sc, bm.scalar_curvature_contracted(geo.h11, kappa, y))
+        d_table, _, _ = bm.raised_table_grad(y)
+        target = bm.field_divergence(y)
+        div_field.add(bm.raised_divergence(d_table, bm.FIELD_COEF), target)
+        div_contr.add(bm.raised_divergence(d_table, bm.CONTRACTED_COEF), target)
+        sc_field.add(geo.sc, bm.scalar_curvature_field(cfg.time_metric, geo.t, y))
         del geo, d_table  # so that no chunk's tables are alive while the next one's are built
 
 
@@ -678,12 +676,12 @@ def _sweep_values(cfg: RunConfig, field: str, t: np.ndarray, y: np.ndarray) -> n
     G, tm, k = cfg.tensor, cfg.time_metric, cfg.einstein_k
 
     def closed_rhs(t, y):
-        return fieldtheory.closed_rhs_of(tm.eval(t), quartic_form(G, y), y, k)
+        return bm.closed_rhs_of(tm.eval(t), quartic_form(G, y), y, k)
 
     fn = {
         "G1111": lambda t, y: g_hierarchy(G, y).g1111,
-        "xi11": lambda t, y: fieldtheory.xi_11(tm, t, k),
-        "Sc": lambda t, y: curvature.scalar_curvature_field(tm, t, y),
+        "xi11": lambda t, y: bm.xi_11(tm, t, k),
+        "Sc": lambda t, y: bm.scalar_curvature_field(tm, t, y),
         "T1": lambda t, y: closed_rhs(t, y)[0],
         "Ti": lambda t, y: closed_rhs(t, y)[1][:, 0],
         "Tyi": lambda t, y: closed_rhs(t, y)[2][:, 0],
@@ -699,9 +697,9 @@ def sweep(cfg: RunConfig, field: str, grid) -> dict[str, np.ndarray]:
     grid indices (the last axis varies fastest).
 
     Every field is a read of the field layer: Sc is
-    ``curvature.scalar_curvature_field``, xi11 ``fieldtheory.xi_11``, T1, Ti
-    and Tyi ``fieldtheory.closed_rhs_of`` (the vector fields Ti and Tyi
-    report their first component), and G1111 the tensor's G-hierarchy.  Sc,
+    ``closed.scalar_curvature_field``, xi11 ``closed.xi_11``, T1, Ti and Tyi
+    ``closed.closed_rhs_of`` (the vector fields Ti and Tyi report their
+    first component), and G1111 the tensor's G-hierarchy.  Sc,
     xi11, T1, Ti and Tyi come from the closed Berwald-Moor field-theory layer
     and are refused for a custom tensor; G1111 comes from the configured
     tensor.

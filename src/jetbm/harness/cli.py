@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .. import __version__, connection, curvature, fieldtheory
+from .. import __version__, closed, connection, fieldtheory
 from ..errors import ConfigError, InvariantError, JetBMError
 from ..geometry import point_geometry, take
 from ..jetcore import JetPoint
@@ -91,8 +91,8 @@ def _eval_point(cfg: RunConfig, p: JetPoint) -> dict:
             "S_ricci": one.s_ricci,
             "S_raised": one.s_raised,
             "Sc": one.sc,
-            "S_ricci_field": curvature.bm_s_ricci_field(p.y) if cfg.tensor.is_berwald_moor else None,
-            "Sc_field": curvature.scalar_curvature_field(tm, p.t, p.y) if cfg.tensor.is_berwald_moor else None,
+            "S_ricci_field": closed.bm_s_ricci_field(p.y) if cfg.tensor.is_berwald_moor else None,
+            "Sc_field": closed.scalar_curvature_field(tm, p.t, p.y) if cfg.tensor.is_berwald_moor else None,
         },
         "grav_potential": {
             "tt_block": pot.tt_block,

@@ -1,5 +1,5 @@
-"""G-scalar hierarchy, the fundamental metric g_ij, its inverse, and the
-Berwald-Moor closed forms.
+"""G-scalar hierarchy, the fundamental metric g_ij and its inverse, and g
+as Taylor2 values.
 
 Conventions (all indices 0-based in arrays, summation written out):
     G_1111 = G_pqrs y^p y^q y^r y^s
@@ -8,32 +8,24 @@ Conventions (all indices 0-based in arrays, summation written out):
     g_ij   = (1 / (4 sqrt(G_1111))) [ G_ij11 - G_i111 G_j111 / (2 G_1111) ]
     g^jk   = 4 sqrt(G_1111) [ G^jk11 + G^j_1 G^k_1 / (2 (G_1111 - scriptG)) ]
 with G^j_1 = G^jp11 G_p111 and 2 scriptG = G^pq11 G_p111 G_q111.
+
+The Berwald-Moor closed forms, ``bm_metric_closed`` among them, are in
+``closed``.
 """
 
-from dataclasses import dataclass
-
-import numpy as np
-
+# bm_metric_closed stays a name of this module: benchmarks/workloads.py and
+# the benchmark tracer read it here
+from .closed import MetricPair, bm_metric_closed
 from .errors import DomainError, refuse
 from .geometry import GScalars, g_hierarchy, point_metric, third_derivative
 from .jetcore import DIM, JetPoint, QuarticTensor, Taylor2, TimeMetric, check_cone
 
 __all__ = [
     "GScalars",
-    "MetricPair",
     "g_scalars",
     "metric_pair",
-    "bm_metric_closed",
     "metric_taylor2",
 ]
-
-
-@dataclass(frozen=True)
-class MetricPair:
-    """The fundamental metric g_ij and its inverse g^jk, both symmetric."""
-
-    g_lo: np.ndarray
-    g_up: np.ndarray
 
 
 def g_scalars(G: QuarticTensor, y) -> GScalars:
@@ -52,21 +44,6 @@ def metric_pair(G: QuarticTensor, tm: TimeMetric, p: JetPoint) -> MetricPair:
     """
     m = point_metric(G, tm, p)
     return MetricPair(g_lo=m.g_lo[0], g_up=m.g_up[0])
-
-
-def bm_metric_closed(y) -> MetricPair:
-    """Berwald-Moor closed forms:
-    g_ij = (1 - 2 delta_ij) sqrt(G_1111) / (8 y^i y^j),
-    g^jk = 2 (1 - 2 delta_jk) y^j y^k / sqrt(G_1111)   (no sums).
-    y may be one point or an (N, 4) batch.
-    """
-    y = check_cone(y)
-    sq = np.sqrt(np.prod(y, axis=-1))[..., None, None]
-    sign = 1.0 - 2.0 * np.eye(DIM)
-    yy = y[..., :, None] * y[..., None, :]
-    g_lo = sign * sq / (8.0 * yy)
-    g_up = 2.0 * sign * yy / sq
-    return MetricPair(g_lo=g_lo, g_up=g_up)
 
 
 def metric_taylor2(G: QuarticTensor, y) -> list[list[Taylor2]]:

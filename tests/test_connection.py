@@ -144,6 +144,16 @@ def test_a_table_values():
     assert A[2, 0, 0] == pytest.approx(1 / 8)  # j = k != i
     assert A[2, 2, 2] == pytest.approx(-3 / 8)  # all equal
     np.testing.assert_array_equal(A, A.transpose(0, 2, 1))
+    assert not A.flags.writeable
+    # the defining formula evaluated entry by entry, which the broadcast
+    # table equals bit for bit
+    d = np.eye(4)
+    ref = np.empty((4, 4, 4))
+    for i in range(4):
+        for j in range(4):
+            for k in range(4):
+                ref[i, j, k] = (2 * d[i, j] + 2 * d[i, k] + 2 * d[j, k] - 8 * d[i, j] * d[j, k] - 1) / 8.0
+    np.testing.assert_array_equal(A, ref)
 
 
 def test_a_table_row_sum_vanishes():

@@ -26,15 +26,9 @@ from jetbm import (
     taylor2_seed,
     xi_11,
 )
-from jetbm.fieldtheory import (
-    conservation_residuals_of,
-    einstein_blocks_of,
-    em_form_of,
-    raised_divergence,
-    raised_table_grad,
-)
+from jetbm.closed import CONTRACTED_COEF, raised_divergence, raised_table_grad
+from jetbm.fieldtheory import conservation_residuals_of, einstein_blocks_of, em_form_of
 from jetbm.geometry import batches, geometry, raised_ricci_divergence
-from jetbm.harness.checks import _CONTRACTED_COEF
 from jetbm.harness.config import parse_config
 
 from conftest import BATCH_SIZES, assert_close, cone_points, max_rel
@@ -267,7 +261,7 @@ def test_unreduced_divergences_agree_on_berwald_moor(ini, rng):
     t = rng.uniform(cfg.t_min, cfg.t_max, 200)
     y = cone_points(rng, 200, cfg.y_min, cfg.y_max)
     for geo in batches(cfg.tensor, cfg.time_metric, t, y):
-        exact = raised_divergence(raised_table_grad(geo.y)[0], _CONTRACTED_COEF)
+        exact = raised_divergence(raised_table_grad(geo.y)[0], CONTRACTED_COEF)
         got = raised_ricci_divergence(geo)
         assert np.all(np.abs(got - exact).max(axis=1) <= 1e-13 * np.abs(exact).max(axis=1))
 
@@ -436,7 +430,7 @@ def test_raised_table_guards_survive_optimize_flag():
     code = """
 import numpy as np
 from jetbm import DomainError
-from jetbm.fieldtheory import raised_table_grad
+from jetbm.closed import raised_table_grad
 
 if __debug__:
     raise SystemExit("not running under -O")

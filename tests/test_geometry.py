@@ -506,6 +506,17 @@ def test_each_chain_builds_only_the_orders_it_reads(rng, monkeypatch):
         assert 1 in calls and 2 not in calls
 
 
+@pytest.mark.parametrize("stage", [connection_batches, batches], ids=["connection", "full"])
+def test_the_first_order_jet_forms_no_second_derivative_factor(stage):
+    """At y = 1e-30 (1, 1, 1, 1), G_1111 = 1e-120 and 1/G^3 overflows; the
+    first-order jet never reads the chain rule's second-derivative factors,
+    so neither stage forms them, and neither warns (the suite makes a
+    RuntimeWarning an error)."""
+    y = np.full((1, 4), 1e-30)
+    (bundle,) = stage(QuarticTensor.berwald_moor(), EXP, np.zeros(1), y)
+    assert np.isfinite(bundle.c).all()
+
+
 @pytest.mark.parametrize(
     "G", [QuarticTensor.berwald_moor(), CUSTOM_OTHER, DENSE], ids=["berwald-moor", "custom-other", "dense"]
 )

@@ -22,8 +22,8 @@ from jetbm import (
     scalar_curvature_field,
     xi_11,
 )
-from jetbm import fieldtheory
-from jetbm.fieldtheory import closed_rhs_of
+from jetbm import closed, fieldtheory
+from jetbm.closed import closed_rhs_of
 import jetbm.geometry as kernel
 from jetbm.geometry import CHUNK, METRIC_CHUNK, point_metric
 from jetbm.harness import checks as verify_checks
@@ -1032,6 +1032,27 @@ def test_benchmark_tracer_names_resolve():
         assert attr in vars(owner), f"{mod}.{qual}"
     for op in tracing.TAYLOR2_OPS:
         assert op in vars(Taylor2), op
+    # the benchmark imports the CLI, then binds every traced name wherever it
+    # is held; wrap_all raises on a traced function bound nowhere
+    importlib.import_module("jetbm.harness.cli")
+    tracer = tracing.Tracer()
+    tracer.wrap_all()
+    assert all(tracer.bindings[f"{mod}.{qual}"] >= 1 for mod, qual in tracing.TRACED)
+    # the names benchmarks/workloads.py reads by module resolve, and every
+    # closed form that a module of the library holds is jetbm.closed's own,
+    # not a copy
+    for mod, name in (
+        ("metric", "bm_metric_closed"),
+        ("connection", "bm_cartan_closed"),
+        ("curvature", "bm_s_closed"),
+        ("curvature", "scalar_curvature_field"),
+    ):
+        assert name in vars(importlib.import_module(f"jetbm.{mod}")), f"{mod}.{name}"
+    for key, module in list(sys.modules.items()):
+        if key == "jetbm" or key.startswith("jetbm."):
+            for name, value in vars(module).items():
+                if name in vars(closed) and not name.startswith("__"):
+                    assert value is vars(closed)[name], f"{key}.{name}"
 
 
 def test_cli_verify_csv_output(tmp_path):

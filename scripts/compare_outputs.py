@@ -29,12 +29,16 @@ process of its own:
   ``scripts/bm_power.ini`` and ``scripts/bm_exponential.ini`` (the
   default's constant h_11 reaches neither the power branch of the time
   metric nor a nonzero kappa or dkappa/dt, and the exponential Sc repeats
-  no value, so its column is formatted value by value);
+  no value, so its column is formatted value by value); and ``Sc`` and
+  ``T1`` on ``scripts/bm_power.ini``, as CSV and as JSON, over
+  ``T_LAST_GRID``, whose t axis comes after an s and a y axis (the
+  benchmark's grid has t first, so only this grid shows a change to how a
+  sweep lays out an axis or reads the time axis by row);
 * the parser's own texts: the usage, help and version texts and the usage
   errors of ``PARSER_ARGVS`` (for an argv that makes argparse exit, the
   document is its stdout followed by its stderr).
 
-That is 405 documents, every kind of document the CLI writes.
+That is 409 documents, every kind of document the CLI writes.
 
 For each document the script prints whether the two trees wrote it
 identically.  For a document that differs it prints how many numbers changed
@@ -75,6 +79,9 @@ BM_POWER = ROOT / "scripts" / "bm_power.ini"
 DENSE = ROOT / "scripts" / "dense.ini"
 CLOSED_FIELDS = ("Sc", "xi11", "T1", "Ti", "Tyi")  # the sweep fields of the closed Berwald-Moor layer
 SWEEP_FIELDS = CLOSED_FIELDS + ("G1111",)
+# t after the other axes, 6 * 30 * 25 = 4 500 rows: more than one metric
+# batch and more than one row block of the writers' joins
+T_LAST_GRID = "s=0.5:3:6,y3=0.2:7:30,t=-0.9:0.8:25"
 EVAL_DOCS = 300
 EVAL_CONFIG_DOCS = 20
 # argv on which argparse prints a text of its own and exits: help, version
@@ -153,6 +160,10 @@ def documents() -> list[tuple[str, list[str]]]:
             (f"sweep {field} {name}", ["sweep", "--field", field, "--grid", sw.grid, "--config", config])
             for field in CLOSED_FIELDS
         )
+    for field in ("Sc", "T1"):
+        for fmt in ("csv", "json"):
+            argv = ["sweep", "--field", field, "--grid", T_LAST_GRID, "--format", fmt, "--config", str(BM_POWER)]
+            docs.append((f"sweep {field} t-last bm_power.ini {fmt}", argv))
     docs.extend((f"parser {' '.join(argv)}", list(argv)) for argv in PARSER_ARGVS)
     return docs
 

@@ -260,9 +260,15 @@ def scalar_curvature_field(tm: TimeMetric, t, y):
     (N, 4).  The time-axis scalars come from one ``tm.eval``, so a batch
     reproduces its points bit for bit."""
     y = check_cone(y)
-    ax = tm.eval(t)
-    out = _scalar_curvature(field_numerator(ax.h11, ax.kappa), y)
+    out = scalar_curvature_field_of(tm.eval(t), y)
     return float(out) if np.ndim(out) == 0 else out
+
+
+def scalar_curvature_field_of(ax: TimeAxis, y):
+    """``scalar_curvature_field`` from the time axis at y's points (any
+    bundle that holds h11 and kappa) and y, which it takes to be in the
+    cone already."""
+    return _scalar_curvature(field_numerator(ax.h11, ax.kappa), y)
 
 
 def scalar_curvature_contracted(h11, kappa, y):
@@ -281,7 +287,11 @@ def _xi(h11, kappa, k: float):
 def xi_11(tm: TimeMetric, t, k: float):
     """xi_11 = (9 h_11 + kappa^2) / (2 K), the scalar in every diagonal block,
     at one t (a float) or over t of shape (N,)."""
-    ax = tm.eval(t)
+    return xi_11_of(tm.eval(t), k)
+
+
+def xi_11_of(ax: TimeAxis, k: float):
+    """``xi_11`` from the time axis (any bundle that holds h11 and kappa)."""
     return _xi(ax.h11, ax.kappa, k)
 
 

@@ -5,7 +5,17 @@ import numpy as np
 
 
 class JetBMError(Exception):
-    """Base class for all jetbm errors."""
+    """Base class for all jetbm errors.  One that ``refuse`` raised over a
+    batch holds the refused point's batch index in ``index``."""
+
+    index: int | None = None
+
+    def at(self, index: int, counts: str) -> "JetBMError":
+        """This batch refusal again, naming its point as ``counts`` ``index``
+        (a table row, say) instead of by its index in the batch that the
+        refusing function saw."""
+        what, values = self._refused
+        return _refusal(type(self), what, f" at {counts} {index}", values, index)
 
 
 class ConstructionError(JetBMError):
@@ -33,6 +43,12 @@ class InvariantError(JetBMError):
     an identity it must satisfy, which points at a defect in the program."""
 
 
+def _refusal(error: type[Exception], what: str, where: str, values: dict, index: int | None) -> Exception:
+    exc = error(", ".join([what + where, *(f"{name}={v}" for name, v in values.items())]))
+    exc.index, exc._refused = index, (what, values)
+    return exc
+
+
 def refuse(bad, error: type[Exception], what: str, **values):
     """Raise ``error`` if any flag of ``bad`` is set, naming the first
     flagged point.  Over a batch, ``bad`` has shape (N,), each value is
@@ -43,7 +59,7 @@ def refuse(bad, error: type[Exception], what: str, **values):
     raise, not an assert: no guard vanishes under ``python -O``."""
     if not np.count_nonzero(bad):
         return
-    if np.ndim(bad):
-        k = int(np.flatnonzero(bad)[0])
-        what, values = f"{what} at batch index {k}", {name: v[k] for name, v in values.items()}
-    raise error(", ".join([what, *(f"{name}={v}" for name, v in values.items())]))
+    if not np.ndim(bad):
+        raise _refusal(error, what, "", values, None)
+    k = int(np.flatnonzero(bad)[0])
+    raise _refusal(error, what, f" at batch index {k}", {name: v[k] for name, v in values.items()}, k)

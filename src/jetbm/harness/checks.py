@@ -54,15 +54,20 @@ twice the contraction, so those checks report the discrepancy and fail by
 design on a correct implementation.
 
 A sweep tabulates one field of the field layer over a grid; it evaluates the
-library function of that field (``closed.scalar_curvature_field``,
-``closed.xi_11``, ``closed.closed_rhs_of`` or the G-hierarchy) one
+body of that field's library function (``closed.scalar_curvature_field_of``,
+``closed.xi_11_of``, ``closed.closed_rhs_of`` or the G-hierarchy) one
 METRIC_CHUNK of grid points at a time, since every field reads only
-metric-stage objects, and has no formula of its own.  It returns its table
-as columns (the grid axes, then the field), which ``sweep_csv`` and
-``jsondoc.dumps_records`` write through ``jsondoc.join_rows``, formatting
-each distinct value of a column once.
+metric-stage objects, and has no formula of its own.  It reads the grid's
+structure instead of recovering it from its columns: a closed field checks
+the cone once per grid and evaluates the time axis once per grid, over the
+t axis values, and each batch gathers the time-axis entries it reads by its
+rows' t index.  A refusal names its table row.  It returns its table as a
+``jsondoc.GridColumns`` (the grid axes, then the field), which ``sweep_csv``
+and ``jsondoc.dumps_records`` write through ``jsondoc.join_rows``,
+formatting each axis value once and each distinct value of the field once.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import factorial, isnan
 from time import perf_counter
@@ -71,7 +76,7 @@ from typing import Callable
 import numpy as np
 
 from .. import closed as bm, connection, fieldtheory
-from ..errors import ConfigError
+from ..errors import ConfigError, JetBMError
 from ..geometry import (
     CHUNK,
     METRIC_CHUNK,
@@ -83,7 +88,7 @@ from ..geometry import (
     stage_times,
     take,
 )
-from ..jetcore import DIM, Taylor2, taylor2_seed
+from ..jetcore import DIM, Taylor2, TimeAxis, check_cone, taylor2_seed
 from . import jsondoc
 from .config import RunConfig
 
@@ -668,41 +673,81 @@ def parse_grid(spec: str) -> list[tuple[str, np.ndarray]]:
     return axes
 
 
-def _sweep_values(cfg: RunConfig, field: str, t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The field at every grid point, t of shape (R,) and y of shape (R, 4),
-    evaluated one METRIC_CHUNK of points at a time: every field reads only
-    the time axis, the quartic form or the G-hierarchy, so a batch holds no
-    more than a metric-stage bundle does."""
+class _AxisRows:
+    """The time axis at a batch of table rows: each field of ``ax`` is
+    gathered by the rows' t index when first read, so a field formula reads
+    only the time-axis entries it needs."""
+
+    def __init__(self, ax: TimeAxis, index: np.ndarray):
+        self._ax, self._index = ax, index
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        value = getattr(self._ax, name)[self._index]
+        setattr(self, name, value)
+        return value
+
+
+@contextmanager
+def _by_table_row(first: int = 0, step: int = 1):
+    """Raise a batch refusal from inside again, naming its point by table
+    row ``first + step * batch index``."""
+    try:
+        yield
+    except JetBMError as exc:
+        if exc.index is None:
+            raise
+        raise exc.at(first + step * exc.index, "table row") from None
+
+
+def _sweep_values(cfg: RunConfig, field: str, table: jsondoc.GridColumns, y: np.ndarray) -> np.ndarray:
+    """The field at every grid point, y of shape (R, 4), evaluated one
+    METRIC_CHUNK of rows at a time: every field reads only the time axis,
+    the quartic form or the G-hierarchy, so a batch holds no more than a
+    metric-stage bundle does.  A closed field checks the cone and evaluates
+    the time axis once per grid, over the t axis values (or the one
+    midpoint t when the grid has no t axis), and a batch gathers from it by
+    its rows' t index.  A refusal names its table row."""
     G, tm, k = cfg.tensor, cfg.time_metric, cfg.einstein_k
-
-    def closed_rhs(t, y):
-        return bm.closed_rhs_of(tm.eval(t), quartic_form(G, y), y, k)
-
     fn = {
-        "G1111": lambda t, y: g_hierarchy(G, y).g1111,
-        "xi11": lambda t, y: bm.xi_11(tm, t, k),
-        "Sc": lambda t, y: bm.scalar_curvature_field(tm, t, y),
-        "T1": lambda t, y: closed_rhs(t, y)[0],
-        "Ti": lambda t, y: closed_rhs(t, y)[1][:, 0],
-        "Tyi": lambda t, y: closed_rhs(t, y)[2][:, 0],
+        "G1111": lambda ax, y: g_hierarchy(G, y).g1111,
+        "xi11": lambda ax, y: bm.xi_11_of(ax, k),
+        "Sc": bm.scalar_curvature_field_of,
+        "T1": lambda ax, y: bm.closed_rhs_of(ax, quartic_form(G, y), y, k)[0],
+        "Ti": lambda ax, y: bm.closed_rhs_of(ax, quartic_form(G, y), y, k)[1][:, 0],
+        "Tyi": lambda ax, y: bm.closed_rhs_of(ax, quartic_form(G, y), y, k)[2][:, 0],
     }[field]
-    return np.concatenate(
-        [fn(t[lo : lo + METRIC_CHUNK], y[lo : lo + METRIC_CHUNK]) for lo in range(0, len(t), METRIC_CHUNK)]
-    )
+    ax = t_index = None
+    if field != "G1111":
+        with _by_table_row():
+            y = check_cone(y)
+        if "t" in table.axes:
+            t, t_index, rows_per_t = table.axes["t"].values, table.index("t"), table.axes["t"].repeat
+        else:  # every row reads the one midpoint t
+            t, t_index, rows_per_t = np.array([0.5 * (cfg.t_min + cfg.t_max)]), np.zeros(len(y), dtype=np.intp), 0
+        with _by_table_row(step=rows_per_t):  # t value k first appears in row k * rows_per_t
+            ax = tm.eval(t)
+    out = []
+    for lo in range(0, len(y), METRIC_CHUNK):
+        rows = slice(lo, lo + METRIC_CHUNK)
+        with _by_table_row(lo):
+            out.append(fn(None if ax is None else _AxisRows(ax, t_index[rows]), y[rows]))
+    return np.concatenate(out)
 
 
-def sweep(cfg: RunConfig, field: str, grid) -> dict[str, np.ndarray]:
+def sweep(cfg: RunConfig, field: str, grid) -> jsondoc.GridColumns:
     """The sweep table as columns: one 1-D array per grid axis, in grid
     order, then the field's, with one entry per grid point, lexicographic in
-    grid indices (the last axis varies fastest).
+    grid indices (the last axis varies fastest).  The table is a
+    ``jsondoc.GridColumns``, so both sweep writers format each axis value
+    once.
 
     Every field is a read of the field layer: Sc is
     ``closed.scalar_curvature_field``, xi11 ``closed.xi_11``, T1, Ti and Tyi
     ``closed.closed_rhs_of`` (the vector fields Ti and Tyi report their
     first component), and G1111 the tensor's G-hierarchy.  Sc,
     xi11, T1, Ti and Tyi come from the closed Berwald-Moor field-theory layer
-    and are refused for a custom tensor; G1111 comes from the configured
-    tensor.
+    and are refused for a custom tensor, and at a y outside the cone;
+    G1111 comes from the configured tensor.
     """
     if field not in SWEEP_FIELDS:
         raise ConfigError(f"unknown sweep field {field!r}, expected one of {SWEEP_FIELDS}")
@@ -711,19 +756,15 @@ def sweep(cfg: RunConfig, field: str, grid) -> dict[str, np.ndarray]:
             f"sweep field {field!r} comes from the closed Berwald-Moor field layer and is not defined "
             "for a custom tensor; only G1111 is"
         )
-    axes = parse_grid(grid) if isinstance(grid, str) else list(grid)
-    mesh = np.meshgrid(*[np.asarray(vals, dtype=float) for _, vals in axes], indexing="ij")
-    cols = {name: m.ravel() for (name, _), m in zip(axes, mesh)}
-    n = mesh[0].size
-    t = cols.get("t", np.full(n, 0.5 * (cfg.t_min + cfg.t_max)))
-    y = np.ones((n, DIM))
-    if "s" in cols:
-        y = cols["s"][:, None] * y
+    table = jsondoc.GridColumns(parse_grid(grid) if isinstance(grid, str) else grid)
+    y = np.ones((table.rows, DIM))
+    if "s" in table:
+        y = table["s"][:, None] * y
     for ax in ("y1", "y2", "y3", "y4"):
-        if ax in cols:
-            y[:, int(ax[1]) - 1] = cols[ax]
-    cols[field] = _sweep_values(cfg, field, t, y)
-    return cols
+        if ax in table:
+            y[:, int(ax[1]) - 1] = table[ax]
+    table[field] = _sweep_values(cfg, field, table, y)
+    return table
 
 
 def _reprs(values: np.ndarray) -> list[str]:
@@ -734,6 +775,7 @@ def _reprs(values: np.ndarray) -> list[str]:
 
 def sweep_csv(columns: dict[str, np.ndarray]) -> str:
     """The columns of ``sweep`` as CSV, written by ``jsondoc.join_rows``:
-    each distinct value of a column is formatted once."""
+    each axis value is formatted once, and each distinct value of another
+    column (``jsondoc.column_tokens``)."""
     seps = [","] * (len(columns) - 1) + ["\n"]
-    return jsondoc.join_rows(",".join(columns) + "\n", columns.values(), _reprs, seps, "\n")
+    return jsondoc.join_rows(",".join(columns) + "\n", jsondoc.column_tokens(columns, _reprs, seps), "\n", "\n")

@@ -21,23 +21,27 @@ for what JSON cannot hold.
 
 ``dumps_records`` writes a table held as columns as the list of one
 {name: value} object per row.  ``column_reprs`` formats a column once per
-distinct value, which ``dumps`` and both sweep writers use: a grid axis
-repeats few values, and a field repeats its values wherever it does not
-depend on an axis (Sc under a constant h_11 does not depend on t).
-``join_rows`` writes the rows of a table held as columns, for
-``dumps_records`` and the CSV sweep writer alike: it formats each column
-once, each distinct value with its separator, and joins a block of rows
-at a time in one pass over their texts.
+distinct value, which ``dumps`` and both sweep writers use: a field repeats
+its values wherever it does not depend on an axis (Sc under a constant
+h_11 does not depend on t).  A table over a grid is a ``GridColumns``,
+which knows how each axis column lays its values out, so its axes are not
+recovered from their columns: ``column_tokens`` formats each axis value
+once and repeats and tiles its text as the mesh does.  ``join_rows``
+writes the rows from the per-column token lists, for ``dumps_records``
+and the CSV sweep writer alike, joining a block of rows at a time in one
+pass over their texts.
 """
 
 import json
+import math
 from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-__all__ = ["column_reprs", "dumps", "dumps_records", "float_reprs", "join_rows"]
+__all__ = ["GridColumns", "column_reprs", "column_tokens", "dumps", "dumps_records", "float_reprs", "join_rows"]
 
 INDENT = 2
 _JOIN_ROWS = 4096  # rows per block of join_rows
@@ -64,6 +68,8 @@ def column_reprs(values: np.ndarray, reprs: Callable[[np.ndarray], list[str]]) -
     and spread back over the column.  Entries are told apart by their bits,
     since -0.0 == 0.0 but their texts differ."""
     bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    if len(bits) == len(values):  # all distinct: nothing to spread
+        return reprs(values)
     return np.array(reprs(bits.view(np.float64)), dtype=object)[where].tolist()
 
 
@@ -140,38 +146,89 @@ def dumps(obj) -> str:
     return "".join(parts)
 
 
-def join_rows(
-    head: str, columns: Iterable[np.ndarray], reprs: Callable[[np.ndarray], list[str]], seps: list[str], end: str
-) -> str:
-    """``head``, then one row per index of equal-length 1-D float64
-    columns: each entry's text from ``reprs`` followed by its column's
-    separator in ``seps``, except the last entry of the last row, which is
-    followed by ``end``.
+class _Axis(NamedTuple):
+    values: np.ndarray
+    repeat: int  # consecutive rows that hold one value
+    tile: int  # runs of all the values over the rows
+    column: np.ndarray
 
-    Each column goes through ``column_reprs`` once, with its separator
-    appended to the text of each distinct value, so a row is one token per
-    column.  Each block of ``_JOIN_ROWS`` rows is one ``"".join`` over the
-    columns' tokens interleaved, so one block's token list is alive at a
+
+class GridColumns(dict):
+    """The columns of a table over a grid, name -> 1-D float64 array with
+    one entry per grid point, in C order of the grid's indices (the last
+    axis varies fastest).  It is made with one read-only column per axis,
+    in grid order, to which a caller adds the value columns.  ``axes``
+    keeps, per axis name, the axis values and how the column lays them out:
+    each value ``repeat`` times in a row, the product of the later axes'
+    sizes, and that run of values ``tile`` times, the product of the
+    earlier ones'.  ``rows`` is the number of grid points."""
+
+    def __init__(self, axes: Iterable[tuple[str, np.ndarray]]):
+        super().__init__()
+        axes = [(name, np.array(values, dtype=float).reshape(-1)) for name, values in axes]
+        sizes = [len(values) for _, values in axes]
+        self.rows = math.prod(sizes)
+        self.axes = {}
+        for j, (name, values) in enumerate(axes):
+            repeat, tile = math.prod(sizes[j + 1 :]), math.prod(sizes[:j])
+            column = np.tile(np.repeat(values, repeat), tile)
+            values.flags.writeable = column.flags.writeable = False
+            self[name] = column
+            self.axes[name] = _Axis(values, repeat, tile, column)
+
+    def index(self, name: str) -> np.ndarray:
+        """Each row's index into the values of axis ``name``."""
+        axis = self.axes[name]
+        return np.tile(np.repeat(np.arange(len(axis.values)), axis.repeat), axis.tile)
+
+
+def column_tokens(
+    columns: Mapping[str, np.ndarray], reprs: Callable[[np.ndarray], list[str]], seps: list[str]
+) -> list[list[str]]:
+    """Per column, each entry's text from ``reprs`` followed by the column's
+    separator in ``seps``.  A ``GridColumns`` axis column that is still the
+    column the grid made is laid out from its axis values' texts, each value
+    formatted once; every other column goes through ``column_reprs``, so a
+    value column is formatted once per distinct value."""
+    axes = getattr(columns, "axes", {})
+    tokens = []
+    for (name, column), sep in zip(columns.items(), seps):
+        axis = axes.get(name)
+        if axis is not None and axis.column is column:
+            texts = [text + sep for text in reprs(axis.values)]
+            tokens.append(list(chain.from_iterable([text] * axis.repeat for text in texts)) * axis.tile)
+        else:
+            tokens.append(column_reprs(column, lambda v, sep=sep: [text + sep for text in reprs(v)]))
+    return tokens
+
+
+def join_rows(head: str, tokens: list[list[str]], sep: str, end: str) -> str:
+    """``head``, then one row per index of equal-length token lists (from
+    ``column_tokens``): its token of each list in order, except that the
+    last row's last token ends in ``end`` in place of its separator
+    ``sep``.  Each block of ``_JOIN_ROWS`` rows is one ``"".join`` over the
+    lists' tokens interleaved, so one block's token list is alive at a
     time."""
-    texts = [column_reprs(col, lambda v, sep=sep: [r + sep for r in reprs(v)]) for col, sep in zip(columns, seps)]
-    k, n = len(texts), len(texts[0])
+    k, n = len(tokens), len(tokens[0])
     parts = [head]
     for lo in range(0, n, _JOIN_ROWS):
-        tokens = [""] * (k * min(_JOIN_ROWS, n - lo))
-        for j, text in enumerate(texts):
-            tokens[j::k] = text[lo : lo + _JOIN_ROWS]
+        block = [""] * (k * min(_JOIN_ROWS, n - lo))
+        for j, column in enumerate(tokens):
+            block[j::k] = column[lo : lo + _JOIN_ROWS]
         if lo + _JOIN_ROWS >= n:
-            tokens[-1] = tokens[-1].removesuffix(seps[-1]) + end
-        parts.append("".join(tokens))
+            block[-1] = block[-1].removesuffix(sep) + end
+        parts.append("".join(block))
     return "".join(parts)
 
 
-def dumps_records(columns: dict[str, np.ndarray]) -> str:
+def dumps_records(columns: Mapping[str, np.ndarray]) -> str:
     """The text of ``json.dumps(rows, indent=2)`` for the rows of equal-length
-    float64 columns, each row one object with the columns' names in order."""
+    float64 columns, each row one object with the columns' names in order;
+    a ``GridColumns`` table has its axes laid out (``column_tokens``)."""
     if not len(next(iter(columns.values()))):
         return "[]"
     keys = ["\n" + " " * (2 * INDENT) + _key(name) + ": " for name in columns]
     row = "\n" + " " * INDENT  # the line break before a row's braces
     seps = ["," + key for key in keys[1:]] + [row + "}," + row + "{" + keys[0]]
-    return join_rows("[" + row + "{" + keys[0], columns.values(), float_reprs, seps, row + "}\n]")
+    tokens = column_tokens(columns, float_reprs, seps)
+    return join_rows("[" + row + "{" + keys[0], tokens, seps[-1], row + "}\n]")

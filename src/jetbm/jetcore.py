@@ -140,38 +140,28 @@ class TimeMetric:
 
     def eval(self, t) -> TimeAxis:
         """The time-axis scalars at a float t, or over t of shape (N,), by
-        array operations.  Over a batch the formulas run once per distinct
-        bit pattern of t (-0.0 and 0.0 apart) and are spread back over it,
-        so a sweep grid pays for its distinct t only.  Every power goes
-        through ``pointwise_pow``, so each entry equals the one-point value
-        bit for bit.  A t at which any of them is not finite (h_11
-        overflows, say) raises DomainError naming the first such t in input
-        order."""
+        array operations.  Every power goes through ``pointwise_pow``, so
+        each entry equals the one-point value bit for bit.  A t at which any
+        of them is not finite (h_11 overflows, say) raises DomainError
+        naming the first such t."""
         shape = np.shape(t)
         t = np.asarray(t, dtype=float).reshape(-1)
-        s, where = t, None
-        if len(t) > 1:
-            bits, where = np.unique(t.view(np.int64), return_inverse=True)
-            s = bits.view(np.float64)
         if self.family == "constant":
-            h, dh, d2h = np.full(s.shape, self.c), np.zeros(s.shape), np.zeros(s.shape)
+            h, dh, d2h = np.full(t.shape, self.c), np.zeros(t.shape), np.zeros(t.shape)
         elif self.family == "exponential":
-            h = self.c * np.exp(self.lam * s)
+            h = self.c * np.exp(self.lam * t)
             dh = self.lam * h
             d2h = self.lam * self.lam * h
         else:
-            u = 1.0 + s * s
+            u = 1.0 + t * t
             h = pointwise_pow(u, self.a)
             u1 = pointwise_pow(u, self.a - 1.0)
-            dh = 2.0 * self.a * s * u1
-            d2h = 2.0 * self.a * u1 + 4.0 * self.a * (self.a - 1.0) * s * s * pointwise_pow(u, self.a - 2.0)
+            dh = 2.0 * self.a * t * u1
+            d2h = 2.0 * self.a * u1 + 4.0 * self.a * (self.a - 1.0) * t * t * pointwise_pow(u, self.a - 2.0)
         h_inv = 1.0 / h
         kappa = 0.5 * h_inv * dh
         dkappa = 0.5 * d2h / h - 0.5 * pointwise_pow(dh / h, 2.0)
-        values = (h, h_inv, dh, d2h, kappa, dkappa)
-        if where is not None:
-            values = tuple(v[where] for v in values)
-        values = (t,) + values
+        values = (t, h, h_inv, dh, d2h, kappa, dkappa)
         bad = ~np.isfinite(values).all(axis=0)
         refuse(bad.reshape(shape), DomainError, f"the {self.family} time metric is not finite", t=t.reshape(shape))
         if not shape:

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from jetbm.harness import parse_grid
+
 _PATH = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
 _SPEC = importlib.util.spec_from_file_location("compare_outputs", _PATH)
 compare_outputs = importlib.util.module_from_spec(_SPEC)
@@ -127,10 +129,11 @@ def test_the_document_set_covers_every_kind_the_cli_writes():
     """Verify as JSON and CSV, on dense.ini too, eval on the default,
     custom.ini, bm_power.ini and dense.ini, every sweep field as CSV and
     JSON, G1111 swept on custom.ini and dense.ini, every closed-layer field
-    swept on bm_power.ini and bm_exponential.ini, and the parser's usage,
-    help, version and error texts: 405 documents."""
+    swept on bm_power.ini and bm_exponential.ini, Sc and T1 swept as CSV
+    and JSON on bm_power.ini over a grid with t last, and the parser's
+    usage, help, version and error texts: 409 documents."""
     docs = compare_outputs.documents()
-    assert len(docs) == 405
+    assert len(docs) == 409
     argvs = [argv for name, argv in docs if not name.startswith("parser ")]
     assert sum(argv[0] == "verify" and argv[-1] == "csv" for argv in argvs) == 1
     dense = [argv for argv in argvs if argv[0] == "verify" and "--config" in argv and argv[2].endswith("dense.ini")]
@@ -142,6 +145,12 @@ def test_the_document_set_covers_every_kind_the_cli_writes():
         ("G1111", "custom.ini"),
         ("G1111", "dense.ini"),
     } | {(field, ini) for field in compare_outputs.CLOSED_FIELDS for ini in ("bm_power.ini", "bm_exponential.ini")}
+    t_last = [argv for argv in argvs if argv[0] == "sweep" and compare_outputs.T_LAST_GRID in argv]
+    assert [(argv[2], argv[6], Path(argv[-1]).name) for argv in t_last] == [
+        (field, fmt, "bm_power.ini") for field in ("Sc", "T1") for fmt in ("csv", "json")
+    ]
+    axes = [name for name, _ in parse_grid(compare_outputs.T_LAST_GRID)]
+    assert axes[-1] == "t" and "s" in axes and {"y1", "y2", "y3", "y4"} & set(axes)
     parser_docs = [argv for name, argv in docs if name.startswith("parser ")]
     assert parser_docs == list(compare_outputs.PARSER_ARGVS)
     assert {argv[0] for argv in parser_docs if argv[1:] == ["--help"]} == {"eval", "verify", "sweep", "report"}

@@ -14,6 +14,7 @@ import pytest
 from jetbm import (
     ConfigError,
     InvariantError,
+    JetBMError,
     JetPoint,
     QuarticTensor,
     Taylor2,
@@ -663,6 +664,23 @@ def test_sweep_rows_equal_the_field_layer_bit_for_bit(field, tm):
         assert row[field] == _field_at(cfg, field, row["t"], y), row
 
 
+@pytest.mark.parametrize("grid", ["s=0.5:3:5,t=-0.9:0.8:3,y2=0.2:7:9", "s=0.5:3:5,y2=0.2:7:9,t=-0.9:0.8:3"])
+@pytest.mark.parametrize("field", ["Sc", "xi11", "T1", "Ti", "Tyi"])
+def test_sweep_rows_read_their_own_t_in_any_axis_order(field, grid, monkeypatch):
+    """With t in the middle or last, where its values do not run in one
+    block per value, every row over several metric batches is the
+    field-layer function at that row's t and y, to the last bit."""
+    monkeypatch.setattr(verify_checks, "METRIC_CHUNK", 64)
+    cfg = RunConfig(time_metric=TimeMetric.power(-1.3), einstein_k=0.7)
+    rows = _rows(sweep(cfg, field, grid))
+    ts = [row["t"] for row in rows]
+    assert len(rows) == 135 > 2 * 64 and ts != sorted(ts)
+    for row in rows:
+        y = row["s"] * np.ones(4)
+        y[1] = row["y2"]
+        assert row[field] == _field_at(cfg, field, row["t"], y), row
+
+
 def test_sweep_csv_roundtrip():
     cfg = parse_config(MINIMAL)
     cols = sweep(cfg, "Tyi", "s=1:4:3")
@@ -691,13 +709,30 @@ _SPECIAL_FIELD = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -0.0, 0.0, 1.5, np.na
         ("t=-0.9:0.8:3,s=0.5:3:5,y2=0.2:7:9", None),
         ([("t", [-0.0, 0.0, -0.0]), ("s", [1.0, 2.0])], _SPECIAL_FIELD),
         ("t=-0.9:0.8:3,s=0.5:3:5,y2=0.2:7:9", _SPECIAL_FIELD),
+        ("s=0.5:3:3,t=-0.9:0.8:4,y2=0.2:7:5", None),
+        ("s=0.5:3:3,y2=0.2:7:5,t=-0.9:0.8:4", None),
+        ("y1=0.5:3:3,y3=2:2:1,t=0.25:0.25:1,y2=0.2:7:5", None),
+        ("t=0:0:3,s=1:2:2", None),
+        ([("s", [1.0, 2.0]), ("y4", [3.0, 3.0, 0.5])], None),
     ],
-    ids=["zero-span", "signed-zeros", "three-axes", "special-field", "special-field-three-axes"],
+    ids=[
+        "zero-span",
+        "signed-zeros",
+        "three-axes",
+        "special-field",
+        "special-field-three-axes",
+        "t-middle",
+        "t-last",
+        "one-value-axes",
+        "repeated-t",
+        "repeated-y",
+    ],
 )
 def test_sweep_csv_is_the_per_row_repr_writer(grid, field_values, monkeypatch):
-    """The column writers format each distinct value of a column once, yet
-    write the bytes of the per-row writers, across the row blocks of their
-    joins too: -0.0 and 0.0 keep their own texts, in an axis and in the
+    """The column writers format each axis value and each distinct value of
+    the field once, yet write the bytes of the per-row writers, across the
+    row blocks of their joins too, whatever the axes' order, sizes and
+    repeats: -0.0 and 0.0 keep their own texts, in an axis and in the
     field, and NaN and +-inf are written as repr writes them in CSV and as
     json writes them in JSON."""
     monkeypatch.setattr(jsondoc, "_JOIN_ROWS", 4)
@@ -706,31 +741,71 @@ def test_sweep_csv_is_the_per_row_repr_writer(grid, field_values, monkeypatch):
         cols["Sc"] = np.resize(np.array(field_values), len(cols["Sc"]))
     axes = [name for name, _ in (parse_grid(grid) if isinstance(grid, str) else grid)]
     rows = _rows(cols)
+    assert rows == _row_sweep(parse_config(MINIMAL), "Sc", grid) or field_values is not None
+    assert len(rows) > jsondoc._JOIN_ROWS
     text = sweep_csv(cols)
     assert text == _per_row_csv(rows, "Sc", axes)
     assert jsondoc.dumps_records(cols) == json.dumps(rows, indent=2)
-    if not isinstance(grid, str):
+    if not isinstance(grid, str) and grid[0][0] == "t":
         assert [line.split(",")[0] for line in text.splitlines()[1::2]] == ["-0.0", "0.0", "-0.0"]
 
 
-@pytest.mark.parametrize("field", ["Sc", "G1111"])
-def test_column_writers_write_the_row_documents(field, capsys):
+def test_an_axis_column_the_caller_replaced_is_written_as_it_holds():
+    """The writers lay an axis out from its values only while its column is
+    the one the grid made: the axis columns are read-only, and a column
+    put in an axis's place is written value by value."""
+    cols = sweep(parse_config(MINIMAL), "Sc", "t=0:1:2,s=1:2:3")
+    with pytest.raises(ValueError, match="read-only"):
+        cols["s"][0] = 5.0
+    cols["t"] = cols["t"] + 0.5
+    rows = _rows(cols)
+    assert [row["t"] for row in rows] == [0.5] * 3 + [1.5] * 3
+    assert sweep_csv(cols) == _per_row_csv(rows, "Sc", ["t", "s"])
+    assert jsondoc.dumps_records(cols) == json.dumps(rows, indent=2)
+
+
+_GRID_17 = "t=-0.9:0.8:17,s=0.5:3:17,y2=0.2:7:17"
+_BM_POWER = str(Path(__file__).resolve().parents[1] / "scripts" / "bm_power.ini")
+
+
+@pytest.mark.parametrize(
+    "field, grid",
+    [("Sc", _GRID_17), ("G1111", _GRID_17), ("T1", "s=0.5:3:17,y2=0.2:7:17,t=-0.9:0.8:17")],
+    ids=["Sc", "G1111", "T1-t-last"],
+)
+def test_column_writers_write_the_row_documents(field, grid, capsys):
     """On a grid of 17^3 rows, which crosses both a sweep batch (METRIC_CHUNK)
     and a row block of the writers' joins, the CSV and JSON written from the
     columns are the texts of the row form: the row-reading sweep_csv and
     json.dumps(rows, indent=2), on the CLI too."""
-    grid = "t=-0.9:0.8:17,s=0.5:3:17,y2=0.2:7:17"
-    cfg = default_config()
+    cfg = default_config() if field != "T1" else parse_config(Path(_BM_POWER).read_text())
     cols = sweep(cfg, field, grid)
     rows = _row_sweep(cfg, field, grid)
     assert len(rows) > jsondoc._JOIN_ROWS > METRIC_CHUNK
     assert _rows(cols) == rows
     csv_text, json_text = sweep_csv(cols), jsondoc.dumps_records(cols)
-    assert csv_text == _row_sweep_csv(rows, field, ["t", "s", "y2"])
+    assert csv_text == _row_sweep_csv(rows, field, [name for name, _ in parse_grid(grid)])
     assert json_text == json.dumps(rows, indent=2)
+    config = [] if field != "T1" else ["--config", _BM_POWER]
     for fmt, text in (("csv", csv_text), ("json", json_text + "\n")):
-        assert cli.main(["sweep", "--field", field, "--grid", grid, "--format", fmt]) == 0
+        assert cli.main(["sweep", "--field", field, "--grid", grid, "--format", fmt, *config]) == 0
         assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize("field", SWEEP_FIELDS)
+def test_a_sweep_evaluates_the_time_axis_once(field, monkeypatch):
+    """A closed field evaluates the time axis once per sweep, over the t
+    axis values (or the one midpoint t), on a grid that spans many metric
+    batches; G1111 does not read it."""
+    calls = []
+    real = TimeMetric.eval
+    monkeypatch.setattr(TimeMetric, "eval", lambda tm, t: calls.append(np.shape(t)) or real(tm, t))
+    cfg = parse_config(Path(_BM_POWER).read_text())
+    assert len(sweep(cfg, field, _GRID_17)[field]) == 17**3 > 4 * METRIC_CHUNK
+    assert calls == ([] if field == "G1111" else [(17,)])
+    calls.clear()
+    sweep(cfg, field, "s=0.5:3:17,y2=0.2:7:17,y1=1:2:17")
+    assert calls == ([] if field == "G1111" else [(1,)])
 
 
 _CUSTOM_INI = Path(__file__).resolve().parents[1] / "benchmarks" / "custom.ini"
@@ -894,6 +969,27 @@ def test_cli_refuses_a_point_whose_values_overflow(argv, named, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.count("\n") == 1 and out.err.startswith("error: ") and named in out.err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns of the overflow before the guard raises
+@pytest.mark.parametrize(
+    "field, grid, config, named",
+    [
+        ("G1111", "y1=1:1e7:1500", None, "G_ij11 is singular at table row 1336, y=[1.73310903e+06 1."),
+        ("Sc", "t=0:1000:2,y1=1:2:1100", _BM_EXPONENTIAL, "time metric is not finite at table row 1100, t=1000.0"),
+        ("T1", "y1=1:2:3,t=0:1000:2", _BM_EXPONENTIAL, "time metric is not finite at table row 1, t=1000.0"),
+        ("xi11", [("s", np.append(np.ones(1100), -1.0))], None, "open positive cone at table row 1100, y=[-1. -1."),
+    ],
+    ids=["singular-G1111", "overflowing-h11-t-first", "overflowing-h11-t-middle", "y-outside-the-cone"],
+)
+def test_a_sweep_refusal_names_its_table_row(field, grid, config, named):
+    """A refused point is named by its row of the sweep table, whether the
+    metric batch that refused it, the time axis (evaluated over the t axis
+    values) or the grid's cone test found it."""
+    cfg = default_config() if config is None else parse_config(Path(config).read_text())
+    with pytest.raises(JetBMError) as exc:
+        sweep(cfg, field, grid)
+    assert named in str(exc.value) and "batch index" not in str(exc.value)
 
 
 def test_cli_verify_non_finite_config_exits_two(tmp_path, capsys):

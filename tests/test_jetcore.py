@@ -20,6 +20,7 @@ from jetbm import (
 from jetbm.curvature import bm_s_closed
 from jetbm.geometry import CHUNK, metric_batches
 from jetbm.harness.checks import VerificationReport
+from jetbm.jetcore import check_cone
 from jetbm.metric import bm_metric_closed
 
 from conftest import BATCH_SIZES, assert_close, cone_points, max_rel
@@ -124,10 +125,9 @@ def test_eval_over_a_batch_is_the_one_point_formulas(family, size, rng):
 
 @pytest.mark.parametrize("family", ["constant", "exponential", "power"])
 def test_eval_over_repeated_t_is_the_one_point_formulas(family, rng):
-    """Over an unsorted t that repeats its values, -0.0 beside 0.0, eval
-    evaluates each distinct bit pattern once and spreads it back: every
-    entry still equals the plain float formulas at its own t bit for bit
-    (under the power family, h_11' is -0.0 at t = -0.0 and 0.0 at 0.0)."""
+    """Over an unsorted t that repeats its values, -0.0 beside 0.0, every
+    entry equals the plain float formulas at its own t bit for bit (under
+    the power family, h_11' is -0.0 at t = -0.0 and 0.0 at 0.0)."""
     for _ in range(5):
         tm = _random_family(family, rng)
         distinct = np.append(rng.uniform(-3, 3, 6), [0.0, -0.0])
@@ -141,8 +141,8 @@ def test_eval_over_repeated_t_is_the_one_point_formulas(family, rng):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_non_finite_time_axis_names_the_first_bad_t_in_input_order():
-    """The distinct t are evaluated in sorted order, yet the refusal names
-    the first bad t of the batch as given."""
+    """The refusal names the first bad t of the batch as given, not the
+    largest."""
     with pytest.raises(DomainError, match=r"exponential time metric is not finite at batch index 0, t=2000\.0$"):
         TimeMetric.exponential(1.0, 1.0).eval([2000.0, 1000.0, 2000.0])
 
@@ -190,6 +190,24 @@ def test_every_reader_of_the_cone_refuses_a_non_finite_coordinate(bad):
         list(metric_batches(QuarticTensor.berwald_moor(), TimeMetric.constant(1.0), np.zeros(3), ys))
     with pytest.raises(DomainError, match=re.escape(f"open positive cone at batch index 1, y={y}")):
         bm_s_closed(ys)
+
+
+def test_a_batch_refusal_can_name_its_point_by_another_count():
+    """A refusal over a batch keeps its point's batch index, and ``at``
+    raises the same error naming that point by the caller's own count (a
+    table row of which the batch is a slice); a one-point refusal has no
+    index."""
+    ys = np.ones((3, 4))
+    ys[2, 1] = -2.0
+    with pytest.raises(DomainError) as exc:
+        check_cone(ys)
+    assert exc.value.index == 2
+    renamed = exc.value.at(1026, "table row")
+    assert type(renamed) is DomainError and renamed.index == 1026
+    assert str(renamed) == f"y must lie in the open positive cone at table row 1026, y={ys[2]}"
+    with pytest.raises(DomainError) as exc:
+        check_cone(ys[2])
+    assert exc.value.index is None
 
 
 def test_jet_point_immutable():

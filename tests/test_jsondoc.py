@@ -108,6 +108,40 @@ def test_a_column_is_formatted_once_per_distinct_bit_pattern():
     assert len(seen) == 5 and sorted(map(repr, seen)) == ["-0.0", "-inf", "0.0", "1.5", "nan"]
 
 
+def test_a_column_of_distinct_values_is_formatted_in_one_call():
+    """A column that repeats no bit pattern (-0.0 beside 0.0 included) is
+    formatted in its own order, in one formatter call, with nothing spread."""
+    col = np.array([2.5, -0.0, 0.0, np.nan, -1e300, 5e-324])
+    seen = []
+
+    def reprs(values):
+        seen.append(values.tolist())
+        return jsondoc.float_reprs(values)
+
+    assert jsondoc.column_reprs(col, reprs) == jsondoc.float_reprs(col)
+    assert list(map(repr, seen[0])) == list(map(repr, col.tolist())) and len(seen) == 1
+
+
+def test_grid_columns_are_the_mesh_and_each_axis_value_is_formatted_once(monkeypatch):
+    """A GridColumns table's axis columns are the ravelled "ij" meshgrid bit
+    for bit, ``index`` maps each row to its axis value, and its records
+    format each axis value once, laid out as the mesh repeats it."""
+    axes = [("s", [1.0, 2.0]), ("t", [-0.0, 0.0, -0.0]), ("y1", [3.5])]
+    table = jsondoc.GridColumns(axes)
+    mesh = np.meshgrid(*[np.array(v) for _, v in axes], indexing="ij")
+    assert table.rows == 6 and list(table) == ["s", "t", "y1"]
+    for (name, values), m in zip(axes, mesh):
+        assert table[name].tobytes() == m.ravel().tobytes()
+        assert table[name].tobytes() == np.array(values)[table.index(name)].tobytes()
+    table["Sc"] = np.arange(6.0)
+    calls = []
+    float_reprs = jsondoc.float_reprs
+    monkeypatch.setattr(jsondoc, "float_reprs", lambda values: calls.append(len(values)) or float_reprs(values))
+    rows = [dict(zip(table, row)) for row in zip(*(col.tolist() for col in table.values()))]
+    assert jsondoc.dumps_records(table) == json.dumps(rows, indent=2)
+    assert calls == [2, 3, 1, 6]
+
+
 def test_a_document_is_formatted_once_per_distinct_bit_pattern(monkeypatch):
     """dumps hands float_reprs the entries of all its float64 arrays in one
     call, each distinct bit pattern once: -0.0 and 0.0 are two, 1.5 in three

@@ -53,7 +53,13 @@ np.einsum's own arithmetic.  A left-out term multiplies a zero entry of G,
 so for finite y it is a signed zero, and adding a signed zero (or a +0.0
 pad) to a sum that starts from +0.0 changes no bit.  So each value is the
 plain einsum formula's bit for bit (for Berwald-Moor, 232 of the 256
-products of einsum's G_1111 multiply a zero).  G_ijk1 stays the two-operand
+products of einsum's G_1111 multiply a zero).  The products are built up by
+order: the G_ij11 products (G y^r) y^s first, then each G_i111 product as
+one of them times one more factor, and each G_1111 product as a G_i111
+product times one more, which by the symmetry of G are the same
+multiplications in the same order.  Each output's terms are then added one
+in-place add per term, over the [outputs, N] rows of all outputs at once,
+so every add runs along the point axis.  G_ijk1 stays the two-operand
 einsum, which sums a dense G in another order.
 
 The hierarchy is closed under differentiation,
@@ -65,8 +71,10 @@ follow by the product and chain rules applied to whole arrays: multivariate
 second-order Taylor propagation in closed form (Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).  The propagation runs
 only at the 50 (i, j, k, n) entries that the mixed-partial guard and the
-canonical gather read, a packed jet; each swap entry comes out of the
-product rule on its own index order, so the guard compares two computations.
+canonical gather read, a packed jet, and the first-order jet, whose d/dy^k
+depends on (i, j, k) alone, only at the 30 of them with distinct (i, j, k);
+each swap entry comes out of the product rule on its own index order, so the
+guard compares two computations.
 Taylor2 stays the independent oracle for these tables and shares no code
 with this module.
 
@@ -81,7 +89,7 @@ The stages run over two batch sizes.  The metric stage runs once per
 metric batch of at most METRIC_CHUNK points; the connection and full stages
 run over consecutive slices of at most CHUNK points of it, each slice taken
 with ``take`` as views of the metric bundle's C-contiguous arrays.  The
-connection stage peaks at about 3 KiB per point (the first-order packed
+connection stage peaks at about 2 KiB per point (the first-order packed
 jet), the full stage at about 12 KiB (the 5-index tables) and
 ``raised_ricci_divergence`` at about 7 KiB (the second-order packed jet), so
 the chunk bounds the kernel's working memory; the metric stage holds about
@@ -135,7 +143,7 @@ __all__ = [
 # points per chunk of the connection and full stages: a chunk amortises
 # numpy's per-call overhead, and each curvature-sized table holds 256 doubles
 # (2 KiB) per point, so the chunk also bounds the kernel's working memory.  A
-# 128-point chunk peaks at about 0.41 MiB of numpy allocations in the
+# 128-point chunk peaks at about 0.27 MiB of numpy allocations in the
 # connection stage (the first-order packed jet), 1.46 MiB in the full stage
 # (at most five 5-index tables alive) and 0.85 MiB in
 # ``raised_ricci_divergence`` (the second-order packed jet, at most about
@@ -159,13 +167,18 @@ _DEGENERATE_RTOL = 1e-12
 # guard and the canonical gather read: every sorted quadruple (a, b, c, d) and
 # every swap (a, c, b, d), once each (50 of the 256 Hessian entries).  Entry e
 # holds d g_ij/dy^k and, in a second-order jet, d2 g_ij/dy^k dy^n at
-# (i, j, k, n) = _ENTRIES[e]; the first derivative of a sorted triple
-# (a, b, c) and of its swap (a, c, b) is read at (a, b, c, 3) and (a, c, b, 3).  _REP* and _SWAP* give the entry of
-# each sorted multi-index and of its swap, and _T3 and _T4 the entry of the
-# sorted multi-index of every flat (j, m, k) and (j, m, k, n)
+# (i, j, k, n) = _ENTRIES[e].  d g_ij/dy^k depends on (i, j, k) alone, and
+# the first derivative of a sorted triple (a, b, c) and of its swap (a, c, b)
+# is read at (a, b, c, 3) and (a, c, b, 3): these 30 entries come first, and
+# the first-order jet runs at them alone.  _REP* and _SWAP* give the entry
+# of each sorted multi-index and of its swap, and _T3 and _T4 the entry of
+# the sorted multi-index of every flat (j, m, k) and (j, m, k, n)
 _QUADS = list(combinations_with_replacement(range(DIM), 4))
 _TRIPLES = list(combinations_with_replacement(range(DIM), 3))
-_ENTRIES = list(dict.fromkeys(_QUADS + [(a, c, b, d) for a, b, c, d in _QUADS]))
+_FIRST_ORDER = list(dict.fromkeys((*ix, DIM - 1) for a, b, c in _TRIPLES for ix in ((a, b, c), (a, c, b))))
+_ENTRIES = list(dict.fromkeys(_FIRST_ORDER + _QUADS + [(a, c, b, d) for a, b, c, d in _QUADS]))
+# the entries the jet of each order runs at: a prefix of _ENTRIES
+_ENTRY_COUNT = {1: len(_FIRST_ORDER), 2: len(_ENTRIES)}
 _POS = {e: p for p, e in enumerate(_ENTRIES)}
 _REP3 = np.array([_POS[(a, b, c, DIM - 1)] for a, b, c in _TRIPLES])
 _SWAP3 = np.array([_POS[(a, c, b, DIM - 1)] for a, b, c in _TRIPLES])
@@ -312,36 +325,43 @@ def _frozen(bundle):
     return bundle
 
 
+def _add_terms(rows: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The [M, N] sums of the K terms per output of a [K M, N] block, added
+    one term after another over contiguous [M, N] rows.  The first term gets
+    +0.0, which turns a -0.0 product into +0.0 as einsum's start from +0.0
+    does; no later term needs it, since a running sum that does not start at
+    -0.0 never becomes -0.0.  np.sum and np.add.reduce may add pairwise, and
+    np.add.accumulate over the term axis steps M N doubles at a time."""
+    first, *rest = rows.reshape(shape + (-1,))
+    total = first + 0.0
+    for term in rest:
+        total += term
+    return total
+
+
 def _term_sums(table: TermTable, y: np.ndarray, count: int = 3) -> list[np.ndarray]:
     """G_pqrs y^p y^q y^r y^s, G_ipqr y^p y^q y^r and G_ijpq y^p y^q (the
     first ``count`` of them) at y of shape (4,) or (N, 4), each as [M, N], by
     np.einsum's own arithmetic over the tensor's nonzero terms (see the module
-    docstring).  A factor 1.0 multiplies exactly.  Adding +0.0 to every term
-    turns a -0.0 product into +0.0, which is what einsum's start from +0.0 does
-    to the first term, and changes no later addition, since a running sum
-    that does not start at -0.0 never becomes -0.0.  np.add.accumulate adds
-    in order, where np.sum and np.add.reduceat may add pairwise.
+    docstring).  Each order's products are the order below's times one
+    factor y^s (``TermTable``), so every product is formed left to right,
+    ((G y^p) y^q) ..., with one gather of the rows below and one of the
+    factor rows per order; the orders below are dropped once read.
     """
-    coef, factors, blocks = table
-    blocks = blocks[:count]
-    end = blocks[-1][1]
     y = y.reshape(-1, DIM)
-    n = len(y)
-    yt = np.empty((DIM + 1, n))
+    yt = np.empty((DIM + 1, len(y)))
     yt[:DIM] = y.T
     yt[DIM] = 1.0
-    # one gathered factor row [terms, N] at a time, not the whole [4, terms, N]
-    first, *rest = factors[:, :end]
-    prod = coef[:end] * yt[first]
-    for f in rest:
-        prod *= yt[f]
-    prod += 0.0
     sums = []
-    for lo, hi, k, m in blocks:
-        terms = prod[lo:hi].reshape(k, m, n)
-        # a copy, so that no returned sum keeps the whole product block alive
-        sums.append(np.add.accumulate(terms, out=terms)[-1].copy())
-    return sums
+    rows = table.coef * yt[table.first]
+    for b, last in enumerate(table.last):
+        if b:
+            rows = rows[table.below[b - 1]]
+        rows *= yt[last]
+        # blocks run G_ij11, G_i111, G_1111; the sums run the other way
+        if b >= 3 - count:
+            sums.append(_add_terms(rows, table.shapes[b]))
+    return sums[::-1]
 
 
 def quartic_form(G: QuarticTensor, y: np.ndarray) -> np.ndarray:
@@ -444,33 +464,36 @@ def _jet_chain(a, f0, f1, f2):
     return f0, f1 * ak, f1 * an, f1 * ah + f2() * (ak * an)
 
 
-def _gather(parts: int, *operands) -> tuple:
-    """level[ix] for the first ``parts`` (level, ix) operands, in order."""
-    return tuple(level[ix] for level, ix in operands[:parts])
+def _gather(parts: int, entries: int, *operands) -> tuple:
+    """level[ix] at the first ``entries`` entries for the first ``parts``
+    (level, ix) operands, in order."""
+    return tuple(level[ix[:entries]] for level, ix in operands[:parts])
 
 
 def _metric_jet(s: GScalars, gijk1: np.ndarray, order: int):
     """The packed jet of g_ij to the given order, as arrays [e, x] at the
-    packed entries (i, j, k, n) = _ENTRIES[e]: (d,) at first order and (d, h)
-    at second, with d g_ij/dy^k in d and d2 g_ij/dy^k dy^n in h.  Each entry
-    runs the product and chain rules on its own index order, so a swap entry
-    is computed, not copied.  Each operand is gathered just before the
-    product that reads it, and each jet is dropped once read, so at most
-    about sixteen [e, x] arrays are alive at once; the first-order jet
-    gathers no operand of a d/dy^n part."""
+    packed entries (i, j, k, n) = _ENTRIES[e]: (d,) at first order, at the 30
+    first-order entries, and (d, h) at second, at all 50, with d g_ij/dy^k
+    in d and d2 g_ij/dy^k dy^n in h.  Each entry runs the product and chain
+    rules on its own index order, so a swap entry is computed, not copied,
+    and an entry's d gets the same bits at either order.  Each operand is
+    gathered just before the product that reads it, and each jet is dropped
+    once read, so at most about sixteen [e, x] arrays are alive at once; the
+    first-order jet gathers no operand of a d/dy^n part."""
     n = len(s.g1111)
     g = s.g1111
     g1 = s.gi111.T
     g2 = s.gij11.reshape(n, -1).T
     g3 = gijk1.reshape(n, -1).T
     parts = 2**order  # value, d/dy^k and, at second order, d/dy^n and d2/dy^k dy^n
+    e = _ENTRY_COUNT[order]
     # the jet of G_i111 G_j111, from the jets of G_i111 and G_j111, and the
     # jet of G_1111
     p = _jet_mul(
-        _gather(parts, (g1, _I), (g2, _IK), (g2, _IN), (g3, _IKN)),
-        _gather(parts, (g1, _J), (g2, _JK), (g2, _JN), (g3, _JKN)),
+        _gather(parts, e, (g1, _I), (g2, _IK), (g2, _IN), (g3, _IKN)),
+        _gather(parts, e, (g1, _J), (g2, _JK), (g2, _JN), (g3, _JKN)),
     )
-    g_jet = (g, *_gather(parts - 1, (g1, _K), (g1, _N), (g2, _KN)))
+    g_jet = (g, *_gather(parts - 1, e, (g1, _K), (g1, _N), (g2, _KN)))
     # 1/(2G) and 1/(4 sqrt(G)) with their first two derivatives in G; the
     # second is formed only at second order, since at first order it is never
     # read and 1/G^3 can overflow where G itself is still positive
@@ -484,7 +507,7 @@ def _metric_jet(s: GScalars, gijk1: np.ndarray, order: int):
     # quotient's jet
     g4 = s.gijkl.reshape(n, -1).T
     for part, level, ix in zip(q, (g2, g3, g3, g4), (_IJ, _IJK, _IJN, _IJKN)):
-        np.subtract(level[ix], part, out=part)
+        np.subtract(level[ix[:e]], part, out=part)
     return _jet_mul(q, inv_4sq, value=False)
 
 

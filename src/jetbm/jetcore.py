@@ -186,64 +186,93 @@ _BERWALD_MOOR = {quad: (1.0 / 24.0 if quad == (1, 2, 3, 4) else 0.0) for quad in
 
 # The term tables of the three contractions of G_pqrs with y that the
 # G-hierarchy sums, by the number m of summed indices:
-#     m = 4: G_pqrs y^p y^q y^r y^s (one output),
-#     m = 3: G_ipqr y^p y^q y^r     (four outputs i),
-#     m = 2: G_ijpq y^p y^q         (sixteen outputs (i, j)).
-# In C order the output indices of an entry lead and its summed indices
-# follow, so an output's entries are one run of DIM**m consecutive entries,
-# in lexicographic order of the summed indices.  The term of block b at
-# entry e has the code b * (_PAD + 1) + e, and a +0.0 pad the entry _PAD.
-# Per code: the place of its value in QuarticTensor's value array, whose
-# last value, 0.0, is the pads'; and the indices of y it is multiplied by, in
-# order: 4 - m times DIM, which stands for 1.0, then its last m indices.
-_ORDERS = (4, 3, 2)
+#     m = 2: G_ijrs y^r y^s         (sixteen outputs (i, j)),
+#     m = 3: G_iqrs y^q y^r y^s     (four outputs i),
+#     m = 4: G_pqrs y^p y^q y^r y^s (one output).
+# In C order the output indices of an entry e = 64 p + 16 q + 4 r + s lead
+# and its summed indices follow, so an output's entries are one run of
+# consecutive entries, in lexicographic order of the summed indices.  Each
+# order's product is a product of the order below times its last factor
+# y^s, read at the entry that holds the same multiplications in the same
+# order, by the symmetry of G:
+#     P2[i,j,r,s] = (G_ijrs y^r) y^s,
+#     P3[i;q,r,s] = P2[i,s,q,r] y^s,
+#     P4[p,q,r,s] = P3[s;p,q,r] y^s,
+# so P4[p,q,r,s] = (((G_pqrs y^p) y^q) y^r) y^s, left to right.  The term of
+# block b (order _ORDERS[b]) at entry e has the code b * (_PAD + 1) + e, and
+# a +0.0 pad the entry _PAD.  Per code: its last factor's index of y, where
+# DIM stands for 1.0; for block 0 its first factor's index and the place of
+# its value in QuarticTensor's value array, whose last value, 0.0, is the
+# pads'; for blocks 1 and 2 the code below it, a pad's the pad code below.
+_ORDERS = (2, 3, 4)
 _PAD = DIM**4
-_QUAD_OF_CODE = np.tile(np.append(_QUAD_OF_ENTRY, len(_QUADS)), len(_ORDERS))
-_FACTORS_OF_CODE = np.full((DIM, len(_ORDERS), _PAD + 1), DIM)
-for _b, _m in enumerate(_ORDERS):
-    _FACTORS_OF_CODE[DIM - _m :, _b, :_PAD] = np.array(list(np.ndindex((DIM,) * 4))).T[DIM - _m :]
-_FACTORS_OF_CODE = _FACTORS_OF_CODE.reshape(DIM, -1)
+_E = np.arange(_PAD + 1)
+_LAST_OF_CODE = np.tile(np.where(_E < _PAD, _E & 3, DIM), len(_ORDERS))
+_FIRST_OF_CODE = np.where(_E < _PAD, _E >> 2 & 3, DIM)
+_QUAD_OF_CODE = np.append(_QUAD_OF_ENTRY, len(_QUADS))
+_BELOW_OF_CODE = np.concatenate(
+    [
+        np.full(_PAD + 1, _PAD),  # block 0 reads no block below it
+        np.where(_E < _PAD, (_E & 0xC0) | (_E & 3) << 4 | (_E >> 2 & 0xF), _PAD),
+        (_PAD + 1) + np.where(_E < _PAD, (_E & 3) << 6 | _E >> 2, _PAD),
+    ]
+)
+_ROWS = np.arange(len(_BELOW_OF_CODE))
 
 
 class TermTable(NamedTuple):
     """The nonzero terms of the contractions sum_s G[o, s] y^s_1 ... y^s_m of
-    orders m = 4, 3, 2, one block of rows each, in that order.
+    orders m = 2, 3, 4, one block of product rows each, in that order.
 
-    Block b is ``coef[lo:hi]`` and ``factors[:, lo:hi]`` with
-    ``(lo, hi, K, M) = blocks[b]``: its rows, read as [K, M], hold each of its
-    M outputs' K terms, in lexicographic order of the summed indices s, and
-    an output with fewer than K terms ends in +0.0 terms.  ``coef[l, 0]`` is
-    the entry of G of term l (the last axis broadcasts over the points) and
-    ``factors[:, l]`` the indices of y it is multiplied by, in order, where
-    the index DIM stands for 1.0: an order-m term first reads it 4 - m times.
+    Block b has ``shapes[b] = (K, M)``: its rows, read as [K, M], hold each
+    of its M outputs' K terms, in lexicographic order of the summed indices
+    s, and an output with fewer than K terms ends in +0.0 pads.  Row l of
+    block 0 is ``(coef[l] * y^first[l]) * y^last[0][l]`` (``coef`` is
+    [rows, 1], so it broadcasts over the points); row l of block 1 or 2 is
+    row ``below[b - 1][l]`` of the block before it times ``y^last[b][l]``.
+    The index DIM of y stands for 1.0, which only the pads read: a pad of
+    block 0 has the coefficient 0.0, and a later pad reads a pad below it.
     """
 
     coef: np.ndarray
-    factors: np.ndarray
-    blocks: tuple[tuple[int, int, int, int], ...]
+    first: np.ndarray
+    last: tuple[np.ndarray, np.ndarray, np.ndarray]
+    below: tuple[np.ndarray, np.ndarray]
+    shapes: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
 
 
 def _term_tables(values: np.ndarray) -> TermTable:
     """The read-only term tables of the tensor whose 35 components, then
-    0.0, are ``values``.  They are laid out by plain Python over the nonzero
-    components' entries: a dozen numpy calls on arrays of a few dozen
-    entries cost more than the layout itself."""
+    0.0, are ``values``.  Each block's codes are laid out by plain Python
+    over the nonzero components' entries, and each table is one gather over
+    the codes of all blocks: a dozen numpy calls per block on arrays of a
+    few dozen entries cost more than the layout itself.  A pad code's row is
+    one of its block's pads, and any will do, since every pad is +0.0; an
+    order has a pad only if the order below has one, since its outputs' term
+    counts are sums of the order below's."""
     nonzero = sorted(e for q, v in enumerate(values.tolist()) if v != 0.0 for e in _ENTRIES_OF_QUAD[q])
-    codes, blocks = [], []
+    codes, ends, shapes = [], [], []
     for b, m in enumerate(_ORDERS):
         base = b * (_PAD + 1)
-        rows = [[] for _ in range(_PAD // DIM**m)]
+        rows = [[] for _ in range(_PAD >> 2 * m)]
         for e in nonzero:
-            rows[e // DIM**m].append(base + e)
+            rows[e >> 2 * m].append(base + e)
         k = max(max(map(len, rows)), 1)
-        lo = len(codes)
         codes.extend(chain.from_iterable(zip(*(row + [base + _PAD] * (k - len(row)) for row in rows))))
-        blocks.append((lo, len(codes), k, len(rows)))
+        ends.append(len(codes))
+        shapes.append((k, len(rows)))
     codes = np.array(codes)
-    coef = values[_QUAD_OF_CODE[codes[:, None]]]
-    factors = _FACTORS_OF_CODE[:, codes]
-    coef.flags.writeable = factors.flags.writeable = False
-    return TermTable(coef, factors, tuple(blocks))
+    a, b, n = ends
+    row_of = np.empty(len(_ROWS), dtype=np.intp)
+    row_of[codes] = _ROWS[:n]
+    below = row_of.take(_BELOW_OF_CODE.take(codes[a:]))
+    below[b - a :] -= a
+    coef = values.take(_QUAD_OF_CODE.take(codes[:a]))
+    first = _FIRST_OF_CODE.take(codes[:a])
+    last = _LAST_OF_CODE.take(codes)
+    for table in (coef, first, last, below):
+        table.flags.writeable = False
+    return TermTable(coef[:, None], first, (last[:a], last[a:b], last[b:]), (below[: b - a], below[b - a :]), tuple(shapes))
 
 
 class QuarticTensor:

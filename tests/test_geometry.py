@@ -174,20 +174,33 @@ _QUADS = list(combinations_with_replacement(range(1, 5), 4))
     values=st.lists(
         st.floats(-1e250, 1e250, allow_nan=False, allow_infinity=False), min_size=len(_QUADS), max_size=len(_QUADS)
     ),
-    logy=st.lists(st.lists(st.floats(-8.0, 8.0), min_size=4, max_size=4), min_size=1, max_size=5),
+    logy=st.lists(st.lists(st.floats(-8.0, 8.0), min_size=4, max_size=4), min_size=1, max_size=2),
+    size=st.sampled_from((1, 2, METRIC_CHUNK + 1)),
+    seed=st.integers(0, 2**32 - 1),
 )
 @example(  # G_2233 alone: G_i111 for i = 1, 4 and every G_ij11 with i or j in {1, 4} are all-zero
-    pattern=[q == (2, 2, 3, 3) for q in _QUADS], values=[1.0] * len(_QUADS), logy=[[0.0, 1.0, -2.0, 3.0]]
+    pattern=[q == (2, 2, 3, 3) for q in _QUADS],
+    values=[1.0] * len(_QUADS),
+    logy=[[0.0, 1.0, -2.0, 3.0]],
+    size=1,
+    seed=0,
 )
 @example(  # the first term underflows to -0.0: the sum starts from +0.0
-    pattern=[q == (1, 1, 1, 1) for q in _QUADS], values=[-1e-300] * len(_QUADS), logy=[[-8.0, 0.0, 0.0, 0.0]]
+    pattern=[q == (1, 1, 1, 1) for q in _QUADS],
+    values=[-1e-300] * len(_QUADS),
+    logy=[[-8.0, 0.0, 0.0, 0.0]],
+    size=1,
+    seed=0,
 )
-def test_term_sums_are_einsum_for_any_sparsity(pattern, values, logy):
+def test_term_sums_are_einsum_for_any_sparsity(pattern, values, logy, size, seed):
     """Over random sparsity patterns, coefficients and y in [1e-8, 1e8]^4, the
     term-table sum of every contraction (before the guards of g_hierarchy)
-    equals its np.einsum spec bit for bit, signed zeros included."""
+    equals its np.einsum spec bit for bit, signed zeros included, at one
+    point and over batches of 1, 2 and METRIC_CHUNK + 1 points: the drawn
+    points first, then seeded log-uniform ones."""
     G = QuarticTensor({q: v for q, v, on in zip(_QUADS, values, pattern) if on})
-    y = 10.0 ** np.array(logy)
+    more = np.random.default_rng(seed).uniform(-8.0, 8.0, (max(size - len(logy), 0), 4))
+    y = 10.0 ** np.concatenate([logy, more])[:size]
     for ys in (y, y[0]):
         _assert_bits_equal(quartic_form(G, ys), _einsum_level(G, "g1111", ys))
         for name, sums in zip(("g1111", "gi111", "gij11"), kernel._term_sums(G.terms, ys)):
@@ -210,11 +223,19 @@ def test_term_tables_are_read_only_and_built_once(monkeypatch, rng):
         quartic_form(G, y)
     list(metric_batches(G, EXP, np.zeros(len(ys)), ys))
     assert len(built) == 1 and G.terms is G.terms
-    # Berwald-Moor: 24 terms of G_1111, 6 of each G_i111, and 2 of each
-    # off-diagonal G_ij11 (the diagonal's are +0.0 pads)
-    assert G.terms.blocks == ((0, 24, 24, 1), (24, 48, 6, 4), (48, 80, 2, 16))
-    assert G.terms.coef.shape == (80, 1) and G.terms.factors.shape == (4, 80)
-    for arr in (G.terms.coef, G.terms.factors):
+    # Berwald-Moor, by block: 2 terms of each off-diagonal G_ij11 (the
+    # diagonal's are +0.0 pads), 6 of each G_i111 and 24 of G_1111
+    terms = G.terms
+    assert terms.shapes == ((2, 16), (6, 4), (24, 1))
+    assert terms.coef.shape == (32, 1) and terms.first.shape == (32,)
+    assert [len(a) for a in terms.last] == [32, 24, 24] and [len(a) for a in terms.below] == [24, 24]
+    # the diagonal G_11rs reads only pads; each later block reads every
+    # product of the block below it, a permutation of the nonzero entries
+    diagonal = [k * 16 + 5 * i for k in range(2) for i in range(4)]
+    assert (terms.coef[diagonal] == 0.0).all() and (terms.first[diagonal] == 4).all()
+    assert sorted(terms.below[1]) == list(range(24))
+    assert set(terms.below[0]) == set(np.flatnonzero(terms.coef[:, 0]))
+    for arr in (terms.coef, terms.first, *terms.last, *terms.below):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr.flat[0] = 0
@@ -366,15 +387,21 @@ def _packed_jet(s, gijk1):
 @pytest.mark.parametrize("size", BATCH_SIZES)
 def test_trimmed_jet_is_the_packed_jet_bit_for_bit(G, size, rng):
     """The second-order jet is the packed jet bit for bit, and the
-    first-order jet is its d/dy^k part bit for bit."""
+    first-order jet is its d/dy^k part at the first-order entries bit for
+    bit: each sorted triple and its swap, read at n = 3, the first 30 of the
+    50 entries."""
+    assert kernel._ENTRIES[:30] == kernel._FIRST_ORDER
+    assert sorted({e[:3] for e in kernel._FIRST_ORDER}) == sorted(
+        {(a, b, c) for a, b, c in kernel._TRIPLES} | {(a, c, b) for a, b, c in kernel._TRIPLES}
+    )
     ys = cone_points(rng, size)
     s, gijk1 = g_hierarchy(G, ys), third_derivative(G, ys)
     want = _packed_jet(s, gijk1)
-    for order in (1, 2):
+    for order, entries in ((1, 30), (2, 50)):
         got = kernel._metric_jet(s, gijk1, order)
         assert len(got) == order
         for part, ref, name in zip(got, want, ("d", "h")):
-            _assert_bits_equal(part, ref, f"{name} at order {order}")
+            _assert_bits_equal(part, ref[:entries], f"{name} at order {order}")
 
 
 def test_the_jet_no_longer_sets_the_kernels_peak(rng):

@@ -1,3 +1,4 @@
+import ctypes
 import functools
 import importlib
 import importlib.util
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1105,6 +1107,77 @@ def test_cli_verify_prints_one_wall_time_per_group(tmp_path):
     assert lines[GROUPS.index("decay")].split()[2] == "points=4"
     decay = [r for r in json.loads(out.stdout)["reports"] if r["check_name"] == "conservation/decay-rate"]
     assert [r["samples"] for r in decay] == [4]
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_a_second_verify_run_faults_in_almost_no_memory():
+    """verify keeps the pages it frees: the second of two in-process
+    ``verify --samples 200`` runs makes few minor page faults.  With glibc's
+    dynamic thresholds each chunk's tables go back to the kernel when the
+    chunk is dropped, and that run makes about 700."""
+    code = """
+import contextlib, io, resource
+from jetbm.harness.cli import main
+
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(["verify", "--samples", "200"])
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults[1])
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) < 100
+
+
+def test_only_verify_sets_the_allocator(tmp_path, monkeypatch, capsys):
+    """eval, sweep and report leave the C library's allocator as it is;
+    verify sets it before its run."""
+    calls = []
+    monkeypatch.setattr(cli, "_keep_freed_pages", lambda: calls.append(1))
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps({"reports": [], "overall_pass": True}))
+    for argv in (*(v for k, v in _IO_ARGV.items() if k != "verify"), ["report", "--input", str(report)]):
+        assert cli.main(argv) == 0
+    assert calls == []
+    assert cli.main(["verify", "--samples", "1"]) == 1
+    assert calls == [1]
+
+
+class _FakeMallopt:
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+@pytest.mark.parametrize("lookup", ["no-library", "no-symbol", "glibc"])
+def test_the_allocator_setting_needs_mallopt(lookup, monkeypatch):
+    """Without a mallopt among the process's symbols the helper does
+    nothing; with one it sets glibc's mmap threshold to 32 MiB and its trim
+    threshold to 64 MiB."""
+    mallopt = _FakeMallopt()
+
+    def cdll(name):
+        assert name is None
+        if lookup == "no-library":
+            raise OSError("no such library")
+        return SimpleNamespace(mallopt=mallopt) if lookup == "glibc" else SimpleNamespace()
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    cli._keep_freed_pages()
+    assert mallopt.calls == ([(-3, 32 << 20), (-1, 64 << 20)] if lookup == "glibc" else [])
 
 
 def test_cli_sweep_refuses_custom_field_with_exit_two(tmp_path):

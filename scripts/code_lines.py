@@ -1,13 +1,16 @@
 """Count the code lines of the jetbm package.
 
     python scripts/code_lines.py [SRC]
+    python scripts/code_lines.py OLD_SRC NEW_SRC
 
 SRC is a directory that holds the ``jetbm`` package (a checkout's ``src``,
 the default).  The script prints the code-line count of each module under
-SRC and their total.  A code line is a line that is not blank, not a
-comment alone, and not inside a module, class or function docstring (the
-docstrings are found through ``ast``).  This is the count that CHANGES.md
-and ROADMAP.md quote.
+SRC and their total.  Given two such directories, it prints each module's
+count in OLD_SRC, in NEW_SRC and the difference (a module that one tree
+lacks counts 0 there), then the totals: a change's net code lines in one
+command.  A code line is a line that is not blank, not a comment alone, and
+not inside a module, class or function docstring (the docstrings are found
+through ``ast``).  This is the count that CHANGES.md and ROADMAP.md quote.
 """
 
 import ast
@@ -38,14 +41,24 @@ def code_lines(source: str) -> int:
     return count
 
 
+def module_counts(src: Path) -> dict[str, int]:
+    """The code-line count of each module under ``src``, by its path
+    relative to ``src``."""
+    return {str(path.relative_to(src)): code_lines(path.read_text()) for path in sorted(src.rglob("*.py"))}
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 2:
+        old, new = (module_counts(Path(src)) for src in argv)
+        rows = [(name, old.get(name, 0), new.get(name, 0)) for name in sorted(old.keys() | new.keys())]
+        for name, a, b in rows + [("total", sum(old.values()), sum(new.values()))]:
+            print(f"{a:6d} {b:6d} {b - a:+6d}  {name}")
+        return 0
     src = Path(argv[0] if argv else Path(__file__).resolve().parent.parent / "src")
-    total = 0
-    for path in sorted(src.rglob("*.py")):
-        n = code_lines(path.read_text())
-        total += n
-        print(f"{n:6d}  {path.relative_to(src)}")
-    print(f"{total:6d}  total")
+    counts = module_counts(src)
+    for name, n in counts.items():
+        print(f"{n:6d}  {name}")
+    print(f"{sum(counts.values()):6d}  total")
     return 0
 
 

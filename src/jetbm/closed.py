@@ -5,7 +5,9 @@ For G_1111 = y^1 y^2 y^3 y^4 every distinguished object has a closed form in
 y and the time axis alone.  This module imports nothing from jetbm but
 ``errors`` and ``jetcore``, so no closed form shares code with the generic
 pipeline (``geometry``) or with the field layer that reads it.  The tables
-accept one point or an (N, 4) batch of points unless they say otherwise.
+accept one point or an (N, 4) batch of points unless they say otherwise,
+and each reads G_1111 from y itself (``_g1111``), never from its caller, so
+no value the generic pipeline computed enters a closed form.
 
 The paper builds its field theory on a vertical Ricci table whose diagonal
 is twice the honest contraction S^m_i(j)(m) of the closed S.  Both sides
@@ -43,6 +45,17 @@ from .jetcore import DIM, TimeAxis, TimeMetric, check_cone
 # the metric and the G-hierarchy
 
 
+def _g1111(y):
+    """G_1111 = y^1 y^2 y^3 y^4, the product over y's last axis."""
+    return np.prod(y, axis=-1)
+
+
+def _sqrt_g1111(y):
+    """sqrt(G_1111) from y, for every closed value that divides by it
+    (``raised_table_grad`` forms its own, beside its gradient)."""
+    return np.sqrt(_g1111(y))
+
+
 @dataclass(frozen=True)
 class MetricPair:
     """The fundamental metric g_ij and its inverse g^jk, both symmetric."""
@@ -58,7 +71,7 @@ def bm_metric_closed(y) -> MetricPair:
     y may be one point or an (N, 4) batch.
     """
     y = check_cone(y)
-    sq = np.sqrt(np.prod(y, axis=-1))[..., None, None]
+    sq = _sqrt_g1111(y)[..., None, None]
     sign = 1.0 - 2.0 * np.eye(DIM)
     yy = y[..., :, None] * y[..., None, :]
     g_lo = sign * sq / (8.0 * yy)
@@ -66,11 +79,12 @@ def bm_metric_closed(y) -> MetricPair:
     return MetricPair(g_lo=g_lo, g_up=g_up)
 
 
-def bm_hierarchy_closed(g1111, y):
-    """The closed G-hierarchy scalars over a batch, from G_1111 of shape (N,)
-    and y of shape (N, 4): G^jk11 = (1 - 3 delta_jk) y^j y^k / (3 G_1111),
-    det G_ij11 = -3 G_1111^2, scriptG = (2/3) G_1111 and G^j_1 = y^j / 3, in
-    the order of the ``GScalars`` fields."""
+def bm_hierarchy_closed(y):
+    """The closed G-hierarchy scalars over y of shape (N, 4):
+    G^jk11 = (1 - 3 delta_jk) y^j y^k / (3 G_1111), det G_ij11 = -3 G_1111^2,
+    scriptG = (2/3) G_1111 and G^j_1 = y^j / 3, in the order of the
+    ``GScalars`` fields."""
+    g1111 = _g1111(y)
     inv = (1.0 - 3.0 * np.eye(DIM)) * y[:, :, None] * y[:, None, :] / (3.0 * g1111[:, None, None])
     return inv, -3.0 * g1111**2, (2.0 / 3.0) * g1111, y / 3.0
 
@@ -186,7 +200,7 @@ def bm_s_raised_field(y) -> np.ndarray:
     """g-raising of the field-theory Ricci table:
     S_i^m11 = (5 - 14 delta^m_i) / (4 sqrt(G_1111)) * y^m / y^i."""
     y = check_cone(y)
-    sq = np.sqrt(np.prod(y, axis=-1))[..., None, None]
+    sq = _sqrt_g1111(y)[..., None, None]
     return (FIELD_COEF / sq) * (y[..., :, None] * (1.0 / y)[..., None, :])
 
 
@@ -237,7 +251,7 @@ def raised_divergence(d_table, coef: np.ndarray) -> np.ndarray:
 def field_divergence(y) -> np.ndarray:
     """3 / (sqrt(G_1111) y^i), the paper's closed divergence dS^m_i/dy^m of
     the raised field table, over y of shape (N, 4)."""
-    return 3.0 / (np.sqrt(np.prod(y, axis=-1))[:, None] * y)
+    return 3.0 / (_sqrt_g1111(y)[:, None] * y)
 
 
 # --------------------------------------------------------------------------
@@ -245,7 +259,7 @@ def field_divergence(y) -> np.ndarray:
 
 
 def _scalar_curvature(numerator, y):
-    return -numerator / np.sqrt(np.prod(y, axis=-1))
+    return -numerator / _sqrt_g1111(y)
 
 
 def field_numerator(h11, kappa):
@@ -300,19 +314,24 @@ def xi_rate(ax: TimeAxis, k: float):
     return (9.0 * ax.dh11 + 2.0 * ax.kappa * ax.dkappa) / (2.0 * k)
 
 
-def closed_rhs_of(ax: TimeAxis, g1111, y, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _h11_bracket(ax: TimeAxis):
+    """2 h_11'' - 3 h_11'^2 / h_11, the factor of h_11' in T1 and in the
+    first h_11 equation."""
+    return 2.0 * ax.d2h11 - 3.0 * ax.dh11**2 / ax.h11
+
+
+def closed_rhs_of(ax: TimeAxis, y, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed right-hand sides (T1, Ti, Tyi) of the conservation laws over a
-    batch, shapes (N,), (N, 4) and (N, 4), from the time axis, G_1111 of
-    shape (N,) and y of shape (N, 4).
+    batch, shapes (N,), (N, 4) and (N, 4), from the time axis and y of shape
+    (N, 4).
 
     T1  = (h^11)^2 h_11' (2 h_11'' - 3 h_11'^2 / h_11) / (8 K sqrt(G_1111))
     Ti  = kappa xi_11 / (18 sqrt(G_1111) y^i)
     Tyi = xi_11 / (6 sqrt(G_1111) y^i)
     """
     xi = _xi(ax.h11, ax.kappa, k)
-    sq = np.sqrt(g1111)
-    v_inv, dh = ax.h11_inv, ax.dh11
-    t1 = (v_inv**2 / (8.0 * k)) * dh * (2.0 * ax.d2h11 - 3.0 * dh**2 / ax.h11) / sq
+    sq = _sqrt_g1111(y)
+    t1 = (ax.h11_inv**2 / (8.0 * k)) * ax.dh11 * _h11_bracket(ax) / sq
     ti = (ax.kappa * xi)[:, None] / (18.0 * sq[:, None] * y)
     tyi = xi[:, None] / (6.0 * sq[:, None] * y)
     return t1, ti, tyi
@@ -322,4 +341,4 @@ def des_residuals(ax: TimeAxis):
     """Residuals of the system under which the closed right-hand sides
     vanish: h_11' (2 h_11'' - 3 h_11'^2 / h_11) = 0 for T1 and
     9 h_11 + kappa^2 = 0 for Ti and Tyi, from the time axis."""
-    return ax.dh11 * (2.0 * ax.d2h11 - 3.0 * ax.dh11**2 / ax.h11), field_numerator(ax.h11, ax.kappa)
+    return ax.dh11 * _h11_bracket(ax), field_numerator(ax.h11, ax.kappa)

@@ -28,7 +28,9 @@ This module writes no closed formula: the field tables, xi_11 and its
 t-derivative (``_xi``, ``xi_rate``), the closed conservation right-hand
 sides (``closed_rhs_of``), the h_11 system (``des_residuals``) and the
 partials of the raised table are written once, in ``closed``, and imported
-from there.  ``des_check`` reads the time axis from one ``TimeMetric.eval``
+from there.  ``closed_rhs_of`` reads a bundle's time axis and y and forms
+G_1111 from y itself, so the closed side of a conservation residual shares
+no value with the kernel's G-hierarchy.  ``des_check`` reads the time axis from one ``TimeMetric.eval``
 over its t, as the kernel does per chunk.
 
 Each ``*_of`` function computes its objects over the whole batch of a
@@ -259,7 +261,7 @@ def conservation_residuals_of(geo: Connection, k: float) -> ConservationResidual
     blocks = einstein_blocks_of(geo, k)
     if geo.tensor.is_berwald_moor:
         _guard_reduction_terms(geo, blocks)
-        closed = closed_rhs_of(geo, geo.scalars.g1111, geo.y, k)
+        closed = closed_rhs_of(geo, geo.y, k)
     else:
         trace, dropped = _contraction_terms(geo, blocks)
         h, mixed_t, mixed_v, vv = (np.einsum("xri,xr->xi", f, trace) - d for f, d in dropped)

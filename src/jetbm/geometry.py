@@ -133,7 +133,6 @@ __all__ = [
     "point_connection",
     "point_geometry",
     "point_metric",
-    "quartic_form",
     "raised_ricci_divergence",
     "stage_times",
     "take",
@@ -339,14 +338,15 @@ def _add_terms(rows: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return total
 
 
-def _term_sums(table: TermTable, y: np.ndarray, count: int = 3) -> list[np.ndarray]:
-    """G_pqrs y^p y^q y^r y^s, G_ipqr y^p y^q y^r and G_ijpq y^p y^q (the
-    first ``count`` of them) at y of shape (4,) or (N, 4), each as [M, N], by
-    np.einsum's own arithmetic over the tensor's nonzero terms (see the module
-    docstring).  Each order's products are the order below's times one
-    factor y^s (``TermTable``), so every product is formed left to right,
-    ((G y^p) y^q) ..., with one gather of the rows below and one of the
-    factor rows per order; the orders below are dropped once read.
+def _term_sums(table: TermTable, y: np.ndarray) -> list[np.ndarray]:
+    """G_pqrs y^p y^q y^r y^s, G_ipqr y^p y^q y^r and G_ijpq y^p y^q at y of
+    shape (4,) or (N, 4), each as [M, N], by np.einsum's own arithmetic over
+    the tensor's nonzero terms (see the module docstring).  Each order's
+    products are the order below's times one factor y^s (``TermTable``), so
+    every product is formed left to right, ((G y^p) y^q) ..., with one
+    gather of the rows below and one of the factor rows per order; the
+    orders below are dropped once read.  ``g_hierarchy`` is its one caller
+    and reads all three.
     """
     y = y.reshape(-1, DIM)
     yt = np.empty((DIM + 1, len(y)))
@@ -359,16 +359,8 @@ def _term_sums(table: TermTable, y: np.ndarray, count: int = 3) -> list[np.ndarr
             rows = rows[table.below[b - 1]]
         rows *= yt[last]
         # blocks run G_ij11, G_i111, G_1111; the sums run the other way
-        if b >= 3 - count:
-            sums.append(_add_terms(rows, table.shapes[b]))
+        sums.append(_add_terms(rows, table.shapes[b]))
     return sums[::-1]
-
-
-def quartic_form(G: QuarticTensor, y: np.ndarray) -> np.ndarray:
-    """G_1111 = G_pqrs y^p y^q y^r y^s at y of shape (4,) or over y of shape
-    (N, 4); ``g_hierarchy`` holds this value."""
-    (g,) = _term_sums(G.terms, y, 1)
-    return g[0, 0] if y.ndim == 1 else g[0]
 
 
 def third_derivative(G: QuarticTensor, y: np.ndarray) -> np.ndarray:
@@ -397,7 +389,8 @@ def g_hierarchy(G: QuarticTensor, y: np.ndarray) -> GScalars:
     g^jk g_kl with delta at an absolute tolerance near rounding, and their
     verdicts follow the last bits.  Every level is C-contiguous, because a
     matmul of a strided operand may round differently.  G_ijk1 is not a level
-    here: the metric stage does not read it (``third_derivative``).  A level or
+    here: the metric stage does not read it (``third_derivative``).  No closed
+    form reads these levels: ``closed`` forms G_1111 from y itself.  A level or
     determinant that is not finite (y so large that a contraction or det
     G_ij11 overflows) raises DomainError, before the singular test.
     """

@@ -56,8 +56,9 @@ design on a correct implementation.
 A sweep tabulates one field of the field layer over a grid; it evaluates the
 body of that field's library function (``closed.scalar_curvature_field_of``,
 ``closed.xi_11_of``, ``closed.closed_rhs_of`` or the G-hierarchy) one
-METRIC_CHUNK of grid points at a time, since every field reads only
-metric-stage objects, and has no formula of its own.  It reads the grid's
+METRIC_CHUNK of grid points at a time, and has no formula of its own.  The
+closed fields read the time axis and y alone, so they reach no kernel code;
+G1111 reads the G-hierarchy, a metric-stage object.  It reads the grid's
 structure instead of recovering it from its columns: a closed field checks
 the cone once per grid and evaluates the time axis once per grid, over the
 t axis values, and each batch gathers the time-axis entries it reads by its
@@ -84,7 +85,6 @@ from ..geometry import (
     connection_batches,
     g_hierarchy,
     metric_batches,
-    quartic_form,
     stage_times,
     take,
 )
@@ -238,7 +238,7 @@ def _grp_gscalars(cfg, t, ys, oracle, inverse, euler, det, script, raised, inv_c
             oracle.add(m.g_lo, cl.g_lo)
             oracle.add(m.g_up, cl.g_up)
             got = (s.gij11_inv, s.det_gij11, s.g_script, s.gj_up)
-            for err, a, b in zip((inv_closed, det, script, raised), got, bm.bm_hierarchy_closed(s.g1111, y)):
+            for err, a, b in zip((inv_closed, det, script, raised), got, bm.bm_hierarchy_closed(y)):
                 err.add(a, b)
 
 
@@ -632,6 +632,16 @@ SWEEP_FIELDS = ("Sc", "xi11", "T1", "Ti", "Tyi", "G1111")
 _AXES = ("t", "s", "y1", "y2", "y3", "y4")
 
 
+def _check_axis(name: str, seen: set) -> None:
+    """Refuse an axis name that is not a grid axis or is in ``seen`` (the
+    names before it), and add it to ``seen``."""
+    if name not in _AXES:
+        raise ConfigError(f"grid: unknown axis {name!r}, expected one of {_AXES}")
+    if name in seen:
+        raise ConfigError(f"grid: duplicate axis {name!r}")
+    seen.add(name)
+
+
 def parse_grid(spec: str) -> list[tuple[str, np.ndarray]]:
     """Parse 'axis=start:stop:count,...'; t is linearly spaced, y-like axes
     geometrically. Axes: t, s (ray scale on (1,1,1,1)), y1..y4."""
@@ -645,11 +655,7 @@ def parse_grid(spec: str) -> list[tuple[str, np.ndarray]]:
             raise ConfigError(f"grid: expected axis=start:stop:count, got {part!r}")
         name, _, rng_spec = part.partition("=")
         name = name.strip()
-        if name not in _AXES:
-            raise ConfigError(f"grid: unknown axis {name!r}, expected one of {_AXES}")
-        if name in seen:
-            raise ConfigError(f"grid: duplicate axis {name!r}")
-        seen.add(name)
+        _check_axis(name, seen)
         pieces = rng_spec.split(":")
         if len(pieces) != 3:
             raise ConfigError(f"grid: expected start:stop:count, got {rng_spec!r}")
@@ -701,8 +707,8 @@ def _by_table_row(first: int = 0, step: int = 1):
 
 def _sweep_values(cfg: RunConfig, field: str, table: jsondoc.GridColumns, y: np.ndarray) -> np.ndarray:
     """The field at every grid point, y of shape (R, 4), evaluated one
-    METRIC_CHUNK of rows at a time: every field reads only the time axis,
-    the quartic form or the G-hierarchy, so a batch holds no more than a
+    METRIC_CHUNK of rows at a time: a closed field reads only the time axis
+    and y, and G1111 the G-hierarchy, so a batch holds no more than a
     metric-stage bundle does.  A closed field checks the cone and evaluates
     the time axis once per grid, over the t axis values (or the one
     midpoint t when the grid has no t axis), and a batch gathers from it by
@@ -712,9 +718,9 @@ def _sweep_values(cfg: RunConfig, field: str, table: jsondoc.GridColumns, y: np.
         "G1111": lambda ax, y: g_hierarchy(G, y).g1111,
         "xi11": lambda ax, y: bm.xi_11_of(ax, k),
         "Sc": bm.scalar_curvature_field_of,
-        "T1": lambda ax, y: bm.closed_rhs_of(ax, quartic_form(G, y), y, k)[0],
-        "Ti": lambda ax, y: bm.closed_rhs_of(ax, quartic_form(G, y), y, k)[1][:, 0],
-        "Tyi": lambda ax, y: bm.closed_rhs_of(ax, quartic_form(G, y), y, k)[2][:, 0],
+        "T1": lambda ax, y: bm.closed_rhs_of(ax, y, k)[0],
+        "Ti": lambda ax, y: bm.closed_rhs_of(ax, y, k)[1][:, 0],
+        "Tyi": lambda ax, y: bm.closed_rhs_of(ax, y, k)[2][:, 0],
     }[field]
     ax = t_index = None
     if field != "G1111":
@@ -739,7 +745,8 @@ def sweep(cfg: RunConfig, field: str, grid) -> jsondoc.GridColumns:
     order, then the field's, with one entry per grid point, lexicographic in
     grid indices (the last axis varies fastest).  The table is a
     ``jsondoc.GridColumns``, so both sweep writers format each axis value
-    once.
+    once.  A grid is a ``parse_grid`` spec or its (axis, values) pairs,
+    whose axis names meet the same checks (``_check_axis``).
 
     Every field is a read of the field layer: Sc is
     ``closed.scalar_curvature_field``, xi11 ``closed.xi_11``, T1, Ti and Tyi
@@ -756,7 +763,11 @@ def sweep(cfg: RunConfig, field: str, grid) -> jsondoc.GridColumns:
             f"sweep field {field!r} comes from the closed Berwald-Moor field layer and is not defined "
             "for a custom tensor; only G1111 is"
         )
-    table = jsondoc.GridColumns(parse_grid(grid) if isinstance(grid, str) else grid)
+    axes = parse_grid(grid) if isinstance(grid, str) else list(grid)
+    seen = set()
+    for name, _ in axes:
+        _check_axis(name, seen)
+    table = jsondoc.GridColumns(axes)
     y = np.ones((table.rows, DIM))
     if "s" in table:
         y = table["s"][:, None] * y

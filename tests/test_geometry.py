@@ -49,7 +49,6 @@ from jetbm.geometry import (
     g_hierarchy,
     metric_batches,
     point_geometry,
-    quartic_form,
     take,
     third_derivative,
 )
@@ -151,9 +150,9 @@ def _assert_bits_equal(got, want, name=""):
 )
 @pytest.mark.parametrize("size", (None,) + BATCH_SIZES)
 def test_hierarchy_is_its_einsum_specs_bit_for_bit(G, size, rng):
-    """quartic_form, third_derivative and every level of g_hierarchy equal
-    their np.einsum specs bit for bit, at one point y of shape (4,) (size None)
-    and over batches, and every level is C-contiguous."""
+    """third_derivative and every level of g_hierarchy equal their np.einsum
+    specs bit for bit, at one point y of shape (4,) (size None) and over
+    batches, and every level is C-contiguous."""
     y = cone_points(rng, 1 if size is None else size)
     if size is None:
         y = y[0]
@@ -162,7 +161,6 @@ def test_hierarchy_is_its_einsum_specs_bit_for_bit(G, size, rng):
         got = third_derivative(G, y) if name == "gijk1" else getattr(s, name)
         _assert_bits_equal(got, _einsum_level(G, name, y), name)
         assert np.ndim(got) == 0 or got.flags.c_contiguous, name
-    _assert_bits_equal(quartic_form(G, y), _einsum_level(G, "g1111", y))
 
 
 _QUADS = list(combinations_with_replacement(range(1, 5), 4))
@@ -202,7 +200,6 @@ def test_term_sums_are_einsum_for_any_sparsity(pattern, values, logy, size, seed
     more = np.random.default_rng(seed).uniform(-8.0, 8.0, (max(size - len(logy), 0), 4))
     y = 10.0 ** np.concatenate([logy, more])[:size]
     for ys in (y, y[0]):
-        _assert_bits_equal(quartic_form(G, ys), _einsum_level(G, "g1111", ys))
         for name, sums in zip(("g1111", "gi111", "gij11"), kernel._term_sums(G.terms, ys)):
             scale = _HIERARCHY_SPECS[name][0]
             want = _einsum_level(G, name, ys)
@@ -220,7 +217,6 @@ def test_term_tables_are_read_only_and_built_once(monkeypatch, rng):
     ys = cone_points(rng, CHUNK + 1)
     for y in (ys, ys[0]):
         g_hierarchy(G, y)
-        quartic_form(G, y)
     list(metric_batches(G, EXP, np.zeros(len(ys)), ys))
     assert len(built) == 1 and G.terms is G.terms
     # Berwald-Moor, by block: 2 terms of each off-diagonal G_ij11 (the

@@ -17,7 +17,6 @@ from jetbm import (
     ConfigError,
     InvariantError,
     JetBMError,
-    JetPoint,
     QuarticTensor,
     Taylor2,
     TimeMetric,
@@ -28,7 +27,7 @@ from jetbm import (
 from jetbm import closed, fieldtheory
 from jetbm.closed import closed_rhs_of
 import jetbm.geometry as kernel
-from jetbm.geometry import CHUNK, METRIC_CHUNK, point_metric
+from jetbm.geometry import CHUNK, METRIC_CHUNK
 from jetbm.harness import checks as verify_checks
 from jetbm.harness import cli, default_config, jsondoc, parse_config, parse_grid, run_verify, sweep
 from jetbm.harness.checks import SWEEP_FIELDS, check_names, sweep_csv
@@ -612,6 +611,28 @@ def test_sweep_rejects_unknown_field_and_axis():
             parse_grid(spec)
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ([("y5", [1.0, 2.0])], "grid: unknown axis 'y5', expected one of"),
+        ([("y1", [1.0, 2.0]), ("y1", [3.0])], "grid: duplicate axis 'y1'"),
+        ([("s", [1.0]), ("t", [0.0]), ("s", [2.0])], "grid: duplicate axis 's'"),
+    ],
+    ids=["unknown", "duplicate", "duplicate-apart"],
+)
+@pytest.mark.parametrize("field", ["Sc", "G1111"])
+def test_a_pre_parsed_grid_meets_the_axis_checks_of_parse_grid(field, grid, message):
+    """A grid given as (axis, values) pairs is refused for an unknown or a
+    repeated axis name with parse_grid's own texts, instead of the name
+    being ignored or its column overwritten; the same texts as a spec."""
+    cfg = parse_config(MINIMAL)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        sweep(cfg, field, grid)
+    spec = ",".join(f"{name}=1:2:2" for name, _ in grid)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        sweep(cfg, field, spec)
+
+
 @pytest.mark.parametrize("field", ["Sc", "xi11", "T1", "Ti", "Tyi"])
 def test_sweep_refuses_closed_field_layer_for_custom_tensor(field):
     cfg = parse_config(CUSTOM_OTHER)
@@ -647,8 +668,7 @@ def _field_at(cfg, field, t, y):
         return xi_11(tm, t, k)
     if field == "G1111":
         return g_scalars(G, y).g1111
-    m = point_metric(G, tm, JetPoint.from_y(y, t=t))
-    t1, ti, tyi = closed_rhs_of(m, m.scalars.g1111, m.y, k)
+    t1, ti, tyi = closed_rhs_of(tm.eval(np.array([t])), np.array([y]), k)
     return float({"T1": t1[0], "Ti": ti[0, 0], "Tyi": tyi[0, 0]}[field])
 
 
@@ -664,6 +684,29 @@ def test_sweep_rows_equal_the_field_layer_bit_for_bit(field, tm):
         y = row["s"] * np.ones(4)
         y[1] = row["y2"]
         assert row[field] == _field_at(cfg, field, row["t"], y), row
+
+
+@pytest.mark.parametrize("field", ["Sc", "xi11", "T1", "Ti", "Tyi"])
+def test_a_closed_sweep_field_reaches_no_kernel_code(field, monkeypatch):
+    """The closed fields read the time axis and y alone: with the
+    G-hierarchy and its term sums made to raise, every closed field still
+    sweeps, and the T rows are closed_rhs_of over the rows' own time axis
+    and y, bit for bit."""
+
+    def kernel_reached(*args, **kwargs):
+        raise AssertionError("a closed sweep field reached the kernel's G-hierarchy")
+
+    for module in (kernel, verify_checks):
+        monkeypatch.setattr(module, "g_hierarchy", kernel_reached)
+    monkeypatch.setattr(kernel, "_term_sums", kernel_reached)
+    cfg = parse_config(Path(_BM_POWER).read_text())
+    cols = sweep(cfg, field, "t=-0.9:0.8:3,s=0.5:3:5,y2=0.2:7:9")
+    if field in ("T1", "Ti", "Tyi"):
+        y = cols["s"][:, None] * np.ones(4)
+        y[:, 1] = cols["y2"]
+        t1, ti, tyi = closed_rhs_of(cfg.time_metric.eval(cols["t"]), y, cfg.einstein_k)
+        want = {"T1": t1, "Ti": ti[:, 0], "Tyi": tyi[:, 0]}[field]
+        assert cols[field].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("grid", ["s=0.5:3:5,t=-0.9:0.8:3,y2=0.2:7:9", "s=0.5:3:5,y2=0.2:7:9,t=-0.9:0.8:3"])

@@ -207,8 +207,7 @@ def bm_s_raised_field(y) -> np.ndarray:
 def raised_table_grad(y):
     """First-order partials of the Berwald-Moor raised table
     y^m / (y^i sqrt(G_1111)) over y of shape (N, 4): the partials
-    d/dy^m of entry [m][i] as an (N, 4, 4) array indexed [point, m, i], then
-    1/sqrt(G_1111) of shape (N,) and its gradient of shape (N, 4).
+    d/dy^m of entry [m][i] as an (N, 4, 4) array indexed [point, m, i].
 
     The gradient rules of ``Taylor2.__mul__``, ``reciprocal`` and ``sqrt``
     are applied in the operand order of the per-entry Taylor2 quotient
@@ -235,7 +234,7 @@ def raised_table_grad(y):
     # y^m (-(1/y^i)^2 delta_mi) + (1/y^i) 1
     d_quot = y[:, :, None] * ((-r * r)[:, None, :] * eye) + r[:, None, :]
     quot = y[:, :, None] * r[:, None, :]
-    return quot * d_inv_sq[:, :, None] + inv_sq[:, None, None] * d_quot, inv_sq, d_inv_sq
+    return quot * d_inv_sq[:, :, None] + inv_sq[:, None, None] * d_quot
 
 
 def raised_divergence(d_table, coef: np.ndarray) -> np.ndarray:

@@ -10,19 +10,20 @@ divergences reproduce the closed right-hand sides at machine precision.  For
 non-Berwald-Moor tensors the honest Ricci contraction feeds the same block
 formulas.
 
-The conservation laws are one assembly (``conservation_residuals_of``):
-every raised block is a t-scalar times the raised Ricci table S^m_i plus a
-t-scalar times (xi / sqrt(G_1111)) delta, so T1, Ti and Tyi follow from
-div S = dS^m_i/dy^m, 1/sqrt(G_1111) and its gradient, plus the C- and
-L-contraction terms of the unreduced covariant divergences.  The partials
-are exact and have two sources.  On Berwald-Moor they are the first-order
-partials of the closed table (``raised_table_grad``, Taylor2's gradient
-rules in one broadcast pass, bit for bit the per-entry Taylor2 quotient),
-and the contraction terms are guarded to vanish.  On a custom tensor the
-gradient of 1/sqrt(G_1111) comes from the metric stage, div S from the
-full stage's raised contraction and the second-order jet
-(``geometry.raised_ricci_divergence``), and the contraction terms are
-added.
+The conservation laws are one assembly on every tensor
+(``conservation_residuals_of``): every raised block is a t-scalar times the
+raised Ricci table S^m_i plus a t-scalar times (xi / sqrt(G_1111)) delta,
+so T1, Ti and Tyi follow from div S = dS^m_i/dy^m, 1/sqrt(G_1111) and its
+gradient, plus the C- and L-contraction terms of the unreduced covariant
+divergences, which are added on every tensor (on Berwald-Moor they vanish
+to rounding).  1/sqrt(G_1111) and its gradient -G_i111 / (2 G_1111^(3/2))
+come from the metric stage, as in the Einstein blocks.  Of its inputs only
+div S depends on the tensor: on Berwald-Moor it is the exact divergence of
+the closed field table from its first-order partials
+(``raised_table_grad``, Taylor2's gradient rules in one broadcast pass); on
+a custom tensor the exact divergence of the full stage's raised
+contraction, from the second-order jet
+(``geometry.raised_ricci_divergence``).
 
 This module writes no closed formula: the field tables, xi_11 and its
 t-derivative (``_xi``, ``xi_rate``), the closed conservation right-hand
@@ -58,7 +59,7 @@ from .closed import (
     xi_rate,
 )
 from .connection import apriori_nlc
-from .errors import ConfigError, InvariantError, refuse
+from .errors import ConfigError
 from .geometry import (
     Connection,
     Metric,
@@ -232,89 +233,64 @@ def conservation_residuals_of(geo: Connection, k: float) -> ConservationResidual
 
     Every raised block is a t-scalar times the raised Ricci table S^m_i plus
     a t-scalar times (xi / sqrt(G_1111)) delta, so T1, Ti and Tyi are one
-    assembly of div S = dS^m_i/dy^m, 1/sqrt(G_1111) and its gradient
-    (``_divergence_sources``), plus the C- and L-contraction terms of the
-    unreduced covariant divergences (``_contraction_terms``).  On
-    Berwald-Moor the partials are the exact first-order ones of the closed
-    table (``raised_table_grad``), the contraction terms are checked to
-    vanish (``_guard_reduction_terms``) and everything reads the connection
-    stage.  On a custom tensor the gradient of 1/sqrt(G_1111) is exact from
-    the metric stage, div S is the exact divergence of the honest
+    assembly, on every tensor, of div S = dS^m_i/dy^m, 1/sqrt(G_1111) and
+    its gradient -G_i111 / (2 G_1111^(3/2)), plus the C- and L-contraction
+    terms of the unreduced covariant divergences (``_contraction_terms``).
+    1/sqrt(G_1111) and its gradient come from the metric stage, as in
+    ``einstein_blocks_of``.  Only div S and the closed right-hand sides
+    depend on the tensor.  On Berwald-Moor div S is the exact divergence of
+    the closed field table (``raised_table_grad``), the contraction terms
+    vanish to rounding (the trace-free property of C and the
+    raised-orthogonality identity), and everything reads the connection
+    stage.  On a custom tensor div S is the exact divergence of the honest
     contraction, which only the full stage (``Geometry``) holds
-    (``raised_ricci_divergence``, which runs the second-order jet), the
-    contraction terms are added, and the closed right-hand sides, which hold
-    for Berwald-Moor alone, are None.
+    (``raised_ricci_divergence``, which runs the second-order jet), and the
+    closed right-hand sides, which hold for Berwald-Moor alone, are None.
     """
     xi = _xi(geo.h11, geo.kappa, k)
     dxi = xi_rate(geo, k)
-    div_s, inv_sq, d_inv_sq = _divergence_sources(geo)
-    kappa, h11, xi_c = geo.kappa[:, None], geo.h11[:, None], xi[:, None]
-    kappa_sq = (geo.kappa * geo.kappa)[:, None]
-    # T1 = delta(xi / sqrt(G)) / delta t with delta/delta t = d/dt + kappa y^p d/dy^p;
-    # y^p d/dy^p is np.dot per point, because a stacked matmul or einsum sums
-    # the four products in another order than the BLAS dot of one point
-    y_grad = np.array([np.dot(y, g) for y, g in zip(geo.y, d_inv_sq)])
-    t1 = dxi * inv_sq + geo.kappa * xi * y_grad
-    # horizontal parts with delta/delta x^m = (kappa/3) d/dy^m, vertical parts with d/dy^m
-    ti = (kappa / 3.0) * ((kappa_sq / (9.0 * k)) * div_s + xi_c * d_inv_sq) + (h11 * kappa / (3.0 * k)) * div_s
-    tyi = (kappa / 3.0) * (kappa / (3.0 * k)) * div_s + (h11 / k) * div_s + xi_c * d_inv_sq
-    blocks = einstein_blocks_of(geo, k)
-    if geo.tensor.is_berwald_moor:
-        _guard_reduction_terms(geo, blocks)
-        closed = closed_rhs_of(geo, geo.y, k)
-    else:
-        trace, dropped = _contraction_terms(geo, blocks)
-        h, mixed_t, mixed_v, vv = (np.einsum("xri,xr->xi", f, trace) - d for f, d in dropped)
-        ti = ti + ((kappa / 3.0) * h + mixed_t)
-        tyi = tyi + ((kappa / 3.0) * mixed_v + vv)
-        closed = (None, None, None)
-    return ConservationResiduals(t1, ti, tyi, *closed)
-
-
-def _divergence_sources(geo: Connection):
-    """div S = dS^m_i/dy^m of the raised Ricci table of ``_s_source``, of
-    shape (N, 4), then 1/sqrt(G_1111) of shape (N,) and its gradient of shape
-    (N, 4): on Berwald-Moor the exact first-order partials of
-    ``raised_table_grad``; on a custom tensor the gradient
-    -G_i111 / (2 G_1111^(3/2)) from the metric stage and the exact div S of
-    the full stage's raised contraction (``raised_ricci_divergence``)."""
-    if geo.tensor.is_berwald_moor:
-        d_table, inv_sq, d_inv_sq = raised_table_grad(geo.y)
-        return raised_divergence(d_table, FIELD_COEF), inv_sq, d_inv_sq
     g = geo.scalars.g1111
     inv_sq = 1.0 / np.sqrt(g)
     d_inv_sq = (-0.5 * inv_sq / g)[:, None] * geo.scalars.gi111
-    return raised_ricci_divergence(geo), inv_sq, d_inv_sq
+    bm = geo.tensor.is_berwald_moor
+    div_s = raised_divergence(raised_table_grad(geo.y), FIELD_COEF) if bm else raised_ricci_divergence(geo)
+    kappa, h11, xi_c = geo.kappa[:, None], geo.h11[:, None], xi[:, None]
+    kappa_sq = (geo.kappa * geo.kappa)[:, None]
+    # T1 = delta(xi / sqrt(G)) / delta t with delta/delta t = d/dt + kappa y^p d/dy^p
+    t1 = dxi * inv_sq + geo.kappa * xi * np.einsum("xp,xp->x", geo.y, d_inv_sq)
+    # horizontal parts with delta/delta x^m = (kappa/3) d/dy^m, vertical parts with d/dy^m
+    ti = (kappa / 3.0) * ((kappa_sq / (9.0 * k)) * div_s + xi_c * d_inv_sq) + (h11 * kappa / (3.0 * k)) * div_s
+    tyi = (kappa / 3.0) * (kappa / (3.0 * k)) * div_s + (h11 / k) * div_s + xi_c * d_inv_sq
+    h, mixed_t, mixed_v, vv = _contraction_terms(geo, einstein_blocks_of(geo, k))
+    ti = ti + ((kappa / 3.0) * h + mixed_t)
+    tyi = tyi + ((kappa / 3.0) * mixed_v + vv)
+    closed = closed_rhs_of(geo, geo.y, k) if bm else (None, None, None)
+    return ConservationResiduals(t1, ti, tyi, *closed)
 
 
 def _contraction_terms(geo: Connection, blocks: EinsteinBlocks):
-    """The C-terms of the unreduced divergences: the trace C^m_rm of shape
-    (N, 4), and for each of the four raised blocks F (T^m_i, then the mixed
-    T and V blocks, then the vv block) the pair F and F^m_r C^r_im, which the
-    divergence of F subtracts after adding F^r_i C^m_rm.  A horizontal
-    divergence reads L where a vertical one reads C, and the connection
-    stage builds L as (kappa/3) C, so its L-terms are kappa/3 times these."""
+    """The C-terms of the unreduced divergences, F^r_i C^m_rm - F^m_r C^r_im
+    of shape (N, 4), for each of the four raised blocks F: T^m_i, then the
+    mixed T and V blocks, then the vv block.  A horizontal divergence reads
+    L where a vertical one reads C, and the connection stage builds L as
+    (kappa/3) C, so its L-terms are kappa/3 times these.
+
+    F^m_r C^r_im is a stacked matmul over r, then a trace over m: a point
+    gets the same bits alone as in a batch, which a two-index einsum does
+    not give."""
     c = geo.c
+    trace = np.einsum("xmjm->xj", c)
+    c_flat = c.reshape(len(c), DIM, DIM * DIM)
     fields = (blocks.raised_h, blocks.raised_mixed_t, blocks.raised_mixed_v, blocks.raised_vv)
-    return np.einsum("xmjm->xj", c), [(f, np.einsum("xmr,xrim->xi", f, c)) for f in fields]
-
-
-def _guard_reduction_terms(geo: Connection, blocks: EinsteinBlocks):
-    """On Berwald-Moor the contraction terms (``_contraction_terms``) vanish
-    through the trace-free property of C and the raised-orthogonality
-    identity, so the assembly leaves them out; this guard pins that down."""
-    trace, dropped = _contraction_terms(geo, blocks)
-    bad = ~(np.abs(trace).max(axis=1) <= 1e-9 * np.maximum(np.abs(geo.c).max(axis=(1, 2, 3)), 1.0))
-    for field, d in dropped:
-        bad |= ~(np.abs(d).max(axis=1) <= 1e-9 * np.maximum(np.abs(field).max(axis=(1, 2)), 1.0))
-    refuse(bad, InvariantError, "the terms dropped by the reduced conservation divergences do not vanish", y=geo.y)
+    return [np.einsum("xri,xr->xi", f, trace) - np.einsum("xmim->xi", (f @ c_flat).reshape(c.shape)) for f in fields]
 
 
 def conservation_batches(G: QuarticTensor, tm: TimeMetric, t, y):
     """Bundles of the shallowest stage the conservation residuals of G read,
     over the chunks of ``batches``: the connection stage on Berwald-Moor,
-    whose guarded contraction terms read C, and the full stage on a custom
-    tensor, whose divergences read the honest Ricci contraction."""
+    whose contraction terms read C and whose div S reads y alone, and the
+    full stage on a custom tensor, whose div S reads the honest Ricci
+    contraction."""
     return (connection_batches if G.is_berwald_moor else batches)(G, tm, t, y)
 
 

@@ -37,8 +37,7 @@ the shallowest kernel stage that holds what it reads:
   ``conservation_batches``, which the per-point functions use too): on
   Berwald-Moor the metric stage for einstein, whose blocks read the closed
   field table, and the connection stage for conservation and decay, whose
-  guard on the dropped contraction terms reads C; on a custom tensor the
-  full stage;
+  contraction terms read C; on a custom tensor the full stage;
 * connection reads the time axis alone (``TimeMetric.eval`` over all its
   t) and builds the nonlinear connections and adapted frames over all its
   points at once;
@@ -310,7 +309,7 @@ def _grp_ricci(cfg, t, ys, closed_form, offdiag, diag, raised_field, curl, div_f
         # orthogonality identity can contract against the cheap closed form
         curl.add_residual(np.einsum("xmr,xrim->xi", geo.s_raised, bm.bm_c_closed(y)))
         sc_closed.add(geo.sc, bm.scalar_curvature_contracted(geo.h11, kappa, y))
-        d_table, _, _ = bm.raised_table_grad(y)
+        d_table = bm.raised_table_grad(y)
         target = bm.field_divergence(y)
         div_field.add(bm.raised_divergence(d_table, bm.FIELD_COEF), target)
         div_contr.add(bm.raised_divergence(d_table, bm.CONTRACTED_COEF), target)
@@ -632,21 +631,28 @@ SWEEP_FIELDS = ("Sc", "xi11", "T1", "Ti", "Tyi", "G1111")
 _AXES = ("t", "s", "y1", "y2", "y3", "y4")
 
 
-def _check_axis(name: str, seen: set) -> None:
-    """Refuse an axis name that is not a grid axis or is in ``seen`` (the
-    names before it), and add it to ``seen``."""
-    if name not in _AXES:
-        raise ConfigError(f"grid: unknown axis {name!r}, expected one of {_AXES}")
-    if name in seen:
-        raise ConfigError(f"grid: duplicate axis {name!r}")
-    seen.add(name)
+def _check_grid(axes: list) -> list:
+    """Return the grid's (axis, values) pairs, or refuse a grid with no
+    axes, an axis name that is not a grid axis or repeats one before it, or
+    an axis with no values."""
+    if not axes:
+        raise ConfigError("grid: no axes given")
+    seen = set()
+    for name, values in axes:
+        if name not in _AXES:
+            raise ConfigError(f"grid: unknown axis {name!r}, expected one of {_AXES}")
+        if name in seen:
+            raise ConfigError(f"grid: duplicate axis {name!r}")
+        if len(values) == 0:
+            raise ConfigError(f"grid: axis {name!r} has no values")
+        seen.add(name)
+    return axes
 
 
 def parse_grid(spec: str) -> list[tuple[str, np.ndarray]]:
     """Parse 'axis=start:stop:count,...'; t is linearly spaced, y-like axes
     geometrically. Axes: t, s (ray scale on (1,1,1,1)), y1..y4."""
     axes = []
-    seen = set()
     for part in spec.split(","):
         part = part.strip()
         if not part:
@@ -655,7 +661,6 @@ def parse_grid(spec: str) -> list[tuple[str, np.ndarray]]:
             raise ConfigError(f"grid: expected axis=start:stop:count, got {part!r}")
         name, _, rng_spec = part.partition("=")
         name = name.strip()
-        _check_axis(name, seen)
         pieces = rng_spec.split(":")
         if len(pieces) != 3:
             raise ConfigError(f"grid: expected start:stop:count, got {rng_spec!r}")
@@ -674,9 +679,7 @@ def parse_grid(spec: str) -> list[tuple[str, np.ndarray]]:
                 raise ConfigError(f"grid: axis {name} needs positive bounds, got [{start}, {stop}]")
             values = np.geomspace(start, stop, count) if count > 1 else np.array([start])
         axes.append((name, values))
-    if not axes:
-        raise ConfigError("grid: no axes given")
-    return axes
+    return _check_grid(axes)
 
 
 class _AxisRows:
@@ -746,7 +749,7 @@ def sweep(cfg: RunConfig, field: str, grid) -> jsondoc.GridColumns:
     grid indices (the last axis varies fastest).  The table is a
     ``jsondoc.GridColumns``, so both sweep writers format each axis value
     once.  A grid is a ``parse_grid`` spec or its (axis, values) pairs,
-    whose axis names meet the same checks (``_check_axis``).
+    which meet the same grid checks (``_check_grid``).
 
     Every field is a read of the field layer: Sc is
     ``closed.scalar_curvature_field``, xi11 ``closed.xi_11``, T1, Ti and Tyi
@@ -763,10 +766,7 @@ def sweep(cfg: RunConfig, field: str, grid) -> jsondoc.GridColumns:
             f"sweep field {field!r} comes from the closed Berwald-Moor field layer and is not defined "
             "for a custom tensor; only G1111 is"
         )
-    axes = parse_grid(grid) if isinstance(grid, str) else list(grid)
-    seen = set()
-    for name, _ in axes:
-        _check_axis(name, seen)
+    axes = parse_grid(grid) if isinstance(grid, str) else _check_grid(list(grid))
     table = jsondoc.GridColumns(axes)
     y = np.ones((table.rows, DIM))
     if "s" in table:

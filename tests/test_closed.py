@@ -66,7 +66,7 @@ def test_the_readme_table_reads_the_closed_module():
     raised = [np.einsum("mr,ri->mi", g_up, t) for t in tables]
     np.testing.assert_array_equal(raised[0], closed.CONTRACTED_COEF)
     np.testing.assert_array_equal(raised[1], closed.bm_s_raised_field(ones)[0])
-    d_table, _, _ = closed.raised_table_grad(ones)
+    d_table = closed.raised_table_grad(ones)
     div = [closed.raised_divergence(d_table, c)[0] for c in (closed.CONTRACTED_COEF, closed.FIELD_COEF)]
     np.testing.assert_array_equal(div[1], closed.field_divergence(ones)[0])
     sc = (

@@ -37,6 +37,7 @@ CONST = TimeMetric.constant(1.0)
 EXP = TimeMetric.exponential(1.0, 1.0)
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 CUSTOM = SCRIPTS.parent / "benchmarks" / "custom.ini"
+DENSE = SCRIPTS / "dense.ini"
 
 
 # -- gravitational potential ----------------------------------------------------
@@ -218,7 +219,7 @@ def _unreduced_reference(geo, k: float, step: float = 1e-5):
     return ti, tyi
 
 
-@pytest.mark.parametrize("ini", [CUSTOM, SCRIPTS / "dense.ini"], ids=lambda p: p.name)
+@pytest.mark.parametrize("ini", [CUSTOM, DENSE], ids=lambda p: p.name)
 def test_custom_conservation_matches_the_unreduced_definitions(ini, rng):
     """On a custom tensor, at 128 seeded points of the config's box, the one
     assembly (exact div S, exact gradient of 1/sqrt(G_1111), added C- and
@@ -261,7 +262,7 @@ def test_unreduced_divergences_agree_on_berwald_moor(ini, rng):
     t = rng.uniform(cfg.t_min, cfg.t_max, 200)
     y = cone_points(rng, 200, cfg.y_min, cfg.y_max)
     for geo in batches(cfg.tensor, cfg.time_metric, t, y):
-        exact = raised_divergence(raised_table_grad(geo.y)[0], CONTRACTED_COEF)
+        exact = raised_divergence(raised_table_grad(geo.y), CONTRACTED_COEF)
         got = raised_ricci_divergence(geo)
         assert np.all(np.abs(got - exact).max(axis=1) <= 1e-13 * np.abs(exact).max(axis=1))
 
@@ -344,23 +345,16 @@ COEFS = ((5 - 14 * np.eye(4)) / 4, (2 - 8 * np.eye(4)) / 4)
 
 def _per_entry_grad(y):
     """The per-entry Taylor2 oracle of ``raised_table_grad`` at one point y:
-    the partials d/dy^m of s[m] / s[i] / sqrt(G_1111), indexed [m, i], then
-    1/sqrt(G_1111) and its gradient."""
+    the partials d/dy^m of s[m] / s[i] / sqrt(G_1111), indexed [m, i]."""
     s = taylor2_seed(y)
     sq = (s[0] * s[1] * s[2] * s[3]).sqrt()
-    d = np.array([[(s[m] / s[i] / sq).grad[m] for i in range(4)] for m in range(4)])
-    inv_sq = sq.reciprocal()
-    return d, inv_sq.value, inv_sq.grad
+    return np.array([[(s[m] / s[i] / sq).grad[m] for i in range(4)] for m in range(4)])
 
 
-def _assert_per_entry(ys, got):
-    d, inv_sq, d_inv_sq = got
-    assert d.shape == (len(ys), 4, 4) and inv_sq.shape == (len(ys),) and d_inv_sq.shape == (len(ys), 4)
+def _assert_per_entry(ys, d):
+    assert d.shape == (len(ys), 4, 4)
     for n, y in enumerate(ys):
-        want_d, want_inv, want_grad = _per_entry_grad(y)
-        np.testing.assert_array_equal(d[n], want_d)
-        assert inv_sq[n] == want_inv
-        np.testing.assert_array_equal(d_inv_sq[n], want_grad)
+        np.testing.assert_array_equal(d[n], _per_entry_grad(y))
 
 
 def test_shared_raised_table_divergence_equals_scaled_entries(rng):
@@ -368,7 +362,7 @@ def test_shared_raised_table_divergence_equals_scaled_entries(rng):
     the m-th gradient entry of the scaled Taylor2 entry, summed the same way,
     bit for bit, for both coefficient tables."""
     for y in cone_points(rng, 5):
-        d, _, _ = raised_table_grad(y[None])
+        d = raised_table_grad(y[None])
         s = taylor2_seed(y)
         sq = (s[0] * s[1] * s[2] * s[3]).sqrt()
         for coef in COEFS:
@@ -383,7 +377,7 @@ def test_shared_raised_table_divergence_equals_scaled_entries(rng):
 
 @pytest.mark.parametrize("size", BATCH_SIZES)
 def test_batched_raised_table_is_the_per_entry_division(size, rng):
-    """Every array of the batched first-order table equals the gradient of
+    """The batched first-order table equals the gradient of
     s[m] / s[i] / sqrt(G) computed at each point on its own, bit for bit, and
     a point alone gets what it gets in the batch, divergences included."""
     ys = cone_points(rng, size)
@@ -391,10 +385,9 @@ def test_batched_raised_table_is_the_per_entry_division(size, rng):
     _assert_per_entry(ys, batch)
     for n in (0, size // 2, size - 1):
         alone = raised_table_grad(ys[n : n + 1])
-        for got, want in zip(alone, batch):
-            np.testing.assert_array_equal(got[0], want[n])
+        np.testing.assert_array_equal(alone[0], batch[n])
         for coef in COEFS:
-            np.testing.assert_array_equal(raised_divergence(alone[0], coef)[0], raised_divergence(batch[0], coef)[n])
+            np.testing.assert_array_equal(raised_divergence(alone, coef)[0], raised_divergence(batch, coef)[n])
 
 
 @settings(max_examples=60, deadline=None)
@@ -465,21 +458,28 @@ def test_batched_field_layer_equals_per_point(G, rng):
         one = einstein_blocks(G, EXP, p, 1.5)
         np.testing.assert_array_equal(blocks.t_ij[n], one.t_ij)
         np.testing.assert_array_equal(blocks.raised_vv[n], one.raised_vv)
-        # a double contraction in the unreduced divergences may round
-        # differently inside a batch, hence a tolerance instead of equality
         res = conservation_residuals(G, EXP, p, 1.5)
-        np.testing.assert_allclose(cons.t1[n], res.t1, rtol=1e-12)
-        np.testing.assert_allclose(cons.ti[n], res.ti, rtol=1e-12)
-        np.testing.assert_allclose(cons.tyi[n], res.tyi, rtol=1e-12)
+        np.testing.assert_array_equal(cons.t1[n], res.t1)
+        np.testing.assert_array_equal(cons.ti[n], res.ti)
+        np.testing.assert_array_equal(cons.tyi[n], res.tyi)
         np.testing.assert_array_equal(em.f[n], em_form(G, EXP, p).f)
 
 
 @pytest.mark.parametrize("size", BATCH_SIZES)
 def test_bm_conservation_point_alone_equals_point_in_batch(bm, size, rng):
+    """A point's conservation residuals, and on Berwald-Moor their closed
+    right-hand sides, have the same bits alone as inside a batch, on
+    Berwald-Moor, ``custom.ini`` and ``dense.ini``."""
+    tensors = {"berwald-moor": bm, **{ini.name: parse_config(ini.read_text()).tensor for ini in (CUSTOM, DENSE)}}
     ys = cone_points(rng, size)
     ts = rng.uniform(-1, 1, size)
-    batch = conservation_residuals_of(geometry(bm, EXP, ts, ys), 1.5)
-    for n in (0, size // 2, size - 1):
-        alone = conservation_residuals_of(geometry(bm, EXP, ts[n : n + 1], ys[n : n + 1]), 1.5)
-        for name in ("t1", "ti", "tyi", "closed_t1", "closed_ti", "closed_tyi"):
-            np.testing.assert_array_equal(getattr(batch, name)[n], getattr(alone, name)[0], err_msg=name)
+    for label, G in tensors.items():
+        batch = conservation_residuals_of(geometry(G, EXP, ts, ys), 1.5)
+        for n in (0, size // 2, size - 1):
+            alone = conservation_residuals_of(geometry(G, EXP, ts[n : n + 1], ys[n : n + 1]), 1.5)
+            for name in ("t1", "ti", "tyi", "closed_t1", "closed_ti", "closed_tyi"):
+                got, want = getattr(batch, name), getattr(alone, name)
+                if got is None:  # a custom tensor's closed right-hand sides
+                    assert want is None and name.startswith("closed_"), (label, name)
+                else:
+                    np.testing.assert_array_equal(got[n], want[0], err_msg=f"{label} {name}")

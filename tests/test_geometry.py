@@ -926,7 +926,7 @@ from dataclasses import replace
 
 import numpy as np
 import jetbm.geometry as kernel
-from jetbm import DegenerateDenominatorError, InvariantError, QuarticTensor, TimeMetric, fieldtheory
+from jetbm import DegenerateDenominatorError, InvariantError, QuarticTensor, TimeMetric
 
 if __debug__:
     raise SystemExit("not running under -O")
@@ -934,7 +934,6 @@ G, tm = QuarticTensor.berwald_moor(), TimeMetric.exponential(1.0, 1.0)
 t, y = np.array([0.1, 0.2]), np.array([[1.0, 2.0, 3.0, 4.0], [1.5, 2.5, 3.5, 4.5]])
 geo = kernel.geometry(G, tm, t, y)
 jet = kernel._metric_jet(geo.scalars, kernel.third_derivative(G, y), 2)
-blocks = fieldtheory.einstein_blocks_of(geo, 1.0)
 
 
 def nan_at_1(a, axis=0):
@@ -950,8 +949,6 @@ cases = {
     "inverse": lambda: kernel._guard_inverse(nan_at_1(geo.g_up), geo.g_up, y),
     "torsions-p": lambda: kernel._guard_torsions(nan_at_1(geo.p_mixed), geo.c, geo.r_time, geo.kappa, geo.dkappa, y),
     "torsions-r": lambda: kernel._guard_torsions(geo.p_mixed, geo.c, nan_at_1(geo.r_time), geo.kappa, geo.dkappa, y),
-    "reduction-c": lambda: fieldtheory._guard_reduction_terms(replace(geo, c=nan_at_1(geo.c)), blocks),
-    "reduction-blocks": lambda: fieldtheory._guard_reduction_terms(geo, replace(blocks, raised_vv=nan_at_1(blocks.raised_vv))),
     "degenerate": lambda: list(kernel.metric_batches(G, tm, t, y)),
 }
 for name, call in cases.items():
@@ -974,8 +971,6 @@ for name, call in cases.items():
                 "inverse",
                 "torsions-p",
                 "torsions-r",
-                "reduction-c",
-                "reduction-blocks",
             )
         ),
         "degenerate DegenerateDenominatorError True",

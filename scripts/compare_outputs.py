@@ -33,12 +33,15 @@ process of its own:
   ``T1`` on ``scripts/bm_power.ini``, as CSV and as JSON, over
   ``T_LAST_GRID``, whose t axis comes after an s and a y axis (the
   benchmark's grid has t first, so only this grid shows a change to how a
-  sweep lays out an axis or reads the time axis by row);
+  sweep lays out an axis or reads the time axis by row); and ``Sc`` and
+  ``Tyi`` on ``scripts/bm_power.ini``, as CSV and as JSON, over
+  ``NO_T_GRID``, which has no t axis (every row reads the midpoint t) and
+  more rows than a metric batch;
 * the parser's own texts: the usage, help and version texts and the usage
   errors of ``PARSER_ARGVS`` (for an argv that makes argparse exit, the
   document is its stdout followed by its stderr).
 
-That is 409 documents, every kind of document the CLI writes.
+That is 413 documents, every kind of document the CLI writes.
 
 For each document the script prints whether the two trees wrote it
 identically.  For a document that differs it prints how many numbers changed
@@ -82,6 +85,9 @@ SWEEP_FIELDS = CLOSED_FIELDS + ("G1111",)
 # t after the other axes, 6 * 30 * 25 = 4 500 rows: more than one metric
 # batch and more than one row block of the writers' joins
 T_LAST_GRID = "s=0.5:3:6,y3=0.2:7:30,t=-0.9:0.8:25"
+# no t axis, 40 * 40 = 1 600 rows: the midpoint t on every row, past the
+# first metric batch (1 024 rows)
+NO_T_GRID = "s=0.5:3:40,y2=0.2:7:40"
 EVAL_DOCS = 300
 EVAL_CONFIG_DOCS = 20
 # argv on which argparse prints a text of its own and exits: help, version
@@ -164,6 +170,10 @@ def documents() -> list[tuple[str, list[str]]]:
         for fmt in ("csv", "json"):
             argv = ["sweep", "--field", field, "--grid", T_LAST_GRID, "--format", fmt, "--config", str(BM_POWER)]
             docs.append((f"sweep {field} t-last bm_power.ini {fmt}", argv))
+    for field in ("Sc", "Tyi"):
+        for fmt in ("csv", "json"):
+            argv = ["sweep", "--field", field, "--grid", NO_T_GRID, "--format", fmt, "--config", str(BM_POWER)]
+            docs.append((f"sweep {field} no-t bm_power.ini {fmt}", argv))
     docs.extend((f"parser {' '.join(argv)}", list(argv)) for argv in PARSER_ARGVS)
     return docs
 

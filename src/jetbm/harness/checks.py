@@ -52,16 +52,19 @@ the field-theory layer is built on; the diagonal of that table is exactly
 twice the contraction, so those checks report the discrepancy and fail by
 design on a correct implementation.
 
-A sweep tabulates one field of the field layer over a grid; it evaluates the
-body of that field's library function (``closed.scalar_curvature_field_of``,
-``closed.xi_11_of``, ``closed.closed_rhs_of`` or the G-hierarchy) one
-METRIC_CHUNK of grid points at a time, and has no formula of its own.  The
-closed fields read the time axis and y alone, so they reach no kernel code;
-G1111 reads the G-hierarchy, a metric-stage object.  It reads the grid's
-structure instead of recovering it from its columns: a closed field checks
-the cone once per grid and evaluates the time axis once per grid, over the
-t axis values, and each batch gathers the time-axis entries it reads by its
-rows' t index.  A refusal names its table row.  It returns its table as a
+A sweep tabulates one field of the field layer over a grid; it evaluates
+that field's library function and has no formula of its own.  A closed
+field (``closed.scalar_curvature_field_of``, ``closed.xi_11_of``,
+``closed.closed_t1``, ``closed_ti`` or ``closed_tyi``) reads the time axis
+and y alone, a few values per row, so it reaches no kernel code and is one
+call over the whole grid; G1111 reads the G-hierarchy, a metric-stage
+object, one METRIC_CHUNK of grid points at a time.  A sweep reads the
+grid's structure instead of recovering it from its columns: the grid
+checks test each axis value once (finite, and > 0 on s and y1..y4, which
+keeps every row's y in the open positive cone), and a closed field
+evaluates the time axis once per grid, over the t axis values, and gathers
+the time-axis entries it reads by each row's t index.  A refusal names its
+table row.  It returns its table as a
 ``jsondoc.GridColumns`` (the grid axes, then the field), which ``sweep_csv``
 and ``jsondoc.dumps_records`` write through ``jsondoc.join_rows``,
 formatting each axis value once and each distinct value of the field once.
@@ -87,7 +90,7 @@ from ..geometry import (
     stage_times,
     take,
 )
-from ..jetcore import DIM, Taylor2, TimeAxis, check_cone, taylor2_seed
+from ..jetcore import DIM, Taylor2, TimeAxis, taylor2_seed
 from . import jsondoc
 from .config import RunConfig
 
@@ -633,8 +636,9 @@ _AXES = ("t", "s", "y1", "y2", "y3", "y4")
 
 def _check_grid(axes: list) -> list:
     """Return the grid's (axis, values) pairs, or refuse a grid with no
-    axes, an axis name that is not a grid axis or repeats one before it, or
-    an axis with no values."""
+    axes, an axis name that is not a grid axis or repeats one before it, an
+    axis with no values, a value that is not finite, or a value of s or
+    y1..y4 that is not > 0."""
     if not axes:
         raise ConfigError("grid: no axes given")
     seen = set()
@@ -645,6 +649,11 @@ def _check_grid(axes: list) -> list:
             raise ConfigError(f"grid: duplicate axis {name!r}")
         if len(values) == 0:
             raise ConfigError(f"grid: axis {name!r} has no values")
+        values = np.asarray(values, dtype=float)
+        if not np.isfinite(values).all():
+            raise ConfigError(f"grid: axis {name!r} needs finite values, got {values[~np.isfinite(values)][0]}")
+        if name != "t" and not (values > 0.0).all():
+            raise ConfigError(f"grid: axis {name!r} needs values > 0, got {values[~(values > 0.0)][0]}")
         seen.add(name)
     return axes
 
@@ -683,8 +692,8 @@ def parse_grid(spec: str) -> list[tuple[str, np.ndarray]]:
 
 
 class _AxisRows:
-    """The time axis at a batch of table rows: each field of ``ax`` is
-    gathered by the rows' t index when first read, so a field formula reads
+    """The time axis at the table's rows: each field of ``ax`` is gathered
+    by the rows' t index when first read, so a field formula reads
     only the time-axis entries it needs."""
 
     def __init__(self, ax: TimeAxis, index: np.ndarray):
@@ -709,38 +718,35 @@ def _by_table_row(first: int = 0, step: int = 1):
 
 
 def _sweep_values(cfg: RunConfig, field: str, table: jsondoc.GridColumns, y: np.ndarray) -> np.ndarray:
-    """The field at every grid point, y of shape (R, 4), evaluated one
-    METRIC_CHUNK of rows at a time: a closed field reads only the time axis
-    and y, and G1111 the G-hierarchy, so a batch holds no more than a
-    metric-stage bundle does.  A closed field checks the cone and evaluates
-    the time axis once per grid, over the t axis values (or the one
-    midpoint t when the grid has no t axis), and a batch gathers from it by
-    its rows' t index.  A refusal names its table row."""
+    """The field at every grid point, y of shape (R, 4), which the grid
+    checks keep in the open positive cone.  A closed field reads only the
+    time axis and y, a few values per row, so it is one call of its field
+    function over the whole grid: it evaluates the time axis once, over the
+    t axis values (or the one midpoint t when the grid has no t axis), and
+    reads it by each row's t index.  G1111 builds the G-hierarchy, a
+    metric-stage object, one METRIC_CHUNK of rows at a time.  A refusal
+    names its table row."""
     G, tm, k = cfg.tensor, cfg.time_metric, cfg.einstein_k
+    if field == "G1111":
+        out = []
+        for lo in range(0, len(y), METRIC_CHUNK):
+            with _by_table_row(lo):
+                out.append(g_hierarchy(G, y[lo : lo + METRIC_CHUNK]).g1111)
+        return np.concatenate(out)
     fn = {
-        "G1111": lambda ax, y: g_hierarchy(G, y).g1111,
         "xi11": lambda ax, y: bm.xi_11_of(ax, k),
         "Sc": bm.scalar_curvature_field_of,
-        "T1": lambda ax, y: bm.closed_rhs_of(ax, y, k)[0],
-        "Ti": lambda ax, y: bm.closed_rhs_of(ax, y, k)[1][:, 0],
-        "Tyi": lambda ax, y: bm.closed_rhs_of(ax, y, k)[2][:, 0],
+        "T1": lambda ax, y: bm.closed_t1(ax, y, k),
+        "Ti": lambda ax, y: bm.closed_ti(ax, y, k)[:, 0],
+        "Tyi": lambda ax, y: bm.closed_tyi(ax, y, k)[:, 0],
     }[field]
-    ax = t_index = None
-    if field != "G1111":
-        with _by_table_row():
-            y = check_cone(y)
-        if "t" in table.axes:
-            t, t_index, rows_per_t = table.axes["t"].values, table.index("t"), table.axes["t"].repeat
-        else:  # every row reads the one midpoint t
-            t, t_index, rows_per_t = np.array([0.5 * (cfg.t_min + cfg.t_max)]), np.zeros(len(y), dtype=np.intp), 0
-        with _by_table_row(step=rows_per_t):  # t value k first appears in row k * rows_per_t
-            ax = tm.eval(t)
-    out = []
-    for lo in range(0, len(y), METRIC_CHUNK):
-        rows = slice(lo, lo + METRIC_CHUNK)
-        with _by_table_row(lo):
-            out.append(fn(None if ax is None else _AxisRows(ax, t_index[rows]), y[rows]))
-    return np.concatenate(out)
+    if "t" in table.axes:
+        t, t_index, rows_per_t = table.axes["t"].values, table.index("t"), table.axes["t"].repeat
+    else:  # every row reads the one midpoint t
+        t, t_index, rows_per_t = np.array([0.5 * (cfg.t_min + cfg.t_max)]), np.zeros(len(y), dtype=np.intp), 0
+    with _by_table_row(step=rows_per_t):  # t value k first appears in row k * rows_per_t
+        ax = tm.eval(t)
+    return fn(_AxisRows(ax, t_index), y)
 
 
 def sweep(cfg: RunConfig, field: str, grid) -> jsondoc.GridColumns:
@@ -753,11 +759,12 @@ def sweep(cfg: RunConfig, field: str, grid) -> jsondoc.GridColumns:
 
     Every field is a read of the field layer: Sc is
     ``closed.scalar_curvature_field``, xi11 ``closed.xi_11``, T1, Ti and Tyi
-    ``closed.closed_rhs_of`` (the vector fields Ti and Tyi report their
-    first component), and G1111 the tensor's G-hierarchy.  Sc,
-    xi11, T1, Ti and Tyi come from the closed Berwald-Moor field-theory layer
-    and are refused for a custom tensor, and at a y outside the cone;
-    G1111 comes from the configured tensor.
+    ``closed.closed_t1``, ``closed_ti`` and ``closed_tyi`` (the vector
+    fields Ti and Tyi report their first component), and G1111 the tensor's
+    G-hierarchy.  Sc, xi11, T1, Ti and Tyi come from the closed Berwald-Moor
+    field-theory layer and are refused for a custom tensor; G1111 comes from
+    the configured tensor.  The grid checks keep every y in the open
+    positive cone.
     """
     if field not in SWEEP_FIELDS:
         raise ConfigError(f"unknown sweep field {field!r}, expected one of {SWEEP_FIELDS}")

@@ -3,12 +3,16 @@ README's table of the paper's field layer against the honest contraction
 reads its values."""
 
 import ast
+import math
 import re
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from jetbm import TimeMetric, closed
 
@@ -31,6 +35,29 @@ def test_closed_imports_only_errors_and_jetcore():
             continue
         for root in roots:
             assert root == "numpy" or root in sys.stdlib_module_names, ast.unparse(node)
+
+
+# a coordinate of the cone [1e-300, 1e300]: drawn by hypothesis's own float
+# rule, and log-uniformly, so every scale between the bounds is reached
+_CONE_COORDINATE = st.one_of(st.floats(1e-300, 1e300), st.floats(math.log(1e-300), math.log(1e300)).map(math.exp))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a product over the cone may overflow to inf
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.one_of(st.just((4,)), st.tuples(st.integers(1, 40), st.just(4))),
+        elements=_CONE_COORDINATE.filter(lambda v: 1e-300 <= v <= 1e300),
+    )
+)
+def test_g1111_from_the_columns_is_np_prod_bit_for_bit(y):
+    """G_1111 as y's columns multiplied left to right is np.prod over y's
+    last axis to the last bit, for one point and for a batch, where the
+    product overflows, underflows or goes subnormal too."""
+    got = closed._g1111(y)
+    assert got.shape == y.shape[:-1]
+    assert got.tobytes() == np.prod(y, axis=-1).tobytes()
 
 
 def _readme_rows() -> dict[str, tuple[str, str]]:

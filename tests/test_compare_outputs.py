@@ -5,10 +5,12 @@ verdict-only pass."""
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from jetbm.geometry import METRIC_CHUNK
 from jetbm.harness import parse_grid
 
 _PATH = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
@@ -130,10 +132,12 @@ def test_the_document_set_covers_every_kind_the_cli_writes():
     custom.ini, bm_power.ini and dense.ini, every sweep field as CSV and
     JSON, G1111 swept on custom.ini and dense.ini, every closed-layer field
     swept on bm_power.ini and bm_exponential.ini, Sc and T1 swept as CSV
-    and JSON on bm_power.ini over a grid with t last, and the parser's
-    usage, help, version and error texts: 409 documents."""
+    and JSON on bm_power.ini over a grid with t last, Sc and Tyi swept as
+    CSV and JSON on bm_power.ini over a grid of more than METRIC_CHUNK rows
+    with no t axis, and the parser's usage, help, version and error texts:
+    413 documents."""
     docs = compare_outputs.documents()
-    assert len(docs) == 409
+    assert len(docs) == 413
     argvs = [argv for name, argv in docs if not name.startswith("parser ")]
     assert sum(argv[0] == "verify" and argv[-1] == "csv" for argv in argvs) == 1
     dense = [argv for argv in argvs if argv[0] == "verify" and "--config" in argv and argv[2].endswith("dense.ini")]
@@ -151,6 +155,12 @@ def test_the_document_set_covers_every_kind_the_cli_writes():
     ]
     axes = [name for name, _ in parse_grid(compare_outputs.T_LAST_GRID)]
     assert axes[-1] == "t" and "s" in axes and {"y1", "y2", "y3", "y4"} & set(axes)
+    no_t = [argv for argv in argvs if argv[0] == "sweep" and compare_outputs.NO_T_GRID in argv]
+    assert [(argv[2], argv[6], Path(argv[-1]).name) for argv in no_t] == [
+        (field, fmt, "bm_power.ini") for field in ("Sc", "Tyi") for fmt in ("csv", "json")
+    ]
+    no_t_axes = parse_grid(compare_outputs.NO_T_GRID)
+    assert "t" not in dict(no_t_axes) and math.prod(len(values) for _, values in no_t_axes) > METRIC_CHUNK
     parser_docs = [argv for name, argv in docs if name.startswith("parser ")]
     assert parser_docs == list(compare_outputs.PARSER_ARGVS)
     assert {argv[0] for argv in parser_docs if argv[1:] == ["--help"]} == {"eval", "verify", "sweep", "report"}

@@ -610,26 +610,34 @@ def test_sweep_rejects_unknown_field_and_axis():
 
 
 @pytest.mark.parametrize(
-    "grid, message",
+    "grid, message, spec_message",
     [
-        ([("y5", [1.0, 2.0])], "grid: unknown axis 'y5', expected one of"),
-        ([("y1", [1.0, 2.0]), ("y1", [3.0])], "grid: duplicate axis 'y1'"),
-        ([("s", [1.0]), ("t", [0.0]), ("s", [2.0])], "grid: duplicate axis 's'"),
-        ([], "grid: no axes given"),
+        ([("y5", [1.0, 2.0])], "grid: unknown axis 'y5', expected one of", None),
+        ([("y1", [1.0, 2.0]), ("y1", [3.0])], "grid: duplicate axis 'y1'", None),
+        ([("s", [1.0]), ("t", [0.0]), ("s", [2.0])], "grid: duplicate axis 's'", None),
+        ([], "grid: no axes given", None),
+        ([("y1", [-1.0])], "grid: axis 'y1' needs values > 0, got -1.0", "grid: axis y1 needs positive bounds"),
+        ([("t", [0.0]), ("s", [1.0, 0.0])], "grid: axis 's' needs values > 0, got 0.0", "grid: axis s needs positive"),
+        ([("t", [0.0, np.nan])], "grid: axis 't' needs finite values, got nan", "grid: axis t needs finite bounds"),
+        ([("y3", [np.inf, 1.0])], "grid: axis 'y3' needs finite values, got inf", "grid: axis y3 needs finite bounds"),
+        ([("t", [-np.inf, 0.0])], "grid: axis 't' needs finite values, got -inf", "grid: axis t needs finite bounds"),
     ],
-    ids=["unknown", "duplicate", "duplicate-apart", "no-axes"],
+    ids=["unknown", "duplicate", "duplicate-apart", "no-axes", "y-negative", "s-zero", "t-nan", "y-inf", "t-minus-inf"],
 )
 @pytest.mark.parametrize("field", ["Sc", "G1111"])
-def test_a_pre_parsed_grid_meets_the_axis_checks_of_parse_grid(field, grid, message):
+def test_a_pre_parsed_grid_meets_the_axis_checks_of_parse_grid(field, grid, message, spec_message):
     """A grid given as (axis, values) pairs is refused for an unknown or a
     repeated axis name, or for having no axes, with parse_grid's own texts,
     instead of the name being ignored, its column overwritten or one row
-    returned; the same texts as a spec."""
+    returned; the same texts as a spec.  It is refused, naming the axis, for
+    a value that is not finite, or not > 0 on s or y1..y4, which parse_grid
+    refuses as a bound: G1111 is not swept at y1 = -1, where it would be
+    -1."""
     cfg = parse_config(MINIMAL)
     with pytest.raises(ConfigError, match=re.escape(message)):
         sweep(cfg, field, grid)
-    spec = ",".join(f"{name}=1:2:2" for name, _ in grid)
-    with pytest.raises(ConfigError, match=re.escape(message)):
+    spec = ",".join(f"{name}={values[0]}:{values[-1]}:{len(values)}" for name, values in grid)
+    with pytest.raises(ConfigError, match=re.escape(spec_message or message)):
         sweep(cfg, field, spec)
 
 
@@ -866,6 +874,64 @@ def test_a_sweep_evaluates_the_time_axis_once(field, monkeypatch):
     assert calls == ([] if field == "G1111" else [(1,)])
 
 
+CLOSED_SWEEP_FIELDS = ("Sc", "xi11", "T1", "Ti", "Tyi")
+
+
+@pytest.mark.parametrize("grid", ["t=-0.9:0.8:5,s=0.5:3:15,y2=0.2:7:15", "s=0.5:3:40,y2=0.2:7:40"], ids=["t", "no-t"])
+@pytest.mark.parametrize("field", CLOSED_SWEEP_FIELDS)
+def test_a_closed_sweep_field_is_its_library_function_over_the_grid(field, grid):
+    """Over more than METRIC_CHUNK rows, with a t axis and without one (every
+    row at the midpoint t), a closed field's column is its library function
+    over the rows' t and y, bit for bit: the row across the old batch
+    boundary too."""
+    cfg = parse_config(Path(_BM_POWER).read_text())
+    cols = sweep(cfg, field, grid)
+    rows = len(cols[field])
+    assert rows > METRIC_CHUNK
+    t = cols["t"] if "t" in cols else np.full(rows, 0.5 * (cfg.t_min + cfg.t_max))
+    y = cols["s"][:, None] * np.ones(4)
+    y[:, 1] = cols["y2"]
+    tm, k = cfg.time_metric, cfg.einstein_k
+    want = {
+        "Sc": lambda: scalar_curvature_field(tm, t, y),
+        "xi11": lambda: xi_11(tm, t, k),
+        "T1": lambda: closed_rhs_of(tm.eval(t), y, k)[0],
+        "Ti": lambda: closed_rhs_of(tm.eval(t), y, k)[1][:, 0],
+        "Tyi": lambda: closed_rhs_of(tm.eval(t), y, k)[2][:, 0],
+    }[field]()
+    assert cols[field].tobytes() == want.tobytes()
+
+
+CLOSED_FIELD_FUNCTIONS = ("scalar_curvature_field_of", "xi_11_of", "closed_t1", "closed_ti", "closed_tyi")
+
+
+@pytest.mark.parametrize("field, function", zip(CLOSED_SWEEP_FIELDS, CLOSED_FIELD_FUNCTIONS))
+def test_a_closed_sweep_field_makes_one_call_per_grid(field, function, monkeypatch):
+    """A closed field is one call of its field function over every row of
+    a grid of several METRIC_CHUNK rows, and T1, Ti and Tyi each form only
+    their own right-hand side."""
+    calls = []
+
+    def counted(name):
+        real = getattr(closed, name)
+        return lambda ax, *rest: calls.append((name, np.shape(ax.h11))) or real(ax, *rest)
+
+    for name in CLOSED_FIELD_FUNCTIONS:
+        monkeypatch.setattr(closed, name, counted(name))
+    cfg = parse_config(Path(_BM_POWER).read_text())
+    assert len(sweep(cfg, field, _GRID_17)[field]) == 17**3 > 4 * METRIC_CHUNK
+    assert calls == [(function, (17**3,))]
+
+
+def test_g1111_sweeps_one_metric_batch_at_a_time(monkeypatch):
+    """G1111 builds the G-hierarchy once per METRIC_CHUNK rows, in row order."""
+    sizes = []
+    real = verify_checks.g_hierarchy
+    monkeypatch.setattr(verify_checks, "g_hierarchy", lambda G, y: sizes.append(len(y)) or real(G, y))
+    assert len(sweep(default_config(), "G1111", _GRID_17)["G1111"]) == 17**3
+    assert sizes == [METRIC_CHUNK] * 4 + [17**3 - 4 * METRIC_CHUNK]
+
+
 _CUSTOM_INI = Path(__file__).resolve().parents[1] / "benchmarks" / "custom.ini"
 
 
@@ -1049,14 +1115,13 @@ def test_cli_refuses_a_point_whose_values_overflow(argv, named, capsys):
         ("G1111", "y1=1:1e7:1500", None, "G_ij11 is singular at table row 1336, y=[1.73310903e+06 1."),
         ("Sc", "t=0:1000:2,y1=1:2:1100", _BM_EXPONENTIAL, "time metric is not finite at table row 1100, t=1000.0"),
         ("T1", "y1=1:2:3,t=0:1000:2", _BM_EXPONENTIAL, "time metric is not finite at table row 1, t=1000.0"),
-        ("xi11", [("s", np.append(np.ones(1100), -1.0))], None, "open positive cone at table row 1100, y=[-1. -1."),
     ],
-    ids=["singular-G1111", "overflowing-h11-t-first", "overflowing-h11-t-middle", "y-outside-the-cone"],
+    ids=["singular-G1111", "overflowing-h11-t-first", "overflowing-h11-t-middle"],
 )
 def test_a_sweep_refusal_names_its_table_row(field, grid, config, named):
     """A refused point is named by its row of the sweep table, whether the
-    metric batch that refused it, the time axis (evaluated over the t axis
-    values) or the grid's cone test found it."""
+    metric batch that refused it (past the first METRIC_CHUNK rows) or the
+    time axis (evaluated over the t axis values) found it."""
     cfg = default_config() if config is None else parse_config(Path(config).read_text())
     with pytest.raises(JetBMError) as exc:
         sweep(cfg, field, grid)

@@ -41,7 +41,7 @@ process of its own:
   errors of ``PARSER_ARGVS`` (for an argv that makes argparse exit, the
   document is its stdout followed by its stderr).
 
-That is 413 documents, every kind of document the CLI writes.
+That is 419 documents, every kind of document the CLI writes.
 
 For each document the script prints whether the two trees wrote it
 identically.  For a document that differs it prints how many numbers changed
@@ -101,7 +101,13 @@ PARSER_ARGVS = (
     ["sweep", "--help"],
     ["report", "--help"],
     ["eval", "--y=1,1,1,1", "--bogus"],
+    ["eval", "--y=1,1,1,1", "extra"],
+    ["eval", "--y=1,1,1,1", "--version"],
+    ["eval"],
+    ["eval", "--y=1,1,1,1", "--", "x"],
+    ["verify", "--format", "xml"],
     ["sweep", "--field", "Sc"],
+    ["report"],
 )
 
 # runs in each tree: reads a JSON list of argv lists on stdin, runs each

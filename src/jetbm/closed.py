@@ -318,7 +318,7 @@ def xi_11_of(ax: TimeAxis, k: float):
 
 def xi_rate(ax: TimeAxis, k: float):
     """d xi_11 / dt = (9 h_11' + 2 kappa kappa') / (2 K), from the time axis."""
-    return (9.0 * ax.dh11 + 2.0 * ax.kappa * ax.dkappa) / (2.0 * k)
+    return (9.0 * ax.dh11 + 2.0 * ax.kappa * ax.dkappa) / (2.0 * _einstein_k(k))
 
 
 def _h11_bracket(ax: TimeAxis):

@@ -330,24 +330,41 @@ _COMMANDS = (
 )
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser for ``argv``.  Every sub-command is registered, so every
-    usage, help and error text is the same whatever ``argv`` holds, but only
-    the command that ``argv[0]`` names gets its arguments: adding them is
-    most of the cost of a build, which ``main`` pays on every call.  When
-    ``argv[0]`` names no command (or ``argv`` is None), every command gets
-    its arguments."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every sub-command and its arguments.  ``main`` builds
+    it only for a call whose argv[0] names no command, or whose command
+    leaves arguments unparsed, so that these calls get its usage, help and
+    error texts."""
     parser = argparse.ArgumentParser(prog="jetbm", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"jetbm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    invoked = argv[0] if argv and argv[0] in (name for name, *_ in _COMMANDS) else None
     for name, help_text, handler, arguments in _COMMANDS:
         command = sub.add_parser(name, help=help_text)
-        if invoked in (None, name):
-            for flag, options in arguments:
-                command.add_argument(flag, **options)
+        for flag, options in arguments:
+            command.add_argument(flag, **options)
         command.set_defaults(fn=handler)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace of ``build_parser().parse_args(argv)``.  When argv[0]
+    names a command, that command's parser alone reads the rest: it is the
+    sub-parser the full tree gives the command, prog "jetbm <name>"
+    included, so its help and error texts are the tree's, at a third of
+    the tree's building cost.  The full tree is built only when argv[0]
+    names no command or the command leaves an argument unread, and then
+    writes its own texts ("jetbm: error: unrecognized arguments", say)."""
+    for name, _, handler, arguments in _COMMANDS:
+        if argv and argv[0] == name:
+            parser = argparse.ArgumentParser(prog=f"jetbm {name}")
+            for flag, options in arguments:
+                parser.add_argument(flag, **options)
+            args, rest = parser.parse_known_args(argv[1:])
+            if not rest:
+                args.command, args.fn = name, handler
+                return args
+            break
+    return build_parser().parse_args(argv)
 
 
 # options whose value may start with "-": a negative time in exponent
@@ -373,8 +390,11 @@ def _join_signed_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    """Run one command on ``argv`` (sys.argv[1:] when None) and return its
+    exit code.  A valid call builds only its own command's parser (see
+    ``_parse_args``); nothing is kept from one call to the next."""
     argv = _join_signed_values(sys.argv[1:] if argv is None else list(argv))
-    args = build_parser(argv).parse_args(argv)
+    args = _parse_args(argv)
     try:
         _check_output(getattr(args, "output", None))
         return args.fn(args)

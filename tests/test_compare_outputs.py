@@ -135,9 +135,9 @@ def test_the_document_set_covers_every_kind_the_cli_writes():
     and JSON on bm_power.ini over a grid with t last, Sc and Tyi swept as
     CSV and JSON on bm_power.ini over a grid of more than METRIC_CHUNK rows
     with no t axis, and the parser's usage, help, version and error texts:
-    413 documents."""
+    419 documents."""
     docs = compare_outputs.documents()
-    assert len(docs) == 413
+    assert len(docs) == 419
     argvs = [argv for name, argv in docs if not name.startswith("parser ")]
     assert sum(argv[0] == "verify" and argv[-1] == "csv" for argv in argvs) == 1
     dense = [argv for argv in argvs if argv[0] == "verify" and "--config" in argv and argv[2].endswith("dense.ini")]

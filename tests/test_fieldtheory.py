@@ -26,7 +26,7 @@ from jetbm import (
     taylor2_seed,
     xi_11,
 )
-from jetbm.closed import CONTRACTED_COEF, raised_divergence, raised_table_grad
+from jetbm.closed import CONTRACTED_COEF, raised_divergence, raised_table_grad, xi_rate
 from jetbm.fieldtheory import conservation_residuals_of, einstein_blocks_of, em_form_of
 from jetbm.geometry import batches, geometry, raised_ricci_divergence
 from jetbm.harness.config import parse_config
@@ -85,6 +85,8 @@ def test_einstein_requires_nonzero_constant(bm):
         einstein_blocks(bm, CONST, JetPoint.from_y(np.ones(4)), 0.0)
     with pytest.raises(ConfigError):
         xi_11(CONST, 0.0, 0.0)
+    with pytest.raises(ConfigError):
+        xi_rate(EXP.eval(0.7), 0.0)
 
 
 def test_block_symmetry_and_zero_blocks(bm, rng):

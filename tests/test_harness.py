@@ -1026,34 +1026,47 @@ def _main_outcome(argv, capsys):
         ["sweep", "--help"],
         ["report", "--help"],
         ["eval", "--y=1,1,1,1", "--bogus"],
+        ["eval", "--y=1,1,1,1", "extra"],
+        ["eval", "--y=1,1,1,1", "--version"],
+        ["eval"],
+        ["eval", "--y=1,1,1,1", "--", "x"],
+        ["verify", "--format", "xml"],
         ["sweep", "--field", "Sc"],
+        ["report"],
     ],
     ids=" ".join,
 )
 def test_cli_texts_equal_those_of_the_parser_with_every_command(argv, monkeypatch, capsys):
-    """build_parser adds arguments only to the command argv[0] names; every
+    """main parses with the parser of the command argv[0] names; every
     usage, help and error text stays that of the parser with all of them."""
     outcome = _main_outcome(argv, capsys)
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full())
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
     assert outcome == _main_outcome(argv, capsys)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["eval", "--t", "-1.5e-05", "--y", "1,2,3,4", "--x", "-1,2,3,4", "--output", "doc.json"],
-        ["eval", "--y=1,1,1,1", "--config", "a.ini"],
-        ["verify", "--config", "a.ini", "--seed", "7", "--samples", "10", "--format", "csv", "--output", "r.csv"],
-        ["verify"],
-        ["sweep", "--field", "Sc", "--grid", "t=0:1:3", "--format", "json", "--output", "s.json", "--config", "a.ini"],
-        ["report", "--input", "r.json"],
-    ],
-    ids=lambda argv: argv[0],
-)
+_VALID_CALLS = [
+    ["eval", "--t", "-1.5e-05", "--y", "1,2,3,4", "--x", "-1,2,3,4", "--output", "doc.json"],
+    ["eval", "--y=1,1,1,1", "--config", "a.ini"],
+    ["verify", "--config", "a.ini", "--seed", "7", "--samples", "10", "--format", "csv", "--output", "r.csv"],
+    ["verify"],
+    ["sweep", "--field", "Sc", "--grid", "t=0:1:3", "--format", "json", "--output", "s.json", "--config", "a.ini"],
+    ["report", "--input", "r.json"],
+]
+
+
+@pytest.mark.parametrize("argv", _VALID_CALLS, ids=lambda argv: argv[0])
 def test_cli_parses_as_the_parser_with_every_command(argv):
     argv = cli._join_signed_values(argv)
-    assert cli.build_parser(argv).parse_args(argv) == cli.build_parser().parse_args(argv)
+    assert cli._parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", _VALID_CALLS, ids=lambda argv: argv[0])
+def test_a_valid_call_never_builds_the_parser_with_every_command(argv, monkeypatch):
+    def full_tree():
+        raise AssertionError("built the parser with every command")
+
+    monkeypatch.setattr(cli, "build_parser", full_tree)
+    assert cli._parse_args(cli._join_signed_values(argv)).command == argv[0]
 
 
 def test_cli_internal_invariant_exits_three(monkeypatch, capsys):

@@ -10,12 +10,14 @@ checkout is never edited) and runs
     jetbm verify --samples 300 --seed 1 [--config CONFIG]
 
 on each configuration of ``CONFIGS``: the default (constant h_11, so
-kappa = 0), the Berwald-Moor tensor under the exponential and the power time
-metric (kappa != 0), and the custom tensors ``benchmarks/custom.ini`` and
-``scripts/dense.ini``.  A mutant is caught on a configuration when verify
-exits otherwise than on the unmutated tree (a guard's exit 3, say) or when a
-check fails that passes on the unmutated tree; the script prints those
-checks, and at the end each configuration's score, caught of all mutants.
+kappa = 0), the Berwald-Moor tensor under the exponential time metric with
+lam = 1 and with lam = 0.5 (under lam = 1, h_11'' = lam^2 h_11 equals
+lam h_11) and under the power time metric (kappa != 0), and the custom
+tensors ``benchmarks/custom.ini`` and ``scripts/dense.ini``.  A mutant is
+caught on a configuration when verify exits otherwise than on the unmutated
+tree (a guard's exit 3, say) or when a check fails that passes on the
+unmutated tree; the script prints those checks, and at the end each
+configuration's score, caught of all mutants.
 It uses the standard library only and runs one verify process at a time.
 """
 
@@ -32,6 +34,7 @@ PACKAGE = ROOT / "src" / "jetbm"
 CONFIGS = {
     "default": None,
     "bm_exponential": ROOT / "scripts" / "bm_exponential.ini",
+    "bm_exponential_half": ROOT / "scripts" / "bm_exponential_half.ini",
     "bm_power": ROOT / "scripts" / "bm_power.ini",
     "custom": ROOT / "benchmarks" / "custom.ini",
     "dense": ROOT / "scripts" / "dense.ini",
@@ -180,11 +183,11 @@ def main() -> int:
             for name, config in CONFIGS.items():
                 shown = outcome(base[name], verify(package.parent, config))
                 caught[name] += shown is not None
-                print(f"    {name:<15} {shown or 'survives'}")
+                print(f"    {name:<20} {shown or 'survives'}")
             sys.stdout.flush()
     print(f"score, caught of {len(MUTANTS)} mutants:")
     for name, n in caught.items():
-        print(f"    {name:<15} {n}")
+        print(f"    {name:<20} {n}")
     return 0
 
 

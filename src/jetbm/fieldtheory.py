@@ -32,7 +32,7 @@ partials of the raised table are written once, in ``closed``, and imported
 from there.  ``closed_rhs_of`` reads a bundle's time axis and y and forms
 G_1111 from y itself, so the closed side of a conservation residual shares
 no value with the kernel's G-hierarchy.  ``des_check`` reads the time axis from one ``TimeMetric.eval``
-over its t, as the kernel does per chunk.
+over its t, as the kernel does per metric batch.
 
 Each ``*_of`` function computes its objects over the whole batch of a
 bundle of the shallowest kernel stage that holds what it reads (metric,
@@ -214,10 +214,11 @@ def einstein_blocks_of(geo: Metric, k: float) -> EinsteinBlocks:
 
 
 def einstein_batches(G: QuarticTensor, tm: TimeMetric, t, y):
-    """Bundles of the shallowest stage the Einstein blocks of G read, over the
-    chunks of ``batches``: the metric stage on Berwald-Moor, whose blocks read
-    the closed field table, and the full stage on a custom tensor, whose
-    blocks read the honest contraction S^m_i(j)(m)."""
+    """Bundles of the shallowest stage the Einstein blocks of G read: the
+    metric stage on Berwald-Moor, one bundle per metric batch, whose blocks
+    read the closed field table, and the full stage on a custom tensor, one
+    bundle per chunk of ``batches``, whose blocks read the honest
+    contraction S^m_i(j)(m)."""
     return (metric_batches if G.is_berwald_moor else batches)(G, tm, t, y)
 
 
@@ -286,11 +287,12 @@ def _contraction_terms(geo: Connection, blocks: EinsteinBlocks):
 
 
 def conservation_batches(G: QuarticTensor, tm: TimeMetric, t, y):
-    """Bundles of the shallowest stage the conservation residuals of G read,
-    over the chunks of ``batches``: the connection stage on Berwald-Moor,
-    whose contraction terms read C and whose div S reads y alone, and the
-    full stage on a custom tensor, whose div S reads the honest Ricci
-    contraction."""
+    """Bundles of the shallowest stage the conservation residuals of G read:
+    the connection stage on Berwald-Moor, one bundle per metric batch of at
+    most METRIC_CHUNK points, whose contraction terms read C and whose div S
+    reads y alone, and the full stage on a custom tensor, one bundle per
+    chunk of at most CHUNK points of ``batches``, whose div S reads the
+    honest Ricci contraction."""
     return (connection_batches if G.is_berwald_moor else batches)(G, tm, t, y)
 
 

@@ -85,32 +85,38 @@ total symmetry of t3 and t4 and the (j, k) symmetry of C; their 5-index
 results stay in the layout the matmul gives and are read in index order
 once, where S, R and P are formed.
 
-The stages run over two batch sizes.  The metric stage runs once per
-metric batch of at most METRIC_CHUNK points; the connection and full stages
-run over consecutive slices of at most CHUNK points of it, each slice taken
-with ``take`` as views of the metric bundle's C-contiguous arrays.  The
-connection stage peaks at about 2 KiB per point (the first-order packed
-jet), the full stage at about 12 KiB (the 5-index tables) and
-``raised_ricci_divergence`` at about 7 KiB (the second-order packed jet), so
-the chunk bounds the kernel's working memory; the metric stage holds about
-0.7 KB per point, so its larger batch spreads numpy's and LAPACK's fixed
-per-call cost over more points.  The stages do not nest: each takes the
-bundle of the stage before it, and ``_chunks`` is the one chain that calls
-them, and times them (``stage_times``).
+The stages run over two batch sizes.  The metric and connection stages
+run once per metric batch of at most METRIC_CHUNK points; the full stage
+runs over consecutive slices of at most CHUNK points of it, each slice taken
+with ``take`` as views of the connection bundle's C-contiguous arrays.  The
+metric stage peaks at about 1.2 KiB per point and keeps about 0.6 KiB, the
+connection stage peaks at about 2.2 KiB per point (the first-order packed
+jet) and keeps about 1.6 KiB more (t3, C, L and G^k_j1), so their larger
+batch spreads numpy's and LAPACK's fixed per-call cost over more points for
+about 2 MiB a batch.  The full stage peaks at about 12 KiB per point (the
+5-index tables) and ``raised_ricci_divergence`` at about 7 KiB (the
+second-order packed jet), so the chunk bounds their working memory.  The
+stages do not nest: each takes the bundle of the stage before it, and
+``_chunks`` is the one chain that calls them, and times them
+(``stage_times``).
 
 A point's results do not depend on which batch or slice it was computed in:
 the G-hierarchy sums are elementwise plus in-order accumulation, and LAPACK
 and the stacked matmuls work one matrix at a time.  Every correctness guard
 flags the points that fail it and raises a typed error through
-``errors.refuse``, naming the first flagged point; none of them vanishes
-under ``python -O``, and each flags a point as ``~(condition)``, so no
-non-finite value passes one.
+``errors.refuse``, naming the first flagged point by its index in the batch
+the stage ran over (the metric batch, or the full stage's chunk); none of
+them vanishes under ``python -O``, and each flags a point as
+``~(condition)``, so no non-finite value passes one.  A guard that takes a
+per-point maximum or all over a table's entries reduces along the point
+axis, over the entries laid out as [entries, N] (``_abs_max``), which is
+exact and propagates a NaN.
 """
 
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, fields
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from time import perf_counter
 
 import numpy as np
@@ -139,24 +145,25 @@ __all__ = [
     "third_derivative",
 ]
 
-# points per chunk of the connection and full stages: a chunk amortises
-# numpy's per-call overhead, and each curvature-sized table holds 256 doubles
-# (2 KiB) per point, so the chunk also bounds the kernel's working memory.  A
-# 128-point chunk peaks at about 0.27 MiB of numpy allocations in the
-# connection stage (the first-order packed jet), 1.46 MiB in the full stage
-# (at most five 5-index tables alive) and 0.85 MiB in
+# points per chunk of the full stage: a chunk amortises numpy's per-call
+# overhead, and each curvature-sized table holds 256 doubles (2 KiB) per
+# point, so the chunk also bounds the kernel's working memory.  A 128-point
+# chunk peaks at about 1.46 MiB of numpy allocations in the full stage (at
+# most five 5-index tables alive) and 0.85 MiB in
 # ``raised_ricci_divergence`` (the second-order packed jet, at most about
 # sixteen [50, N] arrays alive, then dC), which only a custom tensor's
 # conservation laws run (tracemalloc, numpy 2.4).  A chunk half this size
 # would save about 1 MiB of resident memory in the runs that build the full
 # stage and double the calls of every per-chunk stage and check
 CHUNK = 128
-# points per metric batch: the metric bundle keeps about 0.7 KB per point,
-# and at 1 000 points the metric stage peaks at about 1.4 MiB of numpy
-# allocations (tracemalloc), so one batch can serve sixteen chunks of the
-# deeper stages and pay the metric stage's fixed numpy and LAPACK call cost
-# once.  verify --samples 1000 runs about as fast with batches of 512 points
-# and slower with 256 or 64 (in-process, interleaved runs)
+# points per metric batch of the metric and connection stages: at 1 024
+# points the metric stage peaks at about 1.2 MiB of numpy allocations and
+# keeps 0.6 MiB, the connection stage peaks at about 2.2 MiB (the
+# first-order packed jet) and keeps 1.6 MiB more (tracemalloc), so one batch
+# pays each stage's fixed numpy and LAPACK call cost once and serves eight
+# chunks of the full stage.  verify --samples 1000 runs about as fast with
+# batches of 512 points and slower with 256 or 64 (in-process, interleaved
+# runs)
 METRIC_CHUNK = 1024
 
 _SINGULAR_RTOL = 1e-12
@@ -397,14 +404,19 @@ def g_hierarchy(G: QuarticTensor, y: np.ndarray) -> GScalars:
     D = G.dense
     lead = y.shape[:-1]
     g, gi, gij = _term_sums(G.terms, y)
-    gij11 = np.multiply(gij.T, 12.0, order="C").reshape(lead + (DIM, DIM))
-    gi111 = np.multiply(gi.T, 4.0, order="C").reshape(lead + (DIM,))
+    # the scaled levels, as [M, N] with the point axis last, which the finite
+    # and singular tests reduce along; scaled before the tests, since a x4 or
+    # x12 can overflow where the sum is finite
+    gi *= 4.0
+    gij *= 12.0
+    gij11 = np.ascontiguousarray(gij.T).reshape(lead + (DIM, DIM))
+    gi111 = np.ascontiguousarray(gi.T).reshape(lead + (DIM,))
     det = np.linalg.det(gij11)
-    finite = np.isfinite(g[0]) & np.isfinite(det.reshape(-1)) & np.isfinite(gi111.reshape(-1, DIM)).all(axis=1)
-    finite &= np.isfinite(gij11.reshape(-1, DIM * DIM)).all(axis=1)
+    finite = np.isfinite(g[0]) & np.isfinite(det.reshape(-1)) & np.isfinite(gi).all(axis=0)
+    finite &= np.isfinite(gij).all(axis=0)
     refuse(~finite.reshape(lead), DomainError, "the G-hierarchy is not finite", y=y)
 
-    scale = np.abs(gij11).max(axis=(-2, -1))
+    scale = np.maximum.reduce(np.abs(gij), axis=0).reshape(lead)
     singular = (scale == 0.0) | ~(np.abs(det) >= _SINGULAR_RTOL * scale**4)
     refuse(singular, SingularTensorError, "G_ij11 is singular", y=y, det=det)
     inv = np.linalg.inv(gij11)
@@ -515,20 +527,35 @@ def _guard_mixed_partials(jet, y: np.ndarray):
         refuse(bad.any(axis=0), InvariantError, "mixed-partial consistency of the metric derivative tables fails", y=y)
 
 
+def _abs_max(*tables: np.ndarray) -> np.ndarray:
+    """The largest |entry| of each [N, ...] table at each point, as [tables,
+    N], NaN where one of its entries is NaN.  The tables go into one
+    [entries, N] array, one transposed copy, and each table's rows are
+    reduced with np.maximum over axis 0, along the point axis, which costs a
+    fraction of a reduction over each point's few trailing entries; max is
+    exact, so the order changes no bit."""
+    n = len(tables[0])
+    flat = [table.reshape(n, -1).T for table in tables]
+    rows = np.concatenate(flat)
+    np.abs(rows, out=rows)
+    return np.maximum.reduceat(rows, [0, *accumulate(len(f) for f in flat[:-1])], axis=0)
+
+
 def _guard_inverse(formula: np.ndarray, direct: np.ndarray, y: np.ndarray):
     """The inverse-metric formula agrees with direct inversion of g_lo."""
-    scale = np.abs(direct).max(axis=(1, 2))
-    bad = ~(np.abs(formula - direct).max(axis=(1, 2)) <= 1e-8 * np.maximum(scale, 1.0))
+    scale, err = _abs_max(direct, formula - direct)
+    bad = ~(err <= 1e-8 * np.maximum(scale, 1.0))
     refuse(bad, InvariantError, "inverse-metric formula disagrees with direct inversion", y=y)
 
 
 def _guard_torsions(p_mixed, c, r_time, kappa, dkappa, y):
-    """P^(k)(1)_(1)i(j) = -(kappa/3) C^k_i(j) and R^(k)_(1)1j = ((kappa' - kappa^2)/3) delta."""
+    """P^(k)(1)_(1)i(j) = -(kappa/3) C^k_i(j) and R^(k)_(1)1j = ((kappa' - kappa^2)/3) delta,
+    each within a bound that scales with the terms it compares."""
     k3 = (kappa / 3.0)[:, None, None, None]
-    scale = np.maximum(np.abs(c).max(axis=(1, 2, 3)), 1.0)
-    bad = ~(np.abs(p_mixed + k3 * c).max(axis=(1, 2, 3)) <= 1e-9 * scale * (1 + np.abs(kappa)))
     closed_r = ((dkappa - kappa**2) / 3.0)[:, None, None] * _EYE
-    bad |= ~(np.abs(r_time - closed_r).max(axis=(1, 2)) <= 1e-12 * (1 + np.abs(kappa) + np.abs(dkappa)))
+    scale, err_p, err_r = _abs_max(c, p_mixed + k3 * c, r_time - closed_r)
+    bad = ~(err_p <= 1e-9 * np.maximum(scale, 1.0) * (1 + np.abs(kappa)))
+    bad |= ~(err_r <= 1e-12 * (1 + kappa**2 + np.abs(dkappa)))
     refuse(bad, InvariantError, "torsion identities fail", y=y)
 
 
@@ -599,11 +626,13 @@ def _metric(G: QuarticTensor, tm: TimeMetric, t: np.ndarray, y: np.ndarray) -> M
 
 
 def _connection(m: Metric) -> Connection:
-    """The connection stage over the points of the metric bundle m, from the
-    first-order packed jet of g: G_ijk1, the jet, its half of the
-    mixed-partial guard, and the canonical gather of t3.  One representative
-    per sorted multi-index, stored into every permutation, keeps the
-    downstream index symmetries exact in floating point."""
+    """The connection stage over the points of the metric bundle m, a whole
+    metric batch, from the first-order packed jet of g: G_ijk1, the jet, its
+    half of the mixed-partial guard, and the canonical gather of t3.  One
+    representative per sorted multi-index, stored into every permutation,
+    keeps the downstream index symmetries exact in floating point.  A
+    refusal names its point by its index in the metric batch, as the metric
+    stage's do."""
     n = len(m)
     kappa, g_up, y = m.kappa, m.g_up, m.y
     jet = _metric_jet(m.scalars, third_derivative(m.tensor, y), 1)
@@ -760,21 +789,26 @@ def _timed(name: str, stage, *args):
 def _chunks(depth: int, G: QuarticTensor, tm: TimeMetric, t, y):
     """The one chain of the kernel stages, to the given depth: 0 the metric
     stage, 1 the connection stage, 2 the full stage.  The metric stage runs
-    once per consecutive metric batch of at most METRIC_CHUNK points; at
-    depth 0 the batch's bundle is yielded as it is, otherwise it is cut into
-    slices of at most CHUNK points, and each slice runs through the
-    connection stage and, at depth 2, the full stage.  So a metric batch
-    passes every guard of ``_metric`` before any of its slices runs.  Each
-    stage call's wall time goes to the context's ``stage_times`` counter."""
+    once per consecutive metric batch of at most METRIC_CHUNK points, and at
+    depth 1 and 2 the connection stage once over the whole batch; at depth 0
+    and 1 that batch's bundle is yielded as it is, at depth 2 it is cut into
+    slices of at most CHUNK points (``take``; a bundle of at most CHUNK
+    points is not cut), and each slice runs through the full stage.  So a
+    metric batch passes every guard of ``_metric`` before the connection
+    stage runs on it, and every guard of ``_connection`` before any of its
+    slices runs.  Each stage call's wall time goes to the context's
+    ``stage_times`` counter."""
     t, y = _batch(t, y)
     for lo in range(0, len(t), METRIC_CHUNK):
-        m = _timed("metric", _metric, G, tm, t[lo : lo + METRIC_CHUNK], y[lo : lo + METRIC_CHUNK])
-        if not depth:
-            yield m
+        bundle = _timed("metric", _metric, G, tm, t[lo : lo + METRIC_CHUNK], y[lo : lo + METRIC_CHUNK])
+        if depth:
+            bundle = _timed("connection", _connection, bundle)
+        if depth < 2:
+            yield bundle
             continue
-        for a in range(0, len(m), CHUNK):
-            cn = _timed("connection", _connection, take(m, slice(a, a + CHUNK)))
-            yield _timed("full", _geometry, cn) if depth == 2 else cn
+        for a in range(0, len(bundle), CHUNK):
+            part = take(bundle, slice(a, a + CHUNK)) if len(bundle) > CHUNK else bundle
+            yield _timed("full", _geometry, part)
 
 
 def batches(G: QuarticTensor, tm: TimeMetric, t, y):
@@ -784,7 +818,9 @@ def batches(G: QuarticTensor, tm: TimeMetric, t, y):
 
 
 def connection_batches(G: QuarticTensor, tm: TimeMetric, t, y):
-    """Connection-stage bundles over the same chunks as ``batches``."""
+    """Connection-stage bundles over the metric batches of
+    ``metric_batches``, one bundle of at most METRIC_CHUNK points each, in
+    order."""
     return _chunks(1, G, tm, t, y)
 
 

@@ -19,10 +19,11 @@ rays in one chunk; decay reads its rays, not the drawn points.
 
 The generic objects of a group come from geometry bundles over its points,
 checked with array operations; the Taylor2 oracles run batched over the same
-bundles.  A metric-stage bundle holds up to METRIC_CHUNK points (1 024) and
-a connection- or full-stage bundle up to CHUNK (128; see ``geometry``), so
-a group over 500 points checks four full-stage chunks, each with one call
-of every closed form, oracle and error accumulator it reads.  A group that
+bundles.  A metric- or connection-stage bundle holds up to METRIC_CHUNK
+points (1 024) and a full-stage bundle up to CHUNK (128; see
+``geometry``), so a group over 500 points checks one connection-stage
+bundle or four full-stage chunks, each with one call of every closed form,
+oracle and error accumulator it reads.  A group that
 reads the full stage drops each chunk's bundle before the next one is
 built, so at most one chunk's 5-index tables are alive.  Each group builds
 the shallowest kernel stage that holds what it reads:
@@ -406,45 +407,51 @@ def _fd_value(fn_index, y):
     return _autodiff_case(fn_index, tuple(y.T), np.sqrt)
 
 
-def _along(h, a):
-    """Steps h[:, a] along coordinate a, zero along the others."""
-    e = np.zeros_like(h)
-    e[:, a] = h[:, a]
-    return e
+# the Hessian pairs (a, b), a <= b, in record order
+_PAIR_A, _PAIR_B = np.triu_indices(DIM)
+
+
+def _stencil_points(y, hg, hh):
+    """The 48 shifted copies of y (N, 4) that the central differences read,
+    stacked as (48, N, 4): y + e_a, then y - e_a, for each a (gradient steps
+    hg), then (y + e_a) + e_b, (y + e_a) - e_b, (y - e_a) + e_b and
+    (y - e_a) - e_b for each pair a <= b (Hessian steps hh); e_a is the step
+    along coordinate a, zero along the others."""
+    axis = np.arange(DIM)
+    eg = np.zeros((DIM,) + y.shape)
+    eg[axis, :, axis] = hg.T
+    eh = np.zeros((DIM,) + y.shape)
+    eh[axis, :, axis] = hh.T
+    ea, eb = eh[_PAIR_A], eh[_PAIR_B]
+    plus, minus = y + ea, y - ea
+    return np.concatenate((y + eg, y - eg, plus + eb, plus - eb, minus + eb, minus - eb))
 
 
 def _grp_autodiff(cfg, _t, ys, err):
     """Taylor2 gradients/Hessians versus central finite differences
     (steps scaled per coordinate; relative error with a unit floor).
-    FD samples run the same compositions in plain float arithmetic; both
-    sides run batched over chunks of points."""
+    FD samples run the same compositions in plain float arithmetic, once per
+    composition over a chunk's stacked stencil points; both sides run
+    batched over chunks of points."""
+    pairs = len(_PAIR_A)
     for lo in range(0, len(ys), CHUNK):
         y = ys[lo : lo + CHUNK]
         seeds = taylor2_seed(y)
         hg = 1e-6 * np.maximum(y, 1.0)
         hh = 1e-4 * np.maximum(y, 1.0)
+        points = _stencil_points(y, hg, hh)
         for fi in range(3):
             out = _autodiff_case(fi, seeds, lambda v: v.sqrt())
             f_scale = np.maximum(1.0, np.abs(out.value))
-
-            def rel(exact, fd):
-                return float((np.abs(exact - fd) / np.maximum(np.maximum(np.abs(exact), np.abs(fd)), f_scale)).max())
-
-            for a in range(DIM):
-                e = _along(hg, a)
-                fd = (_fd_value(fi, y + e) - _fd_value(fi, y - e)) / (2 * hg[:, a])
-                err.record(rel(out.grad[:, a], fd))
-            for a in range(DIM):
-                for b in range(a, DIM):
-                    ea = _along(hh, a)
-                    eb = _along(hh, b)
-                    fd = (
-                        _fd_value(fi, y + ea + eb)
-                        - _fd_value(fi, y + ea - eb)
-                        - _fd_value(fi, y - ea + eb)
-                        + _fd_value(fi, y - ea - eb)
-                    ) / (4 * hh[:, a] * hh[:, b])
-                    err.record(rel(out.hess[:, a, b], fd))
+            f = _fd_value(fi, points.reshape(-1, DIM)).reshape(len(points), len(y))
+            grad_fd = (f[:DIM] - f[DIM : 2 * DIM]) / (2 * hg.T)
+            pp, pm, mp, mm = f[2 * DIM :].reshape(4, pairs, len(y))
+            hess_fd = (pp - pm - mp + mm) / (4 * hh.T[_PAIR_A] * hh.T[_PAIR_B])
+            exact = np.concatenate((out.grad.T, out.hess[:, _PAIR_A, _PAIR_B].T))
+            fd = np.concatenate((grad_fd, hess_fd))
+            rel = np.abs(exact - fd) / np.maximum(np.maximum(np.abs(exact), np.abs(fd)), f_scale)
+            for worst in rel.max(axis=1):
+                err.record(float(worst))
 
 
 # --------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import jetbm.jetcore as jetcore
 from jetbm import (
     DegenerateDenominatorError,
     DomainError,
+    InvariantError,
     JetPoint,
     QuarticTensor,
     SingularTensorError,
@@ -434,15 +435,16 @@ def test_point_is_bit_identical_alone_and_in_a_batch(size, rng):
 
 def _assert_stage_is_the_full_bundle(stage, cls, G, tm, size, rng):
     """Every field of the stage's bundles is bit-identical to the full
-    bundle's: the metric stage's batches hold up to METRIC_CHUNK points, the
-    deeper stages' chunks up to CHUNK.  A metric bundle holds no G_ijk1 and
-    no bundle a second derivative of g, so no stage keeps what only a deeper
-    stage or the exact divergence reads."""
+    bundle's: the metric and connection stages' bundles hold a whole metric
+    batch of up to METRIC_CHUNK points, the full stage's chunks up to CHUNK.
+    A metric bundle holds no G_ijk1 and no bundle a second derivative of g,
+    so no stage keeps what only a deeper stage or the exact divergence
+    reads."""
     ys = cone_points(rng, size, lo=0.7, hi=1.4)
     ts = rng.uniform(-1, 1, size)
     parts = list(stage(G, tm, ts, ys))
     full = list(batches(G, tm, ts, ys))
-    step = METRIC_CHUNK if cls is Metric else CHUNK
+    step = CHUNK if cls is Geometry else METRIC_CHUNK
     assert [len(b) for b in parts] == [len(ys[lo : lo + step]) for lo in range(0, size, step)]
     for b in parts:
         assert type(b) is cls and not hasattr(b, "t4") and not hasattr(b.scalars, "gijk1")
@@ -471,8 +473,8 @@ def test_metric_stage_is_bit_identical_to_the_full_bundle(G, size, rng):
 @pytest.mark.parametrize("G", [QuarticTensor.berwald_moor(), CUSTOM_OTHER], ids=["berwald-moor", "custom-other"])
 @pytest.mark.parametrize("size", BATCH_SIZES)
 def test_connection_stage_is_bit_identical_to_the_full_bundle(G, size, rng):
-    """The first-order jet's t3, C, L and G^k_j1 are the full chain's
-    second-order jet's, bit for bit."""
+    """The connection stage's t3, C, L and G^k_j1 over a whole metric batch
+    are the full chain's over its CHUNK slices, bit for bit."""
     _assert_stage_is_the_full_bundle(connection_batches, Connection, G, EXP, size, rng)
 
 
@@ -485,16 +487,18 @@ def test_connection_stage_is_bit_identical_to_the_full_bundle(G, size, rng):
 )
 def test_stages_are_bit_identical_across_both_batch_sizes(stage, cls, G, tm, rng):
     """Both shallower stages hold the full bundle's bits over a second metric
-    batch of CHUNK + 1 points, so their bundles cross both CHUNK and
-    METRIC_CHUNK, on every tensor and with a kappa that varies with t."""
+    batch of CHUNK + 1 points, so the full bundles they are held against
+    cross both CHUNK and METRIC_CHUNK, on every tensor and with a kappa that
+    varies with t."""
     _assert_stage_is_the_full_bundle(stage, cls, G, tm, METRIC_CHUNK + CHUNK + 1, rng)
 
 
 def test_each_chain_builds_only_the_orders_it_reads(rng, monkeypatch):
     """The metric chain computes no G_ijk1; the connection and full chains
-    compute it and run the first-order jet once per chunk, and no bundle
-    keeps a second derivative.  The second-order jet runs only in the exact
-    divergence of the raised Ricci table, once per chunk of the conservation
+    compute it and run the first-order jet once per metric batch, though the
+    full chain yields one bundle per chunk, and no bundle keeps a second
+    derivative.  The second-order jet runs only in the exact divergence of
+    the raised Ricci table, once per full-stage chunk of the conservation
     readers on a custom tensor (its eval included); no verify group runs it,
     on any tensor, nor does a Berwald-Moor eval."""
     calls = []
@@ -504,20 +508,20 @@ def test_each_chain_builds_only_the_orders_it_reads(rng, monkeypatch):
     ys = cone_points(rng, CHUNK + 1)
     ts = rng.uniform(-1, 1, len(ys))
     chains = (
-        (metric_batches, Metric, []),
-        (connection_batches, Connection, ["gijk1", 1]),
-        (batches, Geometry, ["gijk1", 1]),
+        (metric_batches, Metric, [], 1),
+        (connection_batches, Connection, ["gijk1", 1], 1),
+        (batches, Geometry, ["gijk1", 1], 2),
     )
-    for stage, cls, per_chunk in chains:
+    for stage, cls, per_batch, count in chains:
         calls.clear()
         parts = list(stage(DENSE, POWER, ts, ys))
-        assert calls == per_chunk * len(parts) and len(parts) == (1 if cls is Metric else 2)
+        assert calls == per_batch and len(parts) == count
         for b in parts:
             assert type(b) is cls and not hasattr(b.scalars, "gijk1") and not hasattr(b, "t4")
     calls.clear()
     for geo in fieldtheory.conservation_batches(DENSE, POWER, ts, ys):
         conservation_residuals_of(geo, 1.5)
-    assert calls == ["gijk1", 1, "gijk1", 2] * 2
+    assert calls == ["gijk1", 1] + ["gijk1", 2] * 2
     dense_ini = Path(__file__).resolve().parents[1] / "scripts" / "dense.ini"
     for argv, per_eval in (([], ["gijk1", 1]), ([f"--config={dense_ini}"], ["gijk1", 1, "gijk1", 2])):
         calls.clear()
@@ -547,14 +551,14 @@ def test_the_first_order_jet_forms_no_second_derivative_factor(stage):
 def test_points_are_bit_identical_across_the_metric_batch_boundary(G, size, rng):
     """Each stage gives a point the same bits in a batch of METRIC_CHUNK
     points or one more (a second metric batch of one point) as alone: at
-    the ends of the first and second chunk slices, of the metric batch, and
-    in the next one."""
+    the ends of the first and second full-stage chunks, of the metric
+    batch, and in the next one."""
     ys = cone_points(rng, size)
     ts = rng.uniform(-1, 1, size)
     picks = sorted({0, CHUNK - 1, CHUNK, METRIC_CHUNK - 1, size - 1})
     for stage in (metric_batches, connection_batches, batches):
         parts = list(stage(G, EXP, ts, ys))
-        step = METRIC_CHUNK if stage is metric_batches else CHUNK
+        step = CHUNK if stage is batches else METRIC_CHUNK
         assert [len(b) for b in parts] == [len(ys[lo : lo + step]) for lo in range(0, size, step)]
         batch = kernel._concat(parts)
         for n in picks:
@@ -562,29 +566,40 @@ def test_points_are_bit_identical_across_the_metric_batch_boundary(G, size, rng)
             _assert_point_equal(batch, n, one)
 
 
-def test_connection_stage_gets_c_contiguous_slices(rng, monkeypatch):
-    """Each CHUNK slice of a metric batch that reaches the connection stage
-    holds views of the metric bundle's arrays, C-contiguous, which the
-    stacked matmuls need to round as over a whole batch; G_ijkl stays the
-    zero-stride constant."""
-    seen = []
-    real = kernel._connection
-
-    def connection(m):
-        seen.append(m)
-        return real(m)
-
-    monkeypatch.setattr(kernel, "_connection", connection)
+def test_full_stage_gets_c_contiguous_slices(rng, monkeypatch):
+    """The connection stage runs once over each whole metric batch, and each
+    CHUNK slice of its bundle that reaches the full stage holds views of the
+    connection bundle's arrays, C-contiguous, which the stacked matmuls need
+    to round as over a whole batch; G_ijkl stays the zero-stride constant.
+    A connection bundle of at most CHUNK points reaches the full stage as it
+    is."""
+    seen = {"_connection": [], "_geometry": []}
+    for name in seen:
+        real = getattr(kernel, name)
+        monkeypatch.setattr(kernel, name, lambda b, real=real, name=name: seen[name].append(b) or real(b))
     ys = cone_points(rng, METRIC_CHUNK + 1)
-    list(connection_batches(DENSE, EXP, rng.uniform(-1, 1, len(ys)), ys))
-    assert [len(m) for m in seen] == [CHUNK] * (METRIC_CHUNK // CHUNK) + [1]
-    for m in seen[:-1]:
-        arrays = {f.name: getattr(m, f.name) for f in fields(Metric) if isinstance(getattr(m, f.name), np.ndarray)}
-        arrays.update({f.name: getattr(m.scalars, f.name) for f in fields(GScalars)})
-        assert m.scalars.gijkl.strides[0] == 0
+    list(batches(DENSE, EXP, rng.uniform(-1, 1, len(ys)), ys))
+    assert [len(m) for m in seen["_connection"]] == [METRIC_CHUNK, 1]
+    assert [len(cn) for cn in seen["_geometry"]] == [CHUNK] * (METRIC_CHUNK // CHUNK) + [1]
+    assert seen["_geometry"][-1].c.flags.owndata
+    for cn in seen["_geometry"][:-1]:
+        arrays = {f.name: getattr(cn, f.name) for f in fields(Connection) if isinstance(getattr(cn, f.name), np.ndarray)}
+        arrays.update({f.name: getattr(cn.scalars, f.name) for f in fields(GScalars)})
+        assert cn.scalars.gijkl.strides[0] == 0
         del arrays["gijkl"]
         for name, a in arrays.items():
             assert a.flags.c_contiguous and not a.flags.owndata, name
+
+
+def test_verify_runs_the_connection_stage_once_per_metric_batch(monkeypatch):
+    """A default verify at 1 000 samples runs the connection stage once in
+    each of the six groups that read it (cartan, curvature, ricci,
+    conservation, decay and field_misc), each over one metric batch."""
+    calls = []
+    real = kernel._connection
+    monkeypatch.setattr(kernel, "_connection", lambda m: calls.append(len(m)) or real(m))
+    checks.run_verify(RunConfig(seed=1, samples=1000))
+    assert len(calls) == 6
 
 
 _SKEWED = np.array([1e-2, 1e-2, 1e2, 1e2])  # det G_ij11 = -3 G_1111^2, tiny against max|G_ij11|^4
@@ -916,17 +931,38 @@ except InvariantError as exc:
     assert lines[5].startswith("InvariantError: inverse-metric formula disagrees with direct inversion")
 
 
+def test_the_time_torsion_bound_scales_with_its_terms():
+    """R^(k)_(1)1j = ((kappa' - kappa^2)/3) delta: at kappa = 5e4 its
+    entries are about 8e8, so the guard's bound 1e-12 (1 + kappa^2 +
+    |kappa'|) admits the rounding of the full stage's sum, and an R_time
+    off by 1e-6 relative still fails it."""
+    tm = TimeMetric.exponential(1.0, 1e5)
+    ts = np.linspace(-1e-3, 1e-3, 2001)
+    ys = np.tile([1.0, 2.0, 3.0, 4.0], (len(ts), 1))
+    geo = geometry(QuarticTensor.berwald_moor(), tm, ts, ys)
+    np.testing.assert_allclose(geo.kappa, 5e4, rtol=1e-12)
+    args = (geo.kappa, geo.dkappa, geo.y)
+    kernel._guard_torsions(geo.p_mixed, geo.c, geo.r_time, *args)
+    off = geo.r_time.copy()
+    off[7] *= 1.0 + 1e-6
+    with pytest.raises(InvariantError, match="torsion identities fail at batch index 7"):
+        kernel._guard_torsions(geo.p_mixed, geo.c, off, *args)
+
+
 def test_every_guard_counts_a_nan_as_a_failure():
     """A NaN fed into each consistency guard raises InvariantError naming its
-    point, and a NaN scriptG the degenerate-denominator guard
-    DegenerateDenominatorError, under python -O as without it: a NaN error
-    is within no tolerance."""
+    point, a NaN scriptG the degenerate-denominator guard
+    DegenerateDenominatorError, and a NaN G-hierarchy level DomainError,
+    under python -O as without it: a NaN error is within no tolerance.  The
+    guards that reduce along the point axis refuse a point whose one entry
+    is NaN, and the hierarchy test refuses a G_i111 whose sum is finite but
+    whose x4 overflows."""
     code = """
 from dataclasses import replace
 
 import numpy as np
 import jetbm.geometry as kernel
-from jetbm import DegenerateDenominatorError, InvariantError, QuarticTensor, TimeMetric
+from jetbm import DegenerateDenominatorError, DomainError, InvariantError, QuarticTensor, TimeMetric
 
 if __debug__:
     raise SystemExit("not running under -O")
@@ -942,13 +978,53 @@ def nan_at_1(a, axis=0):
     return a
 
 
+def nan_entry_at_1(a):
+    # one off-diagonal entry of point 1 NaN
+    a = np.array(a)
+    a[1].flat[1] = np.nan
+    return a
+
+
+real_sums = kernel._term_sums
+
+
+def hierarchy_with(level, value):
+    # g_hierarchy with row 1 of the term sums of level (1 G_i111, 2 G_ij11)
+    # set to value at point 1
+    def sums(table, y):
+        out = real_sums(table, y)
+        out[level][1, 1] = value
+        return out
+
+    def call():
+        kernel._term_sums = sums
+        try:
+            kernel.g_hierarchy(G, y)
+        finally:
+            kernel._term_sums = real_sums
+
+    return call
+
+
+def torsions(p=geo.p_mixed, c=geo.c, r=geo.r_time):
+    return lambda: kernel._guard_torsions(p, c, r, geo.kappa, geo.dkappa, y)
+
+
 real = kernel.g_hierarchy
 cases = {
     "mixed-partials-t3": lambda: kernel._guard_mixed_partials((nan_at_1(jet[0], 1), jet[1]), y),
     "mixed-partials-t4": lambda: kernel._guard_mixed_partials((jet[0], nan_at_1(jet[1], 1)), y),
     "inverse": lambda: kernel._guard_inverse(nan_at_1(geo.g_up), geo.g_up, y),
-    "torsions-p": lambda: kernel._guard_torsions(nan_at_1(geo.p_mixed), geo.c, geo.r_time, geo.kappa, geo.dkappa, y),
-    "torsions-r": lambda: kernel._guard_torsions(geo.p_mixed, geo.c, nan_at_1(geo.r_time), geo.kappa, geo.dkappa, y),
+    "inverse-direct": lambda: kernel._guard_inverse(geo.g_up, nan_at_1(geo.g_up), y),
+    "inverse-entry": lambda: kernel._guard_inverse(nan_entry_at_1(geo.g_up), geo.g_up, y),
+    "torsions-p": torsions(p=nan_at_1(geo.p_mixed)),
+    "torsions-r": torsions(r=nan_at_1(geo.r_time)),
+    "torsions-c-entry": torsions(c=nan_entry_at_1(geo.c)),
+    "torsions-p-entry": torsions(p=nan_entry_at_1(geo.p_mixed)),
+    "torsions-r-entry": torsions(r=nan_entry_at_1(geo.r_time)),
+    "hierarchy-gi111": hierarchy_with(1, np.nan),
+    "hierarchy-gij11": hierarchy_with(2, np.nan),
+    "hierarchy-gi111-scaled": hierarchy_with(1, 1e308),
     "degenerate": lambda: list(kernel.metric_batches(G, tm, t, y)),
 }
 for name, call in cases.items():
@@ -957,7 +1033,7 @@ for name, call in cases.items():
     try:
         call()
         print(name, "passed")
-    except (InvariantError, DegenerateDenominatorError) as exc:
+    except (InvariantError, DegenerateDenominatorError, DomainError) as exc:
         print(name, type(exc).__name__, f" at batch index 1, y={y[1]}" in str(exc))
 """
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
@@ -969,10 +1045,16 @@ for name, call in cases.items():
                 "mixed-partials-t3",
                 "mixed-partials-t4",
                 "inverse",
+                "inverse-direct",
+                "inverse-entry",
                 "torsions-p",
                 "torsions-r",
+                "torsions-c-entry",
+                "torsions-p-entry",
+                "torsions-r-entry",
             )
         ),
+        *(f"{name} DomainError True" for name in ("hierarchy-gi111", "hierarchy-gij11", "hierarchy-gi111-scaled")),
         "degenerate DegenerateDenominatorError True",
     ]
 

@@ -1175,6 +1175,20 @@ def test_cli_verify_custom_passes(tmp_path):
     assert out.returncode == 0
 
 
+def test_cli_verify_checks_a_steep_exponential_time_metric(tmp_path):
+    """h_11 = e^(1e5 t) has kappa = 5e4, so R^(k)_(1)1j = ((kappa' - kappa^2)/3)
+    delta is about -8e8 delta, and the full stage and the closed form round
+    it about 1e-7 apart.  The torsion guard's bound scales with kappa^2, so
+    verify reports its checks instead of exiting 3."""
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        MINIMAL.replace("family = constant", "family = exponential\nlam = 1e5")
+        + "\n[sampling]\nt_min = -1e-3\nt_max = 1e-3\n"
+    )
+    out = _cli("verify", "--config", str(cfg), "--samples", "50")
+    assert out.returncode in (0, 1), out.stderr
+
+
 def test_cli_verify_bad_config_exits_two(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(MINIMAL + "\n[sampling]\ny_min = -1\n")

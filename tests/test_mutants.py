@@ -23,3 +23,7 @@ def test_the_list_spans_the_layers_it_scores():
     assert len(mutants.MUTANTS) >= 15
     assert {m[0] for m in mutants.MUTANTS} == {"geometry.py", "closed.py", "fieldtheory.py", "jetcore.py", "harness/checks.py"}
     assert len({m[3] for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+
+
+def test_every_config_is_a_file():
+    assert all(config is None or config.is_file() for config in mutants.CONFIGS.values())
